@@ -1,0 +1,72 @@
+"""Byte-exact transcripts for fixed seeds, one per session driver.
+
+The digests pin the wire bytes of a clean local run, a local run that
+restarts once, an online run over a loopback pipe and a baseline run,
+so that any change to the message schedule or to a driver that alters
+what goes on the wire fails here.
+"""
+
+import hashlib
+import threading
+
+from siot import (
+    LoopbackPipe,
+    SessionConfig,
+    preset,
+    run_baseline_local,
+    run_local,
+    run_session,
+)
+
+X0, X1 = b"golden zero", b"golden one!"
+
+
+def _digest(transcript) -> str:
+    return hashlib.sha256(transcript.to_bytes()).hexdigest()
+
+
+def test_clean_local_run():
+    out = run_local(SessionConfig(preset("p431"), seed=b"golden-0", b=1,
+                                  x0=X0, x1=X1))
+    assert out["restarts"] == 0
+    assert out["output"] == X1
+    assert _digest(out["transcript"]) == (
+        "e86aaf51d1643e14eeb587099e3153189e740aa7feeb7fc428bb1e9caf85da8a")
+
+
+def test_restarting_local_run():
+    out = run_local(SessionConfig(preset("p431"), seed=b"golden-57", b=1,
+                                  x0=X0, x1=X1))
+    assert out["restarts"] == 1
+    assert out["output"] == X1
+    assert _digest(out["transcript"]) == (
+        "846f7c5579899465cde37508fbace6b0984c1b9686c3b6a812c2a9b7023cff22")
+
+
+def test_online_run():
+    params = preset("p431")
+    pipe = LoopbackPipe()
+    results = {}
+
+    def receiver():
+        cfg = SessionConfig(params, seed=b"golden-r", b=0)
+        results["r"] = run_session("receiver", cfg, pipe.b)
+
+    th = threading.Thread(target=receiver)
+    th.start()
+    results["s"] = run_session(
+        "sender", SessionConfig(params, seed=b"golden-s", x0=X0, x1=X1),
+        pipe.a)
+    th.join(30)
+    sent = results["s"]["transcript"].to_bytes()
+    assert results["r"]["transcript"].to_bytes() == sent
+    assert results["r"]["output"] == X0
+    assert _digest(results["s"]["transcript"]) == (
+        "0922d9bf7547e8696348f5397e9ee86f211ee9640162057e1845489a94dcfd8b")
+
+
+def test_baseline_run():
+    out = run_baseline_local(0, b"m zero", b"m one.", seed=b"golden-bo")
+    assert out["output"] == b"m zero"
+    assert _digest(out["transcript"]) == (
+        "d2b5a3f629e21de7bd6babe07b5f6ad0a95089d3f2a21531b54a805e0d7d0abe")
