@@ -20,7 +20,7 @@ from siot import (
     distinguisher_scan,
     keygen,
     preset,
-    run_baseline_session,
+    run_baseline_local,
 )
 
 
@@ -75,13 +75,12 @@ def probe_brute_force(params) -> None:
 def probe_baseline(_) -> None:
     banner("4. classical-group baseline OT, same shape, old assumptions")
     ctx = default_group()
-    rng = det_rng(b"probe-4")
     p = ctx.curve.A.ctx.p
     print(f"group: order-{ctx.q} subgroup of a curve over F_{p}")
     for b in (0, 1):
-        art = run_baseline_session(ctx, b, b"message zero", b"message one!",
-                                   rng)
-        print(f"b={b}: delivered {art['delivered']!r}")
+        art = run_baseline_local(b, b"message zero", b"message one!",
+                                 seed=b"probe-4/%d" % b)
+        print(f"b={b}: delivered {art['output']!r}")
 
 
 def main() -> None:

@@ -4,9 +4,10 @@ Layers, bottom up: quadratic extension field arithmetic (field), short
 Weierstrass curves (curve), Weil and distortion pairings with basis
 decomposition (pairing), prime-power isogeny chains (isogeny), the
 two-torsion-tower key exchange (sidh), the masked 1-of-2 OT protocol
-(siot), a classical-group reference OT (baseline_ot), adversarial
-probes and oracles (analysis), and the wire format, framing, session
-runner and CLI (wire, transport, runner, cli).
+and its one message schedule (siot), a classical-group reference OT
+(baseline_ot), adversarial probes and oracles (analysis), and the wire
+format, framing, session drivers and CLI (wire, transport, runner,
+cli).
 """
 
 from .analysis import (
@@ -29,7 +30,6 @@ from .baseline_ot import (
     bo_sender_keys,
     bo_sender_setup,
     default_group,
-    run_baseline_session,
 )
 from .curve import INFINITY, EllipticCurve, Point, sample_torsion_basis
 from .errors import (
@@ -129,10 +129,9 @@ __all__ = [
     "isogeny_path_exists", "kdf_dec", "kdf_enc", "kernel_generator",
     "keygen", "miller_function", "modified_pairing", "params_from_obj",
     "params_to_obj", "preset", "public_from_obj", "public_to_obj",
-    "reachable_j_values", "recv_frame", "run_baseline_local",
-    "run_baseline_session", "run_local", "run_session",
-    "same_cyclic_subgroup", "sample_torsion_basis", "send_frame",
-    "serve_one", "shared_j_oracle", "sub_seed", "symmetric_constraint_check",
-    "symmetric_pairing", "tagged_hash", "validate_public", "velu_step",
-    "verify_transcript", "weil_pairing",
+    "reachable_j_values", "recv_frame", "run_baseline_local", "run_local",
+    "run_session", "same_cyclic_subgroup", "sample_torsion_basis",
+    "send_frame", "serve_one", "shared_j_oracle", "sub_seed",
+    "symmetric_constraint_check", "symmetric_pairing", "tagged_hash",
+    "validate_public", "velu_step", "verify_transcript", "weil_pairing",
 ]

@@ -106,17 +106,3 @@ def bo_encrypt(key: bytes, message: bytes) -> bytes:
 def bo_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     return open_sealed(key, ciphertext)
 
-
-def run_baseline_session(ctx: OtGroupContext, b: int, m0: bytes, m1: bytes,
-                         rng) -> dict:
-    """One honest in-process session; returns all artifacts for inspection."""
-    y, S, T = bo_sender_setup(ctx, rng)
-    x, R, k_b = bo_receiver_round(ctx, S, b, rng)
-    k0, k1 = bo_sender_keys(ctx, y, S, T, R)
-    d0 = bo_encrypt(k0, m0)
-    d1 = bo_encrypt(k1, m1)
-    delivered = bo_decrypt(k_b, d1 if b else d0)
-    return {
-        "delivered": delivered, "keys": (k0, k1), "receiver_key": k_b,
-        "S": S, "T": T, "R": R, "ciphertexts": (d0, d1),
-    }

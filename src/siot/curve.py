@@ -1,7 +1,7 @@
 """Short-Weierstrass curves y^2 = x^3 + Ax + B over F_{p^2}.
 
 Affine coordinates with an explicit infinity marker; the chord-tangent
-group law, torsion checks, j-invariants, Frobenius/trace maps, and
+group law, torsion checks, j-invariants, the Frobenius map, and
 torsion-basis sampling live here.
 """
 
@@ -164,18 +164,6 @@ class EllipticCurve:
         if P.infinity:
             return INFINITY
         return Point(P.x.frobenius(), P.y.frobenius())
-
-    def quasi_trace(self, P: Point) -> Point:
-        """P + Frob(P); lands in the Frobenius +1 eigenspace."""
-        return self.add(P, self.frobenius_endo(P))
-
-    def trace_map(self, P: Point, group_exponent: int) -> Point:
-        """(1/2)(P + Frob(P)); needs 2 invertible mod the group exponent."""
-        if group_exponent % 2 == 0:
-            raise ZeroDivisionError(
-                "2 is not invertible mod the group exponent; use quasi_trace")
-        half = pow(2, -1, group_exponent)
-        return self.mul(half, self.quasi_trace(P))
 
     # -- sampling ------------------------------------------------------
 

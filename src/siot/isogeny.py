@@ -19,10 +19,6 @@ from dataclasses import dataclass
 from .curve import EllipticCurve, Point, INFINITY
 from .errors import InvalidKernelError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
 @dataclass(frozen=True)
 class VeluStep:
     """One separable isogeny, recorded by its kernel's nonzero points."""
@@ -84,25 +80,15 @@ def _codomain(E: EllipticCurve, kernel_points) -> EllipticCurve:
     return EllipticCurve(a - c5 * va, b - c7 * vb)
 
 
-def _infer_prime_order(E: EllipticCurve, K: Point) -> int:
-    for ell in _SMALL_PRIMES:
-        if E.mul(ell, K).infinity:
-            return ell
-    raise InvalidKernelError("kernel point has no small prime order")
-
-
-def velu_step(E: EllipticCurve, K: Point, ell: int | None = None) -> VeluStep:
+def velu_step(E: EllipticCurve, K: Point, ell: int) -> VeluStep:
     """Quotient E by the order-ell subgroup generated by K.
 
-    K must be a nonzero point of prime order; ell is inferred when not
-    given.
+    K must be a nonzero point of prime order ell.
     """
     E.check_point(K)
     if K.infinity:
         raise InvalidKernelError("kernel generator is the identity")
-    if ell is None:
-        ell = _infer_prime_order(E, K)
-    elif not E.mul(ell, K).infinity:
+    if not E.mul(ell, K).infinity:
         raise InvalidKernelError(f"kernel generator is not {ell}-torsion")
     kernel = cyclic_subgroup(E, K, ell)
     return VeluStep(E, _codomain(E, kernel), kernel)

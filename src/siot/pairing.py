@@ -143,7 +143,8 @@ def miller_function(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
 
 def _aux_point(E: EllipticCurve, P: Point, Q: Point, n: int, attempt: int) -> Point:
     """Deterministic auxiliary point: hash the inputs, walk x candidates."""
-    material = b"siot/pairing-aux" + n.to_bytes(8, "big")
+    material = b"siot/pairing-aux" + n.to_bytes(
+        max(8, (n.bit_length() + 7) // 8), "big")
     material += attempt.to_bytes(4, "big")
     for pt in (P, Q):
         material += pt.x.encode() + pt.y.encode()

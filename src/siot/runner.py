@@ -1,5 +1,7 @@
 """Drives protocol sessions: in-process pairs, online endpoints over a
-framed stream, and deterministic transcript replay/verification.
+framed stream, and deterministic transcript replay/verification, all
+walking the one message schedule ``siot.SCHEDULE``; plus the in-process
+driver of the classical-group baseline OT.
 
 Restart semantics: a degenerate masked basis or kernel raises a restart
 signal; the in-process runner then rebuilds both sessions and reruns,
@@ -21,28 +23,26 @@ from .baseline_ot import (
     bo_sender_setup,
     default_group,
 )
-from .errors import DecodeError, ProtocolAbort, RestartRequired
+from .errors import DecodeError, ProtocolAbort, RestartRequired, SingularCurveError
+from .pairing import weil_pairing
 from .sidh import (
     PublicParams,
     point_to_obj,
     public_from_obj,
     validate_public,
 )
-from .siot import NONCE_LEN, SiotSession, derive_mask_coeffs, encode_mask_points
+from .siot import (
+    NONCE_LEN,
+    SCHEDULE,
+    SiotSession,
+    _bytes_field,
+    derive_mask_coeffs,
+    encode_mask_points,
+    exchange,
+)
 from .transport import recv_frame, send_frame
 from .util import det_rng, sub_seed, tagged_hash, xor_bytes
 from .wire import Transcript, WireMessage, decode, encode
-
-# the one legal message schedule; everything checks against it
-_SCHEDULE = (
-    ("coin-commit", "sender->receiver"),
-    ("coin-commit", "receiver->sender"),
-    ("coin-reveal", "sender->receiver"),
-    ("coin-reveal", "receiver->sender"),
-    ("pk-sender", "sender->receiver"),
-    ("pk-receiver", "receiver->sender"),
-    ("ciphertexts", "sender->receiver"),
-)
 
 
 @dataclass
@@ -52,7 +52,6 @@ class SessionConfig:
     b: int | None = None
     x0: bytes | None = None
     x1: bytes | None = None
-    hardened: bool = True
     session_id: bytes | None = None
     max_restarts: int = 4
 
@@ -77,63 +76,35 @@ def run_local(config: SessionConfig, offline_dir=None) -> dict:
     restarts = 0
     while True:
         try:
-            outcome = _pump_local(config, sid, rng_s, rng_r)
+            sender = SiotSession(config.params, "sender", rng_s, sid,
+                                 x0=config.x0, x1=config.x1)
+            receiver = SiotSession(config.params, "receiver", rng_r, sid,
+                                   b=config.b)
+            bodies = exchange(sender, receiver)
             break
         except RestartRequired:
             restarts += 1
             if restarts > config.max_restarts:
                 raise
-    outcome["restarts"] = restarts
-    if offline_dir is not None:
-        os.makedirs(offline_dir, exist_ok=True)
-        path = os.path.join(offline_dir, "transcript.jsonl")
-        outcome["transcript"].save(path)
-        outcome["transcript_path"] = path
-    return outcome
-
-
-def _pump_local(config: SessionConfig, sid: bytes, rng_s, rng_r) -> dict:
-    params = config.params
-    sender = SiotSession(params, "sender", rng_s, sid,
-                         x0=config.x0, x1=config.x1, hardened=config.hardened)
-    receiver = SiotSession(params, "receiver", rng_r, sid,
-                           b=config.b, hardened=config.hardened)
     transcript = Transcript()
-    hexsid = sid.hex()
-
-    def ship(mtype, direction, body):
-        transcript.append(direction, WireMessage(mtype, hexsid, body))
-
-    body = sender.produce_commit()
-    ship("coin-commit", "sender->receiver", body)
-    receiver.consume_commit(body)
-    body = receiver.produce_commit()
-    ship("coin-commit", "receiver->sender", body)
-    sender.consume_commit(body)
-    body = sender.produce_reveal()
-    ship("coin-reveal", "sender->receiver", body)
-    receiver.consume_reveal(body)
-    body = receiver.produce_reveal()
-    ship("coin-reveal", "receiver->sender", body)
-    sender.consume_reveal(body)
-    body = sender.produce_public()
-    ship("pk-sender", "sender->receiver", body)
-    receiver.consume_public(body)
-    body = receiver.produce_public()
-    ship("pk-receiver", "receiver->sender", body)
-    sender.consume_public(body)
-    body = sender.produce_ciphertexts()
-    ship("ciphertexts", "sender->receiver", body)
-    output = receiver.consume_ciphertexts(body)
-    return {
-        "output": output,
+    for msg, body in zip(SCHEDULE, bodies):
+        transcript.append(msg.direction, WireMessage(msg.type, sid.hex(), body))
+    outcome = {
+        "output": receiver.output,
         "sender_j": sender.shared_j,
         "receiver_j": receiver.shared_j[0],
         "transcript": transcript,
         "sender_session": sender,
         "receiver_session": receiver,
         "session_id": sid,
+        "restarts": restarts,
     }
+    if offline_dir is not None:
+        os.makedirs(offline_dir, exist_ok=True)
+        path = os.path.join(offline_dir, "transcript.jsonl")
+        transcript.save(path)
+        outcome["transcript_path"] = path
+    return outcome
 
 
 def run_session(role: str, config: SessionConfig, stream,
@@ -148,58 +119,36 @@ def run_session(role: str, config: SessionConfig, stream,
         raise ValueError("role must be sender or receiver")
     rng = det_rng(config.seed)
     transcript = Transcript()
-    sid = _session_id(config, rng) if role == "sender" else None
-
     if role == "sender":
-        session = SiotSession(config.params, "sender", rng, sid,
-                              x0=config.x0, x1=config.x1,
-                              hardened=config.hardened)
+        session = SiotSession(config.params, "sender", rng,
+                              _session_id(config, rng),
+                              x0=config.x0, x1=config.x1)
     else:
         session = None   # built after the session id is learned
 
-    produce = {
-        "coin-commit": lambda s: s.produce_commit(),
-        "coin-reveal": lambda s: s.produce_reveal(),
-        "pk-sender": lambda s: s.produce_public(),
-        "pk-receiver": lambda s: s.produce_public(),
-        "ciphertexts": lambda s: s.produce_ciphertexts(),
-    }
-    consume = {
-        "coin-commit": lambda s, b: s.consume_commit(b),
-        "coin-reveal": lambda s, b: s.consume_reveal(b),
-        "pk-sender": lambda s, b: s.consume_public(b),
-        "pk-receiver": lambda s, b: s.consume_public(b),
-    }
-
-    output = None
-    my_direction = f"{role}->{'receiver' if role == 'sender' else 'sender'}"
-    for mtype, direction in _SCHEDULE:
-        if direction == my_direction:
-            body = produce[mtype](session)
-            msg = WireMessage(mtype, session.session_id.hex(), body)
-            send_frame(stream, encode(msg))
-            transcript.append(direction, msg)
+    for msg in SCHEDULE:
+        if msg.producer == role:
+            wm = WireMessage(msg.type, session.session_id.hex(),
+                             getattr(session, msg.produce)())
+            send_frame(stream, encode(wm))
+            transcript.append(msg.direction, wm)
         else:
-            msg = decode(recv_frame(stream))
+            wm = decode(recv_frame(stream))
             if session is None:
-                sid = bytes.fromhex(msg.session)
-                session = SiotSession(config.params, "receiver", rng, sid,
-                                      b=config.b, hardened=config.hardened)
-            if msg.session != session.session_id.hex():
+                session = SiotSession(config.params, "receiver", rng,
+                                      bytes.fromhex(wm.session), b=config.b)
+            if wm.session != session.session_id.hex():
                 raise ProtocolAbort("bad-message", "session id mismatch")
-            if msg.type != mtype:
+            if wm.type != msg.type:
                 raise ProtocolAbort(
                     "out-of-order",
-                    f"expected {mtype}, peer sent {msg.type}")
-            transcript.append(direction, msg)
-            if mtype == "ciphertexts":
-                output = session.consume_ciphertexts(msg.body)
-            else:
-                consume[mtype](session, msg.body)
+                    f"expected {msg.type}, peer sent {wm.type}")
+            transcript.append(msg.direction, wm)
+            getattr(session, msg.consume)(wm.body)
     if transcript_path is not None:
         transcript.save(transcript_path)
     return {
-        "output": output,
+        "output": session.output,
         "session": session,
         "transcript": transcript,
         "session_id": session.session_id,
@@ -212,7 +161,8 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
     Checks schedule, session id consistency, coin-flip binding, public
     key validity (including the masked pair's basis certificate), the
     mask derivation, and ciphertext shape.  Secrets are not needed: all
-    verdicts are functions of public messages.
+    verdicts are functions of public messages.  A malformed field is a
+    failed check, never an exception.
     """
     checks = []
 
@@ -221,8 +171,9 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
         return ok
 
     entries = transcript.entries
-    order_ok = len(entries) == len(_SCHEDULE) and all(
-        (m.type, d) == s for (d, m), s in zip(entries, _SCHEDULE))
+    order_ok = len(entries) == len(SCHEDULE) and all(
+        (m.type, d) == (s.type, s.direction)
+        for (d, m), s in zip(entries, SCHEDULE))
     check("message-order", order_ok,
           "seven messages in the fixed schedule")
     if not order_ok:
@@ -231,19 +182,20 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
     sids = {m.session for _, m in entries}
     check("session-id-consistent", len(sids) == 1, f"ids seen: {sorted(sids)}")
 
-    commits = [entries[0][1].body, entries[1][1].body]
-    reveals = [entries[2][1].body, entries[3][1].body]
-    nonces = []
-    bind_ok = True
-    for c, r in zip(commits, reveals):
-        nonce = bytes.fromhex(r["nonce"])
-        nonces.append(nonce)
-        if tagged_hash("coinflip-commit", nonce) != bytes.fromhex(c["commit"]):
-            bind_ok = False
-    check("coinflip-binding", bind_ok, "each reveal opens its commitment")
-    check("nonce-length", all(len(n) == NONCE_LEN for n in nonces), "")
+    try:
+        commits = [_bytes_field(entries[i][1].body, "commit") for i in (0, 1)]
+        nonces = [_bytes_field(entries[i][1].body, "nonce") for i in (2, 3)]
+    except ProtocolAbort as exc:
+        check("coinflip-binding", False, str(exc))
+        return {"ok": False, "checks": checks}
+    check("coinflip-binding",
+          all(tagged_hash("coinflip-commit", n) == c
+              for n, c in zip(nonces, commits)),
+          "each reveal opens its commitment")
+    if not check("nonce-length", all(len(n) == NONCE_LEN for n in nonces)):
+        return {"ok": False, "checks": checks}
 
-    w = xor_bytes(nonces[0], nonces[1])
+    w = xor_bytes(*nonces)
     coeffs = derive_mask_coeffs(w, params)
     try:
         coeffs.check(params, hardened=True)
@@ -254,20 +206,16 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
         constraints_ok, detail = False, str(exc)
     check("mask-constraints", constraints_ok, detail)
 
-    ok_pk = True
     pks = {}
     for idx, producer in ((4, "A"), (5, "B")):
         try:
             pub = public_from_obj(params.ctx, entries[idx][1].body)
             validate_public(params, producer, pub)
             pks[producer] = pub
-        except (DecodeError, ProtocolAbort) as exc:
-            ok_pk = False
+        except (DecodeError, ProtocolAbort, SingularCurveError) as exc:
             check(f"public-key-{producer}", False, str(exc))
-    if ok_pk:
+    if len(pks) == 2:
         check("public-keys", True, "both keys pass torsion validation")
-        from .pairing import weil_pairing
-
         n = params.n("A")
         pub = pks["B"]
         zeta = weil_pairing(pub.curve, pub.G, pub.H, n)
@@ -278,20 +226,21 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
         check("mask-points-derivable", True,
               f"U={point_to_obj(mask.U)} V={point_to_obj(mask.V)}")
 
-    cts = entries[6][1].body
-    same_len = len(cts["c0"]) == len(cts["c1"])
-    check("ciphertext-shape", same_len and len(cts["c0"]) % 2 == 0,
-          "two equal-length hex ciphertexts")
+    try:
+        c0, c1 = (_bytes_field(entries[6][1].body, k) for k in ("c0", "c1"))
+        shape_ok = len(c0) == len(c1)
+    except ProtocolAbort:
+        shape_ok = False
+    check("ciphertext-shape", shape_ok, "two equal-length hex ciphertexts")
 
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
 # -- baseline OT over the same plumbing ---------------------------------
 
-def run_baseline_local(b: int, m0: bytes, m1: bytes, seed=None,
-                       group=None) -> dict:
+def run_baseline_local(b: int, m0: bytes, m1: bytes, seed=None) -> dict:
     """In-process baseline OT session with a wire-shaped transcript."""
-    ctx = group if group is not None else default_group()
+    ctx = default_group()
     rng_s = det_rng(sub_seed(seed, "bo-sender"))
     rng_r = det_rng(sub_seed(seed, "bo-receiver"))
     sid = det_rng(sub_seed(seed, "bo-session")).randbytes(16).hex()
@@ -314,4 +263,5 @@ def run_baseline_local(b: int, m0: bytes, m1: bytes, seed=None,
         "transcript": transcript,
         "keys": (k0, k1),
         "receiver_key": k_b,
+        "ciphertexts": (d0, d1),
     }

@@ -302,8 +302,11 @@ def params_from_obj(obj) -> PublicParams:
         ctx = FieldContext(ints["p"])
     except ValueError as exc:
         raise DecodeError(f"bad prime: {exc}") from exc
-    curve = EllipticCurve(elem_from_hex(ctx, obj["e0"]["a"]),
-                          elem_from_hex(ctx, obj["e0"]["b"]))
+    e0 = obj["e0"]
+    if not isinstance(e0, dict) or set(e0) != {"a", "b"}:
+        raise DecodeError("e0 object needs exactly a and b")
+    curve = EllipticCurve(elem_from_hex(ctx, e0["a"]),
+                          elem_from_hex(ctx, e0["b"]))
     pts = {}
     for k in ("pa", "qa", "pb", "qb"):
         pts[k] = point_from_obj(ctx, obj[k])

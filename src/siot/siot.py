@@ -11,12 +11,16 @@ j-invariant.  The receiver can open exactly the one indexed by its bit.
 The coefficient constraints enforced here make the two receiver
 branches pairing-indistinguishable to the sender and leave the sender's
 two j-invariants distinct, so neither party learns the other's input.
+
+The message order is written down once, in SCHEDULE; every session,
+driver and the transcript verifier derive theirs from that table.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curve import EllipticCurve, Point
 from .errors import (
@@ -33,6 +37,8 @@ from .sidh import (
     SidhKeyPair,
     SidhPublic,
     keygen,
+    params_to_obj,
+    public_from_obj,
     public_to_obj,
     validate_public,
 )
@@ -116,8 +122,6 @@ class MaskPoints:
 
 
 def params_fingerprint(params: PublicParams) -> bytes:
-    from .sidh import params_to_obj
-
     return tagged_hash("params-fp", canonical_json(params_to_obj(params)))
 
 
@@ -202,10 +206,35 @@ def _unpack_input(data: bytes) -> bytes:
 
 # -- session state machine ---------------------------------------------
 
-_SENDER_PHASES = ("commit", "commit-ack", "reveal", "reveal-ack",
-                  "send-pk", "recv-pk", "send-ct", "done")
-_RECEIVER_PHASES = ("commit-ack", "commit", "reveal-ack", "reveal",
-                    "recv-pk", "send-pk", "recv-ct", "done")
+class Message(NamedTuple):
+    """One row of the fixed schedule: wire type, producing role, and the
+    SiotSession methods that build and take the body."""
+
+    type: str
+    producer: str
+    produce: str
+    consume: str
+
+    @property
+    def consumer(self) -> str:
+        return "receiver" if self.producer == "sender" else "sender"
+
+    @property
+    def direction(self) -> str:
+        return f"{self.producer}->{self.consumer}"
+
+
+# the one legal message order
+SCHEDULE = (
+    Message("coin-commit", "sender", "produce_commit", "consume_commit"),
+    Message("coin-commit", "receiver", "produce_commit", "consume_commit"),
+    Message("coin-reveal", "sender", "produce_reveal", "consume_reveal"),
+    Message("coin-reveal", "receiver", "produce_reveal", "consume_reveal"),
+    Message("pk-sender", "sender", "produce_public", "consume_public"),
+    Message("pk-receiver", "receiver", "produce_public", "consume_public"),
+    Message("ciphertexts", "sender", "produce_ciphertexts",
+            "consume_ciphertexts"),
+)
 
 
 class SiotSession:
@@ -221,7 +250,7 @@ class SiotSession:
     def __init__(self, params: PublicParams, role: str, rng,
                  session_id: bytes = b"\x00" * 16,
                  x0: bytes | None = None, x1: bytes | None = None,
-                 b: int | None = None, hardened: bool = True):
+                 b: int | None = None):
         if role not in ("sender", "receiver"):
             raise ValueError("role must be sender or receiver")
         if role == "sender":
@@ -241,7 +270,6 @@ class SiotSession:
         self.rng = rng
         self.session_id = session_id
         self.x0, self.x1, self.b = x0, x1, b
-        self.hardened = hardened
         self.coin = coinflip_commit(rng)
         self.keypair: SidhKeyPair = keygen(
             params, "A" if role == "sender" else "B", rng)
@@ -252,20 +280,23 @@ class SiotSession:
         self.shared_j: tuple | None = None
         self.output: bytes | None = None
         self.transcript: list = []
-        self._phases = list(_SENDER_PHASES if role == "sender"
-                            else _RECEIVER_PHASES)
-        self._cursor = 0
+        self._cursor = 0   # index of the next SCHEDULE row
 
     # phase bookkeeping
 
-    def _expect(self, phase: str) -> None:
-        if self._cursor >= len(self._phases) or \
-                self._phases[self._cursor] != phase:
-            want = (self._phases[self._cursor]
-                    if self._cursor < len(self._phases) else "done")
+    def _expect(self, method: str) -> str:
+        """Advance past the next schedule row if it calls for ``method``
+        on this side; return that row's message type."""
+        if self._cursor == len(SCHEDULE):
+            want = "done"
+        else:
+            msg = SCHEDULE[self._cursor]
+            want = msg.produce if msg.producer == self.role else msg.consume
+        if want != method:
             raise ProtocolAbort(
-                "out-of-order", f"phase {phase} requested, expected {want}")
+                "out-of-order", f"{method} called, expected {want}")
         self._cursor += 1
+        return msg.type
 
     def _log(self, mtype: str, body: dict) -> None:
         self.transcript.append((mtype, body))
@@ -273,35 +304,35 @@ class SiotSession:
     # coin flip
 
     def produce_commit(self) -> dict:
-        self._expect("commit")
+        mtype = self._expect("produce_commit")
         body = {"commit": self.coin.commitment.hex()}
-        self._log("coin-commit", body)
+        self._log(mtype, body)
         return body
 
     def consume_commit(self, body: dict) -> None:
-        self._expect("commit-ack")
+        mtype = self._expect("consume_commit")
         self.coin.remote_commitment = _hex_field(body, "commit", NONCE_LEN)
-        self._log("coin-commit", body)
+        self._log(mtype, body)
 
     def produce_reveal(self) -> dict:
-        self._expect("reveal")
+        mtype = self._expect("produce_reveal")
         body = {"nonce": self.coin.local_nonce.hex()}
-        self._log("coin-reveal", body)
+        self._log(mtype, body)
         return body
 
     def consume_reveal(self, body: dict) -> None:
-        self._expect("reveal-ack")
+        mtype = self._expect("consume_reveal")
         w = coinflip_reveal(self.coin, _hex_field(body, "nonce", NONCE_LEN))
-        self.coeffs = derive_mask_coeffs(w, self.params, self.hardened)
-        self._log("coin-reveal", body)
+        self.coeffs = derive_mask_coeffs(w, self.params)
+        self._log(mtype, body)
 
     # public keys
 
     def produce_public(self) -> dict:
-        self._expect("send-pk")
+        mtype = self._expect("produce_public")
         if self.role == "sender":
             body = public_to_obj(self.keypair.public)
-            self._log("pk-sender", body)
+            self._log(mtype, body)
             return body
         pub = self.keypair.public
         mask = encode_mask_points(self.coeffs, pub.curve, pub.G, pub.H,
@@ -317,18 +348,16 @@ class SiotSession:
             raise RestartRequired("masked pair is not a torsion basis")
         self.masked_public = masked
         body = public_to_obj(masked)
-        self._log("pk-receiver", body)
+        self._log(mtype, body)
         return body
 
     def consume_public(self, body: dict) -> None:
-        self._expect("recv-pk")
+        mtype = self._expect("consume_public")
         producer = "A" if self.role == "receiver" else "B"
-        from .sidh import public_from_obj
-
         pub = public_from_obj(self.params.ctx, body)
         validate_public(self.params, producer, pub)
         self.their_public = pub
-        self._log("pk-sender" if producer == "A" else "pk-receiver", body)
+        self._log(mtype, body)
         if self.role == "sender":
             self._derive_ciphertext_keys()
 
@@ -374,18 +403,18 @@ class SiotSession:
     # ciphertexts
 
     def produce_ciphertexts(self) -> dict:
-        self._expect("send-ct")
+        mtype = self._expect("produce_ciphertexts")
         body = {"c0": self.ciphertexts[0].hex(), "c1": self.ciphertexts[1].hex()}
-        self._log("ciphertexts", body)
+        self._log(mtype, body)
         return body
 
     def consume_ciphertexts(self, body: dict) -> bytes:
-        self._expect("recv-ct")
+        mtype = self._expect("consume_ciphertexts")
         c0 = _bytes_field(body, "c0")
         c1 = _bytes_field(body, "c1")
         if len(c0) != len(c1):
             raise ProtocolAbort("bad-message", "ciphertext lengths differ")
-        self._log("ciphertexts", body)
+        self._log(mtype, body)
         params = self.params
         pub = self.their_public
         K = kernel_generator(pub.curve, pub.G, self.keypair.r, pub.H)
@@ -402,19 +431,28 @@ class SiotSession:
 
     @property
     def done(self) -> bool:
-        return (self._cursor < len(self._phases)
-                and self._phases[self._cursor] == "done")
+        return self._cursor == len(SCHEDULE)
+
+
+def exchange(sender: SiotSession, receiver: SiotSession) -> list[dict]:
+    """Run SCHEDULE between two in-process sessions; return the bodies.
+
+    The receiver's result is left in ``receiver.output``.  A restart
+    signal propagates to the caller, which may rebuild both and rerun.
+    """
+    parties = {"sender": sender, "receiver": receiver}
+    bodies = []
+    for msg in SCHEDULE:
+        bodies.append(getattr(parties[msg.producer], msg.produce)())
+        getattr(parties[msg.consumer], msg.consume)(bodies[-1])
+    return bodies
 
 
 def _hex_field(body: dict, key: str, length: int) -> bytes:
-    v = body.get(key)
-    if not isinstance(v, str) or len(v) != 2 * length or v != v.lower():
-        raise ProtocolAbort("bad-message",
-                            f"field {key} must be {2 * length} hex chars")
-    try:
-        return bytes.fromhex(v)
-    except ValueError as exc:
-        raise ProtocolAbort("bad-message", f"field {key} not hex") from exc
+    v = _bytes_field(body, key)
+    if len(v) != length:
+        raise ProtocolAbort("bad-message", f"field {key} must be {length} bytes")
+    return v
 
 
 def _bytes_field(body: dict, key: str) -> bytes:

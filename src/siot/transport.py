@@ -89,22 +89,6 @@ def serve_one(addr: str, ready_event: threading.Event | None = None):
     return conn.makefile("rwb")
 
 
-def serve_forever(addr: str, handler, ready_event=None) -> None:
-    """Threaded accept loop; one isolated handler call per connection."""
-    host, port = parse_addr(addr)
-    srv = socket.create_server((host, port))
-    if ready_event is not None:
-        ready_event.set()
-    try:
-        while True:
-            conn, _ = srv.accept()
-            stream = conn.makefile("rwb")
-            threading.Thread(target=handler, args=(stream,),
-                             daemon=True).start()
-    finally:
-        srv.close()
-
-
 class LoopbackPipe:
     """In-process bidirectional stream pair for tests."""
 

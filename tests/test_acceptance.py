@@ -34,13 +34,13 @@ from siot import (
     keygen,
     preset,
     run_baseline_local,
-    run_baseline_session,
     run_local,
     symmetric_constraint_check,
     symmetric_pairing,
     weil_pairing,
 )
 from siot.errors import DecryptionError, ProtocolAbort, RestartRequired
+from siot.siot import exchange
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -59,16 +59,10 @@ def _pump(params, b, x0, x1, seed):
         s = SiotSession(params, "sender", rng_s, sid, x0=x0, x1=x1)
         r = SiotSession(params, "receiver", rng_r, sid, b=b)
         try:
-            r.consume_commit(s.produce_commit())
-            s.consume_commit(r.produce_commit())
-            r.consume_reveal(s.produce_reveal())
-            s.consume_reveal(r.produce_reveal())
-            r.consume_public(s.produce_public())
-            s.consume_public(r.produce_public())
-            out = r.consume_ciphertexts(s.produce_ciphertexts())
+            exchange(s, r)
         except RestartRequired:
             continue
-        return s, r, out
+        return s, r, r.output
     raise RuntimeError("restart budget exhausted")
 
 
@@ -262,8 +256,8 @@ def test_10_baseline_ot_bulk(p431):
         b = i % 2
         m0 = b"plain zero %d" % i
         m1 = b"plain one. %d" % i
-        art = run_baseline_session(ctx, b, m0, m1, rng)
-        good += art["delivered"] == (m1 if b else m0)
+        art = run_baseline_local(b, m0, m1, seed=b"acc10/%d" % i)
+        good += art["output"] == (m1 if b else m0)
         other = art["ciphertexts"][1 - b]
         try:
             from siot import bo_decrypt

@@ -12,7 +12,7 @@ from siot import (
     bo_sender_setup,
     default_group,
     det_rng,
-    run_baseline_session,
+    run_baseline_local,
 )
 from siot.errors import DecryptionError, ProtocolAbort
 
@@ -46,11 +46,11 @@ def test_off_subgroup_point_is_genuinely_off():
 
 
 def test_sessions_deliver_exactly_the_chosen_message():
-    rng = det_rng(b"bo-sessions")
     for i in range(60):
         b = i % 2
-        out = run_baseline_session(CTX, b, b"msg zero", b"msg one.", rng)
-        assert out["delivered"] == (b"msg one." if b else b"msg zero")
+        out = run_baseline_local(b, b"msg zero", b"msg one.",
+                                 seed=b"bo-sessions/%d" % i)
+        assert out["output"] == (b"msg one." if b else b"msg zero")
         assert out["receiver_key"] == out["keys"][b]
         assert out["keys"][0] != out["keys"][1]
         with pytest.raises(DecryptionError):

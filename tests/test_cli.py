@@ -62,6 +62,41 @@ def test_verify_rejects_tampered_transcript(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
+def test_verify_reports_malformed_fields(tmp_path, capsys):
+    """Non-hex, short or non-string fields give a failed report and exit
+    2, never a traceback."""
+    m0 = _write(tmp_path, "m0", b"aa")
+    m1 = _write(tmp_path, "m1", b"bb")
+    main(["run-local", "--preset", "p431", "--choice", "1",
+          "--msg0", m0, "--msg1", m1, "--seed", "3134",
+          "--offline", str(tmp_path)])
+    lines = (tmp_path / "transcript.jsonl").read_bytes().splitlines()
+    for index, key, value in ((2, "nonce", "zz" * 32),
+                              (3, "nonce", "ab" * 31),
+                              (2, "nonce", 7),
+                              (6, "c0", ["aa"])):
+        rec = json.loads(lines[index])
+        rec["msg"]["body"][key] = value
+        bad = list(lines)
+        bad[index] = json.dumps(rec).encode()
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\n".join(bad) + b"\n")
+        capsys.readouterr()
+        assert main(["verify-transcript", str(path), "--preset", "p431"]) == 2
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_params_file_with_malformed_e0_exits_two(tmp_path, capsys):
+    assert main(["gen-params", "--la", "2", "--ea", "4", "--lb", "3",
+                 "--eb", "3"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    for e0 in ("junk", {"a": obj["e0"]["a"]}, {"a": 1, "b": 2}):
+        obj["e0"] = e0
+        path = _write(tmp_path, "params.json", json.dumps(obj).encode())
+        assert main(["keygen", "--params", path, "--side", "A"]) == 2
+        assert "protocol abort" in capsys.readouterr().err
+
+
 def test_attack_verbs(capsys):
     assert main(["attack", "brute-force", "--preset", "p431",
                  "--seed", "05"]) == 0

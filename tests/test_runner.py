@@ -11,6 +11,8 @@ from siot import (
     SessionConfig,
     Transcript,
     WireMessage,
+    det_rng,
+    gen_params,
     run_baseline_local,
     run_local,
     run_session,
@@ -98,6 +100,48 @@ def test_verify_transcript_flags_wrong_order(p431):
     assert not report["ok"]
     assert report["checks"][0]["check"] == "message-order"
     assert not report["checks"][0]["ok"]
+
+
+@pytest.mark.parametrize("index, key, value, failed_check", [
+    (2, "nonce", lambda v: "zz" * 32, "coinflip-binding"),
+    (2, "nonce", lambda v: v[2:], "nonce-length"),        # 31 bytes
+    (3, "nonce", lambda v: 12345, "coinflip-binding"),
+    (0, "commit", lambda v: None, "coinflip-binding"),
+    (6, "c0", lambda v: 7, "ciphertext-shape"),
+    (6, "c1", lambda v: "z" * len(v), "ciphertext-shape"),  # same length
+], ids=["nonhex-nonce", "short-nonce", "int-nonce", "null-commit",
+        "int-c0", "nonhex-c1"])
+def test_verify_transcript_fails_malformed_fields(p431, index, key, value,
+                                                  failed_check):
+    """A malformed field is a failed check in the report, not an
+    exception out of the verifier."""
+    out = run_local(_config(p431, 1))
+    bad = _tamper(out["transcript"], index,
+                  lambda b: b.update({key: value(b[key])}))
+    report = verify_transcript(bad, p431)
+    assert report["ok"] is False
+    failed = {c["check"] for c in report["checks"] if not c["ok"]}
+    assert failed_check in failed
+
+
+def test_verify_transcript_fails_singular_public_curve(p431):
+    out = run_local(_config(p431, 0))
+    zero = "00" * (2 * p431.ctx.byte_width)
+    bad = _tamper(out["transcript"], 4,
+                  lambda b: b.update(curve={"a": zero, "b": zero}))
+    report = verify_transcript(bad, p431)
+    assert report["ok"] is False
+    assert "public-key-A" in {c["check"] for c in report["checks"]}
+
+
+def test_session_with_torsion_order_above_2_64():
+    """2^71 * 3^38 - 1: the A-side torsion order no longer fits the
+    8 bytes the pairing's auxiliary-point hash once used for it."""
+    params = gen_params(2, 71, 3, 38, rng=det_rng(b"big"))
+    assert params.n("A") >= 2 ** 64
+    out = run_local(_config(params, 1, seed=b"big-session"))
+    assert out["output"] == b"one input!"
+    assert out["sender_j"][1] == out["receiver_j"]
 
 
 def test_forced_degenerate_mask_restarts(p431, monkeypatch):

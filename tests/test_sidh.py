@@ -197,3 +197,21 @@ def test_keygen_deterministic_under_seed(p431):
     k1 = keygen(p431, "A", det_rng(99))
     k2 = keygen(p431, "A", det_rng(99))
     assert k1.r == k2.r and k1.public == k2.public
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda e0: "junk",
+    lambda e0: None,
+    lambda e0: [e0["a"], e0["b"]],
+    lambda e0: {"a": e0["a"]},
+    lambda e0: {"b": e0["b"]},
+    lambda e0: {**e0, "c": e0["a"]},
+    lambda e0: {"a": 1, "b": e0["b"]},
+    lambda e0: {"a": e0["a"], "b": [0, 0]},
+], ids=["string", "null", "list", "missing-b", "missing-a", "extra-key",
+        "int-coordinate", "list-coordinate"])
+def test_params_from_obj_rejects_malformed_e0(p431, mutate):
+    obj = params_to_obj(p431)
+    obj["e0"] = mutate(obj["e0"])
+    with pytest.raises(DecodeError):
+        params_from_obj(obj)

@@ -17,21 +17,21 @@ from siot import (
     weil_pairing,
 )
 from siot.errors import DecryptionError, ProtocolAbort
-from siot.siot import NONCE_LEN, _pack_input, _unpack_input
+from siot.siot import (
+    NONCE_LEN,
+    SCHEDULE,
+    _pack_input,
+    _unpack_input,
+    exchange,
+)
 
 
 def _run(params, b, x0=b"left input", x1=b"right one", seed=b"siot-test"):
     sid = b"\x01" * 16
     s = SiotSession(params, "sender", det_rng(seed + b"s"), sid, x0=x0, x1=x1)
     r = SiotSession(params, "receiver", det_rng(seed + b"r"), sid, b=b)
-    r.consume_commit(s.produce_commit())
-    s.consume_commit(r.produce_commit())
-    r.consume_reveal(s.produce_reveal())
-    s.consume_reveal(r.produce_reveal())
-    r.consume_public(s.produce_public())
-    s.consume_public(r.produce_public())
-    out = r.consume_ciphertexts(s.produce_ciphertexts())
-    return s, r, out
+    exchange(s, r)
+    return s, r, r.output
 
 
 # -- coin flip -----------------------------------------------------------
@@ -231,7 +231,7 @@ def test_malformed_bodies_abort(p431):
 def test_ciphertext_length_mismatch_aborts(p431):
     s, r, _ = _run(p431, 0, seed=b"ctlen")
     r2 = SiotSession(p431, "receiver", det_rng(b"ctlen-r"), b"\x05" * 16, b=0)
-    r2._cursor = r2._phases.index("recv-ct")
+    r2._cursor = [m.type for m in SCHEDULE].index("ciphertexts")
     with pytest.raises(ProtocolAbort) as info:
         r2.consume_ciphertexts({"c0": "aa", "c1": "aabb"})
     assert info.value.code == "bad-message"
