@@ -127,8 +127,9 @@ class EllipticCurve:
         while n:
             if n & 1:
                 result = self._add_raw(result, addend)
-            addend = self._add_raw(addend, addend)
             n >>= 1
+            if n:
+                addend = self._add_raw(addend, addend)
         return result
 
     # -- invariants and maps ------------------------------------------

@@ -23,7 +23,7 @@ from .baseline_ot import (
     bo_sender_setup,
     default_group,
 )
-from .errors import DecodeError, ProtocolAbort, RestartRequired, SingularCurveError
+from .errors import DecodeError, ProtocolAbort, RestartRequired
 from .pairing import weil_pairing
 from .sidh import (
     PublicParams,
@@ -212,7 +212,7 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
             pub = public_from_obj(params.ctx, entries[idx][1].body)
             validate_public(params, producer, pub)
             pks[producer] = pub
-        except (DecodeError, ProtocolAbort, SingularCurveError) as exc:
+        except (DecodeError, ProtocolAbort) as exc:
             check(f"public-key-{producer}", False, str(exc))
     if len(pks) == 2:
         check("public-keys", True, "both keys pass torsion validation")

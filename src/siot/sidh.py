@@ -20,6 +20,7 @@ from .errors import (
     InvalidPointError,
     ParameterSearchError,
     ProtocolAbort,
+    SingularCurveError,
     UnsupportedParameterError,
 )
 from .field import FieldContext, Fp2, is_prime
@@ -246,6 +247,16 @@ def point_from_obj(ctx: FieldContext, obj) -> Point:
     return Point(elem_from_hex(ctx, obj["x"]), elem_from_hex(ctx, obj["y"]))
 
 
+def _curve_from_obj(ctx: FieldContext, obj, name: str) -> EllipticCurve:
+    if not isinstance(obj, dict) or set(obj) != {"a", "b"}:
+        raise DecodeError(f"{name} object needs exactly a and b")
+    try:
+        return EllipticCurve(elem_from_hex(ctx, obj["a"]),
+                             elem_from_hex(ctx, obj["b"]))
+    except SingularCurveError as exc:
+        raise DecodeError(f"{name} is singular: {exc}") from exc
+
+
 def public_to_obj(pub: SidhPublic) -> dict:
     return {
         "curve": {"a": elem_to_hex(pub.curve.A), "b": elem_to_hex(pub.curve.B)},
@@ -257,11 +268,7 @@ def public_to_obj(pub: SidhPublic) -> dict:
 def public_from_obj(ctx: FieldContext, obj) -> SidhPublic:
     if not isinstance(obj, dict) or set(obj) != {"curve", "g", "h"}:
         raise DecodeError("public key needs curve, g, h")
-    cv = obj["curve"]
-    if not isinstance(cv, dict) or set(cv) != {"a", "b"}:
-        raise DecodeError("curve object needs exactly a and b")
-    curve = EllipticCurve(elem_from_hex(ctx, cv["a"]),
-                          elem_from_hex(ctx, cv["b"]))
+    curve = _curve_from_obj(ctx, obj["curve"], "curve")
     G = point_from_obj(ctx, obj["g"])
     H = point_from_obj(ctx, obj["h"])
     try:
@@ -302,11 +309,7 @@ def params_from_obj(obj) -> PublicParams:
         ctx = FieldContext(ints["p"])
     except ValueError as exc:
         raise DecodeError(f"bad prime: {exc}") from exc
-    e0 = obj["e0"]
-    if not isinstance(e0, dict) or set(e0) != {"a", "b"}:
-        raise DecodeError("e0 object needs exactly a and b")
-    curve = EllipticCurve(elem_from_hex(ctx, e0["a"]),
-                          elem_from_hex(ctx, e0["b"]))
+    curve = _curve_from_obj(ctx, obj["e0"], "e0")
     pts = {}
     for k in ("pa", "qa", "pb", "qb"):
         pts[k] = point_from_obj(ctx, obj[k])

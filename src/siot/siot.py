@@ -42,7 +42,8 @@ from .sidh import (
     public_to_obj,
     validate_public,
 )
-from .util import canonical_json, expand, open_sealed, seal, tagged_hash, xor_bytes
+from .util import (canonical_json, expand, open_sealed, seal, strict_fromhex,
+                   tagged_hash, xor_bytes)
 
 NONCE_LEN = 32
 
@@ -457,9 +458,9 @@ def _hex_field(body: dict, key: str, length: int) -> bytes:
 
 def _bytes_field(body: dict, key: str) -> bytes:
     v = body.get(key)
-    if not isinstance(v, str) or len(v) % 2 or v != v.lower():
+    if not isinstance(v, str):
         raise ProtocolAbort("bad-message", f"field {key} must be hex")
     try:
-        return bytes.fromhex(v)
+        return strict_fromhex(v)
     except ValueError as exc:
         raise ProtocolAbort("bad-message", f"field {key} not hex") from exc

@@ -41,6 +41,15 @@ def sub_seed(seed, label: str):
                           + seed).digest()
 
 
+def strict_fromhex(text: str) -> bytes:
+    """Bytes of a string of lowercase hex digit pairs; ValueError on
+    anything else, including the whitespace ``bytes.fromhex`` skips."""
+    out = bytes.fromhex(text)
+    if 2 * len(out) != len(text) or text != text.lower():
+        raise ValueError("not lowercase hex digit pairs")
+    return out
+
+
 def tagged_hash(tag: str, *parts: bytes) -> bytes:
     h = hashlib.sha256()
     h.update(_TAG_PREFIX + tag.encode() + b"\x00")

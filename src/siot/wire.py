@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import DecodeError
-from .util import canonical_json
+from .util import canonical_json, strict_fromhex
 
 VERSION = 1
 SESSION_ID_LEN = 16
@@ -53,12 +53,11 @@ class WireMessage:
 
 
 def _check_session(session: str) -> None:
-    if (not isinstance(session, str) or len(session) != 2 * SESSION_ID_LEN
-            or session != session.lower()):
+    if not isinstance(session, str) or len(session) != 2 * SESSION_ID_LEN:
         raise DecodeError(
             f"session id must be {2 * SESSION_ID_LEN} lowercase hex chars")
     try:
-        bytes.fromhex(session)
+        strict_fromhex(session)
     except ValueError as exc:
         raise DecodeError("session id is not hex") from exc
 

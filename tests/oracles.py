@@ -1,12 +1,15 @@
 """Independent reference implementations the tests check the package
 against.  Everything here is deliberately naive: linear-time Miller
 loops, repeated-addition scalar multiples, pure-integer affine curve
-arithmetic.  None of it imports the package's pairing internals.
+arithmetic, an isogeny chain with a fresh scalar multiple per step.
+None of it imports the package's pairing internals.
 """
 
 from __future__ import annotations
 
-from siot import INFINITY, EllipticCurve, Point
+from siot import (INFINITY, EllipticCurve, IsogenyChain, Point, evaluate,
+                  velu_step)
+from siot.errors import InvalidKernelError
 from siot.field import Fp2
 
 
@@ -149,3 +152,26 @@ def fp_points(p: int, A: int, B: int):
         for y in squares.get(rhs, ()):
             pts.append((x, y))
     return pts
+
+
+def naive_chain(E: EllipticCurve, K: Point, ell: int, e: int) -> IsogenyChain:
+    """The e-step chain by a fresh scalar multiple per step.
+
+    Step i quotients out [ell^(e-1-i)]K_i and pushes the running
+    generator through: about e^2/2 multiplications by ell in all.
+    """
+    E.check_point(K)
+    n = ell ** e
+    if not E.mul(n, K).infinity or E.mul(n // ell, K).infinity:
+        raise InvalidKernelError(f"kernel generator must have exact order {n}")
+    steps = []
+    cur, Kc = E, K
+    for i in range(e):
+        S = cur.mul(ell ** (e - 1 - i), Kc)
+        step = velu_step(cur, S, ell)
+        Kc = evaluate(step, Kc)
+        cur = step.codomain
+        steps.append(step)
+    if not Kc.infinity:
+        raise InvalidKernelError("kernel not annihilated by its own chain")
+    return IsogenyChain(tuple(steps), n, E, cur)

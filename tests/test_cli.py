@@ -90,11 +90,16 @@ def test_params_file_with_malformed_e0_exits_two(tmp_path, capsys):
     assert main(["gen-params", "--la", "2", "--ea", "4", "--lb", "3",
                  "--eb", "3"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    for e0 in ("junk", {"a": obj["e0"]["a"]}, {"a": 1, "b": 2}):
+    zero = "0" * len(obj["e0"]["a"])
+    transcript = _write(tmp_path, "t.jsonl", b"")
+    for e0 in ("junk", {"a": obj["e0"]["a"]}, {"a": 1, "b": 2},
+               {"a": zero, "b": zero}):
         obj["e0"] = e0
         path = _write(tmp_path, "params.json", json.dumps(obj).encode())
-        assert main(["keygen", "--params", path, "--side", "A"]) == 2
-        assert "protocol abort" in capsys.readouterr().err
+        for argv in (["keygen", "--params", path, "--side", "A"],
+                     ["verify-transcript", transcript, "--params", path]):
+            assert main(argv) == 2
+            assert "protocol abort" in capsys.readouterr().err
 
 
 def test_attack_verbs(capsys):

@@ -3,7 +3,7 @@ single-shot full-kernel quotient used as an independent oracle."""
 
 import pytest
 
-from oracles import naive_order
+from oracles import naive_chain, naive_order
 from siot import (
     EllipticCurve,
     FieldContext,
@@ -12,6 +12,7 @@ from siot import (
     det_rng,
     evaluate,
     full_kernel_quotient,
+    gen_params,
     isogeny_chain,
     kernel_generator,
     preset,
@@ -118,6 +119,50 @@ def test_chain_rejects_wrong_order_kernels():
     K3 = E0.random_point_of_order(3, 1, EXP, rng)
     with pytest.raises(InvalidKernelError):
         velu_step(E0, K3, ell=2)
+
+
+@pytest.fixture(scope="module")
+def p102():
+    return gen_params(2, 51, 3, 32, rng=det_rng(b"tests/p102"))
+
+
+@pytest.mark.parametrize("name", ["p431", "p2591", "set3", "p102"])
+def test_chain_matches_naive_schedule(name, request):
+    """The balanced traversal quotients out the same point at every
+    step as a fresh scalar multiple would, so the steps, the codomain
+    and the image of the other side's basis are all identical."""
+    params = request.getfixturevalue(name)
+    rng = det_rng(b"naive-chain/" + name.encode())
+    E = params.curve
+    for side, other in (("A", "B"), ("B", "A")):
+        G, H = params.basis(side)
+        ell, e, n = params.ell(side), params.e(side), params.n(side)
+        for r in (0, 1, n - 1, rng.randrange(n)):
+            K = kernel_generator(E, G, r, H)
+            got = isogeny_chain(E, K, ell, e)
+            want = naive_chain(E, K, ell, e)
+            assert got.steps == want.steps
+            assert got.codomain == want.codomain
+            for P in params.basis(other):
+                assert evaluate(got, P) == evaluate(want, P)
+
+
+def test_chain_rejects_like_the_naive_schedule():
+    rng = det_rng(b"badkernel-naive")
+    bad = [
+        (E0.random_point_of_order(2, 3, EXP, rng), 2, 4),   # order 8
+        (E0.random_point_of_order(3, 3, EXP, rng), 2, 4),   # odd order
+        (E0.random_point_of_order(2, 4, EXP, rng), 2, 3),   # order 16
+        (INFINITY, 2, 1),
+        (INFINITY, 3, 3),
+    ]
+    for K, ell, e in bad:
+        with pytest.raises(InvalidKernelError) as got:
+            isogeny_chain(E0, K, ell, e)
+        with pytest.raises(InvalidKernelError) as want:
+            naive_chain(E0, K, ell, e)
+        assert str(got.value) == str(want.value) \
+            == f"kernel generator must have exact order {ell ** e}"
 
 
 def test_cyclic_subgroup_enumeration():

@@ -1,0 +1,51 @@
+"""Exact operation counts: algorithmic regressions show up here as a
+changed number, without any timing noise."""
+
+import siot.isogeny
+from siot import (
+    EllipticCurve,
+    SessionConfig,
+    det_rng,
+    gen_params,
+    isogeny_chain,
+    kernel_generator,
+    preset,
+    run_local,
+)
+from siot.field import Fp2
+
+
+def _counter(monkeypatch, owner, name):
+    calls = [0]
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_long_chain_inversions_stay_below_quadratic(monkeypatch):
+    """An e = 51 two-power chain takes 293 inversions with the balanced
+    traversal; a fresh scalar multiple per step takes 1,425."""
+    params = gen_params(2, 51, 3, 32, rng=det_rng(b"tests/p102"))
+    G, H = params.basis_a
+    K = kernel_generator(params.curve, G, 12345, H)
+    inv = _counter(monkeypatch, Fp2, "inv")
+    chain = isogeny_chain(params.curve, K, 2, 51)
+    assert len(chain.steps) == 51
+    assert inv[0] <= 500
+
+
+def test_p431_session_op_counts(monkeypatch):
+    params = preset("p431")
+    inv = _counter(monkeypatch, Fp2, "inv")
+    add = _counter(monkeypatch, EllipticCurve, "_add_raw")
+    velu = _counter(monkeypatch, siot.isogeny, "velu_step")
+    out = run_local(SessionConfig(params, seed=b"opcount", b=0,
+                                  x0=b"zero", x1=b"one"))
+    assert out["restarts"] == 0
+    assert out["output"] == b"zero"
+    assert (inv[0], add[0], velu[0]) == (234, 326, 18)

@@ -109,8 +109,10 @@ def test_verify_transcript_flags_wrong_order(p431):
     (0, "commit", lambda v: None, "coinflip-binding"),
     (6, "c0", lambda v: 7, "ciphertext-shape"),
     (6, "c1", lambda v: "z" * len(v), "ciphertext-shape"),  # same length
+    (6, "c0", lambda v: v[:2] + "  " + v[2:], "ciphertext-shape"),
+    (2, "nonce", lambda v: v[:2] + "  " + v[2:], "coinflip-binding"),
 ], ids=["nonhex-nonce", "short-nonce", "int-nonce", "null-commit",
-        "int-c0", "nonhex-c1"])
+        "int-c0", "nonhex-c1", "spaced-c0", "spaced-nonce"])
 def test_verify_transcript_fails_malformed_fields(p431, index, key, value,
                                                   failed_check):
     """A malformed field is a failed check in the report, not an

@@ -181,6 +181,18 @@ def test_public_codec_roundtrip(p431):
         public_from_obj(p431.ctx, obj3)
 
 
+def test_singular_curves_raise_decode_error(p431):
+    zero = "00" * (2 * p431.ctx.byte_width)
+    params = params_to_obj(p431)
+    params["e0"] = {"a": zero, "b": zero}
+    with pytest.raises(DecodeError, match="e0 is singular"):
+        params_from_obj(params)
+    pub = public_to_obj(keygen(p431, "A", det_rng(8)).public)
+    pub["curve"] = {"a": zero, "b": zero}
+    with pytest.raises(DecodeError, match="curve is singular"):
+        public_from_obj(p431.ctx, pub)
+
+
 def test_params_codec_roundtrip(p431):
     obj = params_to_obj(p431)
     back = params_from_obj(obj)

@@ -16,10 +16,11 @@ from siot import (
     keygen,
     weil_pairing,
 )
-from siot.errors import DecryptionError, ProtocolAbort
+from siot.errors import DecodeError, DecryptionError, ProtocolAbort
 from siot.siot import (
     NONCE_LEN,
     SCHEDULE,
+    _bytes_field,
     _pack_input,
     _unpack_input,
     exchange,
@@ -235,6 +236,51 @@ def test_ciphertext_length_mismatch_aborts(p431):
     with pytest.raises(ProtocolAbort) as info:
         r2.consume_ciphertexts({"c0": "aa", "c1": "aabb"})
     assert info.value.code == "bad-message"
+
+
+def _run_until(s, r, last_type):
+    """Exchange SCHEDULE rows up to, not including, ``last_type``."""
+    parties = {"sender": s, "receiver": r}
+    for msg in SCHEDULE:
+        if msg.type == last_type:
+            return
+        body = getattr(parties[msg.producer], msg.produce)()
+        getattr(parties[msg.consumer], msg.consume)(body)
+
+
+def test_hex_fields_reject_whitespace():
+    assert _bytes_field({"c0": "aabb"}, "c0") == b"\xaa\xbb"
+    for bad in ("aa  bb", " aabb ", "aa\tb", "AABB", "aab", "zz"):
+        with pytest.raises(ProtocolAbort) as info:
+            _bytes_field({"c0": bad}, "c0")
+        assert info.value.code == "bad-message"
+
+
+def test_spaced_ciphertext_aborts(p431):
+    """Spaces inside a ciphertext leave its bytes unchanged, but the body
+    is not canonical hex, so the receiver refuses it."""
+    sid = b"\x06" * 16
+    s = SiotSession(p431, "sender", det_rng(b"spaced-s"), sid,
+                    x0=b"left", x1=b"right")
+    r = SiotSession(p431, "receiver", det_rng(b"spaced-r"), sid, b=0)
+    _run_until(s, r, "ciphertexts")
+    body = s.produce_ciphertexts()
+    with pytest.raises(ProtocolAbort) as info:
+        r.consume_ciphertexts({k: v[:2] + "  " + v[2:]
+                               for k, v in body.items()})
+    assert info.value.code == "bad-message"
+
+
+def test_singular_public_key_is_a_decode_error(p431):
+    sid = b"\x07" * 16
+    s = SiotSession(p431, "sender", det_rng(b"singular-s"), sid,
+                    x0=b"left", x1=b"right")
+    r = SiotSession(p431, "receiver", det_rng(b"singular-r"), sid, b=1)
+    _run_until(s, r, "pk-sender")
+    body = s.produce_public()
+    zero = "00" * (2 * p431.ctx.byte_width)
+    with pytest.raises(DecodeError):
+        r.consume_public({**body, "curve": {"a": zero, "b": zero}})
 
 
 # -- payload encryption --------------------------------------------------

@@ -63,7 +63,8 @@ def test_body_schema_enforced():
 
 
 def test_session_id_shape_enforced():
-    for sid in ("", "zz" * 16, "AB" * 16, "00" * 15):
+    for sid in ("", "zz" * 16, "AB" * 16, "00" * 15, "ab" * 15 + "  ",
+                "ab " * 10 + "ab"):
         with pytest.raises(DecodeError):
             encode(_msg(session=sid))
 
