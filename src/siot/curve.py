@@ -1,8 +1,12 @@
 """Short-Weierstrass curves y^2 = x^3 + Ax + B over F_{p^2}.
 
 Affine coordinates with an explicit infinity marker; the chord-tangent
-group law, torsion checks, j-invariants, the Frobenius map, and
-torsion-basis sampling live here.
+group law, j-invariants and torsion-basis sampling live here.
+
+The group law trusts its inputs: ``add`` and ``mul`` assume their
+points lie on the curve and do not check.  Points are checked once,
+where outside data enters (``point``, ``check_point``); every point
+past that boundary is computed from checked ones.
 """
 
 from __future__ import annotations
@@ -90,11 +94,7 @@ class EllipticCurve:
         return Point(P.x, -P.y)
 
     def add(self, P: Point, Q: Point) -> Point:
-        self.check_point(P)
-        self.check_point(Q)
-        return self._add_raw(P, Q)
-
-    def _add_raw(self, P: Point, Q: Point) -> Point:
+        """Chord-tangent sum of two points of this curve (not checked)."""
         if P.infinity:
             return Q
         if Q.infinity:
@@ -119,52 +119,24 @@ class EllipticCurve:
 
     def mul(self, n: int, P: Point) -> Point:
         """[n]P by double-and-add; negative n uses [-n](-P)."""
-        self.check_point(P)
         if n < 0:
             n, P = -n, self.neg(P)
         result = INFINITY
         addend = P
         while n:
             if n & 1:
-                result = self._add_raw(result, addend)
+                result = self.add(result, addend)
             n >>= 1
             if n:
-                addend = self._add_raw(addend, addend)
+                addend = self.add(addend, addend)
         return result
 
-    # -- invariants and maps ------------------------------------------
+    # -- invariants ---------------------------------------------------
 
     def j_invariant(self) -> Fp2:
         """Standard normalization j = 1728 * 4A^3 / (4A^3 + 27B^2)."""
         four_a3 = self.ctx.elem(4) * self.A ** 3
         return self.ctx.elem(1728) * four_a3 * self.discriminant.inv()
-
-    def has_order(self, P: Point, n: int) -> bool:
-        """True iff P is on the curve and [n]P = O."""
-        if not self.is_on_curve(P):
-            return False
-        return self.mul(n, P).infinity
-
-    def check_torsion(self, P: Point, ell: int, e: int) -> bool:
-        return self.has_order(P, ell ** e)
-
-    def point_order(self, P: Point, bound: int) -> int:
-        """Exact order of P given a multiple ``bound`` of it."""
-        self.check_point(P)
-        if not self.mul(bound, P).infinity:
-            raise InvalidPointError(f"order of {P!r} does not divide {bound}")
-        order = bound
-        for q in _prime_factors(bound):
-            while order % q == 0 and self.mul(order // q, P).infinity:
-                order //= q
-        return order
-
-    def frobenius_endo(self, P: Point) -> Point:
-        """(x, y) -> (x^p, y^p); an endomorphism when A, B are in F_p."""
-        self.check_point(P)
-        if P.infinity:
-            return INFINITY
-        return Point(P.x.frobenius(), P.y.frobenius())
 
     # -- sampling ------------------------------------------------------
 
@@ -219,16 +191,3 @@ def sample_torsion_basis(curve: EllipticCurve, ell: int, e: int,
     raise SamplingError(f"no independent partner of order {ell}^{e} "
                         f"in {tries} draws")
 
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

@@ -55,9 +55,7 @@ class IsogenyChain:
 
 def kernel_generator(E: EllipticCurve, P: Point, r: int, Q: Point) -> Point:
     """P + [r]Q, the generator of a secret kernel subgroup."""
-    E.check_point(P)
-    E.check_point(Q)
-    return E._add_raw(P, E.mul(r, Q))
+    return E.add(P, E.mul(r, Q))
 
 
 def cyclic_subgroup(E: EllipticCurve, K: Point, n: int) -> tuple[Point, ...]:
@@ -68,7 +66,7 @@ def cyclic_subgroup(E: EllipticCurve, K: Point, n: int) -> tuple[Point, ...]:
         if R.infinity:
             raise InvalidKernelError(f"generator order divides {n} improperly")
         pts.append(R)
-        R = E._add_raw(R, K)
+        R = E.add(R, K)
     if not R.infinity:
         raise InvalidKernelError(f"generator does not have order {n}")
     return tuple(pts)
@@ -90,7 +88,6 @@ def velu_step(E: EllipticCurve, K: Point, ell: int) -> VeluStep:
 
     K must be a nonzero point of prime order ell.
     """
-    E.check_point(K)
     if K.infinity:
         raise InvalidKernelError("kernel generator is the identity")
     if not E.mul(ell, K).infinity:
@@ -110,7 +107,6 @@ def evaluate(phi, P: Point) -> Point:
             P = evaluate(step, P)
         return P
     E = phi.domain
-    E.check_point(P)
     if P.infinity:
         return INFINITY
     for Q in phi.kernel_points:
@@ -118,7 +114,7 @@ def evaluate(phi, P: Point) -> Point:
             return INFINITY
     x, y = P.x, P.y
     for Q in phi.kernel_points:
-        S = E._add_raw(P, Q)
+        S = E.add(P, Q)
         x = x + S.x - Q.x
         y = y + S.y - Q.y
     return Point(x, y)
@@ -137,7 +133,6 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int) -> IsogenyChain:
     O(e log e) multiplications by ell and evaluations instead of e^2/2,
     and since the steps are homomorphisms each step sees the same point.
     """
-    E.check_point(K)
     n = ell ** e
     if e < 1:
         raise InvalidKernelError(f"kernel generator must have exact order {n}")

@@ -133,7 +133,7 @@ def miller_function(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
         f = f * f * num / den
         if bit == "1":
             num = _line_value(E, T, P, X)
-            T = E._add_raw(T, P)
+            T = E.add(T, P)
             den = (X.x - T.x) if not T.infinity else E.ctx.one()
             if not num or not den:
                 raise _Degenerate

@@ -302,6 +302,14 @@ def params_from_obj(obj) -> PublicParams:
     for k, v in ints.items():
         if not isinstance(v, int) or v < 1:
             raise DecodeError(f"params field {k} must be a positive integer")
+    try:
+        _check_shape(ints["la"], ints["ea"], ints["lb"], ints["eb"])
+    except UnsupportedParameterError as exc:
+        raise DecodeError(f"unsupported params shape: {exc}") from exc
+    # both primes are >= 2, so a longer exponent cannot match p; checked
+    # before the powers, which for a huge exponent take minutes and GBs
+    if max(ints["ea"], ints["eb"]) > ints["p"].bit_length():
+        raise DecodeError("params exponents exceed the size of the prime")
     if ints["la"] ** ints["ea"] * ints["lb"] ** ints["eb"] * ints["f"] - 1 \
             != ints["p"]:
         raise DecodeError("params prime does not match its factorization")
@@ -313,7 +321,10 @@ def params_from_obj(obj) -> PublicParams:
     pts = {}
     for k in ("pa", "qa", "pb", "qb"):
         pts[k] = point_from_obj(ctx, obj[k])
-        curve.check_point(pts[k])
+        try:
+            curve.check_point(pts[k])
+        except InvalidPointError as exc:
+            raise DecodeError(f"basis point {k} not on e0: {exc}") from exc
     params = PublicParams(ints["p"], ints["la"], ints["ea"], ints["lb"],
                           ints["eb"], ints["f"], curve,
                           (pts["pa"], pts["qa"]), (pts["pb"], pts["qb"]))

@@ -7,10 +7,10 @@ None of it imports the package's pairing internals.
 
 from __future__ import annotations
 
-from siot import (INFINITY, EllipticCurve, IsogenyChain, Point, evaluate,
-                  velu_step)
+from siot.curve import INFINITY, EllipticCurve, Point
 from siot.errors import InvalidKernelError
 from siot.field import Fp2
+from siot.isogeny import IsogenyChain, evaluate, velu_step
 
 
 def naive_mul(E: EllipticCurve, k: int, P: Point) -> Point:

@@ -10,37 +10,38 @@ import time
 import pytest
 
 from siot import (
-    MaskCoefficients,
     SessionConfig,
-    SidhKeyPair,
-    SidhPublic,
-    SiotSession,
     brute_force_secret,
     default_group,
-    derive_mask_coeffs,
     derive_shared_j,
     det_rng,
     dishonest_bob_probe,
     distinguisher_fixture,
     distinguisher_scan,
-    encode_mask_points,
-    equivariance_precheck,
-    evaluate,
-    full_kernel_quotient,
-    cyclic_subgroup,
-    isogeny_chain,
     kdf_dec,
-    kernel_generator,
     keygen,
     preset,
     run_baseline_local,
     run_local,
-    symmetric_constraint_check,
-    symmetric_pairing,
-    weil_pairing,
 )
+from siot.analysis import equivariance_precheck, symmetric_constraint_check
 from siot.errors import DecryptionError, ProtocolAbort, RestartRequired
-from siot.siot import exchange
+from siot.isogeny import (
+    cyclic_subgroup,
+    evaluate,
+    full_kernel_quotient,
+    isogeny_chain,
+    kernel_generator,
+)
+from siot.pairing import symmetric_pairing, weil_pairing
+from siot.sidh import SidhKeyPair, SidhPublic
+from siot.siot import (
+    MaskCoefficients,
+    SiotSession,
+    derive_mask_coeffs,
+    encode_mask_points,
+    exchange,
+)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -260,14 +261,18 @@ def test_10_baseline_ot_bulk(p431):
         good += art["output"] == (m1 if b else m0)
         other = art["ciphertexts"][1 - b]
         try:
-            from siot import bo_decrypt
+            from siot.baseline_ot import bo_decrypt
             bo_decrypt(art["receiver_key"], other)
         except DecryptionError:
             sealed += 1
     off = ctx.curve.point(ctx.curve.A.ctx.elem(8144),
                           ctx.curve.A.ctx.elem(4842))
     refusals = 0
-    from siot import bo_receiver_round, bo_sender_keys, bo_sender_setup
+    from siot.baseline_ot import (
+        bo_receiver_round,
+        bo_sender_keys,
+        bo_sender_setup,
+    )
     try:
         bo_receiver_round(ctx, off, 0, rng)
     except ProtocolAbort as exc:

@@ -4,25 +4,26 @@ kernel-collapse probe, brute-force inversion, and reachability."""
 import pytest
 
 from siot import (
-    MaskCoefficients,
     brute_force_secret,
-    derive_mask_coeffs,
     derive_shared_j,
     det_rng,
     dishonest_bob_probe,
     distinguisher_fixture,
     distinguisher_scan,
+    keygen,
+)
+from siot.analysis import (
     equivariance_precheck,
     isogeny_path_exists,
-    kernel_generator,
-    keygen,
     reachable_j_values,
     same_cyclic_subgroup,
     shared_j_oracle,
     symmetric_constraint_check,
 )
 from siot.errors import InconsistentKeyError, UnsupportedParameterError
+from siot.isogeny import kernel_generator
 from siot.sidh import SidhPublic
+from siot.siot import MaskCoefficients, derive_mask_coeffs
 
 
 def test_equivariance_precheck_passes(p431, p2591):
@@ -53,7 +54,7 @@ def test_scan_accepts_transcript_coefficients(p431):
     """Feeding raw coefficients instead of points must work: that is
     what a curious sender actually holds."""
     masked, coeffs = distinguisher_fixture(p431, det_rng(b"raw"), b=0)
-    from siot import encode_mask_points
+    from siot.siot import encode_mask_points
     pts = encode_mask_points(coeffs, masked.curve, masked.G, masked.H, p431)
     r1 = distinguisher_scan(p431, masked, coeffs)
     r2 = distinguisher_scan(p431, masked, pts)

@@ -4,15 +4,13 @@ semantics, and the refusal paths."""
 import pytest
 
 from oracles import count_fp_points, ec_mul_fp
-from siot import (
+from siot import default_group, det_rng, run_baseline_local
+from siot.baseline_ot import (
     bo_decrypt,
     bo_encrypt,
     bo_receiver_round,
     bo_sender_keys,
     bo_sender_setup,
-    default_group,
-    det_rng,
-    run_baseline_local,
 )
 from siot.errors import DecryptionError, ProtocolAbort
 

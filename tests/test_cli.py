@@ -89,15 +89,21 @@ def test_verify_reports_malformed_fields(tmp_path, capsys):
 def test_params_file_with_malformed_e0_exits_two(tmp_path, capsys):
     assert main(["gen-params", "--la", "2", "--ea", "4", "--lb", "3",
                  "--eb", "3"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    zero = "0" * len(obj["e0"]["a"])
+    good = json.loads(capsys.readouterr().out)
+    zero = "0" * len(good["e0"]["a"])
     transcript = _write(tmp_path, "t.jsonl", b"")
-    for e0 in ("junk", {"a": obj["e0"]["a"]}, {"a": 1, "b": 2},
-               {"a": zero, "b": zero}):
-        obj["e0"] = e0
+    m0 = _write(tmp_path, "m0", b"m0")
+    m1 = _write(tmp_path, "m1", b"m1")
+    bad = [{**good, "e0": e0}
+           for e0 in ("junk", {"a": good["e0"]["a"]}, {"a": 1, "b": 2},
+                      {"a": zero, "b": zero})]
+    bad.append({**good, "la": 4, "ea": 2})   # p is still 431
+    for obj in bad:
         path = _write(tmp_path, "params.json", json.dumps(obj).encode())
         for argv in (["keygen", "--params", path, "--side", "A"],
-                     ["verify-transcript", transcript, "--params", path]):
+                     ["verify-transcript", transcript, "--params", path],
+                     ["run-local", "--params", path, "--choice", "1",
+                      "--msg0", m0, "--msg1", m1, "--seed", "03"]):
             assert main(argv) == 2
             assert "protocol abort" in capsys.readouterr().err
 

@@ -1,0 +1,141 @@
+"""Property tests for the decoders that take outside data: whatever a
+parameter file or a peer's public key holds, ``params_from_obj`` and
+``public_from_obj`` either return or raise ``DecodeError``.
+
+Each example mutates a real object a few times: keys are dropped or
+added, values are replaced by other JSON types, hex strings get a
+flipped or non-hex digit, integer fields get the wrong type or size,
+and coordinates are swapped within or between points.
+"""
+
+import json
+import string
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from siot import det_rng, keygen, params_from_obj, params_to_obj, preset
+from siot.errors import DecodeError
+from siot.sidh import public_from_obj, public_to_obj
+
+P431 = preset("p431")
+PARAMS = params_to_obj(P431)
+PUBLIC = public_to_obj(keygen(P431, "A", det_rng(b"fuzz/public")).public)
+
+FUZZ = settings(derandomize=True, max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=True), st.text(max_size=6),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.sampled_from(["x", "y", "a", "b", "inf"]),
+                    st.integers(0, 1), max_size=2),
+)
+BAD_INTS = st.one_of(
+    st.booleans(), st.integers(-3, 3), st.integers(2 ** 60, 2 ** 70),
+    st.sampled_from([10 ** 7, 10 ** 30]), st.floats(1, 1e6), st.text(
+        string.digits, min_size=1, max_size=4),
+)
+NOT_HEX = "gZ ٣-"
+
+
+def _paths(node, prefix=()):
+    """Every path to a node of a nested dict, the root included."""
+    out = [prefix]
+    if isinstance(node, dict):
+        for k, v in node.items():
+            out += _paths(v, prefix + (k,))
+    return out
+
+
+def _get(obj, path):
+    for k in path:
+        obj = obj[k]
+    return obj
+
+
+def _set(obj, path, value):
+    _get(obj, path[:-1])[path[-1]] = value
+
+
+def _mutate_hex(data, s):
+    i = data.draw(st.integers(0, len(s) - 1))
+    how = data.draw(st.sampled_from(["flip", "non-hex", "upper", "cut",
+                                     "extend"]))
+    if how == "flip":
+        c = data.draw(st.sampled_from("0123456789abcdef".replace(s[i], "")))
+    elif how == "non-hex":
+        c = data.draw(st.sampled_from(NOT_HEX))
+    elif how == "upper":
+        return s.upper()
+    elif how == "cut":
+        return s[:i]
+    else:
+        return s + "00"
+    return s[:i] + c + s[i + 1:]
+
+
+def _mutate(data, obj):
+    paths = _paths(obj)
+    path = data.draw(st.sampled_from(paths))
+    node = _get(obj, path)
+    kinds = ["junk", "swap"]
+    if isinstance(node, dict) and node:
+        kinds += ["drop", "extra"]
+    if isinstance(node, str):
+        kinds.append("hex")
+    if isinstance(node, int) and not isinstance(node, bool):
+        kinds.append("int")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del node[data.draw(st.sampled_from(sorted(node)))]
+    elif kind == "extra":
+        node[data.draw(st.sampled_from(["z", "inf", "x", "pc"]))] = \
+            data.draw(JUNK)
+    elif kind == "hex":
+        _set(obj, path, _mutate_hex(data, node))
+    elif kind == "int":
+        _set(obj, path, data.draw(BAD_INTS))
+    elif kind == "swap":
+        other = data.draw(st.sampled_from(paths))
+        a, b = _get(obj, path), _get(obj, other)
+        if path and other and path[:len(other)] != other \
+                and other[:len(path)] != path:
+            _set(obj, path, b)
+            _set(obj, other, a)
+    elif path:
+        _set(obj, path, data.draw(JUNK))
+    else:
+        return data.draw(JUNK)
+    return obj
+
+
+def _mutated(data, original):
+    obj = json.loads(json.dumps(original))
+    for _ in range(data.draw(st.integers(1, 3))):
+        obj = _mutate(data, obj)
+        if not isinstance(obj, dict):
+            break
+    return obj
+
+
+@FUZZ
+@given(st.data())
+def test_params_from_obj_returns_or_raises_decode_error(data):
+    obj = _mutated(data, PARAMS)
+    try:
+        params_from_obj(obj)
+    except DecodeError:
+        pass
+
+
+@FUZZ
+@given(st.data())
+def test_public_from_obj_returns_or_raises_decode_error(data):
+    obj = _mutated(data, PUBLIC)
+    try:
+        public_from_obj(P431.ctx, obj)
+    except DecodeError:
+        pass
+

@@ -3,9 +3,9 @@ oracles."""
 
 import pytest
 
-from siot import FieldContext, Fp2
+from siot import Fp2
 from siot.errors import FieldMismatchError
-from siot.field import is_prime
+from siot.field import FieldContext, is_prime
 
 CTX = FieldContext(431)
 

@@ -10,13 +10,13 @@ import hashlib
 import threading
 
 from siot import (
-    LoopbackPipe,
     SessionConfig,
     preset,
     run_baseline_local,
     run_local,
     run_session,
 )
+from siot.transport import LoopbackPipe
 
 X0, X1 = b"golden zero", b"golden one!"
 

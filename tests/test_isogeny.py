@@ -4,21 +4,18 @@ single-shot full-kernel quotient used as an independent oracle."""
 import pytest
 
 from oracles import naive_chain, naive_order
-from siot import (
-    EllipticCurve,
-    FieldContext,
-    INFINITY,
+from siot import det_rng, gen_params, preset
+from siot.curve import INFINITY, EllipticCurve
+from siot.errors import InvalidKernelError
+from siot.field import FieldContext
+from siot.isogeny import (
     cyclic_subgroup,
-    det_rng,
     evaluate,
     full_kernel_quotient,
-    gen_params,
     isogeny_chain,
     kernel_generator,
-    preset,
     velu_step,
 )
-from siot.errors import InvalidKernelError
 
 CTX = FieldContext(431)
 E0 = EllipticCurve(CTX.elem(1), CTX.elem(0))

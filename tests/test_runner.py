@@ -6,11 +6,8 @@ import threading
 import pytest
 
 from siot import (
-    LoopbackPipe,
-    MaskCoefficients,
     SessionConfig,
     Transcript,
-    WireMessage,
     det_rng,
     gen_params,
     run_baseline_local,
@@ -19,6 +16,9 @@ from siot import (
     verify_transcript,
 )
 from siot.errors import ProtocolAbort, RestartRequired
+from siot.siot import MaskCoefficients
+from siot.transport import LoopbackPipe
+from siot.wire import WireMessage
 
 
 def _config(params, b, seed=b"runner-seed"):

@@ -11,10 +11,7 @@ from siot import (
     params_from_obj,
     params_to_obj,
     preset,
-    public_from_obj,
-    public_to_obj,
     validate_public,
-    weil_pairing,
 )
 from siot.errors import (
     DecodeError,
@@ -23,7 +20,8 @@ from siot.errors import (
     UnsupportedParameterError,
 )
 from siot.isogeny import full_kernel_quotient, kernel_generator
-from siot.sidh import SidhPublic, other_side
+from siot.pairing import weil_pairing
+from siot.sidh import SidhPublic, other_side, public_from_obj, public_to_obj
 
 
 def test_preset_shapes():
@@ -148,7 +146,7 @@ def test_validate_public_rejects_garbage(p431):
         validate_public(params, "B", badb)
     assert info.value.code == "bad-receiver-key"
     # off-curve point
-    from siot import Point
+    from siot.curve import Point
     offc = SidhPublic(pub.curve, pub.G, Point(pub.H.x, pub.H.x))
     with pytest.raises(ProtocolAbort):
         validate_public(params, "A", offc)
@@ -209,6 +207,21 @@ def test_keygen_deterministic_under_seed(p431):
     k1 = keygen(p431, "A", det_rng(99))
     k2 = keygen(p431, "A", det_rng(99))
     assert k1.r == k2.r and k1.public == k2.public
+
+
+def test_params_from_obj_rejects_off_curve_basis_point(p431):
+    obj = params_to_obj(p431)
+    obj["pa"] = {"x": obj["pa"]["x"], "y": obj["pb"]["y"]}
+    with pytest.raises(DecodeError, match="basis point pa not on e0"):
+        params_from_obj(obj)
+
+
+def test_params_from_obj_rejects_unsupported_shapes(p431):
+    # 4^2 * 3^3 - 1 is still 431, but 4 is not a prime
+    with pytest.raises(DecodeError, match="4 is not prime"):
+        params_from_obj({**params_to_obj(p431), "la": 4, "ea": 2})
+    with pytest.raises(DecodeError, match="exponents exceed"):
+        params_from_obj({**params_to_obj(p431), "eb": 10 ** 7})
 
 
 @pytest.mark.parametrize("mutate", [

@@ -3,27 +3,23 @@ algebra, the session state machine, and payload encryption."""
 
 import pytest
 
-from siot import (
-    MaskCoefficients,
-    SiotSession,
-    coinflip_commit,
-    coinflip_reveal,
-    derive_mask_coeffs,
-    det_rng,
-    encode_mask_points,
-    kdf_dec,
-    kdf_enc,
-    keygen,
-    weil_pairing,
-)
+from siot import det_rng, kdf_dec, keygen
 from siot.errors import DecodeError, DecryptionError, ProtocolAbort
+from siot.pairing import weil_pairing
 from siot.siot import (
     NONCE_LEN,
     SCHEDULE,
+    MaskCoefficients,
+    SiotSession,
     _bytes_field,
     _pack_input,
     _unpack_input,
+    coinflip_commit,
+    coinflip_reveal,
+    derive_mask_coeffs,
+    encode_mask_points,
     exchange,
+    kdf_enc,
 )
 
 

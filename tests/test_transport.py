@@ -4,9 +4,16 @@ import threading
 
 import pytest
 
-from siot import LoopbackPipe, recv_frame, send_frame
 from siot.errors import TransportError
-from siot.transport import MAX_FRAME, connect, parse_addr, serve_one
+from siot.transport import (
+    MAX_FRAME,
+    LoopbackPipe,
+    connect,
+    parse_addr,
+    recv_frame,
+    send_frame,
+    serve_one,
+)
 
 
 def test_loopback_roundtrip():

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from siot import Transcript, WireMessage, decode, det_rng, encode
+from siot import Transcript, det_rng
 from siot.errors import DecodeError
+from siot.wire import WireMessage, decode, encode
 
 SID = "00" * 16
 
