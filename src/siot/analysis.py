@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass
 
 from .curve import EllipticCurve, Point
-from .errors import InconsistentKeyError, UnsupportedParameterError
+from .errors import (DecryptionError, InconsistentKeyError,
+                     UnsupportedParameterError)
 from .isogeny import (
     cyclic_subgroup,
     evaluate,
@@ -24,7 +25,9 @@ from .isogeny import (
 )
 from .pairing import decompose_in_basis, weil_pairing
 from .sidh import PublicParams, SidhPublic, keygen, other_side
-from .siot import MaskCoefficients, MaskPoints, encode_mask_points
+from .siot import (MaskCoefficients, MaskPoints, branch_kernels,
+                   derive_mask_coeffs, encode_mask_points, kdf_dec, kdf_enc,
+                   mask_public)
 from .util import det_rng
 
 
@@ -139,24 +142,15 @@ def distinguisher_fixture(params: PublicParams, rng=None, b: int = 1,
     which makes the pairing exponent move with lambda and leaks the bit.
     Returns (masked_public, coeffs).
     """
-    from .siot import derive_mask_coeffs
-
     rng = rng if rng is not None else det_rng(b"distinguisher-fixture")
     kp = keygen(params, "B", rng)
-    pub = kp.public
     if violate:
         n = params.n("A")
         coeffs = MaskCoefficients(alpha=0, beta=1, gamma=0, delta=2 % n,
                                   w=b"")
     else:
         coeffs = derive_mask_coeffs(rng.randbytes(32), params)
-    mask = encode_mask_points(coeffs, pub.curve, pub.G, pub.H, params)
-    if b == 1:
-        masked = SidhPublic(pub.curve, pub.curve.sub(pub.G, mask.U),
-                            pub.curve.sub(pub.H, mask.V))
-    else:
-        masked = pub
-    return masked, coeffs
+    return mask_public(coeffs, kp.public, b, params), coeffs
 
 
 def same_cyclic_subgroup(E: EllipticCurve, basis, K1: Point, K2: Point,
@@ -187,9 +181,6 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     make both kernels literally the same subgroup, hence equal j.
     Degenerate control: all-zero coefficients collapse trivially.
     """
-    from .errors import DecryptionError
-    from .siot import derive_mask_coeffs, kdf_dec, kdf_enc
-
     rng = rng if rng is not None else det_rng(b"dishonest-bob-probe")
     n = params.n("A")
     ell, e = params.ell_a, params.e_a
@@ -197,16 +188,9 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     receiver = keygen(params, "B", rng)
     w = rng.randbytes(32)
     coeffs = derive_mask_coeffs(w, params)
-    E = receiver.public.curve
-    G, H = receiver.public.G, receiver.public.H
-    basis = (G, H)
+    pub = receiver.public
+    E, basis = pub.curve, (pub.G, pub.H)
     r_a = sender.r
-
-    def branch_kernels(cf):
-        mask = encode_mask_points(cf, E, G, H, params)
-        K0 = kernel_generator(E, G, r_a, H)
-        K1 = kernel_generator(E, E.add(G, mask.U), r_a, E.add(H, mask.V))
-        return K0, K1
 
     def branch_js(K0, K1):
         out = []
@@ -215,7 +199,7 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
         return out
 
     report: dict = {}
-    K0, K1 = branch_kernels(coeffs)
+    K0, K1 = branch_kernels(coeffs, pub, r_a, params)
     j0, j1 = branch_js(K0, K1)
     k0 = kdf_enc(j0, b"probe-x0")
     k1 = kdf_enc(j1, b"probe-x1")
@@ -236,7 +220,7 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     # crafted: det(K0, K1) = 0 with a unit ratio, so <K1> = <K0> exactly
     crafted = MaskCoefficients(alpha=2 % n, beta=2 * r_a % n, gamma=0,
                                delta=0, w=b"")
-    Kc0, Kc1 = branch_kernels(crafted)
+    Kc0, Kc1 = branch_kernels(crafted, pub, r_a, params)
     cj0, cj1 = branch_js(Kc0, Kc1)
     report["crafted"] = {
         "alpha": crafted.alpha, "beta": crafted.beta,
@@ -246,7 +230,7 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     }
 
     zero = MaskCoefficients(0, 0, 0, 0, b"")
-    Kz0, Kz1 = branch_kernels(zero)
+    Kz0, Kz1 = branch_kernels(zero, pub, r_a, params)
     zj0, zj1 = branch_js(Kz0, Kz1)
     report["degenerate"] = {"j_equal": zj0 == zj1}
     return report
@@ -273,10 +257,7 @@ def brute_force_secret(params: PublicParams, public: SidhPublic,
     E0 = params.curve
     started = time.perf_counter()
     for r in range(n):
-        K = kernel_generator(E0, P, r, Q)
-        if E0.mul(n // ell, K).infinity:
-            continue
-        chain = isogeny_chain(E0, K, ell, e)
+        chain = isogeny_chain(E0, kernel_generator(E0, P, r, Q), ell, e)
         if chain.codomain != public.curve:
             continue
         if evaluate(chain, P2) == public.G and evaluate(chain, Q2) == public.H:

@@ -179,14 +179,12 @@ def sample_torsion_basis(curve: EllipticCurve, ell: int, e: int,
     exact multiplicative order ell^e.  Sampling method is irrelevant to
     correctness; the certificate is authoritative.
     """
-    from .pairing import weil_pairing   # cycle: pairing needs curve
+    from .pairing import is_torsion_basis   # cycle: pairing needs curve
 
-    n = ell ** e
     P = curve.random_point_of_order(ell, e, group_exponent, rng, tries)
     for _ in range(tries):
         Q = curve.random_point_of_order(ell, e, group_exponent, rng, tries)
-        zeta = weil_pairing(curve, P, Q, n)
-        if not (zeta ** (n // ell) == curve.ctx.one()):
+        if is_torsion_basis(curve, P, Q, ell, e):
             return P, Q
     raise SamplingError(f"no independent partner of order {ell}^{e} "
                         f"in {tries} draws")

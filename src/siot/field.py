@@ -143,10 +143,6 @@ class Fp2:
     def conjugate(self) -> Fp2:
         return Fp2(self.ctx, self.a, -self.b)
 
-    def frobenius(self) -> Fp2:
-        """x -> x^p; equals conjugation since i^p = -i for p = 3 mod 4."""
-        return self.conjugate()
-
     def norm(self) -> int:
         """N(a+bi) = a^2 + b^2 in F_p."""
         return (self.a * self.a + self.b * self.b) % self.ctx.p
@@ -180,9 +176,6 @@ class Fp2:
             return None
         other = -root
         return root if root.encode() <= other.encode() else other
-
-    def is_square(self) -> bool:
-        return self.sqrt() is not None
 
     def encode(self) -> bytes:
         """Fixed-width big-endian bytes of a then b."""

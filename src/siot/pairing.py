@@ -180,6 +180,18 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> RootOfUnity:
     raise ArithmeticError("no admissible auxiliary point in 256 draws")
 
 
+def is_torsion_basis(E: EllipticCurve, P: Point, Q: Point,
+                     ell: int, e: int) -> bool:
+    """Whether (P, Q) is a basis of the ell^e-torsion of E.
+
+    The certificate is the Weil pairing: e(P, Q) must have exact order
+    ell^e.  Raises InvalidPointError, as the pairing does, when P or Q
+    is off E or outside the ell^e-torsion.
+    """
+    n = ell ** e
+    return not (weil_pairing(E, P, Q, n) ** (n // ell)).is_one()
+
+
 def distortion_map(E: EllipticCurve, P: Point) -> Point:
     """The endomorphism (x, y) -> (-x, i*y) of the curve y^2 = x^3 + x.
 

@@ -24,7 +24,7 @@ from .baseline_ot import (
     default_group,
 )
 from .errors import DecodeError, ProtocolAbort, RestartRequired
-from .pairing import weil_pairing
+from .pairing import is_torsion_basis
 from .sidh import (
     PublicParams,
     point_to_obj,
@@ -198,7 +198,7 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
     w = xor_bytes(*nonces)
     coeffs = derive_mask_coeffs(w, params)
     try:
-        coeffs.check(params, hardened=True)
+        coeffs.check(params)
         constraints_ok, detail = True, (
             f"alpha={coeffs.alpha} beta={coeffs.beta} "
             f"gamma={coeffs.gamma} delta={coeffs.delta}")
@@ -216,11 +216,10 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
             check(f"public-key-{producer}", False, str(exc))
     if len(pks) == 2:
         check("public-keys", True, "both keys pass torsion validation")
-        n = params.n("A")
         pub = pks["B"]
-        zeta = weil_pairing(pub.curve, pub.G, pub.H, n)
         check("masked-pair-basis",
-              not (zeta ** (n // params.ell_a)).is_one(),
+              is_torsion_basis(pub.curve, pub.G, pub.H, params.ell_a,
+                               params.e_a),
               "receiver pair is a certified torsion basis")
         mask = encode_mask_points(coeffs, pub.curve, pub.G, pub.H, params)
         check("mask-points-derivable", True,

@@ -155,24 +155,17 @@ def preset(name: str) -> PublicParams:
 def keygen(params: PublicParams, side: str, rng) -> SidhKeyPair:
     """Secret scalar, secret chain, and the public pushed-through basis.
 
-    The kernel generator P + [r]Q always has exact order for a certified
-    basis; the resample loop only guards against degenerate inputs.
+    Every PublicParams carries a certified basis (P, Q), on which the
+    kernel generator P + [r]Q has exact order for every r.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
-    n = params.n(side)
-    ell, e = params.ell(side), params.e(side)
+    E0 = params.curve
     P, Q = params.basis(side)
     P2, Q2 = params.basis(other_side(side))
-    E0 = params.curve
-    for _ in range(64):
-        r = rng.randrange(n)
-        K = kernel_generator(E0, P, r, Q)
-        if not E0.mul(n // ell, K).infinity:
-            break
-    else:
-        raise InvalidPointError("no maximal-order kernel generator found")
-    chain = isogeny_chain(E0, K, ell, e)
+    r = rng.randrange(params.n(side))
+    chain = isogeny_chain(E0, kernel_generator(E0, P, r, Q),
+                          params.ell(side), params.e(side))
     public = SidhPublic(chain.codomain, evaluate(chain, P2),
                         evaluate(chain, Q2))
     return SidhKeyPair(side, r, chain, public)
@@ -238,9 +231,9 @@ def point_to_obj(P: Point) -> dict:
 def point_from_obj(ctx: FieldContext, obj) -> Point:
     if not isinstance(obj, dict):
         raise DecodeError("point must be an object")
-    if obj.get("inf"):
-        if set(obj) != {"inf"}:
-            raise DecodeError("infinity point carries no coordinates")
+    if "inf" in obj:
+        if set(obj) != {"inf"} or obj["inf"] is not True:
+            raise DecodeError('the point at infinity is exactly {"inf": true}')
         return INFINITY
     if set(obj) != {"x", "y"}:
         raise DecodeError("point object needs exactly x and y")
@@ -333,15 +326,14 @@ def params_from_obj(obj) -> PublicParams:
 
 
 def _certify_params(params: PublicParams) -> None:
-    from .pairing import weil_pairing   # local: pairing imports curve
+    from .pairing import is_torsion_basis   # local: pairing imports curve
 
     for side in SIDES:
-        n = params.n(side)
-        ell = params.ell(side)
         P, Q = params.basis(side)
-        for pt in (P, Q):
-            if not params.curve.mul(n, pt).infinity:
-                raise DecodeError(f"basis point not {n}-torsion")
-        z = weil_pairing(params.curve, P, Q, n)
-        if (z ** (n // ell)).is_one():
+        try:
+            ok = is_torsion_basis(params.curve, P, Q, params.ell(side),
+                                  params.e(side))
+        except InvalidPointError as exc:
+            raise DecodeError(f"side {side} basis: {exc}") from exc
+        if not ok:
             raise DecodeError(f"side {side} basis fails independence")

@@ -25,13 +25,14 @@ from typing import NamedTuple
 from .curve import EllipticCurve, Point
 from .errors import (
     DecryptionError,
+    InvalidKernelError,
     InvalidPointError,
     ProtocolAbort,
     RestartRequired,
 )
 from .field import Fp2
 from .isogeny import isogeny_chain, kernel_generator
-from .pairing import weil_pairing
+from .pairing import is_torsion_basis
 from .sidh import (
     PublicParams,
     SidhKeyPair,
@@ -84,8 +85,8 @@ class MaskCoefficients:
     sender's pairing probe is blind to the choice bit; beta is a unit
     and the quadratic gamma*r^2 + (alpha-delta)*r - beta has no root
     mod lA, so a dishonest receiver cannot collapse the sender's two
-    kernels; and (in the hardened family) alpha is a multiple of
-    lA^ceil(eA/2), which kills the order-2 pairing leak as well.
+    kernels; and alpha is a multiple of lA^ceil(eA/2) (the hardened
+    family), which kills the order-2 pairing leak as well.
     """
 
     alpha: int
@@ -101,7 +102,7 @@ class MaskCoefficients:
             % ell != 0
             for r in range(ell))
 
-    def check(self, params: PublicParams, hardened: bool = True) -> None:
+    def check(self, params: PublicParams) -> None:
         n = params.n("A")
         ell, e = params.ell_a, params.e_a
         if self.beta % ell == 0:
@@ -112,7 +113,7 @@ class MaskCoefficients:
             raise ValueError("alpha^2 + beta*gamma must vanish")
         if not self.quadratic_root_free(ell):
             raise ValueError("kernel-collapse quadratic has a root")
-        if hardened and self.alpha % ell ** ((e + 1) // 2) != 0:
+        if self.alpha % ell ** ((e + 1) // 2) != 0:
             raise ValueError("alpha outside the hardened family")
 
 
@@ -126,8 +127,7 @@ def params_fingerprint(params: PublicParams) -> bytes:
     return tagged_hash("params-fp", canonical_json(params_to_obj(params)))
 
 
-def derive_mask_coeffs(w: bytes, params: PublicParams,
-                       hardened: bool = True) -> MaskCoefficients:
+def derive_mask_coeffs(w: bytes, params: PublicParams) -> MaskCoefficients:
     """Hash-expand w into coefficients satisfying every mask constraint.
 
     Deterministic: both parties compute the identical tuple.  Rejection
@@ -136,12 +136,13 @@ def derive_mask_coeffs(w: bytes, params: PublicParams,
     """
     n = params.n("A")
     ell, e = params.ell_a, params.e_a
-    lift = ell ** ((e + 1) // 2) if hardened else 1
+    lift = ell ** ((e + 1) // 2)
     fp = params_fingerprint(params)
     width = max(32, 2 * ((n.bit_length() + 7) // 8) + 16)
     ctr = 0
     while True:
-        material = w + fp + struct.pack("!IB", ctr, 1 if hardened else 0)
+        # the trailing byte 1 tags the hardened family, the only one
+        material = w + fp + struct.pack("!IB", ctr, 1)
         stream = expand("mask-coeffs", material, 2 * width)
         alpha0 = int.from_bytes(stream[:width], "big") % n
         beta = int.from_bytes(stream[width:], "big") % n
@@ -154,7 +155,7 @@ def derive_mask_coeffs(w: bytes, params: PublicParams,
         coeffs = MaskCoefficients(alpha, beta, gamma, delta, w)
         if not coeffs.quadratic_root_free(ell):
             continue
-        coeffs.check(params, hardened)
+        coeffs.check(params)
         return coeffs
 
 
@@ -176,6 +177,30 @@ def encode_mask_points(coeffs: MaskCoefficients, curve: EllipticCurve,
     U = curve.add(curve.mul(coeffs.alpha, G), curve.mul(coeffs.beta, H))
     V = curve.add(curve.mul(coeffs.gamma, G), curve.mul(coeffs.delta, H))
     return MaskPoints(U, V)
+
+
+def mask_public(coeffs: MaskCoefficients, pub: SidhPublic, b: int,
+                params: PublicParams) -> SidhPublic:
+    """The receiver's published key: its own for bit 0, and for bit 1
+    its basis images shifted to (G - U, H - V).  The mask is computed
+    for either bit, so both bits do the same work."""
+    E = pub.curve
+    mask = encode_mask_points(coeffs, E, pub.G, pub.H, params)
+    if b == 0:
+        return pub
+    return SidhPublic(E, E.sub(pub.G, mask.U), E.sub(pub.H, mask.V))
+
+
+def branch_kernels(coeffs: MaskCoefficients, pub: SidhPublic, r: int,
+                   params: PublicParams) -> tuple[Point, Point]:
+    """The sender's two kernel generators from the received pair (G, H):
+    K0 = G + [r]H, and K1 from (G + U, H + V) likewise.  Their orders
+    are checked by the isogeny chains that take them."""
+    E = pub.curve
+    mask = encode_mask_points(coeffs, E, pub.G, pub.H, params)
+    return (kernel_generator(E, pub.G, r, pub.H),
+            kernel_generator(E, E.add(pub.G, mask.U), r,
+                             E.add(pub.H, mask.V)))
 
 
 # -- authenticated payload encryption ----------------------------------
@@ -276,7 +301,6 @@ class SiotSession:
             params, "A" if role == "sender" else "B", rng)
         self.coeffs: MaskCoefficients | None = None
         self.their_public: SidhPublic | None = None
-        self.masked_public: SidhPublic | None = None
         self.ciphertexts: tuple[bytes, bytes] | None = None
         self.shared_j: tuple | None = None
         self.output: bytes | None = None
@@ -335,19 +359,11 @@ class SiotSession:
             body = public_to_obj(self.keypair.public)
             self._log(mtype, body)
             return body
-        pub = self.keypair.public
-        mask = encode_mask_points(self.coeffs, pub.curve, pub.G, pub.H,
-                                  self.params)
-        if self.b == 1:
-            masked = SidhPublic(pub.curve, pub.curve.sub(pub.G, mask.U),
-                                pub.curve.sub(pub.H, mask.V))
-        else:
-            masked = pub
-        n = self.params.n("A")
-        zeta = weil_pairing(masked.curve, masked.G, masked.H, n)
-        if (zeta ** (n // self.params.ell_a)).is_one():
+        masked = mask_public(self.coeffs, self.keypair.public, self.b,
+                             self.params)
+        if not is_torsion_basis(masked.curve, masked.G, masked.H,
+                                self.params.ell_a, self.params.e_a):
             raise RestartRequired("masked pair is not a torsion basis")
-        self.masked_public = masked
         body = public_to_obj(masked)
         self._log(mtype, body)
         return body
@@ -371,35 +387,28 @@ class SiotSession:
                            *(canonical_json(b) for b in pk_bodies))
 
     def _derive_ciphertext_keys(self) -> None:
-        """Sender: re-derive the mask from the received pair, split into
-        the two candidate kernels, and encrypt one input under each j."""
-        pub = self.their_public
-        params = self.params
-        ell, e = params.ell_a, params.e_a
-        n = params.n("A")
-        mask = encode_mask_points(self.coeffs, pub.curve, pub.G, pub.H, params)
-        th = self._transcript_hash()
-        width = max(len(self.x0), len(self.x1))
-        cts = []
+        """Sender: form the two branch kernels from the received pair and
+        encrypt one input under each branch's j-invariant."""
+        pub, params = self.their_public, self.params
         js = []
-        for i in (0, 1):
-            G = pub.curve.add(pub.G, pub.curve.mul(i, mask.U))
-            H = pub.curve.add(pub.H, pub.curve.mul(i, mask.V))
-            K = kernel_generator(pub.curve, G, self.keypair.r, H)
-            if pub.curve.mul(n // ell, K).infinity:
-                raise RestartRequired(f"branch {i} kernel is order-degenerate")
-            chain = isogeny_chain(pub.curve, K, ell, e)
-            j = chain.codomain.j_invariant()
-            js.append(j)
-            x = self.x0 if i == 0 else self.x1
-            cts.append(kdf_enc(j, _pack_input(x, width), th))
+        for i, K in enumerate(branch_kernels(self.coeffs, pub, self.keypair.r,
+                                             params)):
+            try:
+                chain = isogeny_chain(pub.curve, K, params.ell_a, params.e_a)
+            except InvalidKernelError as exc:
+                raise RestartRequired(
+                    f"branch {i} kernel is order-degenerate") from exc
+            js.append(chain.codomain.j_invariant())
         if js[0] == js[1]:
             # distinct kernels can still land on the same j in a desk-scale
             # isogeny graph; a collision would open both branches, so flip
             # fresh coins instead of sending
             raise RestartRequired("branch j-invariants collided")
+        th = self._transcript_hash()
+        width = max(len(self.x0), len(self.x1))
         self.shared_j = tuple(js)
-        self.ciphertexts = (cts[0], cts[1])
+        self.ciphertexts = tuple(kdf_enc(j, _pack_input(x, width), th)
+                                 for j, x in zip(js, (self.x0, self.x1)))
 
     # ciphertexts
 

@@ -19,7 +19,6 @@ VERSION = 1
 SESSION_ID_LEN = 16
 
 MESSAGE_TYPES = (
-    "params",
     "coin-commit",
     "coin-reveal",
     "pk-sender",
@@ -32,7 +31,6 @@ MESSAGE_TYPES = (
 
 # required body keys per type; bodies may not carry extras
 _BODY_KEYS = {
-    "params": {"p", "la", "ea", "lb", "eb", "f", "e0", "pa", "qa", "pb", "qb"},
     "coin-commit": {"commit"},
     "coin-reveal": {"nonce"},
     "pk-sender": {"curve", "g", "h"},

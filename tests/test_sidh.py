@@ -179,6 +179,14 @@ def test_public_codec_roundtrip(p431):
         public_from_obj(p431.ctx, obj3)
 
 
+@pytest.mark.parametrize("inf", ["no", [0], 1])
+def test_point_at_infinity_is_only_json_true(p431, inf):
+    obj = public_to_obj(keygen(p431, "A", det_rng(9)).public)
+    obj["g"] = {"inf": inf}
+    with pytest.raises(DecodeError):
+        public_from_obj(p431.ctx, obj)
+
+
 def test_singular_curves_raise_decode_error(p431):
     zero = "00" * (2 * p431.ctx.byte_width)
     params = params_to_obj(p431)

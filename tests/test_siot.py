@@ -4,7 +4,8 @@ algebra, the session state machine, and payload encryption."""
 import pytest
 
 from siot import det_rng, kdf_dec, keygen
-from siot.errors import DecodeError, DecryptionError, ProtocolAbort
+from siot.errors import (DecodeError, DecryptionError, ProtocolAbort,
+                         RestartRequired)
 from siot.pairing import weil_pairing
 from siot.siot import (
     NONCE_LEN,
@@ -70,7 +71,7 @@ def test_derived_coeffs_satisfy_all_constraints(p431):
     for _ in range(50):
         w = rng.randbytes(32)
         c = derive_mask_coeffs(w, p431)
-        c.check(p431, hardened=True)
+        c.check(p431)
         assert c.beta % ell != 0
         assert (c.delta + c.alpha) % n == 0
         assert (c.alpha * c.alpha + c.beta * c.gamma) % n == 0
@@ -78,19 +79,6 @@ def test_derived_coeffs_satisfy_all_constraints(p431):
         assert c.alpha % ell ** ((e + 1) // 2) == 0
         # determinism: same w, same tuple
         assert derive_mask_coeffs(w, p431) == c
-
-
-def test_relaxed_profile_leaves_the_hardened_family(p431):
-    ell, e = p431.ell_a, p431.e_a
-    lift = ell ** ((e + 1) // 2)
-    rng = det_rng(b"relaxed")
-    seen_outside = False
-    for _ in range(40):
-        c = derive_mask_coeffs(rng.randbytes(32), p431, hardened=False)
-        c.check(p431, hardened=False)
-        if c.alpha % lift:
-            seen_outside = True
-    assert seen_outside
 
 
 def test_coeff_check_rejections(p431):
@@ -265,6 +253,21 @@ def test_spaced_ciphertext_aborts(p431):
         r.consume_ciphertexts({k: v[:2] + "  " + v[2:]
                                for k, v in body.items()})
     assert info.value.code == "bad-message"
+
+
+def test_degenerate_sender_branch_restarts(p431):
+    """Coefficients (n - 1, -r, 0, 0) give U = -G - [r]H and V = O, so
+    branch 1's kernel G + U + [r](H + V) is the identity: the sender's
+    chain rejects it and the session asks for a restart."""
+    sid = b"\x08" * 16
+    s = SiotSession(p431, "sender", det_rng(b"degenerate-s"), sid,
+                    x0=b"left", x1=b"right")
+    r = SiotSession(p431, "receiver", det_rng(b"degenerate-r"), sid, b=0)
+    _run_until(s, r, "pk-receiver")
+    n = p431.n("A")
+    s.coeffs = MaskCoefficients(n - 1, -s.keypair.r % n, 0, 0, s.coeffs.w)
+    with pytest.raises(RestartRequired, match="branch 1 kernel"):
+        s.consume_public(r.produce_public())
 
 
 def test_singular_public_key_is_a_decode_error(p431):
