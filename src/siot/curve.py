@@ -1,7 +1,11 @@
 """Short-Weierstrass curves y^2 = x^3 + Ax + B over F_{p^2}.
 
-Affine coordinates with an explicit infinity marker; the chord-tangent
-group law, j-invariants and torsion-basis sampling live here.
+Points are affine with an explicit infinity marker; the chord-tangent
+group law, j-invariants and torsion-basis sampling live here.  Scalar
+multiplication runs in Jacobian coordinates (X, Y, Z) ~ (X/Z^2, Y/Z^3)
+on (a, b) integer pairs and converts back to affine once, so it makes
+one field inversion however long the scalar is.  Its doubling and mixed
+addition also serve the Miller loop in ``pairing``.
 
 The group law trusts its inputs: ``add`` and ``mul`` assume their
 points lie on the curve and do not check.  Points are checked once,
@@ -15,7 +19,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidPointError, SamplingError, SingularCurveError
-from .field import FieldContext, Fp2
+from .field import (ONE, ZERO, FieldContext, Fp2, pair, padd, pmul, pscale,
+                    psqr, psub)
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,7 @@ class EllipticCurve:
         self.ctx: FieldContext = A.ctx
         four = self.ctx.elem(4)
         twenty7 = self.ctx.elem(27)
-        self.discriminant = four * A ** 3 + twenty7 * B ** 2
+        self.discriminant = four * A * A * A + twenty7 * B * B
         if self.discriminant.is_zero():
             raise SingularCurveError(f"singular curve A={A!r} B={B!r}")
 
@@ -118,18 +123,26 @@ class EllipticCurve:
         return self.add(P, P)
 
     def mul(self, n: int, P: Point) -> Point:
-        """[n]P by double-and-add; negative n uses [-n](-P)."""
+        """[n]P by left-to-right double-and-add in Jacobian coordinates;
+        negative n uses [-n](-P).  One inversion, none when [n]P = O."""
         if n < 0:
             n, P = -n, self.neg(P)
-        result = INFINITY
-        addend = P
-        while n:
-            if n & 1:
-                result = self.add(result, addend)
-            n >>= 1
-            if n:
-                addend = self.add(addend, addend)
-        return result
+        if n == 0 or P.infinity:
+            return INFINITY
+        p, A = self.ctx.p, pair(self.A)
+        xy = pair(P.x), pair(P.y)
+        T = (*xy, ONE)
+        for bit in bin(n)[3:]:
+            T = jac_double(T, A, p)[0]
+            if bit == "1":
+                T = jac_add_affine(T, xy, A, p)[0]
+        X, Y, Z = T
+        if Z == ZERO:
+            return INFINITY
+        zi = pair(Fp2(self.ctx, *Z).inv())
+        zi2 = psqr(zi, p)
+        return Point(Fp2(self.ctx, *pmul(X, zi2, p)),
+                     Fp2(self.ctx, *pmul(Y, pmul(zi2, zi, p), p)))
 
     # -- invariants ---------------------------------------------------
 
@@ -168,6 +181,53 @@ class EllipticCurve:
             if not self.mul(check, P).infinity:
                 return P
         raise SamplingError(f"no point of order {ell}^{e} in {tries} draws")
+
+
+# -- Jacobian steps on (a, b) integer pairs ----------------------------
+#
+# A point is a triple (X, Y, Z) of pairs standing for (X/Z^2, Y/Z^3), and
+# Z = 0 is the identity.  Each step also returns the numerator N of the
+# slope N/Z' of its tangent or chord, Z' being the result's Z; the Miller
+# loop builds its line values from it.
+
+def jac_double(T, A, p: int):
+    """(2T, N) on y^2 = x^3 + Ax + B; the tangent slope at T is N/Z(2T).
+
+    The double of O, and of a point with Y = 0, comes out with Z = 0.
+    """
+    X, Y, Z = T
+    YY, ZZ = psqr(Y, p), psqr(Z, p)
+    M = padd(pscale(3, psqr(X, p), p), pmul(A, psqr(ZZ, p), p), p)
+    S = pscale(4, pmul(X, YY, p), p)
+    X3 = psub(psqr(M, p), pscale(2, S, p), p)
+    Y3 = psub(pmul(M, psub(S, X3, p), p), pscale(8, psqr(YY, p), p), p)
+    return (X3, Y3, pscale(2, pmul(Y, Z, p), p)), M
+
+
+def jac_add_affine(T, P, A, p: int):
+    """(T + P, N) for Jacobian T and an affine P = (x, y) other than O;
+    the chord slope through T and P is N/Z(T + P).
+
+    T = O gives (P, None): there is no chord.  T = P is a doubling, and
+    T = -P gives Z = 0.
+    """
+    X1, Y1, Z1 = T
+    x, y = P
+    if Z1 == ZERO:
+        return (x, y, ONE), None
+    ZZ = psqr(Z1, p)
+    H = psub(pmul(x, ZZ, p), X1, p)
+    r = psub(pmul(y, pmul(Z1, ZZ, p), p), Y1, p)
+    if H == ZERO:
+        if r == ZERO:
+            return jac_double(T, A, p)
+        return (ONE, ONE, ZERO), r
+    HH = psqr(H, p)
+    HHH = pmul(H, HH, p)
+    V = pmul(X1, HH, p)
+    X3 = psub(psub(psqr(r, p), HHH, p), pscale(2, V, p), p)
+    Y3 = psub(pmul(r, psub(V, X3, p), p), pmul(Y1, HHH, p), p)
+    return (X3, Y3, pmul(Z1, H, p)), r
 
 
 def sample_torsion_basis(curve: EllipticCurve, ell: int, e: int,

@@ -3,6 +3,13 @@
 Requires p = 3 (mod 4) so that i^2 = -1 is a non-residue and the
 extension is a field, and so the exponentiation-based square root
 applies.  Elements are immutable and always stored reduced.
+
+The hot loops above this layer (scalar multiplication, the Velu
+push-through and the Miller loop) skip the Fp2 objects: they carry
+elements as (a, b) pairs of ints reduced mod p and combine them with the
+``p``-prefixed functions at the end of this module.  Their inversions
+still go through ``Fp2.inv``, one per loop; ``inv_batch`` makes one
+inversion serve many values.
 """
 
 from __future__ import annotations
@@ -199,3 +206,58 @@ class Fp2:
     @classmethod
     def from_hex(cls, ctx: FieldContext, text: str) -> Fp2:
         return cls.decode(ctx, bytes.fromhex(text))
+
+
+# -- (a, b) integer pairs ------------------------------------------------
+
+ZERO = (0, 0)
+ONE = (1, 0)
+
+
+def pair(x: Fp2) -> tuple[int, int]:
+    return x.a, x.b
+
+
+def padd(x, y, p: int) -> tuple[int, int]:
+    return (x[0] + y[0]) % p, (x[1] + y[1]) % p
+
+
+def psub(x, y, p: int) -> tuple[int, int]:
+    return (x[0] - y[0]) % p, (x[1] - y[1]) % p
+
+
+def pscale(k: int, x, p: int) -> tuple[int, int]:
+    return k * x[0] % p, k * x[1] % p
+
+
+def pmul(x, y, p: int) -> tuple[int, int]:
+    a, b = x
+    c, d = y
+    return (a * c - b * d) % p, (a * d + b * c) % p
+
+
+def psqr(x, p: int) -> tuple[int, int]:
+    a, b = x
+    return (a + b) * (a - b) % p, 2 * a * b % p
+
+
+def inv_batch(ctx: FieldContext, xs: list) -> list:
+    """Inverses of the nonzero pairs xs with a single ``Fp2.inv``.
+
+    Montgomery's simultaneous inversion: invert the product of all the
+    values, then peel each inverse off with the running prefix products,
+    at three multiplications per value.
+    """
+    if not xs:
+        return []
+    p = ctx.p
+    prefix = [xs[0]]
+    for x in xs[1:]:
+        prefix.append(pmul(prefix[-1], x, p))
+    acc = pair(Fp2(ctx, *prefix[-1]).inv())
+    out = [acc] * len(xs)
+    for i in range(len(xs) - 1, 0, -1):
+        out[i] = pmul(acc, prefix[i - 1], p)
+        acc = pmul(acc, xs[i], p)
+    out[0] = acc
+    return out

@@ -11,6 +11,12 @@ and a point maps by adding, for each kernel point Q, the offset between
 the translate P+Q and Q itself.  Both formulas are valid for any finite
 kernel subgroup, which is what the full-kernel oracle below exploits.
 
+``push_through`` maps a whole list of points through a step at once, on
+(a, b) integer pairs: every translate's chord slope needs 1/(x_Q - x_P),
+and all of those are inverted together with one field inversion
+(Montgomery's trick).  Q and -Q share their denominator, and a point
+whose x is a kernel x is itself a kernel point and maps to the identity.
+
 A chain of degree ell^e takes e such steps.  The order-ell kernel of
 each step is found by a balanced traversal that keeps the intermediate
 multiples of the kernel generator and pushes them through every step,
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 
 from .curve import EllipticCurve, Point, INFINITY
 from .errors import InvalidKernelError
+from .field import Fp2, inv_batch, pair, padd, pmul, pscale, psqr, psub
 
 @dataclass(frozen=True)
 class VeluStep:
@@ -73,14 +80,18 @@ def cyclic_subgroup(E: EllipticCurve, K: Point, n: int) -> tuple[Point, ...]:
 
 
 def _codomain(E: EllipticCurve, kernel_points) -> EllipticCurve:
-    a, b = E.A, E.B
-    c2, c3, c5, c7 = (E.ctx.elem(k) for k in (2, 3, 5, 7))
-    va = E.ctx.zero()
-    vb = E.ctx.zero()
+    p = E.ctx.p
+    a, b = pair(E.A), pair(E.B)
+    va = vb = (0, 0)
     for Q in kernel_points:
-        va = va + c3 * Q.x * Q.x + a
-        vb = vb + c5 * Q.x ** 3 + c3 * a * Q.x + c2 * b
-    return EllipticCurve(a - c5 * va, b - c7 * vb)
+        x = pair(Q.x)
+        xx = psqr(x, p)
+        va = padd(va, padd(pscale(3, xx, p), a, p), p)
+        vb = padd(vb, padd(pscale(5, pmul(xx, x, p), p),
+                           padd(pscale(3, pmul(a, x, p), p),
+                                pscale(2, b, p), p), p), p)
+    return EllipticCurve(Fp2(E.ctx, *psub(a, pscale(5, va, p), p)),
+                         Fp2(E.ctx, *psub(b, pscale(7, vb, p), p)))
 
 
 def velu_step(E: EllipticCurve, K: Point, ell: int) -> VeluStep:
@@ -96,28 +107,48 @@ def velu_step(E: EllipticCurve, K: Point, ell: int) -> VeluStep:
     return VeluStep(E, _codomain(E, kernel), kernel)
 
 
-def evaluate(phi, P: Point) -> Point:
-    """Image of P under a VeluStep or an IsogenyChain.
+def push_through(phi, points) -> list[Point]:
+    """Images of a list of points under a VeluStep or an IsogenyChain.
 
-    Kernel points map to the identity; everything else by the translate
-    offsets.  The image always lies on the codomain.
+    Each step makes one batched inversion for the whole list.  Kernel
+    points map to the identity; everything else by the translate
+    offsets.  The images always lie on the codomain.
     """
     if isinstance(phi, IsogenyChain):
         for step in phi.steps:
-            P = evaluate(step, P)
-        return P
-    E = phi.domain
-    if P.infinity:
-        return INFINITY
+            points = push_through(step, points)
+        return points
+    ctx = phi.domain.ctx
+    p = ctx.p
+    kernel = {}                      # x_Q -> [y_Q], the pairs Q and -Q
     for Q in phi.kernel_points:
-        if P == Q:
-            return INFINITY
-    x, y = P.x, P.y
-    for Q in phi.kernel_points:
-        S = E.add(P, Q)
-        x = x + S.x - Q.x
-        y = y + S.y - Q.y
-    return Point(x, y)
+        kernel.setdefault(pair(Q.x), []).append(pair(Q.y))
+    to_o = [P.infinity or pair(P.x) in kernel for P in points]
+    dens = [psub(xq, pair(P.x), p)
+            for P, o in zip(points, to_o) if not o for xq in kernel]
+    invs = iter(inv_batch(ctx, dens))
+    images = []
+    for P, o in zip(points, to_o):
+        if o:
+            images.append(INFINITY)
+            continue
+        xp, yp = pair(P.x), pair(P.y)
+        x, y = xp, yp
+        for xq, yqs in kernel.items():
+            d = next(invs)
+            for yq in yqs:
+                lam = pmul(psub(yq, yp, p), d, p)
+                sx = psub(psqr(lam, p), padd(xp, xq, p), p)
+                sy = psub(pmul(lam, psub(xp, sx, p), p), yp, p)
+                x = padd(x, psub(sx, xq, p), p)
+                y = padd(y, psub(sy, yq, p), p)
+        images.append(Point(Fp2(ctx, *x), Fp2(ctx, *y)))
+    return images
+
+
+def evaluate(phi, P: Point) -> Point:
+    """Image of one point under a VeluStep or an IsogenyChain."""
+    return push_through(phi, [P])[0]
 
 
 def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int) -> IsogenyChain:
@@ -148,7 +179,8 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int) -> IsogenyChain:
             raise InvalidKernelError(
                 f"kernel generator must have exact order {n}")
         step = velu_step(cur, P, ell)
-        stack = [(evaluate(step, Q), h - 1) for Q, h in stack]
+        images = push_through(step, [Q for Q, _ in stack])
+        stack = [(Q, h - 1) for Q, (_, h) in zip(images, stack)]
         cur = step.codomain
         steps.append(step)
     if not evaluate(steps[-1], P).infinity:

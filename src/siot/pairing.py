@@ -7,6 +7,12 @@ point.  Auxiliary points are drawn from a hash of the inputs, so every
 call is deterministic; degenerate draws (a zero or pole of an
 intermediate line) are retried with the next counter value and never
 surface to the caller.
+
+The Miller loop keeps its running point in Jacobian coordinates and its
+value as a numerator and a denominator on (a, b) integer pairs, and
+divides once at the end (V. Miller, J. Cryptology 17, 2004).  Each line
+and vertical value is a nonzero multiple of the affine one, so the zero
+and pole tests, and with them every retry, are those of the affine loop.
 """
 
 from __future__ import annotations
@@ -15,13 +21,13 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .curve import EllipticCurve, Point, INFINITY
+from .curve import EllipticCurve, Point, INFINITY, jac_add_affine, jac_double
 from .errors import (
     DecompositionError,
     InvalidPointError,
     UnsupportedParameterError,
 )
-from .field import Fp2
+from .field import ONE, ZERO, Fp2, pair, padd, pmul, psqr, psub
 
 
 class _Degenerate(Exception):
@@ -91,26 +97,32 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _line_value(E: EllipticCurve, T: Point, U: Point, X: Point) -> Fp2:
-    """Value at X of the line through T and U (tangent when T = U).
+def _line_factor(T, T2, N, X, p: int):
+    """The Miller update factor (num, den) for the step from T to T2.
 
-    The line through a point and its negative, or through a point and
-    the identity, is the vertical at that point.
+    The line is the tangent or chord whose slope is N/Z(T2); it meets
+    the curve again at -T2, and the vertical at T2 divides it out.  In
+    affine terms the factor is line(X)/vertical(X), and here
+    num = line(X) * Z^3 and den = vertical(X) * Z^3 with Z = Z(T2).
+    When T2 = O the line is the vertical at T and there is none to
+    divide by: num = line(X) * Z(T)^2 and den = Z(T)^2.  A zero line or
+    vertical raises _Degenerate.
     """
-    if T.infinity or U.infinity:
-        R = U if T.infinity else T
-        if R.infinity:
-            return E.ctx.one()
-        return X.x - R.x
-    if T.x == U.x and T.y == -U.y:
-        return X.x - T.x
-    if T == U:
-        if not T.y:
-            return X.x - T.x
-        lam = (E.ctx.elem(3) * T.x * T.x + E.A) / (E.ctx.elem(2) * T.y)
+    xX, yX = X
+    X3, Y3, Z3 = T2
+    if Z3 == ZERO:
+        X1, _, Z1 = T
+        ZZ = psqr(Z1, p)
+        num, den = psub(pmul(ZZ, xX, p), X1, p), ZZ
     else:
-        lam = (U.y - T.y) / (U.x - T.x)
-    return X.y - T.y - lam * (X.x - T.x)
+        ZZ3 = psqr(Z3, p)
+        v = psub(pmul(ZZ3, xX, p), X3, p)
+        num = psub(padd(pmul(pmul(ZZ3, Z3, p), yX, p), Y3, p),
+                   pmul(N, v, p), p)
+        den = pmul(Z3, v, p)
+    if num == ZERO or den == ZERO:
+        raise _Degenerate
+    return num, den
 
 
 def miller_function(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
@@ -122,23 +134,27 @@ def miller_function(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
     """
     if X.infinity:
         raise _Degenerate
-    f = E.ctx.one()
-    T = P
+    if P.infinity:
+        return E.ctx.one()
+    p, A = E.ctx.p, pair(E.A)
+    xy, xyX = (pair(P.x), pair(P.y)), (pair(X.x), pair(X.y))
+    fn = fd = ONE
+    T = (*xy, ONE)
     for bit in bin(n)[3:]:
-        num = _line_value(E, T, T, X)
-        T = E.double(T)
-        den = (X.x - T.x) if not T.infinity else E.ctx.one()
-        if not num or not den:
-            raise _Degenerate
-        f = f * f * num / den
-        if bit == "1":
-            num = _line_value(E, T, P, X)
-            T = E.add(T, P)
-            den = (X.x - T.x) if not T.infinity else E.ctx.one()
-            if not num or not den:
+        fn, fd = psqr(fn, p), psqr(fd, p)
+        if T[2] != ZERO:             # O doubles to O, line and vertical 1
+            T2, N = jac_double(T, A, p)
+            num, den = _line_factor(T, T2, N, xyX, p)
+            T, fn, fd = T2, pmul(fn, num, p), pmul(fd, den, p)
+        if bit == "1" and T[2] == ZERO:
+            if xyX[0] == xy[0]:      # line and vertical are both x - x_P
                 raise _Degenerate
-            f = f * num / den
-    return f
+            T = (*xy, ONE)
+        elif bit == "1":
+            T2, N = jac_add_affine(T, xy, A, p)
+            num, den = _line_factor(T, T2, N, xyX, p)
+            T, fn, fd = T2, pmul(fn, num, p), pmul(fd, den, p)
+    return Fp2(E.ctx, *fn) * Fp2(E.ctx, *fd).inv()
 
 
 def _aux_point(E: EllipticCurve, P: Point, Q: Point, n: int, attempt: int) -> Point:

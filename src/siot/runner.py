@@ -37,7 +37,6 @@ from .siot import (
     SiotSession,
     _bytes_field,
     derive_mask_coeffs,
-    encode_mask_points,
     exchange,
 )
 from .transport import recv_frame, send_frame
@@ -158,11 +157,11 @@ def run_session(role: str, config: SessionConfig, stream,
 def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
     """Deterministic replay of every public validation over a transcript.
 
-    Checks schedule, session id consistency, coin-flip binding, public
-    key validity (including the masked pair's basis certificate), the
-    mask derivation, and ciphertext shape.  Secrets are not needed: all
-    verdicts are functions of public messages.  A malformed field is a
-    failed check, never an exception.
+    Checks schedule, session id consistency, coin-flip binding, the mask
+    coefficients' constraints, public key validity (including the masked
+    pair's basis certificate), and ciphertext shape.  Secrets are not
+    needed: all verdicts are functions of public messages.  A malformed
+    field is a failed check, never an exception.
     """
     checks = []
 
@@ -221,9 +220,6 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
               is_torsion_basis(pub.curve, pub.G, pub.H, params.ell_a,
                                params.e_a),
               "receiver pair is a certified torsion basis")
-        mask = encode_mask_points(coeffs, pub.curve, pub.G, pub.H, params)
-        check("mask-points-derivable", True,
-              f"U={point_to_obj(mask.U)} V={point_to_obj(mask.V)}")
 
     try:
         c0, c1 = (_bytes_field(entries[6][1].body, k) for k in ("c0", "c1"))

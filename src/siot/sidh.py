@@ -24,7 +24,8 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .field import FieldContext, Fp2, is_prime
-from .isogeny import IsogenyChain, evaluate, isogeny_chain, kernel_generator
+from .isogeny import (IsogenyChain, isogeny_chain, kernel_generator,
+                      push_through)
 from .util import det_rng
 
 SIDES = ("A", "B")
@@ -166,8 +167,8 @@ def keygen(params: PublicParams, side: str, rng) -> SidhKeyPair:
     r = rng.randrange(params.n(side))
     chain = isogeny_chain(E0, kernel_generator(E0, P, r, Q),
                           params.ell(side), params.e(side))
-    public = SidhPublic(chain.codomain, evaluate(chain, P2),
-                        evaluate(chain, Q2))
+    G, H = push_through(chain, [P2, Q2])
+    public = SidhPublic(chain.codomain, G, H)
     return SidhKeyPair(side, r, chain, public)
 
 
@@ -187,9 +188,10 @@ def validate_public(params: PublicParams, producer_side: str,
     except InvalidPointError as exc:
         raise ProtocolAbort(code, f"public point off curve: {exc}") from exc
     for name, pt in (("G", pub.G), ("H", pub.H)):
-        if not pub.curve.mul(n, pt).infinity:
+        R = pub.curve.mul(n // ell, pt)
+        if not pub.curve.mul(ell, R).infinity:
             raise ProtocolAbort(code, f"{name} is not {n}-torsion")
-        if pub.curve.mul(n // ell, pt).infinity:
+        if R.infinity:
             raise ProtocolAbort(code, f"{name} does not have full order {n}")
 
 

@@ -26,7 +26,6 @@ from .curve import EllipticCurve, Point
 from .errors import (
     DecryptionError,
     InvalidKernelError,
-    InvalidPointError,
     ProtocolAbort,
     RestartRequired,
 )
@@ -168,12 +167,10 @@ def encode_mask_points(coeffs: MaskCoefficients, curve: EllipticCurve,
     the same (U, V): the mask family is a fixed point of its own
     re-derivation, which is what lets the sender reconstruct the mask
     without learning the bit.
+
+    Callers pass checked points: the sender a pair ``validate_public``
+    accepted, the receiver its own keygen output.
     """
-    n = params.n("A")
-    for pt in (G, H):
-        curve.check_point(pt)
-        if not curve.mul(n, pt).infinity:
-            raise InvalidPointError(f"mask basis point is not {n}-torsion")
     U = curve.add(curve.mul(coeffs.alpha, G), curve.mul(coeffs.beta, H))
     V = curve.add(curve.mul(coeffs.gamma, G), curve.mul(coeffs.delta, H))
     return MaskPoints(U, V)

@@ -3,6 +3,11 @@ against.  Everything here is deliberately naive: linear-time Miller
 loops, repeated-addition scalar multiples, pure-integer affine curve
 arithmetic, an isogeny chain with a fresh scalar multiple per step.
 None of it imports the package's pairing internals.
+
+Some are the package's own earlier loops, kept as oracles when a faster
+one replaced them: the affine Miller loop (``affine_miller``), which
+divides at every step, and the one-point-at-a-time Velu translate
+(``naive_evaluate``), which inverts once per kernel point.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from siot.curve import INFINITY, EllipticCurve, Point
 from siot.errors import InvalidKernelError
 from siot.field import Fp2
-from siot.isogeny import IsogenyChain, evaluate, velu_step
+from siot.isogeny import IsogenyChain, velu_step
 
 
 def naive_mul(E: EllipticCurve, k: int, P: Point) -> Point:
@@ -55,6 +60,53 @@ def _line(E: EllipticCurve, T: Point, U: Point, X: Point) -> Fp2:
 
 class Degenerate(Exception):
     pass
+
+
+def _line_value(E: EllipticCurve, T: Point, U: Point, X: Point) -> Fp2:
+    """Value at X of the line through T and U (tangent when T = U).
+
+    The line through a point and its negative, or through a point and
+    the identity, is the vertical at that point.
+    """
+    if T.infinity or U.infinity:
+        R = U if T.infinity else T
+        if R.infinity:
+            return E.ctx.one()
+        return X.x - R.x
+    if T.x == U.x and T.y == -U.y:
+        return X.x - T.x
+    if T == U:
+        if not T.y:
+            return X.x - T.x
+        lam = (E.ctx.elem(3) * T.x * T.x + E.A) / (E.ctx.elem(2) * T.y)
+    else:
+        lam = (U.y - T.y) / (U.x - T.x)
+    return X.y - T.y - lam * (X.x - T.x)
+
+
+def affine_miller(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
+    """f_{n,P}(X) by double-and-add in affine coordinates, one division
+    per line.  Raises Degenerate where X is a zero or pole of a line or
+    vertical, at exactly the steps the package's loop tests."""
+    if X.infinity:
+        raise Degenerate
+    f = E.ctx.one()
+    T = P
+    for bit in bin(n)[3:]:
+        num = _line_value(E, T, T, X)
+        T = E.double(T)
+        den = (X.x - T.x) if not T.infinity else E.ctx.one()
+        if not num or not den:
+            raise Degenerate
+        f = f * f * num / den
+        if bit == "1":
+            num = _line_value(E, T, P, X)
+            T = E.add(T, P)
+            den = (X.x - T.x) if not T.infinity else E.ctx.one()
+            if not num or not den:
+                raise Degenerate
+            f = f * num / den
+    return f
 
 
 def linear_miller(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
@@ -169,9 +221,30 @@ def naive_chain(E: EllipticCurve, K: Point, ell: int, e: int) -> IsogenyChain:
     for i in range(e):
         S = cur.mul(ell ** (e - 1 - i), Kc)
         step = velu_step(cur, S, ell)
-        Kc = evaluate(step, Kc)
+        Kc = naive_evaluate(step, Kc)
         cur = step.codomain
         steps.append(step)
     if not Kc.infinity:
         raise InvalidKernelError("kernel not annihilated by its own chain")
     return IsogenyChain(tuple(steps), n, E, cur)
+
+
+def naive_evaluate(phi, P: Point) -> Point:
+    """Image of P under a VeluStep or IsogenyChain, one translate (and
+    one inversion) per kernel point."""
+    if isinstance(phi, IsogenyChain):
+        for step in phi.steps:
+            P = naive_evaluate(step, P)
+        return P
+    E = phi.domain
+    if P.infinity:
+        return INFINITY
+    for Q in phi.kernel_points:
+        if P == Q:
+            return INFINITY
+    x, y = P.x, P.y
+    for Q in phi.kernel_points:
+        S = E.add(P, Q)
+        x = x + S.x - Q.x
+        y = y + S.y - Q.y
+    return Point(x, y)

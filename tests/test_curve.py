@@ -121,3 +121,40 @@ def test_neg_sub_consistency():
     P, Q = E0.random_point(rng), E0.random_point(rng)
     assert E0.add(P, E0.neg(P)).infinity
     assert E0.sub(P, Q) == E0.add(P, E0.neg(Q))
+
+
+def _all_points(E):
+    """Every point of E over F_{p^2}, the identity first."""
+    ctx = E.ctx
+    pts = [INFINITY]
+    for a in range(ctx.p):
+        for b in range(ctx.p):
+            x = ctx.elem(a, b)
+            y = E.rhs(x).sqrt()
+            if y is not None:
+                pts += [Point(x, y)] if y.is_zero() else [Point(x, y),
+                                                          Point(x, -y)]
+    return pts
+
+
+def test_mul_exhaustive_against_repeated_addition():
+    """Every point of two curves over F_{11^2}, and every k with
+    |k| <= twice the point's order.  The curves have full 2-torsion
+    (Y = 0, where a doubling gives O) and points of order 3, on which
+    the accumulator meets P itself ([5]P: P, 2P, 4P = P, then + P) and
+    -P ([3]P: P, 2P = -P, then + P).  The second curve, the quotient
+    by the 2-torsion point (i, 0), has A = 0 and B outside F_11."""
+    from siot.isogeny import velu_step
+
+    ctx = FieldContext(11)
+    E = EllipticCurve(ctx.elem(1), ctx.elem(0))
+    E2 = velu_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
+    assert E2.A.is_zero() and E2.B.b
+    for curve in (E, E2):
+        pts = _all_points(curve)
+        assert len(pts) == 144
+        orders = [naive_order(curve, P, 12) for P in pts]
+        assert orders.count(2) == 3 and orders.count(3) == 8
+        for P, order in zip(pts, orders):
+            for k in range(-2 * order, 2 * order + 1):
+                assert curve.mul(k, P) == naive_mul(curve, k, P), (P, k)

@@ -3,7 +3,7 @@ single-shot full-kernel quotient used as an independent oracle."""
 
 import pytest
 
-from oracles import naive_chain, naive_order
+from oracles import naive_chain, naive_evaluate, naive_order
 from siot import det_rng, gen_params, preset
 from siot.curve import INFINITY, EllipticCurve
 from siot.errors import InvalidKernelError
@@ -14,6 +14,7 @@ from siot.isogeny import (
     full_kernel_quotient,
     isogeny_chain,
     kernel_generator,
+    push_through,
     velu_step,
 )
 
@@ -198,3 +199,30 @@ def test_degree_two_and_three_composite_order():
     K3 = s2(E0.mul(2, K))                     # surviving 3-part
     s3 = velu_step(s2.codomain, K3, 3)
     assert s3.codomain.j_invariant() == single.codomain.j_invariant()
+
+
+def test_push_through_matches_naive_evaluate(p431):
+    """A batched push equals the per-point translate on lists mixing the
+    identity, kernel points (Q and -Q, and the 2-torsion point that is
+    its own negative) and ordinary points, repeats included, through a
+    2-step, a 3-step, an order-6 one-shot quotient and a whole chain."""
+    rng = det_rng(b"push-through")
+    K2 = E0.random_point_of_order(2, 1, EXP, rng)
+    K3 = E0.random_point_of_order(3, 1, EXP, rng)
+    K6 = E0.add(K2, K3)
+    steps = [velu_step(E0, K2, 2), velu_step(E0, K3, 3),
+             full_kernel_quotient(E0, cyclic_subgroup(E0, K6, 6))]
+    for step in steps:
+        ordinary = [E0.random_point(rng) for _ in range(5)]
+        pts = ([INFINITY] + list(step.kernel_points) + ordinary
+               + [INFINITY, ordinary[0], step.kernel_points[0]])
+        assert push_through(step, pts) == [naive_evaluate(step, P)
+                                           for P in pts]
+        assert push_through(step, []) == []
+    P, Q = p431.basis_a
+    K = kernel_generator(p431.curve, P, 5, Q)
+    chain = isogeny_chain(p431.curve, K, 2, 4)
+    pts = [P, Q, K, p431.curve.mul(8, K), p431.curve.mul(8, P), INFINITY,
+           *p431.basis_b]
+    assert push_through(chain, pts) == [naive_evaluate(chain, T)
+                                        for T in pts]

@@ -2,10 +2,12 @@
 changed number, without any timing noise."""
 
 import siot.isogeny
+import siot.pairing
 from siot import SessionConfig, det_rng, gen_params, preset, run_local
 from siot.curve import EllipticCurve
 from siot.field import Fp2
 from siot.isogeny import isogeny_chain, kernel_generator
+from siot.pairing import weil_pairing
 
 
 def _counter(monkeypatch, owner, name):
@@ -20,16 +22,35 @@ def _counter(monkeypatch, owner, name):
     return calls
 
 
+def _p102():
+    return gen_params(2, 51, 3, 32, rng=det_rng(b"tests/p102"))
+
+
 def test_long_chain_inversions_stay_below_quadratic(monkeypatch):
-    """An e = 51 two-power chain takes 293 inversions with the balanced
-    traversal; a fresh scalar multiple per step takes 1,425."""
-    params = gen_params(2, 51, 3, 32, rng=det_rng(b"tests/p102"))
+    """An e = 51 two-power chain takes 100 inversions: one per scalar
+    multiple of the balanced traversal and one per push of its stack
+    through a step.  The per-step torsion checks end at O and invert
+    nothing.  A fresh scalar multiple per step, in affine coordinates,
+    took 1,425."""
+    params = _p102()
     G, H = params.basis_a
     K = kernel_generator(params.curve, G, 12345, H)
     inv = _counter(monkeypatch, Fp2, "inv")
     chain = isogeny_chain(params.curve, K, 2, 51)
     assert len(chain.steps) == 51
-    assert inv[0] <= 500
+    assert inv[0] == 100
+
+
+def test_weil_pairing_op_counts(monkeypatch):
+    """One pairing of the 2^51-torsion basis: four Miller functions at
+    one inversion each, two affine additions for the evaluation points
+    and three divisions of their values."""
+    params = _p102()
+    G, H = params.basis_a
+    inv = _counter(monkeypatch, Fp2, "inv")
+    miller = _counter(monkeypatch, siot.pairing, "miller_function")
+    weil_pairing(params.curve, G, H, params.n("A"))
+    assert (inv[0], miller[0]) == (9, 4)
 
 
 def test_p431_session_op_counts(monkeypatch):
@@ -41,4 +62,4 @@ def test_p431_session_op_counts(monkeypatch):
                                   x0=b"zero", x1=b"one"))
     assert out["restarts"] == 0
     assert out["output"] == b"zero"
-    assert (inv[0], add[0], velu[0]) == (221, 305, 18)
+    assert (inv[0], add[0], velu[0]) == (75, 37, 18)

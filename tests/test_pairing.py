@@ -3,9 +3,9 @@ cross-checked against a linear-time Miller oracle."""
 
 import pytest
 
-from oracles import weil_naive
+from oracles import Degenerate, affine_miller, weil_naive
 from siot import det_rng, preset
-from siot.curve import EllipticCurve, sample_torsion_basis
+from siot.curve import INFINITY, EllipticCurve, sample_torsion_basis
 from siot.errors import (
     DecompositionError,
     InvalidPointError,
@@ -13,8 +13,10 @@ from siot.errors import (
 )
 from siot.field import FieldContext
 from siot.pairing import (
+    _Degenerate,
     decompose_in_basis,
     distortion_map,
+    miller_function,
     modified_pairing,
     symmetric_pairing,
     weil_pairing,
@@ -194,3 +196,49 @@ def test_decompose_rejects_degenerate_base():
     G, H = _basis(2, 4, b"dec-bad")
     with pytest.raises(DecompositionError):
         decompose_in_basis(E0, G, E0.mul(3, G), E0.add(G, H), 16)
+
+
+def _miller_outcome(f, E, P, n, X):
+    try:
+        return f(E, P, n, X)
+    except (_Degenerate, Degenerate):
+        return "degenerate"
+
+
+def test_miller_function_matches_affine_loop():
+    """The fraction-form loop gives the affine loop's value at every X,
+    or fails as _Degenerate exactly where the affine loop hits a zero or
+    pole.  X runs over the multiples [k]R for |k| <= n (the zeros and
+    poles of the lines), the 2-torsion and random points.  R runs over
+    basis points, lower-order points whose running multiple meets O and
+    -R mid-loop, a 2-torsion point and O; n over the full torsion order,
+    one more (so that O + R comes last) and 5 (a last vertical through
+    [5]R that no line shares), on E0 and on a codomain with B != 0."""
+    from siot.isogeny import isogeny_chain, kernel_generator
+
+    params = preset("p431")
+    PA, QA = params.basis_a
+    E1 = isogeny_chain(params.curve, kernel_generator(params.curve, PA, 3, QA),
+                       2, 4).codomain
+    assert not E1.B.is_zero()
+    rng = det_rng(b"miller-affine")
+    outcomes = set()
+    for E in (params.curve, E1):
+        basis = {2: sample_torsion_basis(E, 2, 4, EXP, rng),
+                 3: sample_torsion_basis(E, 3, 3, EXP, rng)}
+        two_torsion = [E.mul(8, P) for P in (*basis[2], E.add(*basis[2]))]
+        for ell, e in ((2, 4), (3, 3)):
+            P, Q = basis[ell]
+            for R in (P, E.add(P, Q), E.mul(ell, P), E.mul(ell ** (e - 1), Q),
+                      two_torsion[0], INFINITY):
+                for n in (ell ** e, ell ** e + 1, 5):
+                    xs = ([E.mul(k, R) for k in range(-n, n + 1)]
+                          + [E.add(E.mul(k, R), Q) for k in range(0, n, 5)]
+                          + two_torsion
+                          + [E.random_point(rng) for _ in range(2)])
+                    for X in xs:
+                        got = _miller_outcome(miller_function, E, R, n, X)
+                        want = _miller_outcome(affine_miller, E, R, n, X)
+                        assert got == want, (R, n, X)
+                        outcomes.add(got == "degenerate")
+    assert outcomes == {True, False}

@@ -146,6 +146,16 @@ def test_session_with_torsion_order_above_2_64():
     assert out["sender_j"][1] == out["receiver_j"]
 
 
+def test_session_at_sike_size():
+    """p434 = 2^216 * 3^137 - 1, the SIKE-sized prime: a whole session,
+    parameter search and basis certificates included, runs in tier-1."""
+    params = gen_params(2, 216, 3, 137, rng=det_rng(b"tests/p434"))
+    assert params.p.bit_length() == 434
+    out = run_local(_config(params, 1, seed=b"p434-session"))
+    assert out["output"] == b"one input!"
+    assert out["sender_j"][1] == out["receiver_j"]
+
+
 def test_forced_degenerate_mask_restarts(p431, monkeypatch):
     """Inject one constraint-breaking coefficient tuple: the receiver's
     basis certificate must fail, signal a restart, and the rerun with a

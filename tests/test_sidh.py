@@ -139,12 +139,28 @@ def test_validate_public_rejects_garbage(p431):
     with pytest.raises(ProtocolAbort) as info:
         validate_public(params, "A", bad)
     assert info.value.code == "bad-sender-key"
+    assert info.value.detail == "H does not have full order 27"
     bob = keygen(params, "B", rng)
     bpub = bob.public
     badb = SidhPublic(bpub.curve, bpub.curve.mul(2, bpub.G), bpub.H)
     with pytest.raises(ProtocolAbort) as info:
         validate_public(params, "B", badb)
     assert info.value.code == "bad-receiver-key"
+    assert info.value.detail == "G does not have full order 16"
+    # outside the torsion; each point's two tests fire before the next
+    # point's, the torsion test first
+    E = pub.curve
+    T = next(R for R in (E.mul(27, E.random_point(rng)) for _ in range(50))
+             if not R.infinity)
+    for G, H, detail in ((E.add(pub.G, T), pub.H, "G is not 27-torsion"),
+                         (E.add(pub.G, T), E.mul(3, pub.H),
+                          "G is not 27-torsion"),
+                         (E.mul(3, pub.G), E.add(pub.H, T),
+                          "G does not have full order 27"),
+                         (pub.G, E.add(pub.H, T), "H is not 27-torsion")):
+        with pytest.raises(ProtocolAbort) as info:
+            validate_public(params, "A", SidhPublic(E, G, H))
+        assert info.value.detail == detail
     # off-curve point
     from siot.curve import Point
     offc = SidhPublic(pub.curve, pub.G, Point(pub.H.x, pub.H.x))
