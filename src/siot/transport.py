@@ -87,49 +87,3 @@ def serve_one(addr: str, ready_event: threading.Event | None = None):
         raise TransportError(f"accept on {addr} failed: {exc}") from exc
     srv.close()
     return conn.makefile("rwb")
-
-
-class LoopbackPipe:
-    """In-process bidirectional stream pair for tests."""
-
-    def __init__(self):
-        import queue
-
-        a_to_b: queue.Queue = queue.Queue()
-        b_to_a: queue.Queue = queue.Queue()
-        self.a = _QueueStream(a_to_b, b_to_a)
-        self.b = _QueueStream(b_to_a, a_to_b)
-
-
-class _QueueStream:
-    """File-like adapter over a pair of byte queues."""
-
-    def __init__(self, out_q, in_q):
-        self._out = out_q
-        self._in = in_q
-        self._buf = b""
-        self._closed = False
-        self._eof = False
-
-    def write(self, data: bytes) -> int:
-        if data:   # empty chunks would look like the close sentinel
-            self._out.put(bytes(data))
-        return len(data)
-
-    def flush(self) -> None:
-        pass
-
-    def read(self, n: int) -> bytes:
-        while len(self._buf) < n and not self._eof:
-            chunk = self._in.get()
-            if chunk == b"":
-                self._eof = True   # close sentinel; stream stays ended
-                break
-            self._buf += chunk
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._out.put(b"")

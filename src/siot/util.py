@@ -69,7 +69,8 @@ def expand(tag: str, material: bytes, length: int) -> bytes:
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError("length mismatch")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big")
+            ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 _TAG_LEN = 32

@@ -60,11 +60,12 @@ def _check_session(session: str) -> None:
         raise DecodeError("session id is not hex") from exc
 
 
-def encode(msg: WireMessage) -> bytes:
+def _check(msg: WireMessage) -> None:
+    """The one structural check of a message, written or read."""
     if msg.type not in MESSAGE_TYPES:
         raise DecodeError(f"unknown message type {msg.type!r}")
-    if msg.version != VERSION:
-        raise DecodeError(f"unsupported version {msg.version}")
+    if type(msg.version) is not int or msg.version != VERSION:
+        raise DecodeError(f"unsupported version {msg.version!r}")
     _check_session(msg.session)
     if not isinstance(msg.body, dict):
         raise DecodeError("body must be an object")
@@ -73,12 +74,27 @@ def encode(msg: WireMessage) -> bytes:
     if missing or extra:
         raise DecodeError(f"body keys wrong for {msg.type}: "
                           f"missing {sorted(missing)}, extra {sorted(extra)}")
-    return canonical_json({
-        "body": msg.body,
-        "session": msg.session,
-        "type": msg.type,
-        "version": msg.version,
-    })
+
+
+def _to_obj(msg: WireMessage) -> dict:
+    _check(msg)
+    return {"body": msg.body, "session": msg.session, "type": msg.type,
+            "version": msg.version}
+
+
+def _from_obj(obj) -> WireMessage:
+    if not isinstance(obj, dict):
+        raise DecodeError("top level must be an object")
+    if set(obj) != {"body", "session", "type", "version"}:
+        raise DecodeError("top-level keys must be exactly "
+                          "body, session, type, version")
+    msg = WireMessage(obj["type"], obj["session"], obj["body"], obj["version"])
+    _check(msg)
+    return msg
+
+
+def encode(msg: WireMessage) -> bytes:
+    return canonical_json(_to_obj(msg))
 
 
 def decode(data: bytes) -> WireMessage:
@@ -88,19 +104,7 @@ def decode(data: bytes) -> WireMessage:
         raise DecodeError("message is not UTF-8", position=exc.start) from exc
     except json.JSONDecodeError as exc:
         raise DecodeError(f"bad JSON: {exc.msg}", position=exc.pos) from exc
-    if not isinstance(obj, dict):
-        raise DecodeError("top level must be an object")
-    if set(obj) != {"body", "session", "type", "version"}:
-        raise DecodeError("top-level keys must be exactly "
-                          "body, session, type, version")
-    if obj["type"] not in MESSAGE_TYPES:
-        raise DecodeError(f"unknown message type {obj['type']!r}")
-    if obj["version"] != VERSION:
-        raise DecodeError(f"unsupported version {obj['version']!r}")
-    _check_session(obj["session"])
-    msg = WireMessage(obj["type"], obj["session"], obj["body"], obj["version"])
-    encode(msg)   # re-run the structural checks shared with the writer
-    return msg
+    return _from_obj(obj)
 
 
 @dataclass
@@ -117,10 +121,8 @@ class Transcript:
     def to_bytes(self) -> bytes:
         lines = []
         for direction, msg in self.entries:
-            lines.append(canonical_json({
-                "dir": direction,
-                "msg": json.loads(encode(msg)),
-            }))
+            lines.append(canonical_json({"dir": direction,
+                                         "msg": _to_obj(msg)}))
         return b"\n".join(lines) + (b"\n" if lines else b"")
 
     @classmethod
@@ -138,8 +140,7 @@ class Transcript:
                 raise DecodeError(f"transcript line {i + 1}: needs dir and msg")
             if obj["dir"] not in ("sender->receiver", "receiver->sender"):
                 raise DecodeError(f"transcript line {i + 1}: bad direction")
-            msg = decode(canonical_json(obj["msg"]))
-            t.append(obj["dir"], msg)
+            t.append(obj["dir"], _from_obj(obj["msg"]))
         return t
 
     def save(self, path) -> None:

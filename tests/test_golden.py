@@ -9,6 +9,7 @@ what goes on the wire fails here.
 import hashlib
 import threading
 
+from loopback import LoopbackPipe
 from siot import (
     SessionConfig,
     preset,
@@ -16,7 +17,6 @@ from siot import (
     run_local,
     run_session,
 )
-from siot.transport import LoopbackPipe
 
 X0, X1 = b"golden zero", b"golden one!"
 

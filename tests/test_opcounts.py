@@ -1,9 +1,14 @@
 """Exact operation counts: algorithmic regressions show up here as a
 changed number, without any timing noise."""
 
+import threading
+
 import siot.isogeny
 import siot.pairing
-from siot import SessionConfig, det_rng, gen_params, preset, run_local
+import siot.wire
+from loopback import LoopbackPipe
+from siot import (SessionConfig, Transcript, det_rng, gen_params, preset,
+                  run_local, run_session)
 from siot.curve import EllipticCurve
 from siot.field import Fp2
 from siot.isogeny import isogeny_chain, kernel_generator
@@ -12,10 +17,12 @@ from siot.pairing import weil_pairing
 
 def _counter(monkeypatch, owner, name):
     calls = [0]
+    lock = threading.Lock()   # the online pair counts from two threads
     orig = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls[0] += 1
+        with lock:
+            calls[0] += 1
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -63,3 +70,34 @@ def test_p431_session_op_counts(monkeypatch):
     assert out["restarts"] == 0
     assert out["output"] == b"zero"
     assert (inv[0], add[0], velu[0]) == (75, 37, 18)
+
+
+def test_online_pair_serializes_each_message_once(monkeypatch):
+    """A sender/receiver pair writes each of the seven messages once and
+    parses without re-serializing; a transcript is parsed with none and
+    written with one per line."""
+    params = preset("p431")
+    dumps = _counter(monkeypatch, siot.wire, "canonical_json")
+    pipe = LoopbackPipe()
+    results = {}
+
+    def receiver():
+        results["r"] = run_session(
+            "receiver", SessionConfig(params, seed=b"opcount-r", b=1), pipe.b)
+
+    th = threading.Thread(target=receiver)
+    th.start()
+    results["s"] = run_session(
+        "sender", SessionConfig(params, seed=b"opcount-s", x0=b"zero",
+                                x1=b"one"), pipe.a)
+    th.join(30)
+    assert not th.is_alive()
+    assert results["r"]["output"] == b"one"
+    assert dumps[0] == 7
+    dumps[0] = 0
+    data = results["r"]["transcript"].to_bytes()
+    assert dumps[0] == 7
+    dumps[0] = 0
+    back = Transcript.from_bytes(data)
+    assert dumps[0] == 0
+    assert back.entries == results["s"]["transcript"].entries

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from loopback import LoopbackPipe
 from siot import (
     SessionConfig,
     Transcript,
@@ -17,7 +18,6 @@ from siot import (
 )
 from siot.errors import ProtocolAbort, RestartRequired
 from siot.siot import MaskCoefficients
-from siot.transport import LoopbackPipe
 from siot.wire import WireMessage
 
 

@@ -4,10 +4,10 @@ import threading
 
 import pytest
 
+from loopback import LoopbackPipe
 from siot.errors import TransportError
 from siot.transport import (
     MAX_FRAME,
-    LoopbackPipe,
     connect,
     parse_addr,
     recv_frame,

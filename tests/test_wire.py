@@ -125,3 +125,19 @@ def test_transcript_rejects_bad_direction():
         t.append("east->west", _msg())
     with pytest.raises(DecodeError):
         Transcript.from_bytes(b'{"direction": "up", "message": {}}\n')
+
+
+def test_version_must_be_the_json_integer_1():
+    """true and 1.0 compare equal to 1 in Python; a frame carrying one
+    would be logged verbatim, so the two endpoints' transcripts would
+    differ.  Only the integer passes, through a frame or a transcript."""
+    good = json.loads(encode(_msg()))
+    for version in (True, 1.0, "1"):
+        raw = dict(good, version=version)
+        with pytest.raises(DecodeError, match="unsupported version"):
+            decode(json.dumps(raw).encode())
+        line = json.dumps({"dir": "sender->receiver", "msg": raw})
+        with pytest.raises(DecodeError, match="unsupported version"):
+            Transcript.from_bytes(line.encode() + b"\n")
+        with pytest.raises(DecodeError, match="unsupported version"):
+            encode(_msg(version=version))
