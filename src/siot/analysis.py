@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from .curve import EllipticCurve, Point
 from .errors import (DecryptionError, InconsistentKeyError,
                      UnsupportedParameterError)
-from .isogeny import (
-    cyclic_subgroup,
-    evaluate,
-    full_kernel_quotient,
-    isogeny_chain,
-    kernel_generator,
-)
+from .isogeny import evaluate, isogeny_chain, kernel_generator
 from .pairing import decompose_in_basis, weil_pairing
 from .sidh import PublicParams, SidhPublic, keygen, other_side
 from .siot import (MaskCoefficients, MaskPoints, branch_kernels,
@@ -263,66 +257,3 @@ def brute_force_secret(params: PublicParams, public: SidhPublic,
         if evaluate(chain, P2) == public.G and evaluate(chain, Q2) == public.H:
             return OracleResult(r, n, time.perf_counter() - started)
     raise InconsistentKeyError("no scalar regenerates the given public key")
-
-
-def symmetric_constraint_check(params: PublicParams,
-                               coeffs: MaskCoefficients) -> bool:
-    """Whether the coefficients satisfy the symmetric-pairing identity
-    (1 + lambda*alpha)(1 + lambda*delta) + lambda^2*beta*gamma = 1 for
-    every lambda, and alpha lies in the hardened family."""
-    n = params.n("A")
-    ell, e = params.ell_a, params.e_a
-    if coeffs.alpha % ell ** ((e + 1) // 2) != 0:
-        return False
-    lams = range(n) if n <= 4096 else \
-        det_rng(b"symmetric-lams").sample(range(n), 1000)
-    a, b, g, d = coeffs.alpha, coeffs.beta, coeffs.gamma, coeffs.delta
-    return all(
-        ((1 + lam * a) * (1 + lam * d) + lam * lam * b * g) % n == 1 % n
-        for lam in lams)
-
-
-# -- toy problem oracles ------------------------------------------------
-
-def shared_j_oracle(params: PublicParams, r_a: int, r_b: int):
-    """The exchange's shared j computed the blunt way: one quotient by
-    the group generated by both kernels at once.  Correctness oracle for
-    the two-stage derivation, feasible only at toy scale."""
-    E0 = params.curve
-    na, nb = params.n("A"), params.n("B")
-    if na * nb > 4096:
-        raise UnsupportedParameterError("double-kernel quotient is toy-only")
-    PA, QA = params.basis_a
-    PB, QB = params.basis_b
-    KA = kernel_generator(E0, PA, r_a, QA)
-    KB = kernel_generator(E0, PB, r_b, QB)
-    # coprime orders: the sum generates the full two-sided kernel
-    K = E0.add(KA, KB)
-    step = full_kernel_quotient(E0, cyclic_subgroup(E0, K, na * nb))
-    return step.codomain.j_invariant()
-
-
-def reachable_j_values(params: PublicParams, side: str) -> set:
-    """All j-invariants one degree-ell^e step away from the base curve.
-
-    Enumerates every cyclic order-ell^e subgroup (projective line over
-    Z/ell^e) and quotients.  Decision oracle for isogeny existence at
-    toy scale."""
-    n = params.n(side)
-    if n > 512:
-        raise UnsupportedParameterError("isogeny walk enumeration is toy-only")
-    ell, e = params.ell(side), params.e(side)
-    P, Q = params.basis(side)
-    E0 = params.curve
-    out = set()
-    for t in range(n):
-        K = kernel_generator(E0, P, t, Q)
-        out.add(isogeny_chain(E0, K, ell, e).codomain.j_invariant())
-    for s in range(0, n, ell):
-        K = E0.add(E0.mul(s, P), Q)
-        out.add(isogeny_chain(E0, K, ell, e).codomain.j_invariant())
-    return out
-
-
-def isogeny_path_exists(params: PublicParams, side: str, j_target) -> bool:
-    return j_target in reachable_j_values(params, side)

@@ -5,7 +5,10 @@ group law, j-invariants and torsion-basis sampling live here.  Scalar
 multiplication runs in Jacobian coordinates (X, Y, Z) ~ (X/Z^2, Y/Z^3)
 on (a, b) integer pairs and converts back to affine once, so it makes
 one field inversion however long the scalar is.  Its doubling and mixed
-addition also serve the Miller loop in ``pairing``.
+addition also serve the Miller loop in ``pairing``.  Those two steps,
+and the on-curve test, are straight-line arithmetic on the unpacked
+integer coordinates; the ``p``-prefixed pair helpers only convert
+``mul``'s result back to affine.
 
 The group law trusts its inputs: ``add`` and ``mul`` assume their
 points lie on the curve and do not check.  Points are checked once,
@@ -19,8 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidPointError, SamplingError, SingularCurveError
-from .field import (ONE, ZERO, FieldContext, Fp2, pair, padd, pmul, pscale,
-                    psqr, psub)
+from .field import ONE, ZERO, FieldContext, Fp2, pair, pmul, psqr
 
 
 @dataclass(frozen=True)
@@ -80,16 +82,24 @@ class EllipticCurve:
     def is_on_curve(self, P: Point) -> bool:
         if P.infinity:
             return True
-        if P.x is None or P.y is None or P.x.ctx.p != self.ctx.p:
+        p = self.ctx.p
+        if P.x is None or P.y is None or P.x.ctx.p != p or P.y.ctx.p != p:
             return False
-        return P.y * P.y == P.x ** 3 + self.A * P.x + self.B
+        ya, yb = P.y.a, P.y.b
+        r = self.rhs(P.x)
+        return ((ya + yb) * (ya - yb) - r.a) % p == 0 and \
+            (2 * ya * yb - r.b) % p == 0
 
     def check_point(self, P: Point) -> None:
         if not self.is_on_curve(P):
             raise InvalidPointError(f"{P!r} not on {self!r}")
 
     def rhs(self, x: Fp2) -> Fp2:
-        return x ** 3 + self.A * x + self.B
+        """x^3 + Ax + B, computed as x(x^2 + A) + B."""
+        p, xa, xb, A, B = self.ctx.p, x.a, x.b, self.A, self.B
+        ta = ((xa + xb) * (xa - xb) + A.a) % p
+        tb = (2 * xa * xb + A.b) % p
+        return Fp2(self.ctx, xa * ta - xb * tb + B.a, xa * tb + xb * ta + B.b)
 
     # -- group law ---------------------------------------------------
 
@@ -194,14 +204,26 @@ def jac_double(T, A, p: int):
     """(2T, N) on y^2 = x^3 + Ax + B; the tangent slope at T is N/Z(2T).
 
     The double of O, and of a point with Y = 0, comes out with Z = 0.
+    With M = 3X^2 + AZ^4 and S = 4XY^2: X' = M^2 - 2S,
+    Y' = M(S - X') - 8Y^4, Z' = 2YZ and N = M.
     """
-    X, Y, Z = T
-    YY, ZZ = psqr(Y, p), psqr(Z, p)
-    M = padd(pscale(3, psqr(X, p), p), pmul(A, psqr(ZZ, p), p), p)
-    S = pscale(4, pmul(X, YY, p), p)
-    X3 = psub(psqr(M, p), pscale(2, S, p), p)
-    Y3 = psub(pmul(M, psub(S, X3, p), p), pscale(8, psqr(YY, p), p), p)
-    return (X3, Y3, pscale(2, pmul(Y, Z, p), p)), M
+    (xa, xb), (ya, yb), (za, zb) = T
+    Aa, Ab = A
+    yya, yyb = (ya + yb) * (ya - yb) % p, 2 * ya * yb % p
+    zza, zzb = (za + zb) * (za - zb) % p, 2 * za * zb % p
+    z4a, z4b = (zza + zzb) * (zza - zzb) % p, 2 * zza * zzb % p
+    ma = (3 * (xa + xb) * (xa - xb) + Aa * z4a - Ab * z4b) % p
+    mb = (6 * xa * xb + Aa * z4b + Ab * z4a) % p
+    sa = 4 * (xa * yya - xb * yyb) % p
+    sb = 4 * (xa * yyb + xb * yya) % p
+    x3a = ((ma + mb) * (ma - mb) - 2 * sa) % p
+    x3b = (2 * (ma * mb - sb)) % p
+    da, db = sa - x3a, sb - x3b
+    y3a = (ma * da - mb * db - 8 * (yya + yyb) * (yya - yyb)) % p
+    y3b = (ma * db + mb * da - 16 * yya * yyb) % p
+    z3a = 2 * (ya * za - yb * zb) % p
+    z3b = 2 * (ya * zb + yb * za) % p
+    return ((x3a, x3b), (y3a, y3b), (z3a, z3b)), (ma, mb)
 
 
 def jac_add_affine(T, P, A, p: int):
@@ -209,25 +231,34 @@ def jac_add_affine(T, P, A, p: int):
     the chord slope through T and P is N/Z(T + P).
 
     T = O gives (P, None): there is no chord.  T = P is a doubling, and
-    T = -P gives Z = 0.
+    T = -P gives Z = 0.  With H = xZ^2 - X and r = yZ^3 - Y:
+    X' = r^2 - H^3 - 2XH^2, Y' = r(XH^2 - X') - YH^3, Z' = ZH and N = r.
     """
-    X1, Y1, Z1 = T
-    x, y = P
-    if Z1 == ZERO:
-        return (x, y, ONE), None
-    ZZ = psqr(Z1, p)
-    H = psub(pmul(x, ZZ, p), X1, p)
-    r = psub(pmul(y, pmul(Z1, ZZ, p), p), Y1, p)
-    if H == ZERO:
-        if r == ZERO:
+    (x1a, x1b), (y1a, y1b), (z1a, z1b) = T
+    (xa, xb), (ya, yb) = P
+    if z1a == 0 and z1b == 0:
+        return ((xa, xb), (ya, yb), ONE), None
+    zza, zzb = (z1a + z1b) * (z1a - z1b) % p, 2 * z1a * z1b % p
+    zca, zcb = (z1a * zza - z1b * zzb) % p, (z1a * zzb + z1b * zza) % p
+    ha = (xa * zza - xb * zzb - x1a) % p
+    hb = (xa * zzb + xb * zza - x1b) % p
+    ra = (ya * zca - yb * zcb - y1a) % p
+    rb = (ya * zcb + yb * zca - y1b) % p
+    if ha == 0 and hb == 0:
+        if ra == 0 and rb == 0:
             return jac_double(T, A, p)
-        return (ONE, ONE, ZERO), r
-    HH = psqr(H, p)
-    HHH = pmul(H, HH, p)
-    V = pmul(X1, HH, p)
-    X3 = psub(psub(psqr(r, p), HHH, p), pscale(2, V, p), p)
-    Y3 = psub(pmul(r, psub(V, X3, p), p), pmul(Y1, HHH, p), p)
-    return (X3, Y3, pmul(Z1, H, p)), r
+        return (ONE, ONE, ZERO), (ra, rb)
+    hha, hhb = (ha + hb) * (ha - hb) % p, 2 * ha * hb % p
+    h3a, h3b = (ha * hha - hb * hhb) % p, (ha * hhb + hb * hha) % p
+    va, vb = (x1a * hha - x1b * hhb) % p, (x1a * hhb + x1b * hha) % p
+    x3a = ((ra + rb) * (ra - rb) - h3a - 2 * va) % p
+    x3b = (2 * (ra * rb - vb) - h3b) % p
+    da, db = va - x3a, vb - x3b
+    y3a = (ra * da - rb * db - (y1a * h3a - y1b * h3b)) % p
+    y3b = (ra * db + rb * da - (y1a * h3b + y1b * h3a)) % p
+    return (((x3a, x3b), (y3a, y3b),
+             ((z1a * ha - z1b * hb) % p, (z1a * hb + z1b * ha) % p)),
+            (ra, rb))
 
 
 def sample_torsion_basis(curve: EllipticCurve, ell: int, e: int,

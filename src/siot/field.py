@@ -1,15 +1,18 @@
 """Arithmetic in F_p and its quadratic extension F_{p^2} = F_p[i]/(i^2+1).
 
 Requires p = 3 (mod 4) so that i^2 = -1 is a non-residue and the
-extension is a field, and so the exponentiation-based square root
-applies.  Elements are immutable and always stored reduced.
+extension is a field, and so F_p square roots are one exponentiation.
+Elements are immutable and always stored reduced.
 
-The hot loops above this layer (scalar multiplication, the Velu
-push-through and the Miller loop) skip the Fp2 objects: they carry
-elements as (a, b) pairs of ints reduced mod p and combine them with the
-``p``-prefixed functions at the end of this module.  Their inversions
-still go through ``Fp2.inv``, one per loop; ``inv_batch`` makes one
-inversion serve many values.
+The hot kernels skip the Fp2 objects and are written as straight-line
+arithmetic on the unpacked integer coordinates: ``Fp2.__pow__`` and
+``Fp2.sqrt`` here, and above this layer the Jacobian steps, the on-curve
+test, the Miller line and the Velu translate.  The ``p``-prefixed
+functions at the end of this module combine (a, b) pairs one operation
+at a time; they serve the colder code that handles such pairs: the
+Miller accumulator, the conversion out of Jacobian coordinates, the Velu
+codomain sums and ``inv_batch``, which makes one inversion serve many
+values.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ class FieldContext:
             raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.byte_width = (p.bit_length() + 7) // 8
-        self._sqrt_exp = (p - 3) // 4      # x^((p-3)/4) step of Fp2 sqrt
-        self._legendre_exp = (p - 1) // 2
+        self._sqrt_exp = (p + 1) // 4      # x^((p+1)/4) is an F_p root
+        self._half = (p + 1) // 2          # 1/2 mod p
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FieldContext) and self.p == other.p
@@ -138,17 +141,14 @@ class Fp2:
     def __pow__(self, n: int) -> Fp2:
         if n < 0:
             return self.inv() ** (-n)
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conjugate(self) -> Fp2:
-        return Fp2(self.ctx, self.a, -self.b)
+        p = self.ctx.p
+        a, b = self.a, self.b
+        ra, rb = 1, 0
+        for bit in bin(n)[2:]:
+            ra, rb = (ra + rb) * (ra - rb) % p, 2 * ra * rb % p
+            if bit == "1":
+                ra, rb = (ra * a - rb * b) % p, (ra * b + rb * a) % p
+        return Fp2(self.ctx, ra, rb)
 
     def norm(self) -> int:
         """N(a+bi) = a^2 + b^2 in F_p."""
@@ -164,25 +164,36 @@ class Fp2:
     def sqrt(self) -> Fp2 | None:
         """Canonical square root, or None when no root exists.
 
-        Exponentiation method for p = 3 (mod 4): with s = x^((p-3)/4),
-        either i*x^((p+1)/4) or ((1+x^((p-1)/2))^((p-1)/2))*x^((p+1)/4)
-        is a root; a final squaring rejects non-residues.  Of the pair
-        {r, -r} the one with the smaller canonical byte encoding is
-        returned.
+        Complex method for p = 3 (mod 4) (Adj and Rodriguez-Henriquez,
+        IEEE Trans. Computers 63(11), 2014): a + bi is a square exactly
+        when its norm a^2 + b^2 is a square n^2 in F_p.  A root x0 + x1*i
+        then has x0^2 = (a + n)/2 and x1 = b/(2*x0); when (a + n)/2 is a
+        non-residue, its negative is x1^2 and x0 = b/(2*x1) instead.
+        That takes two F_p exponentiations and one F_p inversion, and a
+        final squaring confirms the root.  Of the pair {r, -r} the one
+        with the smaller canonical byte encoding is returned.
         """
-        if self.is_zero():
-            return self.ctx.zero()
-        s = self ** self.ctx._sqrt_exp
-        alpha = s * s * self            # x^((p-1)/2)
-        x0 = s * self                   # x^((p+1)/4)
-        if alpha == -self.ctx.one():
-            root = self.ctx.i() * x0
-        else:
-            root = (self.ctx.one() + alpha) ** self.ctx._legendre_exp * x0
-        if root * root != self:
+        ctx = self.ctx
+        p, a, b = ctx.p, self.a, self.b
+        if a == 0 and b == 0:
+            return ctx.zero()
+        norm = self.norm()
+        n = pow(norm, ctx._sqrt_exp, p)
+        if n * n % p != norm:
             return None
-        other = -root
-        return root if root.encode() <= other.encode() else other
+        delta = (a + n) * ctx._half % p
+        if delta == 0:               # b = 0 and n = -a: take the other sign
+            delta = a
+        t = pow(delta, ctx._sqrt_exp, p)
+        if t * t % p == delta:
+            x0, x1 = t, b * pow(2 * t, -1, p) % p
+        else:                        # t^2 = -delta
+            x0, x1 = b * pow(2 * t, -1, p) % p, t
+        if ((x0 + x1) * (x0 - x1) - a) % p or (2 * x0 * x1 - b) % p:
+            return None
+        if (x0, x1) > ((-x0) % p, (-x1) % p):    # encodings compare so
+            x0, x1 = (-x0) % p, (-x1) % p
+        return Fp2(ctx, x0, x1)
 
     def encode(self) -> bytes:
         """Fixed-width big-endian bytes of a then b."""

@@ -16,6 +16,8 @@ kernel subgroup, which is what the full-kernel oracle below exploits.
 and all of those are inverted together with one field inversion
 (Montgomery's trick).  Q and -Q share their denominator, and a point
 whose x is a kernel x is itself a kernel point and maps to the identity.
+The translate loop is straight-line arithmetic on the unpacked integer
+coordinates; the codomain sums, once per step, use the pair helpers.
 
 A chain of degree ell^e takes e such steps.  The order-ell kernel of
 each step is found by a balanced traversal that keeps the intermediate
@@ -121,25 +123,30 @@ def push_through(phi, points) -> list[Point]:
     for Q in phi.kernel_points:
         kernel.setdefault(pair(Q.x), []).append(pair(Q.y))
     to_o = [P.infinity or pair(P.x) in kernel for P in points]
-    dens = [psub(xq, pair(P.x), p)
-            for P, o in zip(points, to_o) if not o for xq in kernel]
+    dens = [((xqa - P.x.a) % p, (xqb - P.x.b) % p)
+            for P, o in zip(points, to_o) if not o for xqa, xqb in kernel]
     invs = iter(inv_batch(ctx, dens))
     images = []
     for P, o in zip(points, to_o):
         if o:
             images.append(INFINITY)
             continue
-        xp, yp = pair(P.x), pair(P.y)
-        x, y = xp, yp
-        for xq, yqs in kernel.items():
-            d = next(invs)
-            for yq in yqs:
-                lam = pmul(psub(yq, yp, p), d, p)
-                sx = psub(psqr(lam, p), padd(xp, xq, p), p)
-                sy = psub(pmul(lam, psub(xp, sx, p), p), yp, p)
-                x = padd(x, psub(sx, xq, p), p)
-                y = padd(y, psub(sy, yq, p), p)
-        images.append(Point(Fp2(ctx, *x), Fp2(ctx, *y)))
+        xpa, xpb, ypa, ypb = P.x.a, P.x.b, P.y.a, P.y.b
+        xa, xb, ya, yb = xpa, xpb, ypa, ypb
+        for (xqa, xqb), yqs in kernel.items():
+            ia, ib = next(invs)
+            for yqa, yqb in yqs:
+                # slope of the chord through P and Q, then P + Q
+                ta, tb = yqa - ypa, yqb - ypb
+                la, lb = (ta * ia - tb * ib) % p, (ta * ib + tb * ia) % p
+                sxa = ((la + lb) * (la - lb) - xpa - xqa) % p
+                sxb = (2 * la * lb - xpb - xqb) % p
+                ua, ub = xpa - sxa, xpb - sxb
+                xa += sxa - xqa
+                xb += sxb - xqb
+                ya += la * ua - lb * ub - ypa - yqa
+                yb += la * ub + lb * ua - ypb - yqb
+        images.append(Point(Fp2(ctx, xa, xb), Fp2(ctx, ya, yb)))
     return images
 
 

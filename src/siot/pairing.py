@@ -1,18 +1,23 @@
 """Weil pairing on prime-power torsion, distortion and symmetric variants,
 and pairing-based decomposition of points over a torsion basis.
 
-The pairing is computed with Miller's algorithm as a ratio of Miller
-functions evaluated at divisor representatives offset by an auxiliary
-point.  Auxiliary points are drawn from a hash of the inputs, so every
-call is deterministic; degenerate draws (a zero or pole of an
-intermediate line) are retried with the next counter value and never
-surface to the caller.
+The pairing is computed with Miller's algorithm as a ratio of four
+Miller functions evaluated at divisor representatives offset by an
+auxiliary point, combined into one quotient and divided once.
+Auxiliary points are drawn from a hash of the inputs, so every call is
+deterministic; degenerate draws (a zero or pole of an intermediate
+line) are retried with the next counter value and never surface to the
+caller.
 
 The Miller loop keeps its running point in Jacobian coordinates and its
 value as a numerator and a denominator on (a, b) integer pairs, and
 divides once at the end (V. Miller, J. Cryptology 17, 2004).  Each line
 and vertical value is a nonzero multiple of the affine one, so the zero
 and pole tests, and with them every retry, are those of the affine loop.
+The line factor and the Jacobian steps it follows are straight-line
+arithmetic on the unpacked integer coordinates; the ``p``-prefixed pair
+helpers only square and multiply the accumulated numerator and
+denominator.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .errors import (
     InvalidPointError,
     UnsupportedParameterError,
 )
-from .field import ONE, ZERO, Fp2, pair, padd, pmul, psqr, psub
+from .field import ONE, ZERO, Fp2, pair, pmul, psqr
 
 
 class _Degenerate(Exception):
@@ -65,20 +70,6 @@ class RootOfUnity:
     def is_one(self) -> bool:
         return self.value == self.value.ctx.one()
 
-    def multiplicative_order(self) -> int:
-        # order divides order_bound; walk the divisors of a prime power
-        n = self.order_bound
-        o = 1
-        v = self.value
-        while v != v.ctx.one():
-            ell = _smallest_prime_factor(n)
-            v = v ** ell
-            o *= ell
-            n //= ell
-            if n == 0:
-                raise ValueError("order does not divide bound")
-        return o
-
 
 @dataclass(frozen=True)
 class BasisDecomposition:
@@ -108,21 +99,25 @@ def _line_factor(T, T2, N, X, p: int):
     divide by: num = line(X) * Z(T)^2 and den = Z(T)^2.  A zero line or
     vertical raises _Degenerate.
     """
-    xX, yX = X
-    X3, Y3, Z3 = T2
-    if Z3 == ZERO:
-        X1, _, Z1 = T
-        ZZ = psqr(Z1, p)
-        num, den = psub(pmul(ZZ, xX, p), X1, p), ZZ
+    (xa, xb), (ya, yb) = X
+    (x3a, x3b), (y3a, y3b), (z3a, z3b) = T2
+    if z3a == 0 and z3b == 0:
+        (x1a, x1b), _, (z1a, z1b) = T
+        da, db = (z1a + z1b) * (z1a - z1b) % p, 2 * z1a * z1b % p
+        na = (da * xa - db * xb - x1a) % p
+        nb = (da * xb + db * xa - x1b) % p
     else:
-        ZZ3 = psqr(Z3, p)
-        v = psub(pmul(ZZ3, xX, p), X3, p)
-        num = psub(padd(pmul(pmul(ZZ3, Z3, p), yX, p), Y3, p),
-                   pmul(N, v, p), p)
-        den = pmul(Z3, v, p)
-    if num == ZERO or den == ZERO:
+        zza, zzb = (z3a + z3b) * (z3a - z3b) % p, 2 * z3a * z3b % p
+        zca, zcb = (zza * z3a - zzb * z3b) % p, (zza * z3b + zzb * z3a) % p
+        va = (zza * xa - zzb * xb - x3a) % p
+        vb = (zza * xb + zzb * xa - x3b) % p
+        ma, mb = N
+        na = (zca * ya - zcb * yb + y3a - ma * va + mb * vb) % p
+        nb = (zca * yb + zcb * ya + y3b - ma * vb - mb * va) % p
+        da, db = (z3a * va - z3b * vb) % p, (z3a * vb + z3b * va) % p
+    if (na == 0 and nb == 0) or (da == 0 and db == 0):
         raise _Degenerate
-    return num, den
+    return (na, nb), (da, db)
 
 
 def miller_function(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
@@ -176,7 +171,8 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> RootOfUnity:
 
         [f_{n,P}(Q+S) / f_{n,P}(S)] / [f_{n,Q}(P-S) / f_{n,Q}(-S)]
 
-    for an auxiliary point S avoiding all zeros and poles.
+    for an auxiliary point S avoiding all zeros and poles, with the four
+    values combined into one quotient and a single division.
     """
     E.check_point(P)
     E.check_point(Q)
@@ -187,10 +183,11 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> RootOfUnity:
     for attempt in range(256):
         S = _aux_point(E, P, Q, n, attempt)
         try:
-            a = miller_function(E, P, n, E.add(Q, S)) / miller_function(E, P, n, S)
-            b = miller_function(E, Q, n, E.sub(P, S)) / miller_function(
-                E, Q, n, E.neg(S))
-            return RootOfUnity(a / b, n)
+            f1 = miller_function(E, P, n, E.add(Q, S))
+            f2 = miller_function(E, P, n, S)
+            f3 = miller_function(E, Q, n, E.sub(P, S))
+            f4 = miller_function(E, Q, n, E.neg(S))
+            return RootOfUnity(f1 * f4 / (f2 * f3), n)
         except (_Degenerate, ZeroDivisionError):
             continue
     raise ArithmeticError("no admissible auxiliary point in 256 draws")

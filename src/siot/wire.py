@@ -104,6 +104,8 @@ def decode(data: bytes) -> WireMessage:
         raise DecodeError("message is not UTF-8", position=exc.start) from exc
     except json.JSONDecodeError as exc:
         raise DecodeError(f"bad JSON: {exc.msg}", position=exc.pos) from exc
+    except RecursionError as exc:
+        raise DecodeError("bad JSON: nested too deeply") from exc
     return _from_obj(obj)
 
 
@@ -136,11 +138,18 @@ class Transcript:
             except json.JSONDecodeError as exc:
                 raise DecodeError(f"transcript line {i + 1}: {exc.msg}",
                                   position=exc.pos) from exc
+            except RecursionError as exc:
+                raise DecodeError(f"transcript line {i + 1}: "
+                                  "nested too deeply") from exc
             if not isinstance(obj, dict) or set(obj) != {"dir", "msg"}:
                 raise DecodeError(f"transcript line {i + 1}: needs dir and msg")
             if obj["dir"] not in ("sender->receiver", "receiver->sender"):
                 raise DecodeError(f"transcript line {i + 1}: bad direction")
-            t.append(obj["dir"], _from_obj(obj["msg"]))
+            try:
+                msg = _from_obj(obj["msg"])
+            except DecodeError as exc:
+                raise DecodeError(f"transcript line {i + 1}: {exc}") from exc
+            t.append(obj["dir"], msg)
         return t
 
     def save(self, path) -> None:

@@ -6,16 +6,24 @@ None of it imports the package's pairing internals.
 
 Some are the package's own earlier loops, kept as oracles when a faster
 one replaced them: the affine Miller loop (``affine_miller``), which
-divides at every step, and the one-point-at-a-time Velu translate
-(``naive_evaluate``), which inverts once per kernel point.
+divides at every step, the one-point-at-a-time Velu translate
+(``naive_evaluate``), which inverts once per kernel point, and the
+square root by exponentiation in F_{p^2} (``sqrt_by_exponentiation``).
+The toy-scale problem oracles at the end (shared j by one double-kernel
+quotient, isogeny reachability, the symmetric-pairing constraint) have
+no caller outside the tests.
 """
 
 from __future__ import annotations
 
 from siot.curve import INFINITY, EllipticCurve, Point
-from siot.errors import InvalidKernelError
+from siot.errors import InvalidKernelError, UnsupportedParameterError
 from siot.field import Fp2
-from siot.isogeny import IsogenyChain, velu_step
+from siot.isogeny import (IsogenyChain, cyclic_subgroup, full_kernel_quotient,
+                          isogeny_chain, kernel_generator, velu_step)
+from siot.sidh import PublicParams
+from siot.siot import MaskCoefficients
+from siot.util import det_rng
 
 
 def naive_mul(E: EllipticCurve, k: int, P: Point) -> Point:
@@ -248,3 +256,102 @@ def naive_evaluate(phi, P: Point) -> Point:
         x = x + S.x - Q.x
         y = y + S.y - Q.y
     return Point(x, y)
+
+
+# -- F_{p^2} ---------------------------------------------------------------
+
+def sqrt_by_exponentiation(x: Fp2) -> Fp2 | None:
+    """The package's earlier ``Fp2.sqrt``, by exponentiation in F_{p^2}
+    for p = 3 (mod 4): with s = x^((p-3)/4), either i*x^((p+1)/4) or
+    ((1+x^((p-1)/2))^((p-1)/2))*x^((p+1)/4) is a root; a final squaring
+    rejects non-residues.  Of {r, -r} the smaller encoding is returned."""
+    ctx = x.ctx
+    if x.is_zero():
+        return ctx.zero()
+    s = x ** ((ctx.p - 3) // 4)
+    alpha = s * s * x               # x^((p-1)/2)
+    x0 = s * x                      # x^((p+1)/4)
+    if alpha == -ctx.one():
+        root = ctx.i() * x0
+    else:
+        root = (ctx.one() + alpha) ** ((ctx.p - 1) // 2) * x0
+    if root * root != x:
+        return None
+    other = -root
+    return root if root.encode() <= other.encode() else other
+
+
+def multiplicative_order(z) -> int:
+    """Exact order of a RootOfUnity's value, for a prime-power bound:
+    raise it to the bound's prime until it reaches one."""
+    n, order, v = z.order_bound, 1, z.value
+    ell = next(d for d in range(2, n + 1) if n % d == 0)
+    while v != v.ctx.one():
+        if order >= n:
+            raise ValueError("order does not divide bound")
+        v = v ** ell
+        order *= ell
+    return order
+
+
+# -- toy problem oracles ---------------------------------------------------
+
+def symmetric_constraint_check(params: PublicParams,
+                               coeffs: MaskCoefficients) -> bool:
+    """Whether the coefficients satisfy the symmetric-pairing identity
+    (1 + lambda*alpha)(1 + lambda*delta) + lambda^2*beta*gamma = 1 for
+    every lambda, and alpha lies in the hardened family."""
+    n = params.n("A")
+    ell, e = params.ell_a, params.e_a
+    if coeffs.alpha % ell ** ((e + 1) // 2) != 0:
+        return False
+    lams = range(n) if n <= 4096 else \
+        det_rng(b"symmetric-lams").sample(range(n), 1000)
+    a, b, g, d = coeffs.alpha, coeffs.beta, coeffs.gamma, coeffs.delta
+    return all(
+        ((1 + lam * a) * (1 + lam * d) + lam * lam * b * g) % n == 1 % n
+        for lam in lams)
+
+
+def shared_j_oracle(params: PublicParams, r_a: int, r_b: int):
+    """The exchange's shared j computed the blunt way: one quotient by
+    the group generated by both kernels at once.  Correctness oracle for
+    the two-stage derivation, feasible only at toy scale."""
+    E0 = params.curve
+    na, nb = params.n("A"), params.n("B")
+    if na * nb > 4096:
+        raise UnsupportedParameterError("double-kernel quotient is toy-only")
+    PA, QA = params.basis_a
+    PB, QB = params.basis_b
+    KA = kernel_generator(E0, PA, r_a, QA)
+    KB = kernel_generator(E0, PB, r_b, QB)
+    # coprime orders: the sum generates the full two-sided kernel
+    K = E0.add(KA, KB)
+    step = full_kernel_quotient(E0, cyclic_subgroup(E0, K, na * nb))
+    return step.codomain.j_invariant()
+
+
+def reachable_j_values(params: PublicParams, side: str) -> set:
+    """All j-invariants one degree-ell^e step away from the base curve.
+
+    Enumerates every cyclic order-ell^e subgroup (projective line over
+    Z/ell^e) and quotients.  Decision oracle for isogeny existence at
+    toy scale."""
+    n = params.n(side)
+    if n > 512:
+        raise UnsupportedParameterError("isogeny walk enumeration is toy-only")
+    ell, e = params.ell(side), params.e(side)
+    P, Q = params.basis(side)
+    E0 = params.curve
+    out = set()
+    for t in range(n):
+        K = kernel_generator(E0, P, t, Q)
+        out.add(isogeny_chain(E0, K, ell, e).codomain.j_invariant())
+    for s in range(0, n, ell):
+        K = E0.add(E0.mul(s, P), Q)
+        out.add(isogeny_chain(E0, K, ell, e).codomain.j_invariant())
+    return out
+
+
+def isogeny_path_exists(params: PublicParams, side: str, j_target) -> bool:
+    return j_target in reachable_j_values(params, side)

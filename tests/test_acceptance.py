@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from oracles import multiplicative_order, symmetric_constraint_check
 from siot import (
     SessionConfig,
     brute_force_secret,
@@ -24,7 +25,7 @@ from siot import (
     run_baseline_local,
     run_local,
 )
-from siot.analysis import equivariance_precheck, symmetric_constraint_check
+from siot.analysis import equivariance_precheck
 from siot.errors import DecryptionError, ProtocolAbort, RestartRequired
 from siot.isogeny import (
     cyclic_subgroup,
@@ -206,7 +207,7 @@ def test_08_pairing_suite(p431, p2591):
         assert weil_pairing(E, E.add(P, R), Q, n) \
             == z * weil_pairing(E, R, Q, n)
         det = (a * d - b * c) % n
-        assert z.multiplicative_order() == n // math.gcd(det, n)
+        assert multiplicative_order(z) == n // math.gcd(det, n)
         trials += 1
     chains = 0
     for params in (p431, p2591):

@@ -3,6 +3,8 @@ kernel-collapse probe, brute-force inversion, and reachability."""
 
 import pytest
 
+from oracles import (isogeny_path_exists, reachable_j_values, shared_j_oracle,
+                     symmetric_constraint_check)
 from siot import (
     brute_force_secret,
     derive_shared_j,
@@ -12,14 +14,7 @@ from siot import (
     distinguisher_scan,
     keygen,
 )
-from siot.analysis import (
-    equivariance_precheck,
-    isogeny_path_exists,
-    reachable_j_values,
-    same_cyclic_subgroup,
-    shared_j_oracle,
-    symmetric_constraint_check,
-)
+from siot.analysis import equivariance_precheck, same_cyclic_subgroup
 from siot.errors import InconsistentKeyError, UnsupportedParameterError
 from siot.isogeny import kernel_generator
 from siot.sidh import SidhPublic

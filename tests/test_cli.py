@@ -181,3 +181,9 @@ def test_networked_send_receive(tmp_path, capsys):
     capsys.readouterr()
     assert codes["s"] == 0 and codes["r"] == 0
     assert (tmp_path / "got.bin").read_bytes() == b"wire one."
+
+
+def test_deeply_nested_transcript_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, "deep.jsonl", b"[" * 100000 + b"\n")
+    assert main(["verify-transcript", path, "--preset", "p431"]) == 2
+    assert "nested too deeply" in capsys.readouterr().err

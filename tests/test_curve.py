@@ -3,7 +3,8 @@ arithmetic and literal repeated addition."""
 
 import pytest
 
-from oracles import ec_add_fp, ec_mul_fp, naive_mul, naive_order
+from oracles import (ec_add_fp, ec_mul_fp, multiplicative_order, naive_mul,
+                     naive_order)
 from siot import det_rng
 from siot.curve import INFINITY, EllipticCurve, Point, sample_torsion_basis
 from siot.errors import InvalidPointError, SamplingError, SingularCurveError
@@ -26,6 +27,23 @@ def test_point_membership():
     with pytest.raises(InvalidPointError):
         E0.check_point(Point(CTX.elem(1), CTX.elem(1)))
     assert E0.is_on_curve(INFINITY)
+
+
+def test_is_on_curve_matches_the_equation_exhaustively():
+    """Every (x, y) of F_{11^2}^2, on y^2 = x^3 + x and on a curve with
+    B != 0, against the curve equation in Fp2 objects."""
+    ctx = FieldContext(11)
+    elems = [ctx.elem(a, b) for a in range(11) for b in range(11)]
+    for E in (EllipticCurve(ctx.elem(1), ctx.elem(0)),
+              EllipticCurve(ctx.elem(3, 5), ctx.elem(7, 2))):
+        on = 0
+        for x in elems:
+            rhs = x * x * x + E.A * x + E.B
+            for y in elems:
+                want = y * y == rhs
+                assert E.is_on_curve(Point(x, y)) == want
+                on += want
+        assert on > 0
 
 
 def test_group_law_against_integer_oracle():
@@ -113,7 +131,7 @@ def test_torsion_basis_is_certified():
         P, Q = sample_torsion_basis(E0, ell, e, 432, rng)
         assert E0.mul(n, P).infinity and E0.mul(n, Q).infinity
         zeta = weil_pairing(E0, P, Q, n)
-        assert zeta.multiplicative_order() == n
+        assert multiplicative_order(zeta) == n
 
 
 def test_neg_sub_consistency():

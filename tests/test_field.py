@@ -1,8 +1,11 @@
 """Quadratic extension arithmetic against hand-checked and exhaustive
 oracles."""
 
+import random
+
 import pytest
 
+from oracles import sqrt_by_exponentiation
 from siot import Fp2
 from siot.errors import FieldMismatchError
 from siot.field import FieldContext, is_prime
@@ -26,7 +29,6 @@ def test_known_products_and_inverses():
 
 
 def test_field_axioms_random():
-    import random
     rng = random.Random(7)
     for _ in range(200):
         a = CTX.elem(rng.randrange(431), rng.randrange(431))
@@ -42,19 +44,30 @@ def test_field_axioms_random():
 
 
 def test_pow_matches_repeated_multiplication():
+    """Every exponent in [-8, 64], negative ones through the inverse, at
+    a small and at a SIKE-sized prime."""
+    rng = random.Random(64)
+    for ctx in (CTX, FieldContext(2 ** 216 * 3 ** 137 - 1, check_prime=False)):
+        for a in [ctx.elem(5, 11)] + [
+                ctx.elem(rng.randrange(ctx.p), rng.randrange(ctx.p))
+                for _ in range(2)]:
+            for base, sign, top in ((a, 1, 64), (a.inv(), -1, 8)):
+                acc = ctx.one()
+                for k in range(top + 1):
+                    assert a ** (sign * k) == acc
+                    acc = acc * base
+    assert CTX.zero() ** 0 == CTX.one()
+    assert CTX.zero() ** 5 == CTX.zero()
     a = CTX.elem(5, 11)
-    acc = CTX.one()
-    for k in range(40):
-        assert a ** k == acc
-        acc = acc * a
     assert a ** (431 * 431 - 1) == CTX.one()
-    assert a ** 431 == a.conjugate()   # x^p is conjugation for p = 3 mod 4
+    # x^p is conjugation for p = 3 mod 4
+    assert a ** 431 == CTX.elem(a.a, -a.b)
 
 
 def test_norm_lands_in_base_field():
     a = CTX.elem(3, 4)
     assert a.norm() == (3 * 3 + 4 * 4) % 431
-    assert a * a.conjugate() == CTX.elem(a.norm())
+    assert a * CTX.elem(a.a, -a.b) == CTX.elem(a.norm())
 
 
 def test_sqrt_known_value_is_canonical():
@@ -81,13 +94,37 @@ def test_sqrt_exhaustive_small_field():
 
 
 def test_sqrt_random_roundtrip():
-    import random
     rng = random.Random(40)
     for _ in range(300):
         a = CTX.elem(rng.randrange(431), rng.randrange(431))
         sq = a * a
         r = sq.sqrt()
         assert r is not None and r * r == sq
+
+
+@pytest.mark.parametrize("p", [7, 11, 19, 23, 43])
+def test_sqrt_matches_exponentiation_oracle_exhaustively(p):
+    """The complex-method root is the oracle's root, or both are None,
+    on every element of F_{p^2}."""
+    ctx = FieldContext(p)
+    for a in range(p):
+        for b in range(p):
+            x = ctx.elem(a, b)
+            assert x.sqrt() == sqrt_by_exponentiation(x)
+
+
+@pytest.mark.parametrize("p", [2 ** 51 * 3 ** 32 - 1, 2 ** 216 * 3 ** 137 - 1],
+                         ids=["p102", "p434"])
+def test_sqrt_matches_exponentiation_oracle_at_large_primes(p):
+    ctx = FieldContext(p, check_prime=False)
+    rng = random.Random(p)
+    for _ in range(300):
+        x = ctx.elem(rng.randrange(p), rng.randrange(p))
+        assert x.sqrt() == sqrt_by_exponentiation(x)
+        sq = x * x
+        r = sq.sqrt()
+        assert r is not None and r == sqrt_by_exponentiation(sq)
+        assert r == x or r == -x
 
 
 def test_encode_decode_roundtrip():

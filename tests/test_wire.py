@@ -141,3 +141,24 @@ def test_version_must_be_the_json_integer_1():
             Transcript.from_bytes(line.encode() + b"\n")
         with pytest.raises(DecodeError, match="unsupported version"):
             encode(_msg(version=version))
+
+
+def test_deeply_nested_json_is_a_decode_error():
+    """The JSON parser recurses once per bracket; past the interpreter's
+    limit that is a RecursionError, which must surface as DecodeError."""
+    deep = b"[" * 100000
+    with pytest.raises(DecodeError, match="nested too deeply"):
+        decode(deep)
+    with pytest.raises(DecodeError, match="transcript line 1: nested"):
+        Transcript.from_bytes(deep)
+
+
+def test_transcript_message_faults_name_their_line():
+    good = json.dumps({"dir": "sender->receiver",
+                       "msg": json.loads(encode(_msg()))})
+    bad = json.loads(good)
+    bad["msg"]["version"] = True
+    data = "\n".join([good, good, json.dumps(bad)]).encode()
+    with pytest.raises(DecodeError,
+                       match=r"^transcript line 3: unsupported version True"):
+        Transcript.from_bytes(data)
