@@ -150,8 +150,12 @@ def _build_parser() -> _Parser:
 
 def _params_from_args(args):
     if getattr(args, "params", None):
-        with open(args.params, "rb") as fh:
-            return params_from_obj(json.load(fh))
+        data = _read_file(args.params)
+        try:
+            obj = json.loads(data)
+        except (ValueError, RecursionError) as exc:  # JSON, UTF-8, depth
+            raise DecodeError(f"params file is not JSON: {exc}") from exc
+        return params_from_obj(obj)
     return preset(args.preset or "p431")
 
 
@@ -257,7 +261,7 @@ def _cmd_run_local(args) -> int:
 
 def _cmd_verify_transcript(args) -> int:
     params = _params_from_args(args)
-    transcript = Transcript.load(args.transcript)
+    transcript = Transcript.from_bytes(_read_file(args.transcript))
     report = verify_transcript(transcript, params)
     _emit(report)
     return 0 if report["ok"] else 2

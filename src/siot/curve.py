@@ -1,14 +1,16 @@
 """Short-Weierstrass curves y^2 = x^3 + Ax + B over F_{p^2}.
 
-Points are affine with an explicit infinity marker; the chord-tangent
-group law, j-invariants and torsion-basis sampling live here.  Scalar
-multiplication runs in Jacobian coordinates (X, Y, Z) ~ (X/Z^2, Y/Z^3)
-on (a, b) integer pairs and converts back to affine once, so it makes
-one field inversion however long the scalar is.  Its doubling and mixed
-addition also serve the Miller loop in ``pairing``.  Those two steps,
-and the on-curve test, are straight-line arithmetic on the unpacked
-integer coordinates; the ``p``-prefixed pair helpers only convert
-``mul``'s result back to affine.
+Points are affine with an explicit infinity marker; the group law,
+j-invariants and torsion-basis sampling live here.  There is one group
+law: the Jacobian doubling and mixed addition at the end of this module,
+with (X, Y, Z) standing for (X/Z^2, Y/Z^3).  ``add`` lifts its first
+point to Z = 1 and takes one mixed addition; ``mul`` runs
+double-and-add on the Jacobian point.  Both convert back to affine once,
+in ``_affine``, so each makes one field inversion, and none when the
+result is O.  The two steps also serve the Miller loop in ``pairing``.
+They, ``_affine`` and the on-curve test are straight-line arithmetic on
+the unpacked integer coordinates; points and curve coefficients enter
+and leave them as ``Fp2`` values.
 
 The group law trusts its inputs: ``add`` and ``mul`` assume their
 points lie on the curve and do not check.  Points are checked once,
@@ -22,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidPointError, SamplingError, SingularCurveError
-from .field import ONE, ZERO, FieldContext, Fp2, pair, pmul, psqr
+from .field import FieldContext, Fp2
 
 
 @dataclass(frozen=True)
@@ -109,28 +111,20 @@ class EllipticCurve:
         return Point(P.x, -P.y)
 
     def add(self, P: Point, Q: Point) -> Point:
-        """Chord-tangent sum of two points of this curve (not checked)."""
+        """P + Q for two points of this curve (not checked): one mixed
+        Jacobian addition from P at Z = 1.  One inversion, none when
+        P + Q = O."""
         if P.infinity:
             return Q
         if Q.infinity:
             return P
-        if P.x == Q.x:
-            if P.y == -Q.y:          # includes the y = 0 doubling case
-                return INFINITY
-            # tangent slope (3x^2 + A) / 2y
-            num = self.ctx.elem(3) * P.x * P.x + self.A
-            slope = num * (self.ctx.elem(2) * P.y).inv()
-        else:
-            slope = (Q.y - P.y) * (Q.x - P.x).inv()
-        x3 = slope * slope - P.x - Q.x
-        y3 = slope * (P.x - x3) - P.y
-        return Point(x3, y3)
+        T = ((P.x.a, P.x.b), (P.y.a, P.y.b), (1, 0))
+        xy = (Q.x.a, Q.x.b), (Q.y.a, Q.y.b)
+        return self._affine(
+            jac_add_affine(T, xy, (self.A.a, self.A.b), self.ctx.p)[0])
 
     def sub(self, P: Point, Q: Point) -> Point:
         return self.add(P, self.neg(Q))
-
-    def double(self, P: Point) -> Point:
-        return self.add(P, P)
 
     def mul(self, n: int, P: Point) -> Point:
         """[n]P by left-to-right double-and-add in Jacobian coordinates;
@@ -139,20 +133,27 @@ class EllipticCurve:
             n, P = -n, self.neg(P)
         if n == 0 or P.infinity:
             return INFINITY
-        p, A = self.ctx.p, pair(self.A)
-        xy = pair(P.x), pair(P.y)
-        T = (*xy, ONE)
+        p, A = self.ctx.p, (self.A.a, self.A.b)
+        xy = (P.x.a, P.x.b), (P.y.a, P.y.b)
+        T = (*xy, (1, 0))
         for bit in bin(n)[3:]:
             T = jac_double(T, A, p)[0]
             if bit == "1":
                 T = jac_add_affine(T, xy, A, p)[0]
-        X, Y, Z = T
-        if Z == ZERO:
+        return self._affine(T)
+
+    def _affine(self, T) -> Point:
+        """The affine point (X/Z^2, Y/Z^3) of a Jacobian T, by one
+        inversion of Z; O when Z = 0."""
+        (xa, xb), (ya, yb), (za, zb) = T
+        if za == 0 and zb == 0:
             return INFINITY
-        zi = pair(Fp2(self.ctx, *Z).inv())
-        zi2 = psqr(zi, p)
-        return Point(Fp2(self.ctx, *pmul(X, zi2, p)),
-                     Fp2(self.ctx, *pmul(Y, pmul(zi2, zi, p), p)))
+        p, zi = self.ctx.p, Fp2(self.ctx, za, zb).inv()
+        ia, ib = zi.a, zi.b
+        i2a, i2b = (ia + ib) * (ia - ib) % p, 2 * ia * ib % p
+        i3a, i3b = (i2a * ia - i2b * ib) % p, (i2a * ib + i2b * ia) % p
+        return Point(Fp2(self.ctx, xa * i2a - xb * i2b, xa * i2b + xb * i2a),
+                     Fp2(self.ctx, ya * i3a - yb * i3b, ya * i3b + yb * i3a))
 
     # -- invariants ---------------------------------------------------
 
@@ -237,7 +238,7 @@ def jac_add_affine(T, P, A, p: int):
     (x1a, x1b), (y1a, y1b), (z1a, z1b) = T
     (xa, xb), (ya, yb) = P
     if z1a == 0 and z1b == 0:
-        return ((xa, xb), (ya, yb), ONE), None
+        return ((xa, xb), (ya, yb), (1, 0)), None
     zza, zzb = (z1a + z1b) * (z1a - z1b) % p, 2 * z1a * z1b % p
     zca, zcb = (z1a * zza - z1b * zzb) % p, (z1a * zzb + z1b * zza) % p
     ha = (xa * zza - xb * zzb - x1a) % p
@@ -247,7 +248,7 @@ def jac_add_affine(T, P, A, p: int):
     if ha == 0 and hb == 0:
         if ra == 0 and rb == 0:
             return jac_double(T, A, p)
-        return (ONE, ONE, ZERO), (ra, rb)
+        return ((1, 0), (1, 0), (0, 0)), (ra, rb)
     hha, hhb = (ha + hb) * (ha - hb) % p, 2 * ha * hb % p
     h3a, h3b = (ha * hha - hb * hhb) % p, (ha * hhb + hb * hha) % p
     va, vb = (x1a * hha - x1b * hhb) % p, (x1a * hhb + x1b * hha) % p

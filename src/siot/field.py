@@ -4,15 +4,11 @@ Requires p = 3 (mod 4) so that i^2 = -1 is a non-residue and the
 extension is a field, and so F_p square roots are one exponentiation.
 Elements are immutable and always stored reduced.
 
-The hot kernels skip the Fp2 objects and are written as straight-line
-arithmetic on the unpacked integer coordinates: ``Fp2.__pow__`` and
-``Fp2.sqrt`` here, and above this layer the Jacobian steps, the on-curve
-test, the Miller line and the Velu translate.  The ``p``-prefixed
-functions at the end of this module combine (a, b) pairs one operation
-at a time; they serve the colder code that handles such pairs: the
-Miller accumulator, the conversion out of Jacobian coordinates, the Velu
-codomain sums and ``inv_batch``, which makes one inversion serve many
-values.
+Functions take and return ``Fp2`` values.  The kernels inside them skip
+the objects and are written as straight-line arithmetic on the unpacked
+integer coordinates: ``Fp2.__pow__``, ``Fp2.sqrt`` and ``inv_batch``
+here, and above this layer the Jacobian steps and the conversion out of
+them, the on-curve test, the Miller loop and the Velu step.
 """
 
 from __future__ import annotations
@@ -135,9 +131,6 @@ class Fp2:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def square(self) -> Fp2:
-        return self * self
-
     def __pow__(self, n: int) -> Fp2:
         if n < 0:
             return self.inv() ** (-n)
@@ -219,41 +212,9 @@ class Fp2:
         return cls.decode(ctx, bytes.fromhex(text))
 
 
-# -- (a, b) integer pairs ------------------------------------------------
-
-ZERO = (0, 0)
-ONE = (1, 0)
-
-
-def pair(x: Fp2) -> tuple[int, int]:
-    return x.a, x.b
-
-
-def padd(x, y, p: int) -> tuple[int, int]:
-    return (x[0] + y[0]) % p, (x[1] + y[1]) % p
-
-
-def psub(x, y, p: int) -> tuple[int, int]:
-    return (x[0] - y[0]) % p, (x[1] - y[1]) % p
-
-
-def pscale(k: int, x, p: int) -> tuple[int, int]:
-    return k * x[0] % p, k * x[1] % p
-
-
-def pmul(x, y, p: int) -> tuple[int, int]:
-    a, b = x
-    c, d = y
-    return (a * c - b * d) % p, (a * d + b * c) % p
-
-
-def psqr(x, p: int) -> tuple[int, int]:
-    a, b = x
-    return (a + b) * (a - b) % p, 2 * a * b % p
-
-
 def inv_batch(ctx: FieldContext, xs: list) -> list:
-    """Inverses of the nonzero pairs xs with a single ``Fp2.inv``.
+    """Inverses of the nonzero values xs, given and returned as (a, b)
+    coordinate tuples, with a single ``Fp2.inv``.
 
     Montgomery's simultaneous inversion: invert the product of all the
     values, then peel each inverse off with the running prefix products,
@@ -262,13 +223,18 @@ def inv_batch(ctx: FieldContext, xs: list) -> list:
     if not xs:
         return []
     p = ctx.p
-    prefix = [xs[0]]
-    for x in xs[1:]:
-        prefix.append(pmul(prefix[-1], x, p))
-    acc = pair(Fp2(ctx, *prefix[-1]).inv())
-    out = [acc] * len(xs)
+    a, b = xs[0]
+    prefix = [(a, b)]
+    for c, d in xs[1:]:
+        a, b = (a * c - b * d) % p, (a * d + b * c) % p
+        prefix.append((a, b))
+    acc = Fp2(ctx, a, b).inv()
+    a, b = acc.a, acc.b
+    out = [None] * len(xs)
     for i in range(len(xs) - 1, 0, -1):
-        out[i] = pmul(acc, prefix[i - 1], p)
-        acc = pmul(acc, xs[i], p)
-    out[0] = acc
+        c, d = prefix[i - 1]
+        out[i] = (a * c - b * d) % p, (a * d + b * c) % p
+        c, d = xs[i]
+        a, b = (a * c - b * d) % p, (a * d + b * c) % p
+    out[0] = a, b
     return out

@@ -11,13 +11,13 @@ and a point maps by adding, for each kernel point Q, the offset between
 the translate P+Q and Q itself.  Both formulas are valid for any finite
 kernel subgroup, which is what the full-kernel oracle below exploits.
 
-``push_through`` maps a whole list of points through a step at once, on
-(a, b) integer pairs: every translate's chord slope needs 1/(x_Q - x_P),
-and all of those are inverted together with one field inversion
-(Montgomery's trick).  Q and -Q share their denominator, and a point
-whose x is a kernel x is itself a kernel point and maps to the identity.
-The translate loop is straight-line arithmetic on the unpacked integer
-coordinates; the codomain sums, once per step, use the pair helpers.
+``push_through`` maps a whole list of points through a step at once:
+every translate's chord slope needs 1/(x_Q - x_P), and all of those are
+inverted together with one field inversion (Montgomery's trick).  Q and
+-Q share their denominator, and a point whose x is a kernel x is itself
+a kernel point and maps to the identity.  The translate loop and the
+codomain sums are straight-line arithmetic on the unpacked integer
+coordinates; points and curves enter and leave them as ``Fp2`` values.
 
 A chain of degree ell^e takes e such steps.  The order-ell kernel of
 each step is found by a balanced traversal that keeps the intermediate
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .curve import EllipticCurve, Point, INFINITY
 from .errors import InvalidKernelError
-from .field import Fp2, inv_batch, pair, padd, pmul, pscale, psqr, psub
+from .field import Fp2, inv_batch
 
 @dataclass(frozen=True)
 class VeluStep:
@@ -83,17 +83,19 @@ def cyclic_subgroup(E: EllipticCurve, K: Point, n: int) -> tuple[Point, ...]:
 
 def _codomain(E: EllipticCurve, kernel_points) -> EllipticCurve:
     p = E.ctx.p
-    a, b = pair(E.A), pair(E.B)
-    va = vb = (0, 0)
+    aa, ab, ba, bb = E.A.a, E.A.b, E.B.a, E.B.b
+    va = vb = wa = wb = 0
     for Q in kernel_points:
-        x = pair(Q.x)
-        xx = psqr(x, p)
-        va = padd(va, padd(pscale(3, xx, p), a, p), p)
-        vb = padd(vb, padd(pscale(5, pmul(xx, x, p), p),
-                           padd(pscale(3, pmul(a, x, p), p),
-                                pscale(2, b, p), p), p), p)
-    return EllipticCurve(Fp2(E.ctx, *psub(a, pscale(5, va, p), p)),
-                         Fp2(E.ctx, *psub(b, pscale(7, vb, p), p)))
+        xa, xb = Q.x.a, Q.x.b
+        xxa, xxb = (xa + xb) * (xa - xb) % p, 2 * xa * xb % p
+        va += 3 * xxa + aa
+        vb += 3 * xxb + ab
+        wa += (5 * (xxa * xa - xxb * xb) + 3 * (aa * xa - ab * xb)
+               + 2 * ba) % p
+        wb += (5 * (xxa * xb + xxb * xa) + 3 * (aa * xb + ab * xa)
+               + 2 * bb) % p
+    return EllipticCurve(Fp2(E.ctx, aa - 5 * va, ab - 5 * vb),
+                         Fp2(E.ctx, ba - 7 * wa, bb - 7 * wb))
 
 
 def velu_step(E: EllipticCurve, K: Point, ell: int) -> VeluStep:
@@ -121,8 +123,8 @@ def push_through(phi, points) -> list[Point]:
     p = ctx.p
     kernel = {}                      # x_Q -> [y_Q], the pairs Q and -Q
     for Q in phi.kernel_points:
-        kernel.setdefault(pair(Q.x), []).append(pair(Q.y))
-    to_o = [P.infinity or pair(P.x) in kernel for P in points]
+        kernel.setdefault((Q.x.a, Q.x.b), []).append((Q.y.a, Q.y.b))
+    to_o = [P.infinity or (P.x.a, P.x.b) in kernel for P in points]
     dens = [((xqa - P.x.a) % p, (xqb - P.x.b) % p)
             for P, o in zip(points, to_o) if not o for xqa, xqb in kernel]
     invs = iter(inv_batch(ctx, dens))

@@ -10,14 +10,13 @@ line) are retried with the next counter value and never surface to the
 caller.
 
 The Miller loop keeps its running point in Jacobian coordinates and its
-value as a numerator and a denominator on (a, b) integer pairs, and
-divides once at the end (V. Miller, J. Cryptology 17, 2004).  Each line
-and vertical value is a nonzero multiple of the affine one, so the zero
-and pole tests, and with them every retry, are those of the affine loop.
-The line factor and the Jacobian steps it follows are straight-line
-arithmetic on the unpacked integer coordinates; the ``p``-prefixed pair
-helpers only square and multiply the accumulated numerator and
-denominator.
+value as a numerator and a denominator, and divides once at the end
+(V. Miller, J. Cryptology 17, 2004).  Each line and vertical value is a
+nonzero multiple of the affine one, so the zero and pole tests, and
+with them every retry, are those of the affine loop.  The loop, its
+line update and the Jacobian steps it follows are straight-line
+arithmetic on the unpacked integer coordinates; the Miller value leaves
+it as one ``Fp2``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .errors import (
     InvalidPointError,
     UnsupportedParameterError,
 )
-from .field import ONE, ZERO, Fp2, pair, pmul, psqr
+from .field import Fp2
 
 
 class _Degenerate(Exception):
@@ -41,18 +40,17 @@ class _Degenerate(Exception):
 
 @dataclass(frozen=True)
 class RootOfUnity:
-    """A value in the order-n subgroup of the multiplicative group of Fp2."""
+    """A value in the order-n subgroup of the multiplicative group of Fp2.
+
+    ``weil_pairing`` checks z^n = 1 where it makes one; products and
+    powers stay in the subgroup and are not checked again.
+    """
 
     value: Fp2
     order_bound: int
 
-    def __post_init__(self):
-        if self.value ** self.order_bound != self.value.ctx.one():
-            raise ValueError("value does not satisfy its order bound")
-
-    def __mul__(self, other):
-        v = other.value if isinstance(other, RootOfUnity) else other
-        return RootOfUnity(self.value * v, self.order_bound)
+    def __mul__(self, other: RootOfUnity) -> RootOfUnity:
+        return RootOfUnity(self.value * other.value, self.order_bound)
 
     def __pow__(self, k: int):
         return RootOfUnity(self.value ** (k % self.order_bound), self.order_bound)
@@ -88,16 +86,17 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _line_factor(T, T2, N, X, p: int):
-    """The Miller update factor (num, den) for the step from T to T2.
+def _times_line(f, T, T2, N, X, p: int):
+    """The Miller value f, its numerator and denominator as four ints
+    (na, nb, da, db), times the factor for the step from T to T2.
 
     The line is the tangent or chord whose slope is N/Z(T2); it meets
     the curve again at -T2, and the vertical at T2 divides it out.  In
-    affine terms the factor is line(X)/vertical(X), and here
-    num = line(X) * Z^3 and den = vertical(X) * Z^3 with Z = Z(T2).
-    When T2 = O the line is the vertical at T and there is none to
-    divide by: num = line(X) * Z(T)^2 and den = Z(T)^2.  A zero line or
-    vertical raises _Degenerate.
+    affine terms the factor is line(X)/vertical(X), and here the
+    numerator gains line(X) * Z^3 and the denominator vertical(X) * Z^3
+    with Z = Z(T2).  When T2 = O the line is the vertical at T and there
+    is none to divide by: the factors are line(X) * Z(T)^2 and Z(T)^2.
+    A zero line or vertical raises _Degenerate.
     """
     (xa, xb), (ya, yb) = X
     (x3a, x3b), (y3a, y3b), (z3a, z3b) = T2
@@ -117,7 +116,9 @@ def _line_factor(T, T2, N, X, p: int):
         da, db = (z3a * va - z3b * vb) % p, (z3a * vb + z3b * va) % p
     if (na == 0 and nb == 0) or (da == 0 and db == 0):
         raise _Degenerate
-    return (na, nb), (da, db)
+    fna, fnb, fda, fdb = f
+    return ((fna * na - fnb * nb) % p, (fna * nb + fnb * na) % p,
+            (fda * da - fdb * db) % p, (fda * db + fdb * da) % p)
 
 
 def miller_function(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
@@ -131,25 +132,26 @@ def miller_function(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
         raise _Degenerate
     if P.infinity:
         return E.ctx.one()
-    p, A = E.ctx.p, pair(E.A)
-    xy, xyX = (pair(P.x), pair(P.y)), (pair(X.x), pair(X.y))
-    fn = fd = ONE
-    T = (*xy, ONE)
+    p, A = E.ctx.p, (E.A.a, E.A.b)
+    xy = (P.x.a, P.x.b), (P.y.a, P.y.b)
+    xyX = (X.x.a, X.x.b), (X.y.a, X.y.b)
+    f = (1, 0, 1, 0)                 # numerator a, b; denominator a, b
+    T = (*xy, (1, 0))
     for bit in bin(n)[3:]:
-        fn, fd = psqr(fn, p), psqr(fd, p)
-        if T[2] != ZERO:             # O doubles to O, line and vertical 1
+        na, nb, da, db = f
+        f = ((na + nb) * (na - nb) % p, 2 * na * nb % p,
+             (da + db) * (da - db) % p, 2 * da * db % p)
+        if T[2] != (0, 0):           # O doubles to O, line and vertical 1
             T2, N = jac_double(T, A, p)
-            num, den = _line_factor(T, T2, N, xyX, p)
-            T, fn, fd = T2, pmul(fn, num, p), pmul(fd, den, p)
-        if bit == "1" and T[2] == ZERO:
+            T, f = T2, _times_line(f, T, T2, N, xyX, p)
+        if bit == "1" and T[2] == (0, 0):
             if xyX[0] == xy[0]:      # line and vertical are both x - x_P
                 raise _Degenerate
-            T = (*xy, ONE)
+            T = (*xy, (1, 0))
         elif bit == "1":
             T2, N = jac_add_affine(T, xy, A, p)
-            num, den = _line_factor(T, T2, N, xyX, p)
-            T, fn, fd = T2, pmul(fn, num, p), pmul(fd, den, p)
-    return Fp2(E.ctx, *fn) * Fp2(E.ctx, *fd).inv()
+            T, f = T2, _times_line(f, T, T2, N, xyX, p)
+    return Fp2(E.ctx, f[0], f[1]) * Fp2(E.ctx, f[2], f[3]).inv()
 
 
 def _aux_point(E: EllipticCurve, P: Point, Q: Point, n: int, attempt: int) -> Point:
@@ -187,9 +189,12 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> RootOfUnity:
             f2 = miller_function(E, P, n, S)
             f3 = miller_function(E, Q, n, E.sub(P, S))
             f4 = miller_function(E, Q, n, E.neg(S))
-            return RootOfUnity(f1 * f4 / (f2 * f3), n)
+            z = f1 * f4 / (f2 * f3)
         except (_Degenerate, ZeroDivisionError):
             continue
+        if z ** n != E.ctx.one():
+            raise ValueError("value does not satisfy its order bound")
+        return RootOfUnity(z, n)
     raise ArithmeticError("no admissible auxiliary point in 256 draws")
 
 

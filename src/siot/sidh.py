@@ -295,7 +295,7 @@ def params_from_obj(obj) -> PublicParams:
         raise DecodeError("params object has wrong keys")
     ints = {k: obj[k] for k in ("p", "la", "ea", "lb", "eb", "f")}
     for k, v in ints.items():
-        if not isinstance(v, int) or v < 1:
+        if type(v) is not int or v < 1:
             raise DecodeError(f"params field {k} must be a positive integer")
     try:
         _check_shape(ints["la"], ints["ea"], ints["lb"], ints["eb"])

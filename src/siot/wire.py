@@ -104,6 +104,8 @@ def decode(data: bytes) -> WireMessage:
         raise DecodeError("message is not UTF-8", position=exc.start) from exc
     except json.JSONDecodeError as exc:
         raise DecodeError(f"bad JSON: {exc.msg}", position=exc.pos) from exc
+    except ValueError as exc:        # an integer past int_max_str_digits
+        raise DecodeError(f"bad JSON: {exc}") from exc
     except RecursionError as exc:
         raise DecodeError("bad JSON: nested too deeply") from exc
     return _from_obj(obj)
@@ -141,6 +143,11 @@ class Transcript:
             except RecursionError as exc:
                 raise DecodeError(f"transcript line {i + 1}: "
                                   "nested too deeply") from exc
+            except UnicodeDecodeError as exc:
+                raise DecodeError(f"transcript line {i + 1}: not UTF-8",
+                                  position=exc.start) from exc
+            except ValueError as exc:    # an integer past int_max_str_digits
+                raise DecodeError(f"transcript line {i + 1}: {exc}") from exc
             if not isinstance(obj, dict) or set(obj) != {"dir", "msg"}:
                 raise DecodeError(f"transcript line {i + 1}: needs dir and msg")
             if obj["dir"] not in ("sender->receiver", "receiver->sender"):

@@ -2,13 +2,17 @@
 against.  Everything here is deliberately naive: linear-time Miller
 loops, repeated-addition scalar multiples, pure-integer affine curve
 arithmetic, an isogeny chain with a fresh scalar multiple per step.
-None of it imports the package's pairing internals.
+None of it imports the package's pairing internals, and none of it
+adds points with the package's group law: the oracles that need a sum
+take it from ``affine_add``, the chord-tangent law on ``Fp2`` values.
 
 Some are the package's own earlier loops, kept as oracles when a faster
-one replaced them: the affine Miller loop (``affine_miller``), which
-divides at every step, the one-point-at-a-time Velu translate
-(``naive_evaluate``), which inverts once per kernel point, and the
-square root by exponentiation in F_{p^2} (``sqrt_by_exponentiation``).
+one replaced them: the affine group law (``affine_add``), which the
+package replaced by its Jacobian steps, the affine Miller loop
+(``affine_miller``), which divides at every step, the
+one-point-at-a-time Velu translate (``naive_evaluate``), which inverts
+once per kernel point, and the square root by exponentiation in
+F_{p^2} (``sqrt_by_exponentiation``).
 The toy-scale problem oracles at the end (shared j by one double-kernel
 quotient, isogeny reachability, the symmetric-pairing constraint) have
 no caller outside the tests.
@@ -26,13 +30,32 @@ from siot.siot import MaskCoefficients
 from siot.util import det_rng
 
 
+def affine_add(E: EllipticCurve, P: Point, Q: Point) -> Point:
+    """Chord-tangent sum of two points of E, one ``Fp2`` division."""
+    if P.infinity:
+        return Q
+    if Q.infinity:
+        return P
+    if P.x == Q.x:
+        if P.y == -Q.y:          # includes the y = 0 doubling case
+            return INFINITY
+        # tangent slope (3x^2 + A) / 2y
+        num = E.ctx.elem(3) * P.x * P.x + E.A
+        slope = num * (E.ctx.elem(2) * P.y).inv()
+    else:
+        slope = (Q.y - P.y) * (Q.x - P.x).inv()
+    x3 = slope * slope - P.x - Q.x
+    y3 = slope * (P.x - x3) - P.y
+    return Point(x3, y3)
+
+
 def naive_mul(E: EllipticCurve, k: int, P: Point) -> Point:
     """Scalar multiple by literal repeated addition."""
     if k < 0:
         return naive_mul(E, -k, E.neg(P))
     acc = INFINITY
     for _ in range(k):
-        acc = E.add(acc, P)
+        acc = affine_add(E, acc, P)
     return acc
 
 
@@ -41,7 +64,7 @@ def naive_order(E: EllipticCurve, P: Point, bound: int) -> int:
     for k in range(1, bound + 1):
         if acc.infinity:
             return k
-        acc = E.add(acc, P)
+        acc = affine_add(E, acc, P)
     raise AssertionError(f"order exceeds {bound}")
 
 
@@ -60,7 +83,7 @@ def _line(E: EllipticCurve, T: Point, U: Point, X: Point) -> Fp2:
     if T.x == U.x:
         if T.y.is_zero():
             return X.x - T.x
-        slope = (T.x.square() * E.A.ctx.elem(3) + E.A) / (T.y + T.y)
+        slope = (T.x * T.x * E.A.ctx.elem(3) + E.A) / (T.y + T.y)
     else:
         slope = (U.y - T.y) / (U.x - T.x)
     return (X.y - T.y) - slope * (X.x - T.x)
@@ -102,14 +125,14 @@ def affine_miller(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
     T = P
     for bit in bin(n)[3:]:
         num = _line_value(E, T, T, X)
-        T = E.double(T)
+        T = affine_add(E, T, T)
         den = (X.x - T.x) if not T.infinity else E.ctx.one()
         if not num or not den:
             raise Degenerate
         f = f * f * num / den
         if bit == "1":
             num = _line_value(E, T, P, X)
-            T = E.add(T, P)
+            T = affine_add(E, T, P)
             den = (X.x - T.x) if not T.infinity else E.ctx.one()
             if not num or not den:
                 raise Degenerate
@@ -128,7 +151,7 @@ def linear_miller(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
     f = one
     T = P
     for _ in range(n - 1):
-        Tn = E.add(T, P)
+        Tn = affine_add(E, T, P)
         num = _line(E, T, P, X)
         den = _line(E, Tn, E.neg(Tn), X) if not Tn.infinity else one
         if num.is_zero() or den.is_zero():
@@ -149,8 +172,9 @@ def weil_naive(E: EllipticCurve, P: Point, Q: Point, n: int, rng) -> Fp2:
     for _ in range(200):
         S = E.random_point(rng)
         try:
-            a = linear_miller(E, P, n, E.add(Q, S)) / linear_miller(E, P, n, S)
-            b = (linear_miller(E, Q, n, E.sub(P, S))
+            a = (linear_miller(E, P, n, affine_add(E, Q, S))
+                 / linear_miller(E, P, n, S))
+            b = (linear_miller(E, Q, n, affine_add(E, P, E.neg(S)))
                  / linear_miller(E, Q, n, E.neg(S)))
             return a / b
         except Degenerate:
@@ -252,7 +276,7 @@ def naive_evaluate(phi, P: Point) -> Point:
             return INFINITY
     x, y = P.x, P.y
     for Q in phi.kernel_points:
-        S = E.add(P, Q)
+        S = affine_add(E, P, Q)
         x = x + S.x - Q.x
         y = y + S.y - Q.y
     return Point(x, y)

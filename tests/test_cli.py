@@ -98,8 +98,10 @@ def test_params_file_with_malformed_e0_exits_two(tmp_path, capsys):
            for e0 in ("junk", {"a": good["e0"]["a"]}, {"a": 1, "b": 2},
                       {"a": zero, "b": zero})]
     bad.append({**good, "la": 4, "ea": 2})   # p is still 431
-    for obj in bad:
-        path = _write(tmp_path, "params.json", json.dumps(obj).encode())
+    bad = [json.dumps(obj).encode() for obj in bad]
+    bad.append(b'{"p": ')                     # not JSON at all
+    for data in bad:
+        path = _write(tmp_path, "params.json", data)
         for argv in (["keygen", "--params", path, "--side", "A"],
                      ["verify-transcript", transcript, "--params", path],
                      ["run-local", "--params", path, "--choice", "1",
@@ -143,6 +145,10 @@ def test_usage_errors_exit_four(tmp_path, capsys):
                  "--seed", "abc"]) == 4                     # odd-length hex
     assert main(["send", "--preset", "p431", "--msg0", "x", "--msg1", "y",
                  "--listen", "a:1", "--connect", "b:2"]) == 4
+    assert main(["keygen", "--params", str(tmp_path / "absent"),
+                 "--side", "A"]) == 4                       # no params file
+    assert main(["verify-transcript", str(tmp_path / "absent"),
+                 "--preset", "p431"]) == 4                  # no transcript
     capsys.readouterr()
 
 
@@ -187,3 +193,9 @@ def test_deeply_nested_transcript_exits_two(tmp_path, capsys):
     path = _write(tmp_path, "deep.jsonl", b"[" * 100000 + b"\n")
     assert main(["verify-transcript", path, "--preset", "p431"]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_transcript_not_utf8_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, "bad.jsonl", b'{"dir":"\xc3\x28"}\n')
+    assert main(["verify-transcript", path, "--preset", "p431"]) == 2
+    assert "transcript line 1: not UTF-8" in capsys.readouterr().err

@@ -3,8 +3,8 @@ arithmetic and literal repeated addition."""
 
 import pytest
 
-from oracles import (ec_add_fp, ec_mul_fp, multiplicative_order, naive_mul,
-                     naive_order)
+from oracles import (affine_add, ec_add_fp, ec_mul_fp, multiplicative_order,
+                     naive_mul, naive_order)
 from siot import det_rng
 from siot.curve import INFINITY, EllipticCurve, Point, sample_torsion_basis
 from siot.errors import InvalidPointError, SamplingError, SingularCurveError
@@ -96,14 +96,14 @@ def test_two_torsion_of_base_curve():
     # x^3 + x = x(x^2 + 1): roots 0, i, -i
     for x in (CTX.elem(0), CTX.elem(0, 1), CTX.elem(0, -1)):
         P = E0.point(x, CTX.zero())
-        assert E0.double(P).infinity
+        assert E0.add(P, P).infinity
         assert naive_order(E0, P, 4) == 2
 
 
 def test_j_invariant_values():
     assert E0.j_invariant() == CTX.elem(1728 % 431)
     # quadratic twist y^2 = x^3 + c^2 x shares the j-invariant
-    c2 = CTX.elem(5).square()
+    c2 = CTX.elem(5) * CTX.elem(5)
     assert EllipticCurve(CTX.elem(1) * c2, CTX.zero()).j_invariant() \
         == E0.j_invariant()
 
@@ -176,3 +176,19 @@ def test_mul_exhaustive_against_repeated_addition():
         for P, order in zip(pts, orders):
             for k in range(-2 * order, 2 * order + 1):
                 assert curve.mul(k, P) == naive_mul(curve, k, P), (P, k)
+
+
+def test_add_matches_affine_oracle_exhaustively():
+    """E.add against the chord-tangent oracle for every ordered pair of
+    points, O included, on the two F_{11^2} curves above: doublings,
+    Y = 0 doublings, P + (-P) and every chord."""
+    from siot.isogeny import velu_step
+
+    ctx = FieldContext(11)
+    E = EllipticCurve(ctx.elem(1), ctx.elem(0))
+    E2 = velu_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
+    for curve in (E, E2):
+        pts = _all_points(curve)
+        for P in pts:
+            for Q in pts:
+                assert curve.add(P, Q) == affine_add(curve, P, Q), (P, Q)

@@ -109,6 +109,21 @@ def test_degenerate_inputs():
     assert weil_pairing(E0, P, E0.neg(P), 16).is_one()
 
 
+def test_weil_pairing_checks_its_order_bound(monkeypatch):
+    """weil_pairing is where a RootOfUnity is made, and the one place
+    its value is checked: a quotient that is not an n-th root raises."""
+    import siot.pairing as pairing
+
+    P, Q = _basis(2, 4, b"bound")
+    two = CTX.elem(2)
+    assert two ** 16 != CTX.one()
+    values = iter([two, CTX.one(), CTX.one(), CTX.one()])
+    monkeypatch.setattr(pairing, "miller_function",
+                        lambda E, P, n, X: next(values))
+    with pytest.raises(ValueError, match="does not satisfy its order bound"):
+        weil_pairing(E0, P, Q, 16)
+
+
 def test_rejects_points_outside_torsion():
     P, _ = _basis(3, 3, b"offtorsion")
     with pytest.raises(InvalidPointError):

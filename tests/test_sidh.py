@@ -228,6 +228,13 @@ def test_params_codec_roundtrip(p431):
         params_from_obj(bad)
 
 
+def test_params_integers_reject_json_booleans(p431):
+    """true is not the integer 1, though Python's bool is an int."""
+    assert p431.f == 1
+    with pytest.raises(DecodeError, match="f must be a positive integer"):
+        params_from_obj({**params_to_obj(p431), "f": True})
+
+
 def test_keygen_deterministic_under_seed(p431):
     k1 = keygen(p431, "A", det_rng(99))
     k2 = keygen(p431, "A", det_rng(99))

@@ -162,3 +162,18 @@ def test_transcript_message_faults_name_their_line():
     with pytest.raises(DecodeError,
                        match=r"^transcript line 3: unsupported version True"):
         Transcript.from_bytes(data)
+
+
+def test_transcript_line_not_utf8_is_a_decode_error():
+    with pytest.raises(DecodeError, match=r"^transcript line 2: not UTF-8"):
+        Transcript.from_bytes(b"\n".join([b"", b'{"dir":"\xc3\x28"}', b""]))
+
+
+def test_json_integer_past_the_digit_limit_is_a_decode_error():
+    """Python refuses to parse integers of more than int_max_str_digits
+    digits with a plain ValueError; it must surface as DecodeError."""
+    data = b'{"version": ' + b"1" * 5000 + b"}"
+    with pytest.raises(DecodeError, match="bad JSON: Exceeds the limit"):
+        decode(data)
+    with pytest.raises(DecodeError, match="transcript line 1: Exceeds"):
+        Transcript.from_bytes(data)
