@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analysis import (
@@ -42,7 +43,7 @@ from .sidh import (
 )
 from .transport import connect, serve_one
 from .util import det_rng
-from .wire import Transcript
+from .wire import Transcript, read_json
 
 
 class UsageError(Exception):
@@ -150,11 +151,10 @@ def _build_parser() -> _Parser:
 
 def _params_from_args(args):
     if getattr(args, "params", None):
-        data = _read_file(args.params)
         try:
-            obj = json.loads(data)
-        except (ValueError, RecursionError) as exc:  # JSON, UTF-8, depth
-            raise DecodeError(f"params file is not JSON: {exc}") from exc
+            obj = read_json(_read_file(args.params))
+        except DecodeError as exc:
+            raise DecodeError(f"params file: {exc}") from exc
         return params_from_obj(obj)
     return preset(args.preset or "p431")
 
@@ -177,19 +177,25 @@ def _read_file(path: str) -> bytes:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_file(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(obj, out_path=None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _write_file(out_path, (text + "\n").encode())
     else:
         print(text)
 
 
 def _emit_delivered(output: bytes, out_path=None) -> None:
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(output)
+        _write_file(out_path, output)
     print(f"delivered-hex: {output.hex()}")
     try:
         print(f"delivered-text: {output.decode('utf-8')}")
@@ -215,10 +221,18 @@ def _cmd_keygen(args) -> int:
     return 0
 
 
+def _save_transcript(outcome, path) -> None:
+    if path:
+        _write_file(path, outcome["transcript"].to_bytes())
+
+
 def _open_stream(args):
-    if args.listen:
-        return serve_one(args.listen)
-    return connect(args.connect)
+    try:
+        if args.listen:
+            return serve_one(args.listen)
+        return connect(args.connect)
+    except ValueError as exc:        # a malformed host:port
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_send(args) -> int:
@@ -227,10 +241,10 @@ def _cmd_send(args) -> int:
                            x0=_read_file(args.msg0), x1=_read_file(args.msg1))
     stream = _open_stream(args)
     try:
-        run_session("sender", config, stream,
-                    transcript_path=args.transcript)
+        outcome = run_session("sender", config, stream)
     finally:
         stream.close()
+    _save_transcript(outcome, args.transcript)
     print("sent both ciphertexts")
     return 0
 
@@ -240,10 +254,10 @@ def _cmd_receive(args) -> int:
     config = SessionConfig(params, seed=_seed_from_args(args), b=args.choice)
     stream = _open_stream(args)
     try:
-        outcome = run_session("receiver", config, stream,
-                              transcript_path=args.transcript)
+        outcome = run_session("receiver", config, stream)
     finally:
         stream.close()
+    _save_transcript(outcome, args.transcript)
     _emit_delivered(outcome["output"], args.out)
     return 0
 
@@ -252,10 +266,16 @@ def _cmd_run_local(args) -> int:
     params = _params_from_args(args)
     config = SessionConfig(params, seed=_seed_from_args(args), b=args.choice,
                            x0=_read_file(args.msg0), x1=_read_file(args.msg1))
-    outcome = run_local(config, offline_dir=args.offline)
+    outcome = run_local(config)
     _emit_delivered(outcome["output"], args.out)
     if args.offline:
-        print(f"transcript: {outcome['transcript_path']}")
+        path = os.path.join(args.offline, "transcript.jsonl")
+        try:
+            os.makedirs(args.offline, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create {args.offline}: {exc}") from exc
+        _save_transcript(outcome, path)
+        print(f"transcript: {path}")
     return 0
 
 
@@ -290,8 +310,7 @@ def _cmd_attack(args) -> int:
 def _cmd_baseline(args) -> int:
     outcome = run_baseline_local(args.choice, _read_file(args.msg0),
                                  _read_file(args.msg1), seed=_seed_from_args(args))
-    if args.transcript:
-        outcome["transcript"].save(args.transcript)
+    _save_transcript(outcome, args.transcript)
     _emit_delivered(outcome["output"], args.out)
     return 0
 

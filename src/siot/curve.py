@@ -23,7 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidPointError, SamplingError, SingularCurveError
+from .errors import (FieldMismatchError, InvalidPointError, SamplingError,
+                     SingularCurveError)
 from .field import FieldContext, Fp2
 
 
@@ -56,7 +57,8 @@ class EllipticCurve:
 
     def __init__(self, A: Fp2, B: Fp2):
         if A.ctx.p != B.ctx.p:
-            raise SingularCurveError("A and B from different fields")
+            raise FieldMismatchError(
+                f"A and B from different fields: {A.ctx.p} vs {B.ctx.p}")
         self.A = A
         self.B = B
         self.ctx: FieldContext = A.ctx

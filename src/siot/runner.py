@@ -12,7 +12,6 @@ since restart negotiation is not part of the wire protocol.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .baseline_ot import (
@@ -51,17 +50,10 @@ class SessionConfig:
     b: int | None = None
     x0: bytes | None = None
     x1: bytes | None = None
-    session_id: bytes | None = None
     max_restarts: int = 4
 
 
-def _session_id(config: SessionConfig, rng) -> bytes:
-    if config.session_id is not None:
-        return config.session_id
-    return rng.randbytes(16)
-
-
-def run_local(config: SessionConfig, offline_dir=None) -> dict:
+def run_local(config: SessionConfig) -> dict:
     """Both parties in one process, fixed schedule, full transcript.
 
     Returns the receiver's output, the sender's two j-invariants, the
@@ -69,8 +61,7 @@ def run_local(config: SessionConfig, offline_dir=None) -> dict:
     """
     rng_s = det_rng(sub_seed(config.seed, "sender"))
     rng_r = det_rng(sub_seed(config.seed, "receiver"))
-    rng_id = det_rng(sub_seed(config.seed, "session-id"))
-    sid = _session_id(config, rng_id)
+    sid = det_rng(sub_seed(config.seed, "session-id")).randbytes(16)
 
     restarts = 0
     while True:
@@ -88,7 +79,7 @@ def run_local(config: SessionConfig, offline_dir=None) -> dict:
     transcript = Transcript()
     for msg, body in zip(SCHEDULE, bodies):
         transcript.append(msg.direction, WireMessage(msg.type, sid.hex(), body))
-    outcome = {
+    return {
         "output": receiver.output,
         "sender_j": sender.shared_j,
         "receiver_j": receiver.shared_j[0],
@@ -98,16 +89,9 @@ def run_local(config: SessionConfig, offline_dir=None) -> dict:
         "session_id": sid,
         "restarts": restarts,
     }
-    if offline_dir is not None:
-        os.makedirs(offline_dir, exist_ok=True)
-        path = os.path.join(offline_dir, "transcript.jsonl")
-        transcript.save(path)
-        outcome["transcript_path"] = path
-    return outcome
 
 
-def run_session(role: str, config: SessionConfig, stream,
-                transcript_path=None) -> dict:
+def run_session(role: str, config: SessionConfig, stream) -> dict:
     """One online endpoint over a framed stream.
 
     The sender picks the session id; the receiver adopts it from the
@@ -119,8 +103,7 @@ def run_session(role: str, config: SessionConfig, stream,
     rng = det_rng(config.seed)
     transcript = Transcript()
     if role == "sender":
-        session = SiotSession(config.params, "sender", rng,
-                              _session_id(config, rng),
+        session = SiotSession(config.params, "sender", rng, rng.randbytes(16),
                               x0=config.x0, x1=config.x1)
     else:
         session = None   # built after the session id is learned
@@ -144,8 +127,6 @@ def run_session(role: str, config: SessionConfig, stream,
                     f"expected {msg.type}, peer sent {wm.type}")
             transcript.append(msg.direction, wm)
             getattr(session, msg.consume)(wm.body)
-    if transcript_path is not None:
-        transcript.save(transcript_path)
     return {
         "output": session.output,
         "session": session,

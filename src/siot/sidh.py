@@ -26,7 +26,7 @@ from .errors import (
 from .field import FieldContext, Fp2, is_prime
 from .isogeny import (IsogenyChain, isogeny_chain, kernel_generator,
                       push_through)
-from .util import det_rng
+from .util import det_rng, strict_fromhex
 
 SIDES = ("A", "B")
 
@@ -174,7 +174,8 @@ def keygen(params: PublicParams, side: str, rng) -> SidhKeyPair:
 
 def validate_public(params: PublicParams, producer_side: str,
                     pub: SidhPublic) -> None:
-    """The consumer-side checks: points on curve and in the right torsion.
+    """The one check of a public key: points on curve and in the right
+    torsion, for a decoded key and an in-process one alike.
 
     A public key from side s carries images of the other side's basis,
     so its points must be n(other(s))-torsion.  Failure aborts.
@@ -209,17 +210,11 @@ def derive_shared_j(keypair: SidhKeyPair, their_public: SidhPublic,
 
 # -- serialization ----------------------------------------------------
 
-def elem_to_hex(x: Fp2) -> str:
-    return x.hex()
-
-
-def elem_from_hex(ctx: FieldContext, s: str) -> Fp2:
-    if not isinstance(s, str) or len(s) != 4 * ctx.byte_width or \
-            s != s.lower():
-        raise DecodeError(f"field element hex must be {4 * ctx.byte_width} "
-                          f"lowercase chars")
+def elem_from_hex(ctx: FieldContext, s) -> Fp2:
+    if not isinstance(s, str):
+        raise DecodeError("field element must be a hex string")
     try:
-        return Fp2.from_hex(ctx, s)
+        return Fp2.decode(ctx, strict_fromhex(s))
     except ValueError as exc:
         raise DecodeError(f"bad field element: {exc}") from exc
 
@@ -227,7 +222,7 @@ def elem_from_hex(ctx: FieldContext, s: str) -> Fp2:
 def point_to_obj(P: Point) -> dict:
     if P.infinity:
         return {"inf": True}
-    return {"x": elem_to_hex(P.x), "y": elem_to_hex(P.y)}
+    return {"x": P.x.hex(), "y": P.y.hex()}
 
 
 def point_from_obj(ctx: FieldContext, obj) -> Point:
@@ -254,24 +249,20 @@ def _curve_from_obj(ctx: FieldContext, obj, name: str) -> EllipticCurve:
 
 def public_to_obj(pub: SidhPublic) -> dict:
     return {
-        "curve": {"a": elem_to_hex(pub.curve.A), "b": elem_to_hex(pub.curve.B)},
+        "curve": {"a": pub.curve.A.hex(), "b": pub.curve.B.hex()},
         "g": point_to_obj(pub.G),
         "h": point_to_obj(pub.H),
     }
 
 
 def public_from_obj(ctx: FieldContext, obj) -> SidhPublic:
+    """The key's shape and field elements only; its points are checked
+    on the curve by ``validate_public``, which every caller runs next."""
     if not isinstance(obj, dict) or set(obj) != {"curve", "g", "h"}:
         raise DecodeError("public key needs curve, g, h")
     curve = _curve_from_obj(ctx, obj["curve"], "curve")
-    G = point_from_obj(ctx, obj["g"])
-    H = point_from_obj(ctx, obj["h"])
-    try:
-        curve.check_point(G)
-        curve.check_point(H)
-    except InvalidPointError as exc:
-        raise DecodeError(f"point not on declared curve: {exc}") from exc
-    return SidhPublic(curve, G, H)
+    return SidhPublic(curve, point_from_obj(ctx, obj["g"]),
+                      point_from_obj(ctx, obj["h"]))
 
 
 def params_to_obj(params: PublicParams) -> dict:
@@ -280,8 +271,7 @@ def params_to_obj(params: PublicParams) -> dict:
         "la": params.ell_a, "ea": params.e_a,
         "lb": params.ell_b, "eb": params.e_b,
         "f": params.f,
-        "e0": {"a": elem_to_hex(params.curve.A),
-               "b": elem_to_hex(params.curve.B)},
+        "e0": {"a": params.curve.A.hex(), "b": params.curve.B.hex()},
         "pa": point_to_obj(params.basis_a[0]),
         "qa": point_to_obj(params.basis_a[1]),
         "pb": point_to_obj(params.basis_b[0]),

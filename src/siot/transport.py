@@ -56,7 +56,7 @@ def recv_frame(stream) -> bytes:
 
 def parse_addr(addr: str) -> tuple[str, int]:
     host, sep, port = addr.rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep or not port.isdigit() or int(port) > 65535:
         raise ValueError(f"address must be host:port, got {addr!r}")
     return host or "127.0.0.1", int(port)
 

@@ -18,17 +18,6 @@ from .util import canonical_json, strict_fromhex
 VERSION = 1
 SESSION_ID_LEN = 16
 
-MESSAGE_TYPES = (
-    "coin-commit",
-    "coin-reveal",
-    "pk-sender",
-    "pk-receiver",
-    "ciphertexts",
-    "baseline-setup",
-    "baseline-response",
-    "baseline-ciphertexts",
-)
-
 # required body keys per type; bodies may not carry extras
 _BODY_KEYS = {
     "coin-commit": {"commit"},
@@ -62,7 +51,7 @@ def _check_session(session: str) -> None:
 
 def _check(msg: WireMessage) -> None:
     """The one structural check of a message, written or read."""
-    if msg.type not in MESSAGE_TYPES:
+    if not isinstance(msg.type, str) or msg.type not in _BODY_KEYS:
         raise DecodeError(f"unknown message type {msg.type!r}")
     if type(msg.version) is not int or msg.version != VERSION:
         raise DecodeError(f"unsupported version {msg.version!r}")
@@ -97,18 +86,26 @@ def encode(msg: WireMessage) -> bytes:
     return canonical_json(_to_obj(msg))
 
 
-def decode(data: bytes) -> WireMessage:
+def read_json(data: bytes):
+    """The one reader of outside JSON: frames, transcript lines and
+    parameter files.  Strict UTF-8, then ``json.loads``; every fault is
+    a ``DecodeError``."""
     try:
-        obj = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DecodeError("message is not UTF-8", position=exc.start) from exc
+        raise DecodeError("not UTF-8", position=exc.start) from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DecodeError(f"bad JSON: {exc.msg}", position=exc.pos) from exc
     except ValueError as exc:        # an integer past int_max_str_digits
         raise DecodeError(f"bad JSON: {exc}") from exc
     except RecursionError as exc:
-        raise DecodeError("bad JSON: nested too deeply") from exc
-    return _from_obj(obj)
+        raise DecodeError("nested too deeply") from exc
+
+
+def decode(data: bytes) -> WireMessage:
+    return _from_obj(read_json(data))
 
 
 @dataclass
@@ -136,23 +133,11 @@ class Transcript:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DecodeError(f"transcript line {i + 1}: {exc.msg}",
-                                  position=exc.pos) from exc
-            except RecursionError as exc:
-                raise DecodeError(f"transcript line {i + 1}: "
-                                  "nested too deeply") from exc
-            except UnicodeDecodeError as exc:
-                raise DecodeError(f"transcript line {i + 1}: not UTF-8",
-                                  position=exc.start) from exc
-            except ValueError as exc:    # an integer past int_max_str_digits
-                raise DecodeError(f"transcript line {i + 1}: {exc}") from exc
-            if not isinstance(obj, dict) or set(obj) != {"dir", "msg"}:
-                raise DecodeError(f"transcript line {i + 1}: needs dir and msg")
-            if obj["dir"] not in ("sender->receiver", "receiver->sender"):
-                raise DecodeError(f"transcript line {i + 1}: bad direction")
-            try:
+                obj = read_json(line)
+                if not isinstance(obj, dict) or set(obj) != {"dir", "msg"}:
+                    raise DecodeError("needs dir and msg")
+                if obj["dir"] not in ("sender->receiver", "receiver->sender"):
+                    raise DecodeError("bad direction")
                 msg = _from_obj(obj["msg"])
             except DecodeError as exc:
                 raise DecodeError(f"transcript line {i + 1}: {exc}") from exc

@@ -100,6 +100,8 @@ def test_params_file_with_malformed_e0_exits_two(tmp_path, capsys):
     bad.append({**good, "la": 4, "ea": 2})   # p is still 431
     bad = [json.dumps(obj).encode() for obj in bad]
     bad.append(b'{"p": ')                     # not JSON at all
+    for enc in ("utf-16", "utf-32"):          # JSON, but not UTF-8
+        bad.append(json.dumps(good).encode(enc))
     for data in bad:
         path = _write(tmp_path, "params.json", data)
         for argv in (["keygen", "--params", path, "--side", "A"],
@@ -150,6 +152,37 @@ def test_usage_errors_exit_four(tmp_path, capsys):
     assert main(["verify-transcript", str(tmp_path / "absent"),
                  "--preset", "p431"]) == 4                  # no transcript
     capsys.readouterr()
+
+
+def test_malformed_addresses_exit_four(tmp_path, capsys):
+    m0 = _write(tmp_path, "m0", b"x")
+    m1 = _write(tmp_path, "m1", b"y")
+    for argv in (["send", "--connect", "nohostport", "--msg0", m0,
+                  "--msg1", m1],
+                 ["receive", "--listen", ":notaport", "--choice", "0"],
+                 ["receive", "--listen", "127.0.0.1:65536", "--choice", "0"]):
+        assert main([*argv, "--preset", "p431"]) == 4
+        assert "address must be host:port" in capsys.readouterr().err
+
+
+def test_unwritable_output_paths_exit_four(tmp_path, capsys):
+    """Every output file is written through one helper: a path that
+    cannot be written is a usage error, not a traceback."""
+    m0 = _write(tmp_path, "m0", b"m0")
+    m1 = _write(tmp_path, "m1", b"m1")
+    missing = str(tmp_path / "missing")
+    run = ["--choice", "1", "--msg0", m0, "--msg1", m1, "--seed", "03"]
+    for argv in (["keygen", "--preset", "p431", "--side", "A",
+                  "-o", f"{missing}/x.json"],
+                 ["run-local", "--preset", "p431", *run,
+                  "-o", f"{missing}/o.bin"],
+                 ["run-local", "--preset", "p431", *run,
+                  "--offline", f"{m0}/sub"],
+                 ["baseline-ot", "run", *run,
+                  "--transcript", f"{m0}/t.jsonl"]):
+        assert main(argv) == 4
+        assert "usage error: cannot" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_dead_port_is_transport_error(tmp_path, capsys):

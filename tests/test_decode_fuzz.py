@@ -1,11 +1,13 @@
-"""Property tests for the decoders that take outside data: whatever a
-parameter file or a peer's public key holds, ``params_from_obj`` and
-``public_from_obj`` either return or raise ``DecodeError``.
+"""Property tests for the readers of outside data: whatever a parameter
+file, a peer's public key, a frame or a transcript holds, the reader
+returns (for a transcript, ``verify_transcript`` gives a verdict) or
+raises ``DecodeError``, never another exception.
 
 Each example mutates a real object a few times: keys are dropped or
 added, values are replaced by other JSON types, hex strings get a
 flipped or non-hex digit, integer fields get the wrong type or size,
-and coordinates are swapped within or between points.
+and coordinates are swapped within or between points.  Frames and
+transcripts are also mutated as bytes, and transcripts line by line.
 """
 
 import json
@@ -14,13 +16,19 @@ import string
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from siot import det_rng, keygen, params_from_obj, params_to_obj, preset
+from siot import (SessionConfig, Transcript, canonical_json, det_rng, keygen,
+                  params_from_obj, params_to_obj, preset, run_local,
+                  verify_transcript)
 from siot.errors import DecodeError
 from siot.sidh import public_from_obj, public_to_obj
+from siot.wire import decode, encode
 
 P431 = preset("p431")
 PARAMS = params_to_obj(P431)
 PUBLIC = public_to_obj(keygen(P431, "A", det_rng(b"fuzz/public")).public)
+TRANSCRIPT = run_local(SessionConfig(P431, seed=b"fuzz/transcript", b=1,
+                                     x0=b"zero", x1=b"one"))["transcript"]
+FRAMES = [encode(msg) for _, msg in TRANSCRIPT.entries]
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -120,6 +128,50 @@ def _mutated(data, original):
     return obj
 
 
+def _mutate_bytes(data, raw):
+    i = data.draw(st.integers(0, len(raw)))
+    how = data.draw(st.sampled_from(["set", "delete", "insert", "cut"]))
+    if how == "set" and i < len(raw):
+        return raw[:i] + bytes([data.draw(st.integers(0, 255))]) + raw[i + 1:]
+    if how == "delete":
+        return raw[:i] + raw[data.draw(st.integers(i, len(raw))):]
+    if how == "insert":
+        return raw[:i] + data.draw(st.binary(min_size=1, max_size=4)) + raw[i:]
+    return raw[:i]
+
+
+def _mutated_frame(data, frame):
+    if data.draw(st.booleans()):
+        return _mutate_bytes(data, frame)
+    return canonical_json(_mutated(data, json.loads(frame)))
+
+
+def _mutated_transcript(data):
+    """Edits of a few message bodies, then of a whole line's JSON, then
+    of a line's bytes or the order of the lines."""
+    objs = [json.loads(line) for line in TRANSCRIPT.to_bytes().splitlines()]
+    for _ in range(data.draw(st.integers(0, 2))):
+        msg = data.draw(st.sampled_from(objs))["msg"]
+        msg["body"] = _mutated(data, msg["body"])
+    if data.draw(st.integers(0, 3)) == 0:
+        i = data.draw(st.integers(0, len(objs) - 1))
+        objs[i] = _mutated(data, objs[i])
+    lines = [canonical_json(obj) for obj in objs]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    how = data.draw(st.sampled_from(["none", "bytes", "drop", "copy",
+                                     "swap"]))
+    if how == "bytes":
+        lines[i] = _mutate_bytes(data, lines[i])
+    elif how == "drop":
+        del lines[i]
+    elif how == "copy":
+        lines.insert(i, lines[i])
+    elif how == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    return b"\n".join(lines)
+
+
 @FUZZ
 @given(st.data())
 def test_params_from_obj_returns_or_raises_decode_error(data):
@@ -139,3 +191,23 @@ def test_public_from_obj_returns_or_raises_decode_error(data):
     except DecodeError:
         pass
 
+
+@FUZZ
+@given(st.data())
+def test_decode_returns_or_raises_decode_error(data):
+    frame = _mutated_frame(data, data.draw(st.sampled_from(FRAMES)))
+    try:
+        decode(frame)
+    except DecodeError:
+        pass
+
+
+@FUZZ
+@given(st.data())
+def test_verify_transcript_gives_a_verdict_or_decode_error(data):
+    try:
+        transcript = Transcript.from_bytes(_mutated_transcript(data))
+    except DecodeError:
+        return
+    report = verify_transcript(transcript, P431)
+    assert report["ok"] is all(c["ok"] for c in report["checks"])

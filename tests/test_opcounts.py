@@ -65,11 +65,15 @@ def test_p431_session_op_counts(monkeypatch):
     inv = _counter(monkeypatch, Fp2, "inv")
     add = _counter(monkeypatch, EllipticCurve, "add")
     velu = _counter(monkeypatch, siot.isogeny, "velu_step")
+    checks = _counter(monkeypatch, EllipticCurve, "check_point")
     out = run_local(SessionConfig(params, seed=b"opcount", b=0,
                                   x0=b"zero", x1=b"one"))
     assert out["restarts"] == 0
     assert out["output"] == b"zero"
     assert (inv[0], add[0], velu[0]) == (73, 37, 18)
+    # G and H once in each party's validate_public of the peer's key,
+    # and once in the pairing that certifies the receiver's masked pair
+    assert checks[0] == 6
 
 
 def test_online_pair_serializes_each_message_once(monkeypatch):

@@ -37,9 +37,13 @@ def test_run_local_delivers_choice(p431):
 
 
 def test_run_local_offline_dir(p431, tmp_path):
-    out = run_local(_config(p431, 1), offline_dir=str(tmp_path / "sess"))
-    loaded = Transcript.load(out["transcript_path"])
+    """A run's transcript survives a save and load unchanged."""
+    out = run_local(_config(p431, 1))
+    path = tmp_path / "transcript.jsonl"
+    out["transcript"].save(path)
+    loaded = Transcript.load(path)
     assert loaded.entries == out["transcript"].entries
+    assert path.read_bytes() == out["transcript"].to_bytes()
 
 
 def test_transcripts_are_reproducible(p431):

@@ -54,6 +54,10 @@ def test_unknown_type_and_version_rejected():
     raw["version"] = 99
     with pytest.raises(DecodeError):
         decode(json.dumps(raw).encode())
+    for mtype in ([], ["coin-commit"], {}):     # unhashable: no dict lookup
+        raw = dict(json.loads(encode(_msg())), type=mtype)
+        with pytest.raises(DecodeError, match="unknown message type"):
+            decode(json.dumps(raw).encode())
 
 
 def test_body_schema_enforced():
@@ -175,5 +179,30 @@ def test_json_integer_past_the_digit_limit_is_a_decode_error():
     data = b'{"version": ' + b"1" * 5000 + b"}"
     with pytest.raises(DecodeError, match="bad JSON: Exceeds the limit"):
         decode(data)
-    with pytest.raises(DecodeError, match="transcript line 1: Exceeds"):
+    with pytest.raises(DecodeError,
+                       match="transcript line 1: bad JSON: Exceeds"):
         Transcript.from_bytes(data)
+
+
+@pytest.mark.parametrize("encoding",
+                         ["utf-16", "utf-16-le", "utf-32", "utf-32-be"])
+def test_json_in_other_unicode_encodings_is_a_decode_error(encoding):
+    """Outside JSON is strict UTF-8, whatever reads it; ``json.loads``
+    given bytes would detect and accept UTF-16 and UTF-32."""
+    line = json.dumps({"dir": "sender->receiver",
+                       "msg": json.loads(encode(_msg()))})
+    with pytest.raises(DecodeError, match="^transcript line 1: "):
+        Transcript.from_bytes(line.encode(encoding))
+    with pytest.raises(DecodeError):
+        decode(encode(_msg()).decode().encode(encoding))
+
+
+def test_utf8_encoded_surrogate_is_a_decode_error():
+    """A lone surrogate's three UTF-8-style bytes are not UTF-8."""
+    line = json.dumps({"dir": "sender->receiver",
+                       "msg": json.loads(encode(_msg(body={"commit": "@"})))})
+    data = line.encode().replace(b"@", b"\xed\xa0\x80")
+    with pytest.raises(DecodeError, match="^transcript line 1: not UTF-8"):
+        Transcript.from_bytes(data)
+    with pytest.raises(DecodeError, match="^not UTF-8"):
+        decode(data)
