@@ -1,13 +1,14 @@
 """Oblivious transfer from supersingular isogenies, at toy scale.
 
 Layers, bottom up: quadratic extension field arithmetic (field), short
-Weierstrass curves (curve), Weil and distortion pairings with basis
-decomposition (pairing), prime-power isogeny chains (isogeny), the
-two-torsion-tower key exchange (sidh), the masked 1-of-2 OT protocol
-and its one message schedule (siot), a classical-group reference OT
-(baseline_ot), adversarial probes and oracles (analysis), and the wire
-format, framing, session drivers and CLI (wire, transport, runner,
-cli).
+Weierstrass curves (curve), prime-power isogeny chains (isogeny), Weil
+and distortion pairings with basis sampling and decomposition
+(pairing), the two-torsion-tower key exchange (sidh), the masked 1-of-2
+OT protocol and its one message schedule (siot), a classical-group
+reference OT (baseline_ot), the wire format, framing and session
+drivers (wire, transport, runner), adversarial probes and oracles
+(analysis), and the CLI (cli).  ``tests/test_layers.py`` holds each
+module to importing only those below it.
 
 The package namespace holds the session drivers and what the demos and
 the benchmark use; every other name is imported from its submodule,

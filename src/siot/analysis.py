@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import gcd
 
 from .curve import EllipticCurve, Point
 from .errors import (DecryptionError, InconsistentKeyError,
@@ -151,18 +152,10 @@ def same_cyclic_subgroup(E: EllipticCurve, basis, K1: Point, K2: Point,
                          n: int) -> bool:
     """Whether <K1> = <K2> inside the torsion spanned by the basis."""
     G, H = basis
-    d1 = decompose_in_basis(E, G, H, K1, n)
-    d2 = decompose_in_basis(E, G, H, K2, n)
-    if (d1.u * d2.v - d1.v * d2.u) % n != 0:
+    (u1, v1), (u2, v2) = (decompose_in_basis(E, G, H, K, n) for K in (K1, K2))
+    if (u1 * v2 - v1 * u2) % n != 0:
         return False
-    return _tuple_order(d1, n) == _tuple_order(d2, n)
-
-
-def _tuple_order(d, n: int) -> int:
-    from math import gcd
-
-    g = gcd(gcd(d.u, d.v), n)
-    return n // g
+    return gcd(u1, v1, n) == gcd(u2, v2, n)
 
 
 def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:

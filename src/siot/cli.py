@@ -42,7 +42,7 @@ from .sidh import (
     public_to_obj,
 )
 from .transport import connect, serve_one
-from .util import det_rng
+from .util import det_rng, strict_fromhex
 from .wire import Transcript, read_json
 
 
@@ -163,7 +163,7 @@ def _seed_from_args(args):
     seed = getattr(args, "seed", None)
     if seed is not None:
         try:
-            bytes.fromhex(seed)
+            strict_fromhex(seed)
         except ValueError as exc:
             raise UsageError(f"--seed must be hex: {exc}") from exc
     return seed

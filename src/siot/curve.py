@@ -1,11 +1,11 @@
 """Short-Weierstrass curves y^2 = x^3 + Ax + B over F_{p^2}.
 
 Points are affine with an explicit infinity marker; the group law,
-j-invariants and torsion-basis sampling live here.  There is one group
-law: the Jacobian doubling and mixed addition at the end of this module,
-with (X, Y, Z) standing for (X/Z^2, Y/Z^3).  ``add`` lifts its first
-point to Z = 1 and takes one mixed addition; ``mul`` runs
-double-and-add on the Jacobian point.  Both convert back to affine once,
+j-invariants, point sampling and the exact-order test live here.  There
+is one group law: the Jacobian doubling and mixed addition at the end of
+this module, with (X, Y, Z) standing for (X/Z^2, Y/Z^3).  ``add``
+lifts its first point to Z = 1 and takes one mixed addition; ``mul``
+runs double-and-add on the Jacobian point.  Both convert back to affine once,
 in ``_affine``, so each makes one field inversion, and none when the
 result is O.  The two steps also serve the Miller loop in ``pairing``.
 They, ``_affine`` and the on-curve test are straight-line arithmetic on
@@ -15,7 +15,9 @@ and leave them as ``Fp2`` values.
 The group law trusts its inputs: ``add`` and ``mul`` assume their
 points lie on the curve and do not check.  Points are checked once,
 where outside data enters (``point``, ``check_point``); every point
-past that boundary is computed from checked ones.
+past that boundary is computed from checked ones.  Torsion is proved
+the same way, once, by ``has_exact_order``: where a point of given
+order is sampled, and where a key or a parameter file enters.
 """
 
 from __future__ import annotations
@@ -184,16 +186,33 @@ class EllipticCurve:
 
         group_exponent is the exponent (annihilator) of the rational
         point group, not its order: every point's order must divide it.
+        A point outside the ell^e-torsion shows that it does not, and
+        raises SamplingError.
         """
         n = ell ** e
-        cofactor, check = group_exponent // n, n // ell
+        cofactor = group_exponent // n
         if cofactor * n != group_exponent:
             raise SamplingError(f"{ell}^{e} does not divide {group_exponent}")
         for _ in range(tries):
             P = self.mul(cofactor, self.random_point(rng))
-            if not self.mul(check, P).infinity:
-                return P
+            try:
+                if self.has_exact_order(P, ell, e):
+                    return P
+            except InvalidPointError as exc:
+                raise SamplingError(f"{group_exponent} leaves a point outside "
+                                    f"the {n}-torsion") from exc
         raise SamplingError(f"no point of order {ell}^{e} in {tries} draws")
+
+    def has_exact_order(self, P: Point, ell: int, e: int) -> bool:
+        """Whether P, which must be ell^e-torsion, has exact order ell^e.
+
+        The one torsion test: R = [ell^(e-1)]P must satisfy [ell]R = O,
+        else InvalidPointError; P has exact order ell^e when R is not O.
+        """
+        R = self.mul(ell ** (e - 1), P)
+        if not self.mul(ell, R).infinity:
+            raise InvalidPointError(f"{P!r} is not {ell ** e}-torsion")
+        return not R.infinity
 
 
 # -- Jacobian steps on (a, b) integer pairs ----------------------------
@@ -262,24 +281,3 @@ def jac_add_affine(T, P, A, p: int):
     return (((x3a, x3b), (y3a, y3b),
              ((z1a * ha - z1b * hb) % p, (z1a * hb + z1b * ha) % p)),
             (ra, rb))
-
-
-def sample_torsion_basis(curve: EllipticCurve, ell: int, e: int,
-                         group_exponent: int, rng: random.Random,
-                         tries: int = 200):
-    """Independent basis (P, Q) of the ell^e-torsion.
-
-    Independence is certified by the Weil pairing: e(P, Q) must have
-    exact multiplicative order ell^e.  Sampling method is irrelevant to
-    correctness; the certificate is authoritative.
-    """
-    from .pairing import is_torsion_basis   # cycle: pairing needs curve
-
-    P = curve.random_point_of_order(ell, e, group_exponent, rng, tries)
-    for _ in range(tries):
-        Q = curve.random_point_of_order(ell, e, group_exponent, rng, tries)
-        if is_torsion_basis(curve, P, Q, ell, e):
-            return P, Q
-    raise SamplingError(f"no independent partner of order {ell}^{e} "
-                        f"in {tries} draws")
-

@@ -1,5 +1,11 @@
 """Weil pairing on prime-power torsion, distortion and symmetric variants,
-and pairing-based decomposition of points over a torsion basis.
+torsion-basis sampling and its certificate, and pairing-based
+decomposition of points over a torsion basis.
+
+Pairings return plain ``Fp2`` values, n-th roots of unity, and trust
+their inputs: like ``add`` and ``mul`` in ``curve``, they take points
+proved n-torsion where they were made or where they entered, and do
+not prove it again.
 
 The pairing is computed with Miller's algorithm as a ratio of four
 Miller functions evaluated at divisor representatives offset by an
@@ -23,58 +29,15 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 
 from .curve import EllipticCurve, Point, INFINITY, jac_add_affine, jac_double
-from .errors import (
-    DecompositionError,
-    InvalidPointError,
-    UnsupportedParameterError,
-)
+from .errors import (DecompositionError, SamplingError,
+                     UnsupportedParameterError)
 from .field import Fp2
 
 
 class _Degenerate(Exception):
     """Internal: auxiliary point hit a zero or pole. Retried, never raised out."""
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """A value in the order-n subgroup of the multiplicative group of Fp2.
-
-    ``weil_pairing`` checks z^n = 1 where it makes one; products and
-    powers stay in the subgroup and are not checked again.
-    """
-
-    value: Fp2
-    order_bound: int
-
-    def __mul__(self, other: RootOfUnity) -> RootOfUnity:
-        return RootOfUnity(self.value * other.value, self.order_bound)
-
-    def __pow__(self, k: int):
-        return RootOfUnity(self.value ** (k % self.order_bound), self.order_bound)
-
-    def __eq__(self, other):
-        if isinstance(other, RootOfUnity):
-            return self.value == other.value
-        if isinstance(other, Fp2):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def is_one(self) -> bool:
-        return self.value == self.value.ctx.one()
-
-
-@dataclass(frozen=True)
-class BasisDecomposition:
-    """Coefficients (u, v) of P = [u]G + [v]H over a torsion basis."""
-
-    u: int
-    v: int
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -165,8 +128,9 @@ def _aux_point(E: EllipticCurve, P: Point, Q: Point, n: int, attempt: int) -> Po
     return E.random_point(rng)
 
 
-def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> RootOfUnity:
-    """Weil pairing e_n(P, Q) for n-torsion points P, Q.
+def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> Fp2:
+    """Weil pairing e_n(P, Q), an n-th root of unity, for checked
+    n-torsion points P, Q of E (not proved again here).
 
     Bilinear, alternating, and nondegenerate on a basis of the full
     n-torsion.  Computed as
@@ -174,14 +138,11 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> RootOfUnity:
         [f_{n,P}(Q+S) / f_{n,P}(S)] / [f_{n,Q}(P-S) / f_{n,Q}(-S)]
 
     for an auxiliary point S avoiding all zeros and poles, with the four
-    values combined into one quotient and a single division.
+    values combined into one quotient and a single division.  A value
+    with z^n != 1 raises ValueError.
     """
-    E.check_point(P)
-    E.check_point(Q)
-    if not E.mul(n, P).infinity or not E.mul(n, Q).infinity:
-        raise InvalidPointError(f"arguments must be {n}-torsion points")
     if P.infinity or Q.infinity or P == Q or P == E.neg(Q):
-        return RootOfUnity(E.ctx.one(), n)
+        return E.ctx.one()
     for attempt in range(256):
         S = _aux_point(E, P, Q, n, attempt)
         try:
@@ -194,20 +155,39 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> RootOfUnity:
             continue
         if z ** n != E.ctx.one():
             raise ValueError("value does not satisfy its order bound")
-        return RootOfUnity(z, n)
+        return z
     raise ArithmeticError("no admissible auxiliary point in 256 draws")
 
 
 def is_torsion_basis(E: EllipticCurve, P: Point, Q: Point,
                      ell: int, e: int) -> bool:
-    """Whether (P, Q) is a basis of the ell^e-torsion of E.
+    """Whether (P, Q), two checked ell^e-torsion points of E, is a basis
+    of the ell^e-torsion.
 
     The certificate is the Weil pairing: e(P, Q) must have exact order
-    ell^e.  Raises InvalidPointError, as the pairing does, when P or Q
-    is off E or outside the ell^e-torsion.
+    ell^e.
     """
     n = ell ** e
-    return not (weil_pairing(E, P, Q, n) ** (n // ell)).is_one()
+    return weil_pairing(E, P, Q, n) ** (n // ell) != E.ctx.one()
+
+
+def sample_torsion_basis(curve: EllipticCurve, ell: int, e: int,
+                         group_exponent: int, rng: random.Random,
+                         tries: int = 200):
+    """Independent basis (P, Q) of the ell^e-torsion.
+
+    Both points come from ``random_point_of_order``, which proves their
+    order.  Independence is certified by ``is_torsion_basis``; the
+    sampling method is irrelevant to correctness, the certificate is
+    authoritative.
+    """
+    P = curve.random_point_of_order(ell, e, group_exponent, rng, tries)
+    for _ in range(tries):
+        Q = curve.random_point_of_order(ell, e, group_exponent, rng, tries)
+        if is_torsion_basis(curve, P, Q, ell, e):
+            return P, Q
+    raise SamplingError(f"no independent partner of order {ell}^{e} "
+                        f"in {tries} draws")
 
 
 def distortion_map(E: EllipticCurve, P: Point) -> Point:
@@ -226,7 +206,7 @@ def distortion_map(E: EllipticCurve, P: Point) -> Point:
     return Point(-P.x, ctx.i() * P.y)
 
 
-def modified_pairing(E: EllipticCurve, Q: Point, Qp: Point, n: int) -> RootOfUnity:
+def modified_pairing(E: EllipticCurve, Q: Point, Qp: Point, n: int) -> Fp2:
     """Distortion-modified pairing e_n(Q, psi(Q')), nonzero on the diagonal."""
     return weil_pairing(E, Q, distortion_map(E, Qp), n)
 
@@ -246,7 +226,7 @@ def _prime_power(n: int) -> tuple[int, int]:
 
 
 def symmetric_pairing(E: EllipticCurve, G: Point, H: Point,
-                      P: Point, Q: Point, n: int) -> RootOfUnity:
+                      P: Point, Q: Point, n: int) -> Fp2:
     """Symmetric pairing on span(G, H): e(P, psi(Q)) with the basis map
     psi([u]G + [v]H) = [v]G - [u]H.
 
@@ -258,8 +238,8 @@ def symmetric_pairing(E: EllipticCurve, G: Point, H: Point,
     if ell == 2 or ell % 4 == 1:
         raise UnsupportedParameterError(
             f"x^2 + 1 has a root mod {ell}; symmetric pairing undefined")
-    d = decompose_in_basis(E, G, H, Q, n)
-    image = E.sub(E.mul(d.v, G), E.mul(d.u, H))
+    u, v = decompose_in_basis(E, G, H, Q, n)
+    image = E.sub(E.mul(v, G), E.mul(u, H))
     return weil_pairing(E, P, image, n)
 
 
@@ -285,7 +265,7 @@ def _dlog_prime_power(base: Fp2, target: Fp2, ell: int, e: int) -> int:
 
 
 def decompose_in_basis(E: EllipticCurve, G: Point, H: Point,
-                       P: Point, n: int) -> BasisDecomposition:
+                       P: Point, n: int) -> tuple[int, int]:
     """Coefficients (u, v) with P = [u]G + [v]H, for a certified basis (G, H).
 
     Reduces to discrete logs among roots of unity: u is the log of
@@ -294,11 +274,11 @@ def decompose_in_basis(E: EllipticCurve, G: Point, H: Point,
     verified by recombination before it is returned.
     """
     ell, e = _prime_power(n)
-    zeta = weil_pairing(E, G, H, n).value
+    zeta = weil_pairing(E, G, H, n)
     if zeta ** (n // ell) == E.ctx.one():
         raise DecompositionError("basis pairing does not have full order")
-    u = _dlog_prime_power(zeta, weil_pairing(E, P, H, n).value, ell, e)
-    v = _dlog_prime_power(zeta, weil_pairing(E, G, P, n).value, ell, e)
+    u = _dlog_prime_power(zeta, weil_pairing(E, P, H, n), ell, e)
+    v = _dlog_prime_power(zeta, weil_pairing(E, G, P, n), ell, e)
     if E.add(E.mul(u, G), E.mul(v, H)) != P:
         raise DecompositionError("recombination mismatch")
-    return BasisDecomposition(u, v)
+    return u, v

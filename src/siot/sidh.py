@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .curve import EllipticCurve, Point, INFINITY, sample_torsion_basis
+from .curve import EllipticCurve, Point, INFINITY
 from .errors import (
     DecodeError,
     InvalidPointError,
@@ -26,6 +26,7 @@ from .errors import (
 from .field import FieldContext, Fp2, is_prime
 from .isogeny import (IsogenyChain, isogeny_chain, kernel_generator,
                       push_through)
+from .pairing import is_torsion_basis, sample_torsion_basis
 from .util import det_rng, strict_fromhex
 
 SIDES = ("A", "B")
@@ -174,25 +175,26 @@ def keygen(params: PublicParams, side: str, rng) -> SidhKeyPair:
 
 def validate_public(params: PublicParams, producer_side: str,
                     pub: SidhPublic) -> None:
-    """The one check of a public key: points on curve and in the right
-    torsion, for a decoded key and an in-process one alike.
+    """The one check of a public key: points on curve and of exact
+    torsion order, for a decoded key and an in-process one alike.
 
     A public key from side s carries images of the other side's basis,
-    so its points must be n(other(s))-torsion.  Failure aborts.
+    so its points must have exact order n(other(s)).  Failure aborts.
     """
     code = "bad-sender-key" if producer_side == "A" else "bad-receiver-key"
-    n = params.n(other_side(producer_side))
-    ell = params.ell(other_side(producer_side))
+    side = other_side(producer_side)
+    n, ell, e = params.n(side), params.ell(side), params.e(side)
     try:
         pub.curve.check_point(pub.G)
         pub.curve.check_point(pub.H)
     except InvalidPointError as exc:
         raise ProtocolAbort(code, f"public point off curve: {exc}") from exc
     for name, pt in (("G", pub.G), ("H", pub.H)):
-        R = pub.curve.mul(n // ell, pt)
-        if not pub.curve.mul(ell, R).infinity:
-            raise ProtocolAbort(code, f"{name} is not {n}-torsion")
-        if R.infinity:
+        try:
+            full = pub.curve.has_exact_order(pt, ell, e)
+        except InvalidPointError as exc:
+            raise ProtocolAbort(code, f"{name} is not {n}-torsion") from exc
+        if not full:
             raise ProtocolAbort(code, f"{name} does not have full order {n}")
 
 
@@ -313,19 +315,14 @@ def params_from_obj(obj) -> PublicParams:
     params = PublicParams(ints["p"], ints["la"], ints["ea"], ints["lb"],
                           ints["eb"], ints["f"], curve,
                           (pts["pa"], pts["qa"]), (pts["pb"], pts["qb"]))
-    _certify_params(params)
-    return params
-
-
-def _certify_params(params: PublicParams) -> None:
-    from .pairing import is_torsion_basis   # local: pairing imports curve
-
-    for side in SIDES:
-        P, Q = params.basis(side)
-        try:
-            ok = is_torsion_basis(params.curve, P, Q, params.ell(side),
-                                  params.e(side))
-        except InvalidPointError as exc:
-            raise DecodeError(f"side {side} basis: {exc}") from exc
-        if not ok:
+    for side, keys in (("A", ("pa", "qa")), ("B", ("pb", "qb"))):
+        ell, e = params.ell(side), params.e(side)
+        for k in keys:
+            try:
+                curve.has_exact_order(pts[k], ell, e)
+            except InvalidPointError as exc:
+                raise DecodeError(f"side {side} basis: {k} is not "
+                                  f"{params.n(side)}-torsion") from exc
+        if not is_torsion_basis(curve, *params.basis(side), ell, e):
             raise DecodeError(f"side {side} basis fails independence")
+    return params

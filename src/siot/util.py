@@ -18,11 +18,12 @@ _TAG_PREFIX = b"siot/v1/"
 
 
 def det_rng(seed) -> random.Random:
-    """Seeded RNG; accepts int, bytes, hex str, or None (system entropy)."""
+    """Seeded RNG; accepts int, bytes, a lowercase hex str, or None
+    (system entropy)."""
     if seed is None:
         return random.Random()
     if isinstance(seed, str):
-        seed = bytes.fromhex(seed)
+        seed = strict_fromhex(seed)
     if isinstance(seed, bytes):
         seed = int.from_bytes(hashlib.sha256(_TAG_PREFIX + b"rng" + seed).digest(),
                               "big")
@@ -36,7 +37,7 @@ def sub_seed(seed, label: str):
     if isinstance(seed, int):
         seed = seed.to_bytes((seed.bit_length() + 7) // 8 or 1, "big")
     if isinstance(seed, str):
-        seed = bytes.fromhex(seed)
+        seed = strict_fromhex(seed)
     return hashlib.sha256(_TAG_PREFIX + b"subseed/" + label.encode() + b"/"
                           + seed).digest()
 

@@ -143,12 +143,3 @@ class Transcript:
                 raise DecodeError(f"transcript line {i + 1}: {exc}") from exc
             t.append(obj["dir"], msg)
         return t
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> Transcript:
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())

@@ -305,10 +305,10 @@ def sqrt_by_exponentiation(x: Fp2) -> Fp2 | None:
     return root if root.encode() <= other.encode() else other
 
 
-def multiplicative_order(z) -> int:
-    """Exact order of a RootOfUnity's value, for a prime-power bound:
-    raise it to the bound's prime until it reaches one."""
-    n, order, v = z.order_bound, 1, z.value
+def multiplicative_order(z: Fp2, n: int) -> int:
+    """Exact order of an n-th root of unity z, for a prime-power n:
+    raise it to n's prime until it reaches one."""
+    order, v = 1, z
     ell = next(d for d in range(2, n + 1) if n % d == 0)
     while v != v.ctx.one():
         if order >= n:

@@ -201,13 +201,14 @@ def test_08_pairing_suite(p431, p2591):
         Q = E.add(E.mul(c, G), E.mul(d, H))
         R = E.add(E.mul(f, G), E.mul(g, H))
         z = weil_pairing(E, P, Q, n)
-        assert (z ** n).is_one()
-        assert weil_pairing(E, P, P, n).is_one()
-        assert (z * weil_pairing(E, Q, P, n)).is_one()
+        one = E.ctx.one()
+        assert z ** n == one
+        assert weil_pairing(E, P, P, n) == one
+        assert z * weil_pairing(E, Q, P, n) == one
         assert weil_pairing(E, E.add(P, R), Q, n) \
             == z * weil_pairing(E, R, Q, n)
         det = (a * d - b * c) % n
-        assert multiplicative_order(z) == n // math.gcd(det, n)
+        assert multiplicative_order(z, n) == n // math.gcd(det, n)
         trials += 1
     chains = 0
     for params in (p431, p2591):

@@ -98,6 +98,7 @@ def test_params_file_with_malformed_e0_exits_two(tmp_path, capsys):
            for e0 in ("junk", {"a": good["e0"]["a"]}, {"a": 1, "b": 2},
                       {"a": zero, "b": zero})]
     bad.append({**good, "la": 4, "ea": 2})   # p is still 431
+    bad.append({**good, "pa": good["pb"]})   # on e0, outside side A's torsion
     bad = [json.dumps(obj).encode() for obj in bad]
     bad.append(b'{"p": ')                     # not JSON at all
     for enc in ("utf-16", "utf-32"):          # JSON, but not UTF-8
@@ -143,8 +144,9 @@ def test_usage_errors_exit_four(tmp_path, capsys):
     assert main(["run-local", "--preset", "p431", "--choice", "1",
                  "--msg0", str(tmp_path / "absent"),
                  "--msg1", str(tmp_path / "absent")]) == 4  # unreadable file
-    assert main(["keygen", "--preset", "p431", "--side", "A",
-                 "--seed", "abc"]) == 4                     # odd-length hex
+    for seed in ("abc", "0A0B", "0a 0b", " 0a0b "):       # not strict hex
+        assert main(["keygen", "--preset", "p431", "--side", "A",
+                     "--seed", seed]) == 4
     assert main(["send", "--preset", "p431", "--msg0", "x", "--msg1", "y",
                  "--listen", "a:1", "--connect", "b:2"]) == 4
     assert main(["keygen", "--params", str(tmp_path / "absent"),

@@ -6,7 +6,7 @@ import pytest
 from oracles import (affine_add, ec_add_fp, ec_mul_fp, multiplicative_order,
                      naive_mul, naive_order)
 from siot import det_rng
-from siot.curve import INFINITY, EllipticCurve, Point, sample_torsion_basis
+from siot.curve import INFINITY, EllipticCurve, Point
 from siot.errors import InvalidPointError, SamplingError, SingularCurveError
 from siot.field import FieldContext
 
@@ -123,15 +123,27 @@ def test_order_sampling_rejects_impossible():
         E0.random_point_of_order(5, 1, 432, rng, tries=40)
 
 
+def test_order_sampling_proves_torsion_under_a_wrong_exponent():
+    """216 understates the exponent 432 of E0(F_431^2), so the cofactor
+    27 leaves points of order 16; none may come back as a point of
+    order 8."""
+    for seed in range(20):
+        try:
+            P = E0.random_point_of_order(2, 3, 216, det_rng(seed))
+        except SamplingError:
+            continue
+        assert E0.mul(8, P).infinity
+
+
 def test_torsion_basis_is_certified():
-    from siot.pairing import weil_pairing
+    from siot.pairing import sample_torsion_basis, weil_pairing
     rng = det_rng(5)
     for ell, e in ((2, 4), (3, 3)):
         n = ell ** e
         P, Q = sample_torsion_basis(E0, ell, e, 432, rng)
         assert E0.mul(n, P).infinity and E0.mul(n, Q).infinity
         zeta = weil_pairing(E0, P, Q, n)
-        assert multiplicative_order(zeta) == n
+        assert multiplicative_order(zeta, n) == n
 
 
 def test_neg_sub_consistency():

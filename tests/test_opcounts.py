@@ -51,13 +51,15 @@ def test_long_chain_inversions_stay_below_quadratic(monkeypatch):
 def test_weil_pairing_op_counts(monkeypatch):
     """One pairing of the 2^51-torsion basis: four Miller functions at
     one inversion each, two affine additions for the evaluation points
-    and one division of the combined quotient."""
+    and one division of the combined quotient.  The pairing trusts its
+    checked torsion inputs and makes no scalar multiplication."""
     params = _p102()
     G, H = params.basis_a
     inv = _counter(monkeypatch, Fp2, "inv")
     miller = _counter(monkeypatch, siot.pairing, "miller_function")
+    mul = _counter(monkeypatch, EllipticCurve, "mul")
     weil_pairing(params.curve, G, H, params.n("A"))
-    assert (inv[0], miller[0]) == (7, 4)
+    assert (inv[0], miller[0], mul[0]) == (7, 4, 0)
 
 
 def test_p431_session_op_counts(monkeypatch):
@@ -71,9 +73,8 @@ def test_p431_session_op_counts(monkeypatch):
     assert out["restarts"] == 0
     assert out["output"] == b"zero"
     assert (inv[0], add[0], velu[0]) == (73, 37, 18)
-    # G and H once in each party's validate_public of the peer's key,
-    # and once in the pairing that certifies the receiver's masked pair
-    assert checks[0] == 6
+    # G and H once in each party's validate_public of the peer's key
+    assert checks[0] == 4
 
 
 def test_online_pair_serializes_each_message_once(monkeypatch):

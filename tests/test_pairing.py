@@ -6,12 +6,8 @@ import pytest
 from oracles import (Degenerate, affine_miller, multiplicative_order,
                      weil_naive)
 from siot import det_rng, preset
-from siot.curve import INFINITY, EllipticCurve, sample_torsion_basis
-from siot.errors import (
-    DecompositionError,
-    InvalidPointError,
-    UnsupportedParameterError,
-)
+from siot.curve import INFINITY, EllipticCurve
+from siot.errors import DecompositionError, UnsupportedParameterError
 from siot.field import FieldContext
 from siot.pairing import (
     _Degenerate,
@@ -19,6 +15,7 @@ from siot.pairing import (
     distortion_map,
     miller_function,
     modified_pairing,
+    sample_torsion_basis,
     symmetric_pairing,
     weil_pairing,
 )
@@ -76,16 +73,16 @@ def test_bilinearity_alternation_order():
         n = ell ** e
         P, Q = _basis(ell, e, b"bl-%d" % ell)
         zeta = weil_pairing(E0, P, Q, n)
-        assert multiplicative_order(zeta) == n
+        assert multiplicative_order(zeta, n) == n
         for _ in range(20):
             a, b = rng.randrange(n), rng.randrange(n)
             assert weil_pairing(E0, E0.mul(a, P), E0.mul(b, Q), n) \
                 == zeta ** (a * b)
         R = E0.add(E0.mul(3, P), E0.mul(5, Q))
-        assert weil_pairing(E0, R, R, n).is_one()
+        assert weil_pairing(E0, R, R, n) == CTX.one()
         assert weil_pairing(E0, P, Q, n) * weil_pairing(E0, Q, P, n) \
             == CTX.one()
-        assert (zeta ** n).is_one()
+        assert zeta ** n == CTX.one()
 
 
 def test_compatibility_across_levels():
@@ -97,21 +94,21 @@ def test_compatibility_across_levels():
         R, S = E0.mul(2 ** k, P), E0.mul(2 ** k, Q)
         zm = weil_pairing(E0, R, S, m)
         assert weil_pairing(E0, R, S, 16) == zm ** (16 // m)
-        assert multiplicative_order(zm) == m   # basis survives scaling
+        assert multiplicative_order(zm, m) == m   # basis survives scaling
 
 
 def test_degenerate_inputs():
     P, Q = _basis(2, 4, b"degen")
     from siot.curve import INFINITY
-    assert weil_pairing(E0, INFINITY, Q, 16).is_one()
-    assert weil_pairing(E0, P, INFINITY, 16).is_one()
-    assert weil_pairing(E0, P, P, 16).is_one()
-    assert weil_pairing(E0, P, E0.neg(P), 16).is_one()
+    assert weil_pairing(E0, INFINITY, Q, 16) == CTX.one()
+    assert weil_pairing(E0, P, INFINITY, 16) == CTX.one()
+    assert weil_pairing(E0, P, P, 16) == CTX.one()
+    assert weil_pairing(E0, P, E0.neg(P), 16) == CTX.one()
 
 
 def test_weil_pairing_checks_its_order_bound(monkeypatch):
-    """weil_pairing is where a RootOfUnity is made, and the one place
-    its value is checked: a quotient that is not an n-th root raises."""
+    """weil_pairing checks the value it makes: a quotient that is not
+    an n-th root raises."""
     import siot.pairing as pairing
 
     P, Q = _basis(2, 4, b"bound")
@@ -122,12 +119,6 @@ def test_weil_pairing_checks_its_order_bound(monkeypatch):
                         lambda E, P, n, X: next(values))
     with pytest.raises(ValueError, match="does not satisfy its order bound"):
         weil_pairing(E0, P, Q, 16)
-
-
-def test_rejects_points_outside_torsion():
-    P, _ = _basis(3, 3, b"offtorsion")
-    with pytest.raises(InvalidPointError):
-        weil_pairing(E0, P, P, 16)    # 27-torsion point, 16 demanded
 
 
 def test_distortion_is_an_endomorphism():
@@ -156,7 +147,7 @@ def test_modified_pairing_nondegenerate_on_diagonal():
     for _ in range(10):
         P = E0.random_point_of_order(3, 1, EXP, rng)
         z = modified_pairing(E0, P, P, 3)
-        assert not z.is_one()
+        assert z != CTX.one()
         # bilinear on the cyclic group generated by P
         for a in range(3):
             for b in range(3):
@@ -164,7 +155,7 @@ def test_modified_pairing_nondegenerate_on_diagonal():
                 assert got == z ** (a * b)
     from siot.curve import INFINITY
     Q = E0.random_point_of_order(3, 1, EXP, rng)
-    assert modified_pairing(E0, INFINITY, Q, 3).is_one()
+    assert modified_pairing(E0, INFINITY, Q, 3) == CTX.one()
 
 
 def test_symmetric_pairing_swaps(set3):
@@ -195,8 +186,7 @@ def test_decompose_known_combination():
         n = ell ** e
         G, H = _basis(ell, e, b"dec-%d" % ell)
         P = E0.add(E0.mul(3, G), E0.mul(7, H))
-        d = decompose_in_basis(E0, G, H, P, n)
-        assert (d.u, d.v) == (3 % n, 7 % n)
+        assert decompose_in_basis(E0, G, H, P, n) == (3 % n, 7 % n)
 
 
 def test_decompose_exhaustive_sixteen():
@@ -204,8 +194,7 @@ def test_decompose_exhaustive_sixteen():
     for u in range(16):
         for v in range(16):
             P = E0.add(E0.mul(u, G), E0.mul(v, H))
-            d = decompose_in_basis(E0, G, H, P, 16)
-            assert (d.u, d.v) == (u, v)
+            assert decompose_in_basis(E0, G, H, P, 16) == (u, v)
 
 
 def test_decompose_rejects_degenerate_base():

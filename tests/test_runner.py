@@ -37,13 +37,13 @@ def test_run_local_delivers_choice(p431):
 
 
 def test_run_local_offline_dir(p431, tmp_path):
-    """A run's transcript survives a save and load unchanged."""
+    """A run's transcript survives a write to disk and a read back."""
     out = run_local(_config(p431, 1))
     path = tmp_path / "transcript.jsonl"
-    out["transcript"].save(path)
-    loaded = Transcript.load(path)
+    path.write_bytes(out["transcript"].to_bytes())
+    loaded = Transcript.from_bytes(path.read_bytes())
     assert loaded.entries == out["transcript"].entries
-    assert path.read_bytes() == out["transcript"].to_bytes()
+    assert loaded.to_bytes() == out["transcript"].to_bytes()
 
 
 def test_transcripts_are_reproducible(p431):

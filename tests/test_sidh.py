@@ -40,7 +40,7 @@ def test_preset_bases_are_certified():
     for side, n in (("A", 16), ("B", 27)):
         P, Q = params.basis(side)
         zeta = weil_pairing(params.curve, P, Q, n)
-        assert multiplicative_order(zeta) == n
+        assert multiplicative_order(zeta, n) == n
 
 
 def test_gen_params_rejects_bad_shapes():
@@ -246,6 +246,18 @@ def test_params_from_obj_rejects_off_curve_basis_point(p431):
     obj["pa"] = {"x": obj["pa"]["x"], "y": obj["pb"]["y"]}
     with pytest.raises(DecodeError, match="basis point pa not on e0"):
         params_from_obj(obj)
+
+
+def test_params_from_obj_rejects_off_torsion_basis_point(p431):
+    """A basis point of the other side is on e0 but outside its own
+    side's torsion: the decoder names the side."""
+    swap = {"pa": "pb", "qa": "qb", "pb": "pa", "qb": "qa"}
+    for k, other in swap.items():
+        obj = params_to_obj(p431)
+        obj[k] = obj[other]
+        side = k[1].upper()
+        with pytest.raises(DecodeError, match=f"^side {side} basis: "):
+            params_from_obj(obj)
 
 
 def test_params_from_obj_rejects_unsupported_shapes(p431):

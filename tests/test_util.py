@@ -3,7 +3,7 @@
 import pytest
 
 from siot import det_rng
-from siot.util import xor_bytes
+from siot.util import sub_seed, xor_bytes
 
 
 def _reference_xor(a: bytes, b: bytes) -> bytes:
@@ -32,3 +32,15 @@ def test_xor_bytes_rejects_length_mismatch():
     for a, b in ((b"", b"\x00"), (b"ab", b"a"), (b"\x00" * 32, b"\x00" * 33)):
         with pytest.raises(ValueError):
             xor_bytes(a, b)
+
+
+def test_hex_seeds_follow_the_strict_hex_rule():
+    """Uppercase digits and whitespace would make several spellings of
+    one seed; only lowercase digit pairs are a hex seed."""
+    assert det_rng("0a0b").random() == det_rng(b"\x0a\x0b").random()
+    assert sub_seed("0a0b", "x") == sub_seed(b"\x0a\x0b", "x")
+    for seed in ("0A0B", "0a 0b", " 0a0b "):
+        with pytest.raises(ValueError):
+            det_rng(seed)
+        with pytest.raises(ValueError):
+            sub_seed(seed, "x")

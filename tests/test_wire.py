@@ -119,8 +119,8 @@ def test_transcript_roundtrip(tmp_path):
     back = Transcript.from_bytes(data)
     assert back.entries == t.entries
     path = tmp_path / "t.jsonl"
-    t.save(path)
-    assert Transcript.load(path).entries == t.entries
+    path.write_bytes(data)
+    assert Transcript.from_bytes(path.read_bytes()).entries == t.entries
 
 
 def test_transcript_rejects_bad_direction():
