@@ -17,12 +17,11 @@ from math import gcd
 from .curve import EllipticCurve, Point
 from .errors import (DecryptionError, InconsistentKeyError,
                      UnsupportedParameterError)
-from .isogeny import evaluate, isogeny_chain, kernel_generator
+from .isogeny import isogeny_chain, kernel_generator
 from .pairing import decompose_in_basis, weil_pairing
 from .sidh import PublicParams, SidhPublic, keygen, other_side
-from .siot import (MaskCoefficients, MaskPoints, branch_kernels,
-                   derive_mask_coeffs, encode_mask_points, kdf_dec, kdf_enc,
-                   mask_public)
+from .siot import (MaskCoefficients, branch_kernels, derive_mask_coeffs,
+                   encode_mask_points, kdf_dec, kdf_enc, mask_public)
 from .util import det_rng
 
 
@@ -68,7 +67,7 @@ def equivariance_precheck(params: PublicParams, rng=None) -> None:
     P, Q = params.basis_a
     kp = keygen(params, "B", rng)
     lhs = weil_pairing(kp.public.curve, kp.public.G, kp.public.H, n)
-    rhs = weil_pairing(params.curve, P, Q, n) ** kp.chain.degree
+    rhs = weil_pairing(params.curve, P, Q, n) ** params.n("B")
     if lhs != rhs:
         raise AssertionError("pairing does not commute with the isogeny "
                              "at the expected exponent")
@@ -90,14 +89,13 @@ def _lambda_values(n: int, count: int, rng) -> tuple:
 
 
 def distinguisher_scan(params: PublicParams, masked_public: SidhPublic,
-                       mask, lambda_count: int = 64,
+                       coeffs: MaskCoefficients, lambda_count: int = 64,
                        rng=None) -> DistinguisherReport:
     """Sweep e(G' + lambda*U, H' + lambda*V) against the public target.
 
-    masked_public is the receiver key as seen on the wire; mask is
-    either the MaskPoints both parties can derive or the
-    MaskCoefficients to derive them from the transcript pair (which is
-    exactly what a curious sender would do).  Hypothesis 0 treats the
+    masked_public is the receiver key as seen on the wire, and (U, V)
+    is derived from it with the transcript's coefficients, exactly as a
+    curious sender would derive it.  Hypothesis 0 treats the
     transcript pair as unmasked, hypothesis 1 as masked; a compliant
     mask family makes the two sweeps identical for every lambda.
     """
@@ -106,11 +104,7 @@ def distinguisher_scan(params: PublicParams, masked_public: SidhPublic,
     n = params.n("A")
     E = masked_public.curve
     G, H = masked_public.G, masked_public.H
-    if isinstance(mask, MaskCoefficients):
-        mask = encode_mask_points(mask, E, G, H, params)
-    if not isinstance(mask, MaskPoints):
-        raise TypeError("mask must be MaskPoints or MaskCoefficients")
-    U, V = mask.U, mask.V
+    U, V = encode_mask_points(coeffs, E, G, H)
     PA, QA = params.basis_a
     target = weil_pairing(params.curve, PA, QA, n) ** params.n("B")
     G1, H1 = E.add(G, U), E.add(H, V)
@@ -145,7 +139,7 @@ def distinguisher_fixture(params: PublicParams, rng=None, b: int = 1,
                                   w=b"")
     else:
         coeffs = derive_mask_coeffs(rng.randbytes(32), params)
-    return mask_public(coeffs, kp.public, b, params), coeffs
+    return mask_public(coeffs, kp.public, b), coeffs
 
 
 def same_cyclic_subgroup(E: EllipticCurve, basis, K1: Point, K2: Point,
@@ -180,13 +174,11 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     r_a = sender.r
 
     def branch_js(K0, K1):
-        out = []
-        for K in (K0, K1):
-            out.append(isogeny_chain(E, K, ell, e).codomain.j_invariant())
-        return out
+        return [isogeny_chain(E, K, ell, e, ())[0].j_invariant()
+                for K in (K0, K1)]
 
     report: dict = {}
-    K0, K1 = branch_kernels(coeffs, pub, r_a, params)
+    K0, K1 = branch_kernels(coeffs, pub, r_a)
     j0, j1 = branch_js(K0, K1)
     k0 = kdf_enc(j0, b"probe-x0")
     k1 = kdf_enc(j1, b"probe-x1")
@@ -207,7 +199,7 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     # crafted: det(K0, K1) = 0 with a unit ratio, so <K1> = <K0> exactly
     crafted = MaskCoefficients(alpha=2 % n, beta=2 * r_a % n, gamma=0,
                                delta=0, w=b"")
-    Kc0, Kc1 = branch_kernels(crafted, pub, r_a, params)
+    Kc0, Kc1 = branch_kernels(crafted, pub, r_a)
     cj0, cj1 = branch_js(Kc0, Kc1)
     report["crafted"] = {
         "alpha": crafted.alpha, "beta": crafted.beta,
@@ -217,7 +209,7 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     }
 
     zero = MaskCoefficients(0, 0, 0, 0, b"")
-    Kz0, Kz1 = branch_kernels(zero, pub, r_a, params)
+    Kz0, Kz1 = branch_kernels(zero, pub, r_a)
     zj0, zj1 = branch_js(Kz0, Kz1)
     report["degenerate"] = {"j_equal": zj0 == zj1}
     return report
@@ -244,9 +236,8 @@ def brute_force_secret(params: PublicParams, public: SidhPublic,
     E0 = params.curve
     started = time.perf_counter()
     for r in range(n):
-        chain = isogeny_chain(E0, kernel_generator(E0, P, r, Q), ell, e)
-        if chain.codomain != public.curve:
-            continue
-        if evaluate(chain, P2) == public.G and evaluate(chain, Q2) == public.H:
+        curve, images = isogeny_chain(E0, kernel_generator(E0, P, r, Q),
+                                      ell, e, (P2, Q2))
+        if curve == public.curve and images == [public.G, public.H]:
             return OracleResult(r, n, time.perf_counter() - started)
     raise InconsistentKeyError("no scalar regenerates the given public key")

@@ -58,7 +58,7 @@ class ProtocolAbort(SiotError):
 
     Codes in use: ``bad-sender-key``, ``bad-receiver-key``,
     ``coinflip-cheat``, ``decrypt-fail``, ``out-of-order``,
-    ``bad-message``.
+    ``bad-message``, and ``refused-point`` from the baseline OT.
     """
 
     def __init__(self, code: str, detail: str = ""):

@@ -1,5 +1,5 @@
-"""Explicit separable isogenies from kernel subgroups, and their
-composition into prime-power-degree chains with point push-through.
+"""Explicit separable isogenies from kernel subgroups, and the walk
+along a prime-power-degree chain that maps the points it is given.
 
 A single step quotients a curve by a small subgroup: the codomain
 coefficients come from sums over the nonzero kernel points,
@@ -8,8 +8,8 @@ coefficients come from sums over the nonzero kernel points,
     b' = b - 7 * sum(5*x_Q^3 + 3*a*x_Q + 2*b)
 
 and a point maps by adding, for each kernel point Q, the offset between
-the translate P+Q and Q itself.  Both formulas are valid for any finite
-kernel subgroup, which is what the full-kernel oracle below exploits.
+the translate P+Q and Q itself.  Both formulas are valid for any
+finite kernel subgroup.
 
 ``push_through`` maps a whole list of points through a step at once:
 every translate's chord slope needs 1/(x_Q - x_P), and all of those are
@@ -23,6 +23,8 @@ A chain of degree ell^e takes e such steps.  The order-ell kernel of
 each step is found by a balanced traversal that keeps the intermediate
 multiples of the kernel generator and pushes them through every step,
 so a chain costs O(e log e) multiplications by ell rather than e^2/2.
+The caller's points ride the same pushes, and nothing of the walk is
+kept: a chain is its codomain and the images of those points.
 """
 
 from __future__ import annotations
@@ -40,26 +42,6 @@ class VeluStep:
     domain: EllipticCurve
     codomain: EllipticCurve
     kernel_points: tuple[Point, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.kernel_points) + 1
-
-    def __call__(self, P: Point) -> Point:
-        return evaluate(self, P)
-
-
-@dataclass(frozen=True)
-class IsogenyChain:
-    """Composition of steps; degree is the product of the step degrees."""
-
-    steps: tuple[VeluStep, ...]
-    degree: int
-    domain: EllipticCurve
-    codomain: EllipticCurve
-
-    def __call__(self, P: Point) -> Point:
-        return evaluate(self, P)
 
 
 def kernel_generator(E: EllipticCurve, P: Point, r: int, Q: Point) -> Point:
@@ -108,17 +90,13 @@ def velu_step(E: EllipticCurve, K: Point, ell: int) -> VeluStep:
     return VeluStep(E, _codomain(E, kernel), kernel)
 
 
-def push_through(phi, points) -> list[Point]:
-    """Images of a list of points under a VeluStep or an IsogenyChain.
+def push_through(phi: VeluStep, points) -> list[Point]:
+    """Images of a list of points under one step, with one batched
+    inversion for the whole list.
 
-    Each step makes one batched inversion for the whole list.  Kernel
-    points map to the identity; everything else by the translate
+    Kernel points map to the identity; everything else by the translate
     offsets.  The images always lie on the codomain.
     """
-    if isinstance(phi, IsogenyChain):
-        for step in phi.steps:
-            points = push_through(step, points)
-        return points
     ctx = phi.domain.ctx
     p = ctx.p
     kernel = {}                      # x_Q -> [y_Q], the pairs Q and -Q
@@ -152,13 +130,15 @@ def push_through(phi, points) -> list[Point]:
     return images
 
 
-def evaluate(phi, P: Point) -> Point:
-    """Image of one point under a VeluStep or an IsogenyChain."""
+def evaluate(phi: VeluStep, P: Point) -> Point:
+    """Image of one point under one step."""
     return push_through(phi, [P])[0]
 
 
-def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int) -> IsogenyChain:
-    """Degree-ell^e isogeny with kernel <K>, as e steps of degree ell.
+def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
+                  push) -> tuple[EllipticCurve, list[Point]]:
+    """The codomain of the degree-ell^e isogeny with kernel <K>, and the
+    images of the points in ``push``, by e steps of degree ell.
 
     Step i quotients out the order-ell point [ell^(e-1-i)]K_i, where K_i
     is K pushed through the first i steps.  Those points are reached by
@@ -169,12 +149,14 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int) -> IsogenyChain:
     step every stacked point is pushed through it.  That costs
     O(e log e) multiplications by ell and evaluations instead of e^2/2,
     and since the steps are homomorphisms each step sees the same point.
+    The points in ``push`` join the stack's batch at every step, so a
+    step still makes one inversion.
     """
     n = ell ** e
     if e < 1:
         raise InvalidKernelError(f"kernel generator must have exact order {n}")
-    steps = []
     cur = E
+    pushed = list(push)
     stack = [(K, e)]
     while stack:
         P, h = stack.pop()
@@ -183,34 +165,12 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int) -> IsogenyChain:
             P, h = cur.mul(ell ** (h // 2), P), h - h // 2
         # [ell^(e-1)]K of order ell makes K of order ell^e; every later
         # step's point, and K's image under the last step, follow from it
-        if not steps and (P.infinity or not cur.mul(ell, P).infinity):
+        if cur is E and (P.infinity or not cur.mul(ell, P).infinity):
             raise InvalidKernelError(
                 f"kernel generator must have exact order {n}")
         step = velu_step(cur, P, ell)
-        images = push_through(step, [Q for Q, _ in stack])
+        images = push_through(step, [Q for Q, _ in stack] + pushed)
         stack = [(Q, h - 1) for Q, (_, h) in zip(images, stack)]
+        pushed = images[len(stack):]
         cur = step.codomain
-        steps.append(step)
-    return IsogenyChain(tuple(steps), n, E, cur)
-
-
-def full_kernel_quotient(E: EllipticCurve, kernel_points) -> VeluStep:
-    """Single-shot quotient by an arbitrary finite subgroup.
-
-    kernel_points must be all nonzero points of a subgroup, in any
-    order.  Used as an independent oracle against chain composition;
-    cost is quadratic in the subgroup size, fine at desk scale.
-    """
-    pts = tuple(kernel_points)
-    seen = set()
-    for Q in pts:
-        E.check_point(Q)
-        if Q.infinity:
-            raise InvalidKernelError("identity listed as a kernel point")
-        seen.add((Q.x, Q.y))
-    if len(seen) != len(pts):
-        raise InvalidKernelError("duplicate kernel points")
-    for Q in pts:
-        if (Q.x, -Q.y) not in seen:
-            raise InvalidKernelError("kernel set not closed under negation")
-    return VeluStep(E, _codomain(E, pts), pts)
+    return cur, pushed

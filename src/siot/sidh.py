@@ -24,8 +24,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .field import FieldContext, Fp2, is_prime
-from .isogeny import (IsogenyChain, isogeny_chain, kernel_generator,
-                      push_through)
+from .isogeny import isogeny_chain, kernel_generator
 from .pairing import is_torsion_basis, sample_torsion_basis
 from .util import det_rng, strict_fromhex
 
@@ -82,7 +81,6 @@ class PublicParams:
 class SidhKeyPair:
     side: str
     r: int
-    chain: IsogenyChain
     public: SidhPublic
 
 
@@ -155,7 +153,8 @@ def preset(name: str) -> PublicParams:
 
 
 def keygen(params: PublicParams, side: str, rng) -> SidhKeyPair:
-    """Secret scalar, secret chain, and the public pushed-through basis.
+    """Secret scalar, and the public codomain with the other side's
+    basis pushed through the secret chain in the same walk.
 
     Every PublicParams carries a certified basis (P, Q), on which the
     kernel generator P + [r]Q has exact order for every r.
@@ -166,11 +165,9 @@ def keygen(params: PublicParams, side: str, rng) -> SidhKeyPair:
     P, Q = params.basis(side)
     P2, Q2 = params.basis(other_side(side))
     r = rng.randrange(params.n(side))
-    chain = isogeny_chain(E0, kernel_generator(E0, P, r, Q),
-                          params.ell(side), params.e(side))
-    G, H = push_through(chain, [P2, Q2])
-    public = SidhPublic(chain.codomain, G, H)
-    return SidhKeyPair(side, r, chain, public)
+    curve, (G, H) = isogeny_chain(E0, kernel_generator(E0, P, r, Q),
+                                  params.ell(side), params.e(side), (P2, Q2))
+    return SidhKeyPair(side, r, SidhPublic(curve, G, H))
 
 
 def validate_public(params: PublicParams, producer_side: str,
@@ -205,9 +202,9 @@ def derive_shared_j(keypair: SidhKeyPair, their_public: SidhPublic,
     side = keypair.side
     K = kernel_generator(their_public.curve, their_public.G, keypair.r,
                          their_public.H)
-    chain = isogeny_chain(their_public.curve, K, params.ell(side),
-                          params.e(side))
-    return chain.codomain.j_invariant()
+    curve, _ = isogeny_chain(their_public.curve, K, params.ell(side),
+                             params.e(side), ())
+    return curve.j_invariant()
 
 
 # -- serialization ----------------------------------------------------

@@ -116,12 +116,6 @@ class MaskCoefficients:
             raise ValueError("alpha outside the hardened family")
 
 
-@dataclass(frozen=True)
-class MaskPoints:
-    U: Point
-    V: Point
-
-
 def params_fingerprint(params: PublicParams) -> bytes:
     return tagged_hash("params-fp", canonical_json(params_to_obj(params)))
 
@@ -159,7 +153,7 @@ def derive_mask_coeffs(w: bytes, params: PublicParams) -> MaskCoefficients:
 
 
 def encode_mask_points(coeffs: MaskCoefficients, curve: EllipticCurve,
-                       G: Point, H: Point, params: PublicParams) -> MaskPoints:
+                       G: Point, H: Point) -> tuple[Point, Point]:
     """(U, V) = (alpha*G + beta*H, gamma*G + delta*H) in the lA^eA-torsion.
 
     Under the protocol constraints V collapses to -(alpha/beta)*U, and
@@ -173,31 +167,30 @@ def encode_mask_points(coeffs: MaskCoefficients, curve: EllipticCurve,
     """
     U = curve.add(curve.mul(coeffs.alpha, G), curve.mul(coeffs.beta, H))
     V = curve.add(curve.mul(coeffs.gamma, G), curve.mul(coeffs.delta, H))
-    return MaskPoints(U, V)
+    return U, V
 
 
-def mask_public(coeffs: MaskCoefficients, pub: SidhPublic, b: int,
-                params: PublicParams) -> SidhPublic:
+def mask_public(coeffs: MaskCoefficients, pub: SidhPublic,
+                b: int) -> SidhPublic:
     """The receiver's published key: its own for bit 0, and for bit 1
     its basis images shifted to (G - U, H - V).  The mask is computed
     for either bit, so both bits do the same work."""
     E = pub.curve
-    mask = encode_mask_points(coeffs, E, pub.G, pub.H, params)
+    U, V = encode_mask_points(coeffs, E, pub.G, pub.H)
     if b == 0:
         return pub
-    return SidhPublic(E, E.sub(pub.G, mask.U), E.sub(pub.H, mask.V))
+    return SidhPublic(E, E.sub(pub.G, U), E.sub(pub.H, V))
 
 
-def branch_kernels(coeffs: MaskCoefficients, pub: SidhPublic, r: int,
-                   params: PublicParams) -> tuple[Point, Point]:
+def branch_kernels(coeffs: MaskCoefficients, pub: SidhPublic,
+                   r: int) -> tuple[Point, Point]:
     """The sender's two kernel generators from the received pair (G, H):
     K0 = G + [r]H, and K1 from (G + U, H + V) likewise.  Their orders
     are checked by the isogeny chains that take them."""
     E = pub.curve
-    mask = encode_mask_points(coeffs, E, pub.G, pub.H, params)
+    U, V = encode_mask_points(coeffs, E, pub.G, pub.H)
     return (kernel_generator(E, pub.G, r, pub.H),
-            kernel_generator(E, E.add(pub.G, mask.U), r,
-                             E.add(pub.H, mask.V)))
+            kernel_generator(E, E.add(pub.G, U), r, E.add(pub.H, V)))
 
 
 # -- authenticated payload encryption ----------------------------------
@@ -356,8 +349,7 @@ class SiotSession:
             body = public_to_obj(self.keypair.public)
             self._log(mtype, body)
             return body
-        masked = mask_public(self.coeffs, self.keypair.public, self.b,
-                             self.params)
+        masked = mask_public(self.coeffs, self.keypair.public, self.b)
         if not is_torsion_basis(masked.curve, masked.G, masked.H,
                                 self.params.ell_a, self.params.e_a):
             raise RestartRequired("masked pair is not a torsion basis")
@@ -388,14 +380,15 @@ class SiotSession:
         encrypt one input under each branch's j-invariant."""
         pub, params = self.their_public, self.params
         js = []
-        for i, K in enumerate(branch_kernels(self.coeffs, pub, self.keypair.r,
-                                             params)):
+        for i, K in enumerate(branch_kernels(self.coeffs, pub,
+                                             self.keypair.r)):
             try:
-                chain = isogeny_chain(pub.curve, K, params.ell_a, params.e_a)
+                curve, _ = isogeny_chain(pub.curve, K, params.ell_a,
+                                         params.e_a, ())
             except InvalidKernelError as exc:
                 raise RestartRequired(
                     f"branch {i} kernel is order-degenerate") from exc
-            js.append(chain.codomain.j_invariant())
+            js.append(curve.j_invariant())
         if js[0] == js[1]:
             # distinct kernels can still land on the same j in a desk-scale
             # isogeny graph; a collision would open both branches, so flip
@@ -425,8 +418,8 @@ class SiotSession:
         params = self.params
         pub = self.their_public
         K = kernel_generator(pub.curve, pub.G, self.keypair.r, pub.H)
-        chain = isogeny_chain(pub.curve, K, params.ell_b, params.e_b)
-        j = chain.codomain.j_invariant()
+        curve, _ = isogeny_chain(pub.curve, K, params.ell_b, params.e_b, ())
+        j = curve.j_invariant()
         self.shared_j = (j,)
         th = self._transcript_hash()
         try:

@@ -67,7 +67,9 @@ def connect(addr: str):
         sock = socket.create_connection((host, port), timeout=30)
     except OSError as exc:
         raise TransportError(f"connect to {addr} failed: {exc}") from exc
-    return sock.makefile("rwb")
+    stream = sock.makefile("rwb")
+    sock.close()    # the stream holds the connection until it is closed
+    return stream
 
 
 def serve_one(addr: str, ready_event: threading.Event | None = None):
@@ -86,4 +88,6 @@ def serve_one(addr: str, ready_event: threading.Event | None = None):
         srv.close()
         raise TransportError(f"accept on {addr} failed: {exc}") from exc
     srv.close()
-    return conn.makefile("rwb")
+    stream = conn.makefile("rwb")
+    conn.close()    # the stream holds the connection until it is closed
+    return stream

@@ -11,8 +11,10 @@ one replaced them: the affine group law (``affine_add``), which the
 package replaced by its Jacobian steps, the affine Miller loop
 (``affine_miller``), which divides at every step, the
 one-point-at-a-time Velu translate (``naive_evaluate``), which inverts
-once per kernel point, and the square root by exponentiation in
-F_{p^2} (``sqrt_by_exponentiation``).
+once per kernel point, the one-shot quotient by a whole kernel
+(``full_kernel_quotient``), whose Velu sums are taken on ``Fp2``
+values, and the square root by exponentiation in F_{p^2}
+(``sqrt_by_exponentiation``).
 The toy-scale problem oracles at the end (shared j by one double-kernel
 quotient, isogeny reachability, the symmetric-pairing constraint) have
 no caller outside the tests.
@@ -23,8 +25,8 @@ from __future__ import annotations
 from siot.curve import INFINITY, EllipticCurve, Point
 from siot.errors import InvalidKernelError, UnsupportedParameterError
 from siot.field import Fp2
-from siot.isogeny import (IsogenyChain, cyclic_subgroup, full_kernel_quotient,
-                          isogeny_chain, kernel_generator, velu_step)
+from siot.isogeny import (VeluStep, cyclic_subgroup, isogeny_chain,
+                          kernel_generator, velu_step)
 from siot.sidh import PublicParams
 from siot.siot import MaskCoefficients
 from siot.util import det_rng
@@ -238,8 +240,9 @@ def fp_points(p: int, A: int, B: int):
     return pts
 
 
-def naive_chain(E: EllipticCurve, K: Point, ell: int, e: int) -> IsogenyChain:
-    """The e-step chain by a fresh scalar multiple per step.
+def naive_chain(E: EllipticCurve, K: Point, ell: int,
+                e: int) -> tuple[VeluStep, ...]:
+    """The e steps of the chain by a fresh scalar multiple per step.
 
     Step i quotients out [ell^(e-1-i)]K_i and pushes the running
     generator through: about e^2/2 multiplications by ell in all.
@@ -258,14 +261,14 @@ def naive_chain(E: EllipticCurve, K: Point, ell: int, e: int) -> IsogenyChain:
         steps.append(step)
     if not Kc.infinity:
         raise InvalidKernelError("kernel not annihilated by its own chain")
-    return IsogenyChain(tuple(steps), n, E, cur)
+    return tuple(steps)
 
 
 def naive_evaluate(phi, P: Point) -> Point:
-    """Image of P under a VeluStep or IsogenyChain, one translate (and
-    one inversion) per kernel point."""
-    if isinstance(phi, IsogenyChain):
-        for step in phi.steps:
+    """Image of P under a VeluStep or a sequence of them, one translate
+    (and one inversion) per kernel point."""
+    if not isinstance(phi, VeluStep):
+        for step in phi:
             P = naive_evaluate(step, P)
         return P
     E = phi.domain
@@ -280,6 +283,36 @@ def naive_evaluate(phi, P: Point) -> Point:
         x = x + S.x - Q.x
         y = y + S.y - Q.y
     return Point(x, y)
+
+
+def full_kernel_quotient(E: EllipticCurve, kernel_points) -> VeluStep:
+    """Single-shot quotient by an arbitrary finite subgroup.
+
+    kernel_points must be all nonzero points of a subgroup, in any
+    order.  Its Velu sums are taken on ``Fp2`` values, independently of
+    the package's integer kernel, so a chain's codomain is checked
+    against a second computation.  Cost is quadratic in the subgroup
+    size, fine at desk scale.
+    """
+    pts = tuple(kernel_points)
+    seen = set()
+    for Q in pts:
+        E.check_point(Q)
+        if Q.infinity:
+            raise InvalidKernelError("identity listed as a kernel point")
+        seen.add((Q.x, Q.y))
+    if len(seen) != len(pts):
+        raise InvalidKernelError("duplicate kernel points")
+    for Q in pts:
+        if (Q.x, -Q.y) not in seen:
+            raise InvalidKernelError("kernel set not closed under negation")
+    c = E.ctx.elem
+    v = w = c(0)
+    for Q in pts:
+        x = Q.x
+        v = v + c(3) * x * x + E.A
+        w = w + c(5) * x * x * x + c(3) * E.A * x + c(2) * E.B
+    return VeluStep(E, EllipticCurve(E.A - c(5) * v, E.B - c(7) * w), pts)
 
 
 # -- F_{p^2} ---------------------------------------------------------------
@@ -370,10 +403,10 @@ def reachable_j_values(params: PublicParams, side: str) -> set:
     out = set()
     for t in range(n):
         K = kernel_generator(E0, P, t, Q)
-        out.add(isogeny_chain(E0, K, ell, e).codomain.j_invariant())
+        out.add(isogeny_chain(E0, K, ell, e, ())[0].j_invariant())
     for s in range(0, n, ell):
         K = E0.add(E0.mul(s, P), Q)
-        out.add(isogeny_chain(E0, K, ell, e).codomain.j_invariant())
+        out.add(isogeny_chain(E0, K, ell, e, ())[0].j_invariant())
     return out
 
 

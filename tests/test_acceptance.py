@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from oracles import multiplicative_order, symmetric_constraint_check
+from oracles import (full_kernel_quotient, multiplicative_order,
+                     symmetric_constraint_check)
 from siot import (
     SessionConfig,
     brute_force_secret,
@@ -27,15 +28,9 @@ from siot import (
 )
 from siot.analysis import equivariance_precheck
 from siot.errors import DecryptionError, ProtocolAbort, RestartRequired
-from siot.isogeny import (
-    cyclic_subgroup,
-    evaluate,
-    full_kernel_quotient,
-    isogeny_chain,
-    kernel_generator,
-)
+from siot.isogeny import cyclic_subgroup, isogeny_chain, kernel_generator
 from siot.pairing import symmetric_pairing, weil_pairing
-from siot.sidh import SidhKeyPair, SidhPublic
+from siot.sidh import SidhPublic
 from siot.siot import (
     MaskCoefficients,
     SiotSession,
@@ -123,11 +118,10 @@ def test_04_mask_rederivation_fixed_point(corpus, p431):
     matches = 0
     for b, x0, x1, s, r, out in corpus:
         pub = r.keypair.public
-        local = encode_mask_points(r.coeffs, pub.curve, pub.G, pub.H, p431)
+        local = encode_mask_points(r.coeffs, pub.curve, pub.G, pub.H)
         seen = s.their_public
-        remote = encode_mask_points(s.coeffs, seen.curve, seen.G, seen.H,
-                                    p431)
-        matches += local.U == remote.U and local.V == remote.V
+        remote = encode_mask_points(s.coeffs, seen.curve, seen.G, seen.H)
+        matches += local == remote
     _verdict(4, "sender re-derives the receiver's mask points",
              matches == 100, f"{matches}/100 (both b values)")
 
@@ -174,7 +168,7 @@ def test_07_chain_matches_full_kernel_quotient(p431):
         P, Q = p431.basis(side)
         for r in range(n):
             K = kernel_generator(E0, P, r, Q)
-            chained = isogeny_chain(E0, K, ell, e).codomain.j_invariant()
+            chained = isogeny_chain(E0, K, ell, e, ())[0].j_invariant()
             single = full_kernel_quotient(
                 E0, cyclic_subgroup(E0, K, n)).codomain.j_invariant()
             agree += chained == single
@@ -218,9 +212,9 @@ def test_08_pairing_suite(p431, p2591):
             m = params.n("A" if side == "B" else "B")
             P, Q = params.basis("A" if side == "B" else "B")
             for _ in range(3):
-                kp = keygen(params, side, rng)
-                lhs = weil_pairing(kp.public.curve, evaluate(kp.chain, P),
-                                   evaluate(kp.chain, Q), m)
+                # keygen's public points are the images of (P, Q)
+                pub = keygen(params, side, rng).public
+                lhs = weil_pairing(pub.curve, pub.G, pub.H, m)
                 assert lhs == weil_pairing(params.curve, P, Q, m) ** deg
                 chains += 1
     _verdict(8, "pairing laws and isogeny equivariance",
@@ -239,9 +233,8 @@ def test_09_brute_force_inverts_every_key(p431):
         oP, oQ = p431.basis("A" if side == "B" else "B")
         for r in range(n):
             K = kernel_generator(E0, P, r, Q)
-            chain = isogeny_chain(E0, K, ell, e)
-            pub = SidhPublic(chain.codomain, evaluate(chain, oP),
-                             evaluate(chain, oQ))
+            curve, (G, H) = isogeny_chain(E0, K, ell, e, (oP, oQ))
+            pub = SidhPublic(curve, G, H)
             res = brute_force_secret(p431, pub, side)
             recovered += res.r == r and res.space == n
             total += 1

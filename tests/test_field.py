@@ -153,3 +153,7 @@ def test_is_prime_small_table():
         assert is_prime(n)
     assert not is_prime(431 * 2591)
     assert not is_prime(1)
+    # strong pseudoprimes to every prime base up to 37 (the first, and
+    # the first to every base up to 41); the Lucas test rejects them
+    assert not is_prime(318665857834031151167461)   # 399165290221 * 798330580441
+    assert not is_prime(3317044064679887385961981)

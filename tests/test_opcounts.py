@@ -7,8 +7,8 @@ import siot.isogeny
 import siot.pairing
 import siot.wire
 from loopback import LoopbackPipe
-from siot import (SessionConfig, Transcript, det_rng, gen_params, preset,
-                  run_local, run_session)
+from siot import (SessionConfig, Transcript, det_rng, gen_params, keygen,
+                  preset, run_local, run_session)
 from siot.curve import EllipticCurve
 from siot.field import Fp2
 from siot.isogeny import isogeny_chain, kernel_generator
@@ -38,14 +38,31 @@ def test_long_chain_inversions_stay_below_quadratic(monkeypatch):
     multiple of the balanced traversal and one per push of its stack
     through a step.  The per-step torsion checks end at O and invert
     nothing.  A fresh scalar multiple per step, in affine coordinates,
-    took 1,425."""
+    took 1,425.  Pushed points ride the stack's batches, so pushing two
+    adds one inversion, at the last step, whose stack is empty."""
     params = _p102()
     G, H = params.basis_a
     K = kernel_generator(params.curve, G, 12345, H)
     inv = _counter(monkeypatch, Fp2, "inv")
-    chain = isogeny_chain(params.curve, K, 2, 51)
-    assert len(chain.steps) == 51
-    assert inv[0] == 100
+    velu = _counter(monkeypatch, siot.isogeny, "velu_step")
+    isogeny_chain(params.curve, K, 2, 51, ())
+    assert (inv[0], velu[0]) == (100, 51)
+    inv[0] = 0
+    isogeny_chain(params.curve, K, 2, 51, params.basis_b)
+    assert inv[0] == 101
+
+
+def test_p102_keygen_inversions(monkeypatch):
+    """One keygen per side at 2^51*3^32 - 1: the chain's walk pushes
+    the other side's basis in its own batches."""
+    params = _p102()
+    inv = _counter(monkeypatch, Fp2, "inv")
+    counts = []
+    for side in ("A", "B"):
+        inv[0] = 0
+        keygen(params, side, det_rng(b"opcount/keygen/" + side.encode()))
+        counts.append(inv[0])
+    assert counts == [103, 97]
 
 
 def test_weil_pairing_op_counts(monkeypatch):
@@ -72,7 +89,7 @@ def test_p431_session_op_counts(monkeypatch):
                                   x0=b"zero", x1=b"one"))
     assert out["restarts"] == 0
     assert out["output"] == b"zero"
-    assert (inv[0], add[0], velu[0]) == (73, 37, 18)
+    assert (inv[0], add[0], velu[0]) == (68, 37, 18)
     # G and H once in each party's validate_public of the peer's key
     assert checks[0] == 4
 

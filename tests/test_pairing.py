@@ -49,19 +49,12 @@ def test_oracle_agreement_off_the_base_curve():
     params = preset("p431")
     P, Q = params.basis_a
     K = kernel_generator(params.curve, P, 3, Q)
-    chain = isogeny_chain(params.curve, K, 2, 4)
-    E1 = chain.steps[1].codomain
+    # the first two steps of the chain with kernel <K>; the 27-torsion
+    # survives the 2-power steps
+    E1, (R, S) = isogeny_chain(params.curve, params.curve.mul(4, K), 2, 2,
+                               params.basis_b)
     assert not E1.B.is_zero()
     rng = det_rng(b"mid-chain")
-    half = chain.steps[:2]
-    PB, QB = params.basis_b
-
-    def push(T):
-        for s in half:
-            T = s(T)
-        return T
-
-    R, S = push(PB), push(QB)   # 27-torsion survives the 2-power steps
     got = weil_pairing(E1, R, S, 27)
     want = weil_naive(E1, R, S, 27, rng)
     assert got == want
@@ -223,8 +216,8 @@ def test_miller_function_matches_affine_loop():
 
     params = preset("p431")
     PA, QA = params.basis_a
-    E1 = isogeny_chain(params.curve, kernel_generator(params.curve, PA, 3, QA),
-                       2, 4).codomain
+    E1, _ = isogeny_chain(params.curve,
+                          kernel_generator(params.curve, PA, 3, QA), 2, 4, ())
     assert not E1.B.is_zero()
     rng = det_rng(b"miller-affine")
     outcomes = set()

@@ -1,9 +1,11 @@
 """Parameter generation, key generation/validation, the two-sided
 exchange, and the serialization codecs."""
 
+import math
+
 import pytest
 
-from oracles import multiplicative_order
+from oracles import full_kernel_quotient, multiplicative_order
 from siot import (
     derive_shared_j,
     det_rng,
@@ -20,7 +22,7 @@ from siot.errors import (
     ProtocolAbort,
     UnsupportedParameterError,
 )
-from siot.isogeny import full_kernel_quotient, kernel_generator
+from siot.isogeny import isogeny_chain, kernel_generator
 from siot.pairing import weil_pairing
 from siot.sidh import SidhPublic, other_side, public_from_obj, public_to_obj
 
@@ -59,14 +61,18 @@ def test_gen_params_general_cofactor():
     assert params.p + 1 == 2 ** 4 * 3 ** 3 * params.f
 
 
-def test_keygen_kernel_has_exact_order(p431):
+def test_keygen_kernel_has_exact_order(p431, velu_steps):
     rng = det_rng(2)
+    E = p431.curve
     for side, n in (("A", 16), ("B", 27)):
+        velu_steps.clear()
         kp = keygen(p431, side, rng)
         assert 0 <= kp.r < n
-        assert kp.chain.degree == n
-        pub = kp.public
-        assert pub.curve.j_invariant() == kp.chain.codomain.j_invariant()
+        assert math.prod(len(s.kernel_points) + 1 for s in velu_steps) == n
+        P, Q = p431.basis(side)
+        codomain, _ = isogeny_chain(E, kernel_generator(E, P, kp.r, Q),
+                                    p431.ell(side), p431.e(side), ())
+        assert kp.public.curve.j_invariant() == codomain.j_invariant()
 
 
 def test_exchange_agreement_random(p431, p2591):
@@ -84,7 +90,6 @@ def test_exchange_exhaustive_all_secret_pairs(p431):
     """Every (r_a, r_b) pair at the small preset agrees; 16 * 27 runs
     would be slow with fresh chains, so sweep r_a at three fixed r_b."""
     from siot.sidh import SidhKeyPair
-    from siot.isogeny import isogeny_chain, evaluate
 
     params = p431
     E = params.curve
@@ -95,11 +100,9 @@ def test_exchange_exhaustive_all_secret_pairs(p431):
         ell, e = params.ell(side), params.e(side)
         P, Q = params.basis(side)
         K = kernel_generator(E, P, r, Q)
-        chain = isogeny_chain(E, K, ell, e)
-        oP, oQ = (PB, QB) if side == "A" else (PA, QA)
-        pub = SidhPublic(chain.codomain, evaluate(chain, oP),
-                         evaluate(chain, oQ))
-        return SidhKeyPair(side, r, chain, pub)
+        other = (PB, QB) if side == "A" else (PA, QA)
+        curve, (G, H) = isogeny_chain(E, K, ell, e, other)
+        return SidhKeyPair(side, r, SidhPublic(curve, G, H))
 
     for r_b in (0, 5, 26):
         bob = mk("B", r_b)
