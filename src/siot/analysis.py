@@ -236,8 +236,12 @@ def brute_force_secret(params: PublicParams, public: SidhPublic,
     E0 = params.curve
     started = time.perf_counter()
     for r in range(n):
-        curve, images = isogeny_chain(E0, kernel_generator(E0, P, r, Q),
-                                      ell, e, (P2, Q2))
-        if curve == public.curve and images == [public.G, public.H]:
+        K = kernel_generator(E0, P, r, Q)
+        curve, _ = isogeny_chain(E0, K, ell, e, ())
+        if curve != public.curve:
+            continue
+        # only a candidate with the right codomain walks again to push
+        _, images = isogeny_chain(E0, K, ell, e, (P2, Q2))
+        if images == [public.G, public.H]:
             return OracleResult(r, n, time.perf_counter() - started)
     raise InconsistentKeyError("no scalar regenerates the given public key")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .analysis import (
@@ -112,8 +111,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--msg0", metavar="FILE", required=True)
     sp.add_argument("--msg1", metavar="FILE", required=True)
     sp.add_argument("--seed", metavar="HEX")
-    sp.add_argument("--offline", metavar="DIR",
-                    help="write the transcript into this directory")
+    sp.add_argument("--transcript", metavar="FILE")
     sp.add_argument("-o", "--out", metavar="FILE")
 
     sp = sub.add_parser("verify-transcript", help="replay all validations")
@@ -268,14 +266,7 @@ def _cmd_run_local(args) -> int:
                            x0=_read_file(args.msg0), x1=_read_file(args.msg1))
     outcome = run_local(config)
     _emit_delivered(outcome["output"], args.out)
-    if args.offline:
-        path = os.path.join(args.offline, "transcript.jsonl")
-        try:
-            os.makedirs(args.offline, exist_ok=True)
-        except OSError as exc:
-            raise UsageError(f"cannot create {args.offline}: {exc}") from exc
-        _save_transcript(outcome, path)
-        print(f"transcript: {path}")
+    _save_transcript(outcome, args.transcript)
     return 0
 
 

@@ -17,7 +17,11 @@ points lie on the curve and do not check.  Points are checked once,
 where outside data enters (``point``, ``check_point``); every point
 past that boundary is computed from checked ones.  Torsion is proved
 the same way, once, by ``has_exact_order``: where a point of given
-order is sampled, and where a key or a parameter file enters.
+order is sampled, and where a key or a parameter file enters.  Curves
+too: the constructor trusts A and B to be nonsingular and of one field.
+A curve from outside data is tested where it is decoded
+(``siot.sidh._curve_from_obj``); every other curve is a fixed constant
+or a Velu codomain of a checked one.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import (FieldMismatchError, InvalidPointError, SamplingError,
-                     SingularCurveError)
+from .errors import InvalidPointError, SamplingError
 from .field import FieldContext, Fp2
 
 
@@ -55,20 +58,13 @@ INFINITY = Point.at_infinity()
 
 
 class EllipticCurve:
-    """y^2 = x^3 + Ax + B with nonzero discriminant."""
+    """y^2 = x^3 + Ax + B; A and B, of one field, are trusted to give
+    4A^3 + 27B^2 != 0."""
 
     def __init__(self, A: Fp2, B: Fp2):
-        if A.ctx.p != B.ctx.p:
-            raise FieldMismatchError(
-                f"A and B from different fields: {A.ctx.p} vs {B.ctx.p}")
         self.A = A
         self.B = B
         self.ctx: FieldContext = A.ctx
-        four = self.ctx.elem(4)
-        twenty7 = self.ctx.elem(27)
-        self.discriminant = four * A * A * A + twenty7 * B * B
-        if self.discriminant.is_zero():
-            raise SingularCurveError(f"singular curve A={A!r} B={B!r}")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, EllipticCurve)
@@ -164,7 +160,8 @@ class EllipticCurve:
     def j_invariant(self) -> Fp2:
         """Standard normalization j = 1728 * 4A^3 / (4A^3 + 27B^2)."""
         four_a3 = self.ctx.elem(4) * self.A ** 3
-        return self.ctx.elem(1728) * four_a3 * self.discriminant.inv()
+        denominator = four_a3 + self.ctx.elem(27) * self.B * self.B
+        return self.ctx.elem(1728) * four_a3 * denominator.inv()
 
     # -- sampling ------------------------------------------------------
 

@@ -11,16 +11,8 @@ class SiotError(Exception):
     """Base class for every error raised by this package."""
 
 
-class FieldMismatchError(SiotError):
-    """Operands belong to fields with different moduli."""
-
-
 class InvalidPointError(SiotError):
     """A coordinate pair does not satisfy its curve equation."""
-
-
-class SingularCurveError(SiotError):
-    """Curve discriminant is zero; no group law exists."""
 
 
 class InvalidKernelError(SiotError):

@@ -13,8 +13,8 @@ them, the on-curve test, the Miller loop and the Velu step.
 Arithmetic trusts its moduli: ``+``, ``-`` and ``*`` take the left
 operand's field and do not compare it with the right one's.  Fields
 can only meet where outside data enters, and each of those places
-tests them once: the ``EllipticCurve`` constructor, ``is_on_curve``,
-and the decoders, which build every element in the parameters' field.
+tests them once: ``is_on_curve``, and the decoders, which build every
+element, a decoded curve's A and B included, in the parameters' field.
 """
 
 from __future__ import annotations

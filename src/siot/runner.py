@@ -35,11 +35,10 @@ from .siot import (
     SCHEDULE,
     SiotSession,
     _bytes_field,
-    derive_mask_coeffs,
     exchange,
 )
 from .transport import recv_frame, send_frame
-from .util import det_rng, sub_seed, tagged_hash, xor_bytes
+from .util import det_rng, sub_seed, tagged_hash
 from .wire import Transcript, WireMessage, decode, encode
 
 
@@ -138,11 +137,13 @@ def run_session(role: str, config: SessionConfig, stream) -> dict:
 def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
     """Deterministic replay of every public validation over a transcript.
 
-    Checks schedule, session id consistency, coin-flip binding, the mask
-    coefficients' constraints, public key validity (including the masked
-    pair's basis certificate), and ciphertext shape.  Secrets are not
-    needed: all verdicts are functions of public messages.  A malformed
-    field is a failed check, never an exception.
+    Checks schedule, session id consistency, coin-flip binding, public
+    key validity (including the masked pair's basis certificate), and
+    ciphertext shape.  Secrets are not needed: all verdicts are
+    functions of public messages.  A malformed field is a failed check,
+    never an exception.  The mask coefficients are not re-derived: any
+    coin-flip string yields coefficients that meet every constraint, and
+    no other check reads them.
     """
     checks = []
 
@@ -174,17 +175,6 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
           "each reveal opens its commitment")
     if not check("nonce-length", all(len(n) == NONCE_LEN for n in nonces)):
         return {"ok": False, "checks": checks}
-
-    w = xor_bytes(*nonces)
-    coeffs = derive_mask_coeffs(w, params)
-    try:
-        coeffs.check(params)
-        constraints_ok, detail = True, (
-            f"alpha={coeffs.alpha} beta={coeffs.beta} "
-            f"gamma={coeffs.gamma} delta={coeffs.delta}")
-    except ValueError as exc:
-        constraints_ok, detail = False, str(exc)
-    check("mask-constraints", constraints_ok, detail)
 
     pks = {}
     for idx, producer in ((4, "A"), (5, "B")):

@@ -20,7 +20,6 @@ from .errors import (
     InvalidPointError,
     ParameterSearchError,
     ProtocolAbort,
-    SingularCurveError,
     UnsupportedParameterError,
 )
 from .field import FieldContext, Fp2, is_prime
@@ -237,13 +236,15 @@ def point_from_obj(ctx: FieldContext, obj) -> Point:
 
 
 def _curve_from_obj(ctx: FieldContext, obj, name: str) -> EllipticCurve:
+    """The one reader of outside curves, and so the one test that
+    4A^3 + 27B^2 != 0: ``EllipticCurve`` trusts its coefficients, and
+    every other curve is a constant or a Velu codomain of a checked one."""
     if not isinstance(obj, dict) or set(obj) != {"a", "b"}:
         raise DecodeError(f"{name} object needs exactly a and b")
-    try:
-        return EllipticCurve(elem_from_hex(ctx, obj["a"]),
-                             elem_from_hex(ctx, obj["b"]))
-    except SingularCurveError as exc:
-        raise DecodeError(f"{name} is singular: {exc}") from exc
+    A, B = elem_from_hex(ctx, obj["a"]), elem_from_hex(ctx, obj["b"])
+    if (ctx.elem(4) * A ** 3 + ctx.elem(27) * B * B).is_zero():
+        raise DecodeError(f"{name} is singular: A={A!r} B={B!r}")
+    return EllipticCurve(A, B)
 
 
 def public_to_obj(pub: SidhPublic) -> dict:

@@ -294,14 +294,14 @@ class SiotSession:
         self.ciphertexts: tuple[bytes, bytes] | None = None
         self.shared_j: tuple | None = None
         self.output: bytes | None = None
-        self.transcript: list = []
+        self._pk_bodies: list[dict] = []   # pk-sender, then pk-receiver
         self._cursor = 0   # index of the next SCHEDULE row
 
     # phase bookkeeping
 
-    def _expect(self, method: str) -> str:
+    def _expect(self, method: str) -> None:
         """Advance past the next schedule row if it calls for ``method``
-        on this side; return that row's message type."""
+        on this side."""
         if self._cursor == len(SCHEDULE):
             want = "done"
         else:
@@ -311,69 +311,56 @@ class SiotSession:
             raise ProtocolAbort(
                 "out-of-order", f"{method} called, expected {want}")
         self._cursor += 1
-        return msg.type
-
-    def _log(self, mtype: str, body: dict) -> None:
-        self.transcript.append((mtype, body))
 
     # coin flip
 
     def produce_commit(self) -> dict:
-        mtype = self._expect("produce_commit")
-        body = {"commit": self.coin.commitment.hex()}
-        self._log(mtype, body)
-        return body
+        self._expect("produce_commit")
+        return {"commit": self.coin.commitment.hex()}
 
     def consume_commit(self, body: dict) -> None:
-        mtype = self._expect("consume_commit")
+        self._expect("consume_commit")
         self.coin.remote_commitment = _hex_field(body, "commit", NONCE_LEN)
-        self._log(mtype, body)
 
     def produce_reveal(self) -> dict:
-        mtype = self._expect("produce_reveal")
-        body = {"nonce": self.coin.local_nonce.hex()}
-        self._log(mtype, body)
-        return body
+        self._expect("produce_reveal")
+        return {"nonce": self.coin.local_nonce.hex()}
 
     def consume_reveal(self, body: dict) -> None:
-        mtype = self._expect("consume_reveal")
+        self._expect("consume_reveal")
         w = coinflip_reveal(self.coin, _hex_field(body, "nonce", NONCE_LEN))
         self.coeffs = derive_mask_coeffs(w, self.params)
-        self._log(mtype, body)
 
     # public keys
 
     def produce_public(self) -> dict:
-        mtype = self._expect("produce_public")
+        self._expect("produce_public")
         if self.role == "sender":
             body = public_to_obj(self.keypair.public)
-            self._log(mtype, body)
-            return body
-        masked = mask_public(self.coeffs, self.keypair.public, self.b)
-        if not is_torsion_basis(masked.curve, masked.G, masked.H,
-                                self.params.ell_a, self.params.e_a):
-            raise RestartRequired("masked pair is not a torsion basis")
-        body = public_to_obj(masked)
-        self._log(mtype, body)
+        else:
+            masked = mask_public(self.coeffs, self.keypair.public, self.b)
+            if not is_torsion_basis(masked.curve, masked.G, masked.H,
+                                    self.params.ell_a, self.params.e_a):
+                raise RestartRequired("masked pair is not a torsion basis")
+            body = public_to_obj(masked)
+        self._pk_bodies.append(body)
         return body
 
     def consume_public(self, body: dict) -> None:
-        mtype = self._expect("consume_public")
+        self._expect("consume_public")
         producer = "A" if self.role == "receiver" else "B"
         pub = public_from_obj(self.params.ctx, body)
         validate_public(self.params, producer, pub)
         self.their_public = pub
-        self._log(mtype, body)
+        self._pk_bodies.append(body)
         if self.role == "sender":
             self._derive_ciphertext_keys()
 
     def _transcript_hash(self) -> bytes:
-        pk_bodies = [body for mtype, body in self.transcript
-                     if mtype in ("pk-sender", "pk-receiver")]
-        if len(pk_bodies) != 2:
-            raise ProtocolAbort("out-of-order", "transcript missing keys")
+        """Binds the ciphertexts to the session id and both public-key
+        bodies; SCHEDULE puts both keys before either caller."""
         return tagged_hash("transcript", self.session_id,
-                           *(canonical_json(b) for b in pk_bodies))
+                           *(canonical_json(b) for b in self._pk_bodies))
 
     def _derive_ciphertext_keys(self) -> None:
         """Sender: form the two branch kernels from the received pair and
@@ -403,18 +390,15 @@ class SiotSession:
     # ciphertexts
 
     def produce_ciphertexts(self) -> dict:
-        mtype = self._expect("produce_ciphertexts")
-        body = {"c0": self.ciphertexts[0].hex(), "c1": self.ciphertexts[1].hex()}
-        self._log(mtype, body)
-        return body
+        self._expect("produce_ciphertexts")
+        return {"c0": self.ciphertexts[0].hex(), "c1": self.ciphertexts[1].hex()}
 
     def consume_ciphertexts(self, body: dict) -> bytes:
-        mtype = self._expect("consume_ciphertexts")
+        self._expect("consume_ciphertexts")
         c0 = _bytes_field(body, "c0")
         c1 = _bytes_field(body, "c1")
         if len(c0) != len(c1):
             raise ProtocolAbort("bad-message", "ciphertext lengths differ")
-        self._log(mtype, body)
         params = self.params
         pub = self.their_public
         K = kernel_generator(pub.curve, pub.G, self.keypair.r, pub.H)

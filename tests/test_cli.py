@@ -34,12 +34,11 @@ def test_run_local_and_verify(tmp_path, capsys):
     outf = str(tmp_path / "delivered.bin")
     code = main(["run-local", "--preset", "p431", "--choice", "1",
                  "--msg0", m0, "--msg1", m1, "--seed", "beef",
-                 "--offline", str(tmp_path / "off"), "-o", outf])
+                 "--transcript", str(tmp_path / "t.jsonl"), "-o", outf])
     assert code == 0
     assert (tmp_path / "delivered.bin").read_bytes() == b"unity!"
     capsys.readouterr()
-    assert main(["verify-transcript",
-                 str(tmp_path / "off" / "transcript.jsonl"),
+    assert main(["verify-transcript", str(tmp_path / "t.jsonl"),
                  "--preset", "p431"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
@@ -49,7 +48,7 @@ def test_verify_rejects_tampered_transcript(tmp_path, capsys):
     m1 = _write(tmp_path, "m1", b"bb")
     main(["run-local", "--preset", "p431", "--choice", "0",
           "--msg0", m0, "--msg1", m1, "--seed", "3133",
-          "--offline", str(tmp_path)])
+          "--transcript", str(tmp_path / "transcript.jsonl")])
     path = tmp_path / "transcript.jsonl"
     lines = path.read_bytes().splitlines()
     rec = json.loads(lines[2])
@@ -69,7 +68,7 @@ def test_verify_reports_malformed_fields(tmp_path, capsys):
     m1 = _write(tmp_path, "m1", b"bb")
     main(["run-local", "--preset", "p431", "--choice", "1",
           "--msg0", m0, "--msg1", m1, "--seed", "3134",
-          "--offline", str(tmp_path)])
+          "--transcript", str(tmp_path / "transcript.jsonl")])
     lines = (tmp_path / "transcript.jsonl").read_bytes().splitlines()
     for index, key, value in ((2, "nonce", "zz" * 32),
                               (3, "nonce", "ab" * 31),
@@ -179,7 +178,7 @@ def test_unwritable_output_paths_exit_four(tmp_path, capsys):
                  ["run-local", "--preset", "p431", *run,
                   "-o", f"{missing}/o.bin"],
                  ["run-local", "--preset", "p431", *run,
-                  "--offline", f"{m0}/sub"],
+                  "--transcript", f"{m0}/t.jsonl"],
                  ["baseline-ot", "run", *run,
                   "--transcript", f"{m0}/t.jsonl"]):
         assert main(argv) == 4

@@ -7,17 +7,11 @@ from oracles import (affine_add, ec_add_fp, ec_mul_fp, multiplicative_order,
                      naive_mul, naive_order)
 from siot import det_rng
 from siot.curve import INFINITY, EllipticCurve, Point
-from siot.errors import InvalidPointError, SamplingError, SingularCurveError
+from siot.errors import InvalidPointError, SamplingError
 from siot.field import FieldContext
 
 CTX = FieldContext(431)
 E0 = EllipticCurve(CTX.elem(1), CTX.elem(0))
-
-
-def test_singular_curve_rejected():
-    # 4A^3 + 27B^2 = 0 at (A, B) = (-3, 2)
-    with pytest.raises(SingularCurveError):
-        EllipticCurve(CTX.elem(-3), CTX.elem(2))
 
 
 def test_point_membership():

@@ -7,8 +7,6 @@ import pytest
 
 from oracles import sqrt_by_exponentiation
 from siot import Fp2
-from siot.curve import EllipticCurve
-from siot.errors import FieldMismatchError
 from siot.field import FieldContext, is_prime
 
 CTX = FieldContext(431)
@@ -135,14 +133,6 @@ def test_encode_decode_roundtrip():
     assert bytes.fromhex(a.hex()) == a.encode()
     with pytest.raises(Exception):
         Fp2.decode(CTX, a.encode() + b"\x00")
-
-
-def test_mismatched_contexts_rejected():
-    """Arithmetic trusts its moduli; two fields meet where a curve is
-    built, and that is where the mismatch is caught."""
-    other = FieldContext(2591)
-    with pytest.raises(FieldMismatchError):
-        EllipticCurve(CTX.elem(1), other.elem(1))
 
 
 def test_is_prime_small_table():

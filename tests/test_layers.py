@@ -1,7 +1,8 @@
 """The package is layered: each module imports only modules below it.
 
 Imports are read from the source with ``ast``, those inside functions
-included, so a local import cannot hide an upward edge."""
+included, so a local import cannot hide an upward edge.  The same
+reading finds every error class that nothing raises."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,22 @@ def test_modules_import_only_lower_layers():
             if name not in LAYERS[:rank]:
                 upward.append(f"{path.stem} -> {name}")
     assert upward == []
+
+
+def _raised_names(tree):
+    """Names of the classes a module raises, called or bare."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((SRC / "errors.py").read_text())
+    defined = {node.name for node in errors.body
+               if isinstance(node, ast.ClassDef)} - {"SiotError"}
+    raised = set()
+    for path in SRC.glob("*.py"):
+        raised.update(_raised_names(ast.parse(path.read_text(), str(path))))
+    assert sorted(defined - raised) == []

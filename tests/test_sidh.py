@@ -209,14 +209,17 @@ def test_point_at_infinity_is_only_json_true(p431, inf):
 
 def test_singular_curves_raise_decode_error(p431):
     zero = "00" * (2 * p431.ctx.byte_width)
-    params = params_to_obj(p431)
-    params["e0"] = {"a": zero, "b": zero}
-    with pytest.raises(DecodeError, match="e0 is singular"):
-        params_from_obj(params)
-    pub = public_to_obj(keygen(p431, "A", det_rng(8)).public)
-    pub["curve"] = {"a": zero, "b": zero}
-    with pytest.raises(DecodeError, match="curve is singular"):
-        public_from_obj(p431.ctx, pub)
+    # 4A^3 + 27B^2 = 0 at (A, B) = (0, 0) and at (-3, 2)
+    node = {"a": p431.ctx.elem(-3).hex(), "b": p431.ctx.elem(2).hex()}
+    for curve in ({"a": zero, "b": zero}, node):
+        params = params_to_obj(p431)
+        params["e0"] = curve
+        with pytest.raises(DecodeError, match="e0 is singular"):
+            params_from_obj(params)
+        pub = public_to_obj(keygen(p431, "A", det_rng(8)).public)
+        pub["curve"] = curve
+        with pytest.raises(DecodeError, match="curve is singular"):
+            public_from_obj(p431.ctx, pub)
 
 
 def test_params_codec_roundtrip(p431):
