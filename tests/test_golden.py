@@ -3,15 +3,20 @@
 The digests pin the wire bytes of a clean local run, a local run that
 restarts once, an online run over a loopback pipe and a baseline run,
 so that any change to the message schedule or to a driver that alters
-what goes on the wire fails here.
+what goes on the wire fails here.  A run at 2^51*3^32 - 1, for each
+bit, pins the long chains: 51 and 32 steps per walk.
 """
 
 import hashlib
 import threading
 
+import pytest
+
 from loopback import LoopbackPipe
 from siot import (
     SessionConfig,
+    det_rng,
+    gen_params,
     preset,
     run_baseline_local,
     run_local,
@@ -41,6 +46,22 @@ def test_restarting_local_run():
     assert out["output"] == X1
     assert _digest(out["transcript"]) == (
         "846f7c5579899465cde37508fbace6b0984c1b9686c3b6a812c2a9b7023cff22")
+
+
+P102_DIGESTS = (
+    "c2ed69464213530a630369bec2b54c47709b61817d52f4e9cd35de31c9ee0ef9",
+    "e0ce3b0f79e17e1ddfc0085ad11cbae24736171067b269961b6a6d311ebb709e",
+)
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_long_chain_local_run(b):
+    params = gen_params(2, 51, 3, 32, rng=det_rng(b"tests/p102"))
+    out = run_local(SessionConfig(params, seed=b"golden-p102", b=b,
+                                  x0=X0, x1=X1))
+    assert out["restarts"] == 0
+    assert out["output"] == (X0, X1)[b]
+    assert _digest(out["transcript"]) == P102_DIGESTS[b]
 
 
 def test_online_run():
