@@ -2,15 +2,20 @@
 
 Points are affine with an explicit infinity marker; the group law,
 j-invariants, point sampling and the exact-order test live here.  There
-is one group law: the Jacobian doubling and mixed addition at the end of
-this module, with (X, Y, Z) standing for (X/Z^2, Y/Z^3).  ``add``
-lifts its first point to Z = 1 and takes one mixed addition; ``mul``
-runs double-and-add on the Jacobian point.  Both convert back to affine once,
-in ``_affine``, so each makes one field inversion, and none when the
-result is O.  The two steps also serve the Miller loop in ``pairing``.
-They, ``_affine`` and the on-curve test are straight-line arithmetic on
-the unpacked integer coordinates; points and curve coefficients enter
-and leave them as ``Fp2`` values.
+is one group law: the Jacobian steps at the end of this module, with
+(X, Y, Z) standing for (X/Z^2, Y/Z^3): a doubling, a mixed addition of
+an affine point, a full addition and a tripling.  ``jac_mul`` builds
+[n]T from them, with a tripling for each factor 3 of n.  ``add`` lifts
+its first point to Z = 1 and takes one mixed addition; ``mul`` runs
+``jac_mul``.  Both convert back to affine once, in ``_affine``, so each
+makes one field inversion, and none when the result is O.
+``has_exact_order`` tests only the Z of its multiples and inverts
+nothing.  The doubling and the mixed addition also serve the Miller
+loop in ``pairing``, and the isogeny walk keeps its multiples Jacobian
+until a step brings them to Z = 1 in one batch.  The steps, ``_affine``
+and the on-curve test are straight-line arithmetic on the unpacked
+integer coordinates; points and curve coefficients enter and leave them
+as ``Fp2`` values.
 
 The group law trusts its inputs: ``add`` and ``mul`` assume their
 points lie on the curve and do not check.  Points are checked once,
@@ -118,10 +123,9 @@ class EllipticCurve:
             return Q
         if Q.infinity:
             return P
-        T = ((P.x.a, P.x.b), (P.y.a, P.y.b), (1, 0))
         xy = (Q.x.a, Q.x.b), (Q.y.a, Q.y.b)
-        return self._affine(
-            jac_add_affine(T, xy, (self.A.a, self.A.b), self.ctx.p)[0])
+        return self._affine(jac_add_affine(
+            jacobian(P), xy, (self.A.a, self.A.b), self.ctx.p)[0])
 
     def sub(self, P: Point, Q: Point) -> Point:
         return self.add(P, self.neg(Q))
@@ -133,27 +137,17 @@ class EllipticCurve:
             n, P = -n, self.neg(P)
         if n == 0 or P.infinity:
             return INFINITY
-        p, A = self.ctx.p, (self.A.a, self.A.b)
-        xy = (P.x.a, P.x.b), (P.y.a, P.y.b)
-        T = (*xy, (1, 0))
-        for bit in bin(n)[3:]:
-            T = jac_double(T, A, p)[0]
-            if bit == "1":
-                T = jac_add_affine(T, xy, A, p)[0]
-        return self._affine(T)
+        return self._affine(
+            jac_mul(jacobian(P), n, (self.A.a, self.A.b), self.ctx.p))
 
     def _affine(self, T) -> Point:
         """The affine point (X/Z^2, Y/Z^3) of a Jacobian T, by one
         inversion of Z; O when Z = 0."""
-        (xa, xb), (ya, yb), (za, zb) = T
+        za, zb = T[2]
         if za == 0 and zb == 0:
             return INFINITY
-        p, zi = self.ctx.p, Fp2(self.ctx, za, zb).inv()
-        ia, ib = zi.a, zi.b
-        i2a, i2b = (ia + ib) * (ia - ib) % p, 2 * ia * ib % p
-        i3a, i3b = (i2a * ia - i2b * ib) % p, (i2a * ib + i2b * ia) % p
-        return Point(Fp2(self.ctx, xa * i2a - xb * i2b, xa * i2b + xb * i2a),
-                     Fp2(self.ctx, ya * i3a - yb * i3b, ya * i3b + yb * i3a))
+        zi = Fp2(self.ctx, za, zb).inv()
+        return unit_point(self.ctx, jac_normalize(T, (zi.a, zi.b), self.ctx.p))
 
     # -- invariants ---------------------------------------------------
 
@@ -205,19 +199,75 @@ class EllipticCurve:
 
         The one torsion test: R = [ell^(e-1)]P must satisfy [ell]R = O,
         else InvalidPointError; P has exact order ell^e when R is not O.
+        Both multiples stay Jacobian and only their Z is tested, so the
+        test inverts nothing.
         """
-        R = self.mul(ell ** (e - 1), P)
-        if not self.mul(ell, R).infinity:
+        A, p = (self.A.a, self.A.b), self.ctx.p
+        R = jac_mul(jacobian(P), ell ** (e - 1), A, p)
+        if jac_mul(R, ell, A, p)[2] != (0, 0):
             raise InvalidPointError(f"{P!r} is not {ell ** e}-torsion")
-        return not R.infinity
+        return R[2] != (0, 0)
 
 
 # -- Jacobian steps on (a, b) integer pairs ----------------------------
 #
 # A point is a triple (X, Y, Z) of pairs standing for (X/Z^2, Y/Z^3), and
-# Z = 0 is the identity.  Each step also returns the numerator N of the
-# slope N/Z' of its tangent or chord, Z' being the result's Z; the Miller
-# loop builds its line values from it.
+# Z = 0 is the identity.  The doubling and the mixed addition also return
+# the numerator N of the slope N/Z' of their tangent or chord, Z' being
+# the result's Z; the Miller loop builds its line values from it.
+
+JAC_INFINITY = ((1, 0), (1, 0), (0, 0))
+
+
+def jacobian(P: Point):
+    """The Jacobian triple of an affine point: Z = 1, or 0 for O."""
+    if P.infinity:
+        return JAC_INFINITY
+    return (P.x.a, P.x.b), (P.y.a, P.y.b), (1, 0)
+
+
+def jac_normalize(T, zi, p: int):
+    """T rescaled to Z = 1, (X/Z^2, Y/Z^3, 1), given zi = 1/Z."""
+    (xa, xb), (ya, yb), _ = T
+    ia, ib = zi
+    i2a, i2b = (ia + ib) * (ia - ib) % p, 2 * ia * ib % p
+    i3a, i3b = (i2a * ia - i2b * ib) % p, (i2a * ib + i2b * ia) % p
+    return (((xa * i2a - xb * i2b) % p, (xa * i2b + xb * i2a) % p),
+            ((ya * i3a - yb * i3b) % p, (ya * i3b + yb * i3a) % p), (1, 0))
+
+
+def unit_point(ctx: FieldContext, T) -> Point:
+    """The Point of a Jacobian T whose Z is 1, or 0 for O."""
+    if T[2] == (0, 0):
+        return INFINITY
+    (xa, xb), (ya, yb), _ = T
+    return Point(Fp2(ctx, xa, xb), Fp2(ctx, ya, yb))
+
+
+def jac_mul(T, n: int, A, p: int):
+    """[n]T for a Jacobian T and n >= 1.
+
+    The part of n prime to 3 is taken by left-to-right double-and-add,
+    with mixed additions when T has Z = 1 and full ones otherwise; then
+    each factor 3 of n by one tripling, cheaper than the doubling and
+    addition it replaces.
+    """
+    if T[2] == (0, 0):
+        return T
+    k = 0
+    while n % 3 == 0:
+        n, k = n // 3, k + 1
+    xy, affine = T[:2], T[2] == (1, 0)
+    R = T
+    for bit in bin(n)[3:]:
+        R = jac_double(R, A, p)[0]
+        if bit == "1":
+            R = jac_add_affine(R, xy, A, p)[0] if affine else \
+                jac_add(R, T, A, p)
+    for _ in range(k):
+        R = jac_triple(R, A, p)
+    return R
+
 
 def jac_double(T, A, p: int):
     """(2T, N) on y^2 = x^3 + Ax + B; the tangent slope at T is N/Z(2T).
@@ -278,3 +328,74 @@ def jac_add_affine(T, P, A, p: int):
     return (((x3a, x3b), (y3a, y3b),
              ((z1a * ha - z1b * hb) % p, (z1a * hb + z1b * ha) % p)),
             (ra, rb))
+
+
+def jac_add(T, U, A, p: int):
+    """T + U for two Jacobian points; unlike the steps above it returns
+    no slope, for no Miller loop takes it.
+
+    O on either side gives the other; T = U is a doubling and T = -U
+    gives Z = 0.  With U1 = X1*Z2^2, U2 = X2*Z1^2, S1 = Y1*Z2^3,
+    S2 = Y2*Z1^3, H = U2 - U1 and r = S2 - S1: X' = r^2 - H^3 - 2*U1*H^2,
+    Y' = r(U1*H^2 - X') - S1*H^3 and Z' = Z1*Z2*H.
+    """
+    (x1a, x1b), (y1a, y1b), (z1a, z1b) = T
+    (x2a, x2b), (y2a, y2b), (z2a, z2b) = U
+    if z1a == 0 and z1b == 0:
+        return U
+    if z2a == 0 and z2b == 0:
+        return T
+    s1a, s1b = (z1a + z1b) * (z1a - z1b) % p, 2 * z1a * z1b % p
+    s2a, s2b = (z2a + z2b) * (z2a - z2b) % p, 2 * z2a * z2b % p
+    u1a, u1b = (x1a * s2a - x1b * s2b) % p, (x1a * s2b + x1b * s2a) % p
+    u2a, u2b = (x2a * s1a - x2b * s1b) % p, (x2a * s1b + x2b * s1a) % p
+    c2a, c2b = (z2a * s2a - z2b * s2b) % p, (z2a * s2b + z2b * s2a) % p
+    c1a, c1b = (z1a * s1a - z1b * s1b) % p, (z1a * s1b + z1b * s1a) % p
+    v1a, v1b = (y1a * c2a - y1b * c2b) % p, (y1a * c2b + y1b * c2a) % p
+    ha, hb = (u2a - u1a) % p, (u2b - u1b) % p
+    ra = (y2a * c1a - y2b * c1b - v1a) % p
+    rb = (y2a * c1b + y2b * c1a - v1b) % p
+    if ha == 0 and hb == 0:
+        if ra == 0 and rb == 0:
+            return jac_double(T, A, p)[0]
+        return JAC_INFINITY
+    hha, hhb = (ha + hb) * (ha - hb) % p, 2 * ha * hb % p
+    h3a, h3b = (ha * hha - hb * hhb) % p, (ha * hhb + hb * hha) % p
+    va, vb = (u1a * hha - u1b * hhb) % p, (u1a * hhb + u1b * hha) % p
+    x3a = ((ra + rb) * (ra - rb) - h3a - 2 * va) % p
+    x3b = (2 * (ra * rb - vb) - h3b) % p
+    da, db = va - x3a, vb - x3b
+    y3a = (ra * da - rb * db - (v1a * h3a - v1b * h3b)) % p
+    y3b = (ra * db + rb * da - (v1a * h3b + v1b * h3a)) % p
+    zza, zzb = (z1a * z2a - z1b * z2b) % p, (z1a * z2b + z1b * z2a) % p
+    return ((x3a, x3b), (y3a, y3b),
+            ((zza * ha - zzb * hb) % p, (zza * hb + zzb * ha) % p))
+
+
+def jac_triple(T, A, p: int):
+    """3T for a Jacobian T (Bernstein-Lange, tpl-2007-bl); O and points
+    of order 3 come out with Z = 0.
+
+    With M = 3X^2 + AZ^4, E = 12XY^2 - M^2, W = 16Y^4 and U = 2ME - W:
+    X' = 4(XE^2 - 4Y^2U), Y' = 8Y(U(W - U) - E^3) and Z' = 2ZE.
+    """
+    (xa, xb), (ya, yb), (za, zb) = T
+    Aa, Ab = A
+    yya, yyb = (ya + yb) * (ya - yb) % p, 2 * ya * yb % p
+    zza, zzb = (za + zb) * (za - zb) % p, 2 * za * zb % p
+    z4a, z4b = (zza + zzb) * (zza - zzb) % p, 2 * zza * zzb % p
+    ma = (3 * (xa + xb) * (xa - xb) + Aa * z4a - Ab * z4b) % p
+    mb = (6 * xa * xb + Aa * z4b + Ab * z4a) % p
+    ea = (12 * (xa * yya - xb * yyb) - (ma + mb) * (ma - mb)) % p
+    eb = (12 * (xa * yyb + xb * yya) - 2 * ma * mb) % p
+    eea, eeb = (ea + eb) * (ea - eb) % p, 2 * ea * eb % p
+    wa, wb = 16 * (yya + yyb) * (yya - yyb) % p, 32 * yya * yyb % p
+    ua = (2 * (ma * ea - mb * eb) - wa) % p
+    ub = (2 * (ma * eb + mb * ea) - wb) % p
+    da, db = wa - ua, wb - ub
+    va = (ua * da - ub * db - ea * eea + eb * eeb) % p
+    vb = (ua * db + ub * da - ea * eeb - eb * eea) % p
+    return (((4 * (xa * eea - xb * eeb - 4 * (yya * ua - yyb * ub))) % p,
+             (4 * (xa * eeb + xb * eea - 4 * (yya * ub + yyb * ua))) % p),
+            (8 * (ya * va - yb * vb) % p, 8 * (ya * vb + yb * va) % p),
+            (2 * (za * ea - zb * eb) % p, 2 * (za * eb + zb * ea) % p))

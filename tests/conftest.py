@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 import siot.isogeny
@@ -31,3 +33,22 @@ def velu_steps(monkeypatch):
         return steps[-1]
     monkeypatch.setattr(siot.isogeny, "velu_step", record)
     return steps
+
+
+@pytest.fixture
+def counter(monkeypatch):
+    """counter(owner, name) wraps owner.name for the test and returns a
+    one-item list holding its call count."""
+    def install(owner, name):
+        calls = [0]
+        lock = threading.Lock()   # an online pair counts from two threads
+        orig = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            with lock:
+                calls[0] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+    return install

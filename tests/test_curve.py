@@ -6,7 +6,8 @@ import pytest
 from oracles import (affine_add, ec_add_fp, ec_mul_fp, multiplicative_order,
                      naive_mul, naive_order)
 from siot import det_rng
-from siot.curve import INFINITY, EllipticCurve, Point
+from siot.curve import (INFINITY, JAC_INFINITY, EllipticCurve, Point, jac_add,
+                        jac_mul, jac_triple)
 from siot.errors import InvalidPointError, SamplingError
 from siot.field import FieldContext
 
@@ -198,3 +199,35 @@ def test_add_matches_affine_oracle_exhaustively():
         for P in pts:
             for Q in pts:
                 assert curve.add(P, Q) == affine_add(curve, P, Q), (P, Q)
+
+
+def _lift(P, z):
+    """P as a Jacobian triple with Z = z: (x z^2, y z^3, z)."""
+    if P.infinity:
+        return JAC_INFINITY
+    X, Y = P.x * z * z, P.y * z * z * z
+    return (X.a, X.b), (Y.a, Y.b), (z.a, z.b)
+
+
+def test_jacobian_steps_match_the_oracle_exhaustively():
+    """The full addition, the tripling and ``jac_mul`` from a base with
+    Z != 1, against the chord-tangent oracle for every point (pair) of
+    the two F_{11^2} curves above, O and 2- and 3-torsion included."""
+    from siot.isogeny import velu_step
+
+    ctx = FieldContext(11)
+    E = EllipticCurve(ctx.elem(1), ctx.elem(0))
+    E2 = velu_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
+    for curve in (E, E2):
+        A, p = (curve.A.a, curve.A.b), ctx.p
+        pts = _all_points(curve) + [INFINITY]
+        for P in pts:
+            T = _lift(P, ctx.elem(2, 3))
+            assert curve._affine(jac_triple(T, A, p)) == naive_mul(curve, 3, P)
+            for k in (1, 2, 3, 5, 6, 9, 12, 18, 25):
+                assert curve._affine(jac_mul(T, k, A, p)) \
+                    == naive_mul(curve, k, P), (P, k)
+            for Q in pts:
+                U = _lift(Q, ctx.elem(4, 1))
+                assert curve._affine(jac_add(T, U, A, p)) \
+                    == affine_add(curve, P, Q), (P, Q)

@@ -2,12 +2,15 @@
 
 Imports are read from the source with ``ast``, those inside functions
 included, so a local import cannot hide an upward edge.  The same
-reading finds every error class that nothing raises."""
+reading finds every error class that nothing raises, and every name
+the benchmark's tracer patches that the package no longer defines."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "siot"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "siot"
 
 LAYERS = ("errors", "util", "field", "curve", "isogeny", "pairing", "sidh",
           "siot", "baseline_ot", "wire", "transport", "runner", "analysis",
@@ -57,3 +60,35 @@ def test_every_error_class_is_raised():
     for path in SRC.glob("*.py"):
         raised.update(_raised_names(ast.parse(path.read_text(), str(path))))
     assert sorted(defined - raised) == []
+
+
+def _bench_tables():
+    """The name tables of ``bench/spans.py``, read without running it."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    return {node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("SPAN_FUNCTIONS", "PHASE_METHODS",
+                                       "COUNTED")}
+
+
+def test_bench_hooks_name_package_attributes():
+    """The tracer wraps functions by module and name and methods on
+    their class, so a rename would break only the benchmark's run."""
+    tables = _bench_tables()
+    missing = []
+    for modname, attr, _ in tables["SPAN_FUNCTIONS"]:
+        if not hasattr(importlib.import_module(modname), attr):
+            missing.append(f"{modname}.{attr}")
+    session = importlib.import_module("siot.siot").SiotSession
+    for attr, _ in tables["PHASE_METHODS"]:
+        if attr not in vars(session):
+            missing.append(f"siot.siot.SiotSession.{attr}")
+    for modname, clsname, attr, _ in tables["COUNTED"]:
+        owner = importlib.import_module(modname)
+        if clsname is not None:
+            owner = getattr(owner, clsname, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(".".join(filter(None, (modname, clsname, attr))))
+    assert missing == []

@@ -17,6 +17,7 @@ from siot import (
     verify_transcript,
 )
 from siot.errors import ProtocolAbort, RestartRequired
+from siot.field import Fp2
 from siot.siot import MaskCoefficients
 from siot.wire import WireMessage
 
@@ -150,14 +151,19 @@ def test_session_with_torsion_order_above_2_64():
     assert out["sender_j"][1] == out["receiver_j"]
 
 
-def test_session_at_sike_size():
+def test_session_at_sike_size(counter):
     """p434 = 2^216 * 3^137 - 1, the SIKE-sized prime: a whole session,
-    parameter search and basis certificates included, runs in tier-1."""
+    parameter search and basis certificates included, runs in tier-1.
+    Its 922 Velu steps make one inversion each at most: the session
+    makes 951 in all (2,146 when every traversal multiple was brought
+    back to affine)."""
     params = gen_params(2, 216, 3, 137, rng=det_rng(b"tests/p434"))
     assert params.p.bit_length() == 434
+    inversions = counter(Fp2, "inv")
     out = run_local(_config(params, 1, seed=b"p434-session"))
     assert out["output"] == b"one input!"
     assert out["sender_j"][1] == out["receiver_j"]
+    assert inversions[0] == 951
 
 
 def test_forced_degenerate_mask_restarts(p431, monkeypatch):

@@ -1,0 +1,103 @@
+"""The chain and what it rests on, on small shapes with ell up to 11.
+
+Each shape is built by ``gen_params(..., general_f=True, max_f=40)``; the
+four with ell >= 5 find no prime under the default max_f = 4.  Every
+layer is compared with its oracle in ``tests/oracles.py``, and a whole
+session runs once per bit.
+"""
+
+import pytest
+
+from oracles import affine_add, naive_chain, naive_evaluate, naive_order
+from siot import SessionConfig, det_rng, gen_params, run_local
+from siot.errors import InvalidKernelError, InvalidPointError
+from siot.field import Fp2
+from siot.isogeny import cyclic_subgroup, isogeny_chain, kernel_generator
+
+SHAPES = [(2, 4, 5, 2), (5, 2, 2, 4), (7, 2, 3, 3), (3, 3, 5, 2),
+          (2, 6, 3, 4), (11, 2, 2, 5)]
+
+
+@pytest.fixture(scope="module", params=SHAPES,
+                ids=lambda s: "{}^{}*{}^{}".format(*s))
+def shape(request):
+    tag = "-".join(map(str, request.param)).encode()
+    return gen_params(*request.param, general_f=True, max_f=40,
+                      rng=det_rng(b"tests/shape/" + tag))
+
+
+def test_chain_matches_naive_schedule(shape, velu_steps):
+    """Recorded steps, codomain and pushed images of the walk equal a
+    fresh scalar multiple per step, for r in {0, 1, n - 1, seeded}."""
+    rng = det_rng(b"shape-chain")
+    E = shape.curve
+    for side, other in (("A", "B"), ("B", "A")):
+        G, H = shape.basis(side)
+        ell, e, n = shape.ell(side), shape.e(side), shape.n(side)
+        for r in (0, 1, n - 1, rng.randrange(n)):
+            K = kernel_generator(E, G, r, H)
+            velu_steps.clear()
+            codomain, images = isogeny_chain(E, K, ell, e,
+                                             shape.basis(other))
+            want = naive_chain(E, K, ell, e)
+            assert tuple(velu_steps) == want
+            assert codomain == want[-1].codomain
+            assert images == [naive_evaluate(want, P)
+                              for P in shape.basis(other)]
+
+
+def test_chain_inverts_once_per_step(shape, counter):
+    """One batched inversion per step, pushed points included; for
+    ell >= 5 ``velu_step`` adds one to bring [2]K, ..., [ell//2]K to
+    affine."""
+    calls = counter(Fp2, "inv")
+    E = shape.curve
+    for side, other in (("A", "B"), ("B", "A")):
+        G, H = shape.basis(side)
+        ell, e = shape.ell(side), shape.e(side)
+        K = kernel_generator(E, G, 1, H)
+        calls[0] = 0
+        isogeny_chain(E, K, ell, e, shape.basis(other))
+        assert calls[0] <= e * (1 if ell <= 3 else 2)
+
+
+def _multiples(E, K, m):
+    """[1]K, ..., [m-1]K by repeated chord-tangent addition."""
+    out, R = [], K
+    for _ in range(m - 1):
+        out.append(R)
+        R = affine_add(E, R, K)
+    return tuple(out)
+
+
+def test_subgroup_and_order_match_the_oracles(shape):
+    """``cyclic_subgroup`` lists what repeated ``affine_add`` lists and
+    rejects a wrong order either way; ``has_exact_order`` agrees with
+    ``naive_order`` at every exponent."""
+    E = shape.curve
+    for side in ("A", "B"):
+        G, H = shape.basis(side)
+        ell, e, n = shape.ell(side), shape.e(side), shape.n(side)
+        for K in (G, H, E.mul(ell, G), E.mul(n // ell, H)):
+            m = naive_order(E, K, n)
+            assert cyclic_subgroup(E, K, m) == _multiples(E, K, m)
+            with pytest.raises(InvalidKernelError,
+                               match="divides .* improperly"):
+                cyclic_subgroup(E, K, ell * m)
+            with pytest.raises(InvalidKernelError,
+                               match="does not have order"):
+                cyclic_subgroup(E, K, m // ell)
+            for f in range(1, e + 1):
+                if ell ** f % m:
+                    with pytest.raises(InvalidPointError):
+                        E.has_exact_order(K, ell, f)
+                else:
+                    assert E.has_exact_order(K, ell, f) == (ell ** f == m)
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_session_delivers_the_chosen_input(shape, b):
+    out = run_local(SessionConfig(shape, seed=b"shape-session", b=b,
+                                  x0=b"zero", x1=b"one"))
+    assert out["output"] == (b"zero", b"one")[b]
+    assert out["sender_j"][b] == out["receiver_j"]
