@@ -11,44 +11,36 @@ and a point maps by adding, for each kernel point Q, the offset between
 the translate P+Q and Q itself.  Both formulas are valid for any
 finite kernel subgroup.
 
-One translate loop, ``_translate``, maps a whole list of points through
-a step at once: every translate's chord slope needs 1/(x_Q - x_P), and
+A step's kernel is written as one point Q per pair +-Q of its nonzero
+points: -Q has Q's x, so it adds the same terms to the codomain sums
+and shares Q's chord denominators, and it is Q itself when y_Q = 0.
+``velu_step`` takes such a list, affine, to the codomain.  One
+translate loop, ``_translate``, maps a whole list of points through the
+step at once: every translate's chord slope needs 1/(x_Q - x_P), and
 all of those are inverted together with one field inversion
 (Montgomery's trick).  Its points and kernel points may be Jacobian:
 their Z join the same batch, and each denominator is written
-projectively.  Q and -Q share their denominator, and a point whose x is
-a kernel x is itself a kernel point and maps to the identity.
-``push_through`` and the chain walk both use it.  The translate loop and
-the codomain sums are straight-line arithmetic on the unpacked integer
-coordinates; points and curves enter and leave them as ``Fp2`` values.
+projectively.  A point whose x is a kernel x is itself a kernel point
+and maps to the identity.  ``evaluate`` maps one ``Point`` through it.
+The translate loop and the codomain sums are straight-line arithmetic
+on the unpacked integer coordinates; points and curves enter and leave
+them as ``Fp2`` values.
 
 A chain of degree ell^e takes e such steps.  The order-ell kernel of
 each step is found by a balanced traversal that keeps the intermediate
 multiples of the kernel generator, in Jacobian coordinates, and pushes
 them through every step, so a chain costs O(e log e) multiplications by
-ell rather than e^2/2, and one inversion per step (two for ell >= 5).
-The caller's points ride the same pushes, and nothing of the walk is
-kept: a chain is its codomain and the images of those points.
+ell rather than e^2/2, and one inversion per step.  The caller's points
+ride the same pushes, and nothing of the walk is kept: a chain is its
+codomain and the images of those points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .curve import (JAC_INFINITY, EllipticCurve, Point, jac_add,
-                    jac_add_affine, jac_mul, jac_normalize, jacobian,
-                    unit_point)
+from .curve import (JAC_INFINITY, EllipticCurve, Point, jac_add, jac_mul,
+                    jac_normalize, jacobian, unit_point)
 from .errors import InvalidKernelError
 from .field import Fp2, inv_batch
-
-
-@dataclass(frozen=True)
-class VeluStep:
-    """One separable isogeny, recorded by its kernel's nonzero points."""
-
-    domain: EllipticCurve
-    codomain: EllipticCurve
-    kernel_points: tuple[Point, ...]
 
 
 def kernel_generator(E: EllipticCurve, P: Point, r: int, Q: Point) -> Point:
@@ -56,69 +48,29 @@ def kernel_generator(E: EllipticCurve, P: Point, r: int, Q: Point) -> Point:
     return E.add(P, E.mul(r, Q))
 
 
-def cyclic_subgroup(E: EllipticCurve, K: Point, n: int) -> tuple[Point, ...]:
-    """The n - 1 nonzero points [1]K, ..., [n-1]K of <K>, for K of exact
-    order n.
+def velu_step(E: EllipticCurve, kernel) -> EllipticCurve:
+    """The codomain of E by the subgroup that ``kernel`` lists: one
+    affine Jacobian point Q per pair +-Q of its nonzero points, as
+    ``_translate`` returns them.  Q is summed once when y_Q = 0 and
+    otherwise twice, for itself and -Q.
 
-    [i]K is walked in Jacobian coordinates up to i = n - 1.  No Z may
-    vanish on the way, and [n-1]K must be -K, which is [n]K = O.  Since
-    [n-i]K = -[i]K, only the points with 2 <= i <= n/2 are brought to
-    affine, by one batched inversion; for n <= 3 there are none, and
-    nothing is inverted.
+    Like ``add`` and ``mul``, it trusts its input: the walk proves its
+    generator's order once, and every kernel follows from it.
     """
-    if K.infinity:
-        raise InvalidKernelError(f"generator order divides {n} improperly")
-    A, p = (E.A.a, E.A.b), E.ctx.p
-    xy = (xa, xb), (ya, yb) = (K.x.a, K.x.b), (K.y.a, K.y.b)
-    T, half = (*xy, (1, 0)), []
-    for i in range(2, n):
-        T = jac_add_affine(T, xy, A, p)[0]
-        if T[2] == (0, 0):
-            raise InvalidKernelError(f"generator order divides {n} improperly")
-        if i <= n // 2:
-            half.append(T)
-    # [n]K = O when [n-1]K = (X, Y, Z) is -K = (x*Z^2, -y*Z^3, Z)
-    X, Y, (za, zb) = T
-    zza, zzb = (za + zb) * (za - zb) % p, 2 * za * zb % p
-    zca, zcb = (zza * za - zzb * zb) % p, (zza * zb + zzb * za) % p
-    if n < 2 or (X, Y) != (((xa * zza - xb * zzb) % p,
-                            (xa * zzb + xb * zza) % p),
-                           ((yb * zcb - ya * zca) % p,
-                            (-ya * zcb - yb * zca) % p)):
-        raise InvalidKernelError(f"generator does not have order {n}")
-    pts = [K]
-    if half:
-        invs = inv_batch(E.ctx, [T[2] for T in half])
-        pts += [unit_point(E.ctx, jac_normalize(T, zi, p))
-                for T, zi in zip(half, invs)]
-    return tuple(pts + [E.neg(Q) for Q in reversed(pts[:(n - 1) // 2])])
-
-
-def _codomain(E: EllipticCurve, kernel_points) -> EllipticCurve:
     p = E.ctx.p
     aa, ab, ba, bb = E.A.a, E.A.b, E.B.a, E.B.b
     va = vb = wa = wb = 0
-    for Q in kernel_points:
-        xa, xb = Q.x.a, Q.x.b
+    for (xa, xb), y, _ in kernel:
+        m = 1 if y == (0, 0) else 2
         xxa, xxb = (xa + xb) * (xa - xb) % p, 2 * xa * xb % p
-        va += 3 * xxa + aa
-        vb += 3 * xxb + ab
-        wa += (5 * (xxa * xa - xxb * xb) + 3 * (aa * xa - ab * xb)
-               + 2 * ba) % p
-        wb += (5 * (xxa * xb + xxb * xa) + 3 * (aa * xb + ab * xa)
-               + 2 * bb) % p
+        va += m * (3 * xxa + aa)
+        vb += m * (3 * xxb + ab)
+        wa += m * ((5 * (xxa * xa - xxb * xb) + 3 * (aa * xa - ab * xb)
+                    + 2 * ba) % p)
+        wb += m * ((5 * (xxa * xb + xxb * xa) + 3 * (aa * xb + ab * xa)
+                    + 2 * bb) % p)
     return EllipticCurve(Fp2(E.ctx, aa - 5 * va, ab - 5 * vb),
                          Fp2(E.ctx, ba - 7 * wa, bb - 7 * wb))
-
-
-def velu_step(E: EllipticCurve, K: Point, ell: int) -> VeluStep:
-    """Quotient E by the order-ell subgroup generated by K.
-
-    K must have exact order ell: ``cyclic_subgroup`` raises
-    InvalidKernelError otherwise.
-    """
-    kernel = cyclic_subgroup(E, K, ell)
-    return VeluStep(E, _codomain(E, kernel), kernel)
 
 
 def _translate(ctx, kernel, points):
@@ -199,25 +151,10 @@ def _translate(ctx, kernel, points):
     return affine, images
 
 
-def push_through(phi: VeluStep, points) -> list[Point]:
-    """Images of a list of points under one step, with one batched
-    inversion for the whole list.
-
-    Kernel points map to the identity; everything else by the translate
-    offsets.  The images always lie on the codomain.
-    """
-    ctx = phi.domain.ctx
-    kernel = {}                  # one kernel point per x
-    for Q in phi.kernel_points:
-        kernel.setdefault((Q.x.a, Q.x.b), jacobian(Q))
-    _, images = _translate(ctx, list(kernel.values()),
-                           [jacobian(P) for P in points])
-    return [unit_point(ctx, T) for T in images]
-
-
-def evaluate(phi: VeluStep, P: Point) -> Point:
-    """Image of one point under one step."""
-    return push_through(phi, [P])[0]
+def evaluate(E: EllipticCurve, kernel, P: Point) -> Point:
+    """Image of P under the step of E with ``kernel``, the list that
+    ``velu_step`` takes."""
+    return unit_point(E.ctx, _translate(E.ctx, kernel, [jacobian(P)])[1][0])
 
 
 def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
@@ -238,10 +175,10 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
     The multiples stay Jacobian.  At each step the kernel points
     [1]K', ..., [ell//2]K' of the order-ell point K' are formed in
     Jacobian too, and one batched inversion brings them and the stack
-    to Z = 1 and inverts every chord denominator of the push; then
-    ``velu_step`` takes the affine K'.  The points in ``push`` join that
-    batch, so a step makes one inversion, and one more inside
-    ``velu_step`` when ell >= 5.
+    to Z = 1 and inverts every chord denominator of the push, and
+    ``velu_step`` takes the codomain from those affine kernel points.
+    The points in ``push`` join that batch, so a step makes one
+    inversion.
     """
     n = ell ** e
     if e < 1:
@@ -266,8 +203,7 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
             kernel.append(jac_add(kernel[-1], T, A, p))
         kernel, images = _translate(ctx, kernel,
                                     [Q for Q, _ in stack] + pushed)
-        step = velu_step(cur, unit_point(ctx, kernel[0]), ell)
+        cur = velu_step(cur, kernel)
         stack = [(Q, h - 1) for Q, (_, h) in zip(images, stack)]
         pushed = images[len(stack):]
-        cur = step.codomain
     return cur, [unit_point(ctx, T) for T in pushed]

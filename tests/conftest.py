@@ -25,12 +25,14 @@ def set3():
 
 @pytest.fixture
 def velu_steps(monkeypatch):
-    """The steps ``isogeny_chain`` takes during the test, in order."""
+    """The steps ``isogeny_chain`` takes during the test, in order, each
+    as (domain, kernel, codomain) with the kernel list ``velu_step``
+    takes."""
     steps = []
 
-    def record(*args):
-        steps.append(velu_step(*args))
-        return steps[-1]
+    def record(E, kernel):
+        steps.append((E, tuple(kernel), velu_step(E, kernel)))
+        return steps[-1][2]
     monkeypatch.setattr(siot.isogeny, "velu_step", record)
     return steps
 

@@ -2,19 +2,24 @@
 against.  Everything here is deliberately naive: linear-time Miller
 loops, repeated-addition scalar multiples, pure-integer affine curve
 arithmetic, an isogeny chain with a fresh scalar multiple per step.
-None of it imports the package's pairing internals, and none of it
-adds points with the package's group law: the oracles that need a sum
-take it from ``affine_add``, the chord-tangent law on ``Fp2`` values.
+None of it imports the package's pairing internals, and, but for the
+subgroup enumeration below, none of it adds points with the package's
+group law: the oracles that need a sum take it from ``affine_add``, the
+chord-tangent law on ``Fp2`` values.
 
-Some are the package's own earlier loops, kept as oracles when a faster
-one replaced them: the affine group law (``affine_add``), which the
+Some are the package's own earlier code, kept as oracles when a faster
+one replaced it: the affine group law (``affine_add``), which the
 package replaced by its Jacobian steps, the affine Miller loop
 (``affine_miller``), which divides at every step, the
 one-point-at-a-time Velu translate (``naive_evaluate``), which inverts
 once per kernel point, the one-shot quotient by a whole kernel
 (``full_kernel_quotient``), whose Velu sums are taken on ``Fp2``
-values, and the square root by exponentiation in F_{p^2}
-(``sqrt_by_exponentiation``).
+values, the step record ``VeluStep`` and the subgroup enumeration
+``cyclic_subgroup``, which proves its generator's order on the way, and
+the square root by exponentiation in F_{p^2} (``sqrt_by_exponentiation``).
+The reference step (``reference_step``) is ``full_kernel_quotient`` of
+``cyclic_subgroup``, so it shares no Velu code with the package's walk;
+``naive_chain`` and ``naive_evaluate`` take its steps.
 The toy-scale problem oracles at the end (shared j by one double-kernel
 quotient, isogeny reachability, the symmetric-pairing constraint) have
 no caller outside the tests.
@@ -22,11 +27,13 @@ no caller outside the tests.
 
 from __future__ import annotations
 
-from siot.curve import INFINITY, EllipticCurve, Point
+from dataclasses import dataclass
+
+from siot.curve import (INFINITY, EllipticCurve, Point, jac_add_affine,
+                        jac_normalize, jacobian, unit_point)
 from siot.errors import InvalidKernelError, UnsupportedParameterError
-from siot.field import Fp2
-from siot.isogeny import (VeluStep, cyclic_subgroup, isogeny_chain,
-                          kernel_generator, velu_step)
+from siot.field import Fp2, inv_batch
+from siot.isogeny import _translate, isogeny_chain, kernel_generator
 from siot.sidh import PublicParams
 from siot.siot import MaskCoefficients
 from siot.util import det_rng
@@ -68,6 +75,20 @@ def naive_order(E: EllipticCurve, P: Point, bound: int) -> int:
             return k
         acc = affine_add(E, acc, P)
     raise AssertionError(f"order exceeds {bound}")
+
+
+def all_points(E: EllipticCurve) -> list[Point]:
+    """Every point of E over F_{p^2}, the identity first."""
+    ctx = E.ctx
+    pts = [INFINITY]
+    for a in range(ctx.p):
+        for b in range(ctx.p):
+            x = ctx.elem(a, b)
+            y = E.rhs(x).sqrt()
+            if y is not None:
+                pts += [Point(x, y)] if y.is_zero() else [Point(x, y),
+                                                          Point(x, -y)]
+    return pts
 
 
 def _line(E: EllipticCurve, T: Point, U: Point, X: Point) -> Fp2:
@@ -240,12 +261,100 @@ def fp_points(p: int, A: int, B: int):
     return pts
 
 
+# -- isogeny steps ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class VeluStep:
+    """One separable isogeny, recorded by its kernel's nonzero points."""
+
+    domain: EllipticCurve
+    codomain: EllipticCurve
+    kernel_points: tuple[Point, ...]
+
+
+def cyclic_subgroup(E: EllipticCurve, K: Point, n: int) -> tuple[Point, ...]:
+    """The n - 1 nonzero points [1]K, ..., [n-1]K of <K>, for K of exact
+    order n.
+
+    [i]K is walked in Jacobian coordinates up to i = n - 1.  No Z may
+    vanish on the way, and [n-1]K must be -K, which is [n]K = O.  Since
+    [n-i]K = -[i]K, only the points with 2 <= i <= n/2 are brought to
+    affine, by one batched inversion; for n <= 3 there are none, and
+    nothing is inverted.
+    """
+    if K.infinity:
+        raise InvalidKernelError(f"generator order divides {n} improperly")
+    A, p = (E.A.a, E.A.b), E.ctx.p
+    xy = (xa, xb), (ya, yb) = (K.x.a, K.x.b), (K.y.a, K.y.b)
+    T, half = (*xy, (1, 0)), []
+    for i in range(2, n):
+        T = jac_add_affine(T, xy, A, p)[0]
+        if T[2] == (0, 0):
+            raise InvalidKernelError(f"generator order divides {n} improperly")
+        if i <= n // 2:
+            half.append(T)
+    # [n]K = O when [n-1]K = (X, Y, Z) is -K = (x*Z^2, -y*Z^3, Z)
+    X, Y, (za, zb) = T
+    zza, zzb = (za + zb) * (za - zb) % p, 2 * za * zb % p
+    zca, zcb = (zza * za - zzb * zb) % p, (zza * zb + zzb * za) % p
+    if n < 2 or (X, Y) != (((xa * zza - xb * zzb) % p,
+                            (xa * zzb + xb * zza) % p),
+                           ((yb * zcb - ya * zca) % p,
+                            (-ya * zcb - yb * zca) % p)):
+        raise InvalidKernelError(f"generator does not have order {n}")
+    pts = [K]
+    if half:
+        invs = inv_batch(E.ctx, [T[2] for T in half])
+        pts += [unit_point(E.ctx, jac_normalize(T, zi, p))
+                for T, zi in zip(half, invs)]
+    return tuple(pts + [E.neg(Q) for Q in reversed(pts[:(n - 1) // 2])])
+
+
+def reference_step(E: EllipticCurve, K: Point, ell: int) -> VeluStep:
+    """The quotient of E by <K>, for K of exact order ell: the subgroup
+    listed by ``cyclic_subgroup``, quotiented by ``full_kernel_quotient``."""
+    return full_kernel_quotient(E, cyclic_subgroup(E, K, ell))
+
+
+def walk_kernel(E: EllipticCurve, K: Point, ell: int) -> tuple:
+    """The kernel list the walk hands ``velu_step`` for K of order ell:
+    [1]K, ..., [ell//2]K as affine Jacobian triples, one per pair +-Q,
+    by repeated ``affine_add``."""
+    return tuple(jacobian(naive_mul(E, i, K)) for i in range(1, ell // 2 + 1))
+
+
+def expand_kernel(E: EllipticCurve, kernel) -> tuple[Point, ...]:
+    """Every nonzero point of the subgroup a ``velu_step`` kernel list
+    stands for, in ``cyclic_subgroup``'s order: the listed points, then
+    the negatives of those with y != 0, last first."""
+    pts = [unit_point(E.ctx, Q) for Q in kernel]
+    return tuple(pts + [E.neg(Q) for Q in reversed(pts) if Q.y])
+
+
+def push_through(phi: VeluStep, points) -> list[Point]:
+    """Images of a list of points under one step by the package's
+    batched translate loop, ``_translate``, given one kernel point per x.
+
+    Not an oracle: it lets the tests drive that loop through steps the
+    walk never takes, such as an order-6 quotient, and compare it with
+    ``naive_evaluate``.
+    """
+    ctx = phi.domain.ctx
+    kernel = {}                  # one kernel point per x
+    for Q in phi.kernel_points:
+        kernel.setdefault((Q.x.a, Q.x.b), jacobian(Q))
+    _, images = _translate(ctx, list(kernel.values()),
+                           [jacobian(P) for P in points])
+    return [unit_point(ctx, T) for T in images]
+
+
 def naive_chain(E: EllipticCurve, K: Point, ell: int,
                 e: int) -> tuple[VeluStep, ...]:
     """The e steps of the chain by a fresh scalar multiple per step.
 
-    Step i quotients out [ell^(e-1-i)]K_i and pushes the running
-    generator through: about e^2/2 multiplications by ell in all.
+    Step i quotients out [ell^(e-1-i)]K_i by ``reference_step`` and
+    pushes the running generator through: about e^2/2 multiplications
+    by ell in all.
     """
     E.check_point(K)
     n = ell ** e
@@ -255,7 +364,7 @@ def naive_chain(E: EllipticCurve, K: Point, ell: int,
     cur, Kc = E, K
     for i in range(e):
         S = cur.mul(ell ** (e - 1 - i), Kc)
-        step = velu_step(cur, S, ell)
+        step = reference_step(cur, S, ell)
         Kc = naive_evaluate(step, Kc)
         cur = step.codomain
         steps.append(step)

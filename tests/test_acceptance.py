@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from oracles import (full_kernel_quotient, multiplicative_order,
-                     symmetric_constraint_check)
+from oracles import (cyclic_subgroup, full_kernel_quotient,
+                     multiplicative_order, symmetric_constraint_check)
 from siot import (
     SessionConfig,
     brute_force_secret,
@@ -28,7 +28,7 @@ from siot import (
 )
 from siot.analysis import equivariance_precheck
 from siot.errors import DecryptionError, ProtocolAbort, RestartRequired
-from siot.isogeny import cyclic_subgroup, isogeny_chain, kernel_generator
+from siot.isogeny import isogeny_chain, kernel_generator
 from siot.pairing import symmetric_pairing, weil_pairing
 from siot.sidh import SidhPublic
 from siot.siot import (

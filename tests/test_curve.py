@@ -3,8 +3,9 @@ arithmetic and literal repeated addition."""
 
 import pytest
 
-from oracles import (affine_add, ec_add_fp, ec_mul_fp, multiplicative_order,
-                     naive_mul, naive_order)
+from oracles import (affine_add, all_points, ec_add_fp, ec_mul_fp,
+                     multiplicative_order, naive_mul, naive_order,
+                     reference_step)
 from siot import det_rng
 from siot.curve import (INFINITY, JAC_INFINITY, EllipticCurve, Point, jac_add,
                         jac_mul, jac_triple)
@@ -148,20 +149,6 @@ def test_neg_sub_consistency():
     assert E0.sub(P, Q) == E0.add(P, E0.neg(Q))
 
 
-def _all_points(E):
-    """Every point of E over F_{p^2}, the identity first."""
-    ctx = E.ctx
-    pts = [INFINITY]
-    for a in range(ctx.p):
-        for b in range(ctx.p):
-            x = ctx.elem(a, b)
-            y = E.rhs(x).sqrt()
-            if y is not None:
-                pts += [Point(x, y)] if y.is_zero() else [Point(x, y),
-                                                          Point(x, -y)]
-    return pts
-
-
 def test_mul_exhaustive_against_repeated_addition():
     """Every point of two curves over F_{11^2}, and every k with
     |k| <= twice the point's order.  The curves have full 2-torsion
@@ -169,14 +156,12 @@ def test_mul_exhaustive_against_repeated_addition():
     the accumulator meets P itself ([5]P: P, 2P, 4P = P, then + P) and
     -P ([3]P: P, 2P = -P, then + P).  The second curve, the quotient
     by the 2-torsion point (i, 0), has A = 0 and B outside F_11."""
-    from siot.isogeny import velu_step
-
     ctx = FieldContext(11)
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
-    E2 = velu_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
+    E2 = reference_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
     assert E2.A.is_zero() and E2.B.b
     for curve in (E, E2):
-        pts = _all_points(curve)
+        pts = all_points(curve)
         assert len(pts) == 144
         orders = [naive_order(curve, P, 12) for P in pts]
         assert orders.count(2) == 3 and orders.count(3) == 8
@@ -189,13 +174,11 @@ def test_add_matches_affine_oracle_exhaustively():
     """E.add against the chord-tangent oracle for every ordered pair of
     points, O included, on the two F_{11^2} curves above: doublings,
     Y = 0 doublings, P + (-P) and every chord."""
-    from siot.isogeny import velu_step
-
     ctx = FieldContext(11)
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
-    E2 = velu_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
+    E2 = reference_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
     for curve in (E, E2):
-        pts = _all_points(curve)
+        pts = all_points(curve)
         for P in pts:
             for Q in pts:
                 assert curve.add(P, Q) == affine_add(curve, P, Q), (P, Q)
@@ -213,14 +196,12 @@ def test_jacobian_steps_match_the_oracle_exhaustively():
     """The full addition, the tripling and ``jac_mul`` from a base with
     Z != 1, against the chord-tangent oracle for every point (pair) of
     the two F_{11^2} curves above, O and 2- and 3-torsion included."""
-    from siot.isogeny import velu_step
-
     ctx = FieldContext(11)
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
-    E2 = velu_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
+    E2 = reference_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
     for curve in (E, E2):
         A, p = (curve.A.a, curve.A.b), ctx.p
-        pts = _all_points(curve) + [INFINITY]
+        pts = all_points(curve) + [INFINITY]
         for P in pts:
             T = _lift(P, ctx.elem(2, 3))
             assert curve._affine(jac_triple(T, A, p)) == naive_mul(curve, 3, P)

@@ -3,20 +3,14 @@ single-shot full-kernel quotient used as an independent oracle."""
 
 import pytest
 
-from oracles import (full_kernel_quotient, naive_chain, naive_evaluate,
-                     naive_order)
+from oracles import (all_points, cyclic_subgroup, expand_kernel,
+                     full_kernel_quotient, naive_chain, naive_evaluate,
+                     naive_order, push_through, reference_step, walk_kernel)
 from siot import det_rng, gen_params, preset
-from siot.curve import INFINITY, EllipticCurve
+from siot.curve import INFINITY, EllipticCurve, Point
 from siot.errors import InvalidKernelError
 from siot.field import FieldContext
-from siot.isogeny import (
-    cyclic_subgroup,
-    evaluate,
-    isogeny_chain,
-    kernel_generator,
-    push_through,
-    velu_step,
-)
+from siot.isogeny import evaluate, isogeny_chain, kernel_generator, velu_step
 
 CTX = FieldContext(431)
 E0 = EllipticCurve(CTX.elem(1), CTX.elem(0))
@@ -26,33 +20,60 @@ EXP = 432
 def test_two_isogeny_from_origin_kernel():
     """Quotient by <(0,0)> lands on y^2 = x^3 - 4x."""
     K = E0.point(CTX.zero(), CTX.zero())
-    step = velu_step(E0, K, 2)
-    assert step.codomain == EllipticCurve(CTX.elem(-4), CTX.zero())
-    assert len(step.kernel_points) == 1
-    assert evaluate(step, K).infinity
+    kernel = walk_kernel(E0, K, 2)
+    assert velu_step(E0, kernel) == EllipticCurve(CTX.elem(-4), CTX.zero())
+    assert len(expand_kernel(E0, kernel)) == 1
+    assert evaluate(E0, kernel, K).infinity
 
 
 def test_step_maps_points_onto_codomain():
     rng = det_rng(b"step-map")
     K = E0.random_point_of_order(3, 1, EXP, rng)
-    step = velu_step(E0, K, 3)
+    kernel = walk_kernel(E0, K, 3)
+    F = velu_step(E0, kernel)
     for _ in range(30):
         P = E0.random_point(rng)
-        img = evaluate(step, P)
-        assert step.codomain.is_on_curve(img)
-    assert evaluate(step, E0.mul(2, K)).infinity
+        img = evaluate(E0, kernel, P)
+        assert F.is_on_curve(img)
+    assert evaluate(E0, kernel, E0.mul(2, K)).infinity
 
 
 def test_step_is_a_homomorphism():
     rng = det_rng(b"step-hom")
     K = E0.random_point_of_order(2, 1, EXP, rng)
-    step = velu_step(E0, K, 2)
-    F = step.codomain
+    kernel = walk_kernel(E0, K, 2)
+    F = velu_step(E0, kernel)
     for _ in range(25):
         P, Q = E0.random_point(rng), E0.random_point(rng)
-        assert evaluate(step, E0.add(P, Q)) \
-            == F.add(evaluate(step, P), evaluate(step, Q))
-    assert evaluate(step, INFINITY).infinity
+        assert evaluate(E0, kernel, E0.add(P, Q)) \
+            == F.add(evaluate(E0, kernel, P), evaluate(E0, kernel, Q))
+    assert evaluate(E0, kernel, INFINITY).infinity
+
+
+def test_step_and_evaluate_match_the_oracles_exhaustively():
+    """Every K of order 2 or 3 on the two F_{11^2} curves of
+    ``test_curve.py``, its kernel listed the way the walk lists it:
+    ``velu_step`` equals the one-shot quotient, and ``evaluate`` equals
+    the per-point translate on all 144 points, O included, sending the
+    kernel's own points to O."""
+    ctx = FieldContext(11)
+    E = EllipticCurve(ctx.elem(1), ctx.elem(0))
+    E2 = reference_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
+    for curve in (E, E2):
+        pts = all_points(curve)
+        assert len(pts) == 144
+        kernels = [(K, ell) for K in pts for ell in (2, 3)
+                   if not K.infinity and naive_order(curve, K, 12) == ell]
+        assert len(kernels) == 11
+        for K, ell in kernels:
+            kernel = walk_kernel(curve, K, ell)
+            step = reference_step(curve, K, ell)
+            assert velu_step(curve, kernel) == step.codomain
+            for P in pts:
+                assert evaluate(curve, kernel, P) \
+                    == naive_evaluate(step, P), (K, P)
+            for Q in step.kernel_points:
+                assert evaluate(curve, kernel, Q).infinity
 
 
 def test_chain_codomain_matches_full_kernel_quotient():
@@ -76,7 +97,8 @@ def test_chain_annihilates_kernel_and_preserves_cotorsion(velu_steps):
     K = kernel_generator(E0, G, 7, H)
     F, (imK, im8K, img, imQB) = isogeny_chain(
         E0, K, 2, 4, (K, E0.mul(8, K), PB, QB))
-    assert [len(s.kernel_points) + 1 for s in velu_steps] == [2, 2, 2, 2]
+    assert [len(expand_kernel(D, kernel)) + 1
+            for D, kernel, _ in velu_steps] == [2, 2, 2, 2]
     assert imK.infinity
     assert im8K.infinity
     # the 27-torsion passes through with order intact
@@ -116,7 +138,7 @@ def test_chain_rejects_wrong_order_kernels():
         isogeny_chain(E0, INFINITY, 2, 1, ())
     K3 = E0.random_point_of_order(3, 1, EXP, rng)
     with pytest.raises(InvalidKernelError):
-        velu_step(E0, K3, ell=2)
+        cyclic_subgroup(E0, K3, 2)
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +149,9 @@ def p102():
 @pytest.mark.parametrize("name", ["p431", "p2591", "set3", "p102"])
 def test_chain_matches_naive_schedule(name, request, velu_steps):
     """The balanced traversal quotients out the same point at every
-    step as a fresh scalar multiple would, so the steps, the codomain
-    and the image of the other side's basis are all identical."""
+    step as a fresh scalar multiple would, so each step's domain,
+    kernel and codomain, the chain's codomain and the image of the
+    other side's basis are all identical."""
     params = request.getfixturevalue(name)
     rng = det_rng(b"naive-chain/" + name.encode())
     E = params.curve
@@ -141,7 +164,10 @@ def test_chain_matches_naive_schedule(name, request, velu_steps):
             codomain, images = isogeny_chain(E, K, ell, e,
                                              params.basis(other))
             want = naive_chain(E, K, ell, e)
-            assert tuple(velu_steps) == want
+            assert len(velu_steps) == len(want)
+            for (D, kernel, F), step in zip(velu_steps, want):
+                assert (D, expand_kernel(D, kernel), F) \
+                    == (step.domain, step.kernel_points, step.codomain)
             assert codomain == want[-1].codomain
             assert images == [naive_evaluate(want, P)
                               for P in params.basis(other)]
@@ -197,10 +223,11 @@ def test_degree_two_and_three_composite_order():
         if naive_order(E0, K, 10) == 6:
             break
     single = full_kernel_quotient(E0, cyclic_subgroup(E0, K, 6))
-    s2 = velu_step(E0, E0.mul(3, K), 2)       # 2-torsion part
-    K3 = evaluate(s2, E0.mul(2, K))           # surviving 3-part
-    s3 = velu_step(s2.codomain, K3, 3)
-    assert s3.codomain.j_invariant() == single.codomain.j_invariant()
+    k2 = walk_kernel(E0, E0.mul(3, K), 2)     # 2-torsion part
+    F2 = velu_step(E0, k2)
+    K3 = evaluate(E0, k2, E0.mul(2, K))       # surviving 3-part
+    F = velu_step(F2, walk_kernel(F2, K3, 3))
+    assert F.j_invariant() == single.codomain.j_invariant()
 
 
 def test_push_through_matches_naive_evaluate(p431):
@@ -212,7 +239,7 @@ def test_push_through_matches_naive_evaluate(p431):
     K2 = E0.random_point_of_order(2, 1, EXP, rng)
     K3 = E0.random_point_of_order(3, 1, EXP, rng)
     K6 = E0.add(K2, K3)
-    steps = [velu_step(E0, K2, 2), velu_step(E0, K3, 3),
+    steps = [reference_step(E0, K2, 2), reference_step(E0, K3, 3),
              full_kernel_quotient(E0, cyclic_subgroup(E0, K6, 6))]
     for step in steps:
         ordinary = [E0.random_point(rng) for _ in range(5)]

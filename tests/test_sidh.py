@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from oracles import full_kernel_quotient, multiplicative_order
+from oracles import expand_kernel, full_kernel_quotient, multiplicative_order
 from siot import (
     derive_shared_j,
     det_rng,
@@ -68,7 +68,8 @@ def test_keygen_kernel_has_exact_order(p431, velu_steps):
         velu_steps.clear()
         kp = keygen(p431, side, rng)
         assert 0 <= kp.r < n
-        assert math.prod(len(s.kernel_points) + 1 for s in velu_steps) == n
+        assert math.prod(len(expand_kernel(D, kernel)) + 1
+                         for D, kernel, _ in velu_steps) == n
         P, Q = p431.basis(side)
         codomain, _ = isogeny_chain(E, kernel_generator(E, P, kp.r, Q),
                                     p431.ell(side), p431.e(side), ())
