@@ -60,8 +60,8 @@ class ProtocolAbort(SiotError):
 
 
 class RestartRequired(SiotError):
-    """Masked key failed basis certification or a kernel degenerated;
-    the whole protocol must restart with a fresh coin-flip string."""
+    """The sender's two branch j-invariants collided; the whole
+    protocol must restart with a fresh coin-flip string."""
 
 
 class DecodeError(SiotError):

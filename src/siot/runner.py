@@ -3,11 +3,12 @@ framed stream, and deterministic transcript replay/verification, all
 walking the one message schedule ``siot.SCHEDULE``; plus the in-process
 driver of the classical-group baseline OT.
 
-Restart semantics: a degenerate masked basis or kernel raises a restart
-signal; the in-process runner then rebuilds both sessions and reruns,
-continuing the same deterministic rng streams so the retry flips a
-fresh coin.  Online endpoints surface the signal to the caller instead,
-since restart negotiation is not part of the wire protocol.
+Restart semantics: a collision of the sender's two branch j-invariants
+raises a restart signal; the in-process runner then rebuilds both
+sessions and reruns, continuing the same deterministic rng streams so
+the retry flips a fresh coin.  Online endpoints surface the signal to
+the caller instead, since restart negotiation is not part of the wire
+protocol.
 """
 
 from __future__ import annotations

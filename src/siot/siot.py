@@ -9,8 +9,13 @@ and the sender answers with two ciphertexts, one per derived
 j-invariant.  The receiver can open exactly the one indexed by its bit.
 
 The coefficient constraints enforced here make the two receiver
-branches pairing-indistinguishable to the sender and leave the sender's
-two j-invariants distinct, so neither party learns the other's input.
+branches pairing-indistinguishable to the sender and keep the sender's
+two kernels apart, so neither party learns the other's input.  They
+give the mask matrix M = [[alpha, beta], [gamma, delta]] the square
+M^2 = 0, so det(I - M) = det(I + M) = 1: an honest receiver's masked
+pair is always a basis and both branch kernels have full order.  The
+sender certifies the pair where it enters, and the one restart left is
+a collision of the sender's two branch j-invariants.
 
 The message order is written down once, in SCHEDULE; every session,
 driver and the transcript verifier derive theirs from that table.
@@ -23,12 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curve import EllipticCurve, Point
-from .errors import (
-    DecryptionError,
-    InvalidKernelError,
-    ProtocolAbort,
-    RestartRequired,
-)
+from .errors import DecryptionError, ProtocolAbort, RestartRequired
 from .field import Fp2
 from .isogeny import isogeny_chain, kernel_generator
 from .pairing import is_torsion_basis
@@ -124,8 +124,11 @@ def derive_mask_coeffs(w: bytes, params: PublicParams) -> MaskCoefficients:
     """Hash-expand w into coefficients satisfying every mask constraint.
 
     Deterministic: both parties compute the identical tuple.  Rejection
-    sampling over a counter; admissible (alpha0, beta) pairs are dense,
-    so this terminates after a handful of draws.
+    sampling over a counter until beta is a unit, which a draw is with
+    probability (lA - 1)/lA.  The rest holds by construction:
+    delta = -alpha, gamma = -alpha^2/beta, and alpha is in the hardened
+    family, so alpha, gamma and delta are 0 mod lA and the collapse
+    quadratic reduces to -beta, a unit.
     """
     n = params.n("A")
     ell, e = params.ell_a, params.e_a
@@ -145,11 +148,7 @@ def derive_mask_coeffs(w: bytes, params: PublicParams) -> MaskCoefficients:
         alpha = alpha0 * lift % n
         delta = -alpha % n
         gamma = -alpha * alpha * pow(beta, -1, n) % n
-        coeffs = MaskCoefficients(alpha, beta, gamma, delta, w)
-        if not coeffs.quadratic_root_free(ell):
-            continue
-        coeffs.check(params)
-        return coeffs
+        return MaskCoefficients(alpha, beta, gamma, delta, w)
 
 
 def encode_mask_points(coeffs: MaskCoefficients, curve: EllipticCurve,
@@ -257,9 +256,10 @@ class SiotSession:
     """Single-owner protocol endpoint; methods must follow message order.
 
     The sender is the A side (it holds x0, x1), the receiver the B side
-    (it holds the bit b).  Any out-of-order call aborts; a degenerate
-    masked basis or kernel, or a collision between the sender's two
-    branch j-invariants, raises a restart signal, on which the caller
+    (it holds the bit b).  Any out-of-order call aborts, and so does a
+    receiver pair that is not a torsion basis, which the sender
+    certifies as it takes the pair in.  A collision between the sender's
+    two branch j-invariants raises a restart signal, on which the caller
     reruns the whole protocol so a fresh w is flipped.
     """
 
@@ -338,11 +338,8 @@ class SiotSession:
         if self.role == "sender":
             body = public_to_obj(self.keypair.public)
         else:
-            masked = mask_public(self.coeffs, self.keypair.public, self.b)
-            if not is_torsion_basis(masked.curve, masked.G, masked.H,
-                                    self.params.ell_a, self.params.e_a):
-                raise RestartRequired("masked pair is not a torsion basis")
-            body = public_to_obj(masked)
+            body = public_to_obj(
+                mask_public(self.coeffs, self.keypair.public, self.b))
         self._pk_bodies.append(body)
         return body
 
@@ -351,6 +348,10 @@ class SiotSession:
         producer = "A" if self.role == "receiver" else "B"
         pub = public_from_obj(self.params.ctx, body)
         validate_public(self.params, producer, pub)
+        if self.role == "sender" and not is_torsion_basis(
+                pub.curve, pub.G, pub.H, self.params.ell_a, self.params.e_a):
+            raise ProtocolAbort("bad-receiver-key",
+                                "masked pair is not a torsion basis")
         self.their_public = pub
         self._pk_bodies.append(body)
         if self.role == "sender":
@@ -364,17 +365,13 @@ class SiotSession:
 
     def _derive_ciphertext_keys(self) -> None:
         """Sender: form the two branch kernels from the received pair and
-        encrypt one input under each branch's j-invariant."""
+        encrypt one input under each branch's j-invariant.  The certified
+        pair and derived coefficients give both kernels full order."""
         pub, params = self.their_public, self.params
         js = []
-        for i, K in enumerate(branch_kernels(self.coeffs, pub,
-                                             self.keypair.r)):
-            try:
-                curve, _ = isogeny_chain(pub.curve, K, params.ell_a,
-                                         params.e_a, ())
-            except InvalidKernelError as exc:
-                raise RestartRequired(
-                    f"branch {i} kernel is order-degenerate") from exc
+        for K in branch_kernels(self.coeffs, pub, self.keypair.r):
+            curve, _ = isogeny_chain(pub.curve, K, params.ell_a, params.e_a,
+                                     ())
             js.append(curve.j_invariant())
         if js[0] == js[1]:
             # distinct kernels can still land on the same j in a desk-scale

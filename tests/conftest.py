@@ -18,6 +18,12 @@ def p2591():
 
 
 @pytest.fixture(scope="session")
+def p102():
+    """2^51*3^32 - 1: 51- and 32-step walks."""
+    return gen_params(2, 51, 3, 32, rng=det_rng(b"tests/p102"))
+
+
+@pytest.fixture(scope="session")
 def set3():
     """Twin of p431 with the roles swapped: side A on the 3-power tower."""
     return gen_params(3, 3, 2, 4, rng=det_rng(b"tests/set3"))

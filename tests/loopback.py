@@ -2,6 +2,9 @@
 driver can be tested without sockets."""
 
 import queue
+import threading
+
+JOIN_S = 30   # how long a test waits for an endpoint thread to end
 
 
 class LoopbackPipe:
@@ -47,3 +50,17 @@ class _QueueStream:
         if not self._closed:
             self._closed = True
             self._out.put(b"")
+
+
+def closing_thread(stream, target) -> threading.Thread:
+    """Start ``target`` on a daemon thread that closes ``stream`` when
+    ``target`` ends, returned or raised, so the peer reading the other
+    end sees the end of the stream instead of blocking forever."""
+    def run():
+        try:
+            target()
+        finally:
+            stream.close()
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    return th

@@ -8,11 +8,10 @@ bit, pins the long chains: 51 and 32 steps per walk.
 """
 
 import hashlib
-import threading
 
 import pytest
 
-from loopback import LoopbackPipe
+from loopback import JOIN_S, LoopbackPipe, closing_thread
 from siot import (
     SessionConfig,
     det_rng,
@@ -73,12 +72,15 @@ def test_online_run():
         cfg = SessionConfig(params, seed=b"golden-r", b=0)
         results["r"] = run_session("receiver", cfg, pipe.b)
 
-    th = threading.Thread(target=receiver)
-    th.start()
-    results["s"] = run_session(
-        "sender", SessionConfig(params, seed=b"golden-s", x0=X0, x1=X1),
-        pipe.a)
-    th.join(30)
+    th = closing_thread(pipe.b, receiver)
+    try:
+        results["s"] = run_session(
+            "sender", SessionConfig(params, seed=b"golden-s", x0=X0, x1=X1),
+            pipe.a)
+    finally:
+        pipe.a.close()
+    th.join(JOIN_S)
+    assert not th.is_alive()
     sent = results["s"]["transcript"].to_bytes()
     assert results["r"]["transcript"].to_bytes() == sent
     assert results["r"]["output"] == X0

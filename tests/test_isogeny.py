@@ -6,7 +6,7 @@ import pytest
 from oracles import (all_points, cyclic_subgroup, expand_kernel,
                      full_kernel_quotient, naive_chain, naive_evaluate,
                      naive_order, push_through, reference_step, walk_kernel)
-from siot import det_rng, gen_params, preset
+from siot import det_rng, preset
 from siot.curve import INFINITY, EllipticCurve, Point
 from siot.errors import InvalidKernelError
 from siot.field import FieldContext
@@ -139,11 +139,6 @@ def test_chain_rejects_wrong_order_kernels():
     K3 = E0.random_point_of_order(3, 1, EXP, rng)
     with pytest.raises(InvalidKernelError):
         cyclic_subgroup(E0, K3, 2)
-
-
-@pytest.fixture(scope="module")
-def p102():
-    return gen_params(2, 51, 3, 32, rng=det_rng(b"tests/p102"))
 
 
 @pytest.mark.parametrize("name", ["p431", "p2591", "set3", "p102"])

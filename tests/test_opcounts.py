@@ -1,12 +1,10 @@
 """Exact operation counts: algorithmic regressions show up here as a
 changed number, without any timing noise."""
 
-import threading
-
 import siot.isogeny
 import siot.pairing
 import siot.wire
-from loopback import LoopbackPipe
+from loopback import JOIN_S, LoopbackPipe, closing_thread
 from siot import (SessionConfig, Transcript, det_rng, gen_params, keygen,
                   preset, run_local, run_session, validate_public)
 from siot.curve import EllipticCurve
@@ -113,12 +111,14 @@ def test_online_pair_serializes_each_message_once(counter):
         results["r"] = run_session(
             "receiver", SessionConfig(params, seed=b"opcount-r", b=1), pipe.b)
 
-    th = threading.Thread(target=receiver)
-    th.start()
-    results["s"] = run_session(
-        "sender", SessionConfig(params, seed=b"opcount-s", x0=b"zero",
-                                x1=b"one"), pipe.a)
-    th.join(30)
+    th = closing_thread(pipe.b, receiver)
+    try:
+        results["s"] = run_session(
+            "sender", SessionConfig(params, seed=b"opcount-s", x0=b"zero",
+                                    x1=b"one"), pipe.a)
+    finally:
+        pipe.a.close()
+    th.join(JOIN_S)
     assert not th.is_alive()
     assert results["r"]["output"] == b"one"
     assert dumps[0] == 7

@@ -1,11 +1,9 @@
 """End-to-end session orchestration: local pump, online pump over a
 loopback stream, restart handling, and transcript verification."""
 
-import threading
-
 import pytest
 
-from loopback import LoopbackPipe
+from loopback import JOIN_S, LoopbackPipe, closing_thread
 from siot import (
     SessionConfig,
     Transcript,
@@ -166,36 +164,50 @@ def test_session_at_sike_size(counter):
     assert inversions[0] == 951
 
 
-def test_forced_degenerate_mask_restarts(p431, monkeypatch):
-    """Inject one constraint-breaking coefficient tuple: the receiver's
-    basis certificate must fail, signal a restart, and the rerun with a
-    fresh coin flip must succeed."""
+def test_forced_non_basis_pair_aborts(p431, monkeypatch):
+    """Inject one constraint-breaking coefficient tuple: I - M is then
+    singular, the receiver publishes a dependent pair, and the sender's
+    basis certificate aborts the session."""
     import siot.siot as siot_mod
 
-    real = siot_mod.derive_mask_coeffs
+    monkeypatch.setattr(
+        siot_mod, "derive_mask_coeffs",
+        lambda w, params: MaskCoefficients(0, 1, 1, 0, w))
+    with pytest.raises(ProtocolAbort) as info:
+        run_local(_config(p431, 1))
+    assert info.value.code == "bad-receiver-key"
+
+
+def _collide_branches(monkeypatch, attempts):
+    """Give the sender two equal branch kernels, so its two j-invariants
+    collide, on its first ``attempts`` attempts."""
+    import siot.siot as siot_mod
+
+    real = siot_mod.branch_kernels
     calls = []
 
-    def flaky(w, params):
+    def colliding(coeffs, pub, r):
         calls.append(1)
-        if len(calls) <= 2:   # first pump: both parties get a bad tuple
-            return MaskCoefficients(0, 1, 1, 0, w)
-        return real(w, params)
+        K0, K1 = real(coeffs, pub, r)
+        return (K0, K0) if len(calls) <= attempts else (K0, K1)
 
-    monkeypatch.setattr(siot_mod, "derive_mask_coeffs", flaky)
+    monkeypatch.setattr(siot_mod, "branch_kernels", colliding)
+
+
+def test_forced_j_collision_restarts(p431, monkeypatch):
+    """A branch j-collision signals a restart, and the rerun with a
+    fresh coin flip succeeds."""
+    _collide_branches(monkeypatch, 1)
     out = run_local(_config(p431, 1))
     assert out["restarts"] == 1
     assert out["output"] == b"one input!"
 
 
 def test_restart_budget_exhausts(p431, monkeypatch):
-    import siot.siot as siot_mod
-
-    monkeypatch.setattr(
-        siot_mod, "derive_mask_coeffs",
-        lambda w, params: MaskCoefficients(0, 1, 1, 0, w))
     config = _config(p431, 1)
     config.max_restarts = 1
-    with pytest.raises(RestartRequired):
+    _collide_branches(monkeypatch, config.max_restarts + 1)
+    with pytest.raises(RestartRequired, match="collided"):
         run_local(config)
 
 
@@ -211,11 +223,10 @@ def test_online_session_over_loopback(p431):
         cfg = SessionConfig(p431, seed=b"net-r", b=1)
         results["r"] = run_session("receiver", cfg, pipe.b)
 
-    ts = [threading.Thread(target=sender), threading.Thread(target=receiver)]
+    ts = [closing_thread(pipe.a, sender), closing_thread(pipe.b, receiver)]
     for t in ts:
-        t.start()
-    for t in ts:
-        t.join(30)
+        t.join(JOIN_S)
+        assert not t.is_alive()
     assert results["r"]["output"] == b"second"
     assert results["s"]["session_id"] == results["r"]["session_id"]
     assert results["s"]["transcript"].to_bytes() \
@@ -238,11 +249,14 @@ def test_online_receiver_rejects_out_of_order(p431):
         except ProtocolAbort as exc:
             err["code"] = exc.code
 
-    th = threading.Thread(target=receiver)
-    th.start()
-    send_frame(pipe.a, encode(WireMessage("coin-reveal", "11" * 16,
-                                          {"nonce": "ab" * 32})))
-    th.join(30)
+    th = closing_thread(pipe.b, receiver)
+    try:
+        send_frame(pipe.a, encode(WireMessage("coin-reveal", "11" * 16,
+                                              {"nonce": "ab" * 32})))
+    finally:
+        pipe.a.close()
+    th.join(JOIN_S)
+    assert not th.is_alive()
     assert err["code"] == "out-of-order"
 
 

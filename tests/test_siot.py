@@ -3,10 +3,12 @@ algebra, the session state machine, and payload encryption."""
 
 import pytest
 
+import siot.siot
 from siot import det_rng, kdf_dec, keygen
-from siot.errors import (DecodeError, DecryptionError, ProtocolAbort,
-                         RestartRequired)
+from siot.errors import (DecodeError, DecryptionError, InvalidKernelError,
+                         ProtocolAbort)
 from siot.pairing import weil_pairing
+from siot.sidh import point_to_obj
 from siot.siot import (
     NONCE_LEN,
     SCHEDULE,
@@ -64,21 +66,30 @@ def test_coinflip_requires_commit_first():
 
 # -- mask coefficients ---------------------------------------------------
 
-def test_derived_coeffs_satisfy_all_constraints(p431):
-    n = p431.n("A")
-    ell, e = p431.ell_a, p431.e_a
-    rng = det_rng(b"coeffs")
-    for _ in range(50):
-        w = rng.randbytes(32)
-        c = derive_mask_coeffs(w, p431)
-        c.check(p431)
-        assert c.beta % ell != 0
-        assert (c.delta + c.alpha) % n == 0
-        assert (c.alpha * c.alpha + c.beta * c.gamma) % n == 0
-        assert c.quadratic_root_free(ell)
-        assert c.alpha % ell ** ((e + 1) // 2) == 0
-        # determinism: same w, same tuple
-        assert derive_mask_coeffs(w, p431) == c
+def test_derived_coeffs_satisfy_all_constraints(p431, p2591, p102):
+    """Every derived tuple meets every constraint.  The mask matrix
+    M = [[alpha, beta], [gamma, delta]] squares to 0, so I - M and I + M
+    have determinant 1, and alpha, gamma and delta vanish mod lA."""
+    for params in (p431, p2591, p102):
+        n = params.n("A")
+        ell, e = params.ell_a, params.e_a
+        rng = det_rng(b"coeffs")
+        for _ in range(200):
+            w = rng.randbytes(32)
+            c = derive_mask_coeffs(w, params)
+            c.check(params)
+            assert c.beta % ell != 0
+            assert (c.delta + c.alpha) % n == 0
+            assert (c.alpha * c.alpha + c.beta * c.gamma) % n == 0
+            assert c.quadratic_root_free(ell)
+            assert c.alpha % ell ** ((e + 1) // 2) == 0
+            assert c.alpha % ell == c.gamma % ell == c.delta % ell == 0
+            for sign in (-1, 1):
+                det = (1 + sign * c.alpha) * (1 + sign * c.delta) \
+                    - c.beta * c.gamma
+                assert det % n == 1
+            # determinism: same w, same tuple
+            assert derive_mask_coeffs(w, params) == c
 
 
 def test_coeff_check_rejections(p431):
@@ -254,10 +265,12 @@ def test_spaced_ciphertext_aborts(p431):
     assert info.value.code == "bad-message"
 
 
-def test_degenerate_sender_branch_restarts(p431):
+def test_degenerate_sender_branch_is_a_kernel_error(p431):
     """Coefficients (n - 1, -r, 0, 0) give U = -G - [r]H and V = O, so
     branch 1's kernel G + U + [r](H + V) is the identity: the sender's
-    chain rejects it and the session asks for a restart."""
+    chain rejects it with its typed kernel error.  Derived coefficients
+    cannot reach this path: with a certified pair they give both
+    branch kernels full order."""
     sid = b"\x08" * 16
     s = SiotSession(p431, "sender", det_rng(b"degenerate-s"), sid,
                     x0=b"left", x1=b"right")
@@ -265,8 +278,26 @@ def test_degenerate_sender_branch_restarts(p431):
     _run_until(s, r, "pk-receiver")
     n = p431.n("A")
     s.coeffs = MaskCoefficients(n - 1, -s.keypair.r % n, 0, 0, s.coeffs.w)
-    with pytest.raises(RestartRequired, match="branch 1 kernel"):
+    with pytest.raises(InvalidKernelError):
         s.consume_public(r.produce_public())
+
+
+def test_dependent_receiver_pair_aborts_before_any_walk(p431, counter):
+    """A receiver pair (G, [3]G) passes the per-point checks, both points
+    of full order, but is no basis: the sender's certificate aborts
+    before it walks either branch chain."""
+    sid = b"\x09" * 16
+    s = SiotSession(p431, "sender", det_rng(b"dependent-s"), sid,
+                    x0=b"left", x1=b"right")
+    r = SiotSession(p431, "receiver", det_rng(b"dependent-r"), sid, b=0)
+    _run_until(s, r, "pk-receiver")
+    pub = r.keypair.public
+    body = {**r.produce_public(), "h": point_to_obj(pub.curve.mul(3, pub.G))}
+    walks = counter(siot.siot, "isogeny_chain")
+    with pytest.raises(ProtocolAbort) as info:
+        s.consume_public(body)
+    assert info.value.code == "bad-receiver-key"
+    assert walks[0] == 0
 
 
 def test_singular_public_key_is_a_decode_error(p431):
