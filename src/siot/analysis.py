@@ -135,8 +135,7 @@ def distinguisher_fixture(params: PublicParams, rng=None, b: int = 1,
     kp = keygen(params, "B", rng)
     if violate:
         n = params.n("A")
-        coeffs = MaskCoefficients(alpha=0, beta=1, gamma=0, delta=2 % n,
-                                  w=b"")
+        coeffs = MaskCoefficients(alpha=0, beta=1, gamma=0, delta=2 % n)
     else:
         coeffs = derive_mask_coeffs(rng.randbytes(32), params)
     return mask_public(coeffs, kp.public, b), coeffs
@@ -198,7 +197,7 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
 
     # crafted: det(K0, K1) = 0 with a unit ratio, so <K1> = <K0> exactly
     crafted = MaskCoefficients(alpha=2 % n, beta=2 * r_a % n, gamma=0,
-                               delta=0, w=b"")
+                               delta=0)
     Kc0, Kc1 = branch_kernels(crafted, pub, r_a)
     cj0, cj1 = branch_js(Kc0, Kc1)
     report["crafted"] = {
@@ -208,7 +207,7 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
         "j_equal": cj0 == cj1,
     }
 
-    zero = MaskCoefficients(0, 0, 0, 0, b"")
+    zero = MaskCoefficients(0, 0, 0, 0)
     Kz0, Kz1 = branch_kernels(zero, pub, r_a)
     zj0, zj1 = branch_js(Kz0, Kz1)
     report["degenerate"] = {"j_equal": zj0 == zj1}

@@ -1,7 +1,8 @@
 """Drives protocol sessions: in-process pairs, online endpoints over a
-framed stream, and deterministic transcript replay/verification, all
-walking the one message schedule ``siot.SCHEDULE``; plus the in-process
-driver of the classical-group baseline OT.
+framed stream, and deterministic transcript verification through the
+body readers the sessions call, all walking the one message schedule
+``siot.SCHEDULE``; plus the in-process driver of the classical-group
+baseline OT.
 
 Restart semantics: a collision of the sender's two branch j-invariants
 raises a restart signal; the in-process runner then rebuilds both
@@ -24,22 +25,19 @@ from .baseline_ot import (
     default_group,
 )
 from .errors import DecodeError, ProtocolAbort, RestartRequired
-from .pairing import is_torsion_basis
-from .sidh import (
-    PublicParams,
-    point_to_obj,
-    public_from_obj,
-    validate_public,
-)
+from .sidh import PublicParams, point_to_obj
 from .siot import (
-    NONCE_LEN,
     SCHEDULE,
     SiotSession,
-    _bytes_field,
+    commitment,
     exchange,
+    read_ciphertexts,
+    read_commit,
+    read_nonce,
+    read_public,
 )
 from .transport import recv_frame, send_frame
-from .util import det_rng, sub_seed, tagged_hash
+from .util import det_rng, sub_seed
 from .wire import Transcript, WireMessage, decode, encode
 
 
@@ -138,19 +136,18 @@ def run_session(role: str, config: SessionConfig, stream) -> dict:
 def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
     """Deterministic replay of every public validation over a transcript.
 
-    Checks schedule, session id consistency, coin-flip binding, public
-    key validity (including the masked pair's basis certificate), and
-    ciphertext shape.  Secrets are not needed: all verdicts are
-    functions of public messages.  A malformed field is a failed check,
-    never an exception.  The mask coefficients are not re-derived: any
-    coin-flip string yields coefficients that meet every constraint, and
-    no other check reads them.
+    After the schedule and session id, one row per body reader, the one
+    its session phase calls: ``coinflip-binding`` (each reveal opens its
+    commitment), ``public-key-A``, ``public-key-B`` (the receiver pair's
+    basis certificate included) and ``ciphertext-shape``.  A reader's
+    abort is a failed row, never an exception out of the verifier.  No
+    secrets are needed, and the mask coefficients are not re-derived:
+    any coin-flip string yields coefficients meeting every constraint.
     """
     checks = []
 
     def check(name, ok, detail=""):
         checks.append({"check": name, "ok": bool(ok), "detail": detail})
-        return ok
 
     entries = transcript.entries
     order_ok = len(entries) == len(SCHEDULE) and all(
@@ -164,41 +161,31 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
     sids = {m.session for _, m in entries}
     check("session-id-consistent", len(sids) == 1, f"ids seen: {sorted(sids)}")
 
-    try:
-        commits = [_bytes_field(entries[i][1].body, "commit") for i in (0, 1)]
-        nonces = [_bytes_field(entries[i][1].body, "nonce") for i in (2, 3)]
-    except ProtocolAbort as exc:
-        check("coinflip-binding", False, str(exc))
-        return {"ok": False, "checks": checks}
-    check("coinflip-binding",
-          all(tagged_hash("coinflip-commit", n) == c
-              for n, c in zip(nonces, commits)),
-          "each reveal opens its commitment")
-    if not check("nonce-length", all(len(n) == NONCE_LEN for n in nonces)):
-        return {"ok": False, "checks": checks}
+    bodies = [m.body for _, m in entries]
 
-    pks = {}
-    for idx, producer in ((4, "A"), (5, "B")):
+    def coinflip_binding():   # rows 0 and 1 commit, rows 2 and 3 reveal
+        for i in (0, 1):
+            if commitment(read_nonce(bodies[i + 2])) != read_commit(bodies[i]):
+                raise ProtocolAbort("coinflip-cheat", "revealed nonce does "
+                                    "not open the commitment")
+
+    rows = (
+        ("coinflip-binding", coinflip_binding,
+         "each reveal opens its commitment"),
+        ("public-key-A", lambda: read_public(params, "A", bodies[4]),
+         "key passes torsion validation"),
+        ("public-key-B", lambda: read_public(params, "B", bodies[5]),
+         "key passes torsion validation; pair is a torsion basis"),
+        ("ciphertext-shape", lambda: read_ciphertexts(bodies[6]),
+         "two equal-length hex ciphertexts"),
+    )
+    for name, read, detail in rows:
         try:
-            pub = public_from_obj(params.ctx, entries[idx][1].body)
-            validate_public(params, producer, pub)
-            pks[producer] = pub
+            read()
         except (DecodeError, ProtocolAbort) as exc:
-            check(f"public-key-{producer}", False, str(exc))
-    if len(pks) == 2:
-        check("public-keys", True, "both keys pass torsion validation")
-        pub = pks["B"]
-        check("masked-pair-basis",
-              is_torsion_basis(pub.curve, pub.G, pub.H, params.ell_a,
-                               params.e_a),
-              "receiver pair is a certified torsion basis")
-
-    try:
-        c0, c1 = (_bytes_field(entries[6][1].body, k) for k in ("c0", "c1"))
-        shape_ok = len(c0) == len(c1)
-    except ProtocolAbort:
-        shape_ok = False
-    check("ciphertext-shape", shape_ok, "two equal-length hex ciphertexts")
+            check(name, False, str(exc))
+        else:
+            check(name, True, detail)
 
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
 

@@ -55,10 +55,6 @@ class PublicParams:
     def ctx(self) -> FieldContext:
         return self.curve.ctx
 
-    @property
-    def group_exponent(self) -> int:
-        return self.p + 1
-
     def n(self, side: str) -> int:
         if side == "A":
             return self.ell_a ** self.e_a
@@ -257,7 +253,8 @@ def public_to_obj(pub: SidhPublic) -> dict:
 
 def public_from_obj(ctx: FieldContext, obj) -> SidhPublic:
     """The key's shape and field elements only; its points are checked
-    on the curve by ``validate_public``, which every caller runs next."""
+    on the curve by ``validate_public``, which its one caller in the
+    package, ``siot.siot.read_public``, runs next."""
     if not isinstance(obj, dict) or set(obj) != {"curve", "g", "h"}:
         raise DecodeError("public key needs curve, g, h")
     curve = _curve_from_obj(ctx, obj["curve"], "curve")

@@ -18,7 +18,9 @@ sender certifies the pair where it enters, and the one restart left is
 a collision of the sender's two branch j-invariants.
 
 The message order is written down once, in SCHEDULE; every session,
-driver and the transcript verifier derive theirs from that table.
+driver and the transcript verifier derive theirs from that table.  Each
+body has one reader (``read_*``), which the session phase consuming
+the body and the transcript verifier both call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curve import EllipticCurve, Point
-from .errors import DecryptionError, ProtocolAbort, RestartRequired
+from .errors import (DecryptionError, InvalidKernelError, ProtocolAbort,
+                     RestartRequired)
 from .field import Fp2
 from .isogeny import isogeny_chain, kernel_generator
 from .pairing import is_torsion_basis
@@ -48,34 +51,6 @@ from .util import (canonical_json, expand, open_sealed, seal, strict_fromhex,
 NONCE_LEN = 32
 
 
-@dataclass
-class CoinFlip:
-    """One party's view of the commit-reveal coin flip."""
-
-    local_nonce: bytes
-    commitment: bytes
-    remote_commitment: bytes | None = None
-    remote_nonce: bytes | None = None
-    w: bytes | None = None
-
-
-def coinflip_commit(rng) -> CoinFlip:
-    nonce = rng.randbytes(NONCE_LEN)
-    return CoinFlip(nonce, tagged_hash("coinflip-commit", nonce))
-
-
-def coinflip_reveal(cf: CoinFlip, remote_nonce: bytes) -> bytes:
-    """Check the remote opening against its commitment and combine."""
-    if cf.remote_commitment is None:
-        raise ProtocolAbort("out-of-order", "reveal before remote commitment")
-    if tagged_hash("coinflip-commit", remote_nonce) != cf.remote_commitment:
-        raise ProtocolAbort("coinflip-cheat",
-                            "revealed nonce does not open the commitment")
-    cf.remote_nonce = remote_nonce
-    cf.w = xor_bytes(cf.local_nonce, remote_nonce)
-    return cf.w
-
-
 @dataclass(frozen=True)
 class MaskCoefficients:
     """Scalars (alpha, beta, gamma, delta) mod lA^eA derived from w.
@@ -92,7 +67,6 @@ class MaskCoefficients:
     beta: int
     gamma: int
     delta: int
-    w: bytes
 
     def quadratic_root_free(self, ell: int) -> bool:
         # exhaustive over Z/ell; ell is tiny in every supported set
@@ -148,7 +122,7 @@ def derive_mask_coeffs(w: bytes, params: PublicParams) -> MaskCoefficients:
         alpha = alpha0 * lift % n
         delta = -alpha % n
         gamma = -alpha * alpha * pow(beta, -1, n) % n
-        return MaskCoefficients(alpha, beta, gamma, delta, w)
+        return MaskCoefficients(alpha, beta, gamma, delta)
 
 
 def encode_mask_points(coeffs: MaskCoefficients, curve: EllipticCurve,
@@ -219,6 +193,55 @@ def _unpack_input(data: bytes) -> bytes:
     return data[4:4 + n]
 
 
+# -- message bodies: one reader each, returning checked values ---------
+
+def commitment(nonce: bytes) -> bytes:
+    return tagged_hash("coinflip-commit", nonce)
+
+
+def read_commit(body: dict) -> bytes:
+    return _bytes_field(body, "commit", NONCE_LEN)
+
+
+def read_nonce(body: dict) -> bytes:
+    return _bytes_field(body, "nonce", NONCE_LEN)
+
+
+def read_public(params: PublicParams, producer: str,
+                body: dict) -> SidhPublic:
+    """A public key from side ``producer``, decoded and validated; the
+    receiver's pair (side B) is also certified as a torsion basis.  A
+    sender pair that is no basis passes here: a session finds it when
+    the receiver's walk fails, and aborts with ``bad-sender-key``."""
+    pub = public_from_obj(params.ctx, body)
+    validate_public(params, producer, pub)
+    if producer == "B" and not is_torsion_basis(
+            pub.curve, pub.G, pub.H, params.ell_a, params.e_a):
+        raise ProtocolAbort("bad-receiver-key",
+                            "masked pair is not a torsion basis")
+    return pub
+
+
+def read_ciphertexts(body: dict) -> tuple[bytes, bytes]:
+    c0, c1 = _bytes_field(body, "c0"), _bytes_field(body, "c1")
+    if len(c0) != len(c1):
+        raise ProtocolAbort("bad-message", "ciphertext lengths differ")
+    return c0, c1
+
+
+def _bytes_field(body: dict, key: str, length: int | None = None) -> bytes:
+    v = body.get(key)
+    if not isinstance(v, str):
+        raise ProtocolAbort("bad-message", f"field {key} must be hex")
+    try:
+        v = strict_fromhex(v)
+    except ValueError as exc:
+        raise ProtocolAbort("bad-message", f"field {key} not hex") from exc
+    if length is not None and len(v) != length:
+        raise ProtocolAbort("bad-message", f"field {key} must be {length} bytes")
+    return v
+
+
 # -- session state machine ---------------------------------------------
 
 class Message(NamedTuple):
@@ -256,9 +279,11 @@ class SiotSession:
     """Single-owner protocol endpoint; methods must follow message order.
 
     The sender is the A side (it holds x0, x1), the receiver the B side
-    (it holds the bit b).  Any out-of-order call aborts, and so does a
-    receiver pair that is not a torsion basis, which the sender
-    certifies as it takes the pair in.  A collision between the sender's
+    (it holds the bit b).  Each holds its coin-flip nonce and the peer's
+    commitment; w is the XOR of the two nonces.  Each consume_* phase
+    reads its body with the body's reader.  An out-of-order call, a
+    refused body, a false reveal and a sender pair on which the
+    receiver's walk fails all abort.  A collision between the sender's
     two branch j-invariants raises a restart signal, on which the caller
     reruns the whole protocol so a fresh w is flipped.
     """
@@ -286,7 +311,9 @@ class SiotSession:
         self.rng = rng
         self.session_id = session_id
         self.x0, self.x1, self.b = x0, x1, b
-        self.coin = coinflip_commit(rng)
+        # drawn before the key pair: transcripts follow the rng's order
+        self.nonce = rng.randbytes(NONCE_LEN)
+        self.remote_commitment: bytes | None = None
         self.keypair: SidhKeyPair = keygen(
             params, "A" if role == "sender" else "B", rng)
         self.coeffs: MaskCoefficients | None = None
@@ -316,20 +343,24 @@ class SiotSession:
 
     def produce_commit(self) -> dict:
         self._expect("produce_commit")
-        return {"commit": self.coin.commitment.hex()}
+        return {"commit": commitment(self.nonce).hex()}
 
     def consume_commit(self, body: dict) -> None:
         self._expect("consume_commit")
-        self.coin.remote_commitment = _hex_field(body, "commit", NONCE_LEN)
+        self.remote_commitment = read_commit(body)
 
     def produce_reveal(self) -> dict:
         self._expect("produce_reveal")
-        return {"nonce": self.coin.local_nonce.hex()}
+        return {"nonce": self.nonce.hex()}
 
     def consume_reveal(self, body: dict) -> None:
         self._expect("consume_reveal")
-        w = coinflip_reveal(self.coin, _hex_field(body, "nonce", NONCE_LEN))
-        self.coeffs = derive_mask_coeffs(w, self.params)
+        nonce = read_nonce(body)
+        if commitment(nonce) != self.remote_commitment:
+            raise ProtocolAbort("coinflip-cheat",
+                                "revealed nonce does not open the commitment")
+        self.coeffs = derive_mask_coeffs(xor_bytes(self.nonce, nonce),
+                                         self.params)
 
     # public keys
 
@@ -346,13 +377,7 @@ class SiotSession:
     def consume_public(self, body: dict) -> None:
         self._expect("consume_public")
         producer = "A" if self.role == "receiver" else "B"
-        pub = public_from_obj(self.params.ctx, body)
-        validate_public(self.params, producer, pub)
-        if self.role == "sender" and not is_torsion_basis(
-                pub.curve, pub.G, pub.H, self.params.ell_a, self.params.e_a):
-            raise ProtocolAbort("bad-receiver-key",
-                                "masked pair is not a torsion basis")
-        self.their_public = pub
+        self.their_public = read_public(self.params, producer, body)
         self._pk_bodies.append(body)
         if self.role == "sender":
             self._derive_ciphertext_keys()
@@ -392,14 +417,16 @@ class SiotSession:
 
     def consume_ciphertexts(self, body: dict) -> bytes:
         self._expect("consume_ciphertexts")
-        c0 = _bytes_field(body, "c0")
-        c1 = _bytes_field(body, "c1")
-        if len(c0) != len(c1):
-            raise ProtocolAbort("bad-message", "ciphertext lengths differ")
+        c0, c1 = read_ciphertexts(body)
         params = self.params
         pub = self.their_public
         K = kernel_generator(pub.curve, pub.G, self.keypair.r, pub.H)
-        curve, _ = isogeny_chain(pub.curve, K, params.ell_b, params.e_b, ())
+        try:
+            curve, _ = isogeny_chain(pub.curve, K, params.ell_b, params.e_b,
+                                     ())
+        except InvalidKernelError as exc:
+            # an honest sender's pair is a basis, so K has full order
+            raise ProtocolAbort("bad-sender-key", str(exc)) from exc
         j = curve.j_invariant()
         self.shared_j = (j,)
         th = self._transcript_hash()
@@ -427,20 +454,3 @@ def exchange(sender: SiotSession, receiver: SiotSession) -> list[dict]:
         bodies.append(getattr(parties[msg.producer], msg.produce)())
         getattr(parties[msg.consumer], msg.consume)(bodies[-1])
     return bodies
-
-
-def _hex_field(body: dict, key: str, length: int) -> bytes:
-    v = _bytes_field(body, key)
-    if len(v) != length:
-        raise ProtocolAbort("bad-message", f"field {key} must be {length} bytes")
-    return v
-
-
-def _bytes_field(body: dict, key: str) -> bytes:
-    v = body.get(key)
-    if not isinstance(v, str):
-        raise ProtocolAbort("bad-message", f"field {key} must be hex")
-    try:
-        return strict_fromhex(v)
-    except ValueError as exc:
-        raise ProtocolAbort("bad-message", f"field {key} not hex") from exc

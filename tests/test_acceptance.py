@@ -300,7 +300,7 @@ def test_11_symmetric_pairing_and_family(set3):
         for c in (derive_mask_coeffs(rng.randbytes(32), set3)
                   for _ in range(100)))
     outsider = MaskCoefficients(alpha=3, beta=1, gamma=(-9) % n,
-                                delta=(-3) % n, w=b"")
+                                delta=(-3) % n)
     _verdict(11, "swap-symmetric pairing and hardened coefficient family",
              symmetric == 500 and family_ok
              and not symmetric_constraint_check(set3, outsider),

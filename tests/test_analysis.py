@@ -110,7 +110,7 @@ def test_symmetric_family_membership(set3):
         c = derive_mask_coeffs(rng.randbytes(32), set3)
         assert symmetric_constraint_check(set3, c)
     # alpha outside the lifted family fails the membership test
-    bad = MaskCoefficients(3, 1, (-9) % n, (-3) % n, b"")
+    bad = MaskCoefficients(3, 1, (-9) % n, (-3) % n)
     assert not symmetric_constraint_check(set3, bad)
 
 

@@ -14,9 +14,11 @@ from siot import (
     run_session,
     verify_transcript,
 )
-from siot.errors import ProtocolAbort, RestartRequired
+from siot.errors import DecodeError, ProtocolAbort, RestartRequired
 from siot.field import Fp2
-from siot.siot import MaskCoefficients
+from siot.sidh import point_to_obj, public_from_obj
+from siot.siot import SCHEDULE, MaskCoefficients, SiotSession
+from siot.util import sub_seed
 from siot.wire import WireMessage
 
 
@@ -57,9 +59,9 @@ def test_verify_transcript_accepts_honest(p431):
     out = run_local(_config(p431, 1))
     report = verify_transcript(out["transcript"], p431)
     assert report["ok"]
-    names = {c["check"] for c in report["checks"]}
-    assert {"message-order", "coinflip-binding", "public-keys",
-            "masked-pair-basis", "ciphertext-shape"} <= names
+    assert [c["check"] for c in report["checks"]] == [
+        "message-order", "session-id-consistent", "coinflip-binding",
+        "public-key-A", "public-key-B", "ciphertext-shape"]
 
 
 def _tamper(transcript, index, mutate):
@@ -105,17 +107,27 @@ def test_verify_transcript_flags_wrong_order(p431):
     assert not report["checks"][0]["ok"]
 
 
-@pytest.mark.parametrize("index, key, value, failed_check", [
-    (2, "nonce", lambda v: "zz" * 32, "coinflip-binding"),
-    (2, "nonce", lambda v: v[2:], "nonce-length"),        # 31 bytes
-    (3, "nonce", lambda v: 12345, "coinflip-binding"),
-    (0, "commit", lambda v: None, "coinflip-binding"),
-    (6, "c0", lambda v: 7, "ciphertext-shape"),
-    (6, "c1", lambda v: "z" * len(v), "ciphertext-shape"),  # same length
-    (6, "c0", lambda v: v[:2] + "  " + v[2:], "ciphertext-shape"),
-    (2, "nonce", lambda v: v[:2] + "  " + v[2:], "coinflip-binding"),
-], ids=["nonhex-nonce", "short-nonce", "int-nonce", "null-commit",
-        "int-c0", "nonhex-c1", "spaced-c0", "spaced-nonce"])
+# (transcript row, body key, new value from old, verifier row that fails)
+MALFORMED_FIELDS = [
+    pytest.param(2, "nonce", lambda v: "zz" * 32, "coinflip-binding",
+                 id="nonhex-nonce"),
+    pytest.param(2, "nonce", lambda v: v[2:], "coinflip-binding",
+                 id="short-nonce"),                    # 31 bytes
+    pytest.param(3, "nonce", lambda v: 12345, "coinflip-binding",
+                 id="int-nonce"),
+    pytest.param(0, "commit", lambda v: None, "coinflip-binding",
+                 id="null-commit"),
+    pytest.param(6, "c0", lambda v: 7, "ciphertext-shape", id="int-c0"),
+    pytest.param(6, "c1", lambda v: "z" * len(v), "ciphertext-shape",
+                 id="nonhex-c1"),                      # same length
+    pytest.param(6, "c0", lambda v: v[:2] + "  " + v[2:], "ciphertext-shape",
+                 id="spaced-c0"),
+    pytest.param(2, "nonce", lambda v: v[:2] + "  " + v[2:],
+                 "coinflip-binding", id="spaced-nonce"),
+]
+
+
+@pytest.mark.parametrize("index, key, value, failed_check", MALFORMED_FIELDS)
 def test_verify_transcript_fails_malformed_fields(p431, index, key, value,
                                                   failed_check):
     """A malformed field is a failed check in the report, not an
@@ -137,6 +149,65 @@ def test_verify_transcript_fails_singular_public_curve(p431):
     report = verify_transcript(bad, p431)
     assert report["ok"] is False
     assert "public-key-A" in {c["check"] for c in report["checks"]}
+
+
+def _off_curve_g(body, params):
+    x = body["g"]["x"]
+    body["g"] = {**body["g"], "x": x[:-1] + ("1" if x[-1] == "0" else "0")}
+
+
+def _dependent_pair(body, params):
+    pub = public_from_obj(params.ctx, body)
+    body["h"] = point_to_obj(pub.curve.mul(3, pub.G))
+
+
+def _set_field(key, value):
+    return lambda body, params: body.update({key: value(body[key])})
+
+
+# (transcript row, mutation of its body, verifier row that fails)
+BAD_BODIES = [
+    pytest.param(index, _set_field(key, value), row, id=case.id)
+    for case in MALFORMED_FIELDS
+    for index, key, value, row in [case.values]
+] + [
+    pytest.param(4, _off_curve_g, "public-key-A", id="off-curve-pk-sender"),
+    pytest.param(5, _dependent_pair, "public-key-B",
+                 id="dependent-pk-receiver"),
+]
+
+
+@pytest.mark.parametrize("index, mutate, row", BAD_BODIES)
+def test_verifier_and_session_refuse_the_same_body(p431, index, mutate, row):
+    """The verifier's row for a bad body fails, and the session phase
+    that consumes the body refuses it with the same text: both call
+    the one reader of that body."""
+    config = _config(p431, 1)
+    out = run_local(config)
+    assert out["restarts"] == 0
+    bad = _tamper(out["transcript"], index, lambda b: mutate(b, p431))
+    report = verify_transcript(bad, p431)
+    failed = [c for c in report["checks"] if not c["ok"]]
+    assert [c["check"] for c in failed] == [row]
+
+    # replay run_local's two sessions, handing row ``index`` the bad body
+    sid = out["session_id"]
+    parties = {
+        "sender": SiotSession(p431, "sender",
+                              det_rng(sub_seed(config.seed, "sender")), sid,
+                              x0=config.x0, x1=config.x1),
+        "receiver": SiotSession(p431, "receiver",
+                                det_rng(sub_seed(config.seed, "receiver")),
+                                sid, b=config.b),
+    }
+    bodies = [wm.body for _, wm in bad.entries]
+    for msg, body in zip(SCHEDULE[:index], bodies):
+        assert getattr(parties[msg.producer], msg.produce)() == body
+        getattr(parties[msg.consumer], msg.consume)(body)
+    msg = SCHEDULE[index]
+    with pytest.raises((ProtocolAbort, DecodeError)) as info:
+        getattr(parties[msg.consumer], msg.consume)(bodies[index])
+    assert str(info.value) == failed[0]["detail"]
 
 
 def test_session_with_torsion_order_above_2_64():
@@ -172,7 +243,7 @@ def test_forced_non_basis_pair_aborts(p431, monkeypatch):
 
     monkeypatch.setattr(
         siot_mod, "derive_mask_coeffs",
-        lambda w, params: MaskCoefficients(0, 1, 1, 0, w))
+        lambda w, params: MaskCoefficients(0, 1, 1, 0))
     with pytest.raises(ProtocolAbort) as info:
         run_local(_config(p431, 1))
     assert info.value.code == "bad-receiver-key"

@@ -9,6 +9,7 @@ from siot.errors import (DecodeError, DecryptionError, InvalidKernelError,
                          ProtocolAbort)
 from siot.pairing import weil_pairing
 from siot.sidh import point_to_obj
+from siot.util import xor_bytes
 from siot.siot import (
     NONCE_LEN,
     SCHEDULE,
@@ -17,12 +18,12 @@ from siot.siot import (
     _bytes_field,
     _pack_input,
     _unpack_input,
-    coinflip_commit,
-    coinflip_reveal,
+    commitment,
     derive_mask_coeffs,
     encode_mask_points,
     exchange,
     kdf_enc,
+    read_public,
 )
 
 
@@ -36,31 +37,42 @@ def _run(params, b, x0=b"left input", x1=b"right one", seed=b"siot-test"):
 
 # -- coin flip -----------------------------------------------------------
 
-def test_coinflip_binding_and_combination():
-    rng = det_rng(b"coin")
-    a, b = coinflip_commit(rng), coinflip_commit(rng)
-    a.remote_commitment = b.commitment
-    b.remote_commitment = a.commitment
-    wa = coinflip_reveal(a, b.local_nonce)
-    wb = coinflip_reveal(b, a.local_nonce)
-    assert wa == wb and len(wa) == NONCE_LEN
-    assert wa != a.local_nonce and wa != b.local_nonce
+def _flip_coins(params, seed):
+    """A sender and a receiver that have exchanged both commits."""
+    sid = b"\x0a" * 16
+    s = SiotSession(params, "sender", det_rng(seed + b"s"), sid,
+                    x0=b"a", x1=b"b")
+    r = SiotSession(params, "receiver", det_rng(seed + b"r"), sid, b=0)
+    _run_until(s, r, "coin-reveal")
+    return s, r
 
 
-def test_coinflip_cheat_detected():
-    rng = det_rng(b"coin2")
-    a, b = coinflip_commit(rng), coinflip_commit(rng)
-    a.remote_commitment = b.commitment
-    forged = bytes(32)
+def test_coinflip_binding_and_combination(p431):
+    """Both sides open each other's commitment and derive the same mask
+    coefficients from w, the XOR of the two nonces."""
+    s, r = _flip_coins(p431, b"coin")
+    assert s.remote_commitment == commitment(r.nonce)
+    assert r.remote_commitment == commitment(s.nonce)
+    r.consume_reveal(s.produce_reveal())
+    s.consume_reveal(r.produce_reveal())
+    assert len(s.nonce) == len(r.nonce) == NONCE_LEN and s.nonce != r.nonce
+    assert s.coeffs == r.coeffs
+    assert s.coeffs == derive_mask_coeffs(xor_bytes(s.nonce, r.nonce), p431)
+
+
+def test_coinflip_cheat_detected(p431):
+    """A well-formed nonce that does not open the sender's commitment."""
+    s, r = _flip_coins(p431, b"coin2")
+    s.produce_reveal()
     with pytest.raises(ProtocolAbort) as info:
-        coinflip_reveal(a, forged)
+        r.consume_reveal({"nonce": "00" * NONCE_LEN})
     assert info.value.code == "coinflip-cheat"
 
 
-def test_coinflip_requires_commit_first():
-    cf = coinflip_commit(det_rng(b"coin3"))
+def test_coinflip_requires_commit_first(p431):
+    r = SiotSession(p431, "receiver", det_rng(b"coin3"), b"\x0b" * 16, b=0)
     with pytest.raises(ProtocolAbort) as info:
-        coinflip_reveal(cf, bytes(32))
+        r.consume_reveal({"nonce": "00" * NONCE_LEN})
     assert info.value.code == "out-of-order"
 
 
@@ -95,13 +107,13 @@ def test_derived_coeffs_satisfy_all_constraints(p431, p2591, p102):
 def test_coeff_check_rejections(p431):
     n = p431.n("A")
     with pytest.raises(ValueError):
-        MaskCoefficients(0, p431.ell_a, 0, 0, b"").check(p431)   # beta not unit
+        MaskCoefficients(0, p431.ell_a, 0, 0).check(p431)   # beta not unit
     with pytest.raises(ValueError):
-        MaskCoefficients(4, 1, (-16) % n, 4, b"").check(p431)    # delta != -alpha
+        MaskCoefficients(4, 1, (-16) % n, 4).check(p431)    # delta != -alpha
     with pytest.raises(ValueError):
-        MaskCoefficients(2, 1, 0, (-2) % n, b"").check(p431)     # alpha^2+bg != 0
+        MaskCoefficients(2, 1, 0, (-2) % n).check(p431)     # alpha^2+bg != 0
     with pytest.raises(ValueError):
-        MaskCoefficients(2, 1, 0, 0, b"").check(p431)            # several at once
+        MaskCoefficients(2, 1, 0, 0).check(p431)            # several at once
 
 
 def test_mask_points_satisfy_dependence_identity(p431):
@@ -277,7 +289,7 @@ def test_degenerate_sender_branch_is_a_kernel_error(p431):
     r = SiotSession(p431, "receiver", det_rng(b"degenerate-r"), sid, b=0)
     _run_until(s, r, "pk-receiver")
     n = p431.n("A")
-    s.coeffs = MaskCoefficients(n - 1, -s.keypair.r % n, 0, 0, s.coeffs.w)
+    s.coeffs = MaskCoefficients(n - 1, -s.keypair.r % n, 0, 0)
     with pytest.raises(InvalidKernelError):
         s.consume_public(r.produce_public())
 
@@ -298,6 +310,29 @@ def test_dependent_receiver_pair_aborts_before_any_walk(p431, counter):
         s.consume_public(body)
     assert info.value.code == "bad-receiver-key"
     assert walks[0] == 0
+
+
+def test_sender_pair_that_is_no_basis_is_a_coded_abort(p431):
+    """A sender pair (G, G) or (G, -G) passes every check a sender key
+    gets, since only the receiver's pair is certified as a basis.  The
+    receiver's kernel G + [r]H = (1 +- r)G then loses order for an r
+    with 1 +- r = 0 mod lB, and its walk's kernel error becomes the
+    coded abort ``bad-sender-key``."""
+    sid = b"\x0c" * 16
+    s = SiotSession(p431, "sender", det_rng(b"nobasis-s"), sid,
+                    x0=b"left", x1=b"right")
+    r = SiotSession(p431, "receiver", det_rng(b"nobasis-r"), sid, b=1)
+    sign = {1: -1, p431.ell_b - 1: 1}[r.keypair.r % p431.ell_b]
+    _run_until(s, r, "pk-sender")
+    pub = s.keypair.public
+    H = pub.G if sign == 1 else pub.curve.neg(pub.G)
+    body = {**s.produce_public(), "h": point_to_obj(H)}
+    assert read_public(p431, "A", body).H == H   # the verifier passes it
+    r.consume_public(body)
+    s.consume_public(r.produce_public())
+    with pytest.raises(ProtocolAbort) as info:
+        r.consume_ciphertexts(s.produce_ciphertexts())
+    assert info.value.code == "bad-sender-key"
 
 
 def test_singular_public_key_is_a_decode_error(p431):
