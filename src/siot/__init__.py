@@ -32,7 +32,6 @@ from .runner import (
     verify_transcript,
 )
 from .sidh import (
-    derive_shared_j,
     gen_params,
     keygen,
     params_from_obj,
@@ -40,7 +39,7 @@ from .sidh import (
     preset,
     validate_public,
 )
-from .siot import kdf_dec
+from .siot import derive_shared_j, kdf_dec
 from .util import canonical_json, det_rng
 from .wire import Transcript
 

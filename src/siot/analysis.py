@@ -20,8 +20,9 @@ from .errors import (DecryptionError, InconsistentKeyError,
 from .isogeny import isogeny_chain, kernel_generator
 from .pairing import decompose_in_basis, weil_pairing
 from .sidh import PublicParams, SidhPublic, keygen, other_side
-from .siot import (MaskCoefficients, branch_kernels, derive_mask_coeffs,
-                   encode_mask_points, kdf_dec, kdf_enc, mask_public)
+from .siot import (MaskCoefficients, branch_keys, derive_mask_coeffs,
+                   derive_shared_j, encode_mask_points, kdf_dec, kdf_enc,
+                   mask_public)
 from .util import det_rng
 
 
@@ -142,10 +143,12 @@ def distinguisher_fixture(params: PublicParams, rng=None, b: int = 1,
 
 
 def same_cyclic_subgroup(E: EllipticCurve, basis, K1: Point, K2: Point,
-                         n: int) -> bool:
-    """Whether <K1> = <K2> inside the torsion spanned by the basis."""
+                         ell: int, e: int) -> bool:
+    """Whether <K1> = <K2> inside the ell^e-torsion spanned by the basis."""
     G, H = basis
-    (u1, v1), (u2, v2) = (decompose_in_basis(E, G, H, K, n) for K in (K1, K2))
+    n = ell ** e
+    (u1, v1), (u2, v2) = (decompose_in_basis(E, G, H, K, ell, e)
+                          for K in (K1, K2))
     if (u1 * v2 - v1 * u2) % n != 0:
         return False
     return gcd(u1, v1, n) == gcd(u2, v2, n)
@@ -172,13 +175,14 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     E, basis = pub.curve, (pub.G, pub.H)
     r_a = sender.r
 
-    def branch_js(K0, K1):
-        return [isogeny_chain(E, K, ell, e, ())[0].j_invariant()
-                for K in (K0, K1)]
+    def branches(c):
+        """The sender's two branch kernels and j-invariants under c."""
+        keys = branch_keys(c, pub)
+        return ([kernel_generator(E, k.G, r_a, k.H) for k in keys],
+                [derive_shared_j(sender, k, params) for k in keys])
 
     report: dict = {}
-    K0, K1 = branch_kernels(coeffs, pub, r_a)
-    j0, j1 = branch_js(K0, K1)
+    (K0, K1), (j0, j1) = branches(coeffs)
     k0 = kdf_enc(j0, b"probe-x0")
     k1 = kdf_enc(j1, b"probe-x1")
     opened = []
@@ -190,7 +194,8 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
             opened.append(False)
     report["honest"] = {
         "quad_root_free": coeffs.quadratic_root_free(ell),
-        "kernels_same_subgroup": same_cyclic_subgroup(E, basis, K0, K1, n),
+        "kernels_same_subgroup": same_cyclic_subgroup(E, basis, K0, K1,
+                                                      ell, e),
         "j_equal": j0 == j1,
         "opens_under_j0": opened,
     }
@@ -198,18 +203,17 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     # crafted: det(K0, K1) = 0 with a unit ratio, so <K1> = <K0> exactly
     crafted = MaskCoefficients(alpha=2 % n, beta=2 * r_a % n, gamma=0,
                                delta=0)
-    Kc0, Kc1 = branch_kernels(crafted, pub, r_a)
-    cj0, cj1 = branch_js(Kc0, Kc1)
+    (Kc0, Kc1), (cj0, cj1) = branches(crafted)
     report["crafted"] = {
         "alpha": crafted.alpha, "beta": crafted.beta,
         "quad_has_root": not crafted.quadratic_root_free(ell),
-        "kernels_same_subgroup": same_cyclic_subgroup(E, basis, Kc0, Kc1, n),
+        "kernels_same_subgroup": same_cyclic_subgroup(E, basis, Kc0, Kc1,
+                                                      ell, e),
         "j_equal": cj0 == cj1,
     }
 
     zero = MaskCoefficients(0, 0, 0, 0)
-    Kz0, Kz1 = branch_kernels(zero, pub, r_a)
-    zj0, zj1 = branch_js(Kz0, Kz1)
+    _, (zj0, zj1) = branches(zero)
     report["degenerate"] = {"j_equal": zj0 == zj1}
     return report
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .curve import EllipticCurve, Point
 from .errors import ProtocolAbort
 from .field import FieldContext
-from .util import open_sealed, seal, tagged_hash
+from .util import tagged_hash
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,4 @@ def bo_sender_keys(ctx: OtGroupContext, y: int, S: Point, T: Point,
     k0 = _key(ctx, S, R, yR)
     k1 = _key(ctx, S, R, ctx.curve.sub(yR, T))
     return k0, k1
-
-
-def bo_encrypt(key: bytes, message: bytes) -> bytes:
-    return seal(key, message)
-
-
-def bo_decrypt(key: bytes, ciphertext: bytes) -> bytes:
-    return open_sealed(key, ciphertext)
 

@@ -40,15 +40,6 @@ class _Degenerate(Exception):
     """Internal: auxiliary point hit a zero or pole. Retried, never raised out."""
 
 
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
 def _times_line(f, T, T2, N, X, p: int):
     """The Miller value f, its numerator and denominator as four ints
     (na, nb, da, db), times the factor for the step from T to T2.
@@ -211,36 +202,20 @@ def modified_pairing(E: EllipticCurve, Q: Point, Qp: Point, n: int) -> Fp2:
     return weil_pairing(E, Q, distortion_map(E, Qp), n)
 
 
-def _prime_power(n: int) -> tuple[int, int]:
-    if n < 2:
-        raise ValueError("order must be a prime power >= 2")
-    ell = _smallest_prime_factor(n)
-    e = 0
-    m = n
-    while m % ell == 0:
-        m //= ell
-        e += 1
-    if m != 1:
-        raise ValueError(f"{n} is not a prime power")
-    return ell, e
-
-
 def symmetric_pairing(E: EllipticCurve, G: Point, H: Point,
-                      P: Point, Q: Point, n: int) -> Fp2:
+                      P: Point, Q: Point, ell: int, e: int) -> Fp2:
     """Symmetric pairing on span(G, H): e(P, psi(Q)) with the basis map
     psi([u]G + [v]H) = [v]G - [u]H.
 
     Symmetry needs psi to have no eigenvectors, i.e. x^2 + 1 must have
-    no root modulo the prime underlying n; parameter sets where the
-    prime is 2 or is 1 mod 4 are rejected.
+    no root modulo ell; primes ell that are 2 or 1 mod 4 are rejected.
     """
-    ell, _ = _prime_power(n)
     if ell == 2 or ell % 4 == 1:
         raise UnsupportedParameterError(
             f"x^2 + 1 has a root mod {ell}; symmetric pairing undefined")
-    u, v = decompose_in_basis(E, G, H, Q, n)
+    u, v = decompose_in_basis(E, G, H, Q, ell, e)
     image = E.sub(E.mul(v, G), E.mul(u, H))
-    return weil_pairing(E, P, image, n)
+    return weil_pairing(E, P, image, ell ** e)
 
 
 def _dlog_prime_power(base: Fp2, target: Fp2, ell: int, e: int) -> int:
@@ -265,15 +240,16 @@ def _dlog_prime_power(base: Fp2, target: Fp2, ell: int, e: int) -> int:
 
 
 def decompose_in_basis(E: EllipticCurve, G: Point, H: Point,
-                       P: Point, n: int) -> tuple[int, int]:
-    """Coefficients (u, v) with P = [u]G + [v]H, for a certified basis (G, H).
+                       P: Point, ell: int, e: int) -> tuple[int, int]:
+    """Coefficients (u, v) with P = [u]G + [v]H, for a certified basis
+    (G, H) of the ell^e-torsion.
 
     Reduces to discrete logs among roots of unity: u is the log of
     e(P, H) and v the log of e(G, P), both to base e(G, H).  The smooth
     order makes the logs exact via per-digit search.  The result is
     verified by recombination before it is returned.
     """
-    ell, e = _prime_power(n)
+    n = ell ** e
     zeta = weil_pairing(E, G, H, n)
     if zeta ** (n // ell) == E.ctx.one():
         raise DecompositionError("basis pairing does not have full order")

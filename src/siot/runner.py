@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .baseline_ot import (
-    bo_decrypt,
-    bo_encrypt,
     bo_receiver_round,
     bo_sender_keys,
     bo_sender_setup,
@@ -37,7 +35,7 @@ from .siot import (
     read_public,
 )
 from .transport import recv_frame, send_frame
-from .util import det_rng, sub_seed
+from .util import det_rng, open_sealed, seal, sub_seed
 from .wire import Transcript, WireMessage, decode, encode
 
 
@@ -207,11 +205,11 @@ def run_baseline_local(b: int, m0: bytes, m1: bytes, seed=None) -> dict:
     transcript.append("receiver->sender", WireMessage("baseline-response", sid, {
         "r": point_to_obj(R)}))
     k0, k1 = bo_sender_keys(ctx, y, S, T, R)
-    d0, d1 = bo_encrypt(k0, m0), bo_encrypt(k1, m1)
+    d0, d1 = seal(k0, m0), seal(k1, m1)
     transcript.append("sender->receiver",
                       WireMessage("baseline-ciphertexts", sid, {
                           "d0": d0.hex(), "d1": d1.hex()}))
-    delivered = bo_decrypt(k_b, d1 if b else d0)
+    delivered = open_sealed(k_b, d1 if b else d0)
     return {
         "output": delivered,
         "transcript": transcript,

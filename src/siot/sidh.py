@@ -1,12 +1,15 @@
-"""Public parameters and the plain two-party isogeny key exchange the
-oblivious-transfer layer is built on.
+"""Public parameters, and the first stage of the two-party isogeny key
+exchange the oblivious-transfer layer is built on: key generation, the
+one check of a public key, and the codecs.
 
 Parameters fix a prime p = lA^eA * lB^eB * f - 1 with p = 3 (mod 4),
 the curve E0: y^2 = x^3 + x over F_{p^2} (group structure
 (Z/(p+1))^2), and certified torsion bases for both sides.  Side "A"
 works with lA^eA-torsion, side "B" with lB^eB-torsion; each side's
 public key is its codomain curve together with the images of the other
-side's basis.
+side's basis.  The second stage, completing the exchange against a
+peer's key (``derive_shared_j``), lives in ``siot.siot``, where the
+sender also completes it against its two candidate keys.
 """
 
 from __future__ import annotations
@@ -168,7 +171,7 @@ def keygen(params: PublicParams, side: str, rng) -> SidhKeyPair:
 def validate_public(params: PublicParams, producer_side: str,
                     pub: SidhPublic) -> None:
     """The one check of a public key: points on curve and of exact
-    torsion order, for a decoded key and an in-process one alike.
+    torsion order.  ``siot.siot.read_public`` runs it where a key enters.
 
     A public key from side s carries images of the other side's basis,
     so its points must have exact order n(other(s)).  Failure aborts.
@@ -188,18 +191,6 @@ def validate_public(params: PublicParams, producer_side: str,
             raise ProtocolAbort(code, f"{name} is not {n}-torsion") from exc
         if not full:
             raise ProtocolAbort(code, f"{name} does not have full order {n}")
-
-
-def derive_shared_j(keypair: SidhKeyPair, their_public: SidhPublic,
-                    params: PublicParams) -> Fp2:
-    """Second-stage quotient: j-invariant both honest parties agree on."""
-    validate_public(params, other_side(keypair.side), their_public)
-    side = keypair.side
-    K = kernel_generator(their_public.curve, their_public.G, keypair.r,
-                         their_public.H)
-    curve, _ = isogeny_chain(their_public.curve, K, params.ell(side),
-                             params.e(side), ())
-    return curve.j_invariant()
 
 
 # -- serialization ----------------------------------------------------

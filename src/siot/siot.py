@@ -8,6 +8,13 @@ receiver ships its public key with the basis images masked by
 and the sender answers with two ciphertexts, one per derived
 j-invariant.  The receiver can open exactly the one indexed by its bit.
 
+As in Chou-Orlandi, the sender completes one key exchange twice: the
+second stage of the isogeny exchange, ``derive_shared_j``, runs against
+each of its two candidate receiver keys (``branch_keys``), the received
+key and that key shifted by the mask (U, V).  ``derive_shared_j`` is
+the one walk to a shared j; the receiver calls it once, against the
+sender's key.
+
 The coefficient constraints enforced here make the two receiver
 branches pairing-indistinguishable to the sender and keep the sender's
 two kernels apart, so neither party learns the other's input.  They
@@ -45,10 +52,11 @@ from .sidh import (
     public_to_obj,
     validate_public,
 )
-from .util import (canonical_json, expand, open_sealed, seal, strict_fromhex,
-                   tagged_hash, xor_bytes)
+from .util import (TAG_LEN, canonical_json, expand, open_sealed, seal,
+                   strict_fromhex, tagged_hash, xor_bytes)
 
 NONCE_LEN = 32
+_LENGTH_PREFIX = struct.Struct("!I")   # an input's length, ahead of it
 
 
 @dataclass(frozen=True)
@@ -155,15 +163,33 @@ def mask_public(coeffs: MaskCoefficients, pub: SidhPublic,
     return SidhPublic(E, E.sub(pub.G, U), E.sub(pub.H, V))
 
 
-def branch_kernels(coeffs: MaskCoefficients, pub: SidhPublic,
-                   r: int) -> tuple[Point, Point]:
-    """The sender's two kernel generators from the received pair (G, H):
-    K0 = G + [r]H, and K1 from (G + U, H + V) likewise.  Their orders
-    are checked by the isogeny chains that take them."""
+def branch_keys(coeffs: MaskCoefficients,
+                pub: SidhPublic) -> tuple[SidhPublic, SidhPublic]:
+    """The sender's two candidate receiver keys: the received key itself,
+    and the same curve with its pair shifted to (G + U, H + V).  The
+    receiver's own key is the first for bit 0 and the second for bit 1,
+    so each branch completes the exchange with one of them."""
     E = pub.curve
     U, V = encode_mask_points(coeffs, E, pub.G, pub.H)
-    return (kernel_generator(E, pub.G, r, pub.H),
-            kernel_generator(E, E.add(pub.G, U), r, E.add(pub.H, V)))
+    return pub, SidhPublic(E, E.add(pub.G, U), E.add(pub.H, V))
+
+
+def derive_shared_j(keypair: SidhKeyPair, their_public: SidhPublic,
+                    params: PublicParams) -> Fp2:
+    """The exchange's second stage: walk from the peer's curve along
+    K = G + [r]H with this side's secret r, and take the codomain's
+    j-invariant, which both honest parties agree on.
+
+    Checks nothing: every key reaching it is keygen output, a key
+    ``read_public`` accepted, or a ``branch_keys`` shift of one.  The
+    walk proves K's order, and raises ``InvalidKernelError`` for a pair
+    that is no basis.
+    """
+    side = keypair.side
+    E = their_public.curve
+    K = kernel_generator(E, their_public.G, keypair.r, their_public.H)
+    curve, _ = isogeny_chain(E, K, params.ell(side), params.e(side), ())
+    return curve.j_invariant()
 
 
 # -- authenticated payload encryption ----------------------------------
@@ -181,16 +207,17 @@ def kdf_dec(j: Fp2, ciphertext: bytes, transcript_hash: bytes = b"") -> bytes:
 def _pack_input(x: bytes, width: int) -> bytes:
     if len(x) > width:
         raise ValueError("input longer than declared width")
-    return struct.pack("!I", len(x)) + x + b"\x00" * (width - len(x))
+    return _LENGTH_PREFIX.pack(len(x)) + x + b"\x00" * (width - len(x))
 
 
 def _unpack_input(data: bytes) -> bytes:
-    if len(data) < 4:
+    if len(data) < _LENGTH_PREFIX.size:
         raise DecryptionError("plaintext too short to carry its length")
-    (n,) = struct.unpack("!I", data[:4])
-    if n > len(data) - 4:
+    (n,) = _LENGTH_PREFIX.unpack_from(data)
+    payload = data[_LENGTH_PREFIX.size:]
+    if n > len(payload):
         raise DecryptionError("declared length exceeds payload")
-    return data[4:4 + n]
+    return payload[:n]
 
 
 # -- message bodies: one reader each, returning checked values ---------
@@ -223,9 +250,15 @@ def read_public(params: PublicParams, producer: str,
 
 
 def read_ciphertexts(body: dict) -> tuple[bytes, bytes]:
+    """Two equal-length ciphertexts, each long enough to hold a sealed
+    length prefix and the seal's tag, as every honest one is."""
     c0, c1 = _bytes_field(body, "c0"), _bytes_field(body, "c1")
     if len(c0) != len(c1):
         raise ProtocolAbort("bad-message", "ciphertext lengths differ")
+    shortest = _LENGTH_PREFIX.size + TAG_LEN
+    if len(c0) < shortest:
+        raise ProtocolAbort("bad-message",
+                            f"ciphertexts shorter than {shortest} bytes")
     return c0, c1
 
 
@@ -389,15 +422,12 @@ class SiotSession:
                            *(canonical_json(b) for b in self._pk_bodies))
 
     def _derive_ciphertext_keys(self) -> None:
-        """Sender: form the two branch kernels from the received pair and
-        encrypt one input under each branch's j-invariant.  The certified
-        pair and derived coefficients give both kernels full order."""
-        pub, params = self.their_public, self.params
-        js = []
-        for K in branch_kernels(self.coeffs, pub, self.keypair.r):
-            curve, _ = isogeny_chain(pub.curve, K, params.ell_a, params.e_a,
-                                     ())
-            js.append(curve.j_invariant())
+        """Sender: complete the exchange against both candidate receiver
+        keys and encrypt one input under each branch's j-invariant.  The
+        certified pair and derived coefficients give both kernels full
+        order."""
+        js = [derive_shared_j(self.keypair, key, self.params)
+              for key in branch_keys(self.coeffs, self.their_public)]
         if js[0] == js[1]:
             # distinct kernels can still land on the same j in a desk-scale
             # isogeny graph; a collision would open both branches, so flip
@@ -418,16 +448,11 @@ class SiotSession:
     def consume_ciphertexts(self, body: dict) -> bytes:
         self._expect("consume_ciphertexts")
         c0, c1 = read_ciphertexts(body)
-        params = self.params
-        pub = self.their_public
-        K = kernel_generator(pub.curve, pub.G, self.keypair.r, pub.H)
         try:
-            curve, _ = isogeny_chain(pub.curve, K, params.ell_b, params.e_b,
-                                     ())
+            j = derive_shared_j(self.keypair, self.their_public, self.params)
         except InvalidKernelError as exc:
             # an honest sender's pair is a basis, so K has full order
             raise ProtocolAbort("bad-sender-key", str(exc)) from exc
-        j = curve.j_invariant()
         self.shared_j = (j,)
         th = self._transcript_hash()
         try:

@@ -74,7 +74,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
             ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-_TAG_LEN = 32
+TAG_LEN = 32
 
 
 def seal(key: bytes, plaintext: bytes) -> bytes:
@@ -87,9 +87,9 @@ def seal(key: bytes, plaintext: bytes) -> bytes:
 
 
 def open_sealed(key: bytes, ciphertext: bytes) -> bytes:
-    if len(ciphertext) < _TAG_LEN:
+    if len(ciphertext) < TAG_LEN:
         raise DecryptionError("ciphertext shorter than its tag")
-    body, mac = ciphertext[:-_TAG_LEN], ciphertext[-_TAG_LEN:]
+    body, mac = ciphertext[:-TAG_LEN], ciphertext[-TAG_LEN:]
     want = hmac.new(tagged_hash("cipher-mac-key", key), body,
                     hashlib.sha256).digest()
     if not hmac.compare_digest(mac, want):

@@ -38,6 +38,7 @@ from siot.siot import (
     encode_mask_points,
     exchange,
 )
+from siot.util import open_sealed
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -256,8 +257,7 @@ def test_10_baseline_ot_bulk(p431):
         good += art["output"] == (m1 if b else m0)
         other = art["ciphertexts"][1 - b]
         try:
-            from siot.baseline_ot import bo_decrypt
-            bo_decrypt(art["receiver_key"], other)
+            open_sealed(art["receiver_key"], other)
         except DecryptionError:
             sealed += 1
     off = ctx.curve.point(ctx.curve.A.ctx.elem(8144),
@@ -285,16 +285,16 @@ def test_10_baseline_ot_bulk(p431):
 
 def test_11_symmetric_pairing_and_family(set3):
     E0 = set3.curve
-    n = set3.n("A")
+    ell, e, n = set3.ell_a, set3.e_a, set3.n("A")
     G, H = set3.basis("A")
     rng = det_rng(b"acc11")
     symmetric = 0
     for _ in range(500):
         P = E0.add(E0.mul(rng.randrange(n), G), E0.mul(rng.randrange(n), H))
         Q = E0.add(E0.mul(rng.randrange(n), G), E0.mul(rng.randrange(n), H))
-        symmetric += symmetric_pairing(E0, G, H, P, Q, n) \
-            == symmetric_pairing(E0, G, H, Q, P, n)
-    lift = set3.ell_a ** ((set3.e_a + 1) // 2)
+        symmetric += symmetric_pairing(E0, G, H, P, Q, ell, e) \
+            == symmetric_pairing(E0, G, H, Q, P, ell, e)
+    lift = ell ** ((e + 1) // 2)
     family_ok = all(
         symmetric_constraint_check(set3, c) and c.alpha % lift == 0
         for c in (derive_mask_coeffs(rng.randbytes(32), set3)

@@ -57,11 +57,11 @@ def test_same_cyclic_subgroup_detects_unit_multiples(p431):
     E = p431.curve
     G, H = p431.basis_a
     K = kernel_generator(E, G, 5, H)
-    assert same_cyclic_subgroup(E, (G, H), K, E.mul(3, K), 16)
-    assert same_cyclic_subgroup(E, (G, H), K, E.neg(K), 16)
-    assert not same_cyclic_subgroup(E, (G, H), K, E.mul(2, K), 16)
+    assert same_cyclic_subgroup(E, (G, H), K, E.mul(3, K), 2, 4)
+    assert same_cyclic_subgroup(E, (G, H), K, E.neg(K), 2, 4)
+    assert not same_cyclic_subgroup(E, (G, H), K, E.mul(2, K), 2, 4)
     K2 = kernel_generator(E, G, 6, H)
-    assert not same_cyclic_subgroup(E, (G, H), K, K2, 16)
+    assert not same_cyclic_subgroup(E, (G, H), K, K2, 2, 4)
 
 
 def test_dishonest_receiver_probe(p431):

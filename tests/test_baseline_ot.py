@@ -5,14 +5,9 @@ import pytest
 
 from oracles import count_fp_points, ec_mul_fp
 from siot import default_group, det_rng, run_baseline_local
-from siot.baseline_ot import (
-    bo_decrypt,
-    bo_encrypt,
-    bo_receiver_round,
-    bo_sender_keys,
-    bo_sender_setup,
-)
+from siot.baseline_ot import bo_receiver_round, bo_sender_keys, bo_sender_setup
 from siot.errors import DecryptionError, ProtocolAbort
+from siot.util import open_sealed, seal
 
 CTX = default_group()
 P_, A_, B_ = 10007, 1, 9
@@ -52,7 +47,7 @@ def test_sessions_deliver_exactly_the_chosen_message():
         assert out["receiver_key"] == out["keys"][b]
         assert out["keys"][0] != out["keys"][1]
         with pytest.raises(DecryptionError):
-            bo_decrypt(out["receiver_key"], out["ciphertexts"][1 - b])
+            open_sealed(out["receiver_key"], out["ciphertexts"][1 - b])
 
 
 def test_sender_setup_shape():
@@ -95,9 +90,9 @@ def test_forced_blinding_scalar_still_correct():
 
 def test_encrypt_decrypt_roundtrip_and_tamper():
     key = b"\x07" * 32
-    ct = bo_encrypt(key, b"some payload")
-    assert bo_decrypt(key, ct) == b"some payload"
+    ct = seal(key, b"some payload")
+    assert open_sealed(key, ct) == b"some payload"
     with pytest.raises(DecryptionError):
-        bo_decrypt(b"\x08" * 32, ct)
+        open_sealed(b"\x08" * 32, ct)
     with pytest.raises(DecryptionError):
-        bo_decrypt(key, ct[:-1] + bytes([ct[-1] ^ 1]))
+        open_sealed(key, ct[:-1] + bytes([ct[-1] ^ 1]))

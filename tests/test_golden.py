@@ -4,7 +4,9 @@ The digests pin the wire bytes of a clean local run, a local run that
 restarts once, an online run over a loopback pipe and a baseline run,
 so that any change to the message schedule or to a driver that alters
 what goes on the wire fails here.  A run at 2^51*3^32 - 1, for each
-bit, pins the long chains: 51 and 32 steps per walk.
+bit, pins the long chains: 51 and 32 steps per walk.  Runs at p2591 and
+at the swapped-roles set, where the sender walks 3-isogenies, pin both
+bits on the two other towers.
 """
 
 import hashlib
@@ -61,6 +63,29 @@ def test_long_chain_local_run(b):
     assert out["restarts"] == 0
     assert out["output"] == (X0, X1)[b]
     assert _digest(out["transcript"]) == P102_DIGESTS[b]
+
+
+OTHER_TOWER_DIGESTS = {
+    "set3": (
+        "92506a7c2398a7ca26552d383cefb372be2cc45819f71dcf522664e28c084e51",
+        "a38f72bcfb240485cc201b362dc5ce2c57c355a14adab00e01005b636595582d",
+    ),
+    "p2591": (
+        "1db761825a7930f766197b911c2de2ea9b718ea29a91d74ebe49ff00384446da",
+        "23a7ec826c6ca47348fc75cbf8c95fa4534b794a64533b232da19ce96e25e39c",
+    ),
+}
+
+
+@pytest.mark.parametrize("b", [0, 1])
+@pytest.mark.parametrize("name", sorted(OTHER_TOWER_DIGESTS))
+def test_other_tower_local_run(name, b, request):
+    params = request.getfixturevalue(name)
+    out = run_local(SessionConfig(params, seed=b"golden-" + name.encode(),
+                                  b=b, x0=X0, x1=X1))
+    assert out["restarts"] == 0
+    assert out["output"] == (X0, X1)[b]
+    assert _digest(out["transcript"]) == OTHER_TOWER_DIGESTS[name][b]
 
 
 def test_online_run():

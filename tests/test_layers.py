@@ -3,7 +3,8 @@
 Imports are read from the source with ``ast``, those inside functions
 included, so a local import cannot hide an upward edge.  The same
 reading finds every error class that nothing raises, and every name
-the benchmark's tracer patches that the package no longer defines."""
+the benchmark's tracer patches or its scripts read from the package
+that the package no longer defines."""
 
 import ast
 import importlib
@@ -73,11 +74,42 @@ def _bench_tables():
                                        "COUNTED")}
 
 
+BENCH_SCRIPTS = ("test_bench.py", "workloads.py", "run.py", "setup_probe.py")
+
+
+def _package_chains(tree):
+    """The attribute chains a bench script reads from the package, as
+    name tuples: ``siot.a.b`` and ``self.siot.a.b`` give ("a", "b")."""
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "self" \
+                and names and names[-1] == "siot":
+            names.pop()
+        elif not (isinstance(node, ast.Name) and node.id == "siot"):
+            continue
+        if names:
+            yield tuple(reversed(names))
+
+
 def test_bench_hooks_name_package_attributes():
     """The tracer wraps functions by module and name and methods on
-    their class, so a rename would break only the benchmark's run."""
+    their class, and the bench scripts read names off the package, so a
+    rename or a move would break only the benchmark's run."""
     tables = _bench_tables()
     missing = []
+    package = importlib.import_module("siot")
+    for script in BENCH_SCRIPTS:
+        path = ROOT / "bench" / script
+        for chain in set(_package_chains(ast.parse(path.read_text()))):
+            owner = package
+            for attr in chain:
+                if not hasattr(owner, attr):
+                    missing.append(f"{script}: siot.{'.'.join(chain)}")
+                    break
+                owner = getattr(owner, attr)
     for modname, attr, _ in tables["SPAN_FUNCTIONS"]:
         if not hasattr(importlib.import_module(modname), attr):
             missing.append(f"{modname}.{attr}")

@@ -154,24 +154,24 @@ def test_modified_pairing_nondegenerate_on_diagonal():
 def test_symmetric_pairing_swaps(set3):
     E = set3.curve
     G, H = set3.basis_a
-    n = set3.n("A")
+    ell, e, n = set3.ell_a, set3.e_a, set3.n("A")
     rng = det_rng(b"sympair")
     for _ in range(40):
         P = E.add(E.mul(rng.randrange(n), G), E.mul(rng.randrange(n), H))
         Q = E.add(E.mul(rng.randrange(n), G), E.mul(rng.randrange(n), H))
-        assert symmetric_pairing(E, G, H, P, Q, n) \
-            == symmetric_pairing(E, G, H, Q, P, n)
+        assert symmetric_pairing(E, G, H, P, Q, ell, e) \
+            == symmetric_pairing(E, G, H, Q, P, ell, e)
 
 
 def test_symmetric_pairing_rejects_bad_primes():
     P, Q = _basis(2, 4, b"symrej")
     with pytest.raises(UnsupportedParameterError):
-        symmetric_pairing(E0, P, Q, P, Q, 16)
+        symmetric_pairing(E0, P, Q, P, Q, 2, 4)
     ctx = FieldContext(1499)       # 1500 = 4 * 375 = 2^2 * 3 * 5^3
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
     B1, B2 = sample_torsion_basis(E, 5, 3, 1500, det_rng(b"five"))
     with pytest.raises(UnsupportedParameterError):
-        symmetric_pairing(E, B1, B2, B1, B2, 125)   # 5 = 1 mod 4
+        symmetric_pairing(E, B1, B2, B1, B2, 5, 3)   # 5 = 1 mod 4
 
 
 def test_decompose_known_combination():
@@ -179,7 +179,7 @@ def test_decompose_known_combination():
         n = ell ** e
         G, H = _basis(ell, e, b"dec-%d" % ell)
         P = E0.add(E0.mul(3, G), E0.mul(7, H))
-        assert decompose_in_basis(E0, G, H, P, n) == (3 % n, 7 % n)
+        assert decompose_in_basis(E0, G, H, P, ell, e) == (3 % n, 7 % n)
 
 
 def test_decompose_exhaustive_sixteen():
@@ -187,13 +187,13 @@ def test_decompose_exhaustive_sixteen():
     for u in range(16):
         for v in range(16):
             P = E0.add(E0.mul(u, G), E0.mul(v, H))
-            assert decompose_in_basis(E0, G, H, P, 16) == (u, v)
+            assert decompose_in_basis(E0, G, H, P, 2, 4) == (u, v)
 
 
 def test_decompose_rejects_degenerate_base():
     G, H = _basis(2, 4, b"dec-bad")
     with pytest.raises(DecompositionError):
-        decompose_in_basis(E0, G, E0.mul(3, G), E0.add(G, H), 16)
+        decompose_in_basis(E0, G, E0.mul(3, G), E0.add(G, H), 2, 4)
 
 
 def _miller_outcome(f, E, P, n, X):

@@ -165,6 +165,13 @@ def _set_field(key, value):
     return lambda body, params: body.update({key: value(body[key])})
 
 
+def _cut_ciphertexts(length):
+    """Both ciphertexts cut to their first ``length`` bytes; an honest
+    one holds at least a 4-byte length prefix and a 32-byte tag."""
+    return lambda body, params: body.update(
+        {k: body[k][:2 * length] for k in ("c0", "c1")})
+
+
 # (transcript row, mutation of its body, verifier row that fails)
 BAD_BODIES = [
     pytest.param(index, _set_field(key, value), row, id=case.id)
@@ -174,6 +181,10 @@ BAD_BODIES = [
     pytest.param(4, _off_curve_g, "public-key-A", id="off-curve-pk-sender"),
     pytest.param(5, _dependent_pair, "public-key-B",
                  id="dependent-pk-receiver"),
+    pytest.param(6, _cut_ciphertexts(0), "ciphertext-shape",
+                 id="empty-ciphertexts"),
+    pytest.param(6, _cut_ciphertexts(35), "ciphertext-shape",
+                 id="35-byte-ciphertexts"),
 ]
 
 
@@ -250,19 +261,19 @@ def test_forced_non_basis_pair_aborts(p431, monkeypatch):
 
 
 def _collide_branches(monkeypatch, attempts):
-    """Give the sender two equal branch kernels, so its two j-invariants
-    collide, on its first ``attempts`` attempts."""
+    """Give the sender two equal candidate keys, so its two
+    j-invariants collide, on its first ``attempts`` attempts."""
     import siot.siot as siot_mod
 
-    real = siot_mod.branch_kernels
+    real = siot_mod.branch_keys
     calls = []
 
-    def colliding(coeffs, pub, r):
+    def colliding(coeffs, pub):
         calls.append(1)
-        K0, K1 = real(coeffs, pub, r)
-        return (K0, K0) if len(calls) <= attempts else (K0, K1)
+        k0, k1 = real(coeffs, pub)
+        return (k0, k0) if len(calls) <= attempts else (k0, k1)
 
-    monkeypatch.setattr(siot_mod, "branch_kernels", colliding)
+    monkeypatch.setattr(siot_mod, "branch_keys", colliding)
 
 
 def test_forced_j_collision_restarts(p431, monkeypatch):
