@@ -11,16 +11,12 @@ Four probes:
   4. the classical-group baseline OT for comparison.
 """
 
-from siot import (
+from siot import default_group, det_rng, keygen, preset, run_baseline_local
+from siot.analysis import (
     brute_force_secret,
-    default_group,
-    det_rng,
     dishonest_bob_probe,
     distinguisher_fixture,
     distinguisher_scan,
-    keygen,
-    preset,
-    run_baseline_local,
 )
 
 

@@ -11,8 +11,8 @@ are tiny.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .curve import EllipticCurve, Point
 from .errors import (DecryptionError, InconsistentKeyError,
@@ -26,8 +26,7 @@ from .siot import (MaskCoefficients, branch_keys, derive_mask_coeffs,
 from .util import det_rng
 
 
-@dataclass(frozen=True)
-class DistinguisherReport:
+class DistinguisherReport(NamedTuple):
     """Outcome of the pairing sweep over the masking parameter lambda.
 
     For every lambda two hypotheses are evaluated against the public
@@ -50,8 +49,7 @@ class DistinguisherReport:
         }
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     r: int
     space: int
     seconds: float
@@ -200,8 +198,9 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
         "opens_under_j0": opened,
     }
 
-    # crafted: det(K0, K1) = 0 with a unit ratio, so <K1> = <K0> exactly
-    crafted = MaskCoefficients(alpha=2 % n, beta=2 * r_a % n, gamma=0,
+    # crafted: alpha = lA and beta = lA*r make K1 = (1 + lA)*K0, a unit
+    # multiple for every lA, so <K1> = <K0> exactly
+    crafted = MaskCoefficients(alpha=ell % n, beta=ell * r_a % n, gamma=0,
                                delta=0)
     (Kc0, Kc1), (cj0, cj1) = branches(crafted)
     report["crafted"] = {

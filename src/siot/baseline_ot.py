@@ -13,7 +13,7 @@ classical group assumptions, shared wire conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curve import EllipticCurve, Point
 from .errors import ProtocolAbort
@@ -21,8 +21,7 @@ from .field import FieldContext
 from .util import tagged_hash
 
 
-@dataclass(frozen=True)
-class OtGroupContext:
+class OtGroupContext(NamedTuple):
     """A prime-order subgroup: curve over F_p, generator B of order q."""
 
     curve: EllipticCurve

@@ -1,6 +1,8 @@
 """Command-line interface: parameter generation, key generation, online
 and local protocol runs, transcript verification, the adversarial
-probes, and the baseline OT.
+probes, and the baseline OT.  The online commands open their TCP
+stream here and hand it to the session driver, which frames over any
+stream (``siot.transport``).
 
 Exit codes: 0 success, 2 protocol abort (including verification
 failures), 3 transport error, 4 usage error.
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import socket
 import sys
 
 from .analysis import (
@@ -40,7 +43,6 @@ from .sidh import (
     preset,
     public_to_obj,
 )
-from .transport import connect, serve_one
 from .util import det_rng, strict_fromhex
 from .wire import Transcript, read_json
 
@@ -222,6 +224,46 @@ def _cmd_keygen(args) -> int:
 def _save_transcript(outcome, path) -> None:
     if path:
         _write_file(path, outcome["transcript"].to_bytes())
+
+
+def parse_addr(addr: str) -> tuple[str, int]:
+    host, sep, port = addr.rpartition(":")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"address must be host:port, got {addr!r}")
+    return host or "127.0.0.1", int(port)
+
+
+def connect(addr: str):
+    host, port = parse_addr(addr)
+    try:
+        sock = socket.create_connection((host, port), timeout=30)
+    except OSError as exc:
+        raise TransportError(f"connect to {addr} failed: {exc}") from exc
+    stream = sock.makefile("rwb")
+    sock.close()    # the stream holds the connection until it is closed
+    return stream
+
+
+def serve_one(addr: str, ready_event=None):
+    """Accept a single connection and return its stream; ``ready_event``
+    (a ``threading.Event``), if given, is set once the socket listens."""
+    host, port = parse_addr(addr)
+    try:
+        srv = socket.create_server((host, port))
+    except OSError as exc:
+        raise TransportError(f"listen on {addr} failed: {exc}") from exc
+    try:
+        srv.settimeout(30)
+        if ready_event is not None:
+            ready_event.set()
+        conn, _ = srv.accept()
+    except OSError as exc:
+        srv.close()
+        raise TransportError(f"accept on {addr} failed: {exc}") from exc
+    srv.close()
+    stream = conn.makefile("rwb")
+    conn.close()    # the stream holds the connection until it is closed
+    return stream
 
 
 def _open_stream(args):

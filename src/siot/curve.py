@@ -32,14 +32,13 @@ or a Velu codomain of a checked one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidPointError, SamplingError
 from .field import FieldContext, Fp2
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """Affine curve point; ``infinity`` marks the identity.
 
     Points are plain data; all geometry lives on EllipticCurve.

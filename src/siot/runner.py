@@ -14,7 +14,7 @@ protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .baseline_ot import (
     bo_receiver_round,
@@ -39,8 +39,7 @@ from .util import det_rng, open_sealed, seal, sub_seed
 from .wire import Transcript, WireMessage, decode, encode
 
 
-@dataclass
-class SessionConfig:
+class SessionConfig(NamedTuple):
     params: PublicParams
     seed: object = None
     b: int | None = None

@@ -15,7 +15,7 @@ sender also completes it against its two candidate keys.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curve import EllipticCurve, Point, INFINITY
 from .errors import (
@@ -33,8 +33,7 @@ from .util import det_rng, strict_fromhex
 SIDES = ("A", "B")
 
 
-@dataclass(frozen=True)
-class SidhPublic:
+class SidhPublic(NamedTuple):
     """One side's public key: codomain curve and pushed-through basis."""
 
     curve: EllipticCurve
@@ -42,8 +41,7 @@ class SidhPublic:
     H: Point
 
 
-@dataclass(frozen=True)
-class PublicParams:
+class PublicParams(NamedTuple):
     p: int
     ell_a: int
     e_a: int
@@ -75,8 +73,7 @@ class PublicParams:
         return self.basis_a if side == "A" else self.basis_b
 
 
-@dataclass(frozen=True)
-class SidhKeyPair:
+class SidhKeyPair(NamedTuple):
     side: str
     r: int
     public: SidhPublic

@@ -33,7 +33,6 @@ the body and the transcript verifier both call.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curve import EllipticCurve, Point
@@ -59,8 +58,7 @@ NONCE_LEN = 32
 _LENGTH_PREFIX = struct.Struct("!I")   # an input's length, ahead of it
 
 
-@dataclass(frozen=True)
-class MaskCoefficients:
+class MaskCoefficients(NamedTuple):
     """Scalars (alpha, beta, gamma, delta) mod lA^eA derived from w.
 
     Constraints: delta = -alpha and alpha^2 + beta*gamma = 0, so the
@@ -68,7 +66,8 @@ class MaskCoefficients:
     and the quadratic gamma*r^2 + (alpha-delta)*r - beta has no root
     mod lA, so a dishonest receiver cannot collapse the sender's two
     kernels; and alpha is a multiple of lA^ceil(eA/2) (the hardened
-    family), which kills the order-2 pairing leak as well.
+    family), which kills the order-2 pairing leak as well.  So alpha^2
+    vanishes mod lA^eA, and every derived tuple has gamma = 0 mod lA^eA.
     """
 
     alpha: int
@@ -109,8 +108,8 @@ def derive_mask_coeffs(w: bytes, params: PublicParams) -> MaskCoefficients:
     sampling over a counter until beta is a unit, which a draw is with
     probability (lA - 1)/lA.  The rest holds by construction:
     delta = -alpha, gamma = -alpha^2/beta, and alpha is in the hardened
-    family, so alpha, gamma and delta are 0 mod lA and the collapse
-    quadratic reduces to -beta, a unit.
+    family, so alpha and delta are 0 mod lA, gamma = 0 mod lA^eA (alpha^2
+    is), and the collapse quadratic reduces to -beta, a unit.
     """
     n = params.n("A")
     ell, e = params.ell_a, params.e_a
@@ -141,7 +140,8 @@ def encode_mask_points(coeffs: MaskCoefficients, curve: EllipticCurve,
     feeding the receiver's masked pair instead of its true pair yields
     the same (U, V): the mask family is a fixed point of its own
     re-derivation, which is what lets the sender reconstruct the mask
-    without learning the bit.
+    without learning the bit.  Derived coefficients have gamma = 0, so
+    V costs one multiplication: ``mul(0, G)`` returns O at once.
 
     Callers pass checked points: the sender a pair ``validate_public``
     accepted, the receiver its own keygen output.

@@ -10,7 +10,7 @@ error; malformed input never passes silently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DecodeError
 from .util import canonical_json, strict_fromhex
@@ -31,8 +31,7 @@ _BODY_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class WireMessage:
+class WireMessage(NamedTuple):
     type: str
     session: str
     body: dict
@@ -108,11 +107,11 @@ def decode(data: bytes) -> WireMessage:
     return _from_obj(read_json(data))
 
 
-@dataclass
 class Transcript:
     """Ordered message log with direction markers, JSONL on disk."""
 
-    entries: list = field(default_factory=list)
+    def __init__(self):
+        self.entries = []
 
     def append(self, direction: str, msg: WireMessage) -> None:
         if direction not in ("sender->receiver", "receiver->sender"):

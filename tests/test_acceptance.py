@@ -13,20 +13,22 @@ from oracles import (cyclic_subgroup, full_kernel_quotient,
                      multiplicative_order, symmetric_constraint_check)
 from siot import (
     SessionConfig,
-    brute_force_secret,
     default_group,
     derive_shared_j,
     det_rng,
-    dishonest_bob_probe,
-    distinguisher_fixture,
-    distinguisher_scan,
     kdf_dec,
     keygen,
     preset,
     run_baseline_local,
     run_local,
 )
-from siot.analysis import equivariance_precheck
+from siot.analysis import (
+    brute_force_secret,
+    dishonest_bob_probe,
+    distinguisher_fixture,
+    distinguisher_scan,
+    equivariance_precheck,
+)
 from siot.errors import DecryptionError, ProtocolAbort, RestartRequired
 from siot.isogeny import isogeny_chain, kernel_generator
 from siot.pairing import symmetric_pairing, weil_pairing

@@ -5,16 +5,15 @@ import pytest
 
 from oracles import (isogeny_path_exists, reachable_j_values, shared_j_oracle,
                      symmetric_constraint_check)
-from siot import (
+from siot import derive_shared_j, det_rng, keygen
+from siot.analysis import (
     brute_force_secret,
-    derive_shared_j,
-    det_rng,
     dishonest_bob_probe,
     distinguisher_fixture,
     distinguisher_scan,
-    keygen,
+    equivariance_precheck,
+    same_cyclic_subgroup,
 )
-from siot.analysis import equivariance_precheck, same_cyclic_subgroup
 from siot.errors import InconsistentKeyError, UnsupportedParameterError
 from siot.isogeny import kernel_generator
 from siot.sidh import SidhPublic
@@ -64,8 +63,9 @@ def test_same_cyclic_subgroup_detects_unit_multiples(p431):
     assert not same_cyclic_subgroup(E, (G, H), K, K2, 2, 4)
 
 
-def test_dishonest_receiver_probe(p431):
-    report = dishonest_bob_probe(p431, det_rng(b"bobprobe"))
+def _assert_probe_reports(report):
+    """Honest coefficients keep the sender's kernels apart; the crafted
+    and the all-zero ones collapse them."""
     honest = report["honest"]
     assert honest["quad_root_free"]
     assert not honest["kernels_same_subgroup"]
@@ -76,6 +76,19 @@ def test_dishonest_receiver_probe(p431):
     assert crafted["kernels_same_subgroup"]
     assert crafted["j_equal"]
     assert report["degenerate"]["j_equal"]
+
+
+def test_dishonest_receiver_probe(p431):
+    _assert_probe_reports(dishonest_bob_probe(p431, det_rng(b"bobprobe")))
+
+
+def test_dishonest_receiver_probe_on_a_3_power_side(set3):
+    """The crafted ratio 1 + lA is a unit whatever lA is, so a 3-power A
+    side reports rather than raising on a kernel of too small order."""
+    for seed in (b"bob3-0", b"bob3-1", b"bob3-2"):
+        report = dishonest_bob_probe(set3, det_rng(seed))
+        _assert_probe_reports(report)
+        assert report["crafted"]["alpha"] == 3
 
 
 def test_brute_force_recovers_both_sides(p431):
@@ -98,7 +111,7 @@ def test_brute_force_rejects_foreign_key(p431):
 
 
 def test_brute_force_refuses_big_spaces(p431):
-    big = type(p431)(**{**p431.__dict__, "e_a": 40})
+    big = p431._replace(e_a=40)
     with pytest.raises(UnsupportedParameterError):
         brute_force_secret(big, keygen(p431, "A", det_rng(0)).public, "A")
 

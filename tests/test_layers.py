@@ -4,10 +4,13 @@ Imports are read from the source with ``ast``, those inside functions
 included, so a local import cannot hide an upward edge.  The same
 reading finds every error class that nothing raises, and every name
 the benchmark's tracer patches or its scripts read from the package
-that the package no longer defines."""
+that the package no longer defines.  A fresh interpreter shows what
+``import siot`` loads."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,3 +127,20 @@ def test_bench_hooks_name_package_attributes():
         if owner is None or attr not in vars(owner):
             missing.append(".".join(filter(None, (modname, clsname, attr))))
     assert missing == []
+
+
+COLD_START_EXCLUDED = ("dataclasses", "inspect", "socket", "selectors",
+                       "siot.analysis", "siot.cli")
+
+
+def test_import_loads_only_what_a_session_runs():
+    """Each CLI command starts a fresh interpreter, so what ``import
+    siot`` loads is paid per command: no record machinery, no sockets,
+    no probes and no CLI."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import siot; "
+            "print(' '.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code,
+                          str(ROOT / "src")], capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "siot" in out
+    assert [m for m in COLD_START_EXCLUDED if m in out] == []

@@ -286,8 +286,7 @@ def test_forced_j_collision_restarts(p431, monkeypatch):
 
 
 def test_restart_budget_exhausts(p431, monkeypatch):
-    config = _config(p431, 1)
-    config.max_restarts = 1
+    config = _config(p431, 1)._replace(max_restarts=1)
     _collide_branches(monkeypatch, config.max_restarts + 1)
     with pytest.raises(RestartRequired, match="collided"):
         run_local(config)

@@ -104,6 +104,16 @@ def test_derived_coeffs_satisfy_all_constraints(p431, p2591, p102):
             assert derive_mask_coeffs(w, params) == c
 
 
+def test_derived_gamma_is_zero(p431, p2591, set3, p102):
+    """alpha is a multiple of lA^ceil(eA/2), so alpha^2, and with it
+    gamma = -alpha^2/beta, is 0 mod lA^eA: V = gamma*G + delta*H costs
+    one multiplication, since ``mul(0, G)`` returns O at once."""
+    for params in (p431, p2591, set3, p102):
+        rng = det_rng(b"gamma")
+        for _ in range(50):
+            assert derive_mask_coeffs(rng.randbytes(32), params).gamma == 0
+
+
 def test_coeff_check_rejections(p431):
     n = p431.n("A")
     with pytest.raises(ValueError):

@@ -1,19 +1,14 @@
-"""Length-framed transport: caps, truncation, sockets, loopback."""
+"""Length-framed transport: caps, truncation, loopback, and the CLI's
+socket helpers."""
 
 import threading
 
 import pytest
 
 from loopback import LoopbackPipe
+from siot.cli import connect, parse_addr, serve_one
 from siot.errors import TransportError
-from siot.transport import (
-    MAX_FRAME,
-    connect,
-    parse_addr,
-    recv_frame,
-    send_frame,
-    serve_one,
-)
+from siot.transport import MAX_FRAME, recv_frame, send_frame
 
 
 def test_loopback_roundtrip():
