@@ -11,13 +11,14 @@ Four probes:
   4. the classical-group baseline OT for comparison.
 """
 
-from siot import default_group, det_rng, keygen, preset, run_baseline_local
+from siot import det_rng, keygen, preset
 from siot.analysis import (
     brute_force_secret,
     dishonest_bob_probe,
     distinguisher_fixture,
     distinguisher_scan,
 )
+from siot.baseline_ot import default_group, run_baseline_local
 
 
 def banner(text: str) -> None:

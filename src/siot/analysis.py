@@ -11,14 +11,13 @@ are tiny.
 from __future__ import annotations
 
 import time
-from math import gcd
 from typing import NamedTuple
 
 from .curve import EllipticCurve, Point
 from .errors import (DecryptionError, InconsistentKeyError,
-                     UnsupportedParameterError)
+                     InvalidPointError, UnsupportedParameterError)
 from .isogeny import isogeny_chain, kernel_generator
-from .pairing import decompose_in_basis, weil_pairing
+from .pairing import weil_pairing
 from .sidh import PublicParams, SidhPublic, keygen, other_side
 from .siot import (MaskCoefficients, branch_keys, derive_mask_coeffs,
                    derive_shared_j, encode_mask_points, kdf_dec, kdf_enc,
@@ -72,23 +71,27 @@ def equivariance_precheck(params: PublicParams, rng=None) -> None:
                              "at the expected exponent")
 
 
-def _lambda_values(n: int, count: int, rng) -> tuple:
+# lambdas a scan samples where n is too large to sweep them all
+LAMBDA_COUNT = 64
+
+
+def _lambda_values(n: int, rng) -> tuple:
     if n <= 256:
         return tuple(range(n))
-    units = [v for v in rng.sample(range(1, n), min(count, n - 1))]
+    units = [v for v in rng.sample(range(1, n), min(LAMBDA_COUNT, n - 1))]
     picked = set()
     for v in units:
         picked.add(v)
-        if len(picked) >= count - count // 3:
+        if len(picked) >= LAMBDA_COUNT - LAMBDA_COUNT // 3:
             break
-    while len(picked) < count:
+    while len(picked) < LAMBDA_COUNT:
         v = rng.randrange(n)
         picked.add(v)
     return tuple(sorted(picked))
 
 
 def distinguisher_scan(params: PublicParams, masked_public: SidhPublic,
-                       coeffs: MaskCoefficients, lambda_count: int = 64,
+                       coeffs: MaskCoefficients,
                        rng=None) -> DistinguisherReport:
     """Sweep e(G' + lambda*U, H' + lambda*V) against the public target.
 
@@ -107,7 +110,7 @@ def distinguisher_scan(params: PublicParams, masked_public: SidhPublic,
     PA, QA = params.basis_a
     target = weil_pairing(params.curve, PA, QA, n) ** params.n("B")
     G1, H1 = E.add(G, U), E.add(H, V)
-    lambdas = _lambda_values(n, lambda_count, rng)
+    lambdas = _lambda_values(n, rng)
     verdicts = {}
     separations = []
     for lam in lambdas:
@@ -140,16 +143,23 @@ def distinguisher_fixture(params: PublicParams, rng=None, b: int = 1,
     return mask_public(coeffs, kp.public, b), coeffs
 
 
-def same_cyclic_subgroup(E: EllipticCurve, basis, K1: Point, K2: Point,
+def same_cyclic_subgroup(E: EllipticCurve, K1: Point, K2: Point,
                          ell: int, e: int) -> bool:
-    """Whether <K1> = <K2> inside the ell^e-torsion spanned by the basis."""
-    G, H = basis
-    n = ell ** e
-    (u1, v1), (u2, v2) = (decompose_in_basis(E, G, H, K, ell, e)
-                          for K in (K1, K2))
-    if (u1 * v2 - v1 * u2) % n != 0:
+    """Whether K1 and K2, two ell^e-torsion points of E, both have exact
+    order n = ell^e and generate the same subgroup.
+
+    Complete K1 to a basis (K1, Q) and write K2 = [a]K1 + [b]Q: then
+    e_n(K1, K2) = e_n(K1, Q)^b, and e_n(K1, Q) has order n, so the
+    pairing is 1 exactly when K2 lies in <K1>.  Points of lower order,
+    or outside the ell^e-torsion, answer False.
+    """
+    try:
+        if not (E.has_exact_order(K1, ell, e)
+                and E.has_exact_order(K2, ell, e)):
+            return False
+    except InvalidPointError:
         return False
-    return gcd(u1, v1, n) == gcd(u2, v2, n)
+    return weil_pairing(E, K1, K2, ell ** e) == E.ctx.one()
 
 
 def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
@@ -170,7 +180,7 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     w = rng.randbytes(32)
     coeffs = derive_mask_coeffs(w, params)
     pub = receiver.public
-    E, basis = pub.curve, (pub.G, pub.H)
+    E = pub.curve
     r_a = sender.r
 
     def branches(c):
@@ -192,8 +202,7 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
             opened.append(False)
     report["honest"] = {
         "quad_root_free": coeffs.quadratic_root_free(ell),
-        "kernels_same_subgroup": same_cyclic_subgroup(E, basis, K0, K1,
-                                                      ell, e),
+        "kernels_same_subgroup": same_cyclic_subgroup(E, K0, K1, ell, e),
         "j_equal": j0 == j1,
         "opens_under_j0": opened,
     }
@@ -206,8 +215,7 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     report["crafted"] = {
         "alpha": crafted.alpha, "beta": crafted.beta,
         "quad_has_root": not crafted.quadratic_root_free(ell),
-        "kernels_same_subgroup": same_cyclic_subgroup(E, basis, Kc0, Kc1,
-                                                      ell, e),
+        "kernels_same_subgroup": same_cyclic_subgroup(E, Kc0, Kc1, ell, e),
         "j_equal": cj0 == cj1,
     }
 

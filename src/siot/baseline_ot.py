@@ -8,7 +8,9 @@ key H([x]S) equals exactly the sender key indexed by its bit.  Both
 parties refuse any point outside the prime-order subgroup.
 
 This is the cross-check twin of the isogeny OT: same 1-of-2 semantics,
-classical group assumptions, shared wire conventions.
+classical group assumptions, shared wire conventions.  It has its own
+in-process driver, ``run_baseline_local``, which writes a wire-shaped
+transcript; no session path imports this module.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import NamedTuple
 from .curve import EllipticCurve, Point
 from .errors import ProtocolAbort
 from .field import FieldContext
-from .util import tagged_hash
+from .sidh import point_to_obj
+from .util import det_rng, open_sealed, seal, sub_seed, tagged_hash
+from .wire import Transcript, WireMessage
 
 
 class OtGroupContext(NamedTuple):
@@ -97,3 +101,31 @@ def bo_sender_keys(ctx: OtGroupContext, y: int, S: Point, T: Point,
     k1 = _key(ctx, S, R, ctx.curve.sub(yR, T))
     return k0, k1
 
+
+def run_baseline_local(b: int, m0: bytes, m1: bytes, seed=None) -> dict:
+    """In-process baseline OT session with a wire-shaped transcript."""
+    ctx = default_group()
+    rng_s = det_rng(sub_seed(seed, "bo-sender"))
+    rng_r = det_rng(sub_seed(seed, "bo-receiver"))
+    sid = det_rng(sub_seed(seed, "bo-session")).randbytes(16).hex()
+
+    y, S, T = bo_sender_setup(ctx, rng_s)
+    transcript = Transcript()
+    transcript.append("sender->receiver", WireMessage("baseline-setup", sid, {
+        "s": point_to_obj(S), "t": point_to_obj(T)}))
+    x, R, k_b = bo_receiver_round(ctx, S, b, rng_r)
+    transcript.append("receiver->sender", WireMessage("baseline-response", sid, {
+        "r": point_to_obj(R)}))
+    k0, k1 = bo_sender_keys(ctx, y, S, T, R)
+    d0, d1 = seal(k0, m0), seal(k1, m1)
+    transcript.append("sender->receiver",
+                      WireMessage("baseline-ciphertexts", sid, {
+                          "d0": d0.hex(), "d1": d1.hex()}))
+    delivered = open_sealed(k_b, d1 if b else d0)
+    return {
+        "output": delivered,
+        "transcript": transcript,
+        "keys": (k0, k1),
+        "receiver_key": k_b,
+        "ciphertexts": (d0, d1),
+    }

@@ -2,7 +2,9 @@
 and local protocol runs, transcript verification, the adversarial
 probes, and the baseline OT.  The online commands open their TCP
 stream here and hand it to the session driver, which frames over any
-stream (``siot.transport``).
+stream (``siot.transport``).  What only some commands run (the probes,
+the baseline OT, the sockets) is imported inside the functions that
+run it, so no other command pays for loading it.
 
 Exit codes: 0 success, 2 protocol abort (including verification
 failures), 3 transport error, 4 usage error.
@@ -12,15 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import socket
 import sys
 
-from .analysis import (
-    brute_force_secret,
-    dishonest_bob_probe,
-    distinguisher_fixture,
-    distinguisher_scan,
-)
 from .errors import (
     DecodeError,
     ProtocolAbort,
@@ -30,7 +25,6 @@ from .errors import (
 )
 from .runner import (
     SessionConfig,
-    run_baseline_local,
     run_local,
     run_session,
     verify_transcript,
@@ -234,6 +228,8 @@ def parse_addr(addr: str) -> tuple[str, int]:
 
 
 def connect(addr: str):
+    import socket
+
     host, port = parse_addr(addr)
     try:
         sock = socket.create_connection((host, port), timeout=30)
@@ -247,6 +243,8 @@ def connect(addr: str):
 def serve_one(addr: str, ready_event=None):
     """Accept a single connection and return its stream; ``ready_event``
     (a ``threading.Event``), if given, is set once the socket listens."""
+    import socket
+
     host, port = parse_addr(addr)
     try:
         srv = socket.create_server((host, port))
@@ -321,6 +319,9 @@ def _cmd_verify_transcript(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    from .analysis import (brute_force_secret, dishonest_bob_probe,
+                           distinguisher_fixture, distinguisher_scan)
+
     params = _params_from_args(args)
     rng = det_rng(_seed_from_args(args))
     if args.attack == "distinguisher":
@@ -341,6 +342,8 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    from .baseline_ot import run_baseline_local
+
     outcome = run_baseline_local(args.choice, _read_file(args.msg0),
                                  _read_file(args.msg1), seed=_seed_from_args(args))
     _save_transcript(outcome, args.transcript)

@@ -37,6 +37,9 @@ from typing import NamedTuple
 from .errors import InvalidPointError, SamplingError
 from .field import FieldContext, Fp2
 
+# draws a bounded point search makes before it gives up
+SAMPLING_TRIES = 200
+
 
 class Point(NamedTuple):
     """Affine curve point; ``infinity`` marks the identity.
@@ -171,7 +174,7 @@ class EllipticCurve:
             return Point(x, y)
 
     def random_point_of_order(self, ell: int, e: int, group_exponent: int,
-                              rng: random.Random, tries: int = 200) -> Point:
+                              rng: random.Random) -> Point:
         """Point of exact order ell^e via cofactor multiplication.
 
         group_exponent is the exponent (annihilator) of the rational
@@ -183,7 +186,7 @@ class EllipticCurve:
         cofactor = group_exponent // n
         if cofactor * n != group_exponent:
             raise SamplingError(f"{ell}^{e} does not divide {group_exponent}")
-        for _ in range(tries):
+        for _ in range(SAMPLING_TRIES):
             P = self.mul(cofactor, self.random_point(rng))
             try:
                 if self.has_exact_order(P, ell, e):
@@ -191,7 +194,8 @@ class EllipticCurve:
             except InvalidPointError as exc:
                 raise SamplingError(f"{group_exponent} leaves a point outside "
                                     f"the {n}-torsion") from exc
-        raise SamplingError(f"no point of order {ell}^{e} in {tries} draws")
+        raise SamplingError(f"no point of order {ell}^{e} in "
+                            f"{SAMPLING_TRIES} draws")
 
     def has_exact_order(self, P: Point, ell: int, e: int) -> bool:
         """Whether P, which must be ell^e-torsion, has exact order ell^e.

@@ -28,13 +28,8 @@ class ParameterSearchError(SiotError):
 
 
 class UnsupportedParameterError(SiotError):
-    """Operation is undefined for this parameter set (e.g. symmetric
-    pairing when the distortion map's characteristic polynomial has a
-    root)."""
-
-
-class DecompositionError(SiotError):
-    """Basis decomposition failed its recombination check."""
+    """Operation is refused for this parameter set (e.g. an exhaustive
+    secret search beyond toy scale)."""
 
 
 class InconsistentKeyError(SiotError):

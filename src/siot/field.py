@@ -132,9 +132,6 @@ class FieldContext:
     def one(self) -> Fp2:
         return Fp2(self, 1, 0)
 
-    def i(self) -> Fp2:
-        return Fp2(self, 0, 1)
-
 
 class Fp2:
     """Element a + b*i of F_{p^2}, always reduced mod p."""

@@ -1,6 +1,6 @@
-"""Weil pairing on prime-power torsion, distortion and symmetric variants,
-torsion-basis sampling and its certificate, and pairing-based
-decomposition of points over a torsion basis.
+"""Weil pairing on prime-power torsion, the torsion-basis certificate
+built on it, and torsion-basis sampling.  The certificate and the
+desk-scale probes in ``analysis`` are the pairing's only callers.
 
 Pairings return plain ``Fp2`` values, n-th roots of unity, and trust
 their inputs: like ``add`` and ``mul`` in ``curve``, they take points
@@ -30,9 +30,9 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .curve import EllipticCurve, Point, INFINITY, jac_add_affine, jac_double
-from .errors import (DecompositionError, SamplingError,
-                     UnsupportedParameterError)
+from .curve import (SAMPLING_TRIES, EllipticCurve, Point, jac_add_affine,
+                    jac_double)
+from .errors import SamplingError
 from .field import Fp2
 
 
@@ -163,8 +163,7 @@ def is_torsion_basis(E: EllipticCurve, P: Point, Q: Point,
 
 
 def sample_torsion_basis(curve: EllipticCurve, ell: int, e: int,
-                         group_exponent: int, rng: random.Random,
-                         tries: int = 200):
+                         group_exponent: int, rng: random.Random):
     """Independent basis (P, Q) of the ell^e-torsion.
 
     Both points come from ``random_point_of_order``, which proves their
@@ -172,89 +171,10 @@ def sample_torsion_basis(curve: EllipticCurve, ell: int, e: int,
     sampling method is irrelevant to correctness, the certificate is
     authoritative.
     """
-    P = curve.random_point_of_order(ell, e, group_exponent, rng, tries)
-    for _ in range(tries):
-        Q = curve.random_point_of_order(ell, e, group_exponent, rng, tries)
+    P = curve.random_point_of_order(ell, e, group_exponent, rng)
+    for _ in range(SAMPLING_TRIES):
+        Q = curve.random_point_of_order(ell, e, group_exponent, rng)
         if is_torsion_basis(curve, P, Q, ell, e):
             return P, Q
     raise SamplingError(f"no independent partner of order {ell}^{e} "
-                        f"in {tries} draws")
-
-
-def distortion_map(E: EllipticCurve, P: Point) -> Point:
-    """The endomorphism (x, y) -> (-x, i*y) of the curve y^2 = x^3 + x.
-
-    Sends a point to one outside its own cyclic subgroup, which makes
-    the modified pairing below nondegenerate on cyclic inputs.
-    """
-    ctx = E.ctx
-    if E.A != ctx.one() or E.B != ctx.zero():
-        raise UnsupportedParameterError(
-            "distortion map is defined on y^2 = x^3 + x only")
-    if P.infinity:
-        return INFINITY
-    E.check_point(P)
-    return Point(-P.x, ctx.i() * P.y)
-
-
-def modified_pairing(E: EllipticCurve, Q: Point, Qp: Point, n: int) -> Fp2:
-    """Distortion-modified pairing e_n(Q, psi(Q')), nonzero on the diagonal."""
-    return weil_pairing(E, Q, distortion_map(E, Qp), n)
-
-
-def symmetric_pairing(E: EllipticCurve, G: Point, H: Point,
-                      P: Point, Q: Point, ell: int, e: int) -> Fp2:
-    """Symmetric pairing on span(G, H): e(P, psi(Q)) with the basis map
-    psi([u]G + [v]H) = [v]G - [u]H.
-
-    Symmetry needs psi to have no eigenvectors, i.e. x^2 + 1 must have
-    no root modulo ell; primes ell that are 2 or 1 mod 4 are rejected.
-    """
-    if ell == 2 or ell % 4 == 1:
-        raise UnsupportedParameterError(
-            f"x^2 + 1 has a root mod {ell}; symmetric pairing undefined")
-    u, v = decompose_in_basis(E, G, H, Q, ell, e)
-    image = E.sub(E.mul(v, G), E.mul(u, H))
-    return weil_pairing(E, P, image, ell ** e)
-
-
-def _dlog_prime_power(base: Fp2, target: Fp2, ell: int, e: int) -> int:
-    """x with base^x = target, digit by digit in the order-ell^e subgroup.
-
-    base must have exact order ell^e.
-    """
-    one = base.ctx.one()
-    gamma = base ** (ell ** (e - 1))
-    digit_table = {}
-    g = one
-    for d in range(ell):
-        digit_table[g] = d
-        g = g * gamma
-    x = 0
-    for i in range(e):
-        c = (target * base ** (-x)) ** (ell ** (e - 1 - i))
-        if c not in digit_table:
-            raise DecompositionError("target outside the subgroup of the base")
-        x += digit_table[c] * ell ** i
-    return x
-
-
-def decompose_in_basis(E: EllipticCurve, G: Point, H: Point,
-                       P: Point, ell: int, e: int) -> tuple[int, int]:
-    """Coefficients (u, v) with P = [u]G + [v]H, for a certified basis
-    (G, H) of the ell^e-torsion.
-
-    Reduces to discrete logs among roots of unity: u is the log of
-    e(P, H) and v the log of e(G, P), both to base e(G, H).  The smooth
-    order makes the logs exact via per-digit search.  The result is
-    verified by recombination before it is returned.
-    """
-    n = ell ** e
-    zeta = weil_pairing(E, G, H, n)
-    if zeta ** (n // ell) == E.ctx.one():
-        raise DecompositionError("basis pairing does not have full order")
-    u = _dlog_prime_power(zeta, weil_pairing(E, P, H, n), ell, e)
-    v = _dlog_prime_power(zeta, weil_pairing(E, G, P, n), ell, e)
-    if E.add(E.mul(u, G), E.mul(v, H)) != P:
-        raise DecompositionError("recombination mismatch")
-    return u, v
+                        f"in {SAMPLING_TRIES} draws")

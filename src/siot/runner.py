@@ -1,8 +1,8 @@
-"""Drives protocol sessions: in-process pairs, online endpoints over a
-framed stream, and deterministic transcript verification through the
+"""Drives isogeny OT sessions: in-process pairs, online endpoints over
+a framed stream, and deterministic transcript verification through the
 body readers the sessions call, all walking the one message schedule
-``siot.SCHEDULE``; plus the in-process driver of the classical-group
-baseline OT.
+``siot.SCHEDULE``.  The classical-group reference OT drives itself, in
+``baseline_ot``.
 
 Restart semantics: a collision of the sender's two branch j-invariants
 raises a restart signal; the in-process runner then rebuilds both
@@ -16,14 +16,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .baseline_ot import (
-    bo_receiver_round,
-    bo_sender_keys,
-    bo_sender_setup,
-    default_group,
-)
 from .errors import DecodeError, ProtocolAbort, RestartRequired
-from .sidh import PublicParams, point_to_obj
+from .sidh import PublicParams
 from .siot import (
     SCHEDULE,
     SiotSession,
@@ -35,7 +29,7 @@ from .siot import (
     read_public,
 )
 from .transport import recv_frame, send_frame
-from .util import det_rng, open_sealed, seal, sub_seed
+from .util import det_rng, sub_seed
 from .wire import Transcript, WireMessage, decode, encode
 
 
@@ -45,7 +39,10 @@ class SessionConfig(NamedTuple):
     b: int | None = None
     x0: bytes | None = None
     x1: bytes | None = None
-    max_restarts: int = 4
+
+
+# branch j-collisions run_local reruns past before it gives up
+MAX_RESTARTS = 4
 
 
 def run_local(config: SessionConfig) -> dict:
@@ -69,7 +66,7 @@ def run_local(config: SessionConfig) -> dict:
             break
         except RestartRequired:
             restarts += 1
-            if restarts > config.max_restarts:
+            if restarts > MAX_RESTARTS:
                 raise
     transcript = Transcript()
     for msg, body in zip(SCHEDULE, bodies):
@@ -186,33 +183,3 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
 
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
-
-# -- baseline OT over the same plumbing ---------------------------------
-
-def run_baseline_local(b: int, m0: bytes, m1: bytes, seed=None) -> dict:
-    """In-process baseline OT session with a wire-shaped transcript."""
-    ctx = default_group()
-    rng_s = det_rng(sub_seed(seed, "bo-sender"))
-    rng_r = det_rng(sub_seed(seed, "bo-receiver"))
-    sid = det_rng(sub_seed(seed, "bo-session")).randbytes(16).hex()
-
-    y, S, T = bo_sender_setup(ctx, rng_s)
-    transcript = Transcript()
-    transcript.append("sender->receiver", WireMessage("baseline-setup", sid, {
-        "s": point_to_obj(S), "t": point_to_obj(T)}))
-    x, R, k_b = bo_receiver_round(ctx, S, b, rng_r)
-    transcript.append("receiver->sender", WireMessage("baseline-response", sid, {
-        "r": point_to_obj(R)}))
-    k0, k1 = bo_sender_keys(ctx, y, S, T, R)
-    d0, d1 = seal(k0, m0), seal(k1, m1)
-    transcript.append("sender->receiver",
-                      WireMessage("baseline-ciphertexts", sid, {
-                          "d0": d0.hex(), "d1": d1.hex()}))
-    delivered = open_sealed(k_b, d1 if b else d0)
-    return {
-        "output": delivered,
-        "transcript": transcript,
-        "keys": (k0, k1),
-        "receiver_key": k_b,
-        "ciphertexts": (d0, d1),
-    }

@@ -82,20 +82,6 @@ class MaskCoefficients(NamedTuple):
             % ell != 0
             for r in range(ell))
 
-    def check(self, params: PublicParams) -> None:
-        n = params.n("A")
-        ell, e = params.ell_a, params.e_a
-        if self.beta % ell == 0:
-            raise ValueError("beta must be a unit")
-        if (self.delta + self.alpha) % n != 0:
-            raise ValueError("delta must equal -alpha")
-        if (self.alpha * self.alpha + self.beta * self.gamma) % n != 0:
-            raise ValueError("alpha^2 + beta*gamma must vanish")
-        if not self.quadratic_root_free(ell):
-            raise ValueError("kernel-collapse quadratic has a root")
-        if self.alpha % ell ** ((e + 1) // 2) != 0:
-            raise ValueError("alpha outside the hardened family")
-
 
 def params_fingerprint(params: PublicParams) -> bytes:
     return tagged_hash("params-fp", canonical_json(params_to_obj(params)))
@@ -456,15 +442,11 @@ class SiotSession:
         self.shared_j = (j,)
         th = self._transcript_hash()
         try:
-            plain = kdf_dec(j, c1 if self.b else c0, th)
+            # a sender holds both j, so it can seal a false length prefix
+            self.output = _unpack_input(kdf_dec(j, c1 if self.b else c0, th))
         except DecryptionError as exc:
             raise ProtocolAbort("decrypt-fail", str(exc)) from exc
-        self.output = _unpack_input(plain)
         return self.output
-
-    @property
-    def done(self) -> bool:
-        return self._cursor == len(SCHEDULE)
 
 
 def exchange(sender: SiotSession, receiver: SiotSession) -> list[dict]:

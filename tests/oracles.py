@@ -3,9 +3,10 @@ against.  Everything here is deliberately naive: linear-time Miller
 loops, repeated-addition scalar multiples, pure-integer affine curve
 arithmetic, an isogeny chain with a fresh scalar multiple per step.
 None of it imports the package's pairing internals, and, but for the
-subgroup enumeration below, none of it adds points with the package's
-group law: the oracles that need a sum take it from ``affine_add``, the
-chord-tangent law on ``Fp2`` values.
+subgroup enumeration below and the pairing extras at the end, none of
+it adds points with the package's group law: the oracles that need a
+sum take it from ``affine_add``, the chord-tangent law on ``Fp2``
+values.
 
 Some are the package's own earlier code, kept as oracles when a faster
 one replaced it: the affine group law (``affine_add``), which the
@@ -20,9 +21,16 @@ the square root by exponentiation in F_{p^2} (``sqrt_by_exponentiation``).
 The reference step (``reference_step``) is ``full_kernel_quotient`` of
 ``cyclic_subgroup``, so it shares no Velu code with the package's walk;
 ``naive_chain`` and ``naive_evaluate`` take its steps.
-The toy-scale problem oracles at the end (shared j by one double-kernel
-quotient, isogeny reachability, the symmetric-pairing constraint) have
-no caller outside the tests.
+The toy-scale problem oracles (shared j by one double-kernel quotient,
+isogeny reachability, the symmetric-pairing constraint) have no caller
+outside the tests.
+
+The pairing extras at the end were the package's until nothing in it
+called them: the distortion map and the modified and symmetric
+pairings, the decomposition of a point over a torsion basis by discrete
+logs of pairings, which is the reference for the one-pairing subgroup
+test in ``siot.analysis``, and the check of every mask constraint.
+They build on the package's ``weil_pairing`` and group law.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from siot.curve import (INFINITY, EllipticCurve, Point, jac_add_affine,
 from siot.errors import InvalidKernelError, UnsupportedParameterError
 from siot.field import Fp2, inv_batch
 from siot.isogeny import _translate, isogeny_chain, kernel_generator
+from siot.pairing import weil_pairing
 from siot.sidh import PublicParams
 from siot.siot import MaskCoefficients
 from siot.util import det_rng
@@ -438,7 +447,7 @@ def sqrt_by_exponentiation(x: Fp2) -> Fp2 | None:
     alpha = s * s * x               # x^((p-1)/2)
     x0 = s * x                      # x^((p+1)/4)
     if alpha == -ctx.one():
-        root = ctx.i() * x0
+        root = ctx.elem(0, 1) * x0
     else:
         root = (ctx.one() + alpha) ** ((ctx.p - 1) // 2) * x0
     if root * root != x:
@@ -521,3 +530,106 @@ def reachable_j_values(params: PublicParams, side: str) -> set:
 
 def isogeny_path_exists(params: PublicParams, side: str, j_target) -> bool:
     return j_target in reachable_j_values(params, side)
+
+
+# -- pairing extras and the mask check --------------------------------------
+
+class DecompositionError(Exception):
+    """A point has no decomposition over the given basis."""
+
+
+def distortion_map(E: EllipticCurve, P: Point) -> Point:
+    """The endomorphism (x, y) -> (-x, i*y) of the curve y^2 = x^3 + x.
+
+    Sends a point to one outside its own cyclic subgroup, which makes
+    the modified pairing below nondegenerate on cyclic inputs.
+    """
+    ctx = E.ctx
+    if E.A != ctx.one() or E.B != ctx.zero():
+        raise UnsupportedParameterError(
+            "distortion map is defined on y^2 = x^3 + x only")
+    if P.infinity:
+        return INFINITY
+    E.check_point(P)
+    return Point(-P.x, ctx.elem(0, 1) * P.y)
+
+
+def modified_pairing(E: EllipticCurve, Q: Point, Qp: Point, n: int) -> Fp2:
+    """Distortion-modified pairing e_n(Q, psi(Q')), nonzero on the diagonal."""
+    return weil_pairing(E, Q, distortion_map(E, Qp), n)
+
+
+def symmetric_pairing(E: EllipticCurve, G: Point, H: Point,
+                      P: Point, Q: Point, ell: int, e: int) -> Fp2:
+    """Symmetric pairing on span(G, H): e(P, psi(Q)) with the basis map
+    psi([u]G + [v]H) = [v]G - [u]H.
+
+    Symmetry needs psi to have no eigenvectors, i.e. x^2 + 1 must have
+    no root modulo ell; primes ell that are 2 or 1 mod 4 are rejected.
+    """
+    if ell == 2 or ell % 4 == 1:
+        raise UnsupportedParameterError(
+            f"x^2 + 1 has a root mod {ell}; symmetric pairing undefined")
+    u, v = decompose_in_basis(E, G, H, Q, ell, e)
+    image = E.sub(E.mul(v, G), E.mul(u, H))
+    return weil_pairing(E, P, image, ell ** e)
+
+
+def _dlog_prime_power(base: Fp2, target: Fp2, ell: int, e: int) -> int:
+    """x with base^x = target, digit by digit in the order-ell^e subgroup.
+
+    base must have exact order ell^e.
+    """
+    one = base.ctx.one()
+    gamma = base ** (ell ** (e - 1))
+    digit_table = {}
+    g = one
+    for d in range(ell):
+        digit_table[g] = d
+        g = g * gamma
+    x = 0
+    for i in range(e):
+        c = (target * base ** (-x)) ** (ell ** (e - 1 - i))
+        if c not in digit_table:
+            raise DecompositionError("target outside the subgroup of the base")
+        x += digit_table[c] * ell ** i
+    return x
+
+
+def decompose_in_basis(E: EllipticCurve, G: Point, H: Point,
+                       P: Point, ell: int, e: int) -> tuple[int, int]:
+    """Coefficients (u, v) with P = [u]G + [v]H, for a basis (G, H) of
+    the ell^e-torsion.
+
+    Reduces to discrete logs among roots of unity: u is the log of
+    e(P, H) and v the log of e(G, P), both to base e(G, H).  The smooth
+    order makes the logs exact via per-digit search.  The result is
+    verified by recombination before it is returned.
+    """
+    n = ell ** e
+    zeta = weil_pairing(E, G, H, n)
+    if zeta ** (n // ell) == E.ctx.one():
+        raise DecompositionError("basis pairing does not have full order")
+    u = _dlog_prime_power(zeta, weil_pairing(E, P, H, n), ell, e)
+    v = _dlog_prime_power(zeta, weil_pairing(E, G, P, n), ell, e)
+    if E.add(E.mul(u, G), E.mul(v, H)) != P:
+        raise DecompositionError("recombination mismatch")
+    return u, v
+
+
+def check_mask_coefficients(coeffs: MaskCoefficients,
+                            params: PublicParams) -> None:
+    """Raise ValueError unless the coefficients meet every mask
+    constraint ``derive_mask_coeffs`` promises."""
+    n = params.n("A")
+    ell, e = params.ell_a, params.e_a
+    if coeffs.beta % ell == 0:
+        raise ValueError("beta must be a unit")
+    if (coeffs.delta + coeffs.alpha) % n != 0:
+        raise ValueError("delta must equal -alpha")
+    if (coeffs.alpha * coeffs.alpha + coeffs.beta * coeffs.gamma) % n != 0:
+        raise ValueError("alpha^2 + beta*gamma must vanish")
+    if not coeffs.quadratic_root_free(ell):
+        raise ValueError("kernel-collapse quadratic has a root")
+    if coeffs.alpha % ell ** ((e + 1) // 2) != 0:
+        raise ValueError("alpha outside the hardened family")

@@ -9,17 +9,16 @@ import time
 
 import pytest
 
-from oracles import (cyclic_subgroup, full_kernel_quotient,
-                     multiplicative_order, symmetric_constraint_check)
+from oracles import (check_mask_coefficients, cyclic_subgroup,
+                     full_kernel_quotient, multiplicative_order,
+                     symmetric_constraint_check, symmetric_pairing)
 from siot import (
     SessionConfig,
-    default_group,
     derive_shared_j,
     det_rng,
     kdf_dec,
     keygen,
     preset,
-    run_baseline_local,
     run_local,
 )
 from siot.analysis import (
@@ -29,9 +28,16 @@ from siot.analysis import (
     distinguisher_scan,
     equivariance_precheck,
 )
+from siot.baseline_ot import (
+    bo_receiver_round,
+    bo_sender_keys,
+    bo_sender_setup,
+    default_group,
+    run_baseline_local,
+)
 from siot.errors import DecryptionError, ProtocolAbort, RestartRequired
 from siot.isogeny import isogeny_chain, kernel_generator
-from siot.pairing import symmetric_pairing, weil_pairing
+from siot.pairing import weil_pairing
 from siot.sidh import SidhPublic
 from siot.siot import (
     MaskCoefficients,
@@ -151,7 +157,7 @@ def test_06_collapse_quadratic_root_free(p431):
     root_free = 0
     for _ in range(1000):
         coeffs = derive_mask_coeffs(rng.randbytes(32), p431)
-        coeffs.check(p431)
+        check_mask_coefficients(coeffs, p431)
         root_free += coeffs.quadratic_root_free(p431.ell_a)
     probe = dishonest_bob_probe(p431, rng)
     control = (probe["crafted"]["quad_has_root"]
@@ -265,11 +271,6 @@ def test_10_baseline_ot_bulk(p431):
     off = ctx.curve.point(ctx.curve.A.ctx.elem(8144),
                           ctx.curve.A.ctx.elem(4842))
     refusals = 0
-    from siot.baseline_ot import (
-        bo_receiver_round,
-        bo_sender_keys,
-        bo_sender_setup,
-    )
     try:
         bo_receiver_round(ctx, off, 0, rng)
     except ProtocolAbort as exc:

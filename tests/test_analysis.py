@@ -3,7 +3,8 @@ kernel-collapse probe, brute-force inversion, and reachability."""
 
 import pytest
 
-from oracles import (isogeny_path_exists, reachable_j_values, shared_j_oracle,
+from oracles import (decompose_in_basis, isogeny_path_exists,
+                     reachable_j_values, shared_j_oracle,
                      symmetric_constraint_check)
 from siot import derive_shared_j, det_rng, keygen
 from siot.analysis import (
@@ -16,7 +17,7 @@ from siot.analysis import (
 )
 from siot.errors import InconsistentKeyError, UnsupportedParameterError
 from siot.isogeny import kernel_generator
-from siot.sidh import SidhPublic
+from siot.sidh import SidhPublic, other_side
 from siot.siot import MaskCoefficients, derive_mask_coeffs
 
 
@@ -56,11 +57,60 @@ def test_same_cyclic_subgroup_detects_unit_multiples(p431):
     E = p431.curve
     G, H = p431.basis_a
     K = kernel_generator(E, G, 5, H)
-    assert same_cyclic_subgroup(E, (G, H), K, E.mul(3, K), 2, 4)
-    assert same_cyclic_subgroup(E, (G, H), K, E.neg(K), 2, 4)
-    assert not same_cyclic_subgroup(E, (G, H), K, E.mul(2, K), 2, 4)
+    assert same_cyclic_subgroup(E, K, E.mul(3, K), 2, 4)
+    assert same_cyclic_subgroup(E, K, E.neg(K), 2, 4)
+    assert not same_cyclic_subgroup(E, K, E.mul(2, K), 2, 4)
     K2 = kernel_generator(E, G, 6, H)
-    assert not same_cyclic_subgroup(E, (G, H), K, K2, 2, 4)
+    assert not same_cyclic_subgroup(E, K, K2, 2, 4)
+
+
+def _same_by_decomposition(E, basis, K1, K2, ell, e):
+    """Both points of exact order ell^e and <K1> = <K2>, read off their
+    coordinates over a basis: each has a unit coordinate, and the two
+    coordinate vectors are dependent."""
+    n = ell ** e
+    (u1, v1), (u2, v2) = (decompose_in_basis(E, *basis, K, ell, e)
+                          for K in (K1, K2))
+    full = all(u % ell or v % ell for u, v in ((u1, v1), (u2, v2)))
+    return full and (u1 * v2 - v1 * u2) % n == 0
+
+
+def test_same_cyclic_subgroup_agrees_with_decomposition(p431, p2591, set3):
+    """The one-pairing test against the decomposition oracle, on a
+    public key's curve for both sides of three parameter sets: unit and
+    non-unit multiples, independent points, and points of lower order,
+    which it must refuse even where they span one subgroup."""
+    rng = det_rng(b"same-subgroup")
+    answers = set()
+    for params in (p431, p2591, set3):
+        for side in ("A", "B"):
+            ell, e, n = params.ell(side), params.e(side), params.n(side)
+            pub = keygen(params, other_side(side), rng).public
+            E, basis = pub.curve, (pub.G, pub.H)
+
+            def point(u, v):
+                return E.add(E.mul(u, basis[0]), E.mul(v, basis[1]))
+
+            for _ in range(8):
+                u, v = rng.randrange(n), 1
+                if rng.randrange(2):
+                    u, v = 1, ell * rng.randrange(n)
+                K = point(u, v)
+                unit = rng.choice([u for u in range(1, n) if u % ell])
+                pairs = [(K, E.mul(unit, K)), (K, E.neg(K)),
+                         (K, E.mul(ell * unit, K)),
+                         (K, point(rng.randrange(n), rng.randrange(n))),
+                         (E.mul(ell, K), E.mul(ell * unit, K)),
+                         (E.mul(ell ** (e - 1), K), K)]
+                for K1, K2 in pairs:
+                    got = same_cyclic_subgroup(E, K1, K2, ell, e)
+                    assert got == _same_by_decomposition(E, basis, K1, K2,
+                                                         ell, e)
+                    answers.add(got)
+            # a point outside the ell^e-torsion is refused, not raised
+            other = E.mul(n, E.random_point(rng))
+            assert not same_cyclic_subgroup(E, K, other, ell, e)
+    assert answers == {True, False}
 
 
 def _assert_probe_reports(report):

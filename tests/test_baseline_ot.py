@@ -4,8 +4,10 @@ semantics, and the refusal paths."""
 import pytest
 
 from oracles import count_fp_points, ec_mul_fp
-from siot import default_group, det_rng, run_baseline_local
-from siot.baseline_ot import bo_receiver_round, bo_sender_keys, bo_sender_setup
+from siot import det_rng
+from siot.baseline_ot import (bo_receiver_round, bo_sender_keys,
+                              bo_sender_setup, default_group,
+                              run_baseline_local)
 from siot.errors import DecryptionError, ProtocolAbort
 from siot.util import open_sealed, seal
 

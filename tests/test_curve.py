@@ -116,7 +116,7 @@ def test_point_order_and_torsion_checks():
 def test_order_sampling_rejects_impossible():
     rng = det_rng(4)
     with pytest.raises(SamplingError):
-        E0.random_point_of_order(5, 1, 432, rng, tries=40)
+        E0.random_point_of_order(5, 1, 432, rng)
 
 
 def test_order_sampling_proves_torsion_under_a_wrong_exponent():
@@ -158,7 +158,7 @@ def test_mul_exhaustive_against_repeated_addition():
     by the 2-torsion point (i, 0), has A = 0 and B outside F_11."""
     ctx = FieldContext(11)
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
-    E2 = reference_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
+    E2 = reference_step(E, Point(ctx.elem(0, 1), ctx.zero()), 2).codomain
     assert E2.A.is_zero() and E2.B.b
     for curve in (E, E2):
         pts = all_points(curve)
@@ -176,7 +176,7 @@ def test_add_matches_affine_oracle_exhaustively():
     Y = 0 doublings, P + (-P) and every chord."""
     ctx = FieldContext(11)
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
-    E2 = reference_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
+    E2 = reference_step(E, Point(ctx.elem(0, 1), ctx.zero()), 2).codomain
     for curve in (E, E2):
         pts = all_points(curve)
         for P in pts:
@@ -198,7 +198,7 @@ def test_jacobian_steps_match_the_oracle_exhaustively():
     the two F_{11^2} curves above, O and 2- and 3-torsion included."""
     ctx = FieldContext(11)
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
-    E2 = reference_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
+    E2 = reference_step(E, Point(ctx.elem(0, 1), ctx.zero()), 2).codomain
     for curve in (E, E2):
         A, p = (curve.A.a, curve.A.b), ctx.p
         pts = all_points(curve) + [INFINITY]

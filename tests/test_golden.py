@@ -19,10 +19,10 @@ from siot import (
     det_rng,
     gen_params,
     preset,
-    run_baseline_local,
     run_local,
     run_session,
 )
+from siot.baseline_ot import run_baseline_local
 
 X0, X1 = b"golden zero", b"golden one!"
 

@@ -58,7 +58,7 @@ def test_step_and_evaluate_match_the_oracles_exhaustively():
     kernel's own points to O."""
     ctx = FieldContext(11)
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
-    E2 = reference_step(E, Point(ctx.i(), ctx.zero()), 2).codomain
+    E2 = reference_step(E, Point(ctx.elem(0, 1), ctx.zero()), 2).codomain
     for curve in (E, E2):
         pts = all_points(curve)
         assert len(pts) == 144

@@ -1,22 +1,27 @@
-"""Weil pairing, distortion pairings and Pohlig-Hellman decomposition,
-cross-checked against a linear-time Miller oracle."""
+"""Weil pairing, cross-checked against a linear-time Miller oracle, and
+the oracles' distortion pairings and Pohlig-Hellman decomposition."""
 
 import pytest
 
-from oracles import (Degenerate, affine_miller, multiplicative_order,
-                     weil_naive)
+from oracles import (
+    Degenerate,
+    DecompositionError,
+    affine_miller,
+    decompose_in_basis,
+    distortion_map,
+    modified_pairing,
+    multiplicative_order,
+    symmetric_pairing,
+    weil_naive,
+)
 from siot import det_rng, preset
 from siot.curve import INFINITY, EllipticCurve
-from siot.errors import DecompositionError, UnsupportedParameterError
+from siot.errors import UnsupportedParameterError
 from siot.field import FieldContext
 from siot.pairing import (
     _Degenerate,
-    decompose_in_basis,
-    distortion_map,
     miller_function,
-    modified_pairing,
     sample_torsion_basis,
-    symmetric_pairing,
     weil_pairing,
 )
 

@@ -9,11 +9,12 @@ from siot import (
     Transcript,
     det_rng,
     gen_params,
-    run_baseline_local,
     run_local,
     run_session,
     verify_transcript,
 )
+import siot.runner
+from siot.baseline_ot import run_baseline_local
 from siot.errors import DecodeError, ProtocolAbort, RestartRequired
 from siot.field import Fp2
 from siot.sidh import point_to_obj, public_from_obj
@@ -286,10 +287,10 @@ def test_forced_j_collision_restarts(p431, monkeypatch):
 
 
 def test_restart_budget_exhausts(p431, monkeypatch):
-    config = _config(p431, 1)._replace(max_restarts=1)
-    _collide_branches(monkeypatch, config.max_restarts + 1)
+    monkeypatch.setattr(siot.runner, "MAX_RESTARTS", 1)
+    _collide_branches(monkeypatch, siot.runner.MAX_RESTARTS + 1)
     with pytest.raises(RestartRequired, match="collided"):
-        run_local(config)
+        run_local(_config(p431, 1))
 
 
 def test_online_session_over_loopback(p431):

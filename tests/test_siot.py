@@ -1,9 +1,12 @@
 """The masked OT layer: coin flip, coefficient derivation, mask-point
 algebra, the session state machine, and payload encryption."""
 
+import struct
+
 import pytest
 
 import siot.siot
+from oracles import check_mask_coefficients
 from siot import det_rng, kdf_dec, keygen
 from siot.errors import (DecodeError, DecryptionError, InvalidKernelError,
                          ProtocolAbort)
@@ -89,7 +92,7 @@ def test_derived_coeffs_satisfy_all_constraints(p431, p2591, p102):
         for _ in range(200):
             w = rng.randbytes(32)
             c = derive_mask_coeffs(w, params)
-            c.check(params)
+            check_mask_coefficients(c, params)
             assert c.beta % ell != 0
             assert (c.delta + c.alpha) % n == 0
             assert (c.alpha * c.alpha + c.beta * c.gamma) % n == 0
@@ -117,13 +120,17 @@ def test_derived_gamma_is_zero(p431, p2591, set3, p102):
 def test_coeff_check_rejections(p431):
     n = p431.n("A")
     with pytest.raises(ValueError):
-        MaskCoefficients(0, p431.ell_a, 0, 0).check(p431)   # beta not unit
+        # beta not a unit
+        check_mask_coefficients(MaskCoefficients(0, p431.ell_a, 0, 0), p431)
     with pytest.raises(ValueError):
-        MaskCoefficients(4, 1, (-16) % n, 4).check(p431)    # delta != -alpha
+        # delta != -alpha
+        check_mask_coefficients(MaskCoefficients(4, 1, (-16) % n, 4), p431)
     with pytest.raises(ValueError):
-        MaskCoefficients(2, 1, 0, (-2) % n).check(p431)     # alpha^2+bg != 0
+        # alpha^2 + beta*gamma != 0
+        check_mask_coefficients(MaskCoefficients(2, 1, 0, (-2) % n), p431)
     with pytest.raises(ValueError):
-        MaskCoefficients(2, 1, 0, 0).check(p431)            # several at once
+        # several at once
+        check_mask_coefficients(MaskCoefficients(2, 1, 0, 0), p431)
 
 
 def test_mask_points_satisfy_dependence_identity(p431):
@@ -174,7 +181,11 @@ def test_session_delivers_chosen_input(p431):
         assert out == (b"right one" if b else b"left input")
         assert s.shared_j[b] == r.shared_j[0]
         assert s.shared_j[0] != s.shared_j[1]
-        assert s.done and r.done
+        # both have walked the whole schedule: one more phase aborts
+        for party in (s, r):
+            with pytest.raises(ProtocolAbort, match="expected done") as info:
+                party.produce_commit()
+            assert info.value.code == "out-of-order"
 
 
 def test_session_both_presets(p431, p2591):
@@ -252,6 +263,23 @@ def test_ciphertext_length_mismatch_aborts(p431):
     with pytest.raises(ProtocolAbort) as info:
         r2.consume_ciphertexts({"c0": "aa", "c1": "aabb"})
     assert info.value.code == "bad-message"
+
+
+def test_forged_length_prefix_is_a_coded_abort(p431):
+    """The sender knows both j, so it can seal a valid plaintext whose
+    length prefix claims more bytes than follow; the receiver aborts
+    with ``decrypt-fail`` as for any ciphertext it cannot open."""
+    sid = b"\x0d" * 16
+    s = SiotSession(p431, "sender", det_rng(b"forged-s"), sid,
+                    x0=b"left", x1=b"right")
+    r = SiotSession(p431, "receiver", det_rng(b"forged-r"), sid, b=1)
+    _run_until(s, r, "ciphertexts")
+    th = s._transcript_hash()
+    forged = [kdf_enc(j, struct.pack("!I", 1000) + b"xxxx", th)
+              for j in s.shared_j]
+    with pytest.raises(ProtocolAbort) as info:
+        r.consume_ciphertexts({"c0": forged[0].hex(), "c1": forged[1].hex()})
+    assert info.value.code == "decrypt-fail"
 
 
 def _run_until(s, r, last_type):
