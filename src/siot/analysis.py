@@ -78,16 +78,7 @@ LAMBDA_COUNT = 64
 def _lambda_values(n: int, rng) -> tuple:
     if n <= 256:
         return tuple(range(n))
-    units = [v for v in rng.sample(range(1, n), min(LAMBDA_COUNT, n - 1))]
-    picked = set()
-    for v in units:
-        picked.add(v)
-        if len(picked) >= LAMBDA_COUNT - LAMBDA_COUNT // 3:
-            break
-    while len(picked) < LAMBDA_COUNT:
-        v = rng.randrange(n)
-        picked.add(v)
-    return tuple(sorted(picked))
+    return tuple(sorted(rng.sample(range(n), LAMBDA_COUNT)))
 
 
 def distinguisher_scan(params: PublicParams, masked_public: SidhPublic,

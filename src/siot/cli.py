@@ -30,6 +30,7 @@ from .runner import (
     verify_transcript,
 )
 from .sidh import (
+    PRESET_NAMES,
     gen_params,
     keygen,
     params_from_obj,
@@ -56,7 +57,7 @@ def _build_parser() -> _Parser:
 
     def add_params_opts(sp):
         g = sp.add_mutually_exclusive_group()
-        g.add_argument("--preset", choices=("p431", "p2591"),
+        g.add_argument("--preset", choices=PRESET_NAMES,
                        help="named parameter set")
         g.add_argument("--params", metavar="FILE",
                        help="parameter JSON produced by gen-params")

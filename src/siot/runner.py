@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DecodeError, ProtocolAbort, RestartRequired
+from .errors import ProtocolAbort, RestartRequired
 from .sidh import PublicParams
 from .siot import (
     SCHEDULE,
@@ -87,8 +87,9 @@ def run_session(role: str, config: SessionConfig, stream) -> dict:
     """One online endpoint over a framed stream.
 
     The sender picks the session id; the receiver adopts it from the
-    first frame.  Every inbound frame must match the schedule's type and
-    carry the session id, else the session aborts.
+    first frame.  Every inbound frame must carry the session id and the
+    schedule's type, else the session aborts; this is the one check of
+    a frame's type, and the consuming phase's reader the one of its body.
     """
     if role not in ("sender", "receiver"):
         raise ValueError("role must be sender or receiver")
@@ -176,7 +177,7 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
     for name, read, detail in rows:
         try:
             read()
-        except (DecodeError, ProtocolAbort) as exc:
+        except ProtocolAbort as exc:
             check(name, False, str(exc))
         else:
             check(name, True, detail)

@@ -136,6 +136,7 @@ _PRESETS = {
     "p431": ((2, 4, 3, 3), b"preset/p431"),
     "p2591": ((2, 5, 3, 4), b"preset/p2591"),
 }
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,8 +26,11 @@ a collision of the sender's two branch j-invariants.
 
 The message order is written down once, in SCHEDULE; every session,
 driver and the transcript verifier derive theirs from that table.  Each
-body has one reader (``read_*``), which the session phase consuming
-the body and the transcript verifier both call.
+body has one reader (``read_*``), the one check of that body, which the
+session phase consuming the body and the transcript verifier both call:
+it refuses a body that is not an object of exactly its own keys, or
+whose fields are malformed, with ``bad-message``, whichever path the
+body came by.  The wire checks only the envelope.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ import struct
 from typing import NamedTuple
 
 from .curve import EllipticCurve, Point
-from .errors import (DecryptionError, InvalidKernelError, ProtocolAbort,
-                     RestartRequired)
+from .errors import (DecodeError, DecryptionError, InvalidKernelError,
+                     ProtocolAbort, RestartRequired)
 from .field import Fp2
 from .isogeny import isogeny_chain, kernel_generator
 from .pairing import is_torsion_basis
@@ -213,10 +216,12 @@ def commitment(nonce: bytes) -> bytes:
 
 
 def read_commit(body: dict) -> bytes:
+    _require_keys(body, "commit")
     return _bytes_field(body, "commit", NONCE_LEN)
 
 
 def read_nonce(body: dict) -> bytes:
+    _require_keys(body, "nonce")
     return _bytes_field(body, "nonce", NONCE_LEN)
 
 
@@ -226,7 +231,10 @@ def read_public(params: PublicParams, producer: str,
     receiver's pair (side B) is also certified as a torsion basis.  A
     sender pair that is no basis passes here: a session finds it when
     the receiver's walk fails, and aborts with ``bad-sender-key``."""
-    pub = public_from_obj(params.ctx, body)
+    try:
+        pub = public_from_obj(params.ctx, body)
+    except DecodeError as exc:
+        raise ProtocolAbort("bad-message", str(exc)) from exc
     validate_public(params, producer, pub)
     if producer == "B" and not is_torsion_basis(
             pub.curve, pub.G, pub.H, params.ell_a, params.e_a):
@@ -238,6 +246,7 @@ def read_public(params: PublicParams, producer: str,
 def read_ciphertexts(body: dict) -> tuple[bytes, bytes]:
     """Two equal-length ciphertexts, each long enough to hold a sealed
     length prefix and the seal's tag, as every honest one is."""
+    _require_keys(body, "c0", "c1")
     c0, c1 = _bytes_field(body, "c0"), _bytes_field(body, "c1")
     if len(c0) != len(c1):
         raise ProtocolAbort("bad-message", "ciphertext lengths differ")
@@ -248,8 +257,14 @@ def read_ciphertexts(body: dict) -> tuple[bytes, bytes]:
     return c0, c1
 
 
+def _require_keys(body, *keys: str) -> None:
+    if not isinstance(body, dict) or set(body) != set(keys):
+        raise ProtocolAbort("bad-message",
+                            f"body must be an object of {', '.join(keys)}")
+
+
 def _bytes_field(body: dict, key: str, length: int | None = None) -> bytes:
-    v = body.get(key)
+    v = body[key]
     if not isinstance(v, str):
         raise ProtocolAbort("bad-message", f"field {key} must be hex")
     try:

@@ -1,8 +1,12 @@
-"""An in-process stream pair, so the framing and the online session
-driver can be tested without sockets."""
+"""In-process streams, so the framing and the online session driver
+can be tested without sockets: a pair of connected ends, and a one-way
+replay of recorded frames."""
 
+import io
 import queue
 import threading
+
+from siot.transport import send_frame
 
 JOIN_S = 30   # how long a test waits for an endpoint thread to end
 
@@ -64,3 +68,21 @@ def closing_thread(stream, target) -> threading.Thread:
     th = threading.Thread(target=run, daemon=True)
     th.start()
     return th
+
+
+class ReplayStream:
+    """A peer that sends recorded frames and ignores what it is sent:
+    an endpoint reads ``frames`` in order, then the end of the stream,
+    and its writes are discarded, so it runs on one thread."""
+
+    def __init__(self, frames):
+        buf = io.BytesIO()
+        for frame in frames:
+            send_frame(buf, frame)
+        self.read = io.BytesIO(buf.getvalue()).read
+
+    def write(self, data: bytes) -> int:
+        return len(data)
+
+    def flush(self) -> None:
+        pass

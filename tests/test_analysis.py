@@ -6,8 +6,9 @@ import pytest
 from oracles import (decompose_in_basis, isogeny_path_exists,
                      reachable_j_values, shared_j_oracle,
                      symmetric_constraint_check)
-from siot import derive_shared_j, det_rng, keygen
+from siot import derive_shared_j, det_rng, gen_params, keygen
 from siot.analysis import (
+    LAMBDA_COUNT,
     brute_force_secret,
     dishonest_bob_probe,
     distinguisher_fixture,
@@ -43,6 +44,23 @@ def test_planted_violation_leaks_the_bit(p431):
     assert len(report.separations) > 0
     obj = report.to_obj()
     assert obj["verdict"] == "leaked-b"
+
+
+def test_scan_samples_distinct_lambdas_past_256():
+    """At n_A = 1024 the scan samples its lambdas instead of sweeping
+    them; the sample must still tell an honest mask from a violating
+    one."""
+    params = gen_params(2, 10, 3, 3, rng=det_rng(b"tests/p27647"))
+    assert params.p == 27647 and params.n("A") == 1024
+    for violate, verdict in ((False, "indistinguishable"), (True, "leaked-b")):
+        rng = det_rng(b"sampled-%d" % violate)
+        masked, coeffs = distinguisher_fixture(params, rng, violate=violate)
+        report = distinguisher_scan(params, masked, coeffs, rng=rng)
+        assert report.verdict == verdict
+        lambdas = report.lambdas
+        assert len(set(lambdas)) == LAMBDA_COUNT
+        assert list(lambdas) == sorted(lambdas)
+        assert all(0 <= lam < params.n("A") for lam in lambdas)
 
 
 def test_scan_accepts_transcript_coefficients(p431):

@@ -4,6 +4,7 @@ import json
 import threading
 
 from siot.cli import main
+from siot.sidh import PRESET_NAMES
 
 
 def _write(tmp_path, name, data):
@@ -152,6 +153,15 @@ def test_usage_errors_exit_four(tmp_path, capsys):
                  "--side", "A"]) == 4                       # no params file
     assert main(["verify-transcript", str(tmp_path / "absent"),
                  "--preset", "p431"]) == 4                  # no transcript
+    capsys.readouterr()
+
+
+def test_preset_choices_are_sidhs_presets(capsys):
+    """``--preset`` takes exactly the names ``siot.sidh.preset`` knows."""
+    assert "p431" in PRESET_NAMES and "p97" not in PRESET_NAMES
+    for name in PRESET_NAMES:
+        assert main(["keygen", "--preset", name, "--side", "A"]) == 0
+    assert main(["keygen", "--preset", "p97", "--side", "A"]) == 4
     capsys.readouterr()
 
 

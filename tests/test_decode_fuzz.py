@@ -1,7 +1,10 @@
 """Property tests for the readers of outside data: whatever a parameter
 file, a peer's public key, a frame or a transcript holds, the reader
 returns (for a transcript, ``verify_transcript`` gives a verdict) or
-raises ``DecodeError``, never another exception.
+raises ``DecodeError``, never another exception.  Past the readers, an
+online endpoint fed one mutated frame returns or raises a ``SiotError``,
+and the CLI given a mutated transcript or parameter file exits with a
+documented code.
 
 Each example mutates a real object a few times: keys are dropped or
 added, values are replaced by other JSON types, hex strings get a
@@ -10,16 +13,22 @@ and coordinates are swapped within or between points.  Frames and
 transcripts are also mutated as bytes, and transcripts line by line.
 """
 
+import contextlib
+import io
 import json
+import os
 import string
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from loopback import JOIN_S, LoopbackPipe, ReplayStream, closing_thread
 from siot import (SessionConfig, Transcript, canonical_json, det_rng, keygen,
                   params_from_obj, params_to_obj, preset, run_local,
-                  verify_transcript)
-from siot.errors import DecodeError
+                  run_session, verify_transcript)
+from siot.cli import main
+from siot.errors import DecodeError, SiotError
 from siot.sidh import public_from_obj, public_to_obj
 from siot.wire import decode, encode
 
@@ -211,3 +220,74 @@ def test_verify_transcript_gives_a_verdict_or_decode_error(data):
         return
     report = verify_transcript(transcript, P431)
     assert report["ok"] is all(c["ok"] for c in report["checks"])
+
+
+# one online pair, recorded once over a loopback pipe: the frames each
+# role receives are the messages its peer sent (this pair never restarts)
+ONLINE = {
+    "sender": SessionConfig(P431, seed=b"fuzz/online-s", x0=b"zero",
+                            x1=b"one"),
+    "receiver": SessionConfig(P431, seed=b"fuzz/online-r", b=1),
+}
+
+
+def _online_frames():
+    pipe = LoopbackPipe()
+    out = {}
+    ends = {"sender": pipe.a, "receiver": pipe.b}
+    threads = [closing_thread(ends[role], lambda role=role: out.update(
+        {role: run_session(role, ONLINE[role], ends[role])}))
+        for role in ONLINE]
+    for th in threads:
+        th.join(JOIN_S)
+    assert out["receiver"]["output"] == b"one"
+    return {role: [encode(m) for d, m in out[role]["transcript"].entries
+                   if not d.startswith(role)] for role in ONLINE}
+
+
+RECEIVED = _online_frames()
+
+
+@FUZZ
+@given(st.data())
+def test_run_session_returns_or_raises_a_siot_error(data):
+    """One endpoint is fed its peer's recorded frames, one of them
+    mutated; it returns or raises a typed error, never another one."""
+    role = data.draw(st.sampled_from(sorted(ONLINE)))
+    frames = list(RECEIVED[role])
+    i = data.draw(st.integers(0, len(frames) - 1))
+    frames[i] = _mutated_frame(data, frames[i])
+    try:
+        run_session(role, ONLINE[role], ReplayStream(frames))
+    except SiotError:
+        pass
+
+
+def _cli_exit(argv, name, content):
+    """``siot.cli.main`` on ``argv`` with ``content`` in a file whose
+    path replaces ``name``; its output is swallowed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "wb") as fh:
+            fh.write(content)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            return main([path if a == name else a for a in argv])
+
+
+@FUZZ
+@given(st.data())
+def test_cli_verify_transcript_exits_with_a_documented_code(data):
+    code = _cli_exit(["verify-transcript", "t.jsonl", "--preset", "p431"],
+                     "t.jsonl", _mutated_transcript(data))
+    assert code in (0, 2, 3, 4)
+
+
+@FUZZ
+@given(st.data())
+def test_cli_keygen_params_file_exits_with_a_documented_code(data):
+    content = _mutated_frame(data, canonical_json(PARAMS))
+    code = _cli_exit(["keygen", "--params", "params.json", "--side", "A",
+                      "--seed", "01"], "params.json", content)
+    assert code in (0, 2, 3, 4)

@@ -3,7 +3,7 @@ loopback stream, restart handling, and transcript verification."""
 
 import pytest
 
-from loopback import JOIN_S, LoopbackPipe, closing_thread
+from loopback import JOIN_S, LoopbackPipe, ReplayStream, closing_thread
 from siot import (
     SessionConfig,
     Transcript,
@@ -202,24 +202,81 @@ def test_verifier_and_session_refuse_the_same_body(p431, index, mutate, row):
     failed = [c for c in report["checks"] if not c["ok"]]
     assert [c["check"] for c in failed] == [row]
 
-    # replay run_local's two sessions, handing row ``index`` the bad body
+    info = _refusal_at(p431, config, out, [wm.body for _, wm in bad.entries],
+                       index, (ProtocolAbort, DecodeError))
+    assert str(info.value) == failed[0]["detail"]
+
+
+def _refusal_at(params, config, out, bodies, index, expected=ProtocolAbort):
+    """Replay run_local's two sessions on ``bodies`` and return what the
+    phase consuming row ``index`` raises; the earlier rows must be the
+    honest bodies."""
     sid = out["session_id"]
     parties = {
-        "sender": SiotSession(p431, "sender",
+        "sender": SiotSession(params, "sender",
                               det_rng(sub_seed(config.seed, "sender")), sid,
                               x0=config.x0, x1=config.x1),
-        "receiver": SiotSession(p431, "receiver",
+        "receiver": SiotSession(params, "receiver",
                                 det_rng(sub_seed(config.seed, "receiver")),
                                 sid, b=config.b),
     }
-    bodies = [wm.body for _, wm in bad.entries]
     for msg, body in zip(SCHEDULE[:index], bodies):
         assert getattr(parties[msg.producer], msg.produce)() == body
         getattr(parties[msg.consumer], msg.consume)(body)
     msg = SCHEDULE[index]
-    with pytest.raises((ProtocolAbort, DecodeError)) as info:
+    with pytest.raises(expected) as info:
         getattr(parties[msg.consumer], msg.consume)(bodies[index])
+    return info
+
+
+# the first row of each body type, and the verifier row that reads it
+BODY_ROWS = [(0, "coinflip-binding"), (2, "coinflip-binding"),
+             (4, "public-key-A"), (5, "public-key-B"),
+             (6, "ciphertext-shape")]
+
+
+def _extra_key(body):
+    body["extra"] = 1
+
+
+def _missing_key(body):
+    del body[sorted(body)[0]]
+
+
+@pytest.mark.parametrize("index, row", BODY_ROWS,
+                         ids=[SCHEDULE[i].type for i, _ in BODY_ROWS])
+@pytest.mark.parametrize("mutate", [_extra_key, _missing_key],
+                         ids=["extra-key", "missing-key"])
+def test_body_keys_are_checked_by_the_reader(p431, index, row, mutate):
+    """A body with a key too many or too few passes the wire, through a
+    transcript file too, and is refused by its reader with
+    ``bad-message`` and the same text in the session and the verifier."""
+    config = _config(p431, 1)
+    out = run_local(config)
+    bad = Transcript.from_bytes(
+        _tamper(out["transcript"], index, mutate).to_bytes())
+    report = verify_transcript(bad, p431)
+    failed = [c for c in report["checks"] if not c["ok"]]
+    assert [c["check"] for c in failed] == [row]
+    info = _refusal_at(p431, config, out, [wm.body for _, wm in bad.entries],
+                       index)
+    assert info.value.code == "bad-message"
     assert str(info.value) == failed[0]["detail"]
+
+
+@pytest.mark.parametrize("index", [i for i, _ in BODY_ROWS],
+                         ids=[SCHEDULE[i].type for i, _ in BODY_ROWS])
+def test_body_that_is_not_an_object_is_a_coded_abort(p431, index):
+    """An in-process session hands its phases bodies the wire never
+    checked; one that is not an object is refused by the reader, as
+    every other bad body is."""
+    config = _config(p431, 1)
+    out = run_local(config)
+    bodies = [wm.body for _, wm in out["transcript"].entries]
+    for body in (list(bodies[index].values()), None, "body"):
+        info = _refusal_at(p431, config, out,
+                           bodies[:index] + [body], index)
+        assert info.value.code == "bad-message"
 
 
 def test_session_with_torsion_order_above_2_64():
@@ -340,6 +397,19 @@ def test_online_receiver_rejects_out_of_order(p431):
     th.join(JOIN_S)
     assert not th.is_alive()
     assert err["code"] == "out-of-order"
+
+
+def test_frame_of_unknown_type_is_out_of_order(p431):
+    """The wire passes any string as a type; the driver's schedule is the
+    one check of a frame's type."""
+    from siot.wire import encode
+
+    frame = encode(WireMessage("gossip", "11" * 16, {"commit": "ab" * 32}))
+    cfg = SessionConfig(p431, seed=b"uk-r", b=0)
+    with pytest.raises(ProtocolAbort) as info:
+        run_session("receiver", cfg, ReplayStream([frame]))
+    assert info.value.code == "out-of-order"
+    assert str(info.value).endswith("peer sent gossip")
 
 
 def test_two_interleaved_local_sessions(p431):

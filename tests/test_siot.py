@@ -8,8 +8,7 @@ import pytest
 import siot.siot
 from oracles import check_mask_coefficients
 from siot import det_rng, kdf_dec, keygen
-from siot.errors import (DecodeError, DecryptionError, InvalidKernelError,
-                         ProtocolAbort)
+from siot.errors import DecryptionError, InvalidKernelError, ProtocolAbort
 from siot.pairing import weil_pairing
 from siot.sidh import point_to_obj
 from siot.util import xor_bytes
@@ -381,8 +380,24 @@ def test_singular_public_key_is_a_decode_error(p431):
     _run_until(s, r, "pk-sender")
     body = s.produce_public()
     zero = "00" * (2 * p431.ctx.byte_width)
-    with pytest.raises(DecodeError):
+    with pytest.raises(ProtocolAbort) as info:
         r.consume_public({**body, "curve": {"a": zero, "b": zero}})
+    assert info.value.code == "bad-message"
+
+
+def test_non_hex_coordinate_is_a_coded_abort(p431):
+    """A field element the key's decoder refuses aborts the session with
+    the code of every refused body, not a bare decode error."""
+    sid = b"\x0e" * 16
+    s = SiotSession(p431, "sender", det_rng(b"nonhex-s"), sid,
+                    x0=b"left", x1=b"right")
+    r = SiotSession(p431, "receiver", det_rng(b"nonhex-r"), sid, b=0)
+    _run_until(s, r, "pk-sender")
+    body = s.produce_public()
+    x = body["g"]["x"]
+    with pytest.raises(ProtocolAbort) as info:
+        r.consume_public({**body, "g": {**body["g"], "x": "zz" + x[2:]}})
+    assert info.value.code == "bad-message"
 
 
 # -- payload encryption --------------------------------------------------
