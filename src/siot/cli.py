@@ -7,13 +7,15 @@ the baseline OT, the sockets) is imported inside the functions that
 run it, so no other command pays for loading it.
 
 Exit codes: 0 success, 2 protocol abort (including verification
-failures), 3 transport error, 4 usage error.
+failures), 3 transport error, 4 usage error (an unreadable input, or an
+unwritable output: an ``-o`` file or a closed stdout).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -180,20 +182,29 @@ def _write_file(path: str, data: bytes) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _print(text: str) -> None:
+    """A line to stdout, flushed, so that a closed stdout is refused in
+    the command, like an unwritable ``-o`` file."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write to stdout: {exc}") from exc
+
+
 def _emit(obj, out_path=None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out_path:
         _write_file(out_path, (text + "\n").encode())
     else:
-        print(text)
+        _print(text)
 
 
 def _emit_delivered(output: bytes, out_path=None) -> None:
     if out_path:
         _write_file(out_path, output)
-    print(f"delivered-hex: {output.hex()}")
+    _print(f"delivered-hex: {output.hex()}")
     try:
-        print(f"delivered-text: {output.decode('utf-8')}")
+        _print(f"delivered-text: {output.decode('utf-8')}")
     except UnicodeDecodeError:
         pass
 
@@ -284,7 +295,7 @@ def _cmd_send(args) -> int:
     finally:
         stream.close()
     _save_transcript(outcome, args.transcript)
-    print("sent both ciphertexts")
+    _print("sent both ciphertexts")
     return 0
 
 
@@ -384,7 +395,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # stdout was closed and main refused it; what its buffer still
+        # holds would fail the interpreter's own flush at exit again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

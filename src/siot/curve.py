@@ -1,28 +1,30 @@
 """Short-Weierstrass curves y^2 = x^3 + Ax + B over F_{p^2}.
 
 Points are affine with an explicit infinity marker; the group law,
-j-invariants, point sampling and the exact-order test live here.  There
-is one group law: the Jacobian steps at the end of this module, with
-(X, Y, Z) standing for (X/Z^2, Y/Z^3): a doubling, a mixed addition of
-an affine point, a full addition and a tripling.  ``jac_mul`` builds
-[n]T from them, with a tripling for each factor 3 of n.  ``add`` lifts
-its first point to Z = 1 and takes one mixed addition; ``mul`` runs
-``jac_mul``.  Both convert back to affine once, in ``_affine``, so each
-makes one field inversion, and none when the result is O.
-``has_exact_order`` tests only the Z of its multiples and inverts
-nothing.  The doubling and the mixed addition also serve the Miller
-loop in ``pairing``, and the isogeny walk keeps its multiples Jacobian
-until a step brings them to Z = 1 in one batch.  The steps, ``_affine``
-and the on-curve test are straight-line arithmetic on the unpacked
-integer coordinates; points and curve coefficients enter and leave them
-as ``Fp2`` values.
+j-invariants, point and torsion-basis sampling, the exact-order test
+and the basis test live here.  There is one group law: the Jacobian
+steps at the end of this module, with (X, Y, Z) standing for
+(X/Z^2, Y/Z^3): a doubling, a mixed addition of an affine point, a full
+addition and a tripling.  ``jac_mul`` builds [n]T from them, with a
+tripling for each factor 3 of n.  ``add`` lifts its first point to
+Z = 1 and takes one mixed addition; ``mul`` runs ``jac_mul``.  Both
+convert back to affine once, in ``_affine``, so each makes one field
+inversion, and none when the result is O.  ``has_exact_order`` tests
+only the Z of its multiples, and ``is_basis`` compares x-coordinates
+projectively, so neither inverts.  The doubling and the mixed addition
+also serve the Miller loop in ``pairing``, and the isogeny walk keeps
+its multiples Jacobian until a step brings them to Z = 1 in one batch.
+The steps, ``_affine`` and the on-curve test are straight-line
+arithmetic on the unpacked integer coordinates; points and curve
+coefficients enter and leave them as ``Fp2`` values.
 
 The group law trusts its inputs: ``add`` and ``mul`` assume their
 points lie on the curve and do not check.  Points are checked once,
 where outside data enters (``point``, ``check_point``); every point
 past that boundary is computed from checked ones.  Torsion is proved
-the same way, once, by ``has_exact_order``: where a point of given
-order is sampled, and where a key or a parameter file enters.  Curves
+the same way, once, by ``has_exact_order`` or by ``is_basis``, which
+proves a pair and certifies it as a basis without a pairing: where a
+basis is sampled, and where a key or a parameter file enters.  Curves
 too: the constructor trusts A and B to be nonsingular and of one field.
 A curve from outside data is tested where it is decoded
 (``siot.sidh._curve_from_obj``); every other curve is a fixed constant
@@ -173,15 +175,31 @@ class EllipticCurve:
                 y = -y
             return Point(x, y)
 
-    def random_point_of_order(self, ell: int, e: int, group_exponent: int,
-                              rng: random.Random) -> Point:
-        """Point of exact order ell^e via cofactor multiplication.
+    def sample_torsion_basis(self, ell: int, e: int, group_exponent: int,
+                             rng: random.Random) -> tuple[Point, Point]:
+        """A basis (P, Q) of the ell^e-torsion, by cofactor multiplication.
 
         group_exponent is the exponent (annihilator) of the rational
         point group, not its order: every point's order must divide it.
-        A point outside the ell^e-torsion shows that it does not, and
-        raises SamplingError.
+        P is the first draw of exact order ell^e, and Q the first later
+        one that completes it to a basis.  Each draw is certified by the
+        test of ``is_basis``, on the multiple [ell^(e-1)] that proved
+        its order, so no multiple is computed twice.  A point outside
+        the ell^e-torsion shows that group_exponent is not an exponent,
+        and raises SamplingError.
         """
+        P, R = self._draw_of_order(ell, e, group_exponent, rng)
+        for _ in range(SAMPLING_TRIES):
+            Q, S = self._draw_of_order(ell, e, group_exponent, rng)
+            if self._independent(R, S, ell):
+                return P, Q
+        raise SamplingError(f"no independent partner of order {ell}^{e} "
+                            f"in {SAMPLING_TRIES} draws")
+
+    def _draw_of_order(self, ell: int, e: int, group_exponent: int,
+                       rng: random.Random):
+        """A point P of exact order ell^e and its Jacobian multiple
+        [ell^(e-1)]P, from at most SAMPLING_TRIES draws."""
         n = ell ** e
         cofactor = group_exponent // n
         if cofactor * n != group_exponent:
@@ -189,13 +207,16 @@ class EllipticCurve:
         for _ in range(SAMPLING_TRIES):
             P = self.mul(cofactor, self.random_point(rng))
             try:
-                if self.has_exact_order(P, ell, e):
-                    return P
+                R = self._top_multiple(P, ell, e)
             except InvalidPointError as exc:
                 raise SamplingError(f"{group_exponent} leaves a point outside "
                                     f"the {n}-torsion") from exc
+            if R[2] != (0, 0):
+                return P, R
         raise SamplingError(f"no point of order {ell}^{e} in "
                             f"{SAMPLING_TRIES} draws")
+
+    # -- torsion -------------------------------------------------------
 
     def has_exact_order(self, P: Point, ell: int, e: int) -> bool:
         """Whether P, which must be ell^e-torsion, has exact order ell^e.
@@ -205,11 +226,57 @@ class EllipticCurve:
         Both multiples stay Jacobian and only their Z is tested, so the
         test inverts nothing.
         """
+        return self._top_multiple(P, ell, e)[2] != (0, 0)
+
+    def is_basis(self, P: Point, Q: Point, ell: int, e: int) -> bool:
+        """Whether (P, Q), two points that must be ell^e-torsion, is a
+        basis of the ell^e-torsion: the exact-order test of both points
+        and their independence in one.
+
+        R = [ell^(e-1)]P and S = [ell^(e-1)]Q are proved as in
+        ``has_exact_order``, P first; the InvalidPointError of a point
+        outside the ell^e-torsion names it in ``point``.  A point of
+        lower order leaves R or S at O and gives False.  Otherwise
+        extend P to a basis (P, T) and write Q = uP + vT: (P, Q) is a
+        basis when v is a unit mod ell, that is when S lies outside
+        <R>.  No pairing, no inversion and no randomness.
+        """
+        R = self._top_multiple(P, ell, e)
+        return self._independent(R, self._top_multiple(Q, ell, e), ell)
+
+    def _top_multiple(self, P: Point, ell: int, e: int):
+        """R = [ell^(e-1)]P in Jacobian form, proved to satisfy [ell]R = O
+        (else InvalidPointError) by testing only a Z."""
         A, p = (self.A.a, self.A.b), self.ctx.p
         R = jac_mul(jacobian(P), ell ** (e - 1), A, p)
         if jac_mul(R, ell, A, p)[2] != (0, 0):
-            raise InvalidPointError(f"{P!r} is not {ell ** e}-torsion")
-        return R[2] != (0, 0)
+            raise InvalidPointError(f"{P!r} is not {ell ** e}-torsion", P)
+        return R
+
+    def _independent(self, R, S, ell: int) -> bool:
+        """Whether S lies outside <R>, for Jacobian R and S of order 1
+        or ell; False when either is O.
+
+        A nonzero S is in <R> exactly when it is [k]R or -[k]R for some
+        1 <= k <= ell // 2, that is when x(S) = x([k]R).  The x are
+        compared projectively, X_S * Z^2 = X * Z_S^2, against each [k]R
+        in turn, one full addition apart: at most ell // 2 comparisons.
+        """
+        if R[2] == (0, 0) or S[2] == (0, 0):
+            return False
+        A, p = (self.A.a, self.A.b), self.ctx.p
+        (sxa, sxb), _, (sza, szb) = S
+        s2a, s2b = (sza + szb) * (sza - szb) % p, 2 * sza * szb % p
+        T = R
+        for k in range(1, ell // 2 + 1):
+            if k > 1:
+                T = jac_add(T, R, A, p)
+            (txa, txb), _, (tza, tzb) = T
+            t2a, t2b = (tza + tzb) * (tza - tzb) % p, 2 * tza * tzb % p
+            if (sxa * t2a - sxb * t2b - txa * s2a + txb * s2b) % p == 0 and \
+                    (sxa * t2b + sxb * t2a - txa * s2b - txb * s2a) % p == 0:
+                return False
+        return True
 
 
 # -- Jacobian steps on (a, b) integer pairs ----------------------------

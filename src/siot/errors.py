@@ -12,7 +12,13 @@ class SiotError(Exception):
 
 
 class InvalidPointError(SiotError):
-    """A coordinate pair does not satisfy its curve equation."""
+    """A coordinate pair does not satisfy its curve equation, or a point
+    lies outside the torsion it must be in; ``point`` is that point when
+    the raiser names it."""
+
+    def __init__(self, message: str, point=None):
+        self.point = point
+        super().__init__(message)
 
 
 class InvalidKernelError(SiotError):

@@ -1,6 +1,8 @@
-"""Weil pairing on prime-power torsion, the torsion-basis certificate
-built on it, and torsion-basis sampling.  The certificate and the
-desk-scale probes in ``analysis`` are the pairing's only callers.
+"""Weil pairing on prime-power torsion, and the torsion-basis
+certificate built on it.  The certificate, which only
+``siot.siot.read_public`` calls, and the desk-scale probes in
+``analysis`` are the pairing's only callers; parameter bases are
+certified without a pairing, by ``EllipticCurve.is_basis``.
 
 Pairings return plain ``Fp2`` values, n-th roots of unity, and trust
 their inputs: like ``add`` and ``mul`` in ``curve``, they take points
@@ -30,9 +32,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .curve import (SAMPLING_TRIES, EllipticCurve, Point, jac_add_affine,
-                    jac_double)
-from .errors import SamplingError
+from .curve import EllipticCurve, Point, jac_add_affine, jac_double
 from .field import Fp2
 
 
@@ -156,25 +156,8 @@ def is_torsion_basis(E: EllipticCurve, P: Point, Q: Point,
     of the ell^e-torsion.
 
     The certificate is the Weil pairing: e(P, Q) must have exact order
-    ell^e.
+    ell^e.  ``EllipticCurve.is_basis`` answers the same without one.
     """
     n = ell ** e
     return weil_pairing(E, P, Q, n) ** (n // ell) != E.ctx.one()
 
-
-def sample_torsion_basis(curve: EllipticCurve, ell: int, e: int,
-                         group_exponent: int, rng: random.Random):
-    """Independent basis (P, Q) of the ell^e-torsion.
-
-    Both points come from ``random_point_of_order``, which proves their
-    order.  Independence is certified by ``is_torsion_basis``; the
-    sampling method is irrelevant to correctness, the certificate is
-    authoritative.
-    """
-    P = curve.random_point_of_order(ell, e, group_exponent, rng)
-    for _ in range(SAMPLING_TRIES):
-        Q = curve.random_point_of_order(ell, e, group_exponent, rng)
-        if is_torsion_basis(curve, P, Q, ell, e):
-            return P, Q
-    raise SamplingError(f"no independent partner of order {ell}^{e} "
-                        f"in {SAMPLING_TRIES} draws")

@@ -4,12 +4,15 @@ one check of a public key, and the codecs.
 
 Parameters fix a prime p = lA^eA * lB^eB * f - 1 with p = 3 (mod 4),
 the curve E0: y^2 = x^3 + x over F_{p^2} (group structure
-(Z/(p+1))^2), and certified torsion bases for both sides.  Side "A"
-works with lA^eA-torsion, side "B" with lB^eB-torsion; each side's
-public key is its codomain curve together with the images of the other
-side's basis.  The second stage, completing the exchange against a
-peer's key (``derive_shared_j``), lives in ``siot.siot``, where the
-sender also completes it against its two candidate keys.
+(Z/(p+1))^2), and torsion bases for both sides, certified without a
+pairing by ``EllipticCurve.is_basis`` where they are drawn
+(``gen_params``) and where a parameter file enters
+(``params_from_obj``).  Side "A" works with lA^eA-torsion, side "B"
+with lB^eB-torsion; each side's public key is its codomain curve
+together with the images of the other side's basis.  The second stage,
+completing the exchange against a peer's key (``derive_shared_j``),
+lives in ``siot.siot``, where the sender also completes it against its
+two candidate keys.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import (
 )
 from .field import FieldContext, Fp2, is_prime
 from .isogeny import isogeny_chain, kernel_generator
-from .pairing import is_torsion_basis, sample_torsion_basis
 from .util import det_rng, strict_fromhex
 
 SIDES = ("A", "B")
@@ -103,8 +105,9 @@ def gen_params(ell_a: int, e_a: int, ell_b: int, e_b: int,
 
     By default f ranges over {1, 4} only; general_f opens the search to
     every f <= max_f.  Admissible means p = lA^eA*lB^eB*f - 1 is prime
-    and 3 mod 4.  Bases are sampled with the given rng and certified by
-    the pairing order test.
+    and 3 mod 4.  Bases are sampled with the given rng by
+    ``EllipticCurve.sample_torsion_basis``, which certifies each one
+    without a pairing.
     """
     _check_shape(ell_a, e_a, ell_b, e_b)
     rng = rng if rng is not None else det_rng(None)
@@ -125,8 +128,8 @@ def gen_params(ell_a: int, e_a: int, ell_b: int, e_b: int,
     ctx = FieldContext(p)
     curve = EllipticCurve(ctx.one(), ctx.zero())
     exponent = p + 1
-    basis_a = sample_torsion_basis(curve, ell_a, e_a, exponent, rng)
-    basis_b = sample_torsion_basis(curve, ell_b, e_b, exponent, rng)
+    basis_a = curve.sample_torsion_basis(ell_a, e_a, exponent, rng)
+    basis_b = curve.sample_torsion_basis(ell_b, e_b, exponent, rng)
     return PublicParams(p, ell_a, e_a, ell_b, e_b, chosen_f, curve,
                         basis_a, basis_b)
 
@@ -300,13 +303,13 @@ def params_from_obj(obj) -> PublicParams:
                           ints["eb"], ints["f"], curve,
                           (pts["pa"], pts["qa"]), (pts["pb"], pts["qb"]))
     for side, keys in (("A", ("pa", "qa")), ("B", ("pb", "qb"))):
-        ell, e = params.ell(side), params.e(side)
-        for k in keys:
-            try:
-                curve.has_exact_order(pts[k], ell, e)
-            except InvalidPointError as exc:
-                raise DecodeError(f"side {side} basis: {k} is not "
-                                  f"{params.n(side)}-torsion") from exc
-        if not is_torsion_basis(curve, *params.basis(side), ell, e):
+        P, Q = params.basis(side)
+        try:
+            basis = curve.is_basis(P, Q, params.ell(side), params.e(side))
+        except InvalidPointError as exc:
+            k = keys[1] if exc.point is Q else keys[0]
+            raise DecodeError(f"side {side} basis: {k} is not "
+                              f"{params.n(side)}-torsion") from exc
+        if not basis:
             raise DecodeError(f"side {side} basis fails independence")
     return params

@@ -236,6 +236,10 @@ def read_public(params: PublicParams, producer: str,
     except DecodeError as exc:
         raise ProtocolAbort("bad-message", str(exc)) from exc
     validate_public(params, producer, pub)
+    # The one pairing left on the session path.  EllipticCurve.is_basis
+    # gives the same verdict without it, but bench/test_bench.py pins this
+    # pairing (weil > 0 on every workload, weil == 1 and miller == 4 per
+    # clean p431 attempt); it goes with ROADMAP item 1's benchmark change.
     if producer == "B" and not is_torsion_basis(
             pub.curve, pub.G, pub.H, params.ell_a, params.e_a):
         raise ProtocolAbort("bad-receiver-key",

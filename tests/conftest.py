@@ -24,6 +24,12 @@ def p102():
 
 
 @pytest.fixture(scope="session")
+def p434():
+    """2^216*3^137 - 1, the SIKE-sized prime."""
+    return gen_params(2, 216, 3, 137, rng=det_rng(b"tests/p434"))
+
+
+@pytest.fixture(scope="session")
 def set3():
     """Twin of p431 with the roles swapped: side A on the 3-power tower."""
     return gen_params(3, 3, 2, 4, rng=det_rng(b"tests/set3"))

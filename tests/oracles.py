@@ -21,6 +21,9 @@ the square root by exponentiation in F_{p^2} (``sqrt_by_exponentiation``).
 The reference step (``reference_step``) is ``full_kernel_quotient`` of
 ``cyclic_subgroup``, so it shares no Velu code with the package's walk;
 ``naive_chain`` and ``naive_evaluate`` take its steps.
+``pairs_with_verdicts`` draws pairs over a torsion basis whose
+coefficients decide whether each is a basis: the reference for
+``EllipticCurve.is_basis`` and the pairing certificate.
 The toy-scale problem oracles (shared j by one double-kernel quotient,
 isogeny reachability, the symmetric-pairing constraint) have no caller
 outside the tests.
@@ -467,6 +470,30 @@ def multiplicative_order(z: Fp2, n: int) -> int:
         v = v ** ell
         order *= ell
     return order
+
+
+# -- pairs with known basis verdicts ----------------------------------------
+
+def pairs_with_verdicts(params: PublicParams, rng, per_side: int):
+    """Pairs (aG + bH, cG + dH) over each side's basis (G, H), with the
+    verdict the coefficients give: a basis exactly when ad - bc is a
+    unit mod ell.  Every second pair is dependent, (c, d) = t(a, b) mod
+    ell, and the first has t = 0, so Q of lower order.  Yields
+    (E, P, Q, ell, e, is a basis)."""
+    E = params.curve
+    for side in ("A", "B"):
+        G, H = params.basis(side)
+        ell, e = params.ell(side), params.e(side)
+        for i in range(per_side):
+            a, b, u, v = (rng.randrange(1 << 20) for _ in range(4))
+            if i % 2:
+                c, d = u, v
+            else:
+                t = rng.randrange(ell) if i else 0
+                c, d = t * a + ell * u, t * b + ell * v
+            P = E.add(E.mul(a, G), E.mul(b, H))
+            Q = E.add(E.mul(c, G), E.mul(d, H))
+            yield E, P, Q, ell, e, (a * d - b * c) % ell != 0
 
 
 # -- toy problem oracles ---------------------------------------------------

@@ -1,10 +1,17 @@
 """Command-line behavior: verbs, files, exit codes."""
 
+import io
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 from siot.cli import main
 from siot.sidh import PRESET_NAMES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, name, data):
@@ -194,6 +201,49 @@ def test_unwritable_output_paths_exit_four(tmp_path, capsys):
         assert main(argv) == 4
         assert "usage error: cannot" in capsys.readouterr().err
     assert not (tmp_path / "missing").exists()
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as ``| head -c 20`` leaves it."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_four(tmp_path, capsys, monkeypatch):
+    """Output to a closed stdout is refused like an unwritable -o file:
+    exit 4 and one line on stderr."""
+    m0 = _write(tmp_path, "m0", b"m0")
+    m1 = _write(tmp_path, "m1", b"m1")
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    for argv in (["gen-params", "--la", "3", "--ea", "3", "--lb", "2",
+                  "--eb", "4"],
+                 ["keygen", "--preset", "p431", "--side", "B"],
+                 ["run-local", "--preset", "p431", "--choice", "1",
+                  "--msg0", m0, "--msg1", m1, "--seed", "03"]):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot write to stdout")
+        assert err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_exits_four():
+    """The same through a real pipe whose reader closed before the
+    command wrote: no traceback, and no second failure when the
+    interpreter flushes stdout at exit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "siot.cli", "gen-params", "--la", "3",
+         "--ea", "3", "--lb", "2", "--eb", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 4
+    assert err.startswith("usage error: cannot write to stdout")
+    assert err.count("\n") == 1
 
 
 def test_dead_port_is_transport_error(tmp_path, capsys):

@@ -5,12 +5,13 @@ import pytest
 
 from oracles import (affine_add, all_points, ec_add_fp, ec_mul_fp,
                      multiplicative_order, naive_mul, naive_order,
-                     reference_step)
-from siot import det_rng
+                     pairs_with_verdicts, reference_step)
+from siot import det_rng, gen_params
 from siot.curve import (INFINITY, JAC_INFINITY, EllipticCurve, Point, jac_add,
                         jac_mul, jac_triple)
 from siot.errors import InvalidPointError, SamplingError
 from siot.field import FieldContext
+from siot.pairing import is_torsion_basis
 
 CTX = FieldContext(431)
 E0 = EllipticCurve(CTX.elem(1), CTX.elem(0))
@@ -106,37 +107,41 @@ def test_j_invariant_values():
 
 def test_point_order_and_torsion_checks():
     rng = det_rng(3)
-    P = E0.random_point_of_order(2, 4, 432, rng)
-    assert E0.mul(16, P).infinity
-    assert naive_order(E0, P, 20) == 16
-    Q = E0.random_point_of_order(3, 3, 432, rng)
-    assert naive_order(E0, Q, 30) == 27
+    for ell, e in ((2, 4), (3, 3)):
+        n = ell ** e
+        for P in E0.sample_torsion_basis(ell, e, 432, rng):
+            assert E0.mul(n, P).infinity
+            assert naive_order(E0, P, n + 4) == n
 
 
 def test_order_sampling_rejects_impossible():
     rng = det_rng(4)
     with pytest.raises(SamplingError):
-        E0.random_point_of_order(5, 1, 432, rng)
+        E0.sample_torsion_basis(5, 1, 432, rng)
 
 
 def test_order_sampling_proves_torsion_under_a_wrong_exponent():
     """216 understates the exponent 432 of E0(F_431^2), so the cofactor
-    27 leaves points of order 16; none may come back as a point of
-    order 8."""
-    for seed in range(20):
+    27 leaves points of order 16; no basis may come back with a point
+    of order 16 as one of order 8."""
+    sampled = 0
+    for seed in range(100):
         try:
-            P = E0.random_point_of_order(2, 3, 216, det_rng(seed))
+            basis = E0.sample_torsion_basis(2, 3, 216, det_rng(seed))
         except SamplingError:
             continue
-        assert E0.mul(8, P).infinity
+        sampled += 1
+        for P in basis:
+            assert E0.mul(8, P).infinity
+    assert sampled > 0
 
 
 def test_torsion_basis_is_certified():
-    from siot.pairing import sample_torsion_basis, weil_pairing
+    from siot.pairing import weil_pairing
     rng = det_rng(5)
     for ell, e in ((2, 4), (3, 3)):
         n = ell ** e
-        P, Q = sample_torsion_basis(E0, ell, e, 432, rng)
+        P, Q = E0.sample_torsion_basis(ell, e, 432, rng)
         assert E0.mul(n, P).infinity and E0.mul(n, Q).infinity
         zeta = weil_pairing(E0, P, Q, n)
         assert multiplicative_order(zeta, n) == n
@@ -212,3 +217,82 @@ def test_jacobian_steps_match_the_oracle_exhaustively():
                 U = _lift(Q, ctx.elem(4, 1))
                 assert curve._affine(jac_add(T, U, A, p)) \
                     == affine_add(curve, P, Q), (P, Q)
+
+
+# -- the basis test against the pairing certificate ------------------------
+
+def _torsion(E, pts, ell, e):
+    """The ell^e-torsion points among ``pts``: those of exact order
+    ell^e, and the others (O included)."""
+    exact, lower = [], []
+    for P in pts:
+        if E.mul(ell ** e, P).infinity:
+            (lower if E.mul(ell ** (e - 1), P).infinity else exact).append(P)
+    return exact, lower
+
+
+@pytest.mark.parametrize("p, sides", [
+    (71, ((2, 3), (3, 2))),      # 71 = 2^3 * 3^2 - 1
+    (19, ((5, 1),)),             # 19 = 2^2 * 5 - 1: two x-comparisons
+], ids=["p71", "p19"])
+def test_is_basis_agrees_with_the_pairing_exhaustively(p, sides):
+    """Every ordered pair of exact-order points, against the Weil pairing
+    certificate; every pair with a point of lower order, O included, is
+    refused, whichever side it is on."""
+    ctx = FieldContext(p)
+    E = EllipticCurve(ctx.elem(1), ctx.elem(0))
+    pts = all_points(E)
+    for ell, e in sides:
+        exact, lower = _torsion(E, pts, ell, e)
+        assert len(exact) == ell ** (2 * e) - ell ** (2 * e - 2)
+        verdicts = set()
+        for P in exact:
+            for Q in exact:
+                want = is_torsion_basis(E, P, Q, ell, e)
+                assert E.is_basis(P, Q, ell, e) == want, (P, Q)
+                verdicts.add(want)
+            for L in lower:
+                assert not E.is_basis(P, L, ell, e), (P, L)
+                assert not E.is_basis(L, P, ell, e), (L, P)
+        assert verdicts == {True, False}
+        assert not E.is_basis(INFINITY, INFINITY, ell, e)
+
+
+def test_is_basis_compares_with_every_multiple():
+    """At ell = 17 the x-comparisons must reach every [k]R, 1 <= k <= 8;
+    doublings from R would reach only +-R, +-2R, +-4R and +-8R.  Every
+    Q = [a]G + [b]H against G, on p = 17 * 2^4 - 1 = 271: a basis
+    exactly when b != 0 mod 17."""
+    params = gen_params(17, 1, 2, 4, rng=det_rng(b"tests/ell17"))
+    E, (G, H) = params.curve, params.basis_a
+    for a in range(17):
+        for b in range(17):
+            Q = E.add(E.mul(a, G), E.mul(b, H))
+            assert E.is_basis(G, Q, 17, 1) == (b != 0), (a, b)
+            assert is_torsion_basis(E, G, Q, 17, 1) == (b != 0), (a, b)
+
+
+def test_is_basis_refuses_a_point_outside_the_torsion():
+    """A point outside the ell^e-torsion raises, P's first, and the error
+    names the point."""
+    P, Q = E0.sample_torsion_basis(2, 4, 432, det_rng(b"outside"))
+    T = E0.sample_torsion_basis(3, 3, 432, det_rng(b"outside3"))[0]
+    for args, bad in (((E0.add(P, T), Q), E0.add(P, T)),
+                      ((P, E0.add(Q, T)), E0.add(Q, T)),
+                      ((T, E0.add(Q, T)), T)):
+        with pytest.raises(InvalidPointError, match="not 16-torsion") as exc:
+            E0.is_basis(*args, 2, 4)
+        assert exc.value.point == bad
+
+
+@pytest.mark.parametrize("name", ["p431", "p2591", "p102", "p434"])
+def test_is_basis_agrees_with_the_pairing_on_sampled_pairs(name, request):
+    """30 pairs per set, about half of them dependent, on both towers."""
+    rng = det_rng(b"is-basis/" + name.encode())
+    verdicts = []
+    for E, P, Q, ell, e, want in pairs_with_verdicts(
+            request.getfixturevalue(name), rng, 15):
+        assert E.is_basis(P, Q, ell, e) == want
+        assert is_torsion_basis(E, P, Q, ell, e) == want
+        verdicts.append(want)
+    assert len(verdicts) == 30 and verdicts.count(False) >= 16

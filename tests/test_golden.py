@@ -6,7 +6,9 @@ so that any change to the message schedule or to a driver that alters
 what goes on the wire fails here.  A run at 2^51*3^32 - 1, for each
 bit, pins the long chains: 51 and 32 steps per walk.  Runs at p2591 and
 at the swapped-roles set, where the sender walks 3-isogenies, pin both
-bits on the two other towers.
+bits on the two other towers.  The parameter files of the presets, of
+that set, of the benchmark's 2^51*3^32 - 1 set and of p434 pin
+``gen_params``: its draws and the basis test that accepts them.
 """
 
 import hashlib
@@ -16,8 +18,10 @@ import pytest
 from loopback import JOIN_S, LoopbackPipe, closing_thread
 from siot import (
     SessionConfig,
+    canonical_json,
     det_rng,
     gen_params,
+    params_to_obj,
     preset,
     run_local,
     run_session,
@@ -118,3 +122,28 @@ def test_baseline_run():
     assert out["output"] == b"m zero"
     assert _digest(out["transcript"]) == (
         "d2b5a3f629e21de7bd6babe07b5f6ad0a95089d3f2a21531b54a805e0d7d0abe")
+
+
+PARAMS_DIGESTS = {
+    "p431": "89005a2334d8b20e5f70ef0f0b3b293ad0116f0348b49ade1db049eb253d34c8",
+    "p2591": "688c14843c16636c51f61e8adb5e44bbf41c238c18fdb93d3a652b6b870f3931",
+    "set3": "f9dd91a5b8438dfba8ad95fa2f623429e5d5d2b9c3acbd5a166c35ef814c0f7a",
+    "p434": "9ee0698e832d503e820619ea9cd39e7188897b4b08e3aed67d4ec6bddf5d6516",
+}
+
+
+def _params_digest(params) -> str:
+    return hashlib.sha256(canonical_json(params_to_obj(params))).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS_DIGESTS))
+def test_params_file(name, request):
+    assert _params_digest(request.getfixturevalue(name)) \
+        == PARAMS_DIGESTS[name]
+
+
+def test_bench_params_file():
+    """The local-102bit workload's parameters, from its fixed seed."""
+    params = gen_params(2, 51, 3, 32, rng=det_rng(b"bench/local-102bit"))
+    assert _params_digest(params) == (
+        "a14e787b45703f207493ca8a6a005e45f77b844376c28b4c9188ba8b646a1155")

@@ -28,7 +28,7 @@ def test_two_isogeny_from_origin_kernel():
 
 def test_step_maps_points_onto_codomain():
     rng = det_rng(b"step-map")
-    K = E0.random_point_of_order(3, 1, EXP, rng)
+    K = E0.sample_torsion_basis(3, 1, EXP, rng)[0]
     kernel = walk_kernel(E0, K, 3)
     F = velu_step(E0, kernel)
     for _ in range(30):
@@ -40,7 +40,7 @@ def test_step_maps_points_onto_codomain():
 
 def test_step_is_a_homomorphism():
     rng = det_rng(b"step-hom")
-    K = E0.random_point_of_order(2, 1, EXP, rng)
+    K = E0.sample_torsion_basis(2, 1, EXP, rng)[0]
     kernel = walk_kernel(E0, K, 2)
     F = velu_step(E0, kernel)
     for _ in range(25):
@@ -131,12 +131,12 @@ def test_unit_multiple_of_kernel_gives_same_curve():
 
 def test_chain_rejects_wrong_order_kernels():
     rng = det_rng(b"badkernel")
-    K = E0.random_point_of_order(2, 3, EXP, rng)   # order 8, not 16
+    K = E0.sample_torsion_basis(2, 3, EXP, rng)[0]   # order 8, not 16
     with pytest.raises(InvalidKernelError):
         isogeny_chain(E0, K, 2, 4, ())
     with pytest.raises(InvalidKernelError):
         isogeny_chain(E0, INFINITY, 2, 1, ())
-    K3 = E0.random_point_of_order(3, 1, EXP, rng)
+    K3 = E0.sample_torsion_basis(3, 1, EXP, rng)[0]
     with pytest.raises(InvalidKernelError):
         cyclic_subgroup(E0, K3, 2)
 
@@ -171,9 +171,9 @@ def test_chain_matches_naive_schedule(name, request, velu_steps):
 def test_chain_rejects_like_the_naive_schedule():
     rng = det_rng(b"badkernel-naive")
     bad = [
-        (E0.random_point_of_order(2, 3, EXP, rng), 2, 4),   # order 8
-        (E0.random_point_of_order(3, 3, EXP, rng), 2, 4),   # odd order
-        (E0.random_point_of_order(2, 4, EXP, rng), 2, 3),   # order 16
+        (E0.sample_torsion_basis(2, 3, EXP, rng)[0], 2, 4),   # order 8
+        (E0.sample_torsion_basis(3, 3, EXP, rng)[0], 2, 4),   # odd order
+        (E0.sample_torsion_basis(2, 4, EXP, rng)[0], 2, 3),   # order 16
         (INFINITY, 2, 1),
         (INFINITY, 3, 3),
     ]
@@ -188,7 +188,7 @@ def test_chain_rejects_like_the_naive_schedule():
 
 def test_cyclic_subgroup_enumeration():
     rng = det_rng(b"cyclic")
-    K = E0.random_point_of_order(2, 2, EXP, rng)
+    K = E0.sample_torsion_basis(2, 2, EXP, rng)[0]
     pts = cyclic_subgroup(E0, K, 4)
     assert len(pts) == 3
     assert K in pts and E0.neg(K) in pts and E0.add(K, K) in pts
@@ -196,7 +196,7 @@ def test_cyclic_subgroup_enumeration():
 
 def test_full_kernel_quotient_validates_input():
     rng = det_rng(b"fkq")
-    K = E0.random_point_of_order(3, 1, EXP, rng)
+    K = E0.sample_torsion_basis(3, 1, EXP, rng)[0]
     full = cyclic_subgroup(E0, K, 3)
     full_kernel_quotient(E0, full)   # sanity: well-formed input passes
     with pytest.raises(InvalidKernelError):
@@ -231,8 +231,8 @@ def test_push_through_matches_naive_evaluate(p431):
     its own negative) and ordinary points, repeats included, through a
     2-step, a 3-step, an order-6 one-shot quotient and a whole chain."""
     rng = det_rng(b"push-through")
-    K2 = E0.random_point_of_order(2, 1, EXP, rng)
-    K3 = E0.random_point_of_order(3, 1, EXP, rng)
+    K2 = E0.sample_torsion_basis(2, 1, EXP, rng)[0]
+    K3 = E0.sample_torsion_basis(3, 1, EXP, rng)[0]
     K6 = E0.add(K2, K3)
     steps = [reference_step(E0, K2, 2), reference_step(E0, K3, 3),
              full_kernel_quotient(E0, cyclic_subgroup(E0, K6, 6))]

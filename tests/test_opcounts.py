@@ -6,7 +6,8 @@ import siot.pairing
 import siot.wire
 from loopback import JOIN_S, LoopbackPipe, closing_thread
 from siot import (SessionConfig, Transcript, det_rng, gen_params, keygen,
-                  preset, run_local, run_session, validate_public)
+                  params_from_obj, params_to_obj, preset, run_local,
+                  run_session, validate_public)
 from siot.curve import EllipticCurve
 from siot.field import Fp2
 from siot.isogeny import isogeny_chain, kernel_generator
@@ -58,6 +59,27 @@ def test_validate_public_inverts_nothing(counter, p431):
     pub = keygen(p431, "A", det_rng(b"opcount/validate")).public
     inv = counter(Fp2, "inv")
     validate_public(p431, "A", pub)
+    assert inv[0] == 0
+
+
+def test_parameters_are_certified_without_a_pairing(counter):
+    """``gen_params`` and ``params_from_obj`` certify their bases by the
+    multiples of order ell, with no Miller function and no pairing."""
+    miller = counter(siot.pairing, "miller_function")
+    weil = counter(siot.pairing, "weil_pairing")
+    params = _p102()
+    params_from_obj(params_to_obj(params))
+    assert (miller[0], weil[0]) == (0, 0)
+
+
+def test_basis_test_inverts_nothing(counter, p431):
+    """The basis test compares x-coordinates projectively."""
+    E, (P, Q) = p431.curve, p431.basis_b
+    dependent = E.mul(2, P)
+    inv = counter(Fp2, "inv")
+    assert E.is_basis(P, Q, 3, 3)
+    assert not E.is_basis(P, dependent, 3, 3)
+    assert E.is_basis(*p431.basis_a, 2, 4)
     assert inv[0] == 0
 
 

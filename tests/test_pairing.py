@@ -18,12 +18,7 @@ from siot import det_rng, preset
 from siot.curve import INFINITY, EllipticCurve
 from siot.errors import UnsupportedParameterError
 from siot.field import FieldContext
-from siot.pairing import (
-    _Degenerate,
-    miller_function,
-    sample_torsion_basis,
-    weil_pairing,
-)
+from siot.pairing import _Degenerate, miller_function, weil_pairing
 
 CTX = FieldContext(431)
 E0 = EllipticCurve(CTX.elem(1), CTX.elem(0))
@@ -31,7 +26,7 @@ EXP = 432
 
 
 def _basis(ell, e, seed):
-    return sample_torsion_basis(E0, ell, e, EXP, det_rng(seed))
+    return E0.sample_torsion_basis(ell, e, EXP, det_rng(seed))
 
 
 def test_agrees_with_linear_miller_oracle():
@@ -143,7 +138,7 @@ def test_modified_pairing_nondegenerate_on_diagonal():
     collapses: that is the whole point of the distortion map."""
     rng = det_rng(b"modified")
     for _ in range(10):
-        P = E0.random_point_of_order(3, 1, EXP, rng)
+        P = E0.sample_torsion_basis(3, 1, EXP, rng)[0]
         z = modified_pairing(E0, P, P, 3)
         assert z != CTX.one()
         # bilinear on the cyclic group generated by P
@@ -152,7 +147,7 @@ def test_modified_pairing_nondegenerate_on_diagonal():
                 got = modified_pairing(E0, E0.mul(a, P), E0.mul(b, P), 3)
                 assert got == z ** (a * b)
     from siot.curve import INFINITY
-    Q = E0.random_point_of_order(3, 1, EXP, rng)
+    Q = E0.sample_torsion_basis(3, 1, EXP, rng)[0]
     assert modified_pairing(E0, INFINITY, Q, 3) == CTX.one()
 
 
@@ -174,7 +169,7 @@ def test_symmetric_pairing_rejects_bad_primes():
         symmetric_pairing(E0, P, Q, P, Q, 2, 4)
     ctx = FieldContext(1499)       # 1500 = 4 * 375 = 2^2 * 3 * 5^3
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
-    B1, B2 = sample_torsion_basis(E, 5, 3, 1500, det_rng(b"five"))
+    B1, B2 = E.sample_torsion_basis(5, 3, 1500, det_rng(b"five"))
     with pytest.raises(UnsupportedParameterError):
         symmetric_pairing(E, B1, B2, B1, B2, 5, 3)   # 5 = 1 mod 4
 
@@ -227,8 +222,8 @@ def test_miller_function_matches_affine_loop():
     rng = det_rng(b"miller-affine")
     outcomes = set()
     for E in (params.curve, E1):
-        basis = {2: sample_torsion_basis(E, 2, 4, EXP, rng),
-                 3: sample_torsion_basis(E, 3, 3, EXP, rng)}
+        basis = {2: E.sample_torsion_basis(2, 4, EXP, rng),
+                 3: E.sample_torsion_basis(3, 3, EXP, rng)}
         two_torsion = [E.mul(8, P) for P in (*basis[2], E.add(*basis[2]))]
         for ell, e in ((2, 4), (3, 3)):
             P, Q = basis[ell]
