@@ -239,7 +239,9 @@ class EllipticCurve:
         lower order leaves R or S at O and gives False.  Otherwise
         extend P to a basis (P, T) and write Q = uP + vT: (P, Q) is a
         basis when v is a unit mod ell, that is when S lies outside
-        <R>.  No pairing, no inversion and no randomness.
+        <R>.  No pairing, no inversion and no randomness, but up to
+        ell // 2 additions: parameter sets bound ell by
+        ``siot.sidh.MAX_ELL``.
         """
         R = self._top_multiple(P, ell, e)
         return self._independent(R, self._top_multiple(Q, ell, e), ell)

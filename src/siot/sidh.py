@@ -34,6 +34,12 @@ from .util import det_rng, strict_fromhex
 
 SIDES = ("A", "B")
 
+# The largest torsion prime a parameter set may use.  A basis test, a
+# Velu step and a kernel listing each cost O(ell) group operations, so
+# without a cap a parameter file with one huge prime never finishes
+# loading.
+MAX_ELL = 1 << 10
+
 
 class SidhPublic(NamedTuple):
     """One side's public key: codomain curve and pushed-through basis."""
@@ -87,6 +93,9 @@ def other_side(side: str) -> str:
 
 def _check_shape(ell_a, e_a, ell_b, e_b) -> None:
     for ell, e in ((ell_a, e_a), (ell_b, e_b)):
+        if ell > MAX_ELL:
+            raise UnsupportedParameterError(
+                f"{ell} exceeds the cap of {MAX_ELL} on a torsion prime")
         if not is_prime(ell):
             raise UnsupportedParameterError(f"{ell} is not prime")
         if e < 1:

@@ -23,7 +23,8 @@ The reference step (``reference_step``) is ``full_kernel_quotient`` of
 ``naive_chain`` and ``naive_evaluate`` take its steps.
 ``pairs_with_verdicts`` draws pairs over a torsion basis whose
 coefficients decide whether each is a basis: the reference for
-``EllipticCurve.is_basis`` and the pairing certificate.
+``EllipticCurve.is_basis`` and the pairing certificate.  It runs on
+the named sets and on the small shapes ``SHAPES`` (``shape_params``).
 The toy-scale problem oracles (shared j by one double-kernel quotient,
 isogeny reachability, the symmetric-pairing constraint) have no caller
 outside the tests.
@@ -38,6 +39,7 @@ They build on the package's ``weil_pairing`` and group law.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from siot.curve import (INFINITY, EllipticCurve, Point, jac_add_affine,
@@ -46,7 +48,7 @@ from siot.errors import InvalidKernelError, UnsupportedParameterError
 from siot.field import Fp2, inv_batch
 from siot.isogeny import _translate, isogeny_chain, kernel_generator
 from siot.pairing import weil_pairing
-from siot.sidh import PublicParams
+from siot.sidh import PublicParams, gen_params
 from siot.siot import MaskCoefficients
 from siot.util import det_rng
 
@@ -472,7 +474,24 @@ def multiplicative_order(z: Fp2, n: int) -> int:
     return order
 
 
-# -- pairs with known basis verdicts ----------------------------------------
+# -- small shapes and pairs with known basis verdicts -----------------------
+
+SHAPES = [(2, 4, 5, 2), (5, 2, 2, 4), (7, 2, 3, 3), (3, 3, 5, 2),
+          (2, 6, 3, 4), (11, 2, 2, 5)]
+
+
+def shape_id(shape) -> str:
+    return "{}^{}*{}^{}".format(*shape)
+
+
+@functools.lru_cache(maxsize=None)
+def shape_params(shape) -> PublicParams:
+    """The parameters of one of ``SHAPES``.  The four with ell >= 5 find
+    no prime under the default max_f = 4, so f ranges up to 40."""
+    tag = "-".join(map(str, shape)).encode()
+    return gen_params(*shape, general_f=True, max_f=40,
+                      rng=det_rng(b"tests/shape/" + tag))
+
 
 def pairs_with_verdicts(params: PublicParams, rng, per_side: int):
     """Pairs (aG + bH, cG + dH) over each side's basis (G, H), with the

@@ -3,9 +3,10 @@ arithmetic and literal repeated addition."""
 
 import pytest
 
-from oracles import (affine_add, all_points, ec_add_fp, ec_mul_fp,
+from oracles import (SHAPES, affine_add, all_points, ec_add_fp, ec_mul_fp,
                      multiplicative_order, naive_mul, naive_order,
-                     pairs_with_verdicts, reference_step)
+                     pairs_with_verdicts, reference_step, shape_id,
+                     shape_params)
 from siot import det_rng, gen_params
 from siot.curve import (INFINITY, JAC_INFINITY, EllipticCurve, Point, jac_add,
                         jac_mul, jac_triple)
@@ -285,13 +286,19 @@ def test_is_basis_refuses_a_point_outside_the_torsion():
         assert exc.value.point == bad
 
 
-@pytest.mark.parametrize("name", ["p431", "p2591", "p102", "p434"])
+@pytest.mark.parametrize("name", ["p431", "p2591", "p102", "p434", *SHAPES],
+                         ids=lambda n: n if isinstance(n, str) else shape_id(n))
 def test_is_basis_agrees_with_the_pairing_on_sampled_pairs(name, request):
-    """30 pairs per set, about half of them dependent, on both towers."""
-    rng = det_rng(b"is-basis/" + name.encode())
+    """30 pairs per set, about half of them dependent, on both towers of
+    the named sets and of the small shapes, where ell reaches 11: up to
+    ell // 2 = 5 x-comparisons each."""
+    if isinstance(name, str):
+        params, tag = request.getfixturevalue(name), name.encode()
+    else:
+        params, tag = shape_params(name), shape_id(name).encode()
+    rng = det_rng(b"is-basis/" + tag)
     verdicts = []
-    for E, P, Q, ell, e, want in pairs_with_verdicts(
-            request.getfixturevalue(name), rng, 15):
+    for E, P, Q, ell, e, want in pairs_with_verdicts(params, rng, 15):
         assert E.is_basis(P, Q, ell, e) == want
         assert is_torsion_basis(E, P, Q, ell, e) == want
         verdicts.append(want)

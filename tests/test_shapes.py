@@ -1,32 +1,23 @@
 """The chain and what it rests on, on small shapes with ell up to 11.
 
-Each shape is built by ``gen_params(..., general_f=True, max_f=40)``; the
-four with ell >= 5 find no prime under the default max_f = 4.  Every
+Each shape is built by ``oracles.shape_params``.  Every
 layer is compared with its oracle in ``tests/oracles.py``, and a whole
 session runs once per bit.
 """
 
 import pytest
 
-from oracles import (affine_add, cyclic_subgroup, expand_kernel, naive_chain,
-                     naive_evaluate, naive_order, pairs_with_verdicts,
-                     reference_step, walk_kernel)
-from siot import SessionConfig, det_rng, gen_params, run_local
+from oracles import (SHAPES, affine_add, cyclic_subgroup, expand_kernel,
+                     naive_chain, naive_evaluate, naive_order, reference_step,
+                     shape_id, shape_params, walk_kernel)
+from siot import SessionConfig, det_rng, run_local
 from siot.errors import InvalidKernelError, InvalidPointError
 from siot.field import Fp2
 from siot.isogeny import evaluate, isogeny_chain, kernel_generator, velu_step
-from siot.pairing import is_torsion_basis
 
-SHAPES = [(2, 4, 5, 2), (5, 2, 2, 4), (7, 2, 3, 3), (3, 3, 5, 2),
-          (2, 6, 3, 4), (11, 2, 2, 5)]
-
-
-@pytest.fixture(scope="module", params=SHAPES,
-                ids=lambda s: "{}^{}*{}^{}".format(*s))
+@pytest.fixture(scope="module", params=SHAPES, ids=shape_id)
 def shape(request):
-    tag = "-".join(map(str, request.param)).encode()
-    return gen_params(*request.param, general_f=True, max_f=40,
-                      rng=det_rng(b"tests/shape/" + tag))
+    return shape_params(request.param)
 
 
 def test_chain_matches_naive_schedule(shape, velu_steps):
@@ -129,12 +120,3 @@ def test_session_delivers_the_chosen_input(shape, b):
                                   x0=b"zero", x1=b"one"))
     assert out["output"] == (b"zero", b"one")[b]
     assert out["sender_j"][b] == out["receiver_j"]
-
-
-def test_basis_test_agrees_with_the_pairing(shape):
-    """``is_basis`` and the pairing certificate on 24 pairs per side,
-    half of them dependent: up to ell // 2 = 5 x-comparisons each."""
-    rng = det_rng(b"shape-basis")
-    for E, P, Q, ell, e, want in pairs_with_verdicts(shape, rng, 24):
-        assert E.is_basis(P, Q, ell, e) == want
-        assert is_torsion_basis(E, P, Q, ell, e) == want

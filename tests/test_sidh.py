@@ -2,6 +2,7 @@
 exchange, and the serialization codecs."""
 
 import math
+import time
 
 import pytest
 
@@ -24,7 +25,10 @@ from siot.errors import (
 )
 from siot.isogeny import isogeny_chain, kernel_generator
 from siot.pairing import weil_pairing
-from siot.sidh import SidhPublic, other_side, public_from_obj, public_to_obj
+from siot.curve import EllipticCurve
+from siot.field import FieldContext, is_prime
+from siot.sidh import (MAX_ELL, PublicParams, SidhPublic, other_side,
+                       public_from_obj, public_to_obj)
 
 
 def test_preset_shapes():
@@ -273,6 +277,31 @@ def test_params_from_obj_rejects_unsupported_shapes(p431):
         params_from_obj({**params_to_obj(p431), "la": 4, "ea": 2})
     with pytest.raises(DecodeError, match="exponents exceed"):
         params_from_obj({**params_to_obj(p431), "eb": 10 ** 7})
+
+
+def test_params_from_obj_refuses_a_huge_torsion_prime_at_once():
+    """p = 2^4 * q - 1 for a 41-bit prime q: a well-formed file whose
+    basis test would take q // 2 additions is refused by the shape
+    check, before any point is read, and so is the search."""
+    q = next(q for q in range(1 << 40, 1 << 41)
+             if is_prime(q) and is_prime(16 * q - 1))
+    assert q > MAX_ELL
+    ctx = FieldContext(16 * q - 1)
+    E = EllipticCurve(ctx.one(), ctx.zero())
+    rng = det_rng(b"tests/huge-ell")
+    basis_b = tuple(E.mul(16, E.random_point(rng)) for _ in range(2))
+    assert all(not P.infinity and E.mul(q, P).infinity for P in basis_b)
+    params = PublicParams(ctx.p, 2, 4, q, 1, 1, E,
+                          E.sample_torsion_basis(2, 4, ctx.p + 1, rng),
+                          basis_b)
+    obj = params_to_obj(params)
+    start = time.perf_counter()
+    with pytest.raises(DecodeError, match=f"{q} exceeds the cap of "
+                                          f"{MAX_ELL} on a torsion prime"):
+        params_from_obj(obj)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(UnsupportedParameterError, match="exceeds the cap"):
+        gen_params(2, 4, q, 1)
 
 
 @pytest.mark.parametrize("mutate", [
