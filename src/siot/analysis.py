@@ -19,7 +19,7 @@ from .errors import (DecryptionError, InconsistentKeyError,
 from .isogeny import isogeny_chain, kernel_generator
 from .pairing import weil_pairing
 from .sidh import PublicParams, SidhPublic, keygen, other_side
-from .siot import (MaskCoefficients, branch_keys, derive_mask_coeffs,
+from .siot import (MaskCoefficients, branch_kernels, derive_mask_coeffs,
                    derive_shared_j, encode_mask_points, kdf_dec, kdf_enc,
                    mask_public)
 from .util import det_rng
@@ -175,10 +175,11 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     r_a = sender.r
 
     def branches(c):
-        """The sender's two branch kernels and j-invariants under c."""
-        keys = branch_keys(c, pub)
-        return ([kernel_generator(E, k.G, r_a, k.H) for k in keys],
-                [derive_shared_j(sender, k, params) for k in keys])
+        """The sender's two branch kernels and j-invariants under c,
+        each kernel formed once."""
+        kernels = branch_kernels(c, pub, r_a, n)
+        return kernels, [derive_shared_j(sender, pub, params, K)
+                         for K in kernels]
 
     report: dict = {}
     (K0, K1), (j0, j1) = branches(coeffs)

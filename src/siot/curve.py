@@ -6,20 +6,22 @@ and the basis test live here.  There is one group law: the Jacobian
 steps at the end of this module, with (X, Y, Z) standing for
 (X/Z^2, Y/Z^3): a doubling, a mixed addition of an affine point, a full
 addition and a tripling.  ``jac_mul`` builds [n]T from them, with a
-tripling for each factor 3 of n.  ``add`` lifts its first point to
-Z = 1 and takes one mixed addition; ``mul`` runs ``jac_mul``.  Both
-convert back to affine once, in ``_affine``, so each makes one field
-inversion, and none when the result is O.  ``has_exact_order`` tests
-only the Z of its multiples, and ``is_basis`` compares x-coordinates
-projectively, so neither inverts.  The doubling and the mixed addition
-also serve the Miller loop in ``pairing``, and the isogeny walk keeps
-its multiples Jacobian until a step brings them to Z = 1 in one batch.
+tripling for each factor 3 of n, and ``jac_mul2`` builds [s]T + [t]U
+on one shared chain of doublings.  ``add`` lifts its first point to
+Z = 1 and takes one mixed addition; ``mul`` runs ``jac_mul`` and
+``mul2`` runs ``jac_mul2``.  Each converts back to affine once, in
+``_affine``, so each makes one field inversion, and none when the
+result is O.  ``has_exact_order`` tests only the Z of its multiples,
+and ``is_basis`` compares x-coordinates projectively, so neither
+inverts.  The doubling and the mixed addition also serve the Miller
+loop in ``pairing``, and the isogeny walk keeps its multiples Jacobian
+until a step brings them to Z = 1 in one batch.
 The steps, ``_affine`` and the on-curve test are straight-line
 arithmetic on the unpacked integer coordinates; points and curve
 coefficients enter and leave them as ``Fp2`` values.
 
-The group law trusts its inputs: ``add`` and ``mul`` assume their
-points lie on the curve and do not check.  Points are checked once,
+The group law trusts its inputs: ``add``, ``mul`` and ``mul2`` assume
+their points lie on the curve and do not check.  Points are checked once,
 where outside data enters (``point``, ``check_point``); every point
 past that boundary is computed from checked ones.  Torsion is proved
 the same way, once, by ``has_exact_order`` or by ``is_basis``, which
@@ -143,6 +145,17 @@ class EllipticCurve:
             return INFINITY
         return self._affine(
             jac_mul(jacobian(P), n, (self.A.a, self.A.b), self.ctx.p))
+
+    def mul2(self, s: int, P: Point, t: int, Q: Point) -> Point:
+        """[s]P + [t]Q by one shared chain of doublings (``jac_mul2``);
+        a negative scalar uses the negated point, as in ``mul``.  One
+        inversion, none when the sum is O."""
+        if s < 0:
+            s, P = -s, self.neg(P)
+        if t < 0:
+            t, Q = -t, self.neg(Q)
+        return self._affine(jac_mul2(jacobian(P), s, jacobian(Q), t,
+                                     (self.A.a, self.A.b), self.ctx.p))
 
     def _affine(self, T) -> Point:
         """The affine point (X/Z^2, Y/Z^3) of a Jacobian T, by one
@@ -338,6 +351,39 @@ def jac_mul(T, n: int, A, p: int):
                 jac_add(R, T, A, p)
     for _ in range(k):
         R = jac_triple(R, A, p)
+    return R
+
+
+def jac_mul2(T, s: int, U, t: int, A, p: int):
+    """[s]T + [t]U for Jacobian T and U and s, t >= 0, by Straus's
+    interleaving (Shamir's trick).
+
+    One left-to-right chain of doublings serves both scalars: at each
+    bit it adds T, U or T + U, the last formed once, up front.  A point
+    with Z = 1 is added by mixed additions, any other by full ones.  A
+    zero scalar leaves a plain double-and-add of the other point, and
+    T = U, T = -U and an O among them are the additions' own cases.
+    """
+    if s == 0 and t == 0:
+        return JAC_INFINITY
+
+    def adder(V):
+        if V[2] == (1, 0):
+            xy = V[:2]
+            return lambda R: jac_add_affine(R, xy, A, p)[0]
+        return lambda R: jac_add(R, V, A, p)
+
+    # the adder of each bit pair (s_i, t_i), indexed s_i + 2 t_i
+    table = [None, adder(T), adder(U), None]
+    if s and t:
+        table[3] = adder(table[1](U))
+    digits = [(s >> i & 1) | (t >> i & 1) << 1
+              for i in range(max(s.bit_length(), t.bit_length()) - 1, -1, -1)]
+    R = table[digits[0]](JAC_INFINITY)
+    for d in digits[1:]:
+        R = jac_double(R, A, p)[0]
+        if d:
+            R = table[d](R)
     return R
 
 

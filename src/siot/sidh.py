@@ -11,8 +11,8 @@ pairing by ``EllipticCurve.is_basis`` where they are drawn
 with lB^eB-torsion; each side's public key is its codomain curve
 together with the images of the other side's basis.  The second stage,
 completing the exchange against a peer's key (``derive_shared_j``),
-lives in ``siot.siot``, where the sender also completes it against its
-two candidate keys.
+lives in ``siot.siot``, where the sender also completes it along its
+two branch kernels.
 """
 
 from __future__ import annotations

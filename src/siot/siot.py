@@ -9,11 +9,13 @@ and the sender answers with two ciphertexts, one per derived
 j-invariant.  The receiver can open exactly the one indexed by its bit.
 
 As in Chou-Orlandi, the sender completes one key exchange twice: the
-second stage of the isogeny exchange, ``derive_shared_j``, runs against
-each of its two candidate receiver keys (``branch_keys``), the received
-key and that key shifted by the mask (U, V).  ``derive_shared_j`` is
-the one walk to a shared j; the receiver calls it once, against the
-sender's key.
+second stage of the isogeny exchange, ``derive_shared_j``, walks each
+of its two branch kernels (``branch_kernels``), one against the
+received key and one against that key shifted by the mask (U, V).
+Both kernels are combinations of the received pair, so the sender
+forms each by one joint multiplication and never the mask points.
+``derive_shared_j`` is the one walk to a shared j; the receiver calls
+it once, against the sender's key.
 
 The coefficient constraints enforced here make the two receiver
 branches pairing-indistinguishable to the sender and keep the sender's
@@ -123,21 +125,22 @@ def derive_mask_coeffs(w: bytes, params: PublicParams) -> MaskCoefficients:
 
 def encode_mask_points(coeffs: MaskCoefficients, curve: EllipticCurve,
                        G: Point, H: Point) -> tuple[Point, Point]:
-    """(U, V) = (alpha*G + beta*H, gamma*G + delta*H) in the lA^eA-torsion.
+    """(U, V) = (alpha*G + beta*H, gamma*G + delta*H) in the lA^eA-torsion,
+    each by one joint multiplication: one chain of doublings and one
+    inversion per point.
 
     Under the protocol constraints V collapses to -(alpha/beta)*U, and
     feeding the receiver's masked pair instead of its true pair yields
     the same (U, V): the mask family is a fixed point of its own
     re-derivation, which is what lets the sender reconstruct the mask
     without learning the bit.  Derived coefficients have gamma = 0, so
-    V costs one multiplication: ``mul(0, G)`` returns O at once.
+    V's chain is delta's alone.
 
-    Callers pass checked points: the sender a pair ``validate_public``
-    accepted, the receiver its own keygen output.
+    Callers pass checked points: the receiver its own keygen output, and
+    the distinguisher scan a receiver key.
     """
-    U = curve.add(curve.mul(coeffs.alpha, G), curve.mul(coeffs.beta, H))
-    V = curve.add(curve.mul(coeffs.gamma, G), curve.mul(coeffs.delta, H))
-    return U, V
+    return (curve.mul2(coeffs.alpha, G, coeffs.beta, H),
+            curve.mul2(coeffs.gamma, G, coeffs.delta, H))
 
 
 def mask_public(coeffs: MaskCoefficients, pub: SidhPublic,
@@ -152,31 +155,43 @@ def mask_public(coeffs: MaskCoefficients, pub: SidhPublic,
     return SidhPublic(E, E.sub(pub.G, U), E.sub(pub.H, V))
 
 
-def branch_keys(coeffs: MaskCoefficients,
-                pub: SidhPublic) -> tuple[SidhPublic, SidhPublic]:
-    """The sender's two candidate receiver keys: the received key itself,
-    and the same curve with its pair shifted to (G + U, H + V).  The
-    receiver's own key is the first for bit 0 and the second for bit 1,
-    so each branch completes the exchange with one of them."""
-    E = pub.curve
-    U, V = encode_mask_points(coeffs, E, pub.G, pub.H)
-    return pub, SidhPublic(E, E.add(pub.G, U), E.add(pub.H, V))
+def branch_kernels(coeffs: MaskCoefficients, pub: SidhPublic, r: int,
+                   n: int) -> tuple[Point, Point]:
+    """The sender's two branch kernels on the received key's curve, for
+    its secret r and the torsion order n = lA^eA: K0 = G + [r]H against
+    the received pair, and K1 = (G + U) + [r](H + V) against that pair
+    shifted by the mask (U, V).  The receiver's own key is the first
+    pair for bit 0 and the second for bit 1, so each branch completes
+    the exchange with one of them.
+
+    K1 is a combination of G and H too, [1 + alpha + r*gamma]G +
+    [beta + r(1 + delta)]H, whose scalars reduce mod n since G and H
+    have order n, so no mask point is formed: each kernel is one joint
+    multiplication.  The formula holds for any tuple, derived or not.
+    """
+    alpha, beta, gamma, delta = coeffs
+    E, G, H = pub.curve, pub.G, pub.H
+    return (kernel_generator(E, G, r, H),
+            E.mul2((1 + alpha + r * gamma) % n, G,
+                   (beta + r * (1 + delta)) % n, H))
 
 
 def derive_shared_j(keypair: SidhKeyPair, their_public: SidhPublic,
-                    params: PublicParams) -> Fp2:
+                    params: PublicParams, kernel: Point | None = None) -> Fp2:
     """The exchange's second stage: walk from the peer's curve along
-    K = G + [r]H with this side's secret r, and take the codomain's
-    j-invariant, which both honest parties agree on.
+    K = G + [r]H with this side's secret r, or along ``kernel``, a point
+    of that curve formed from the same key (the sender's
+    ``branch_kernels``), and take the codomain's j-invariant, which both
+    honest parties agree on.
 
-    Checks nothing: every key reaching it is keygen output, a key
-    ``read_public`` accepted, or a ``branch_keys`` shift of one.  The
-    walk proves K's order, and raises ``InvalidKernelError`` for a pair
-    that is no basis.
+    Checks nothing: every key reaching it is keygen output or a key
+    ``read_public`` accepted.  The walk proves K's order, and raises
+    ``InvalidKernelError`` for a pair that is no basis.
     """
     side = keypair.side
     E = their_public.curve
-    K = kernel_generator(E, their_public.G, keypair.r, their_public.H)
+    K = kernel if kernel is not None else kernel_generator(
+        E, their_public.G, keypair.r, their_public.H)
     curve, _ = isogeny_chain(E, K, params.ell(side), params.e(side), ())
     return curve.j_invariant()
 
@@ -427,12 +442,14 @@ class SiotSession:
                            *(canonical_json(b) for b in self._pk_bodies))
 
     def _derive_ciphertext_keys(self) -> None:
-        """Sender: complete the exchange against both candidate receiver
-        keys and encrypt one input under each branch's j-invariant.  The
+        """Sender: complete the exchange along both branch kernels and
+        encrypt one input under each branch's j-invariant.  The
         certified pair and derived coefficients give both kernels full
         order."""
-        js = [derive_shared_j(self.keypair, key, self.params)
-              for key in branch_keys(self.coeffs, self.their_public)]
+        kernels = branch_kernels(self.coeffs, self.their_public,
+                                 self.keypair.r, self.params.n("A"))
+        js = [derive_shared_j(self.keypair, self.their_public, self.params, K)
+              for K in kernels]
         if js[0] == js[1]:
             # distinct kernels can still land on the same j in a desk-scale
             # isogeny graph; a collision would open both branches, so flip

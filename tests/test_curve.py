@@ -9,7 +9,7 @@ from oracles import (SHAPES, affine_add, all_points, ec_add_fp, ec_mul_fp,
                      shape_params)
 from siot import det_rng, gen_params
 from siot.curve import (INFINITY, JAC_INFINITY, EllipticCurve, Point, jac_add,
-                        jac_mul, jac_triple)
+                        jac_mul, jac_mul2, jac_triple)
 from siot.errors import InvalidPointError, SamplingError
 from siot.field import FieldContext
 from siot.pairing import is_torsion_basis
@@ -199,25 +199,105 @@ def _lift(P, z):
 
 
 def test_jacobian_steps_match_the_oracle_exhaustively():
-    """The full addition, the tripling and ``jac_mul`` from a base with
-    Z != 1, against the chord-tangent oracle for every point (pair) of
-    the two F_{11^2} curves above, O and 2- and 3-torsion included."""
+    """The full addition, the tripling, ``jac_mul`` and ``jac_mul2``
+    from bases with Z != 1, against the chord-tangent oracle for every
+    point (pair) of the two F_{11^2} curves above, O and 2- and
+    3-torsion included."""
     ctx = FieldContext(11)
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
     E2 = reference_step(E, Point(ctx.elem(0, 1), ctx.zero()), 2).codomain
     for curve in (E, E2):
         A, p = (curve.A.a, curve.A.b), ctx.p
         pts = all_points(curve) + [INFINITY]
+        threes = {Q: naive_mul(curve, 3, Q) for Q in pts}
         for P in pts:
             T = _lift(P, ctx.elem(2, 3))
-            assert curve._affine(jac_triple(T, A, p)) == naive_mul(curve, 3, P)
+            assert curve._affine(jac_triple(T, A, p)) == threes[P]
             for k in (1, 2, 3, 5, 6, 9, 12, 18, 25):
                 assert curve._affine(jac_mul(T, k, A, p)) \
                     == naive_mul(curve, k, P), (P, k)
+            fives = naive_mul(curve, 5, P)
             for Q in pts:
                 U = _lift(Q, ctx.elem(4, 1))
                 assert curve._affine(jac_add(T, U, A, p)) \
                     == affine_add(curve, P, Q), (P, Q)
+                assert curve._affine(jac_mul2(T, 5, U, 3, A, p)) \
+                    == affine_add(curve, fives, threes[Q]), (P, Q)
+
+
+# -- the joint multiplication -------------------------------------------------
+
+MUL2_SCALARS = (0, 1, -1, 2, 3, 7, 12, -13, 30)
+
+
+def _multiples(curve, P):
+    """[0]P, [1]P, ... up to the order of P, by repeated addition."""
+    out = [INFINITY, P]
+    while not out[-1].infinity:
+        out.append(affine_add(curve, out[-1], P))
+    return out[:-1]
+
+
+def test_mul2_matches_repeated_addition_exhaustively():
+    """[s]P + [t]Q against the chord-tangent oracle for every ordered
+    pair of points of the two F_{11^2} curves, O included.  Each pair
+    takes one (s, t) of the scalar grid, cycling so that every grid pair
+    meets over 200 point pairs, and every third pair also (+-n, t), with
+    n the order of P.  Each point P is also paired with Q = P and
+    Q = -P, where the stored P + Q is a doubling or O, under nine grid
+    pairs, so that every grid pair meets both cases on 16 points."""
+    ctx = FieldContext(11)
+    E = EllipticCurve(ctx.elem(1), ctx.elem(0))
+    E2 = reference_step(E, Point(ctx.elem(0, 1), ctx.zero()), 2).codomain
+    grid = [(s, t) for s in MUL2_SCALARS for t in MUL2_SCALARS]
+    for curve in (E, E2):
+        pts = all_points(curve)
+        mults = {P: _multiples(curve, P) for P in pts}
+
+        def want(s, P, t, Q):
+            mP, mQ = mults[P], mults[Q]
+            return affine_add(curve, mP[s % len(mP)], mQ[t % len(mQ)])
+
+        i = 0
+        for P in pts:
+            n = len(mults[P])
+            for Q in pts:
+                s, t = grid[i % len(grid)]
+                assert curve.mul2(s, P, t, Q) == want(s, P, t, Q), (P, s, Q, t)
+                if i % 3 == 0:
+                    s = n if i % 2 else -n
+                    assert curve.mul2(s, P, t, Q) == want(s, P, t, Q), \
+                        (P, s, Q, t)
+                i += 1
+            for Q in (P, curve.neg(P)):
+                for s, t in grid[i % 9::9]:
+                    assert curve.mul2(s, P, t, Q) == want(s, P, t, Q), \
+                        (P, s, Q, t)
+
+
+@pytest.mark.parametrize("name", ["p102", "p434"])
+def test_mul2_matches_mul_on_sampled_points(name, request):
+    """Scalars below 40 against repeated addition, and full-size ones,
+    0, +-1 and +-n among them, against two ``mul`` and an ``add``, on
+    both torsion bases and random points of each set."""
+    params = request.getfixturevalue(name)
+    E = params.curve
+    rng = det_rng(b"mul2/" + name.encode())
+    pts = [*params.basis_a, *params.basis_b,
+           E.random_point(rng), E.random_point(rng)]
+    n = params.n("A")
+    big = (0, 1, -1, n, -n, n - 1, params.p + 1)
+    for k in range(12):
+        P, Q = rng.choice(pts), rng.choice(pts)
+        if k % 4 == 0:
+            Q = P if k % 8 else E.neg(P)
+        s, t = rng.randrange(-40, 40), rng.randrange(-40, 40)
+        assert E.mul2(s, P, t, Q) == affine_add(
+            E, naive_mul(E, s, P), naive_mul(E, t, Q)), (k, s, t)
+        s = rng.choice(big + (rng.randrange(params.p),))
+        t = rng.choice(big + (-rng.randrange(params.p),))
+        assert E.mul2(s, P, t, Q) == E.add(E.mul(s, P), E.mul(t, Q)), \
+            (k, s, t)
 
 
 # -- the basis test against the pairing certificate ------------------------

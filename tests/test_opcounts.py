@@ -1,6 +1,7 @@
 """Exact operation counts: algorithmic regressions show up here as a
 changed number, without any timing noise."""
 
+import siot.curve
 import siot.isogeny
 import siot.pairing
 import siot.wire
@@ -42,7 +43,9 @@ def test_long_chain_inversions_stay_below_quadratic(counter):
 def test_p102_keygen_inversions(counter):
     """One keygen per side at 2^51*3^32 - 1: one inversion per step of
     the walk, which pushes the other side's basis in its own batches,
-    and two for the kernel generator P + [r]Q."""
+    and one for the kernel generator P + [r]Q, a joint multiplication
+    (two, and [53, 34] in all, when it was a multiplication and an
+    addition)."""
     params = _p102()
     inv = counter(Fp2, "inv")
     counts = []
@@ -50,7 +53,7 @@ def test_p102_keygen_inversions(counter):
         inv[0] = 0
         keygen(params, side, det_rng(b"opcount/keygen/" + side.encode()))
         counts.append(inv[0])
-    assert counts == [53, 34]
+    assert counts == [52, 33]
 
 
 def test_validate_public_inverts_nothing(counter, p431):
@@ -103,7 +106,12 @@ def test_p431_session_op_counts(counter):
     15 of them in the three j-invariants and 6 in the two decoded keys'
     singularity tests.  Testing every curve as it was built made 116.
     The chains invert once per step at most and add no points; the
-    torsion tests invert nothing."""
+    torsion tests invert nothing.  Each kernel and mask point is one
+    joint multiplication at one inversion, and the sender forms no mask
+    point, so the two affine additions left are the certificate
+    pairing's; (inv, add) was (45, 13) when the sender built the
+    shifted key's points and each kernel took a multiplication and an
+    addition."""
     params = preset("p431")
     mul = counter(Fp2, "__mul__")
     inv = counter(Fp2, "inv")
@@ -114,10 +122,30 @@ def test_p431_session_op_counts(counter):
                                   x0=b"zero", x1=b"one"))
     assert out["restarts"] == 0
     assert out["output"] == b"zero"
-    assert (inv[0], add[0], velu[0]) == (45, 13, 18)
+    assert (inv[0], add[0], velu[0]) == (32, 2, 18)
     assert mul[0] == 28
     # G and H once in each party's validate_public of the peer's key
     assert checks[0] == 4
+
+
+def test_p102_session_jacobian_steps(counter):
+    """A clean session at 2^51*3^32 - 1, per bit: the Jacobian doublings,
+    mixed additions, full additions and triplings of ``siot.curve``
+    (the Miller loop's own steps, in ``siot.pairing``, are not
+    counted).  Every kernel and mask point shares one chain of
+    doublings between its two scalars, and the sender forms no mask
+    point.  When each scalar had its own chain, a session took
+    (1043, 226, 0, 226) for bit 0 and (1043, 228, 0, 226) for bit 1.
+    The full additions add a stored sum of the two points, which is
+    Jacobian, to a chain."""
+    params = _p102()
+    for b, want in ((0, (860, 184, 8, 226)), (1, (860, 186, 8, 226))):
+        steps = [counter(siot.curve, name) for name in (
+            "jac_double", "jac_add_affine", "jac_add", "jac_triple")]
+        out = run_local(SessionConfig(params, seed=b"golden-p102", b=b,
+                                      x0=b"zero", x1=b"one"))
+        assert out["restarts"] == 0
+        assert tuple(c[0] for c in steps) == want
 
 
 def test_online_pair_serializes_each_message_once(counter):

@@ -1,6 +1,8 @@
 """End-to-end session orchestration: local pump, online pump over a
 loopback stream, restart handling, and transcript verification."""
 
+import hashlib
+
 import pytest
 
 from loopback import JOIN_S, LoopbackPipe, ReplayStream, closing_thread
@@ -293,15 +295,19 @@ def test_session_at_sike_size(counter):
     """p434 = 2^216 * 3^137 - 1, the SIKE-sized prime: a whole session,
     parameter search and basis certificates included, runs in tier-1.
     Its 922 Velu steps make one inversion each at most: the session
-    makes 951 in all (2,146 when every traversal multiple was brought
-    back to affine)."""
+    makes 938 in all (2,146 when every traversal multiple was brought
+    back to affine, 951 before the kernels and mask points were joint
+    multiplications).  The transcript's digest pins the session at
+    this size, where the walks are longest."""
     params = gen_params(2, 216, 3, 137, rng=det_rng(b"tests/p434"))
     assert params.p.bit_length() == 434
     inversions = counter(Fp2, "inv")
     out = run_local(_config(params, 1, seed=b"p434-session"))
     assert out["output"] == b"one input!"
     assert out["sender_j"][1] == out["receiver_j"]
-    assert inversions[0] == 951
+    assert inversions[0] == 938
+    assert hashlib.sha256(out["transcript"].to_bytes()).hexdigest() == (
+        "920006cede50f1221d1fb8225cd3445560772ed8c39f743744f2252decb57e8b")
 
 
 def test_forced_non_basis_pair_aborts(p431, monkeypatch):
@@ -319,19 +325,19 @@ def test_forced_non_basis_pair_aborts(p431, monkeypatch):
 
 
 def _collide_branches(monkeypatch, attempts):
-    """Give the sender two equal candidate keys, so its two
+    """Give the sender two equal branch kernels, so its two
     j-invariants collide, on its first ``attempts`` attempts."""
     import siot.siot as siot_mod
 
-    real = siot_mod.branch_keys
+    real = siot_mod.branch_kernels
     calls = []
 
-    def colliding(coeffs, pub):
+    def colliding(coeffs, pub, r, n):
         calls.append(1)
-        k0, k1 = real(coeffs, pub)
-        return (k0, k0) if len(calls) <= attempts else (k0, k1)
+        K0, K1 = real(coeffs, pub, r, n)
+        return (K0, K0) if len(calls) <= attempts else (K0, K1)
 
-    monkeypatch.setattr(siot_mod, "branch_keys", colliding)
+    monkeypatch.setattr(siot_mod, "branch_kernels", colliding)
 
 
 def test_forced_j_collision_restarts(p431, monkeypatch):

@@ -9,6 +9,7 @@ import siot.siot
 from oracles import check_mask_coefficients
 from siot import det_rng, kdf_dec, keygen
 from siot.errors import DecryptionError, InvalidKernelError, ProtocolAbort
+from siot.isogeny import kernel_generator
 from siot.pairing import weil_pairing
 from siot.sidh import point_to_obj
 from siot.util import xor_bytes
@@ -20,11 +21,13 @@ from siot.siot import (
     _bytes_field,
     _pack_input,
     _unpack_input,
+    branch_kernels,
     commitment,
     derive_mask_coeffs,
     encode_mask_points,
     exchange,
     kdf_enc,
+    mask_public,
     read_public,
 )
 
@@ -170,6 +173,32 @@ def test_masked_pair_keeps_pairing_value(p431):
     U, V = encode_mask_points(c, pub.curve, pub.G, pub.H)
     Gm, Hm = pub.curve.sub(pub.G, U), pub.curve.sub(pub.H, V)
     assert weil_pairing(pub.curve, Gm, Hm, n) == base
+
+
+@pytest.mark.parametrize("name", ["p431", "p2591", "set3", "p102"])
+def test_branch_kernels_are_the_shifted_pairs_kernels(name, request):
+    """The sender's two kernels, each formed as one combination of the
+    received pair, equal G + [r]H and (G + U) + [r](H + V) built from
+    the mask points, on unmasked and masked pairs: for derived tuples,
+    and for the hand-built ones ``siot.analysis`` uses, the
+    distinguisher's violation (0, 1, 0, 2), the probe's crafted control
+    (lA, lA*r, 0, 0) and the all-zero tuple."""
+    params = request.getfixturevalue(name)
+    rng = det_rng(b"branch-kernels/" + name.encode())
+    n, ell = params.n("A"), params.ell_a
+    for _ in range(3):
+        pub = keygen(params, "B", rng).public
+        r = rng.randrange(n)
+        c = derive_mask_coeffs(rng.randbytes(32), params)
+        for coeffs in (c, MaskCoefficients(0, 1, 0, 2 % n),
+                       MaskCoefficients(ell % n, ell * r % n, 0, 0),
+                       MaskCoefficients(0, 0, 0, 0)):
+            for key in (pub, mask_public(c, pub, 1)):
+                E, G, H = key
+                U, V = encode_mask_points(coeffs, E, G, H)
+                assert branch_kernels(coeffs, key, r, n) == (
+                    kernel_generator(E, G, r, H),
+                    kernel_generator(E, E.add(G, U), r, E.add(H, V)))
 
 
 # -- sessions ------------------------------------------------------------
