@@ -131,7 +131,7 @@ def distinguisher_fixture(params: PublicParams, rng=None, b: int = 1,
         coeffs = MaskCoefficients(alpha=0, beta=1, gamma=0, delta=2 % n)
     else:
         coeffs = derive_mask_coeffs(rng.randbytes(32), params)
-    return mask_public(coeffs, kp.public, b), coeffs
+    return mask_public(coeffs, kp.public, b, params.n("A")), coeffs
 
 
 def same_cyclic_subgroup(E: EllipticCurve, K1: Point, K2: Point,
@@ -143,6 +143,13 @@ def same_cyclic_subgroup(E: EllipticCurve, K1: Point, K2: Point,
     e_n(K1, K2) = e_n(K1, Q)^b, and e_n(K1, Q) has order n, so the
     pairing is 1 exactly when K2 lies in <K1>.  Points of lower order,
     or outside the ell^e-torsion, answer False.
+
+    The pairing stays at order n.  The order-ell pairing of the
+    multiples [ell^(e-1)]K1 and [ell^(e-1)]K2, on which
+    ``siot.read_public`` certifies a basis, is e_n(K1, K2)^(n/ell): it
+    is 1 exactly when b = 0 mod ell, that is when the two subgroups
+    share their order-ell subgroup, the first step of their walks, and
+    not only when they are equal.
     """
     try:
         if not (E.has_exact_order(K1, ell, e)

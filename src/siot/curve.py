@@ -11,9 +11,9 @@ on one shared chain of doublings.  ``add`` lifts its first point to
 Z = 1 and takes one mixed addition; ``mul`` runs ``jac_mul`` and
 ``mul2`` runs ``jac_mul2``.  Each converts back to affine once, in
 ``_affine``, so each makes one field inversion, and none when the
-result is O.  ``has_exact_order`` tests only the Z of its multiples,
-and ``is_basis`` compares x-coordinates projectively, so neither
-inverts.  The doubling and the mixed addition also serve the Miller
+result is O.  ``top_multiple`` and ``has_exact_order`` test only the
+Z of their multiples, and ``is_basis`` compares x-coordinates
+projectively, so none of them inverts.  The doubling and the mixed addition also serve the Miller
 loop in ``pairing``, and the isogeny walk keeps its multiples Jacobian
 until a step brings them to Z = 1 in one batch.
 The steps, ``_affine`` and the on-curve test are straight-line
@@ -24,9 +24,11 @@ The group law trusts its inputs: ``add``, ``mul`` and ``mul2`` assume
 their points lie on the curve and do not check.  Points are checked once,
 where outside data enters (``point``, ``check_point``); every point
 past that boundary is computed from checked ones.  Torsion is proved
-the same way, once, by ``has_exact_order`` or by ``is_basis``, which
-proves a pair and certifies it as a basis without a pairing: where a
-basis is sampled, and where a key or a parameter file enters.  Curves
+the same way, once, by ``top_multiple``, which ``has_exact_order`` and
+``is_basis`` run: ``is_basis`` proves a pair and certifies it as a
+basis without a pairing, where a basis is sampled and where a
+parameter file enters, and a received key keeps the multiples
+``top_multiple`` returns for its own certificate.  Curves
 too: the constructor trusts A and B to be nonsingular and of one field.
 A curve from outside data is tested where it is decoded
 (``siot.sidh._curve_from_obj``); every other curve is a fixed constant
@@ -220,7 +222,7 @@ class EllipticCurve:
         for _ in range(SAMPLING_TRIES):
             P = self.mul(cofactor, self.random_point(rng))
             try:
-                R = self._top_multiple(P, ell, e)
+                R = self.top_multiple(P, ell, e)
             except InvalidPointError as exc:
                 raise SamplingError(f"{group_exponent} leaves a point outside "
                                     f"the {n}-torsion") from exc
@@ -239,7 +241,7 @@ class EllipticCurve:
         Both multiples stay Jacobian and only their Z is tested, so the
         test inverts nothing.
         """
-        return self._top_multiple(P, ell, e)[2] != (0, 0)
+        return self.top_multiple(P, ell, e)[2] != (0, 0)
 
     def is_basis(self, P: Point, Q: Point, ell: int, e: int) -> bool:
         """Whether (P, Q), two points that must be ell^e-torsion, is a
@@ -256,12 +258,15 @@ class EllipticCurve:
         ell // 2 additions: parameter sets bound ell by
         ``siot.sidh.MAX_ELL``.
         """
-        R = self._top_multiple(P, ell, e)
-        return self._independent(R, self._top_multiple(Q, ell, e), ell)
+        R = self.top_multiple(P, ell, e)
+        return self._independent(R, self.top_multiple(Q, ell, e), ell)
 
-    def _top_multiple(self, P: Point, ell: int, e: int):
+    def top_multiple(self, P: Point, ell: int, e: int):
         """R = [ell^(e-1)]P in Jacobian form, proved to satisfy [ell]R = O
-        (else InvalidPointError) by testing only a Z."""
+        (else InvalidPointError) by testing only a Z.  P has exact order
+        ell^e when R is not O, and R then has order ell: the multiple the
+        exact-order test, the basis test and the receiver's certificate
+        in ``siot.siot.read_public`` share."""
         A, p = (self.A.a, self.A.b), self.ctx.p
         R = jac_mul(jacobian(P), ell ** (e - 1), A, p)
         if jac_mul(R, ell, A, p)[2] != (0, 0):

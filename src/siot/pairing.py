@@ -1,8 +1,9 @@
-"""Weil pairing on prime-power torsion, and the torsion-basis
-certificate built on it.  The certificate, which only
-``siot.siot.read_public`` calls, and the desk-scale probes in
-``analysis`` are the pairing's only callers; parameter bases are
-certified without a pairing, by ``EllipticCurve.is_basis``.
+"""Weil pairing on prime-power torsion.  Its callers in the package
+are the certificate of the receiver's pair in ``siot.siot.read_public``,
+a pairing of order ell on the multiples [ell^(e-1)]G and [ell^(e-1)]H
+that proved the pair's orders, and the desk-scale probes in
+``analysis``; parameter bases are certified without a pairing, by
+``EllipticCurve.is_basis``.
 
 Pairings return plain ``Fp2`` values, n-th roots of unity, and trust
 their inputs: like ``add`` and ``mul`` in ``curve``, they take points
@@ -148,16 +149,3 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> Fp2:
             raise ValueError("value does not satisfy its order bound")
         return z
     raise ArithmeticError("no admissible auxiliary point in 256 draws")
-
-
-def is_torsion_basis(E: EllipticCurve, P: Point, Q: Point,
-                     ell: int, e: int) -> bool:
-    """Whether (P, Q), two checked ell^e-torsion points of E, is a basis
-    of the ell^e-torsion.
-
-    The certificate is the Weil pairing: e(P, Q) must have exact order
-    ell^e.  ``EllipticCurve.is_basis`` answers the same without one.
-    """
-    n = ell ** e
-    return weil_pairing(E, P, Q, n) ** (n // ell) != E.ctx.one()
-

@@ -179,12 +179,15 @@ def keygen(params: PublicParams, side: str, rng) -> SidhKeyPair:
 
 
 def validate_public(params: PublicParams, producer_side: str,
-                    pub: SidhPublic) -> None:
+                    pub: SidhPublic):
     """The one check of a public key: points on curve and of exact
     torsion order.  ``siot.siot.read_public`` runs it where a key enters.
 
     A public key from side s carries images of the other side's basis,
     so its points must have exact order n(other(s)).  Failure aborts.
+    Returns the multiples R = [ell^(e-1)]G and S = [ell^(e-1)]H that
+    proved the orders, Jacobian and of order ell, on which
+    ``read_public`` certifies the receiver's pair.
     """
     code = "bad-sender-key" if producer_side == "A" else "bad-receiver-key"
     side = other_side(producer_side)
@@ -194,13 +197,16 @@ def validate_public(params: PublicParams, producer_side: str,
         pub.curve.check_point(pub.H)
     except InvalidPointError as exc:
         raise ProtocolAbort(code, f"public point off curve: {exc}") from exc
+    multiples = []
     for name, pt in (("G", pub.G), ("H", pub.H)):
         try:
-            full = pub.curve.has_exact_order(pt, ell, e)
+            R = pub.curve.top_multiple(pt, ell, e)
         except InvalidPointError as exc:
             raise ProtocolAbort(code, f"{name} is not {n}-torsion") from exc
-        if not full:
+        if R[2] == (0, 0):
             raise ProtocolAbort(code, f"{name} does not have full order {n}")
+        multiples.append(R)
+    return tuple(multiples)
 
 
 # -- serialization ----------------------------------------------------

@@ -40,12 +40,12 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
-from .curve import EllipticCurve, Point
+from .curve import EllipticCurve, Point, jac_normalize, unit_point
 from .errors import (DecodeError, DecryptionError, InvalidKernelError,
                      ProtocolAbort, RestartRequired)
-from .field import Fp2
+from .field import Fp2, inv_batch
 from .isogeny import isogeny_chain, kernel_generator
-from .pairing import is_torsion_basis
+from .pairing import weil_pairing
 from .sidh import (
     PublicParams,
     SidhKeyPair,
@@ -143,16 +143,25 @@ def encode_mask_points(coeffs: MaskCoefficients, curve: EllipticCurve,
             curve.mul2(coeffs.gamma, G, coeffs.delta, H))
 
 
-def mask_public(coeffs: MaskCoefficients, pub: SidhPublic,
-                b: int) -> SidhPublic:
+def mask_public(coeffs: MaskCoefficients, pub: SidhPublic, b: int,
+                n: int) -> SidhPublic:
     """The receiver's published key: its own for bit 0, and for bit 1
-    its basis images shifted to (G - U, H - V).  The mask is computed
-    for either bit, so both bits do the same work."""
+    its basis images shifted to (G - U, H - V).
+
+    The shifted pair is the mask of I - M, [1 - alpha]G + [-beta]H and
+    [-gamma]G + [1 - delta]H, with its scalars reduced mod the torsion
+    order n = lA^eA, which G and H have: two joint multiplications and
+    no subtraction.  Bit 0 forms the mask (U, V) of M, so both bits do
+    the same work.
+    """
     E = pub.curve
-    U, V = encode_mask_points(coeffs, E, pub.G, pub.H)
     if b == 0:
+        encode_mask_points(coeffs, E, pub.G, pub.H)
         return pub
-    return SidhPublic(E, E.sub(pub.G, U), E.sub(pub.H, V))
+    alpha, beta, gamma, delta = coeffs
+    shifted = MaskCoefficients((1 - alpha) % n, -beta % n, -gamma % n,
+                               (1 - delta) % n)
+    return SidhPublic(E, *encode_mask_points(shifted, E, pub.G, pub.H))
 
 
 def branch_kernels(coeffs: MaskCoefficients, pub: SidhPublic, r: int,
@@ -250,16 +259,34 @@ def read_public(params: PublicParams, producer: str,
         pub = public_from_obj(params.ctx, body)
     except DecodeError as exc:
         raise ProtocolAbort("bad-message", str(exc)) from exc
-    validate_public(params, producer, pub)
-    # The one pairing left on the session path.  EllipticCurve.is_basis
-    # gives the same verdict without it, but bench/test_bench.py pins this
-    # pairing (weil > 0 on every workload, weil == 1 and miller == 4 per
-    # clean p431 attempt); it goes with ROADMAP item 1's benchmark change.
-    if producer == "B" and not is_torsion_basis(
-            pub.curve, pub.G, pub.H, params.ell_a, params.e_a):
+    R, S = validate_public(params, producer, pub)
+    # The one pairing on the session path, kept because
+    # bench/test_bench.py pins it (weil > 0 on every workload, weil == 1
+    # and miller == 4 per clean p431 attempt).  Once ROADMAP item 1
+    # moves those pins, pub.curve._independent(R, S, params.ell_a) on
+    # the same multiples gives the same verdict without it.
+    if producer == "B" and not _independent_by_pairing(
+            pub.curve, R, S, params.ell_a):
         raise ProtocolAbort("bad-receiver-key",
                             "masked pair is not a torsion basis")
     return pub
+
+
+def _independent_by_pairing(E: EllipticCurve, R, S, ell: int) -> bool:
+    """Whether the Jacobian points R and S of E, of order ell, are
+    independent: e_ell(R, S) != 1.
+
+    With R = [n/ell]G and S = [n/ell]H for G, H of order n = ell^e,
+    bilinearity gives e_n(G, H)^(n/ell) = e_ell(R, S), so this is the
+    order-n certificate's verdict on (G, H) at O(log ell) Miller steps
+    instead of O(e log ell).  R and S come to Z = 1 by one batched
+    inversion.
+    """
+    ctx, p = E.ctx, E.ctx.p
+    zis = inv_batch(ctx, [R[2], S[2]])
+    Ra, Sa = (unit_point(ctx, jac_normalize(T, zi, p))
+              for T, zi in zip((R, S), zis))
+    return weil_pairing(E, Ra, Sa, ell) != ctx.one()
 
 
 def read_ciphertexts(body: dict) -> tuple[bytes, bytes]:
@@ -423,7 +450,8 @@ class SiotSession:
             body = public_to_obj(self.keypair.public)
         else:
             body = public_to_obj(
-                mask_public(self.coeffs, self.keypair.public, self.b))
+                mask_public(self.coeffs, self.keypair.public, self.b,
+                            self.params.n("A")))
         self._pk_bodies.append(body)
         return body
 

@@ -33,7 +33,8 @@ The pairing extras at the end were the package's until nothing in it
 called them: the distortion map and the modified and symmetric
 pairings, the decomposition of a point over a torsion basis by discrete
 logs of pairings, which is the reference for the one-pairing subgroup
-test in ``siot.analysis``, and the check of every mask constraint.
+test in ``siot.analysis``, the order-n basis certificate
+``is_torsion_basis``, and the check of every mask constraint.
 They build on the package's ``weil_pairing`` and group law.
 """
 
@@ -661,6 +662,20 @@ def decompose_in_basis(E: EllipticCurve, G: Point, H: Point,
     if E.add(E.mul(u, G), E.mul(v, H)) != P:
         raise DecompositionError("recombination mismatch")
     return u, v
+
+
+def is_torsion_basis(E: EllipticCurve, P: Point, Q: Point,
+                     ell: int, e: int) -> bool:
+    """Whether (P, Q), two checked ell^e-torsion points of E, is a basis
+    of the ell^e-torsion: e_n(P, Q) must have exact order n = ell^e.
+
+    The order-n pairing certificate, the package's own until it
+    certified the receiver's pair at order ell on the multiples
+    [ell^(e-1)]P and [ell^(e-1)]Q; the reference for that certificate
+    and for ``EllipticCurve.is_basis``.
+    """
+    n = ell ** e
+    return weil_pairing(E, P, Q, n) ** (n // ell) != E.ctx.one()
 
 
 def check_mask_coefficients(coeffs: MaskCoefficients,

@@ -4,15 +4,16 @@ arithmetic and literal repeated addition."""
 import pytest
 
 from oracles import (SHAPES, affine_add, all_points, ec_add_fp, ec_mul_fp,
-                     multiplicative_order, naive_mul, naive_order,
-                     pairs_with_verdicts, reference_step, shape_id,
-                     shape_params)
+                     is_torsion_basis, multiplicative_order, naive_mul,
+                     naive_order, pairs_with_verdicts, reference_step,
+                     shape_id, shape_params)
 from siot import det_rng, gen_params
 from siot.curve import (INFINITY, JAC_INFINITY, EllipticCurve, Point, jac_add,
                         jac_mul, jac_mul2, jac_triple)
-from siot.errors import InvalidPointError, SamplingError
+from siot.errors import InvalidPointError, ProtocolAbort, SamplingError
 from siot.field import FieldContext
-from siot.pairing import is_torsion_basis
+from siot.sidh import PublicParams, SidhPublic, public_to_obj
+from siot.siot import read_public
 
 CTX = FieldContext(431)
 E0 = EllipticCurve(CTX.elem(1), CTX.elem(0))
@@ -302,6 +303,21 @@ def test_mul2_matches_mul_on_sampled_points(name, request):
 
 # -- the basis test against the pairing certificate ------------------------
 
+def _receiver_verdict(E, P, Q, ell, e):
+    """Whether ``read_public`` accepts (P, Q) on E as a receiver pair
+    certified in the ell^e-torsion: ``validate_public``'s exact-order
+    test, then the pairing of order ell on the multiples it returns.
+    Only the A side's shape and the field matter to that reader."""
+    params = PublicParams(E.ctx.p, ell, e, 1, 1, 1, E, (INFINITY, INFINITY),
+                          (INFINITY, INFINITY))
+    try:
+        read_public(params, "B", public_to_obj(SidhPublic(E, P, Q)))
+    except ProtocolAbort as exc:
+        assert exc.code == "bad-receiver-key", exc
+        return False
+    return True
+
+
 def _torsion(E, pts, ell, e):
     """The ell^e-torsion points among ``pts``: those of exact order
     ell^e, and the others (O included)."""
@@ -317,9 +333,12 @@ def _torsion(E, pts, ell, e):
     (19, ((5, 1),)),             # 19 = 2^2 * 5 - 1: two x-comparisons
 ], ids=["p71", "p19"])
 def test_is_basis_agrees_with_the_pairing_exhaustively(p, sides):
-    """Every ordered pair of exact-order points, against the Weil pairing
-    certificate; every pair with a point of lower order, O included, is
-    refused, whichever side it is on."""
+    """Every ordered pair of exact-order points, against the order-n
+    Weil pairing certificate, and so is the receiver's certificate in
+    ``read_public``, of order ell on the shared multiples; every pair
+    with a point of lower order, O included, is refused by both,
+    whichever side it is on.  No curve of ``SHAPES`` has p < 100, so
+    these two small curves carry the exhaustive check."""
     ctx = FieldContext(p)
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
     pts = all_points(E)
@@ -331,12 +350,16 @@ def test_is_basis_agrees_with_the_pairing_exhaustively(p, sides):
             for Q in exact:
                 want = is_torsion_basis(E, P, Q, ell, e)
                 assert E.is_basis(P, Q, ell, e) == want, (P, Q)
+                assert _receiver_verdict(E, P, Q, ell, e) == want, (P, Q)
                 verdicts.add(want)
             for L in lower:
                 assert not E.is_basis(P, L, ell, e), (P, L)
                 assert not E.is_basis(L, P, ell, e), (L, P)
+                assert not _receiver_verdict(E, P, L, ell, e), (P, L)
+                assert not _receiver_verdict(E, L, P, ell, e), (L, P)
         assert verdicts == {True, False}
         assert not E.is_basis(INFINITY, INFINITY, ell, e)
+        assert not _receiver_verdict(E, INFINITY, INFINITY, ell, e)
 
 
 def test_is_basis_compares_with_every_multiple():
@@ -351,6 +374,7 @@ def test_is_basis_compares_with_every_multiple():
             Q = E.add(E.mul(a, G), E.mul(b, H))
             assert E.is_basis(G, Q, 17, 1) == (b != 0), (a, b)
             assert is_torsion_basis(E, G, Q, 17, 1) == (b != 0), (a, b)
+            assert _receiver_verdict(E, G, Q, 17, 1) == (b != 0), (a, b)
 
 
 def test_is_basis_refuses_a_point_outside_the_torsion():
@@ -371,7 +395,9 @@ def test_is_basis_refuses_a_point_outside_the_torsion():
 def test_is_basis_agrees_with_the_pairing_on_sampled_pairs(name, request):
     """30 pairs per set, about half of them dependent, on both towers of
     the named sets and of the small shapes, where ell reaches 11: up to
-    ell // 2 = 5 x-comparisons each."""
+    ell // 2 = 5 x-comparisons each.  The receiver's certificate in
+    ``read_public`` agrees too, and refuses each dependent pair
+    (P, [k]P) for a unit k and for a multiple k of ell."""
     if isinstance(name, str):
         params, tag = request.getfixturevalue(name), name.encode()
     else:
@@ -381,5 +407,12 @@ def test_is_basis_agrees_with_the_pairing_on_sampled_pairs(name, request):
     for E, P, Q, ell, e, want in pairs_with_verdicts(params, rng, 15):
         assert E.is_basis(P, Q, ell, e) == want
         assert is_torsion_basis(E, P, Q, ell, e) == want
+        assert _receiver_verdict(E, P, Q, ell, e) == want
         verdicts.append(want)
+        if len(verdicts) % 5 == 1 and E.has_exact_order(P, ell, e):
+            for k in (1 + ell * rng.randrange(1 << 20), ell - 1,
+                      ell * rng.randrange(1, 1 << 20)):
+                Q = E.mul(k, P)
+                assert not E.is_basis(P, Q, ell, e), k
+                assert not _receiver_verdict(E, P, Q, ell, e), k
     assert len(verdicts) == 30 and verdicts.count(False) >= 16

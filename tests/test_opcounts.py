@@ -4,11 +4,12 @@ changed number, without any timing noise."""
 import siot.curve
 import siot.isogeny
 import siot.pairing
+import siot.siot
 import siot.wire
 from loopback import JOIN_S, LoopbackPipe, closing_thread
 from siot import (SessionConfig, Transcript, det_rng, gen_params, keygen,
                   params_from_obj, params_to_obj, preset, run_local,
-                  run_session, validate_public)
+                  run_session, validate_public, verify_transcript)
 from siot.curve import EllipticCurve
 from siot.field import Fp2
 from siot.isogeny import isogeny_chain, kernel_generator
@@ -111,7 +112,10 @@ def test_p431_session_op_counts(counter):
     point, so the two affine additions left are the certificate
     pairing's; (inv, add) was (45, 13) when the sender built the
     shifted key's points and each kernel took a multiplication and an
-    addition."""
+    addition.  The certificate pairs the multiples of order 2 that
+    proved the receiver pair's orders, brought to affine by one batched
+    inversion: 33 where the order-16 pairing of the pair itself made
+    32."""
     params = preset("p431")
     mul = counter(Fp2, "__mul__")
     inv = counter(Fp2, "inv")
@@ -122,7 +126,7 @@ def test_p431_session_op_counts(counter):
                                   x0=b"zero", x1=b"one"))
     assert out["restarts"] == 0
     assert out["output"] == b"zero"
-    assert (inv[0], add[0], velu[0]) == (32, 2, 18)
+    assert (inv[0], add[0], velu[0]) == (33, 2, 18)
     assert mul[0] == 28
     # G and H once in each party's validate_public of the peer's key
     assert checks[0] == 4
@@ -137,15 +141,40 @@ def test_p102_session_jacobian_steps(counter):
     point.  When each scalar had its own chain, a session took
     (1043, 226, 0, 226) for bit 0 and (1043, 228, 0, 226) for bit 1.
     The full additions add a stored sum of the two points, which is
-    Jacobian, to a chain."""
+    Jacobian, to a chain.  For bit 1 the receiver forms its shifted
+    pair directly, by the two joint multiplications of I - M, where it
+    formed (U, V) and subtracted: (860, 186, 8, 226) then."""
     params = _p102()
-    for b, want in ((0, (860, 184, 8, 226)), (1, (860, 186, 8, 226))):
+    for b, want in ((0, (860, 184, 8, 226)), (1, (856, 172, 13, 226))):
         steps = [counter(siot.curve, name) for name in (
             "jac_double", "jac_add_affine", "jac_add", "jac_triple")]
         out = run_local(SessionConfig(params, seed=b"golden-p102", b=b,
                                       x0=b"zero", x1=b"one"))
         assert out["restarts"] == 0
         assert tuple(c[0] for c in steps) == want
+
+
+def test_session_pairing_is_of_order_ell_a(monkeypatch):
+    """The one pairing of a session, and of a transcript's audit, is
+    the receiver pair's certificate of order lA, on the multiples that
+    proved the pair's orders: a clean p431 session and a p2591
+    ``verify_transcript`` each make one, of order 2."""
+    orders = []
+
+    def recording(E, P, Q, n):
+        orders.append(n)
+        return weil_pairing(E, P, Q, n)
+    monkeypatch.setattr(siot.siot, "weil_pairing", recording)
+    out = run_local(SessionConfig(preset("p431"), seed=b"opcount", b=1,
+                                  x0=b"zero", x1=b"one"))
+    assert out["restarts"] == 0 and out["output"] == b"one"
+    assert orders == [2]
+    params = preset("p2591")
+    out = run_local(SessionConfig(params, seed=b"opcount", b=0,
+                                  x0=b"zero", x1=b"one"))
+    del orders[:]
+    assert verify_transcript(out["transcript"], params)["ok"]
+    assert orders == [2]
 
 
 def test_online_pair_serializes_each_message_once(counter):

@@ -90,6 +90,29 @@ def test_compatibility_across_levels():
         assert multiplicative_order(zm, m) == m   # basis survives scaling
 
 
+def test_top_multiples_pair_to_the_power_of_the_pairing():
+    """e_n(P, Q)^(n/ell) = e_ell([n/ell]P, [n/ell]Q) for P, Q in the
+    n = ell^e torsion: the identity by which the receiver's certificate
+    pairs the order-ell multiples in place of the pair.  Over every
+    (a, b) and c of P = G, Q = [a]G + [b]H and P' = [c]G + H, so both
+    dependent and independent pairs, on both towers of p431."""
+    for ell, e in ((2, 4), (3, 3)):
+        n, m = ell ** e, ell ** (e - 1)
+        G, H = _basis(ell, e, b"top-%d" % ell)
+        pairs = [(G, E0.add(E0.mul(a, G), E0.mul(b, H)))
+                 for a in range(ell) for b in range(ell ** 2)]
+        pairs += [(E0.add(E0.mul(c, G), H), G) for c in range(ell)]
+        verdicts = set()
+        for P, Q in pairs:
+            if E0.mul(m, Q).infinity:
+                continue
+            want = weil_pairing(E0, P, Q, n) ** m
+            got = weil_pairing(E0, E0.mul(m, P), E0.mul(m, Q), ell)
+            assert got == want, (P, Q)
+            verdicts.add(got == CTX.one())
+        assert verdicts == {True, False}
+
+
 def test_degenerate_inputs():
     P, Q = _basis(2, 4, b"degen")
     from siot.curve import INFINITY

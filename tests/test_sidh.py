@@ -181,11 +181,21 @@ def test_validate_public_rejects_garbage(p431):
 
 
 def test_validate_accepts_honest_keys(p431):
+    """An honest key passes, and the multiples that proved its orders
+    come back: R = [ell^(e-1)]G and S = [ell^(e-1)]H, Jacobian, of
+    order ell."""
     rng = det_rng(6)
     for side in ("A", "B"):
         kp = keygen(p431, side, rng)
-        validate_public(p431, side, kp.public)
-        assert other_side(side) in ("A", "B") and other_side(side) != side
+        E, G, H = kp.public
+        other = other_side(side)
+        assert other in ("A", "B") and other != side
+        ell, e = p431.ell(other), p431.e(other)
+        R, S = validate_public(p431, side, kp.public)
+        for T, P in ((R, G), (S, H)):
+            assert E._affine(T) == E.mul(ell ** (e - 1), P)
+            assert not E._affine(T).infinity
+            assert E.mul(ell, E._affine(T)).infinity
 
 
 def test_public_codec_roundtrip(p431):

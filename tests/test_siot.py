@@ -176,6 +176,27 @@ def test_masked_pair_keeps_pairing_value(p431):
 
 
 @pytest.mark.parametrize("name", ["p431", "p2591", "set3", "p102"])
+def test_masked_public_is_the_pair_minus_the_mask(name, request):
+    """For bit 1 the published pair, formed as the mask of I - M, is
+    (G - U, H - V); bit 0 publishes the key itself.  Derived tuples and
+    the hand-built ones ``siot.analysis`` passes alike."""
+    params = request.getfixturevalue(name)
+    rng = det_rng(b"mask-public/" + name.encode())
+    n, ell = params.n("A"), params.ell_a
+    for _ in range(3):
+        pub = keygen(params, "B", rng).public
+        E, G, H = pub
+        c = derive_mask_coeffs(rng.randbytes(32), params)
+        for coeffs in (c, MaskCoefficients(0, 1, 0, 2 % n),
+                       MaskCoefficients(ell % n, 1, 0, 0),
+                       MaskCoefficients(0, 0, 0, 0)):
+            U, V = encode_mask_points(coeffs, E, G, H)
+            assert mask_public(coeffs, pub, 0, n) == pub
+            assert mask_public(coeffs, pub, 1, n) == (
+                E, E.sub(G, U), E.sub(H, V))
+
+
+@pytest.mark.parametrize("name", ["p431", "p2591", "set3", "p102"])
 def test_branch_kernels_are_the_shifted_pairs_kernels(name, request):
     """The sender's two kernels, each formed as one combination of the
     received pair, equal G + [r]H and (G + U) + [r](H + V) built from
@@ -193,7 +214,7 @@ def test_branch_kernels_are_the_shifted_pairs_kernels(name, request):
         for coeffs in (c, MaskCoefficients(0, 1, 0, 2 % n),
                        MaskCoefficients(ell % n, ell * r % n, 0, 0),
                        MaskCoefficients(0, 0, 0, 0)):
-            for key in (pub, mask_public(c, pub, 1)):
+            for key in (pub, mask_public(c, pub, 1, n)):
                 E, G, H = key
                 U, V = encode_mask_points(coeffs, E, G, H)
                 assert branch_kernels(coeffs, key, r, n) == (
