@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .curve import EllipticCurve, Point
 from .errors import (DecryptionError, InconsistentKeyError,
                      InvalidPointError, UnsupportedParameterError)
+from .field import Fp2
 from .isogeny import isogeny_chain, kernel_generator
 from .pairing import weil_pairing
 from .sidh import PublicParams, SidhPublic, keygen, other_side
@@ -54,11 +55,13 @@ class OracleResult(NamedTuple):
     seconds: float
 
 
-def equivariance_precheck(params: PublicParams, rng=None) -> None:
-    """Assert e(phi(P), phi(Q)) = e(P, Q)^(deg phi) on a fresh keypair.
+def equivariance_precheck(params: PublicParams, rng=None) -> Fp2:
+    """Assert e(phi(P), phi(Q)) = e(P, Q)^(deg phi) on a fresh keypair,
+    and return the right side, e(PA, QA)^(lB^eB) on E0.
 
-    The distinguisher's target value rests on this relation; it is
-    re-verified from scratch before any scan trusts it.
+    That value is the distinguisher's public target, and the target
+    rests on this relation; it is re-verified from scratch before any
+    scan trusts it.
     """
     rng = rng if rng is not None else det_rng(b"equivariance-precheck")
     n = params.n("A")
@@ -69,6 +72,7 @@ def equivariance_precheck(params: PublicParams, rng=None) -> None:
     if lhs != rhs:
         raise AssertionError("pairing does not commute with the isogeny "
                              "at the expected exponent")
+    return rhs
 
 
 # lambdas a scan samples where n is too large to sweep them all
@@ -78,7 +82,12 @@ LAMBDA_COUNT = 64
 def _lambda_values(n: int, rng) -> tuple:
     if n <= 256:
         return tuple(range(n))
-    return tuple(sorted(rng.sample(range(n), LAMBDA_COUNT)))
+    # the first LAMBDA_COUNT distinct draws, sorted: for n > 277 exactly
+    # what random.sample takes, and unlike it valid for n >= 2^63
+    picked = set()
+    while len(picked) < LAMBDA_COUNT:
+        picked.add(rng.randrange(n))
+    return tuple(sorted(picked))
 
 
 def distinguisher_scan(params: PublicParams, masked_public: SidhPublic,
@@ -93,13 +102,11 @@ def distinguisher_scan(params: PublicParams, masked_public: SidhPublic,
     mask family makes the two sweeps identical for every lambda.
     """
     rng = rng if rng is not None else det_rng(b"distinguisher-scan")
-    equivariance_precheck(params, rng)
+    target = equivariance_precheck(params, rng)
     n = params.n("A")
     E = masked_public.curve
     G, H = masked_public.G, masked_public.H
     U, V = encode_mask_points(coeffs, E, G, H)
-    PA, QA = params.basis_a
-    target = weil_pairing(params.curve, PA, QA, n) ** params.n("B")
     G1, H1 = E.add(G, U), E.add(H, V)
     lambdas = _lambda_values(n, rng)
     verdicts = {}

@@ -53,117 +53,113 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="siot", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True)
+def _arg_type(parse, prefix: str = ""):
+    """A parser type reading an argument with ``parse``, whose ValueError
+    is refused with its own text (argparse would put its own in place).
+    File contents are read in the commands, not in types: argparse turns
+    a type's ValueError or TypeError into exit 4, hiding a reader's bug."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise UsageError(f"{prefix}{exc}") from exc
+    return convert
 
-    def add_params_opts(sp):
+
+def parse_addr(addr: str) -> tuple[str, int]:
+    host, sep, port = addr.rpartition(":")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"address must be host:port, got {addr!r}")
+    return host or "127.0.0.1", int(port)
+
+
+def _command(sub, name: str, handler, *groups: str, **kwargs):
+    """Add the command ``name``, run by ``handler``, with the shared
+    option groups it names (params, net, choice, msgs, seed, transcript,
+    out), declared here in that order."""
+    sp = sub.add_parser(name, **kwargs)
+    sp.set_defaults(handler=handler)
+    if "params" in groups:
         g = sp.add_mutually_exclusive_group()
         g.add_argument("--preset", choices=PRESET_NAMES,
                        help="named parameter set")
         g.add_argument("--params", metavar="FILE",
                        help="parameter JSON produced by gen-params")
-
-    def add_net_opts(sp):
+    if "net" in groups:
         g = sp.add_mutually_exclusive_group(required=True)
-        g.add_argument("--listen", metavar="ADDR", help="host:port to bind")
-        g.add_argument("--connect", metavar="ADDR", help="host:port to dial")
+        addr = _arg_type(parse_addr)
+        g.add_argument("--listen", metavar="ADDR", type=addr,
+                       help="host:port to bind")
+        g.add_argument("--connect", metavar="ADDR", type=addr,
+                       help="host:port to dial")
+    if "choice" in groups:
+        sp.add_argument("--choice", type=int, choices=(0, 1), required=True)
+    if "msgs" in groups:
+        sp.add_argument("--msg0", metavar="FILE", required=True)
+        sp.add_argument("--msg1", metavar="FILE", required=True)
+    if "seed" in groups:
+        sp.add_argument("--seed", metavar="HEX",
+                        type=_arg_type(strict_fromhex, "--seed must be hex: "))
+    if "transcript" in groups:
+        sp.add_argument("--transcript", metavar="FILE")
+    if "out" in groups:
+        sp.add_argument("-o", "--out", metavar="FILE", help="output file")
+    return sp
 
-    sp = sub.add_parser("gen-params", help="search and write parameters")
-    sp.add_argument("--la", type=int, required=True)
-    sp.add_argument("--ea", type=int, required=True)
-    sp.add_argument("--lb", type=int, required=True)
-    sp.add_argument("--eb", type=int, required=True)
+
+def _build_parser() -> _Parser:
+    p = _Parser(prog="siot", description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sp = _command(sub, "gen-params", _cmd_gen_params, "seed", "out",
+                  help="search and write parameters")
+    for flag in ("--la", "--ea", "--lb", "--eb"):
+        sp.add_argument(flag, type=int, required=True)
     sp.add_argument("--max-f", type=int, default=4)
     sp.add_argument("--general-f", action="store_true",
                     help="search every cofactor, not just 1 and 4")
-    sp.add_argument("--seed", metavar="HEX")
-    sp.add_argument("-o", "--out", metavar="FILE")
 
-    sp = sub.add_parser("keygen", help="generate one side's key pair")
-    add_params_opts(sp)
+    sp = _command(sub, "keygen", _cmd_keygen, "params", "seed", "out",
+                  help="generate one side's key pair")
     sp.add_argument("--side", choices=("A", "B"), required=True)
-    sp.add_argument("--seed", metavar="HEX")
     sp.add_argument("--export-secret", action="store_true")
-    sp.add_argument("-o", "--out", metavar="FILE")
 
-    sp = sub.add_parser("send", help="run the sender over the network")
-    add_params_opts(sp)
-    add_net_opts(sp)
-    sp.add_argument("--msg0", metavar="FILE", required=True)
-    sp.add_argument("--msg1", metavar="FILE", required=True)
-    sp.add_argument("--seed", metavar="HEX")
-    sp.add_argument("--transcript", metavar="FILE")
-
-    sp = sub.add_parser("receive", help="run the receiver over the network")
-    add_params_opts(sp)
-    add_net_opts(sp)
-    sp.add_argument("--choice", type=int, choices=(0, 1), required=True)
-    sp.add_argument("--seed", metavar="HEX")
-    sp.add_argument("--transcript", metavar="FILE")
-    sp.add_argument("-o", "--out", metavar="FILE",
-                    help="write the delivered bytes here")
-
-    sp = sub.add_parser("run-local", help="run both parties in-process")
-    add_params_opts(sp)
-    sp.add_argument("--choice", type=int, choices=(0, 1), required=True)
-    sp.add_argument("--msg0", metavar="FILE", required=True)
-    sp.add_argument("--msg1", metavar="FILE", required=True)
-    sp.add_argument("--seed", metavar="HEX")
-    sp.add_argument("--transcript", metavar="FILE")
-    sp.add_argument("-o", "--out", metavar="FILE")
-
-    sp = sub.add_parser("verify-transcript", help="replay all validations")
+    _command(sub, "send", _cmd_send, "params", "net", "msgs", "seed",
+             "transcript", help="run the sender over the network")
+    _command(sub, "receive", _cmd_receive, "params", "net", "choice", "seed",
+             "transcript", "out", help="run the receiver over the network")
+    _command(sub, "run-local", _cmd_run_local, "params", "choice", "msgs",
+             "seed", "transcript", "out", help="run both parties in-process")
+    sp = _command(sub, "verify-transcript", _cmd_verify_transcript, "params",
+                  help="replay all validations")
     sp.add_argument("transcript", metavar="FILE")
-    add_params_opts(sp)
 
-    sp = sub.add_parser("attack", help="adversarial probes and oracles")
-    asub = sp.add_subparsers(dest="attack", required=True)
-    ap = asub.add_parser("distinguisher")
-    add_params_opts(ap)
-    ap.add_argument("--seed", metavar="HEX")
-    ap.add_argument("--violate", action="store_true",
+    asub = sub.add_parser("attack", help="adversarial probes and oracles") \
+        .add_subparsers(dest="attack", required=True)
+    sp = _command(asub, "distinguisher", _cmd_distinguisher, "params", "seed")
+    sp.add_argument("--violate", action="store_true",
                     help="plant a constraint violation as positive control")
-    ap.add_argument("--bit", type=int, choices=(0, 1), default=1)
-    ap = asub.add_parser("dishonest-bob")
-    add_params_opts(ap)
-    ap.add_argument("--seed", metavar="HEX")
-    ap = asub.add_parser("brute-force")
-    add_params_opts(ap)
-    ap.add_argument("--seed", metavar="HEX")
-    ap.add_argument("--side", choices=("A", "B"), default="A")
+    sp.add_argument("--bit", type=int, choices=(0, 1), default=1)
+    _command(asub, "dishonest-bob", _cmd_dishonest_bob, "params", "seed")
+    sp = _command(asub, "brute-force", _cmd_brute_force, "params", "seed")
+    sp.add_argument("--side", choices=("A", "B"), default="A")
 
-    sp = sub.add_parser("baseline-ot", help="the classical-group reference OT")
-    bsub = sp.add_subparsers(dest="baseline", required=True)
-    bp = bsub.add_parser("run")
-    bp.add_argument("--choice", type=int, choices=(0, 1), required=True)
-    bp.add_argument("--msg0", metavar="FILE", required=True)
-    bp.add_argument("--msg1", metavar="FILE", required=True)
-    bp.add_argument("--seed", metavar="HEX")
-    bp.add_argument("--transcript", metavar="FILE")
-    bp.add_argument("-o", "--out", metavar="FILE")
-
+    bsub = sub.add_parser("baseline-ot",
+                          help="the classical-group reference OT") \
+        .add_subparsers(dest="baseline", required=True)
+    _command(bsub, "run", _cmd_baseline, "choice", "msgs", "seed",
+             "transcript", "out")
     return p
 
 
-def _params_from_args(args):
-    if getattr(args, "params", None):
+def _params(args):
+    if args.params:
         try:
             obj = read_json(_read_file(args.params))
         except DecodeError as exc:
             raise DecodeError(f"params file: {exc}") from exc
         return params_from_obj(obj)
     return preset(args.preset or "p431")
-
-
-def _seed_from_args(args):
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        try:
-            strict_fromhex(seed)
-        except ValueError as exc:
-            raise UsageError(f"--seed must be hex: {exc}") from exc
-    return seed
 
 
 def _read_file(path: str) -> bytes:
@@ -199,27 +195,31 @@ def _emit(obj, out_path=None) -> None:
         _print(text)
 
 
-def _emit_delivered(output: bytes, out_path=None) -> None:
-    if out_path:
-        _write_file(out_path, output)
+def _finish(outcome, args) -> int:
+    """Write ``--transcript``, then ``-o``, then print the delivered bytes."""
+    if args.transcript:
+        _write_file(args.transcript, outcome["transcript"].to_bytes())
+    output = outcome["output"]
+    if args.out:
+        _write_file(args.out, output)
     _print(f"delivered-hex: {output.hex()}")
     try:
         _print(f"delivered-text: {output.decode('utf-8')}")
     except UnicodeDecodeError:
         pass
+    return 0
 
 
 def _cmd_gen_params(args) -> int:
     params = gen_params(args.la, args.ea, args.lb, args.eb,
-                        max_f=args.max_f, rng=det_rng(_seed_from_args(args)),
+                        max_f=args.max_f, rng=det_rng(args.seed),
                         general_f=args.general_f)
     _emit(params_to_obj(params), args.out)
     return 0
 
 
 def _cmd_keygen(args) -> int:
-    params = _params_from_args(args)
-    kp = keygen(params, args.side, det_rng(_seed_from_args(args)))
+    kp = keygen(_params(args), args.side, det_rng(args.seed))
     obj = {"side": kp.side, "public": public_to_obj(kp.public)}
     if args.export_secret:
         obj["secret_r"] = kp.r
@@ -227,41 +227,30 @@ def _cmd_keygen(args) -> int:
     return 0
 
 
-def _save_transcript(outcome, path) -> None:
-    if path:
-        _write_file(path, outcome["transcript"].to_bytes())
-
-
-def parse_addr(addr: str) -> tuple[str, int]:
-    host, sep, port = addr.rpartition(":")
-    if not sep or not port.isdigit() or int(port) > 65535:
-        raise ValueError(f"address must be host:port, got {addr!r}")
-    return host or "127.0.0.1", int(port)
-
-
-def connect(addr: str):
+def connect(addr: tuple[str, int]):
     import socket
 
-    host, port = parse_addr(addr)
     try:
-        sock = socket.create_connection((host, port), timeout=30)
+        sock = socket.create_connection(addr, timeout=30)
     except OSError as exc:
-        raise TransportError(f"connect to {addr} failed: {exc}") from exc
+        raise TransportError(f"connect to {addr[0]}:{addr[1]} failed: "
+                             f"{exc}") from exc
     stream = sock.makefile("rwb")
     sock.close()    # the stream holds the connection until it is closed
     return stream
 
 
-def serve_one(addr: str, ready_event=None):
-    """Accept a single connection and return its stream; ``ready_event``
-    (a ``threading.Event``), if given, is set once the socket listens."""
+def serve_one(addr: tuple[str, int], ready_event=None):
+    """Accept one connection on ``addr``, a (host, port) pair, and return
+    its stream; ``ready_event`` (a ``threading.Event``), if given, is set
+    once the socket listens."""
     import socket
 
-    host, port = parse_addr(addr)
+    where = f"{addr[0]}:{addr[1]}"
     try:
-        srv = socket.create_server((host, port))
+        srv = socket.create_server(addr)
     except OSError as exc:
-        raise TransportError(f"listen on {addr} failed: {exc}") from exc
+        raise TransportError(f"listen on {where} failed: {exc}") from exc
     try:
         srv.settimeout(30)
         if ready_event is not None:
@@ -269,83 +258,74 @@ def serve_one(addr: str, ready_event=None):
         conn, _ = srv.accept()
     except OSError as exc:
         srv.close()
-        raise TransportError(f"accept on {addr} failed: {exc}") from exc
+        raise TransportError(f"accept on {where} failed: {exc}") from exc
     srv.close()
     stream = conn.makefile("rwb")
     conn.close()    # the stream holds the connection until it is closed
     return stream
 
 
-def _open_stream(args):
+def _online(role: str, config: SessionConfig, args) -> dict:
+    """One session over the stream ``--listen`` accepts or ``--connect``
+    dials."""
+    stream = serve_one(args.listen) if args.listen else connect(args.connect)
     try:
-        if args.listen:
-            return serve_one(args.listen)
-        return connect(args.connect)
-    except ValueError as exc:        # a malformed host:port
-        raise UsageError(str(exc)) from exc
+        return run_session(role, config, stream)
+    finally:
+        stream.close()
 
 
 def _cmd_send(args) -> int:
-    params = _params_from_args(args)
-    config = SessionConfig(params, seed=_seed_from_args(args),
+    config = SessionConfig(_params(args), seed=args.seed,
                            x0=_read_file(args.msg0), x1=_read_file(args.msg1))
-    stream = _open_stream(args)
-    try:
-        outcome = run_session("sender", config, stream)
-    finally:
-        stream.close()
-    _save_transcript(outcome, args.transcript)
+    outcome = _online("sender", config, args)
+    if args.transcript:
+        _write_file(args.transcript, outcome["transcript"].to_bytes())
     _print("sent both ciphertexts")
     return 0
 
 
 def _cmd_receive(args) -> int:
-    params = _params_from_args(args)
-    config = SessionConfig(params, seed=_seed_from_args(args), b=args.choice)
-    stream = _open_stream(args)
-    try:
-        outcome = run_session("receiver", config, stream)
-    finally:
-        stream.close()
-    _save_transcript(outcome, args.transcript)
-    _emit_delivered(outcome["output"], args.out)
-    return 0
+    config = SessionConfig(_params(args), seed=args.seed, b=args.choice)
+    return _finish(_online("receiver", config, args), args)
 
 
 def _cmd_run_local(args) -> int:
-    params = _params_from_args(args)
-    config = SessionConfig(params, seed=_seed_from_args(args), b=args.choice,
+    config = SessionConfig(_params(args), seed=args.seed, b=args.choice,
                            x0=_read_file(args.msg0), x1=_read_file(args.msg1))
-    outcome = run_local(config)
-    _emit_delivered(outcome["output"], args.out)
-    _save_transcript(outcome, args.transcript)
-    return 0
+    return _finish(run_local(config), args)
 
 
 def _cmd_verify_transcript(args) -> int:
-    params = _params_from_args(args)
+    params = _params(args)
     transcript = Transcript.from_bytes(_read_file(args.transcript))
     report = verify_transcript(transcript, params)
     _emit(report)
     return 0 if report["ok"] else 2
 
 
-def _cmd_attack(args) -> int:
-    from .analysis import (brute_force_secret, dishonest_bob_probe,
-                           distinguisher_fixture, distinguisher_scan)
+def _cmd_distinguisher(args) -> int:
+    from .analysis import distinguisher_fixture, distinguisher_scan
 
-    params = _params_from_args(args)
-    rng = det_rng(_seed_from_args(args))
-    if args.attack == "distinguisher":
-        masked, coeffs = distinguisher_fixture(params, rng, b=args.bit,
-                                               violate=args.violate)
-        report = distinguisher_scan(params, masked, coeffs, rng=rng)
-        _emit(report.to_obj())
-        return 0
-    if args.attack == "dishonest-bob":
-        _emit(dishonest_bob_probe(params, rng))
-        return 0
-    kp = keygen(params, args.side, rng)
+    params, rng = _params(args), det_rng(args.seed)
+    masked, coeffs = distinguisher_fixture(params, rng, b=args.bit,
+                                           violate=args.violate)
+    _emit(distinguisher_scan(params, masked, coeffs, rng=rng).to_obj())
+    return 0
+
+
+def _cmd_dishonest_bob(args) -> int:
+    from .analysis import dishonest_bob_probe
+
+    _emit(dishonest_bob_probe(_params(args), det_rng(args.seed)))
+    return 0
+
+
+def _cmd_brute_force(args) -> int:
+    from .analysis import brute_force_secret
+
+    params = _params(args)
+    kp = keygen(params, args.side, det_rng(args.seed))
     result = brute_force_secret(params, kp.public, args.side)
     _emit({"recovered_r": result.r, "planted_r": kp.r,
            "match": result.r == kp.r, "space": result.space,
@@ -356,30 +336,15 @@ def _cmd_attack(args) -> int:
 def _cmd_baseline(args) -> int:
     from .baseline_ot import run_baseline_local
 
-    outcome = run_baseline_local(args.choice, _read_file(args.msg0),
-                                 _read_file(args.msg1), seed=_seed_from_args(args))
-    _save_transcript(outcome, args.transcript)
-    _emit_delivered(outcome["output"], args.out)
-    return 0
-
-
-_HANDLERS = {
-    "gen-params": _cmd_gen_params,
-    "keygen": _cmd_keygen,
-    "send": _cmd_send,
-    "receive": _cmd_receive,
-    "run-local": _cmd_run_local,
-    "verify-transcript": _cmd_verify_transcript,
-    "attack": _cmd_attack,
-    "baseline-ot": _cmd_baseline,
-}
+    return _finish(run_baseline_local(args.choice, _read_file(args.msg0),
+                                      _read_file(args.msg1), seed=args.seed),
+                   args)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4

@@ -37,6 +37,7 @@ body came by.  The wire checks only the envelope.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import NamedTuple
 
@@ -355,6 +356,24 @@ SCHEDULE = (
 )
 
 
+def _phase(method):
+    """A session phase, named by its method: it runs only where
+    SCHEDULE calls for it on the session's side, and one that raises
+    closes the session, so every later call aborts ``out-of-order``
+    instead of running on the half-done state."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def phase(self, *args):
+        self._expect(name)
+        try:
+            return method(self, *args)
+        except BaseException:
+            self._cursor = None
+            raise
+    return phase
+
+
 class SiotSession:
     """Single-owner protocol endpoint; methods must follow message order.
 
@@ -363,9 +382,10 @@ class SiotSession:
     commitment; w is the XOR of the two nonces.  Each consume_* phase
     reads its body with the body's reader.  An out-of-order call, a
     refused body, a false reveal and a sender pair on which the
-    receiver's walk fails all abort.  A collision between the sender's
-    two branch j-invariants raises a restart signal, on which the caller
-    reruns the whole protocol so a fresh w is flipped.
+    receiver's walk fails all abort, and an abort closes the session.
+    A collision between the sender's two branch j-invariants raises a
+    restart signal, on which the caller reruns the whole protocol so a
+    fresh w is flipped.
     """
 
     def __init__(self, params: PublicParams, role: str, rng,
@@ -402,14 +422,16 @@ class SiotSession:
         self.shared_j: tuple | None = None
         self.output: bytes | None = None
         self._pk_bodies: list[dict] = []   # pk-sender, then pk-receiver
-        self._cursor = 0   # index of the next SCHEDULE row
+        self._cursor = 0   # index of the next SCHEDULE row; None once closed
 
     # phase bookkeeping
 
     def _expect(self, method: str) -> None:
         """Advance past the next schedule row if it calls for ``method``
         on this side."""
-        if self._cursor == len(SCHEDULE):
+        if self._cursor is None:
+            want = "nothing: a phase raised and closed the session"
+        elif self._cursor == len(SCHEDULE):
             want = "done"
         else:
             msg = SCHEDULE[self._cursor]
@@ -421,20 +443,20 @@ class SiotSession:
 
     # coin flip
 
+    @_phase
     def produce_commit(self) -> dict:
-        self._expect("produce_commit")
         return {"commit": commitment(self.nonce).hex()}
 
+    @_phase
     def consume_commit(self, body: dict) -> None:
-        self._expect("consume_commit")
         self.remote_commitment = read_commit(body)
 
+    @_phase
     def produce_reveal(self) -> dict:
-        self._expect("produce_reveal")
         return {"nonce": self.nonce.hex()}
 
+    @_phase
     def consume_reveal(self, body: dict) -> None:
-        self._expect("consume_reveal")
         nonce = read_nonce(body)
         if commitment(nonce) != self.remote_commitment:
             raise ProtocolAbort("coinflip-cheat",
@@ -444,8 +466,8 @@ class SiotSession:
 
     # public keys
 
+    @_phase
     def produce_public(self) -> dict:
-        self._expect("produce_public")
         if self.role == "sender":
             body = public_to_obj(self.keypair.public)
         else:
@@ -455,8 +477,8 @@ class SiotSession:
         self._pk_bodies.append(body)
         return body
 
+    @_phase
     def consume_public(self, body: dict) -> None:
-        self._expect("consume_public")
         producer = "A" if self.role == "receiver" else "B"
         self.their_public = read_public(self.params, producer, body)
         self._pk_bodies.append(body)
@@ -491,12 +513,12 @@ class SiotSession:
 
     # ciphertexts
 
+    @_phase
     def produce_ciphertexts(self) -> dict:
-        self._expect("produce_ciphertexts")
         return {"c0": self.ciphertexts[0].hex(), "c1": self.ciphertexts[1].hex()}
 
+    @_phase
     def consume_ciphertexts(self, body: dict) -> bytes:
-        self._expect("consume_ciphertexts")
         c0, c1 = read_ciphertexts(body)
         try:
             j = derive_shared_j(self.keypair, self.their_public, self.params)

@@ -30,6 +30,13 @@ def p434():
 
 
 @pytest.fixture(scope="session")
+def set71():
+    """2^71*3^38*f - 1: n_A = 2^71 is past 2^64, and past the 2^63 - 1
+    elements a population of ``random.sample`` may hold."""
+    return gen_params(2, 71, 3, 38, rng=det_rng(b"big"))
+
+
+@pytest.fixture(scope="session")
 def set3():
     """Twin of p431 with the roles swapped: side A on the 3-power tower."""
     return gen_params(3, 3, 2, 4, rng=det_rng(b"tests/set3"))

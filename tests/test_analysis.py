@@ -9,6 +9,7 @@ from oracles import (decompose_in_basis, isogeny_path_exists,
 from siot import derive_shared_j, det_rng, gen_params, keygen
 from siot.analysis import (
     LAMBDA_COUNT,
+    _lambda_values,
     brute_force_secret,
     dishonest_bob_probe,
     distinguisher_fixture,
@@ -46,21 +47,37 @@ def test_planted_violation_leaks_the_bit(p431):
     assert obj["verdict"] == "leaked-b"
 
 
-def test_scan_samples_distinct_lambdas_past_256():
-    """At n_A = 1024 the scan samples its lambdas instead of sweeping
-    them; the sample must still tell an honest mask from a violating
-    one."""
-    params = gen_params(2, 10, 3, 3, rng=det_rng(b"tests/p27647"))
-    assert params.p == 27647 and params.n("A") == 1024
-    for violate, verdict in ((False, "indistinguishable"), (True, "leaked-b")):
-        rng = det_rng(b"sampled-%d" % violate)
-        masked, coeffs = distinguisher_fixture(params, rng, violate=violate)
-        report = distinguisher_scan(params, masked, coeffs, rng=rng)
-        assert report.verdict == verdict
-        lambdas = report.lambdas
-        assert len(set(lambdas)) == LAMBDA_COUNT
-        assert list(lambdas) == sorted(lambdas)
-        assert all(0 <= lam < params.n("A") for lam in lambdas)
+def test_scan_samples_distinct_lambdas_past_256(set71):
+    """At n_A = 1024 and at n_A = 2^71 the scan samples its lambdas
+    instead of sweeping them; the sample must still tell an honest mask
+    from a violating one."""
+    small = gen_params(2, 10, 3, 3, rng=det_rng(b"tests/p27647"))
+    assert small.p == 27647 and small.n("A") == 1024
+    assert set71.n("A") == 2 ** 71
+    for params in (small, set71):
+        for violate, verdict in ((False, "indistinguishable"),
+                                 (True, "leaked-b")):
+            rng = det_rng(b"sampled-%d" % violate)
+            masked, coeffs = distinguisher_fixture(params, rng,
+                                                   violate=violate)
+            report = distinguisher_scan(params, masked, coeffs, rng=rng)
+            assert report.verdict == verdict
+            lambdas = report.lambdas
+            assert len(set(lambdas)) == LAMBDA_COUNT
+            assert list(lambdas) == sorted(lambdas)
+            assert all(0 <= lam < params.n("A") for lam in lambdas)
+
+
+@pytest.mark.parametrize("n", [512, 3 ** 32, 2 ** 51])
+def test_sampled_lambdas_are_random_sample_draws(n):
+    """Past random.sample's pool branch (n > 277) the scan's lambdas are
+    the ones ``rng.sample(range(n), 64)`` takes, sorted, and leave the
+    rng in the same state, so reports from before it went by
+    ``randrange`` still hold."""
+    mine, ref = det_rng(b"lambdas-%d" % n), det_rng(b"lambdas-%d" % n)
+    assert _lambda_values(n, mine) == tuple(
+        sorted(ref.sample(range(n), LAMBDA_COUNT)))
+    assert mine.getstate() == ref.getstate()
 
 
 def test_scan_accepts_transcript_coefficients(p431):

@@ -9,7 +9,7 @@ import threading
 from pathlib import Path
 
 from siot.cli import main
-from siot.sidh import PRESET_NAMES
+from siot.sidh import PRESET_NAMES, params_to_obj
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,6 +106,8 @@ def test_params_file_with_malformed_e0_exits_two(tmp_path, capsys):
                       {"a": zero, "b": zero})]
     bad.append({**good, "la": 4, "ea": 2})   # p is still 431
     bad.append({**good, "pa": good["pb"]})   # on e0, outside side A's torsion
+    bad.append({**good, "p": 1295, "f": 3})  # 16 * 27 * 3 - 1 = 5 * 7 * 37
+    bad.append({**good, "qb": good["pb"]})   # side B's pair is no basis
     bad = [json.dumps(obj).encode() for obj in bad]
     bad.append(b'{"p": ')                     # not JSON at all
     for enc in ("utf-16", "utf-32"):          # JSON, but not UTF-8
@@ -118,6 +120,16 @@ def test_params_file_with_malformed_e0_exits_two(tmp_path, capsys):
                       "--msg0", m0, "--msg1", m1, "--seed", "03"]):
             assert main(argv) == 2
             assert "protocol abort" in capsys.readouterr().err
+
+
+def test_distinguisher_scan_past_2_63(tmp_path, capsys, set71):
+    """At n_A = 2^71 the scan samples its lambdas by randrange, since
+    random.sample refuses a population past 2^63 - 1 elements."""
+    path = _write(tmp_path, "set71.json",
+                  json.dumps(params_to_obj(set71)).encode())
+    assert main(["attack", "distinguisher", "--params", path]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] \
+        == "indistinguishable"
 
 
 def test_attack_verbs(capsys):
@@ -181,6 +193,20 @@ def test_malformed_addresses_exit_four(tmp_path, capsys):
                  ["receive", "--listen", "127.0.0.1:65536", "--choice", "0"]):
         assert main([*argv, "--preset", "p431"]) == 4
         assert "address must be host:port" in capsys.readouterr().err
+
+
+def test_seed_and_address_are_refused_before_any_file(tmp_path, capsys):
+    """The parser reads the seed and the address, so a malformed one is
+    named even where the parameter file cannot be read."""
+    absent = str(tmp_path / "absent")
+    for argv, named in (
+            (["keygen", "--side", "A", "--seed", "zz"], "--seed must be hex"),
+            (["send", "--connect", "nohostport", "--msg0", absent,
+              "--msg1", absent], "address must be host:port"),
+            (["receive", "--listen", ":x", "--choice", "0"],
+             "address must be host:port")):
+        assert main([*argv, "--params", absent]) == 4
+        assert named in capsys.readouterr().err
 
 
 def test_unwritable_output_paths_exit_four(tmp_path, capsys):

@@ -281,6 +281,16 @@ def test_params_from_obj_rejects_off_torsion_basis_point(p431):
             params_from_obj(obj)
 
 
+def test_params_from_obj_refuses_a_composite_p_and_a_dependent_basis(p431):
+    obj = params_to_obj(p431)
+    with pytest.raises(DecodeError, match="^bad prime: p = 1295 is not "
+                                          "prime$"):
+        params_from_obj({**obj, "p": 1295, "f": 3})   # 16 * 27 * 3 - 1
+    with pytest.raises(DecodeError, match="^side B basis fails "
+                                          "independence$"):
+        params_from_obj({**obj, "qb": obj["pb"]})
+
+
 def test_params_from_obj_rejects_unsupported_shapes(p431):
     # 4^2 * 3^3 - 1 is still 431, but 4 is not a prime
     with pytest.raises(DecodeError, match="4 is not prime"):

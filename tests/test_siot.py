@@ -399,6 +399,31 @@ def test_dependent_receiver_pair_aborts_before_any_walk(p431, counter):
     assert walks[0] == 0
 
 
+def test_an_abort_closes_the_session(p431):
+    """A phase that raises closes its session, and every later call
+    aborts out-of-order instead of running on the state the abort left
+    half done: a sender with no ciphertexts, or a receiver with no mask
+    coefficients."""
+    sid = b"\x0f" * 16
+    s = SiotSession(p431, "sender", det_rng(b"closed-s"), sid,
+                    x0=b"left", x1=b"right")
+    r = SiotSession(p431, "receiver", det_rng(b"closed-r"), sid, b=1)
+    _run_until(s, r, "pk-receiver")
+    body = r.produce_public()
+    with pytest.raises(ProtocolAbort) as info:
+        s.consume_public({**body, "h": body["g"]})
+    assert info.value.code == "bad-receiver-key"
+    s2, r2 = _flip_coins(p431, b"closed")
+    s2.produce_reveal()
+    with pytest.raises(ProtocolAbort) as info:
+        r2.consume_reveal({"nonce": "00" * NONCE_LEN})
+    assert info.value.code == "coinflip-cheat"
+    for call in (s.produce_ciphertexts, s.produce_commit, r2.produce_reveal):
+        with pytest.raises(ProtocolAbort, match="closed the session") as info:
+            call()
+        assert info.value.code == "out-of-order"
+
+
 def test_sender_pair_that_is_no_basis_is_a_coded_abort(p431):
     """A sender pair (G, G) or (G, -G) passes every check a sender key
     gets, since only the receiver's pair is certified as a basis.  The

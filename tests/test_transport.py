@@ -60,7 +60,7 @@ def test_parse_addr():
 
 
 def test_socket_echo_roundtrip():
-    addr = "127.0.0.1:19473"
+    addr = ("127.0.0.1", 19473)
     ready = threading.Event()
     result = {}
 
