@@ -18,7 +18,7 @@ from siot.analysis import (
     distinguisher_fixture,
     distinguisher_scan,
 )
-from siot.baseline_ot import default_group, run_baseline_local
+from siot.baseline_ot import CURVE, Q, run_baseline_local
 
 
 def banner(text: str) -> None:
@@ -71,9 +71,7 @@ def probe_brute_force(params) -> None:
 
 def probe_baseline(_) -> None:
     banner("4. classical-group baseline OT, same shape, old assumptions")
-    ctx = default_group()
-    p = ctx.curve.A.ctx.p
-    print(f"group: order-{ctx.q} subgroup of a curve over F_{p}")
+    print(f"group: order-{Q} subgroup of a curve over F_{CURVE.A.ctx.p}")
     for b in (0, 1):
         art = run_baseline_local(b, b"message zero", b"message one!",
                                  seed=b"probe-4/%d" % b)

@@ -116,8 +116,6 @@ def _build_parser() -> _Parser:
     for flag in ("--la", "--ea", "--lb", "--eb"):
         sp.add_argument(flag, type=int, required=True)
     sp.add_argument("--max-f", type=int, default=4)
-    sp.add_argument("--general-f", action="store_true",
-                    help="search every cofactor, not just 1 and 4")
 
     sp = _command(sub, "keygen", _cmd_keygen, "params", "seed", "out",
                   help="generate one side's key pair")
@@ -212,8 +210,7 @@ def _finish(outcome, args) -> int:
 
 def _cmd_gen_params(args) -> int:
     params = gen_params(args.la, args.ea, args.lb, args.eb,
-                        max_f=args.max_f, rng=det_rng(args.seed),
-                        general_f=args.general_f)
+                        max_f=args.max_f, rng=det_rng(args.seed))
     _emit(params_to_obj(params), args.out)
     return 0
 

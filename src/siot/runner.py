@@ -35,7 +35,7 @@ from .wire import Transcript, WireMessage, decode, encode
 
 class SessionConfig(NamedTuple):
     params: PublicParams
-    seed: object = None
+    seed: bytes | None = None
     b: int | None = None
     x0: bytes | None = None
     x1: bytes | None = None

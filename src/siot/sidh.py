@@ -108,30 +108,23 @@ def _check_shape(ell_a, e_a, ell_b, e_b) -> None:
 
 
 def gen_params(ell_a: int, e_a: int, ell_b: int, e_b: int,
-               max_f: int = 4, rng=None, general_f: bool = False
-               ) -> PublicParams:
-    """Search the smallest admissible cofactor f and build parameters.
+               max_f: int = 4, rng=None) -> PublicParams:
+    """Search the smallest admissible cofactor f <= max_f and build
+    parameters.
 
-    By default f ranges over {1, 4} only; general_f opens the search to
-    every f <= max_f.  Admissible means p = lA^eA*lB^eB*f - 1 is prime
-    and 3 mod 4.  Bases are sampled with the given rng by
+    Admissible means p = lA^eA*lB^eB*f - 1 is prime and 3 mod 4.  Bases
+    are sampled with the given rng by
     ``EllipticCurve.sample_torsion_basis``, which certifies each one
     without a pairing.
     """
     _check_shape(ell_a, e_a, ell_b, e_b)
     rng = rng if rng is not None else det_rng(None)
     base = ell_a ** e_a * ell_b ** e_b
-    candidates = range(1, max_f + 1) if general_f else (1, 4)
-    p = None
-    chosen_f = None
-    for f in candidates:
-        if f > max_f:
-            continue
-        q = base * f - 1
-        if q % 4 == 3 and q > 4 and is_prime(q):
-            p, chosen_f = q, f
+    for f in range(1, max_f + 1):
+        p = base * f - 1
+        if p % 4 == 3 and p > 4 and is_prime(p):
             break
-    if p is None:
+    else:
         raise ParameterSearchError(
             f"no admissible cofactor <= {max_f} for {ell_a}^{e_a}*{ell_b}^{e_b}")
     ctx = FieldContext(p)
@@ -139,7 +132,7 @@ def gen_params(ell_a: int, e_a: int, ell_b: int, e_b: int,
     exponent = p + 1
     basis_a = curve.sample_torsion_basis(ell_a, e_a, exponent, rng)
     basis_b = curve.sample_torsion_basis(ell_b, e_b, exponent, rng)
-    return PublicParams(p, ell_a, e_a, ell_b, e_b, chosen_f, curve,
+    return PublicParams(p, ell_a, e_a, ell_b, e_b, f, curve,
                         basis_a, basis_b)
 
 

@@ -389,9 +389,8 @@ class SiotSession:
     """
 
     def __init__(self, params: PublicParams, role: str, rng,
-                 session_id: bytes = b"\x00" * 16,
-                 x0: bytes | None = None, x1: bytes | None = None,
-                 b: int | None = None):
+                 session_id: bytes, x0: bytes | None = None,
+                 x1: bytes | None = None, b: int | None = None):
         if role not in ("sender", "receiver"):
             raise ValueError("role must be sender or receiver")
         if role == "sender":

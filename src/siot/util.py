@@ -18,26 +18,22 @@ _TAG_PREFIX = b"siot/v1/"
 
 
 def det_rng(seed) -> random.Random:
-    """Seeded RNG; accepts int, bytes, a lowercase hex str, or None
-    (system entropy)."""
-    if seed is None:
-        return random.Random()
-    if isinstance(seed, str):
-        seed = strict_fromhex(seed)
+    """Seeded RNG from bytes, an int, or None (system entropy).  Any
+    other seed, a hex str included, is a TypeError rather than a stream
+    ``random.Random`` would derive from it."""
     if isinstance(seed, bytes):
         seed = int.from_bytes(hashlib.sha256(_TAG_PREFIX + b"rng" + seed).digest(),
                               "big")
+    elif seed is not None and not isinstance(seed, int):
+        raise TypeError(f"seed must be bytes, an int or None, "
+                        f"not {type(seed).__name__}")
     return random.Random(seed)
 
 
-def sub_seed(seed, label: str):
+def sub_seed(seed: bytes | None, label: str) -> bytes | None:
     """Independent child seed for a labeled role; None stays None."""
     if seed is None:
         return None
-    if isinstance(seed, int):
-        seed = seed.to_bytes((seed.bit_length() + 7) // 8 or 1, "big")
-    if isinstance(seed, str):
-        seed = strict_fromhex(seed)
     return hashlib.sha256(_TAG_PREFIX + b"subseed/" + label.encode() + b"/"
                           + seed).digest()
 

@@ -2,13 +2,15 @@
 
 Messages are canonical JSON (sorted keys, no whitespace, lowercase hex
 for byte fields) with four fixed top-level fields: type, version,
-session, body.  This module checks the envelope only, and only on the
-way in: the type is a string, the version the integer 1, the session id
-32 lowercase hex digits, the body an object.  Anything else is refused
-with a positioned decode error.  What a type's body holds is checked by
-that body's reader in ``siot.siot``, and which type may come next by the
-session driver against ``SCHEDULE``; messages the library built are
-written without a check.
+session, body.  The version is always 1: it is written on the way out
+and checked on the way in, and a ``WireMessage`` does not carry it.
+This module checks the envelope only, and only on the way in, in
+``_from_obj``: the type is a string, the version the integer 1, the
+session id 32 lowercase hex digits, the body an object.  Anything else
+is refused with a positioned decode error.  What a type's body holds is
+checked by that body's reader in ``siot.siot``, and which type may come
+next by the session driver against ``SCHEDULE``; messages the library
+built are written without a check.
 """
 
 from __future__ import annotations
@@ -22,14 +24,31 @@ from .util import canonical_json, strict_fromhex
 VERSION = 1
 SESSION_ID_LEN = 16
 
+
 class WireMessage(NamedTuple):
     type: str
     session: str
     body: dict
-    version: int = VERSION
 
 
-def _check_session(session: str) -> None:
+def _to_obj(msg: WireMessage) -> dict:
+    return {"body": msg.body, "session": msg.session, "type": msg.type,
+            "version": VERSION}
+
+
+def _from_obj(obj) -> WireMessage:
+    """The one check of an envelope read from outside."""
+    if not isinstance(obj, dict):
+        raise DecodeError("top level must be an object")
+    if set(obj) != {"body", "session", "type", "version"}:
+        raise DecodeError("top-level keys must be exactly "
+                          "body, session, type, version")
+    mtype, session, body, version = (obj["type"], obj["session"],
+                                      obj["body"], obj["version"])
+    if not isinstance(mtype, str):
+        raise DecodeError(f"unknown message type {mtype!r}")
+    if type(version) is not int or version != VERSION:
+        raise DecodeError(f"unsupported version {version!r}")
     if not isinstance(session, str) or len(session) != 2 * SESSION_ID_LEN:
         raise DecodeError(
             f"session id must be {2 * SESSION_ID_LEN} lowercase hex chars")
@@ -37,33 +56,9 @@ def _check_session(session: str) -> None:
         strict_fromhex(session)
     except ValueError as exc:
         raise DecodeError("session id is not hex") from exc
-
-
-def _check(msg: WireMessage) -> None:
-    """The one check of an envelope read from outside."""
-    if not isinstance(msg.type, str):
-        raise DecodeError(f"unknown message type {msg.type!r}")
-    if type(msg.version) is not int or msg.version != VERSION:
-        raise DecodeError(f"unsupported version {msg.version!r}")
-    _check_session(msg.session)
-    if not isinstance(msg.body, dict):
+    if not isinstance(body, dict):
         raise DecodeError("body must be an object")
-
-
-def _to_obj(msg: WireMessage) -> dict:
-    return {"body": msg.body, "session": msg.session, "type": msg.type,
-            "version": msg.version}
-
-
-def _from_obj(obj) -> WireMessage:
-    if not isinstance(obj, dict):
-        raise DecodeError("top level must be an object")
-    if set(obj) != {"body", "session", "type", "version"}:
-        raise DecodeError("top-level keys must be exactly "
-                          "body, session, type, version")
-    msg = WireMessage(obj["type"], obj["session"], obj["body"], obj["version"])
-    _check(msg)
-    return msg
+    return WireMessage(mtype, session, body)
 
 
 def encode(msg: WireMessage) -> bytes:

@@ -490,8 +490,7 @@ def shape_params(shape) -> PublicParams:
     """The parameters of one of ``SHAPES``.  The four with ell >= 5 find
     no prime under the default max_f = 4, so f ranges up to 40."""
     tag = "-".join(map(str, shape)).encode()
-    return gen_params(*shape, general_f=True, max_f=40,
-                      rng=det_rng(b"tests/shape/" + tag))
+    return gen_params(*shape, max_f=40, rng=det_rng(b"tests/shape/" + tag))
 
 
 def pairs_with_verdicts(params: PublicParams, rng, per_side: int):

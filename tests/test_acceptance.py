@@ -29,10 +29,10 @@ from siot.analysis import (
     equivariance_precheck,
 )
 from siot.baseline_ot import (
+    CURVE,
     bo_receiver_round,
     bo_sender_keys,
     bo_sender_setup,
-    default_group,
     run_baseline_local,
 )
 from siot.errors import DecryptionError, ProtocolAbort, RestartRequired
@@ -254,7 +254,6 @@ def test_09_brute_force_inverts_every_key(p431):
 
 
 def test_10_baseline_ot_bulk(p431):
-    ctx = default_group()
     rng = det_rng(b"acc10")
     good = sealed = 0
     for i in range(1000):
@@ -268,16 +267,15 @@ def test_10_baseline_ot_bulk(p431):
             open_sealed(art["receiver_key"], other)
         except DecryptionError:
             sealed += 1
-    off = ctx.curve.point(ctx.curve.A.ctx.elem(8144),
-                          ctx.curve.A.ctx.elem(4842))
+    off = CURVE.point(CURVE.A.ctx.elem(8144), CURVE.A.ctx.elem(4842))
     refusals = 0
     try:
-        bo_receiver_round(ctx, off, 0, rng)
+        bo_receiver_round(off, 0, rng)
     except ProtocolAbort as exc:
         refusals += exc.code == "refused-point"
-    y, S, T = bo_sender_setup(ctx, rng)
+    y, S, T = bo_sender_setup(rng)
     try:
-        bo_sender_keys(ctx, y, S, T, off)
+        bo_sender_keys(y, S, T, off)
     except ProtocolAbort as exc:
         refusals += exc.code == "refused-point"
     _verdict(10, "reference OT bulk run and refusal paths",

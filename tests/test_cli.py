@@ -27,6 +27,21 @@ def test_gen_params_stdout(capsys):
     assert obj["p"] == 431
 
 
+def test_gen_params_searches_every_cofactor(tmp_path, capsys):
+    """No f in {1, 4} makes 2^63*3^38*f - 1 prime; 17 is the smallest
+    that does."""
+    shape = ["--la", "2", "--ea", "63", "--lb", "3", "--eb", "38"]
+    out = tmp_path / "p63.json"
+    assert main(["gen-params", *shape, "--max-f", "20", "--seed", "01",
+                 "-o", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["f"] == 17 and obj["p"] == 2 ** 63 * 3 ** 38 * 17 - 1
+    assert main(["gen-params", *shape, "--max-f", "16"]) == 2
+    assert "no admissible cofactor <= 16" in capsys.readouterr().err
+    assert main(["gen-params", *shape, "--max-f", "20", "--general-f"]) == 4
+    assert "unrecognized arguments: --general-f" in capsys.readouterr().err
+
+
 def test_keygen_to_file(tmp_path):
     out = tmp_path / "key.json"
     assert main(["keygen", "--preset", "p431", "--side", "A",

@@ -40,6 +40,18 @@ def test_run_local_delivers_choice(p431):
         assert len(out["transcript"].entries) == 7
 
 
+def test_run_local_without_a_seed(p431):
+    """``siot run-local`` without ``--seed``: each stream draws system
+    entropy, and the session still delivers and audits clean."""
+    sids = set()
+    for b in (0, 1):
+        out = run_local(_config(p431, b, seed=None))
+        assert out["output"] == (b"one input!" if b else b"zero input")
+        assert verify_transcript(out["transcript"], p431)["ok"]
+        sids.add(out["session_id"])
+    assert len(sids) == 2
+
+
 def test_run_local_offline_dir(p431, tmp_path):
     """A run's transcript survives a write to disk and a read back."""
     out = run_local(_config(p431, 1))
@@ -73,7 +85,7 @@ def _tamper(transcript, index, mutate):
         if i == index:
             body = dict(msg.body)
             mutate(body)
-            msg = WireMessage(msg.type, msg.session, body, msg.version)
+            msg = WireMessage(msg.type, msg.session, body)
         t.append(direction, msg)
     return t
 

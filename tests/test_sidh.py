@@ -60,9 +60,18 @@ def test_gen_params_rejects_bad_shapes():
 
 
 def test_gen_params_general_cofactor():
-    params = gen_params(2, 4, 3, 3, max_f=12, rng=det_rng(1), general_f=True)
+    params = gen_params(2, 4, 3, 3, max_f=12, rng=det_rng(1))
     assert params.p % 4 == 3
     assert params.p + 1 == 2 ** 4 * 3 ** 3 * params.f
+
+
+@pytest.mark.parametrize("name, f", [("p431", 1), ("p2591", 1), ("set3", 1),
+                                     ("p102", 1), ("p434", 1), ("set71", 4)])
+def test_shapes_in_use_keep_their_cofactor(request, name, f):
+    """The search tries every f <= max_f; on each shape the presets, the
+    benchmark and the tests run, the smallest admissible f is the one
+    a search of f in {1, 4} alone found."""
+    assert request.getfixturevalue(name).f == f
 
 
 def test_keygen_kernel_has_exact_order(p431, velu_steps):

@@ -2,8 +2,10 @@
 
 import pytest
 
-from siot import det_rng
-from siot.util import sub_seed, xor_bytes
+from siot import det_rng, kdf_dec
+from siot.errors import DecryptionError
+from siot.field import FieldContext
+from siot.util import TAG_LEN, open_sealed, sub_seed, xor_bytes
 
 
 def _reference_xor(a: bytes, b: bytes) -> bytes:
@@ -34,13 +36,23 @@ def test_xor_bytes_rejects_length_mismatch():
             xor_bytes(a, b)
 
 
-def test_hex_seeds_follow_the_strict_hex_rule():
-    """Uppercase digits and whitespace would make several spellings of
-    one seed; only lowercase digit pairs are a hex seed."""
-    assert det_rng("0a0b").random() == det_rng(b"\x0a\x0b").random()
-    assert sub_seed("0a0b", "x") == sub_seed(b"\x0a\x0b", "x")
-    for seed in ("0A0B", "0a 0b", " 0a0b "):
-        with pytest.raises(ValueError):
+def test_ciphertexts_shorter_than_the_tag_are_refused():
+    j = FieldContext(431).one()
+    for n in (0, TAG_LEN - 1):
+        with pytest.raises(DecryptionError, match="shorter than its tag"):
+            open_sealed(b"\x07" * 32, b"\x00" * n)
+        with pytest.raises(DecryptionError, match="shorter than its tag"):
+            kdf_dec(j, b"\x00" * n)
+
+
+def test_seeds_are_bytes_not_hex_text():
+    """A seed is bytes (the CLI reads ``--seed`` hex into bytes), an int
+    for ``det_rng``, or None.  Hex text is refused, not turned into a
+    stream of its own that ``random.Random`` would derive from it."""
+    for seed in ("0a0b", "0A0B", 1.0):
+        with pytest.raises(TypeError):
             det_rng(seed)
-        with pytest.raises(ValueError):
+    for seed in ("0a0b", 10):
+        with pytest.raises(TypeError):
             sub_seed(seed, "x")
+    assert sub_seed(None, "x") is None
