@@ -93,7 +93,50 @@ def open_sealed(key: bytes, ciphertext: bytes) -> bytes:
     return xor_bytes(body, expand("cipher-stream", key, len(body)))
 
 
+# every value the writer does not write itself goes through this encoder
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> bytes:
-    """Sorted keys, no whitespace; the only JSON writer the wire uses."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True).encode()
+    """The one JSON writer the wire uses: sorted keys, no whitespace.
+
+    The output is defined as ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"), ensure_ascii=True).encode()`` for any acyclic
+    JSON value.  A ``str`` of ASCII letters and digits needs no escaping,
+    so it is copied between quotes as it is: every hex field is one, and
+    skips ``json``'s per-character escape pass.  Dicts with ``str`` keys
+    are written here in sorted key order and an ``int`` by its ``repr``;
+    every other value goes through ``json``'s encoder.  The pieces are
+    joined once.
+    """
+    parts: list[bytes] = []
+    _write(obj, parts)
+    return b"".join(parts)
+
+
+def _write(obj, parts: list[bytes]) -> None:
+    kind = type(obj)
+    if kind is str:
+        if obj.isascii():
+            raw = obj.encode()
+            if raw.isalnum():
+                parts += (b'"', raw, b'"')
+                return
+    elif kind is int:
+        parts.append(repr(obj).encode())
+        return
+    elif kind is dict:
+        # sorting refuses str keys mixed with others, as json does, so
+        # if the first key is a str, every key is one
+        keys = sorted(obj)
+        if not keys or type(keys[0]) is str:
+            sep = b"{"
+            for key in keys:
+                parts.append(sep)
+                _write(key, parts)
+                parts.append(b":")
+                _write(obj[key], parts)
+                sep = b","
+            parts.append(b"}" if keys else b"{}")
+            return
+    parts.append(_ENCODER.encode(obj).encode())

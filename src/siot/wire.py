@@ -97,11 +97,11 @@ class Transcript:
         self.entries.append((direction, msg))
 
     def to_bytes(self) -> bytes:
-        lines = []
-        for direction, msg in self.entries:
-            lines.append(canonical_json({"dir": direction,
-                                         "msg": _to_obj(msg)}))
-        return b"\n".join(lines) + (b"\n" if lines else b"")
+        lines = [canonical_json({"dir": direction, "msg": _to_obj(msg)})
+                 for direction, msg in self.entries]
+        if lines:
+            lines.append(b"")   # the last line's newline, in the one join
+        return b"\n".join(lines)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> Transcript:

@@ -3,12 +3,15 @@
 The digests pin the wire bytes of a clean local run, a local run that
 restarts once, an online run over a loopback pipe and a baseline run,
 so that any change to the message schedule or to a driver that alters
-what goes on the wire fails here.  A run at 2^51*3^32 - 1, for each
-bit, pins the long chains: 51 and 32 steps per walk.  Runs at p2591 and
-at the swapped-roles set, where the sender walks 3-isogenies, pin both
-bits on the two other towers.  The parameter files of the presets, of
-that set, of the benchmark's 2^51*3^32 - 1 set and of p434 pin
-``gen_params``: its draws and the basis test that accepts them.
+what goes on the wire fails here.  A local and an online run with
+64 KiB inputs, the size of the benchmark's online workload, pin the
+JSON writer on ciphertext hex of 131,144 digits a field.  A run at
+2^51*3^32 - 1, for each bit, pins the long chains: 51 and 32 steps per
+walk.  Runs at p2591 and at the swapped-roles set, where the sender
+walks 3-isogenies, pin both bits on the two other towers.  The
+parameter files of the presets, of that set, of the benchmark's
+2^51*3^32 - 1 set and of p434 pin ``gen_params``: its draws and the
+basis test that accepts them.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ from siot import (
 from siot.baseline_ot import run_baseline_local
 
 X0, X1 = b"golden zero", b"golden one!"
+BULK = 64 * 1024
 
 
 def _digest(transcript) -> str:
@@ -92,7 +96,9 @@ def test_other_tower_local_run(name, b, request):
     assert _digest(out["transcript"]) == OTHER_TOWER_DIGESTS[name][b]
 
 
-def test_online_run():
+def _online_pair(x0, x1):
+    """Both ends of one online session over a loopback pipe; the two
+    transcripts must be the same bytes."""
     params = preset("p431")
     pipe = LoopbackPipe()
     results = {}
@@ -104,7 +110,7 @@ def test_online_run():
     th = closing_thread(pipe.b, receiver)
     try:
         results["s"] = run_session(
-            "sender", SessionConfig(params, seed=b"golden-s", x0=X0, x1=X1),
+            "sender", SessionConfig(params, seed=b"golden-s", x0=x0, x1=x1),
             pipe.a)
     finally:
         pipe.a.close()
@@ -112,9 +118,34 @@ def test_online_run():
     assert not th.is_alive()
     sent = results["s"]["transcript"].to_bytes()
     assert results["r"]["transcript"].to_bytes() == sent
-    assert results["r"]["output"] == X0
-    assert _digest(results["s"]["transcript"]) == (
+    assert results["r"]["output"] == x0
+    return hashlib.sha256(sent).hexdigest()
+
+
+def test_online_run():
+    assert _online_pair(X0, X1) == (
         "0922d9bf7547e8696348f5397e9ee86f211ee9640162057e1845489a94dcfd8b")
+
+
+def _bulk_inputs():
+    """Two 64 KiB inputs, the size of the online-bulk-p431 workload's."""
+    rng = det_rng(b"golden-bulk")
+    return rng.randbytes(BULK), rng.randbytes(BULK)
+
+
+def test_bulk_local_run():
+    x0, x1 = _bulk_inputs()
+    out = run_local(SessionConfig(preset("p431"), seed=b"golden-bulk", b=1,
+                                  x0=x0, x1=x1))
+    assert out["restarts"] == 0
+    assert out["output"] == x1
+    assert _digest(out["transcript"]) == (
+        "f28012ab35a030db1e3031c38eff496bed0aaf413981a8fbe2ce1b5d1e5dd7e7")
+
+
+def test_bulk_online_run():
+    assert _online_pair(*_bulk_inputs()) == (
+        "84c2e8afad3e6a3d541e8af0e5b7ea46c957db7c5ecd22d79dbef0b62d0b7596")
 
 
 def test_baseline_run():

@@ -497,3 +497,5 @@ def test_input_packing_roundtrip():
         _pack_input(b"too long for width", 4)
     with pytest.raises(DecryptionError):
         _unpack_input(b"\x00\x00\x00\xff")
+    with pytest.raises(DecryptionError, match="too short"):
+        _unpack_input(b"\x00\x00")

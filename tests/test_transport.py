@@ -1,5 +1,5 @@
-"""Length-framed transport: caps, truncation, loopback, and the CLI's
-socket helpers."""
+"""Length-framed transport: caps, truncation, stream errors, loopback, and
+the CLI's socket helpers."""
 
 import threading
 
@@ -48,6 +48,28 @@ def test_truncated_stream_detected():
     pipe2.a.close()
     with pytest.raises(TransportError):
         recv_frame(pipe2.b)
+
+
+class _FailingStream:
+    """A stream whose peer is gone: every write and read raises."""
+
+    def write(self, data):
+        raise BrokenPipeError("peer closed")
+
+    def flush(self):
+        pass
+
+    def read(self, n):
+        raise ConnectionResetError("peer reset")
+
+
+def test_stream_errors_become_transport_errors():
+    with pytest.raises(TransportError, match="send failed") as info:
+        send_frame(_FailingStream(), b"payload")
+    assert isinstance(info.value.__cause__, BrokenPipeError)
+    with pytest.raises(TransportError, match="receive failed") as info:
+        recv_frame(_FailingStream())
+    assert isinstance(info.value.__cause__, ConnectionResetError)
 
 
 def test_parse_addr():

@@ -1,8 +1,14 @@
-"""The byte helpers under sealing and the coin flip."""
+"""The byte helpers under sealing and the coin flip, and the canonical
+JSON writer."""
+
+import json
+import string
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from siot import det_rng, kdf_dec
+from siot import canonical_json, det_rng, kdf_dec
 from siot.errors import DecryptionError
 from siot.field import FieldContext
 from siot.util import TAG_LEN, open_sealed, sub_seed, xor_bytes
@@ -56,3 +62,38 @@ def test_seeds_are_bytes_not_hex_text():
         with pytest.raises(TypeError):
             sub_seed(seed, "x")
     assert sub_seed(None, "x") is None
+
+
+# text the escaper must rewrite: quotes, backslash, control characters,
+# DEL, non-ASCII, a line separator, lone surrogates and an astral character
+ESCAPED = '"\\/\x00\x08\x1f\x7f\x80\xe9\u2028\ud800\udfff\U0001f600'
+TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()) | st.sampled_from(ESCAPED),
+            max_size=8),
+    st.text("0123456789abcdef", max_size=70),
+    st.text(string.ascii_letters + string.digits + "-_ ", max_size=12),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-2 ** 3000, 2 ** 3000), st.floats(), TEXT,
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(TEXT, inner, max_size=4),
+        st.dictionaries(st.integers(-9, 99), inner, max_size=3),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(JSON_VALUES)
+def test_canonical_json_is_json_dumps(value):
+    """The writer copies alphanumeric strings as they are; its output is
+    still exactly ``json.dumps``' bytes, whatever else the value holds."""
+    assert canonical_json(value) == json.dumps(
+        value, sort_keys=True, separators=(",", ":"),
+        ensure_ascii=True).encode()
