@@ -1,9 +1,9 @@
 """Oblivious transfer from supersingular isogenies, at toy scale.
 
 Layers, bottom up: quadratic extension field arithmetic (field), short
-Weierstrass curves (curve), prime-power isogeny chains (isogeny), the
-Weil pairing with torsion-basis sampling and its certificate (pairing),
-the two-torsion-tower key exchange (sidh), the masked 1-of-2 OT
+Weierstrass curves with torsion-basis sampling and its certificate
+(curve), prime-power isogeny chains (isogeny), the Weil pairing
+(pairing), the two-torsion-tower key exchange (sidh), the masked 1-of-2 OT
 protocol and its one message schedule (siot), the wire format and
 framing over any stream (wire, transport), a classical-group reference
 OT and its driver (baseline_ot), the isogeny OT's session drivers

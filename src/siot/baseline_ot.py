@@ -21,6 +21,7 @@ from .curve import EllipticCurve, Point
 from .errors import ProtocolAbort
 from .field import FieldContext
 from .sidh import point_to_obj
+from .siot import SESSION_ID_LEN
 from .util import det_rng, open_sealed, seal, sub_seed, tagged_hash
 from .wire import Transcript, WireMessage
 
@@ -89,7 +90,7 @@ def run_baseline_local(b: int, m0: bytes, m1: bytes, seed=None) -> dict:
     """In-process baseline OT session with a wire-shaped transcript."""
     rng_s = det_rng(sub_seed(seed, "bo-sender"))
     rng_r = det_rng(sub_seed(seed, "bo-receiver"))
-    sid = det_rng(sub_seed(seed, "bo-session")).randbytes(16).hex()
+    sid = det_rng(sub_seed(seed, "bo-session")).randbytes(SESSION_ID_LEN)
 
     y, S, T = bo_sender_setup(rng_s)
     transcript = Transcript()

@@ -194,12 +194,14 @@ def _emit(obj, out_path=None) -> None:
 
 
 def _finish(outcome, args) -> int:
-    """Write ``--transcript``, then ``-o``, then print the delivered bytes."""
+    """Write ``--transcript``, then the delivered bytes to ``-o`` or stdout."""
     if args.transcript:
         _write_file(args.transcript, outcome["transcript"].to_bytes())
     output = outcome["output"]
     if args.out:
         _write_file(args.out, output)
+        _print(f"delivered: {len(output)} bytes to {args.out}")
+        return 0
     _print(f"delivered-hex: {output.hex()}")
     try:
         _print(f"delivered-text: {output.decode('utf-8')}")

@@ -18,16 +18,8 @@ from typing import NamedTuple
 
 from .errors import ProtocolAbort, RestartRequired
 from .sidh import PublicParams
-from .siot import (
-    SCHEDULE,
-    SiotSession,
-    commitment,
-    exchange,
-    read_ciphertexts,
-    read_commit,
-    read_nonce,
-    read_public,
-)
+from .siot import (SCHEDULE, SESSION_ID_LEN, SIDE, SiotSession, exchange,
+                   read_ciphertexts, read_commit, read_public, read_reveal)
 from .transport import recv_frame, send_frame
 from .util import det_rng, sub_seed
 from .wire import Transcript, WireMessage, decode, encode
@@ -53,7 +45,8 @@ def run_local(config: SessionConfig) -> dict:
     """
     rng_s = det_rng(sub_seed(config.seed, "sender"))
     rng_r = det_rng(sub_seed(config.seed, "receiver"))
-    sid = det_rng(sub_seed(config.seed, "session-id")).randbytes(16)
+    sid = det_rng(sub_seed(config.seed, "session-id")).randbytes(
+        SESSION_ID_LEN)
 
     restarts = 0
     while True:
@@ -70,7 +63,7 @@ def run_local(config: SessionConfig) -> dict:
                 raise
     transcript = Transcript()
     for msg, body in zip(SCHEDULE, bodies):
-        transcript.append(msg.direction, WireMessage(msg.type, sid.hex(), body))
+        transcript.append(msg.direction, WireMessage(msg.type, sid, body))
     return {
         "output": receiver.output,
         "sender_j": sender.shared_j,
@@ -91,19 +84,20 @@ def run_session(role: str, config: SessionConfig, stream) -> dict:
     schedule's type, else the session aborts; this is the one check of
     a frame's type, and the consuming phase's reader the one of its body.
     """
-    if role not in ("sender", "receiver"):
+    if role not in SIDE:
         raise ValueError("role must be sender or receiver")
     rng = det_rng(config.seed)
     transcript = Transcript()
     if role == "sender":
-        session = SiotSession(config.params, "sender", rng, rng.randbytes(16),
+        session = SiotSession(config.params, "sender", rng,
+                              rng.randbytes(SESSION_ID_LEN),
                               x0=config.x0, x1=config.x1)
     else:
         session = None   # built after the session id is learned
 
     for msg in SCHEDULE:
         if msg.producer == role:
-            wm = WireMessage(msg.type, session.session_id.hex(),
+            wm = WireMessage(msg.type, session.session_id,
                              getattr(session, msg.produce)())
             send_frame(stream, encode(wm))
             transcript.append(msg.direction, wm)
@@ -111,8 +105,8 @@ def run_session(role: str, config: SessionConfig, stream) -> dict:
             wm = decode(recv_frame(stream))
             if session is None:
                 session = SiotSession(config.params, "receiver", rng,
-                                      bytes.fromhex(wm.session), b=config.b)
-            if wm.session != session.session_id.hex():
+                                      wm.session, b=config.b)
+            if wm.session != session.session_id:
                 raise ProtocolAbort("bad-message", "session id mismatch")
             if wm.type != msg.type:
                 raise ProtocolAbort(
@@ -134,10 +128,12 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
     After the schedule and session id, one row per body reader, the one
     its session phase calls: ``coinflip-binding`` (each reveal opens its
     commitment), ``public-key-A``, ``public-key-B`` (the receiver pair's
-    basis certificate included) and ``ciphertext-shape``.  A reader's
-    abort is a failed row, never an exception out of the verifier.  No
-    secrets are needed, and the mask coefficients are not re-derived:
-    any coin-flip string yields coefficients meeting every constraint.
+    basis certificate included) and ``ciphertext-shape``, each taking
+    its bodies by their SCHEDULE rows' type and producer, and reading a
+    commit before its reveal.  A reader's abort is a failed row, never
+    an exception out of the verifier.  No secrets are needed, and the
+    mask coefficients are not re-derived: any coin-flip string yields
+    coefficients meeting every constraint.
     """
     checks = []
 
@@ -154,24 +150,29 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
         return {"ok": False, "checks": checks}
 
     sids = {m.session for _, m in entries}
-    check("session-id-consistent", len(sids) == 1, f"ids seen: {sorted(sids)}")
+    check("session-id-consistent", len(sids) == 1,
+          f"ids seen: {sorted(sid.hex() for sid in sids)}")
 
-    bodies = [m.body for _, m in entries]
+    body = {(s.type, s.producer): m.body
+            for s, (_, m) in zip(SCHEDULE, entries)}
 
-    def coinflip_binding():   # rows 0 and 1 commit, rows 2 and 3 reveal
-        for i in (0, 1):
-            if commitment(read_nonce(bodies[i + 2])) != read_commit(bodies[i]):
-                raise ProtocolAbort("coinflip-cheat", "revealed nonce does "
-                                    "not open the commitment")
+    def coinflip_binding():   # each party's commit, then its reveal
+        for role in SIDE:
+            read_reveal(body["coin-reveal", role],
+                        read_commit(body["coin-commit", role]))
+
+    def public_key(mtype, role):
+        return lambda: read_public(params, SIDE[role], body[mtype, role])
 
     rows = (
         ("coinflip-binding", coinflip_binding,
          "each reveal opens its commitment"),
-        ("public-key-A", lambda: read_public(params, "A", bodies[4]),
+        ("public-key-A", public_key("pk-sender", "sender"),
          "key passes torsion validation"),
-        ("public-key-B", lambda: read_public(params, "B", bodies[5]),
+        ("public-key-B", public_key("pk-receiver", "receiver"),
          "key passes torsion validation; pair is a torsion basis"),
-        ("ciphertext-shape", lambda: read_ciphertexts(bodies[6]),
+        ("ciphertext-shape",
+         lambda: read_ciphertexts(body["ciphertexts", "sender"]),
          "two equal-length hex ciphertexts"),
     )
     for name, read, detail in rows:

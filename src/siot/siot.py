@@ -26,13 +26,14 @@ pair is always a basis and both branch kernels have full order.  The
 sender certifies the pair where it enters, and the one restart left is
 a collision of the sender's two branch j-invariants.
 
-The message order is written down once, in SCHEDULE; every session,
-driver and the transcript verifier derive theirs from that table.  Each
-body has one reader (``read_*``), the one check of that body, which the
-session phase consuming the body and the transcript verifier both call:
-it refuses a body that is not an object of exactly its own keys, or
-whose fields are malformed, with ``bad-message``, whichever path the
-body came by.  The wire checks only the envelope.
+The message order is written down once, in SCHEDULE, whose rows give
+each message's place, type and producer; every session, driver and the
+transcript verifier derive theirs from that table.  Each body has one
+reader (``read_*``), the one check of that body, which the session
+phase consuming the body and the transcript verifier both call: it
+refuses a body that is not an object of exactly its own keys, or whose
+fields are malformed, with ``bad-message``, whichever path the body
+came by.  The wire checks only the envelope.
 """
 
 from __future__ import annotations
@@ -47,20 +48,15 @@ from .errors import (DecodeError, DecryptionError, InvalidKernelError,
 from .field import Fp2, inv_batch
 from .isogeny import isogeny_chain, kernel_generator
 from .pairing import weil_pairing
-from .sidh import (
-    PublicParams,
-    SidhKeyPair,
-    SidhPublic,
-    keygen,
-    params_to_obj,
-    public_from_obj,
-    public_to_obj,
-    validate_public,
-)
+from .sidh import (PublicParams, SidhKeyPair, SidhPublic, keygen, other_side,
+                   params_to_obj, public_from_obj, public_to_obj,
+                   validate_public)
 from .util import (TAG_LEN, canonical_json, expand, open_sealed, seal,
                    strict_fromhex, tagged_hash, xor_bytes)
 
 NONCE_LEN = 32
+SESSION_ID_LEN = 16
+SIDE = {"sender": "A", "receiver": "B"}   # each role's side of the exchange
 _LENGTH_PREFIX = struct.Struct("!I")   # an input's length, ahead of it
 
 
@@ -245,9 +241,14 @@ def read_commit(body: dict) -> bytes:
     return _bytes_field(body, "commit", NONCE_LEN)
 
 
-def read_nonce(body: dict) -> bytes:
+def read_reveal(body: dict, commit: bytes) -> bytes:
+    """The revealed nonce, which must open its party's ``commit``."""
     _require_keys(body, "nonce")
-    return _bytes_field(body, "nonce", NONCE_LEN)
+    nonce = _bytes_field(body, "nonce", NONCE_LEN)
+    if commitment(nonce) != commit:
+        raise ProtocolAbort("coinflip-cheat",
+                            "revealed nonce does not open the commitment")
+    return nonce
 
 
 def read_public(params: PublicParams, producer: str,
@@ -391,7 +392,7 @@ class SiotSession:
     def __init__(self, params: PublicParams, role: str, rng,
                  session_id: bytes, x0: bytes | None = None,
                  x1: bytes | None = None, b: int | None = None):
-        if role not in ("sender", "receiver"):
+        if role not in SIDE:
             raise ValueError("role must be sender or receiver")
         if role == "sender":
             if x0 is None or x1 is None:
@@ -403,18 +404,16 @@ class SiotSession:
                 raise ValueError("receiver needs a choice bit in {0, 1}")
             if x0 is not None or x1 is not None:
                 raise ValueError("receiver holds no input strings")
-        if len(session_id) != 16:
-            raise ValueError("session id must be 16 bytes")
+        if len(session_id) != SESSION_ID_LEN:
+            raise ValueError(f"session id must be {SESSION_ID_LEN} bytes")
         self.params = params
         self.role = role
-        self.rng = rng
         self.session_id = session_id
         self.x0, self.x1, self.b = x0, x1, b
         # drawn before the key pair: transcripts follow the rng's order
         self.nonce = rng.randbytes(NONCE_LEN)
         self.remote_commitment: bytes | None = None
-        self.keypair: SidhKeyPair = keygen(
-            params, "A" if role == "sender" else "B", rng)
+        self.keypair: SidhKeyPair = keygen(params, SIDE[role], rng)
         self.coeffs: MaskCoefficients | None = None
         self.their_public: SidhPublic | None = None
         self.ciphertexts: tuple[bytes, bytes] | None = None
@@ -456,10 +455,7 @@ class SiotSession:
 
     @_phase
     def consume_reveal(self, body: dict) -> None:
-        nonce = read_nonce(body)
-        if commitment(nonce) != self.remote_commitment:
-            raise ProtocolAbort("coinflip-cheat",
-                                "revealed nonce does not open the commitment")
+        nonce = read_reveal(body, self.remote_commitment)
         self.coeffs = derive_mask_coeffs(xor_bytes(self.nonce, nonce),
                                          self.params)
 
@@ -467,19 +463,17 @@ class SiotSession:
 
     @_phase
     def produce_public(self) -> dict:
-        if self.role == "sender":
-            body = public_to_obj(self.keypair.public)
-        else:
-            body = public_to_obj(
-                mask_public(self.coeffs, self.keypair.public, self.b,
-                            self.params.n("A")))
+        pub = self.keypair.public
+        if self.role == "receiver":
+            pub = mask_public(self.coeffs, pub, self.b, self.params.n("A"))
+        body = public_to_obj(pub)
         self._pk_bodies.append(body)
         return body
 
     @_phase
     def consume_public(self, body: dict) -> None:
-        producer = "A" if self.role == "receiver" else "B"
-        self.their_public = read_public(self.params, producer, body)
+        self.their_public = read_public(
+            self.params, other_side(SIDE[self.role]), body)
         self._pk_bodies.append(body)
         if self.role == "sender":
             self._derive_ciphertext_keys()

@@ -6,11 +6,12 @@ session, body.  The version is always 1: it is written on the way out
 and checked on the way in, and a ``WireMessage`` does not carry it.
 This module checks the envelope only, and only on the way in, in
 ``_from_obj``: the type is a string, the version the integer 1, the
-session id 32 lowercase hex digits, the body an object.  Anything else
-is refused with a positioned decode error.  What a type's body holds is
-checked by that body's reader in ``siot.siot``, and which type may come
-next by the session driver against ``SCHEDULE``; messages the library
-built are written without a check.
+session id 32 lowercase hex digits, which a ``WireMessage`` holds as
+bytes, the body an object.  Anything else is refused with a positioned
+decode error.  What a type's body holds is checked by that body's
+reader in ``siot.siot``, and which type may come next by the session
+driver against ``SCHEDULE``; messages the library built are written
+without a check.
 """
 
 from __future__ import annotations
@@ -19,20 +20,20 @@ import json
 from typing import NamedTuple
 
 from .errors import DecodeError
+from .siot import SESSION_ID_LEN
 from .util import canonical_json, strict_fromhex
 
 VERSION = 1
-SESSION_ID_LEN = 16
 
 
 class WireMessage(NamedTuple):
     type: str
-    session: str
+    session: bytes
     body: dict
 
 
 def _to_obj(msg: WireMessage) -> dict:
-    return {"body": msg.body, "session": msg.session, "type": msg.type,
+    return {"body": msg.body, "session": msg.session.hex(), "type": msg.type,
             "version": VERSION}
 
 
@@ -53,7 +54,7 @@ def _from_obj(obj) -> WireMessage:
         raise DecodeError(
             f"session id must be {2 * SESSION_ID_LEN} lowercase hex chars")
     try:
-        strict_fromhex(session)
+        session = strict_fromhex(session)
     except ValueError as exc:
         raise DecodeError("session id is not hex") from exc
     if not isinstance(body, dict):

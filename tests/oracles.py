@@ -263,19 +263,6 @@ def count_fp_points(p: int, A: int, B: int) -> int:
     return count
 
 
-def fp_points(p: int, A: int, B: int):
-    """Every affine F_p-rational point, by exhaustive search."""
-    pts = []
-    squares = {}
-    for y in range(p):
-        squares.setdefault(y * y % p, []).append(y)
-    for x in range(p):
-        rhs = (x * x * x + A * x + B) % p
-        for y in squares.get(rhs, ()):
-            pts.append((x, y))
-    return pts
-
-
 # -- isogeny steps ---------------------------------------------------------
 
 @dataclass(frozen=True)

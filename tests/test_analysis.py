@@ -3,6 +3,7 @@ kernel-collapse probe, brute-force inversion, and reachability."""
 
 import pytest
 
+import siot.analysis
 from oracles import (decompose_in_basis, isogeny_path_exists,
                      reachable_j_values, shared_j_oracle,
                      symmetric_constraint_check)
@@ -26,6 +27,20 @@ from siot.siot import MaskCoefficients, derive_mask_coeffs
 def test_equivariance_precheck_passes(p431, p2591):
     equivariance_precheck(p431, det_rng(b"eq1"))
     equivariance_precheck(p2591, det_rng(b"eq2"))
+
+
+def test_equivariance_precheck_refuses_a_broken_relation(p431, monkeypatch):
+    """No parameter file reaches the precheck's error, since
+    ``params_from_obj`` certifies the bases, so a pairing that swaps its
+    points on the codomain, e(H, G) = e(G, H)^-1, breaks the relation."""
+    real = siot.analysis.weil_pairing
+
+    def swapped_on_codomain(E, P, Q, n):
+        return real(E, Q, P, n) if E != p431.curve else real(E, P, Q, n)
+
+    monkeypatch.setattr(siot.analysis, "weil_pairing", swapped_on_codomain)
+    with pytest.raises(AssertionError, match="does not commute"):
+        equivariance_precheck(p431, det_rng(b"eq1"))
 
 
 def test_honest_mask_is_indistinguishable(p431):

@@ -8,6 +8,7 @@ import sys
 import threading
 from pathlib import Path
 
+from siot import det_rng
 from siot.cli import main
 from siot.sidh import PRESET_NAMES, params_to_obj
 
@@ -64,6 +65,20 @@ def test_run_local_and_verify(tmp_path, capsys):
     assert main(["verify-transcript", str(tmp_path / "t.jsonl"),
                  "--preset", "p431"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_run_local_with_out_file_prints_no_hex(tmp_path, capsys):
+    """With ``-o`` the delivered bytes go to the file alone, and stdout
+    holds one line naming it, not 131,072 hex digits of a 64 KiB
+    output."""
+    rng = det_rng(b"cli/out-file")
+    x0, x1 = rng.randbytes(64 * 1024), rng.randbytes(64 * 1024)
+    m0, m1 = _write(tmp_path, "m0", x0), _write(tmp_path, "m1", x1)
+    outf = str(tmp_path / "delivered.bin")
+    assert main(["run-local", "--preset", "p431", "--choice", "0",
+                 "--msg0", m0, "--msg1", m1, "--seed", "0f", "-o", outf]) == 0
+    assert (tmp_path / "delivered.bin").read_bytes() == x0
+    assert capsys.readouterr().out == f"delivered: 65536 bytes to {outf}\n"
 
 
 def test_verify_rejects_tampered_transcript(tmp_path, capsys):

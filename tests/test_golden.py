@@ -64,9 +64,8 @@ P102_DIGESTS = (
 
 
 @pytest.mark.parametrize("b", [0, 1])
-def test_long_chain_local_run(b):
-    params = gen_params(2, 51, 3, 32, rng=det_rng(b"tests/p102"))
-    out = run_local(SessionConfig(params, seed=b"golden-p102", b=b,
+def test_long_chain_local_run(b, p102):
+    out = run_local(SessionConfig(p102, seed=b"golden-p102", b=b,
                                   x0=X0, x1=X1))
     assert out["restarts"] == 0
     assert out["output"] == (X0, X1)[b]

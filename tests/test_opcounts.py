@@ -16,11 +16,7 @@ from siot.isogeny import isogeny_chain, kernel_generator
 from siot.pairing import weil_pairing
 
 
-def _p102():
-    return gen_params(2, 51, 3, 32, rng=det_rng(b"tests/p102"))
-
-
-def test_long_chain_inversions_stay_below_quadratic(counter):
+def test_long_chain_inversions_stay_below_quadratic(counter, p102):
     """An e = 51 two-power chain takes 50 inversions, one per Velu step
     but the last: each step brings its kernel point, the Jacobian
     multiples on its stack and its chord denominators to affine in one
@@ -29,30 +25,28 @@ def test_long_chain_inversions_stay_below_quadratic(counter):
     took 100, and a fresh scalar multiple per step, in affine
     coordinates, 1,425.  Pushed points ride the stack's batches, so
     pushing two adds one inversion, at the last step."""
-    params = _p102()
-    G, H = params.basis_a
-    K = kernel_generator(params.curve, G, 12345, H)
+    G, H = p102.basis_a
+    K = kernel_generator(p102.curve, G, 12345, H)
     inv = counter(Fp2, "inv")
     velu = counter(siot.isogeny, "velu_step")
-    isogeny_chain(params.curve, K, 2, 51, ())
+    isogeny_chain(p102.curve, K, 2, 51, ())
     assert (inv[0], velu[0]) == (50, 51)
     inv[0] = 0
-    isogeny_chain(params.curve, K, 2, 51, params.basis_b)
+    isogeny_chain(p102.curve, K, 2, 51, p102.basis_b)
     assert inv[0] == 51
 
 
-def test_p102_keygen_inversions(counter):
+def test_p102_keygen_inversions(counter, p102):
     """One keygen per side at 2^51*3^32 - 1: one inversion per step of
     the walk, which pushes the other side's basis in its own batches,
     and one for the kernel generator P + [r]Q, a joint multiplication
     (two, and [53, 34] in all, when it was a multiplication and an
     addition)."""
-    params = _p102()
     inv = counter(Fp2, "inv")
     counts = []
     for side in ("A", "B"):
         inv[0] = 0
-        keygen(params, side, det_rng(b"opcount/keygen/" + side.encode()))
+        keygen(p102, side, det_rng(b"opcount/keygen/" + side.encode()))
         counts.append(inv[0])
     assert counts == [52, 33]
 
@@ -66,12 +60,14 @@ def test_validate_public_inverts_nothing(counter, p431):
     assert inv[0] == 0
 
 
-def test_parameters_are_certified_without_a_pairing(counter):
+def test_parameters_are_certified_without_a_pairing(counter, p102):
     """``gen_params`` and ``params_from_obj`` certify their bases by the
-    multiples of order ell, with no Miller function and no pairing."""
+    multiples of order ell, with no Miller function and no pairing.  The
+    search is the counted call, so it runs here and not in the fixture."""
     miller = counter(siot.pairing, "miller_function")
     weil = counter(siot.pairing, "weil_pairing")
-    params = _p102()
+    params = gen_params(2, 51, 3, 32, rng=det_rng(b"tests/p102"))
+    assert params == p102
     params_from_obj(params_to_obj(params))
     assert (miller[0], weil[0]) == (0, 0)
 
@@ -87,17 +83,16 @@ def test_basis_test_inverts_nothing(counter, p431):
     assert inv[0] == 0
 
 
-def test_weil_pairing_op_counts(counter):
+def test_weil_pairing_op_counts(counter, p102):
     """One pairing of the 2^51-torsion basis: four Miller functions at
     one inversion each, two affine additions for the evaluation points
     and one division of the combined quotient.  The pairing trusts its
     checked torsion inputs and makes no scalar multiplication."""
-    params = _p102()
-    G, H = params.basis_a
+    G, H = p102.basis_a
     inv = counter(Fp2, "inv")
     miller = counter(siot.pairing, "miller_function")
     mul = counter(EllipticCurve, "mul")
-    weil_pairing(params.curve, G, H, params.n("A"))
+    weil_pairing(p102.curve, G, H, p102.n("A"))
     assert (inv[0], miller[0], mul[0]) == (7, 4, 0)
 
 
@@ -132,7 +127,7 @@ def test_p431_session_op_counts(counter):
     assert checks[0] == 4
 
 
-def test_p102_session_jacobian_steps(counter):
+def test_p102_session_jacobian_steps(counter, p102):
     """A clean session at 2^51*3^32 - 1, per bit: the Jacobian doublings,
     mixed additions, full additions and triplings of ``siot.curve``
     (the Miller loop's own steps, in ``siot.pairing``, are not
@@ -144,11 +139,10 @@ def test_p102_session_jacobian_steps(counter):
     Jacobian, to a chain.  For bit 1 the receiver forms its shifted
     pair directly, by the two joint multiplications of I - M, where it
     formed (U, V) and subtracted: (860, 186, 8, 226) then."""
-    params = _p102()
     for b, want in ((0, (860, 184, 8, 226)), (1, (856, 172, 13, 226))):
         steps = [counter(siot.curve, name) for name in (
             "jac_double", "jac_add_affine", "jac_add", "jac_triple")]
-        out = run_local(SessionConfig(params, seed=b"golden-p102", b=b,
+        out = run_local(SessionConfig(p102, seed=b"golden-p102", b=b,
                                       x0=b"zero", x1=b"one"))
         assert out["restarts"] == 0
         assert tuple(c[0] for c in steps) == want

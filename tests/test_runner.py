@@ -180,6 +180,13 @@ def _set_field(key, value):
     return lambda body, params: body.update({key: value(body[key])})
 
 
+def _false_reveal(body, params):
+    """One digit of a well-formed nonce changed, so that it does not open
+    its commitment: the session aborts ``coinflip-cheat``."""
+    nonce = body["nonce"]
+    body["nonce"] = ("1" if nonce[0] == "0" else "0") + nonce[1:]
+
+
 def _cut_ciphertexts(length):
     """Both ciphertexts cut to their first ``length`` bytes; an honest
     one holds at least a 4-byte length prefix and a 32-byte tag."""
@@ -193,6 +200,10 @@ BAD_BODIES = [
     for case in MALFORMED_FIELDS
     for index, key, value, row in [case.values]
 ] + [
+    pytest.param(2, _false_reveal, "coinflip-binding",
+                 id="false-reveal-sender"),
+    pytest.param(3, _false_reveal, "coinflip-binding",
+                 id="false-reveal-receiver"),
     pytest.param(4, _off_curve_g, "public-key-A", id="off-curve-pk-sender"),
     pytest.param(5, _dependent_pair, "public-key-B",
                  id="dependent-pk-receiver"),
@@ -409,7 +420,7 @@ def test_online_receiver_rejects_out_of_order(p431):
 
     th = closing_thread(pipe.b, receiver)
     try:
-        send_frame(pipe.a, encode(WireMessage("coin-reveal", "11" * 16,
+        send_frame(pipe.a, encode(WireMessage("coin-reveal", b"\x11" * 16,
                                               {"nonce": "ab" * 32})))
     finally:
         pipe.a.close()
@@ -423,7 +434,8 @@ def test_frame_of_unknown_type_is_out_of_order(p431):
     one check of a frame's type."""
     from siot.wire import encode
 
-    frame = encode(WireMessage("gossip", "11" * 16, {"commit": "ab" * 32}))
+    frame = encode(WireMessage("gossip", b"\x11" * 16,
+                               {"commit": "ab" * 32}))
     cfg = SessionConfig(p431, seed=b"uk-r", b=0)
     with pytest.raises(ProtocolAbort) as info:
         run_session("receiver", cfg, ReplayStream([frame]))

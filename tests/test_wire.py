@@ -11,7 +11,7 @@ from siot.errors import DecodeError, ProtocolAbort
 from siot.siot import read_commit
 from siot.wire import WireMessage, decode, encode
 
-SID = "00" * 16
+SID = bytes(16)
 
 
 def _msg(**kw):
