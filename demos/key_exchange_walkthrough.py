@@ -6,7 +6,7 @@ public triples, and the matching j-invariants at the end.
 """
 
 from siot import derive_shared_j, det_rng, keygen, preset, validate_public
-from siot.errors import ProtocolAbort
+from siot.errors import InvalidPointError
 
 
 def banner(text: str) -> None:
@@ -62,8 +62,8 @@ def main() -> None:
     bad = type(pub)(pub.curve, pub.curve.mul(params.ell_a, pub.G), pub.H)
     try:
         validate_public(params, "B", bad)
-    except ProtocolAbort as exc:
-        print(f"validate_public: [{exc.code}] {exc}")
+    except InvalidPointError as exc:
+        print(f"validate_public: {exc}")
 
 
 if __name__ == "__main__":

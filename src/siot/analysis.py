@@ -23,7 +23,6 @@ from .sidh import PublicParams, SidhPublic, keygen, other_side
 from .siot import (MaskCoefficients, branch_kernels, derive_mask_coeffs,
                    derive_shared_j, encode_mask_points, kdf_dec, kdf_enc,
                    mask_public)
-from .util import det_rng
 
 
 class DistinguisherReport(NamedTuple):
@@ -55,7 +54,7 @@ class OracleResult(NamedTuple):
     seconds: float
 
 
-def equivariance_precheck(params: PublicParams, rng=None) -> Fp2:
+def equivariance_precheck(params: PublicParams, rng) -> Fp2:
     """Assert e(phi(P), phi(Q)) = e(P, Q)^(deg phi) on a fresh keypair,
     and return the right side, e(PA, QA)^(lB^eB) on E0.
 
@@ -63,7 +62,6 @@ def equivariance_precheck(params: PublicParams, rng=None) -> Fp2:
     rests on this relation; it is re-verified from scratch before any
     scan trusts it.
     """
-    rng = rng if rng is not None else det_rng(b"equivariance-precheck")
     n = params.n("A")
     P, Q = params.basis_a
     kp = keygen(params, "B", rng)
@@ -92,7 +90,7 @@ def _lambda_values(n: int, rng) -> tuple:
 
 def distinguisher_scan(params: PublicParams, masked_public: SidhPublic,
                        coeffs: MaskCoefficients,
-                       rng=None) -> DistinguisherReport:
+                       rng) -> DistinguisherReport:
     """Sweep e(G' + lambda*U, H' + lambda*V) against the public target.
 
     masked_public is the receiver key as seen on the wire, and (U, V)
@@ -101,7 +99,6 @@ def distinguisher_scan(params: PublicParams, masked_public: SidhPublic,
     transcript pair as unmasked, hypothesis 1 as masked; a compliant
     mask family makes the two sweeps identical for every lambda.
     """
-    rng = rng if rng is not None else det_rng(b"distinguisher-scan")
     target = equivariance_precheck(params, rng)
     n = params.n("A")
     E = masked_public.curve
@@ -122,7 +119,7 @@ def distinguisher_scan(params: PublicParams, masked_public: SidhPublic,
     return DistinguisherReport(lambdas, verdicts, tuple(separations), verdict)
 
 
-def distinguisher_fixture(params: PublicParams, rng=None, b: int = 1,
+def distinguisher_fixture(params: PublicParams, rng, b: int = 1,
                           violate: bool = False):
     """A receiver transcript to aim the scan at.
 
@@ -131,7 +128,6 @@ def distinguisher_fixture(params: PublicParams, rng=None, b: int = 1,
     which makes the pairing exponent move with lambda and leaks the bit.
     Returns (masked_public, coeffs).
     """
-    rng = rng if rng is not None else det_rng(b"distinguisher-fixture")
     kp = keygen(params, "B", rng)
     if violate:
         n = params.n("A")
@@ -167,7 +163,7 @@ def same_cyclic_subgroup(E: EllipticCurve, K1: Point, K2: Point,
     return weil_pairing(E, K1, K2, ell ** e) == E.ctx.one()
 
 
-def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
+def dishonest_bob_probe(params: PublicParams, rng) -> dict:
     """Exercise the kernel-collapse condition from both directions.
 
     Honest fixture: protocol coefficients leave the collapse quadratic
@@ -177,7 +173,6 @@ def dishonest_bob_probe(params: PublicParams, rng=None) -> dict:
     make both kernels literally the same subgroup, hence equal j.
     Degenerate control: all-zero coefficients collapse trivially.
     """
-    rng = rng if rng is not None else det_rng(b"dishonest-bob-probe")
     n = params.n("A")
     ell, e = params.ell_a, params.e_a
     sender = keygen(params, "A", rng)

@@ -21,7 +21,7 @@ from .curve import EllipticCurve, Point
 from .errors import ProtocolAbort
 from .field import FieldContext
 from .sidh import point_to_obj
-from .siot import SESSION_ID_LEN
+from .siot import DIRECTION, SESSION_ID_LEN
 from .util import det_rng, open_sealed, seal, sub_seed, tagged_hash
 from .wire import Transcript, WireMessage
 
@@ -94,16 +94,15 @@ def run_baseline_local(b: int, m0: bytes, m1: bytes, seed=None) -> dict:
 
     y, S, T = bo_sender_setup(rng_s)
     transcript = Transcript()
-    transcript.append("sender->receiver", WireMessage("baseline-setup", sid, {
-        "s": point_to_obj(S), "t": point_to_obj(T)}))
+    transcript.append(DIRECTION["sender"], WireMessage(
+        "baseline-setup", sid, {"s": point_to_obj(S), "t": point_to_obj(T)}))
     x, R, k_b = bo_receiver_round(S, b, rng_r)
-    transcript.append("receiver->sender", WireMessage("baseline-response", sid, {
-        "r": point_to_obj(R)}))
+    transcript.append(DIRECTION["receiver"], WireMessage(
+        "baseline-response", sid, {"r": point_to_obj(R)}))
     k0, k1 = bo_sender_keys(y, S, T, R)
     d0, d1 = seal(k0, m0), seal(k1, m1)
-    transcript.append("sender->receiver",
-                      WireMessage("baseline-ciphertexts", sid, {
-                          "d0": d0.hex(), "d1": d1.hex()}))
+    transcript.append(DIRECTION["sender"], WireMessage(
+        "baseline-ciphertexts", sid, {"d0": d0.hex(), "d1": d1.hex()}))
     delivered = open_sealed(k_b, d1 if b else d0)
     return {
         "output": delivered,

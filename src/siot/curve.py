@@ -57,17 +57,13 @@ class Point(NamedTuple):
     y: Fp2 | None
     infinity: bool = False
 
-    @classmethod
-    def at_infinity(cls) -> Point:
-        return cls(None, None, True)
-
     def __repr__(self) -> str:
         if self.infinity:
             return "Point(infinity)"
         return f"Point({self.x.a}+{self.x.b}i, {self.y.a}+{self.y.b}i)"
 
 
-INFINITY = Point.at_infinity()
+INFINITY = Point(None, None, True)
 
 
 class EllipticCurve:
@@ -82,9 +78,6 @@ class EllipticCurve:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, EllipticCurve)
                 and self.A == other.A and self.B == other.B)
-
-    def __hash__(self) -> int:
-        return hash((self.A, self.B))
 
     def __repr__(self) -> str:
         return f"EllipticCurve(A={self.A!r}, B={self.B!r})"

@@ -13,8 +13,8 @@ class SiotError(Exception):
 
 class InvalidPointError(SiotError):
     """A coordinate pair does not satisfy its curve equation, or a point
-    lies outside the torsion it must be in; ``point`` is that point when
-    the raiser names it."""
+    lies outside the torsion it must be in or falls short of its full
+    order there; ``point`` is that point when the raiser names it."""
 
     def __init__(self, message: str, point=None):
         self.point = point
@@ -51,7 +51,9 @@ class ProtocolAbort(SiotError):
 
     Codes in use: ``bad-sender-key``, ``bad-receiver-key``,
     ``coinflip-cheat``, ``decrypt-fail``, ``out-of-order``,
-    ``bad-message``, and ``refused-point`` from the baseline OT.
+    ``bad-message``, and ``refused-point`` from the baseline OT.  The
+    two key codes are chosen by the key's role in ``siot.siot``; the
+    key check of ``siot.sidh`` raises ``InvalidPointError``.
     """
 
     def __init__(self, code: str, detail: str = ""):

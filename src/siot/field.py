@@ -114,15 +114,6 @@ class FieldContext:
         self._sqrt_exp = (p + 1) // 4      # x^((p+1)/4) is an F_p root
         self._half = (p + 1) // 2          # 1/2 mod p
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FieldContext) and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(("FieldContext", self.p))
-
-    def __repr__(self) -> str:
-        return f"FieldContext(p={self.p})"
-
     def elem(self, a: int, b: int = 0) -> Fp2:
         return Fp2(self, a, b)
 

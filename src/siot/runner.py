@@ -103,20 +103,19 @@ def run_session(role: str, config: SessionConfig, stream) -> dict:
             transcript.append(msg.direction, wm)
         else:
             wm = decode(recv_frame(stream))
-            if session is None:
-                session = SiotSession(config.params, "receiver", rng,
-                                      wm.session, b=config.b)
-            if wm.session != session.session_id:
+            if session is not None and wm.session != session.session_id:
                 raise ProtocolAbort("bad-message", "session id mismatch")
             if wm.type != msg.type:
                 raise ProtocolAbort(
                     "out-of-order",
                     f"expected {msg.type}, peer sent {wm.type}")
+            if session is None:   # its keygen waits for a frame it accepts
+                session = SiotSession(config.params, "receiver", rng,
+                                      wm.session, b=config.b)
             transcript.append(msg.direction, wm)
             getattr(session, msg.consume)(wm.body)
     return {
         "output": session.output,
-        "session": session,
         "transcript": transcript,
         "session_id": session.session_id,
     }
@@ -162,7 +161,7 @@ def verify_transcript(transcript: Transcript, params: PublicParams) -> dict:
                         read_commit(body["coin-commit", role]))
 
     def public_key(mtype, role):
-        return lambda: read_public(params, SIDE[role], body[mtype, role])
+        return lambda: read_public(params, role, body[mtype, role])
 
     rows = (
         ("coinflip-binding", coinflip_binding,

@@ -1,6 +1,7 @@
 """Public parameters, and the first stage of the two-party isogeny key
 exchange the oblivious-transfer layer is built on: key generation, the
-one check of a public key, and the codecs.
+one check of a public key, which raises ``InvalidPointError`` and leaves
+the protocol's abort code to ``siot.siot``, and the codecs.
 
 Parameters fix a prime p = lA^eA * lB^eB * f - 1 with p = 3 (mod 4),
 the curve E0: y^2 = x^3 + x over F_{p^2} (group structure
@@ -25,7 +26,6 @@ from .errors import (
     DecodeError,
     InvalidPointError,
     ParameterSearchError,
-    ProtocolAbort,
     UnsupportedParameterError,
 )
 from .field import FieldContext, Fp2, is_prime
@@ -108,7 +108,7 @@ def _check_shape(ell_a, e_a, ell_b, e_b) -> None:
 
 
 def gen_params(ell_a: int, e_a: int, ell_b: int, e_b: int,
-               max_f: int = 4, rng=None) -> PublicParams:
+               max_f: int = 4, *, rng) -> PublicParams:
     """Search the smallest admissible cofactor f <= max_f and build
     parameters.
 
@@ -118,7 +118,6 @@ def gen_params(ell_a: int, e_a: int, ell_b: int, e_b: int,
     without a pairing.
     """
     _check_shape(ell_a, e_a, ell_b, e_b)
-    rng = rng if rng is not None else det_rng(None)
     base = ell_a ** e_a * ell_b ** e_b
     for f in range(1, max_f + 1):
         p = base * f - 1
@@ -174,30 +173,31 @@ def keygen(params: PublicParams, side: str, rng) -> SidhKeyPair:
 def validate_public(params: PublicParams, producer_side: str,
                     pub: SidhPublic):
     """The one check of a public key: points on curve and of exact
-    torsion order.  ``siot.siot.read_public`` runs it where a key enters.
+    torsion order.  ``siot.siot.read_public`` runs it where a key enters,
+    and turns its ``InvalidPointError`` into the producer's abort code.
 
     A public key from side s carries images of the other side's basis,
-    so its points must have exact order n(other(s)).  Failure aborts.
-    Returns the multiples R = [ell^(e-1)]G and S = [ell^(e-1)]H that
-    proved the orders, Jacobian and of order ell, on which
-    ``read_public`` certifies the receiver's pair.
+    so its points must have exact order n(other(s)); a point off the
+    curve, outside that torsion or short of that order raises
+    ``InvalidPointError``.  Returns the multiples R = [ell^(e-1)]G and
+    S = [ell^(e-1)]H that proved the orders, Jacobian and of order ell,
+    on which ``read_public`` certifies the receiver's pair.
     """
-    code = "bad-sender-key" if producer_side == "A" else "bad-receiver-key"
     side = other_side(producer_side)
     n, ell, e = params.n(side), params.ell(side), params.e(side)
     try:
         pub.curve.check_point(pub.G)
         pub.curve.check_point(pub.H)
     except InvalidPointError as exc:
-        raise ProtocolAbort(code, f"public point off curve: {exc}") from exc
+        raise InvalidPointError(f"public point off curve: {exc}") from exc
     multiples = []
     for name, pt in (("G", pub.G), ("H", pub.H)):
         try:
             R = pub.curve.top_multiple(pt, ell, e)
         except InvalidPointError as exc:
-            raise ProtocolAbort(code, f"{name} is not {n}-torsion") from exc
+            raise InvalidPointError(f"{name} is not {n}-torsion") from exc
         if R[2] == (0, 0):
-            raise ProtocolAbort(code, f"{name} does not have full order {n}")
+            raise InvalidPointError(f"{name} does not have full order {n}")
         multiples.append(R)
     return tuple(multiples)
 

@@ -44,11 +44,11 @@ from typing import NamedTuple
 
 from .curve import EllipticCurve, Point, jac_normalize, unit_point
 from .errors import (DecodeError, DecryptionError, InvalidKernelError,
-                     ProtocolAbort, RestartRequired)
+                     InvalidPointError, ProtocolAbort, RestartRequired)
 from .field import Fp2, inv_batch
 from .isogeny import isogeny_chain, kernel_generator
 from .pairing import weil_pairing
-from .sidh import (PublicParams, SidhKeyPair, SidhPublic, keygen, other_side,
+from .sidh import (PublicParams, SidhKeyPair, SidhPublic, keygen,
                    params_to_obj, public_from_obj, public_to_obj,
                    validate_public)
 from .util import (TAG_LEN, canonical_json, expand, open_sealed, seal,
@@ -57,6 +57,8 @@ from .util import (TAG_LEN, canonical_json, expand, open_sealed, seal,
 NONCE_LEN = 32
 SESSION_ID_LEN = 16
 SIDE = {"sender": "A", "receiver": "B"}   # each role's side of the exchange
+PEER = {"sender": "receiver", "receiver": "sender"}   # whom each sends to
+DIRECTION = {role: f"{role}->{peer}" for role, peer in PEER.items()}
 _LENGTH_PREFIX = struct.Struct("!I")   # an input's length, ahead of it
 
 
@@ -251,26 +253,33 @@ def read_reveal(body: dict, commit: bytes) -> bytes:
     return nonce
 
 
-def read_public(params: PublicParams, producer: str,
-                body: dict) -> SidhPublic:
-    """A public key from side ``producer``, decoded and validated; the
-    receiver's pair (side B) is also certified as a torsion basis.  A
-    sender pair that is no basis passes here: a session finds it when
-    the receiver's walk fails, and aborts with ``bad-sender-key``."""
+def _bad_key(role: str, detail: str) -> ProtocolAbort:
+    """The abort for a public key ``role`` sent: ``bad-sender-key`` or
+    ``bad-receiver-key``."""
+    return ProtocolAbort(f"bad-{role}-key", detail)
+
+
+def read_public(params: PublicParams, role: str, body: dict) -> SidhPublic:
+    """A public key from ``role``, decoded and validated; the receiver's
+    pair is also certified as a torsion basis.  A sender pair that is no
+    basis passes here: a session finds it when the receiver's walk
+    fails, and aborts with ``bad-sender-key``."""
     try:
         pub = public_from_obj(params.ctx, body)
     except DecodeError as exc:
         raise ProtocolAbort("bad-message", str(exc)) from exc
-    R, S = validate_public(params, producer, pub)
+    try:
+        R, S = validate_public(params, SIDE[role], pub)
+    except InvalidPointError as exc:
+        raise _bad_key(role, str(exc)) from exc
     # The one pairing on the session path, kept because
     # bench/test_bench.py pins it (weil > 0 on every workload, weil == 1
     # and miller == 4 per clean p431 attempt).  Once ROADMAP item 1
     # moves those pins, pub.curve._independent(R, S, params.ell_a) on
     # the same multiples gives the same verdict without it.
-    if producer == "B" and not _independent_by_pairing(
+    if role == "receiver" and not _independent_by_pairing(
             pub.curve, R, S, params.ell_a):
-        raise ProtocolAbort("bad-receiver-key",
-                            "masked pair is not a torsion basis")
+        raise _bad_key(role, "masked pair is not a torsion basis")
     return pub
 
 
@@ -337,11 +346,11 @@ class Message(NamedTuple):
 
     @property
     def consumer(self) -> str:
-        return "receiver" if self.producer == "sender" else "sender"
+        return PEER[self.producer]
 
     @property
     def direction(self) -> str:
-        return f"{self.producer}->{self.consumer}"
+        return DIRECTION[self.producer]
 
 
 # the one legal message order
@@ -472,8 +481,7 @@ class SiotSession:
 
     @_phase
     def consume_public(self, body: dict) -> None:
-        self.their_public = read_public(
-            self.params, other_side(SIDE[self.role]), body)
+        self.their_public = read_public(self.params, PEER[self.role], body)
         self._pk_bodies.append(body)
         if self.role == "sender":
             self._derive_ciphertext_keys()
@@ -517,7 +525,7 @@ class SiotSession:
             j = derive_shared_j(self.keypair, self.their_public, self.params)
         except InvalidKernelError as exc:
             # an honest sender's pair is a basis, so K has full order
-            raise ProtocolAbort("bad-sender-key", str(exc)) from exc
+            raise _bad_key("sender", str(exc)) from exc
         self.shared_j = (j,)
         th = self._transcript_hash()
         try:

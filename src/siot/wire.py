@@ -20,7 +20,7 @@ import json
 from typing import NamedTuple
 
 from .errors import DecodeError
-from .siot import SESSION_ID_LEN
+from .siot import DIRECTION, SESSION_ID_LEN
 from .util import canonical_json, strict_fromhex
 
 VERSION = 1
@@ -114,7 +114,7 @@ class Transcript:
                 obj = read_json(line)
                 if not isinstance(obj, dict) or set(obj) != {"dir", "msg"}:
                     raise DecodeError("needs dir and msg")
-                if obj["dir"] not in ("sender->receiver", "receiver->sender"):
+                if obj["dir"] not in DIRECTION.values():
                     raise DecodeError("bad direction")
                 msg = _from_obj(obj["msg"])
             except DecodeError as exc:

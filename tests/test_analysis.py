@@ -46,7 +46,8 @@ def test_equivariance_precheck_refuses_a_broken_relation(p431, monkeypatch):
 def test_honest_mask_is_indistinguishable(p431):
     for b in (0, 1):
         masked, coeffs = distinguisher_fixture(p431, det_rng(b"hn%d" % b), b=b)
-        report = distinguisher_scan(p431, masked, coeffs)
+        report = distinguisher_scan(p431, masked, coeffs,
+                                    det_rng(b"distinguisher-scan"))
         assert report.verdict == "indistinguishable"
         assert report.separations == ()
         assert len(report.lambdas) == p431.n("A")   # exhaustive here
@@ -55,7 +56,8 @@ def test_honest_mask_is_indistinguishable(p431):
 def test_planted_violation_leaks_the_bit(p431):
     masked, coeffs = distinguisher_fixture(p431, det_rng(b"viol"), b=1,
                                            violate=True)
-    report = distinguisher_scan(p431, masked, coeffs)
+    report = distinguisher_scan(p431, masked, coeffs,
+                                det_rng(b"distinguisher-scan"))
     assert report.verdict == "leaked-b"
     assert len(report.separations) > 0
     obj = report.to_obj()
@@ -99,7 +101,8 @@ def test_scan_accepts_transcript_coefficients(p431):
     """The scan takes the raw coefficients: that is what a curious
     sender actually holds."""
     masked, coeffs = distinguisher_fixture(p431, det_rng(b"raw"), b=0)
-    r1 = distinguisher_scan(p431, masked, coeffs)
+    r1 = distinguisher_scan(p431, masked, coeffs,
+                            det_rng(b"distinguisher-scan"))
     assert r1.verdict == "indistinguishable"
 
 

@@ -311,7 +311,7 @@ def _receiver_verdict(E, P, Q, ell, e):
     params = PublicParams(E.ctx.p, ell, e, 1, 1, 1, E, (INFINITY, INFINITY),
                           (INFINITY, INFINITY))
     try:
-        read_public(params, "B", public_to_obj(SidhPublic(E, P, Q)))
+        read_public(params, "receiver", public_to_obj(SidhPublic(E, P, Q)))
     except ProtocolAbort as exc:
         assert exc.code == "bad-receiver-key", exc
         return False

@@ -16,6 +16,7 @@ from siot import (
     verify_transcript,
 )
 import siot.runner
+import siot.siot
 from siot.baseline_ot import run_baseline_local
 from siot.errors import DecodeError, ProtocolAbort, RestartRequired
 from siot.field import Fp2
@@ -171,6 +172,13 @@ def _off_curve_g(body, params):
     body["g"] = {**body["g"], "x": x[:-1] + ("1" if x[-1] == "0" else "0")}
 
 
+def _low_order_g(body, params):
+    """g := [lB]G: on the curve and in the lB^eB-torsion, but short of
+    its full order there."""
+    pub = public_from_obj(params.ctx, body)
+    body["g"] = point_to_obj(pub.curve.mul(params.ell_b, pub.G))
+
+
 def _dependent_pair(body, params):
     pub = public_from_obj(params.ctx, body)
     body["h"] = point_to_obj(pub.curve.mul(3, pub.G))
@@ -194,31 +202,39 @@ def _cut_ciphertexts(length):
         {k: body[k][:2 * length] for k in ("c0", "c1")})
 
 
-# (transcript row, mutation of its body, verifier row that fails)
+# (transcript row, mutation of its body, verifier row that fails, the
+# session's abort code)
 BAD_BODIES = [
-    pytest.param(index, _set_field(key, value), row, id=case.id)
+    pytest.param(index, _set_field(key, value), row, "bad-message",
+                 id=case.id)
     for case in MALFORMED_FIELDS
     for index, key, value, row in [case.values]
 ] + [
-    pytest.param(2, _false_reveal, "coinflip-binding",
+    pytest.param(2, _false_reveal, "coinflip-binding", "coinflip-cheat",
                  id="false-reveal-sender"),
-    pytest.param(3, _false_reveal, "coinflip-binding",
+    pytest.param(3, _false_reveal, "coinflip-binding", "coinflip-cheat",
                  id="false-reveal-receiver"),
-    pytest.param(4, _off_curve_g, "public-key-A", id="off-curve-pk-sender"),
-    pytest.param(5, _dependent_pair, "public-key-B",
+    pytest.param(4, _off_curve_g, "public-key-A", "bad-sender-key",
+                 id="off-curve-pk-sender"),
+    pytest.param(5, _off_curve_g, "public-key-B", "bad-receiver-key",
+                 id="off-curve-pk-receiver"),
+    pytest.param(4, _low_order_g, "public-key-A", "bad-sender-key",
+                 id="low-order-pk-sender"),
+    pytest.param(5, _dependent_pair, "public-key-B", "bad-receiver-key",
                  id="dependent-pk-receiver"),
-    pytest.param(6, _cut_ciphertexts(0), "ciphertext-shape",
+    pytest.param(6, _cut_ciphertexts(0), "ciphertext-shape", "bad-message",
                  id="empty-ciphertexts"),
-    pytest.param(6, _cut_ciphertexts(35), "ciphertext-shape",
+    pytest.param(6, _cut_ciphertexts(35), "ciphertext-shape", "bad-message",
                  id="35-byte-ciphertexts"),
 ]
 
 
-@pytest.mark.parametrize("index, mutate, row", BAD_BODIES)
-def test_verifier_and_session_refuse_the_same_body(p431, index, mutate, row):
+@pytest.mark.parametrize("index, mutate, row, code", BAD_BODIES)
+def test_verifier_and_session_refuse_the_same_body(p431, index, mutate, row,
+                                                   code):
     """The verifier's row for a bad body fails, and the session phase
-    that consumes the body refuses it with the same text: both call
-    the one reader of that body."""
+    that consumes the body refuses it with the same text and the code
+    the body's producer earns: both call the one reader of that body."""
     config = _config(p431, 1)
     out = run_local(config)
     assert out["restarts"] == 0
@@ -230,6 +246,7 @@ def test_verifier_and_session_refuse_the_same_body(p431, index, mutate, row):
     info = _refusal_at(p431, config, out, [wm.body for _, wm in bad.entries],
                        index, (ProtocolAbort, DecodeError))
     assert str(info.value) == failed[0]["detail"]
+    assert info.value.code == code
 
 
 def _refusal_at(params, config, out, bodies, index, expected=ProtocolAbort):
@@ -429,11 +446,13 @@ def test_online_receiver_rejects_out_of_order(p431):
     assert err["code"] == "out-of-order"
 
 
-def test_frame_of_unknown_type_is_out_of_order(p431):
+def test_frame_of_unknown_type_is_out_of_order(p431, counter):
     """The wire passes any string as a type; the driver's schedule is the
-    one check of a frame's type."""
+    one check of a frame's type, which the receiver makes before its
+    session's keygen."""
     from siot.wire import encode
 
+    keygens = counter(siot.siot, "keygen")
     frame = encode(WireMessage("gossip", b"\x11" * 16,
                                {"commit": "ab" * 32}))
     cfg = SessionConfig(p431, seed=b"uk-r", b=0)
@@ -441,6 +460,13 @@ def test_frame_of_unknown_type_is_out_of_order(p431):
         run_session("receiver", cfg, ReplayStream([frame]))
     assert info.value.code == "out-of-order"
     assert str(info.value).endswith("peer sent gossip")
+    assert keygens[0] == 0
+
+
+def test_run_session_refuses_an_unknown_role(p431):
+    with pytest.raises(ValueError, match="^role must be sender or receiver$"):
+        run_session("observer", SessionConfig(p431, seed=b"uk"),
+                    ReplayStream([]))
 
 
 def test_two_interleaved_local_sessions(p431):

@@ -19,6 +19,7 @@ from siot import (
 )
 from siot.errors import (
     DecodeError,
+    InvalidPointError,
     ParameterSearchError,
     ProtocolAbort,
     UnsupportedParameterError,
@@ -29,6 +30,7 @@ from siot.curve import EllipticCurve
 from siot.field import FieldContext, is_prime
 from siot.sidh import (MAX_ELL, PublicParams, SidhPublic, other_side,
                        public_from_obj, public_to_obj)
+from siot.siot import read_public
 
 
 def test_preset_shapes():
@@ -148,21 +150,29 @@ def test_shared_j_equals_double_quotient_oracle(p431):
 
 
 def test_validate_public_rejects_garbage(p431):
+    """Each refusal is an ``InvalidPointError`` naming the fault; the
+    abort code is the producer role's, chosen by ``read_public``."""
     params = p431
     rng = det_rng(5)
     alice = keygen(params, "A", rng)
     pub = alice.public
     # killing one factor of the order breaks the full-order requirement
     bad = SidhPublic(pub.curve, pub.G, pub.curve.mul(3, pub.H))
-    with pytest.raises(ProtocolAbort) as info:
+    with pytest.raises(InvalidPointError) as info:
         validate_public(params, "A", bad)
+    assert str(info.value) == "H does not have full order 27"
+    with pytest.raises(ProtocolAbort) as info:
+        read_public(params, "sender", public_to_obj(bad))
     assert info.value.code == "bad-sender-key"
     assert info.value.detail == "H does not have full order 27"
     bob = keygen(params, "B", rng)
     bpub = bob.public
     badb = SidhPublic(bpub.curve, bpub.curve.mul(2, bpub.G), bpub.H)
-    with pytest.raises(ProtocolAbort) as info:
+    with pytest.raises(InvalidPointError) as info:
         validate_public(params, "B", badb)
+    assert str(info.value) == "G does not have full order 16"
+    with pytest.raises(ProtocolAbort) as info:
+        read_public(params, "receiver", public_to_obj(badb))
     assert info.value.code == "bad-receiver-key"
     assert info.value.detail == "G does not have full order 16"
     # outside the torsion; each point's two tests fire before the next
@@ -176,14 +186,16 @@ def test_validate_public_rejects_garbage(p431):
                          (E.mul(3, pub.G), E.add(pub.H, T),
                           "G does not have full order 27"),
                          (pub.G, E.add(pub.H, T), "H is not 27-torsion")):
-        with pytest.raises(ProtocolAbort) as info:
+        with pytest.raises(InvalidPointError) as info:
             validate_public(params, "A", SidhPublic(E, G, H))
-        assert info.value.detail == detail
+        assert str(info.value) == detail
     # off-curve point
     from siot.curve import Point
-    offc = SidhPublic(pub.curve, pub.G, Point(pub.H.x, pub.H.x))
-    with pytest.raises(ProtocolAbort):
-        validate_public(params, "A", offc)
+    off = Point(pub.H.x, pub.H.x)
+    with pytest.raises(InvalidPointError) as info:
+        validate_public(params, "A", SidhPublic(pub.curve, pub.G, off))
+    assert str(info.value) == f"public point off curve: {off!r} not on " \
+        f"{pub.curve!r}"
     # a unit multiple of a basis image is a different honest-looking key
     validate_public(params, "A",
                     SidhPublic(pub.curve, pub.G, pub.curve.mul(2, pub.H)))
@@ -330,7 +342,7 @@ def test_params_from_obj_refuses_a_huge_torsion_prime_at_once():
         params_from_obj(obj)
     assert time.perf_counter() - start < 1.0
     with pytest.raises(UnsupportedParameterError, match="exceeds the cap"):
-        gen_params(2, 4, q, 1)
+        gen_params(2, 4, q, 1, rng=rng)
 
 
 @pytest.mark.parametrize("mutate", [

@@ -439,7 +439,7 @@ def test_sender_pair_that_is_no_basis_is_a_coded_abort(p431):
     pub = s.keypair.public
     H = pub.G if sign == 1 else pub.curve.neg(pub.G)
     body = {**s.produce_public(), "h": point_to_obj(H)}
-    assert read_public(p431, "A", body).H == H   # the verifier passes it
+    assert read_public(p431, "sender", body).H == H   # the verifier passes it
     r.consume_public(body)
     s.consume_public(r.produce_public())
     with pytest.raises(ProtocolAbort) as info:
