@@ -26,12 +26,14 @@ def show_public(name, pub):
 def main() -> None:
     params = preset("p431")
     banner(f"Public parameters, p = {params.p}")
-    print(f"torsion split : {params.ell_a}^{params.e_a} * "
-          f"{params.ell_b}^{params.e_b} * {params.f} = p + 1")
+    a, b = params.side_a, params.side_b
+    print(f"torsion split : {a.ell}^{a.e} * {b.ell}^{b.e} * {params.f}"
+          " = p + 1")
     print(f"start curve   : y^2 = x^3 + x over F_p^2,  j = "
           f"{params.curve.j_invariant()}")
     for side in ("A", "B"):
-        P, Q = params.basis(side)
+        own, _ = params.sides(side)
+        P, Q = own.basis
         print(f"side {side} basis  : {P}  /  {Q}")
 
     rng = det_rng(b"walkthrough")
@@ -39,9 +41,9 @@ def main() -> None:
     alice = keygen(params, "A", rng)
     bob = keygen(params, "B", rng)
     print(f"Alice draws r_A = {alice.r} and quotients by "
-          f"<P_A + [r_A]Q_A>, a degree-{params.ell_a ** params.e_a} step")
+          f"<P_A + [r_A]Q_A>, a degree-{a.n} step")
     print(f"Bob   draws r_B = {bob.r} and quotients by "
-          f"<P_B + [r_B]Q_B>, a degree-{params.ell_b ** params.e_b} step")
+          f"<P_B + [r_B]Q_B>, a degree-{b.n} step")
 
     banner("Exchange")
     show_public("Alice", alice.public)
@@ -57,9 +59,9 @@ def main() -> None:
 
     banner("A mangled public key is refused")
     # Bob's triple carries side-A torsion images, so halving an order
-    # (multiplying by ell_a) breaks the full-order requirement
+    # (multiplying by lA) breaks the full-order requirement
     pub = bob.public
-    bad = type(pub)(pub.curve, pub.curve.mul(params.ell_a, pub.G), pub.H)
+    bad = type(pub)(pub.curve, pub.curve.mul(a.ell, pub.G), pub.H)
     try:
         validate_public(params, "B", bad)
     except InvalidPointError as exc:

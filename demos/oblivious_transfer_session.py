@@ -9,6 +9,7 @@ sealed.
 
 from siot import SessionConfig, kdf_dec, preset, run_local
 from siot.errors import DecryptionError
+from siot.siot import DIRECTION
 
 X0 = b"the quick brown fox"
 X1 = b"jumps over the lazy dog"
@@ -26,7 +27,7 @@ def run_once(params, b: int, seed: bytes) -> None:
     out = run_local(SessionConfig(params, seed=seed, b=b, x0=X0, x1=X1))
 
     for direction, msg in out["transcript"].entries:
-        arrow = "->" if direction == "sender->receiver" else "<-"
+        arrow = "->" if direction == DIRECTION["sender"] else "<-"
         keys = ", ".join(sorted(msg.body))
         print(f"  {arrow} {msg.type:<14} [{keys}]")
     if out["restarts"]:

@@ -19,7 +19,7 @@ from .errors import (DecryptionError, InconsistentKeyError,
 from .field import Fp2
 from .isogeny import isogeny_chain, kernel_generator
 from .pairing import weil_pairing
-from .sidh import PublicParams, SidhPublic, keygen, other_side
+from .sidh import PublicParams, SidhPublic, keygen
 from .siot import (MaskCoefficients, branch_kernels, derive_mask_coeffs,
                    derive_shared_j, encode_mask_points, kdf_dec, kdf_enc,
                    mask_public)
@@ -62,11 +62,11 @@ def equivariance_precheck(params: PublicParams, rng) -> Fp2:
     rests on this relation; it is re-verified from scratch before any
     scan trusts it.
     """
-    n = params.n("A")
-    P, Q = params.basis_a
+    n = params.side_a.n
+    P, Q = params.side_a.basis
     kp = keygen(params, "B", rng)
     lhs = weil_pairing(kp.public.curve, kp.public.G, kp.public.H, n)
-    rhs = weil_pairing(params.curve, P, Q, n) ** params.n("B")
+    rhs = weil_pairing(params.curve, P, Q, n) ** params.side_b.n
     if lhs != rhs:
         raise AssertionError("pairing does not commute with the isogeny "
                              "at the expected exponent")
@@ -100,7 +100,7 @@ def distinguisher_scan(params: PublicParams, masked_public: SidhPublic,
     mask family makes the two sweeps identical for every lambda.
     """
     target = equivariance_precheck(params, rng)
-    n = params.n("A")
+    n = params.side_a.n
     E = masked_public.curve
     G, H = masked_public.G, masked_public.H
     U, V = encode_mask_points(coeffs, E, G, H)
@@ -129,12 +129,12 @@ def distinguisher_fixture(params: PublicParams, rng, b: int = 1,
     Returns (masked_public, coeffs).
     """
     kp = keygen(params, "B", rng)
+    n = params.side_a.n
     if violate:
-        n = params.n("A")
         coeffs = MaskCoefficients(alpha=0, beta=1, gamma=0, delta=2 % n)
     else:
         coeffs = derive_mask_coeffs(rng.randbytes(32), params)
-    return mask_public(coeffs, kp.public, b, params.n("A")), coeffs
+    return mask_public(coeffs, kp.public, b, n), coeffs
 
 
 def same_cyclic_subgroup(E: EllipticCurve, K1: Point, K2: Point,
@@ -173,8 +173,7 @@ def dishonest_bob_probe(params: PublicParams, rng) -> dict:
     make both kernels literally the same subgroup, hence equal j.
     Degenerate control: all-zero coefficients collapse trivially.
     """
-    n = params.n("A")
-    ell, e = params.ell_a, params.e_a
+    n, ell, e = params.side_a.n, params.side_a.ell, params.side_a.e
     sender = keygen(params, "A", rng)
     receiver = keygen(params, "B", rng)
     w = rng.randbytes(32)
@@ -237,13 +236,12 @@ def brute_force_secret(params: PublicParams, public: SidhPublic,
     recovered scalar regenerates the public key exactly (same curve
     coefficients and basis images), not merely up to isomorphism.
     """
-    n = params.n(side)
+    own, other = params.sides(side)
+    n, ell, e = own.n, own.ell, own.e
     if n > _TOY_LIMIT:
         raise UnsupportedParameterError(
             f"search space {n} exceeds the toy-scale bound {_TOY_LIMIT}")
-    ell, e = params.ell(side), params.e(side)
-    P, Q = params.basis(side)
-    P2, Q2 = params.basis(other_side(side))
+    P, Q = own.basis
     E0 = params.curve
     started = time.perf_counter()
     for r in range(n):
@@ -252,7 +250,7 @@ def brute_force_secret(params: PublicParams, public: SidhPublic,
         if curve != public.curve:
             continue
         # only a candidate with the right codomain walks again to push
-        _, images = isogeny_chain(E0, K, ell, e, (P2, Q2))
+        _, images = isogeny_chain(E0, K, ell, e, other.basis)
         if images == [public.G, public.H]:
             return OracleResult(r, n, time.perf_counter() - started)
     raise InconsistentKeyError("no scalar regenerates the given public key")

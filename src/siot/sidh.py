@@ -5,11 +5,13 @@ the protocol's abort code to ``siot.siot``, and the codecs.
 
 Parameters fix a prime p = lA^eA * lB^eB * f - 1 with p = 3 (mod 4),
 the curve E0: y^2 = x^3 + x over F_{p^2} (group structure
-(Z/(p+1))^2), and torsion bases for both sides, certified without a
-pairing by ``EllipticCurve.is_basis`` where they are drawn
-(``gen_params``) and where a parameter file enters
-(``params_from_obj``).  Side "A" works with lA^eA-torsion, side "B"
-with lB^eB-torsion; each side's public key is its codomain curve
+(Z/(p+1))^2), and one ``Torsion`` record per side: side "A" works with
+lA^eA-torsion, side "B" with lB^eB-torsion, each with a basis
+certified without a pairing by ``EllipticCurve.is_basis`` where it is
+drawn (``gen_params``) and where a parameter file enters
+(``params_from_obj``).  ``PublicParams.sides`` is the one lookup from
+a side's name to its own and its peer's torsion, and refuses any name
+but "A" and "B".  Each side's public key is its codomain curve
 together with the images of the other side's basis.  The second stage,
 completing the exchange against a peer's key (``derive_shared_j``),
 lives in ``siot.siot``, where the sender also completes it along its
@@ -32,8 +34,6 @@ from .field import FieldContext, Fp2, is_prime
 from .isogeny import isogeny_chain, kernel_generator
 from .util import det_rng, strict_fromhex
 
-SIDES = ("A", "B")
-
 # The largest torsion prime a parameter set may use.  A basis test, a
 # Velu step and a kernel listing each cost O(ell) group operations, so
 # without a cap a parameter file with one huge prime never finishes
@@ -49,46 +49,43 @@ class SidhPublic(NamedTuple):
     H: Point
 
 
+class Torsion(NamedTuple):
+    """One side's torsion: the prime power ell^e and its basis (P, Q)."""
+
+    ell: int
+    e: int
+    basis: tuple[Point, Point]
+
+    @property
+    def n(self) -> int:
+        return self.ell ** self.e
+
+
 class PublicParams(NamedTuple):
     p: int
-    ell_a: int
-    e_a: int
-    ell_b: int
-    e_b: int
     f: int
     curve: EllipticCurve
-    basis_a: tuple[Point, Point]
-    basis_b: tuple[Point, Point]
+    side_a: Torsion
+    side_b: Torsion
 
     @property
     def ctx(self) -> FieldContext:
         return self.curve.ctx
 
-    def n(self, side: str) -> int:
+    def sides(self, side: str) -> tuple[Torsion, Torsion]:
+        """The torsion of ``side`` and of its peer: the one place a
+        side's name picks a torsion."""
         if side == "A":
-            return self.ell_a ** self.e_a
+            return self.side_a, self.side_b
         if side == "B":
-            return self.ell_b ** self.e_b
+            return self.side_b, self.side_a
         raise ValueError(f"unknown side {side!r}")
-
-    def ell(self, side: str) -> int:
-        return self.ell_a if side == "A" else self.ell_b
-
-    def e(self, side: str) -> int:
-        return self.e_a if side == "A" else self.e_b
-
-    def basis(self, side: str) -> tuple[Point, Point]:
-        return self.basis_a if side == "A" else self.basis_b
 
 
 class SidhKeyPair(NamedTuple):
     side: str
     r: int
     public: SidhPublic
-
-
-def other_side(side: str) -> str:
-    return "B" if side == "A" else "A"
 
 
 def _check_shape(ell_a, e_a, ell_b, e_b) -> None:
@@ -128,11 +125,9 @@ def gen_params(ell_a: int, e_a: int, ell_b: int, e_b: int,
             f"no admissible cofactor <= {max_f} for {ell_a}^{e_a}*{ell_b}^{e_b}")
     ctx = FieldContext(p)
     curve = EllipticCurve(ctx.one(), ctx.zero())
-    exponent = p + 1
-    basis_a = curve.sample_torsion_basis(ell_a, e_a, exponent, rng)
-    basis_b = curve.sample_torsion_basis(ell_b, e_b, exponent, rng)
-    return PublicParams(p, ell_a, e_a, ell_b, e_b, f, curve,
-                        basis_a, basis_b)
+    return PublicParams(p, f, curve, *(
+        Torsion(ell, e, curve.sample_torsion_basis(ell, e, p + 1, rng))
+        for ell, e in ((ell_a, e_a), (ell_b, e_b))))
 
 
 # Named presets; fixed seeds keep every run and process in agreement.
@@ -159,14 +154,12 @@ def keygen(params: PublicParams, side: str, rng) -> SidhKeyPair:
     Every PublicParams carries a certified basis (P, Q), on which the
     kernel generator P + [r]Q has exact order for every r.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
+    own, other = params.sides(side)
     E0 = params.curve
-    P, Q = params.basis(side)
-    P2, Q2 = params.basis(other_side(side))
-    r = rng.randrange(params.n(side))
+    P, Q = own.basis
+    r = rng.randrange(own.n)
     curve, (G, H) = isogeny_chain(E0, kernel_generator(E0, P, r, Q),
-                                  params.ell(side), params.e(side), (P2, Q2))
+                                  own.ell, own.e, other.basis)
     return SidhKeyPair(side, r, SidhPublic(curve, G, H))
 
 
@@ -177,14 +170,14 @@ def validate_public(params: PublicParams, producer_side: str,
     and turns its ``InvalidPointError`` into the producer's abort code.
 
     A public key from side s carries images of the other side's basis,
-    so its points must have exact order n(other(s)); a point off the
-    curve, outside that torsion or short of that order raises
+    so its points must have that side's exact order n = ell^e; a point
+    off the curve, outside that torsion or short of that order raises
     ``InvalidPointError``.  Returns the multiples R = [ell^(e-1)]G and
     S = [ell^(e-1)]H that proved the orders, Jacobian and of order ell,
     on which ``read_public`` certifies the receiver's pair.
     """
-    side = other_side(producer_side)
-    n, ell, e = params.n(side), params.ell(side), params.e(side)
+    _, other = params.sides(producer_side)
+    n, ell, e = other.n, other.ell, other.e
     try:
         pub.curve.check_point(pub.G)
         pub.curve.check_point(pub.H)
@@ -265,14 +258,14 @@ def public_from_obj(ctx: FieldContext, obj) -> SidhPublic:
 def params_to_obj(params: PublicParams) -> dict:
     return {
         "p": params.p,
-        "la": params.ell_a, "ea": params.e_a,
-        "lb": params.ell_b, "eb": params.e_b,
+        "la": params.side_a.ell, "ea": params.side_a.e,
+        "lb": params.side_b.ell, "eb": params.side_b.e,
         "f": params.f,
         "e0": {"a": params.curve.A.hex(), "b": params.curve.B.hex()},
-        "pa": point_to_obj(params.basis_a[0]),
-        "qa": point_to_obj(params.basis_a[1]),
-        "pb": point_to_obj(params.basis_b[0]),
-        "qb": point_to_obj(params.basis_b[1]),
+        "pa": point_to_obj(params.side_a.basis[0]),
+        "qa": point_to_obj(params.side_a.basis[1]),
+        "pb": point_to_obj(params.side_b.basis[0]),
+        "qb": point_to_obj(params.side_b.basis[1]),
     }
 
 
@@ -307,17 +300,19 @@ def params_from_obj(obj) -> PublicParams:
             curve.check_point(pts[k])
         except InvalidPointError as exc:
             raise DecodeError(f"basis point {k} not on e0: {exc}") from exc
-    params = PublicParams(ints["p"], ints["la"], ints["ea"], ints["lb"],
-                          ints["eb"], ints["f"], curve,
-                          (pts["pa"], pts["qa"]), (pts["pb"], pts["qb"]))
+    params = PublicParams(
+        ints["p"], ints["f"], curve,
+        Torsion(ints["la"], ints["ea"], (pts["pa"], pts["qa"])),
+        Torsion(ints["lb"], ints["eb"], (pts["pb"], pts["qb"])))
     for side, keys in (("A", ("pa", "qa")), ("B", ("pb", "qb"))):
-        P, Q = params.basis(side)
+        own, _ = params.sides(side)
+        P, Q = own.basis
         try:
-            basis = curve.is_basis(P, Q, params.ell(side), params.e(side))
+            basis = curve.is_basis(P, Q, own.ell, own.e)
         except InvalidPointError as exc:
             k = keys[1] if exc.point is Q else keys[0]
             raise DecodeError(f"side {side} basis: {k} is not "
-                              f"{params.n(side)}-torsion") from exc
+                              f"{own.n}-torsion") from exc
         if not basis:
             raise DecodeError(f"side {side} basis fails independence")
     return params

@@ -101,8 +101,7 @@ def derive_mask_coeffs(w: bytes, params: PublicParams) -> MaskCoefficients:
     family, so alpha and delta are 0 mod lA, gamma = 0 mod lA^eA (alpha^2
     is), and the collapse quadratic reduces to -beta, a unit.
     """
-    n = params.n("A")
-    ell, e = params.ell_a, params.e_a
+    n, ell, e = params.side_a.n, params.side_a.ell, params.side_a.e
     lift = ell ** ((e + 1) // 2)
     fp = params_fingerprint(params)
     width = max(32, 2 * ((n.bit_length() + 7) // 8) + 16)
@@ -196,11 +195,11 @@ def derive_shared_j(keypair: SidhKeyPair, their_public: SidhPublic,
     ``read_public`` accepted.  The walk proves K's order, and raises
     ``InvalidKernelError`` for a pair that is no basis.
     """
-    side = keypair.side
+    own, _ = params.sides(keypair.side)
     E = their_public.curve
     K = kernel if kernel is not None else kernel_generator(
         E, their_public.G, keypair.r, their_public.H)
-    curve, _ = isogeny_chain(E, K, params.ell(side), params.e(side), ())
+    curve, _ = isogeny_chain(E, K, own.ell, own.e, ())
     return curve.j_invariant()
 
 
@@ -275,10 +274,10 @@ def read_public(params: PublicParams, role: str, body: dict) -> SidhPublic:
     # The one pairing on the session path, kept because
     # bench/test_bench.py pins it (weil > 0 on every workload, weil == 1
     # and miller == 4 per clean p431 attempt).  Once ROADMAP item 1
-    # moves those pins, pub.curve._independent(R, S, params.ell_a) on
-    # the same multiples gives the same verdict without it.
+    # moves those pins, pub.curve._independent(R, S, params.side_a.ell)
+    # on the same multiples gives the same verdict without it.
     if role == "receiver" and not _independent_by_pairing(
-            pub.curve, R, S, params.ell_a):
+            pub.curve, R, S, params.side_a.ell):
         raise _bad_key(role, "masked pair is not a torsion basis")
     return pub
 
@@ -474,7 +473,8 @@ class SiotSession:
     def produce_public(self) -> dict:
         pub = self.keypair.public
         if self.role == "receiver":
-            pub = mask_public(self.coeffs, pub, self.b, self.params.n("A"))
+            pub = mask_public(self.coeffs, pub, self.b,
+                              self.params.side_a.n)
         body = public_to_obj(pub)
         self._pk_bodies.append(body)
         return body
@@ -498,7 +498,7 @@ class SiotSession:
         certified pair and derived coefficients give both kernels full
         order."""
         kernels = branch_kernels(self.coeffs, self.their_public,
-                                 self.keypair.r, self.params.n("A"))
+                                 self.keypair.r, self.params.side_a.n)
         js = [derive_shared_j(self.keypair, self.their_public, self.params, K)
               for K in kernels]
         if js[0] == js[1]:

@@ -487,9 +487,9 @@ def pairs_with_verdicts(params: PublicParams, rng, per_side: int):
     ell, and the first has t = 0, so Q of lower order.  Yields
     (E, P, Q, ell, e, is a basis)."""
     E = params.curve
-    for side in ("A", "B"):
-        G, H = params.basis(side)
-        ell, e = params.ell(side), params.e(side)
+    for own in (params.side_a, params.side_b):
+        G, H = own.basis
+        ell, e = own.ell, own.e
         for i in range(per_side):
             a, b, u, v = (rng.randrange(1 << 20) for _ in range(4))
             if i % 2:
@@ -509,8 +509,8 @@ def symmetric_constraint_check(params: PublicParams,
     """Whether the coefficients satisfy the symmetric-pairing identity
     (1 + lambda*alpha)(1 + lambda*delta) + lambda^2*beta*gamma = 1 for
     every lambda, and alpha lies in the hardened family."""
-    n = params.n("A")
-    ell, e = params.ell_a, params.e_a
+    n = params.side_a.n
+    ell, e = params.side_a.ell, params.side_a.e
     if coeffs.alpha % ell ** ((e + 1) // 2) != 0:
         return False
     lams = range(n) if n <= 4096 else \
@@ -526,11 +526,11 @@ def shared_j_oracle(params: PublicParams, r_a: int, r_b: int):
     the group generated by both kernels at once.  Correctness oracle for
     the two-stage derivation, feasible only at toy scale."""
     E0 = params.curve
-    na, nb = params.n("A"), params.n("B")
+    na, nb = params.side_a.n, params.side_b.n
     if na * nb > 4096:
         raise UnsupportedParameterError("double-kernel quotient is toy-only")
-    PA, QA = params.basis_a
-    PB, QB = params.basis_b
+    PA, QA = params.side_a.basis
+    PB, QB = params.side_b.basis
     KA = kernel_generator(E0, PA, r_a, QA)
     KB = kernel_generator(E0, PB, r_b, QB)
     # coprime orders: the sum generates the full two-sided kernel
@@ -545,11 +545,11 @@ def reachable_j_values(params: PublicParams, side: str) -> set:
     Enumerates every cyclic order-ell^e subgroup (projective line over
     Z/ell^e) and quotients.  Decision oracle for isogeny existence at
     toy scale."""
-    n = params.n(side)
+    own, _ = params.sides(side)
+    n, ell, e = own.n, own.ell, own.e
     if n > 512:
         raise UnsupportedParameterError("isogeny walk enumeration is toy-only")
-    ell, e = params.ell(side), params.e(side)
-    P, Q = params.basis(side)
+    P, Q = own.basis
     E0 = params.curve
     out = set()
     for t in range(n):
@@ -668,8 +668,8 @@ def check_mask_coefficients(coeffs: MaskCoefficients,
                             params: PublicParams) -> None:
     """Raise ValueError unless the coefficients meet every mask
     constraint ``derive_mask_coeffs`` promises."""
-    n = params.n("A")
-    ell, e = params.ell_a, params.e_a
+    n = params.side_a.n
+    ell, e = params.side_a.ell, params.side_a.e
     if coeffs.beta % ell == 0:
         raise ValueError("beta must be a unit")
     if (coeffs.delta + coeffs.alpha) % n != 0:

@@ -143,7 +143,7 @@ def test_05_distinguisher_neutrality(p431):
         masked, coeffs = distinguisher_fixture(p431, rng, b=b)
         rep = distinguisher_scan(p431, masked, coeffs, rng=rng)
         ok &= rep.verdict == "indistinguishable"
-        ok &= len(rep.lambdas) == p431.n("A")   # exhaustive scan
+        ok &= len(rep.lambdas) == p431.side_a.n   # exhaustive scan
     masked, coeffs = distinguisher_fixture(p431, rng, b=1, violate=True)
     leak = distinguisher_scan(p431, masked, coeffs, rng=rng)
     ok &= leak.verdict == "leaked-b" and coeffs.delta != -coeffs.alpha
@@ -158,7 +158,7 @@ def test_06_collapse_quadratic_root_free(p431):
     for _ in range(1000):
         coeffs = derive_mask_coeffs(rng.randbytes(32), p431)
         check_mask_coefficients(coeffs, p431)
-        root_free += coeffs.quadratic_root_free(p431.ell_a)
+        root_free += coeffs.quadratic_root_free(p431.side_a.ell)
     probe = dishonest_bob_probe(p431, rng)
     control = (probe["crafted"]["quad_has_root"]
                and probe["crafted"]["kernels_same_subgroup"]
@@ -171,10 +171,9 @@ def test_06_collapse_quadratic_root_free(p431):
 def test_07_chain_matches_full_kernel_quotient(p431):
     E0 = p431.curve
     agree = total = 0
-    for side in ("A", "B"):
-        n = p431.n(side)
-        ell, e = p431.ell(side), p431.e(side)
-        P, Q = p431.basis(side)
+    for own in (p431.side_a, p431.side_b):
+        n, ell, e = own.n, own.ell, own.e
+        P, Q = own.basis
         for r in range(n):
             K = kernel_generator(E0, P, r, Q)
             chained = isogeny_chain(E0, K, ell, e, ())[0].j_invariant()
@@ -188,13 +187,13 @@ def test_07_chain_matches_full_kernel_quotient(p431):
 
 def test_08_pairing_suite(p431, p2591):
     rng = det_rng(b"acc08")
-    arenas = [(p431.curve, p431.basis("A"), p431.n("A")),
-              (p431.curve, p431.basis("B"), p431.n("B"))]
+    arenas = [(p431.curve, p431.side_a.basis, p431.side_a.n),
+              (p431.curve, p431.side_b.basis, p431.side_b.n)]
     for side in ("A", "B"):
         kp = keygen(p431, side, rng)
         pub = kp.public
-        arenas.append((pub.curve, (pub.G, pub.H),
-                       p431.n("A" if side == "B" else "B")))
+        _, other = p431.sides(side)
+        arenas.append((pub.curve, (pub.G, pub.H), other.n))
     trials = 0
     for i in range(500):
         E, (G, H), n = arenas[i % len(arenas)]
@@ -217,9 +216,9 @@ def test_08_pairing_suite(p431, p2591):
     for params in (p431, p2591):
         equivariance_precheck(params, rng)
         for side in ("A", "B"):
-            deg = params.ell(side) ** params.e(side)
-            m = params.n("A" if side == "B" else "B")
-            P, Q = params.basis("A" if side == "B" else "B")
+            own, other = params.sides(side)
+            deg, m = own.n, other.n
+            P, Q = other.basis
             for _ in range(3):
                 # keygen's public points are the images of (P, Q)
                 pub = keygen(params, side, rng).public
@@ -236,13 +235,12 @@ def test_09_brute_force_inverts_every_key(p431):
     worst = 0.0
     recovered = total = 0
     for side in ("A", "B"):
-        n = p431.n(side)
-        ell, e = p431.ell(side), p431.e(side)
-        P, Q = p431.basis(side)
-        oP, oQ = p431.basis("A" if side == "B" else "B")
+        own, other = p431.sides(side)
+        n, ell, e = own.n, own.ell, own.e
+        P, Q = own.basis
         for r in range(n):
             K = kernel_generator(E0, P, r, Q)
-            curve, (G, H) = isogeny_chain(E0, K, ell, e, (oP, oQ))
+            curve, (G, H) = isogeny_chain(E0, K, ell, e, other.basis)
             pub = SidhPublic(curve, G, H)
             res = brute_force_secret(p431, pub, side)
             recovered += res.r == r and res.space == n
@@ -286,8 +284,8 @@ def test_10_baseline_ot_bulk(p431):
 
 def test_11_symmetric_pairing_and_family(set3):
     E0 = set3.curve
-    ell, e, n = set3.ell_a, set3.e_a, set3.n("A")
-    G, H = set3.basis("A")
+    ell, e, n = set3.side_a.ell, set3.side_a.e, set3.side_a.n
+    G, H = set3.side_a.basis
     rng = det_rng(b"acc11")
     symmetric = 0
     for _ in range(500):

@@ -20,7 +20,7 @@ from siot.analysis import (
 )
 from siot.errors import InconsistentKeyError, UnsupportedParameterError
 from siot.isogeny import kernel_generator
-from siot.sidh import SidhPublic, other_side
+from siot.sidh import SidhPublic, Torsion
 from siot.siot import MaskCoefficients, derive_mask_coeffs
 
 
@@ -50,7 +50,7 @@ def test_honest_mask_is_indistinguishable(p431):
                                     det_rng(b"distinguisher-scan"))
         assert report.verdict == "indistinguishable"
         assert report.separations == ()
-        assert len(report.lambdas) == p431.n("A")   # exhaustive here
+        assert len(report.lambdas) == p431.side_a.n   # exhaustive here
 
 
 def test_planted_violation_leaks_the_bit(p431):
@@ -69,8 +69,8 @@ def test_scan_samples_distinct_lambdas_past_256(set71):
     instead of sweeping them; the sample must still tell an honest mask
     from a violating one."""
     small = gen_params(2, 10, 3, 3, rng=det_rng(b"tests/p27647"))
-    assert small.p == 27647 and small.n("A") == 1024
-    assert set71.n("A") == 2 ** 71
+    assert small.p == 27647 and small.side_a.n == 1024
+    assert set71.side_a.n == 2 ** 71
     for params in (small, set71):
         for violate, verdict in ((False, "indistinguishable"),
                                  (True, "leaked-b")):
@@ -82,7 +82,7 @@ def test_scan_samples_distinct_lambdas_past_256(set71):
             lambdas = report.lambdas
             assert len(set(lambdas)) == LAMBDA_COUNT
             assert list(lambdas) == sorted(lambdas)
-            assert all(0 <= lam < params.n("A") for lam in lambdas)
+            assert all(0 <= lam < params.side_a.n for lam in lambdas)
 
 
 @pytest.mark.parametrize("n", [512, 3 ** 32, 2 ** 51])
@@ -108,7 +108,7 @@ def test_scan_accepts_transcript_coefficients(p431):
 
 def test_same_cyclic_subgroup_detects_unit_multiples(p431):
     E = p431.curve
-    G, H = p431.basis_a
+    G, H = p431.side_a.basis
     K = kernel_generator(E, G, 5, H)
     assert same_cyclic_subgroup(E, K, E.mul(3, K), 2, 4)
     assert same_cyclic_subgroup(E, K, E.neg(K), 2, 4)
@@ -136,9 +136,11 @@ def test_same_cyclic_subgroup_agrees_with_decomposition(p431, p2591, set3):
     rng = det_rng(b"same-subgroup")
     answers = set()
     for params in (p431, p2591, set3):
-        for side in ("A", "B"):
-            ell, e, n = params.ell(side), params.e(side), params.n(side)
-            pub = keygen(params, other_side(side), rng).public
+        for producer in ("B", "A"):
+            # a key carries images of the other side's torsion
+            _, other = params.sides(producer)
+            ell, e, n = other.ell, other.e, other.n
+            pub = keygen(params, producer, rng).public
             E, basis = pub.curve, (pub.G, pub.H)
 
             def point(u, v):
@@ -214,14 +216,14 @@ def test_brute_force_rejects_foreign_key(p431):
 
 
 def test_brute_force_refuses_big_spaces(p431):
-    big = p431._replace(e_a=40)
+    big = p431._replace(side_a=Torsion(2, 40, p431.side_a.basis))
     with pytest.raises(UnsupportedParameterError):
         brute_force_secret(big, keygen(p431, "A", det_rng(0)).public, "A")
 
 
 def test_symmetric_family_membership(set3):
     rng = det_rng(b"symfam")
-    n = set3.n("A")
+    n = set3.side_a.n
     for _ in range(20):
         c = derive_mask_coeffs(rng.randbytes(32), set3)
         assert symmetric_constraint_check(set3, c)

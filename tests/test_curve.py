@@ -12,7 +12,7 @@ from siot.curve import (INFINITY, JAC_INFINITY, EllipticCurve, Point, jac_add,
                         jac_mul, jac_mul2, jac_triple)
 from siot.errors import InvalidPointError, ProtocolAbort, SamplingError
 from siot.field import FieldContext
-from siot.sidh import PublicParams, SidhPublic, public_to_obj
+from siot.sidh import PublicParams, SidhPublic, Torsion, public_to_obj
 from siot.siot import read_public
 
 CTX = FieldContext(431)
@@ -284,9 +284,9 @@ def test_mul2_matches_mul_on_sampled_points(name, request):
     params = request.getfixturevalue(name)
     E = params.curve
     rng = det_rng(b"mul2/" + name.encode())
-    pts = [*params.basis_a, *params.basis_b,
+    pts = [*params.side_a.basis, *params.side_b.basis,
            E.random_point(rng), E.random_point(rng)]
-    n = params.n("A")
+    n = params.side_a.n
     big = (0, 1, -1, n, -n, n - 1, params.p + 1)
     for k in range(12):
         P, Q = rng.choice(pts), rng.choice(pts)
@@ -308,8 +308,9 @@ def _receiver_verdict(E, P, Q, ell, e):
     certified in the ell^e-torsion: ``validate_public``'s exact-order
     test, then the pairing of order ell on the multiples it returns.
     Only the A side's shape and the field matter to that reader."""
-    params = PublicParams(E.ctx.p, ell, e, 1, 1, 1, E, (INFINITY, INFINITY),
-                          (INFINITY, INFINITY))
+    params = PublicParams(E.ctx.p, 1, E,
+                          Torsion(ell, e, (INFINITY, INFINITY)),
+                          Torsion(1, 1, (INFINITY, INFINITY)))
     try:
         read_public(params, "receiver", public_to_obj(SidhPublic(E, P, Q)))
     except ProtocolAbort as exc:
@@ -368,7 +369,7 @@ def test_is_basis_compares_with_every_multiple():
     Q = [a]G + [b]H against G, on p = 17 * 2^4 - 1 = 271: a basis
     exactly when b != 0 mod 17."""
     params = gen_params(17, 1, 2, 4, rng=det_rng(b"tests/ell17"))
-    E, (G, H) = params.curve, params.basis_a
+    E, (G, H) = params.curve, params.side_a.basis
     for a in range(17):
         for b in range(17):
             Q = E.add(E.mul(a, G), E.mul(b, H))

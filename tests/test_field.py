@@ -7,7 +7,7 @@ import pytest
 
 from oracles import sqrt_by_exponentiation
 from siot import Fp2
-from siot.field import FieldContext, is_prime
+from siot.field import FieldContext, _strong_lucas, is_prime
 
 CTX = FieldContext(431)
 
@@ -147,3 +147,8 @@ def test_is_prime_small_table():
     # the first to every base up to 41); the Lucas test rejects them
     assert not is_prime(318665857834031151167461)   # 399165290221 * 798330580441
     assert not is_prime(3317044064679887385961981)
+    # the Lucas test's own refusals: a square, where no D has (D/n) = -1
+    # (1093^2 is a strong pseudoprime to base 2), and a D = 5 that
+    # shares the factor 5 with n
+    assert not _strong_lucas(1093 ** 2)
+    assert not _strong_lucas(5 * 41)

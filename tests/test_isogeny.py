@@ -80,8 +80,8 @@ def test_chain_codomain_matches_full_kernel_quotient():
     """Composing e prime steps and quotienting by the whole cyclic
     subgroup at once must land on the same isomorphism class."""
     params = preset("p431")
-    for side, (ell, e) in (("A", (2, 4)), ("B", (3, 3))):
-        G, H = params.basis(side)
+    for own, (ell, e) in ((params.side_a, (2, 4)), (params.side_b, (3, 3))):
+        G, H = own.basis
         n = ell ** e
         for r in (0, 1, 5, n - 1):
             K = kernel_generator(E0, G, r, H)
@@ -92,8 +92,8 @@ def test_chain_codomain_matches_full_kernel_quotient():
 
 def test_chain_annihilates_kernel_and_preserves_cotorsion(velu_steps):
     params = preset("p431")
-    G, H = params.basis_a
-    PB, QB = params.basis_b
+    G, H = params.side_a.basis
+    PB, QB = params.side_b.basis
     K = kernel_generator(E0, G, 7, H)
     F, (imK, im8K, img, imQB) = isogeny_chain(
         E0, K, 2, 4, (K, E0.mul(8, K), PB, QB))
@@ -111,7 +111,7 @@ def test_chain_annihilates_kernel_and_preserves_cotorsion(velu_steps):
 def test_chain_is_a_homomorphism():
     rng = det_rng(b"chain-hom")
     params = preset("p431")
-    G, H = params.basis_a
+    G, H = params.side_a.basis
     K = kernel_generator(E0, G, 9, H)
     for _ in range(10):
         P, Q = E0.random_point(rng), E0.random_point(rng)
@@ -121,7 +121,7 @@ def test_chain_is_a_homomorphism():
 
 def test_unit_multiple_of_kernel_gives_same_curve():
     params = preset("p431")
-    G, H = params.basis_a
+    G, H = params.side_a.basis
     K = kernel_generator(E0, G, 3, H)
     j1 = isogeny_chain(E0, K, 2, 4, ())[0].j_invariant()
     for u in (3, 5, 15):   # units mod 16
@@ -150,14 +150,13 @@ def test_chain_matches_naive_schedule(name, request, velu_steps):
     params = request.getfixturevalue(name)
     rng = det_rng(b"naive-chain/" + name.encode())
     E = params.curve
-    for side, other in (("A", "B"), ("B", "A")):
-        G, H = params.basis(side)
-        ell, e, n = params.ell(side), params.e(side), params.n(side)
+    for own, other in map(params.sides, "AB"):
+        G, H = own.basis
+        ell, e, n = own.ell, own.e, own.n
         for r in (0, 1, n - 1, rng.randrange(n)):
             K = kernel_generator(E, G, r, H)
             velu_steps.clear()
-            codomain, images = isogeny_chain(E, K, ell, e,
-                                             params.basis(other))
+            codomain, images = isogeny_chain(E, K, ell, e, other.basis)
             want = naive_chain(E, K, ell, e)
             assert len(velu_steps) == len(want)
             for (D, kernel, F), step in zip(velu_steps, want):
@@ -165,7 +164,7 @@ def test_chain_matches_naive_schedule(name, request, velu_steps):
                     == (step.domain, step.kernel_points, step.codomain)
             assert codomain == want[-1].codomain
             assert images == [naive_evaluate(want, P)
-                              for P in params.basis(other)]
+                              for P in other.basis]
 
 
 def test_chain_rejects_like_the_naive_schedule():
@@ -176,6 +175,7 @@ def test_chain_rejects_like_the_naive_schedule():
         (E0.sample_torsion_basis(2, 4, EXP, rng)[0], 2, 3),   # order 16
         (INFINITY, 2, 1),
         (INFINITY, 3, 3),
+        (E0.sample_torsion_basis(2, 1, EXP, rng)[0], 2, 0),   # order 2, e = 0
     ]
     for K, ell, e in bad:
         with pytest.raises(InvalidKernelError) as got:
@@ -243,10 +243,10 @@ def test_push_through_matches_naive_evaluate(p431):
         assert push_through(step, pts) == [naive_evaluate(step, P)
                                            for P in pts]
         assert push_through(step, []) == []
-    P, Q = p431.basis_a
+    P, Q = p431.side_a.basis
     K = kernel_generator(p431.curve, P, 5, Q)
     pts = [P, Q, K, p431.curve.mul(8, K), p431.curve.mul(8, P), INFINITY,
-           *p431.basis_b]
+           *p431.side_b.basis]
     want = naive_chain(p431.curve, K, 2, 4)
     assert isogeny_chain(p431.curve, K, 2, 4, pts)[1] \
         == [naive_evaluate(want, T) for T in pts]

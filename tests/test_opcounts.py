@@ -25,14 +25,14 @@ def test_long_chain_inversions_stay_below_quadratic(counter, p102):
     took 100, and a fresh scalar multiple per step, in affine
     coordinates, 1,425.  Pushed points ride the stack's batches, so
     pushing two adds one inversion, at the last step."""
-    G, H = p102.basis_a
+    G, H = p102.side_a.basis
     K = kernel_generator(p102.curve, G, 12345, H)
     inv = counter(Fp2, "inv")
     velu = counter(siot.isogeny, "velu_step")
     isogeny_chain(p102.curve, K, 2, 51, ())
     assert (inv[0], velu[0]) == (50, 51)
     inv[0] = 0
-    isogeny_chain(p102.curve, K, 2, 51, p102.basis_b)
+    isogeny_chain(p102.curve, K, 2, 51, p102.side_b.basis)
     assert inv[0] == 51
 
 
@@ -74,12 +74,12 @@ def test_parameters_are_certified_without_a_pairing(counter, p102):
 
 def test_basis_test_inverts_nothing(counter, p431):
     """The basis test compares x-coordinates projectively."""
-    E, (P, Q) = p431.curve, p431.basis_b
+    E, (P, Q) = p431.curve, p431.side_b.basis
     dependent = E.mul(2, P)
     inv = counter(Fp2, "inv")
     assert E.is_basis(P, Q, 3, 3)
     assert not E.is_basis(P, dependent, 3, 3)
-    assert E.is_basis(*p431.basis_a, 2, 4)
+    assert E.is_basis(*p431.side_a.basis, 2, 4)
     assert inv[0] == 0
 
 
@@ -88,11 +88,11 @@ def test_weil_pairing_op_counts(counter, p102):
     one inversion each, two affine additions for the evaluation points
     and one division of the combined quotient.  The pairing trusts its
     checked torsion inputs and makes no scalar multiplication."""
-    G, H = p102.basis_a
+    G, H = p102.side_a.basis
     inv = counter(Fp2, "inv")
     miller = counter(siot.pairing, "miller_function")
     mul = counter(EllipticCurve, "mul")
-    weil_pairing(p102.curve, G, H, p102.n("A"))
+    weil_pairing(p102.curve, G, H, p102.side_a.n)
     assert (inv[0], miller[0], mul[0]) == (7, 4, 0)
 
 

@@ -47,12 +47,12 @@ def test_oracle_agreement_off_the_base_curve():
     from siot.isogeny import isogeny_chain, kernel_generator
 
     params = preset("p431")
-    P, Q = params.basis_a
+    P, Q = params.side_a.basis
     K = kernel_generator(params.curve, P, 3, Q)
     # the first two steps of the chain with kernel <K>; the 27-torsion
     # survives the 2-power steps
     E1, (R, S) = isogeny_chain(params.curve, params.curve.mul(4, K), 2, 2,
-                               params.basis_b)
+                               params.side_b.basis)
     assert not E1.B.is_zero()
     rng = det_rng(b"mid-chain")
     got = weil_pairing(E1, R, S, 27)
@@ -176,8 +176,8 @@ def test_modified_pairing_nondegenerate_on_diagonal():
 
 def test_symmetric_pairing_swaps(set3):
     E = set3.curve
-    G, H = set3.basis_a
-    ell, e, n = set3.ell_a, set3.e_a, set3.n("A")
+    G, H = set3.side_a.basis
+    ell, e, n = set3.side_a.ell, set3.side_a.e, set3.side_a.n
     rng = det_rng(b"sympair")
     for _ in range(40):
         P = E.add(E.mul(rng.randrange(n), G), E.mul(rng.randrange(n), H))
@@ -238,7 +238,7 @@ def test_miller_function_matches_affine_loop():
     from siot.isogeny import isogeny_chain, kernel_generator
 
     params = preset("p431")
-    PA, QA = params.basis_a
+    PA, QA = params.side_a.basis
     E1, _ = isogeny_chain(params.curve,
                           kernel_generator(params.curve, PA, 3, QA), 2, 4, ())
     assert not E1.B.is_zero()

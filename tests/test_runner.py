@@ -176,7 +176,7 @@ def _low_order_g(body, params):
     """g := [lB]G: on the curve and in the lB^eB-torsion, but short of
     its full order there."""
     pub = public_from_obj(params.ctx, body)
-    body["g"] = point_to_obj(pub.curve.mul(params.ell_b, pub.G))
+    body["g"] = point_to_obj(pub.curve.mul(params.side_b.ell, pub.G))
 
 
 def _dependent_pair(body, params):
@@ -324,7 +324,7 @@ def test_body_that_is_not_an_object_is_a_coded_abort(p431, index):
 def test_session_with_torsion_order_above_2_64(set71):
     """2^71 * 3^38 - 1: the A-side torsion order no longer fits the
     8 bytes the pairing's auxiliary-point hash once used for it."""
-    assert set71.n("A") >= 2 ** 64
+    assert set71.side_a.n >= 2 ** 64
     out = run_local(_config(set71, 1, seed=b"big-session"))
     assert out["output"] == b"one input!"
     assert out["sender_j"][1] == out["receiver_j"]

@@ -26,14 +26,13 @@ def test_chain_matches_naive_schedule(shape, velu_steps):
     multiple per step, for r in {0, 1, n - 1, seeded}."""
     rng = det_rng(b"shape-chain")
     E = shape.curve
-    for side, other in (("A", "B"), ("B", "A")):
-        G, H = shape.basis(side)
-        ell, e, n = shape.ell(side), shape.e(side), shape.n(side)
+    for own, other in map(shape.sides, "AB"):
+        G, H = own.basis
+        ell, e, n = own.ell, own.e, own.n
         for r in (0, 1, n - 1, rng.randrange(n)):
             K = kernel_generator(E, G, r, H)
             velu_steps.clear()
-            codomain, images = isogeny_chain(E, K, ell, e,
-                                             shape.basis(other))
+            codomain, images = isogeny_chain(E, K, ell, e, other.basis)
             want = naive_chain(E, K, ell, e)
             assert len(velu_steps) == len(want)
             for (D, kernel, F), step in zip(velu_steps, want):
@@ -41,7 +40,7 @@ def test_chain_matches_naive_schedule(shape, velu_steps):
                     == (step.domain, step.kernel_points, step.codomain)
             assert codomain == want[-1].codomain
             assert images == [naive_evaluate(want, P)
-                              for P in shape.basis(other)]
+                              for P in other.basis]
 
 
 def test_step_matches_the_oracle_step(shape):
@@ -51,14 +50,14 @@ def test_step_matches_the_oracle_step(shape):
     points and the kernel's own points, which go to O."""
     rng = det_rng(b"shape-step")
     E = shape.curve
-    for side in ("A", "B"):
-        G, H = shape.basis(side)
-        ell, n = shape.ell(side), shape.n(side)
+    for own in (shape.side_a, shape.side_b):
+        G, H = own.basis
+        ell, n = own.ell, own.n
         K = E.mul(n // ell, kernel_generator(E, G, rng.randrange(n), H))
         kernel = walk_kernel(E, K, ell)
         step = reference_step(E, K, ell)
         assert velu_step(E, kernel) == step.codomain
-        pts = [*shape.basis_a, *shape.basis_b,
+        pts = [*shape.side_a.basis, *shape.side_b.basis,
                *(E.random_point(rng) for _ in range(4))]
         for P in pts:
             assert evaluate(E, kernel, P) == naive_evaluate(step, P)
@@ -71,13 +70,12 @@ def test_chain_inverts_once_per_step(shape, counter):
     kernel points [2]K, ..., [ell//2]K of ell >= 5 join that batch."""
     calls = counter(Fp2, "inv")
     E = shape.curve
-    for side, other in (("A", "B"), ("B", "A")):
-        G, H = shape.basis(side)
-        ell, e = shape.ell(side), shape.e(side)
+    for own, other in map(shape.sides, "AB"):
+        G, H = own.basis
         K = kernel_generator(E, G, 1, H)
         calls[0] = 0
-        isogeny_chain(E, K, ell, e, shape.basis(other))
-        assert calls[0] <= e
+        isogeny_chain(E, K, own.ell, own.e, other.basis)
+        assert calls[0] <= own.e
 
 
 def _multiples(E, K, m):
@@ -94,9 +92,9 @@ def test_subgroup_and_order_match_the_oracles(shape):
     rejects a wrong order either way; ``has_exact_order`` agrees with
     ``naive_order`` at every exponent."""
     E = shape.curve
-    for side in ("A", "B"):
-        G, H = shape.basis(side)
-        ell, e, n = shape.ell(side), shape.e(side), shape.n(side)
+    for own in (shape.side_a, shape.side_b):
+        G, H = own.basis
+        ell, e, n = own.ell, own.e, own.n
         for K in (G, H, E.mul(ell, G), E.mul(n // ell, H)):
             m = naive_order(E, K, n)
             assert cyclic_subgroup(E, K, m) == _multiples(E, K, m)

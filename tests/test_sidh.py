@@ -24,20 +24,24 @@ from siot.errors import (
     ProtocolAbort,
     UnsupportedParameterError,
 )
+from siot.analysis import brute_force_secret
 from siot.isogeny import isogeny_chain, kernel_generator
 from siot.pairing import weil_pairing
 from siot.curve import EllipticCurve
 from siot.field import FieldContext, is_prime
-from siot.sidh import (MAX_ELL, PublicParams, SidhPublic, other_side,
+from siot.sidh import (MAX_ELL, PublicParams, SidhPublic, Torsion,
                        public_from_obj, public_to_obj)
 from siot.siot import read_public
 
 
 def test_preset_shapes():
-    a = preset("p431")
-    assert (a.p, a.ell_a, a.e_a, a.ell_b, a.e_b, a.f) == (431, 2, 4, 3, 3, 1)
-    b = preset("p2591")
-    assert (b.p, b.ell_a, b.e_a, b.ell_b, b.e_b, b.f) == (2591, 2, 5, 3, 4, 1)
+    def shape(q):
+        return q.p, q.side_a.ell, q.side_a.e, q.side_b.ell, q.side_b.e, q.f
+
+    a, b = preset("p431"), preset("p2591")
+    assert shape(a) == (431, 2, 4, 3, 3, 1)
+    assert shape(b) == (2591, 2, 5, 3, 4, 1)
+    assert a.side_a.n == 16 and b.side_b.n == 81
     assert a.p % 4 == 3 and b.p % 4 == 3
     with pytest.raises(UnsupportedParameterError):
         preset("p9001")
@@ -46,7 +50,8 @@ def test_preset_shapes():
 def test_preset_bases_are_certified():
     params = preset("p431")
     for side, n in (("A", 16), ("B", 27)):
-        P, Q = params.basis(side)
+        own, _ = params.sides(side)
+        P, Q = own.basis
         zeta = weil_pairing(params.curve, P, Q, n)
         assert multiplicative_order(zeta, n) == n
 
@@ -57,6 +62,9 @@ def test_gen_params_rejects_bad_shapes():
         gen_params(2, 4, 2, 5, rng=rng)      # towers must use distinct primes
     with pytest.raises(UnsupportedParameterError):
         gen_params(4, 2, 3, 3, rng=rng)      # 4 is not prime
+    with pytest.raises(UnsupportedParameterError,
+                       match="^exponent must be >= 1$"):
+        gen_params(2, 4, 3, 0, rng=rng)
     with pytest.raises(ParameterSearchError):
         gen_params(2, 4, 3, 3, max_f=0, rng=rng)
 
@@ -85,9 +93,10 @@ def test_keygen_kernel_has_exact_order(p431, velu_steps):
         assert 0 <= kp.r < n
         assert math.prod(len(expand_kernel(D, kernel)) + 1
                          for D, kernel, _ in velu_steps) == n
-        P, Q = p431.basis(side)
+        own, _ = p431.sides(side)
+        P, Q = own.basis
         codomain, _ = isogeny_chain(E, kernel_generator(E, P, kp.r, Q),
-                                    p431.ell(side), p431.e(side), ())
+                                    own.ell, own.e, ())
         assert kp.public.curve.j_invariant() == codomain.j_invariant()
 
 
@@ -109,15 +118,12 @@ def test_exchange_exhaustive_all_secret_pairs(p431):
 
     params = p431
     E = params.curve
-    PA, QA = params.basis_a
-    PB, QB = params.basis_b
 
     def mk(side, r):
-        ell, e = params.ell(side), params.e(side)
-        P, Q = params.basis(side)
+        own, other = params.sides(side)
+        P, Q = own.basis
         K = kernel_generator(E, P, r, Q)
-        other = (PB, QB) if side == "A" else (PA, QA)
-        curve, (G, H) = isogeny_chain(E, K, ell, e, other)
+        curve, (G, H) = isogeny_chain(E, K, own.ell, own.e, other.basis)
         return SidhKeyPair(side, r, SidhPublic(curve, G, H))
 
     for r_b in (0, 5, 26):
@@ -136,8 +142,9 @@ def test_shared_j_equals_double_quotient_oracle(p431):
     rng = det_rng(4)
     alice = keygen(params, "A", rng)
     bob = keygen(params, "B", rng)
-    KA = kernel_generator(E, params.basis_a[0], alice.r, params.basis_a[1])
-    KB = kernel_generator(E, params.basis_b[0], bob.r, params.basis_b[1])
+    (PA, QA), (PB, QB) = params.side_a.basis, params.side_b.basis
+    KA = kernel_generator(E, PA, alice.r, QA)
+    KB = kernel_generator(E, PB, bob.r, QB)
     K = E.add(KA, KB)   # order 16 * 27 generator of <KA, KB>
     pts = []
     acc = K
@@ -209,14 +216,31 @@ def test_validate_accepts_honest_keys(p431):
     for side in ("A", "B"):
         kp = keygen(p431, side, rng)
         E, G, H = kp.public
-        other = other_side(side)
-        assert other in ("A", "B") and other != side
-        ell, e = p431.ell(other), p431.e(other)
+        own, other = p431.sides(side)
+        assert own != other
+        ell, e = other.ell, other.e
         R, S = validate_public(p431, side, kp.public)
         for T, P in ((R, G), (S, H)):
             assert E._affine(T) == E.mul(ell ** (e - 1), P)
             assert not E._affine(T).infinity
             assert E.mul(ell, E._affine(T)).infinity
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, pub: validate_public(p, "sender", pub),
+    lambda p, pub: keygen(p, "receiver", det_rng(10)),
+    lambda p, pub: brute_force_secret(p, pub, "C"),
+    lambda p, pub: p.sides("a"),
+], ids=["validate-role", "keygen-role", "brute-force-stray", "lower-case"])
+def test_only_A_and_B_name_a_side(p431, call):
+    """A role or a stray string where a side belongs raises, rather
+    than picking a torsion: the receiver's honest key, checked as if
+    "sender" named side B, would pass."""
+    honest = keygen(p431, "B", det_rng(10)).public
+    with pytest.raises(ValueError, match="^unknown side "):
+        call(p431, honest)
+    assert p431.sides("A") == (p431.side_a, p431.side_b)
+    assert p431.sides("B") == (p431.side_b, p431.side_a)
 
 
 def test_public_codec_roundtrip(p431):
@@ -262,8 +286,8 @@ def test_params_codec_roundtrip(p431):
     obj = params_to_obj(p431)
     back = params_from_obj(obj)
     assert back.p == p431.p
-    assert back.basis_a == p431.basis_a
-    assert back.basis_b == p431.basis_b
+    assert back.side_a == p431.side_a
+    assert back.side_b == p431.side_b
     bad = dict(obj)
     bad["p"] = 433   # 1 mod 4, and breaks the factorization consistency
     with pytest.raises((DecodeError, ValueError)):
@@ -332,9 +356,10 @@ def test_params_from_obj_refuses_a_huge_torsion_prime_at_once():
     rng = det_rng(b"tests/huge-ell")
     basis_b = tuple(E.mul(16, E.random_point(rng)) for _ in range(2))
     assert all(not P.infinity and E.mul(q, P).infinity for P in basis_b)
-    params = PublicParams(ctx.p, 2, 4, q, 1, 1, E,
-                          E.sample_torsion_basis(2, 4, ctx.p + 1, rng),
-                          basis_b)
+    params = PublicParams(
+        ctx.p, 1, E,
+        Torsion(2, 4, E.sample_torsion_basis(2, 4, ctx.p + 1, rng)),
+        Torsion(q, 1, basis_b))
     obj = params_to_obj(params)
     start = time.perf_counter()
     with pytest.raises(DecodeError, match=f"{q} exceeds the cap of "

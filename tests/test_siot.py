@@ -88,8 +88,8 @@ def test_derived_coeffs_satisfy_all_constraints(p431, p2591, p102):
     M = [[alpha, beta], [gamma, delta]] squares to 0, so I - M and I + M
     have determinant 1, and alpha, gamma and delta vanish mod lA."""
     for params in (p431, p2591, p102):
-        n = params.n("A")
-        ell, e = params.ell_a, params.e_a
+        n = params.side_a.n
+        ell, e = params.side_a.ell, params.side_a.e
         rng = det_rng(b"coeffs")
         for _ in range(200):
             w = rng.randbytes(32)
@@ -120,10 +120,11 @@ def test_derived_gamma_is_zero(p431, p2591, set3, p102):
 
 
 def test_coeff_check_rejections(p431):
-    n = p431.n("A")
+    n = p431.side_a.n
     with pytest.raises(ValueError):
         # beta not a unit
-        check_mask_coefficients(MaskCoefficients(0, p431.ell_a, 0, 0), p431)
+        check_mask_coefficients(
+            MaskCoefficients(0, p431.side_a.ell, 0, 0), p431)
     with pytest.raises(ValueError):
         # delta != -alpha
         check_mask_coefficients(MaskCoefficients(4, 1, (-16) % n, 4), p431)
@@ -140,7 +141,7 @@ def test_mask_points_satisfy_dependence_identity(p431):
     rng = det_rng(b"maskpts")
     kp = keygen(p431, "B", rng)
     pub = kp.public
-    n = p431.n("A")
+    n = p431.side_a.n
     for _ in range(10):
         c = derive_mask_coeffs(rng.randbytes(32), p431)
         U, V = encode_mask_points(c, pub.curve, pub.G, pub.H)
@@ -167,7 +168,7 @@ def test_masked_pair_keeps_pairing_value(p431):
     rng = det_rng(b"pairval")
     kp = keygen(p431, "B", rng)
     pub = kp.public
-    n = p431.n("A")
+    n = p431.side_a.n
     base = weil_pairing(pub.curve, pub.G, pub.H, n)
     c = derive_mask_coeffs(rng.randbytes(32), p431)
     U, V = encode_mask_points(c, pub.curve, pub.G, pub.H)
@@ -182,7 +183,7 @@ def test_masked_public_is_the_pair_minus_the_mask(name, request):
     the hand-built ones ``siot.analysis`` passes alike."""
     params = request.getfixturevalue(name)
     rng = det_rng(b"mask-public/" + name.encode())
-    n, ell = params.n("A"), params.ell_a
+    n, ell = params.side_a.n, params.side_a.ell
     for _ in range(3):
         pub = keygen(params, "B", rng).public
         E, G, H = pub
@@ -206,7 +207,7 @@ def test_branch_kernels_are_the_shifted_pairs_kernels(name, request):
     (lA, lA*r, 0, 0) and the all-zero tuple."""
     params = request.getfixturevalue(name)
     rng = det_rng(b"branch-kernels/" + name.encode())
-    n, ell = params.n("A"), params.ell_a
+    n, ell = params.side_a.n, params.side_a.ell
     for _ in range(3):
         pub = keygen(params, "B", rng).public
         r = rng.randrange(n)
@@ -272,6 +273,9 @@ def test_session_role_argument_validation(p431):
     rng = det_rng(b"roles")
     with pytest.raises(ValueError):
         SiotSession(p431, "sender", rng, b"\x00" * 16, x0=b"a")
+    with pytest.raises(ValueError, match="^sender holds no choice bit$"):
+        SiotSession(p431, "sender", rng, b"\x00" * 16, x0=b"a", x1=b"b",
+                    b=0)
     with pytest.raises(ValueError):
         SiotSession(p431, "receiver", rng, b"\x00" * 16, b=2)
     with pytest.raises(ValueError):
@@ -375,7 +379,7 @@ def test_degenerate_sender_branch_is_a_kernel_error(p431):
                     x0=b"left", x1=b"right")
     r = SiotSession(p431, "receiver", det_rng(b"degenerate-r"), sid, b=0)
     _run_until(s, r, "pk-receiver")
-    n = p431.n("A")
+    n = p431.side_a.n
     s.coeffs = MaskCoefficients(n - 1, -s.keypair.r % n, 0, 0)
     with pytest.raises(InvalidKernelError):
         s.consume_public(r.produce_public())
@@ -434,7 +438,7 @@ def test_sender_pair_that_is_no_basis_is_a_coded_abort(p431):
     s = SiotSession(p431, "sender", det_rng(b"nobasis-s"), sid,
                     x0=b"left", x1=b"right")
     r = SiotSession(p431, "receiver", det_rng(b"nobasis-r"), sid, b=1)
-    sign = {1: -1, p431.ell_b - 1: 1}[r.keypair.r % p431.ell_b]
+    sign = {1: -1, p431.side_b.ell - 1: 1}[r.keypair.r % p431.side_b.ell]
     _run_until(s, r, "pk-sender")
     pub = s.keypair.public
     H = pub.G if sign == 1 else pub.curve.neg(pub.G)
