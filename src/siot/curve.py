@@ -79,6 +79,9 @@ class EllipticCurve:
         return (isinstance(other, EllipticCurve)
                 and self.A == other.A and self.B == other.B)
 
+    def __hash__(self) -> int:
+        return hash((self.A, self.B))
+
     def __repr__(self) -> str:
         return f"EllipticCurve(A={self.A!r}, B={self.B!r})"
 
@@ -364,24 +367,21 @@ def jac_mul2(T, s: int, U, t: int, A, p: int):
     """
     if s == 0 and t == 0:
         return JAC_INFINITY
-
-    def adder(V):
-        if V[2] == (1, 0):
-            xy = V[:2]
-            return lambda R: jac_add_affine(R, xy, A, p)[0]
-        return lambda R: jac_add(R, V, A, p)
-
-    # the adder of each bit pair (s_i, t_i), indexed s_i + 2 t_i
-    table = [None, adder(T), adder(U), None]
+    # the point of each bit pair (s_i, t_i), indexed s_i + 2 t_i
+    table = [None, T, U, None]
     if s and t:
-        table[3] = adder(table[1](U))
+        table[3] = jac_add(U, T, A, p) if T[2] != (1, 0) else \
+            jac_add_affine(U, T[:2], A, p)[0]
     digits = [(s >> i & 1) | (t >> i & 1) << 1
               for i in range(max(s.bit_length(), t.bit_length()) - 1, -1, -1)]
-    R = table[digits[0]](JAC_INFINITY)
-    for d in digits[1:]:
-        R = jac_double(R, A, p)[0]
+    R = JAC_INFINITY
+    for i, d in enumerate(digits):
+        if i:
+            R = jac_double(R, A, p)[0]
         if d:
-            R = table[d](R)
+            V = table[d]
+            R = jac_add(R, V, A, p) if V[2] != (1, 0) else \
+                jac_add_affine(R, V[:2], A, p)[0]
     return R
 
 

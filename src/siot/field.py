@@ -185,10 +185,11 @@ class Fp2:
 
     def inv(self) -> Fp2:
         """(a+bi)^-1 = (a-bi)/(a^2+b^2)."""
-        if self.is_zero():
+        a, b, p = self.a, self.b, self.ctx.p
+        if a == 0 and b == 0:
             raise ZeroDivisionError("inverse of zero in F_p^2")
-        n_inv = pow(self.norm(), -1, self.ctx.p)
-        return Fp2(self.ctx, self.a * n_inv, -self.b * n_inv)
+        n_inv = pow((a * a + b * b) % p, -1, p)
+        return Fp2(self.ctx, a * n_inv, -b * n_inv)
 
     def sqrt(self) -> Fp2 | None:
         """Canonical square root, or None when no root exists.

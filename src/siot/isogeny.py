@@ -15,13 +15,15 @@ A step's kernel is written as one point Q per pair +-Q of its nonzero
 points: -Q has Q's x, so it adds the same terms to the codomain sums
 and shares Q's chord denominators, and it is Q itself when y_Q = 0.
 ``velu_step`` takes such a list, affine, to the codomain.  One
-translate loop, ``_translate``, maps a whole list of points through the
-step at once: every translate's chord slope needs 1/(x_Q - x_P), and
-all of those are inverted together with one field inversion
-(Montgomery's trick).  Its points and kernel points may be Jacobian:
-their Z join the same batch, and each denominator is written
-projectively.  A point whose x is a kernel x is itself a kernel point
-and maps to the identity.  ``evaluate`` maps one ``Point`` through it.
+straight-line pass, ``_translate``, maps a whole list of points through
+the step at once: every translate's chord slope needs 1/(x_Q - x_P),
+and all of those are inverted together with one field inversion, by
+Montgomery's trick written inline: each value joins a running product
+as it is formed, and one backward sweep peels the inverses off.  Its
+points and kernel points may be Jacobian: their Z join the same
+product, and each denominator is written projectively.  A point whose
+x is a kernel x is itself a kernel point and maps to the identity.
+``evaluate`` maps one ``Point`` through it.
 The translate loop and the codomain sums are straight-line arithmetic
 on the unpacked integer coordinates; points and curves enter and leave
 them as ``Fp2`` values.
@@ -40,7 +42,7 @@ from __future__ import annotations
 from .curve import (JAC_INFINITY, EllipticCurve, Point, jac_add, jac_mul,
                     jac_normalize, jacobian, unit_point)
 from .errors import InvalidKernelError
-from .field import Fp2, inv_batch
+from .field import Fp2
 
 
 def kernel_generator(E: EllipticCurve, P: Point, r: int, Q: Point) -> Point:
@@ -77,67 +79,92 @@ def velu_step(E: EllipticCurve, kernel) -> EllipticCurve:
 
 def _translate(ctx, kernel, points):
     """The kernel points rescaled to Z = 1, and the images of ``points``
-    under the step with that kernel, by one batched inversion.
+    under the step with that kernel, with one inversion.
 
     ``kernel`` holds one Jacobian point Q per x-coordinate of the
     kernel's nonzero points; -Q is in the kernel too, and is Q itself
-    when y_Q = 0.  ``points`` are Jacobian.  The inversion covers every
-    Z other than 1 and every chord denominator, written projectively as
-    x_Q - x_P = (X_Q*Z_P^2 - X_P*Z_Q^2) / (Z_Q^2*Z_P^2).  O, and a point
-    with a kernel x, which is a kernel point, map to O; the other images
-    have Z = 1.
+    when y_Q = 0.  ``points`` are Jacobian.  O, and a point with a
+    kernel x, which is a kernel point, map to O; the other images have
+    Z = 1.  Each chord denominator is written projectively, as
+    x_Q - x_P = (X_Q*Z_P^2 - X_P*Z_Q^2) / (Z_Q^2*Z_P^2).
+
+    The inversion is Montgomery's trick, inline.  Every Z other than 1
+    and every chord denominator joins a running product as it is
+    formed, kept with the product before it: the kernel's Z first, then
+    each point's Z and its denominators.  After one ``Fp2.inv`` of the
+    whole product, one backward sweep peels each inverse off, and they
+    are popped from its end in the order the factors went in.
     """
     p = ctx.p
-    dens = []
-    ks = []                      # each Q with Z_Q^2, None when Z_Q = 1
-    for Q in kernel:
-        za, zb = Q[2]
-        if za == 1 and zb == 0:
-            ks.append((Q, None))
-        else:
-            ks.append((Q, ((za + zb) * (za - zb) % p, 2 * za * zb % p)))
-            dens.append((za, zb))
+    ra = rb = None               # the running product, None while empty
+    batch = []                   # each factor with the product before it
+    qs = []                      # each Q's X, Y and Z^2, None when Z_Q = 1
+    for X, Y, Z in kernel:
+        zq = None
+        if Z != (1, 0):
+            za, zb = Z
+            zq = (za + zb) * (za - zb) % p, 2 * za * zb % p
+            batch.append((za, zb, ra, rb))
+            ra, rb = Z if ra is None else \
+                ((ra * za - rb * zb) % p, (ra * zb + rb * za) % p)
+        qs.append((X, Y, zq))
     live = []                    # each P that maps off O, with Z_P^2
-    for i, P in enumerate(points):
-        (xpa, xpb), _, (za, zb) = P
-        if za == 0 and zb == 0:
+    for i, (X, Y, Z) in enumerate(points):
+        if Z == (0, 0):
             continue
+        xpa, xpb = X
         zp = None
-        if za != 1 or zb != 0:
+        if Z != (1, 0):
+            za, zb = Z
             zp = (za + zb) * (za - zb) % p, 2 * za * zb % p
-        ds = []
-        for ((xqa, xqb), _, _), zq in ks:
+        ds = [Z] if zp is not None else []
+        for (ua, ub), _, zq in qs:
             # X_Q*Z_P^2 - X_P*Z_Q^2, skipping a square that is 1
-            ua, ub, va, vb = xqa, xqb, xpa, xpb
+            va, vb = xpa, xpb
             if zp is not None:
-                ua, ub = xqa * zp[0] - xqb * zp[1], xqa * zp[1] + xqb * zp[0]
+                ua, ub = ua * zp[0] - ub * zp[1], ua * zp[1] + ub * zp[0]
             if zq is not None:
                 va, vb = xpa * zq[0] - xpb * zq[1], xpa * zq[1] + xpb * zq[0]
             ds.append(((ua - va) % p, (ub - vb) % p))
         if (0, 0) in ds:         # a kernel point
             continue
-        if zp is not None:
-            dens.append((za, zb))
-        dens += ds
-        live.append((i, P, zp))
-    invs = iter(inv_batch(ctx, dens))
-    affine = [Q if zq is None else jac_normalize(Q, next(invs), p)
-              for Q, zq in ks]
-    kpts = [(x, (y,) if y == (0, 0) else (y, (-y[0], -y[1])), zq)
-            for (x, y, _), (_, zq) in zip(affine, ks)]
+        for da, db in ds:
+            batch.append((da, db, ra, rb))
+            ra, rb = (da, db) if ra is None else \
+                ((ra * da - rb * db) % p, (ra * db + rb * da) % p)
+        live.append((i, X, Y, zp))
+    invs = []                    # each factor's inverse, the last first
+    if batch:
+        inv = Fp2(ctx, ra, rb).inv()
+        ra, rb = inv.a, inv.b
+        for da, db, pa, pb in reversed(batch):
+            if pa is None:
+                invs.append((ra, rb))
+            else:
+                invs.append(((ra * pa - rb * pb) % p, (ra * pb + rb * pa) % p))
+                ra, rb = (ra * da - rb * db) % p, (ra * db + rb * da) % p
+    affine = []                  # the kernel at Z = 1, returned
+    shifts = []                  # each x_Q with the y of Q and of -Q
+    for X, Y, zq in qs:
+        if zq is not None:
+            X, Y, _ = jac_normalize((X, Y, None), invs.pop(), p)
+        affine.append((X, Y, (1, 0)))
+        shifts.append((X, (Y,) if Y == (0, 0) else (Y, (-Y[0], -Y[1])), zq))
     images = [JAC_INFINITY] * len(points)
-    for i, P, zp in live:
+    for i, X, Y, zp in live:
         if zp is not None:
-            P = jac_normalize(P, next(invs), p)
-        (xpa, xpb), (ypa, ypb), _ = P
+            X, Y, _ = jac_normalize((X, Y, None), invs.pop(), p)
+        (xpa, xpb), (ypa, ypb) = X, Y
         xa, xb, ya, yb = xpa, xpb, ypa, ypb
-        for (xqa, xqb), ys, zq in kpts:
+        for (xqa, xqb), ys, zq in shifts:
             # 1/(x_Q - x_P): Z_Q^2*Z_P^2 over the projective difference
-            ia, ib = next(invs)
-            for z in (zq, zp):
-                if z is not None:
-                    ia, ib = (ia * z[0] - ib * z[1]) % p, \
-                        (ia * z[1] + ib * z[0]) % p
+            ia, ib = invs.pop()
+            if zq is not None:
+                ia, ib = (ia * zq[0] - ib * zq[1]) % p, \
+                    (ia * zq[1] + ib * zq[0]) % p
+            if zp is not None:
+                ia, ib = (ia * zp[0] - ib * zp[1]) % p, \
+                    (ia * zp[1] + ib * zp[0]) % p
             for yqa, yqb in ys:
                 # slope of the chord through P and Q, then P + Q
                 ta, tb = yqa - ypa, yqb - ypb
@@ -191,12 +218,15 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
         raise InvalidKernelError(f"kernel generator must have exact order {n}")
     ctx, p, cur = E.ctx, E.ctx.p, E
     pushed = [jacobian(P) for P in push]
-    stack = [(jacobian(K), e)]
+    # the stacked points, and for each the step at which its height,
+    # which every step lowers by one, would reach 0
+    stack, due, step = [jacobian(K)], [e], 0
     while stack:
-        T, h = stack.pop()
+        T, h = stack.pop(), due.pop() - step
         A = (cur.A.a, cur.A.b)
         while h > 1:
-            stack.append((T, h))
+            stack.append(T)
+            due.append(step + h)
             T, h = jac_mul(T, ell ** (h // 2), A, p), h - h // 2
         # [ell^(e-1)]K of order ell makes K of order ell^e; every later
         # step's point, and K's image under the last step, follow from it
@@ -207,9 +237,8 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
         kernel = [T]
         for _ in range(ell // 2 - 1):
             kernel.append(jac_add(kernel[-1], T, A, p))
-        kernel, images = _translate(ctx, kernel,
-                                    [Q for Q, _ in stack] + pushed)
+        kernel, images = _translate(ctx, kernel, stack + pushed)
         cur = velu_step(cur, kernel)
-        stack = [(Q, h - 1) for Q, (_, h) in zip(images, stack)]
-        pushed = images[len(stack):]
+        step += 1
+        stack, pushed = images[:len(stack)], images[len(stack):]
     return cur, [unit_point(ctx, T) for T in pushed]

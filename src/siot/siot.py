@@ -60,6 +60,9 @@ SIDE = {"sender": "A", "receiver": "B"}   # each role's side of the exchange
 PEER = {"sender": "receiver", "receiver": "sender"}   # whom each sends to
 DIRECTION = {role: f"{role}->{peer}" for role, peer in PEER.items()}
 _LENGTH_PREFIX = struct.Struct("!I")   # an input's length, ahead of it
+# canonical_json of a public-key body, keys sorted (``_transcript_hash``)
+_KEY_JSON = ('{"curve":{"a":"%s","b":"%s"},"g":{"x":"%s","y":"%s"},'
+             '"h":{"x":"%s","y":"%s"}}')
 
 
 class MaskCoefficients(NamedTuple):
@@ -87,7 +90,13 @@ class MaskCoefficients(NamedTuple):
             for r in range(ell))
 
 
+@functools.lru_cache(maxsize=8)
 def params_fingerprint(params: PublicParams) -> bytes:
+    """The hash of the parameters' canonical JSON, which every mask
+    derivation binds.  Memoized on the parameter value, which is an
+    immutable tuple whose hash and equality cover every field: a
+    session's two derivations, and every later session on the same
+    parameters, write the JSON once."""
     return tagged_hash("params-fp", canonical_json(params_to_obj(params)))
 
 
@@ -488,9 +497,16 @@ class SiotSession:
 
     def _transcript_hash(self) -> bytes:
         """Binds the ciphertexts to the session id and both public-key
-        bodies; SCHEDULE puts both keys before either caller."""
-        return tagged_hash("transcript", self.session_id,
-                           *(canonical_json(b) for b in self._pk_bodies))
+        bodies; SCHEDULE puts both keys before either caller.
+
+        Each body is hashed as its canonical JSON, written here by one
+        format: a body ``read_public`` accepted or ``produce_public``
+        made has exactly these keys, two points other than O, and
+        lowercase hex, which ``canonical_json`` copies verbatim."""
+        return tagged_hash("transcript", self.session_id, *(
+            (_KEY_JSON % (b["curve"]["a"], b["curve"]["b"], b["g"]["x"],
+                          b["g"]["y"], b["h"]["x"], b["h"]["y"])).encode()
+            for b in self._pk_bodies))
 
     def _derive_ciphertext_keys(self) -> None:
         """Sender: complete the exchange along both branch kernels and

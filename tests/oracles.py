@@ -375,6 +375,41 @@ def naive_chain(E: EllipticCurve, K: Point, ell: int,
     return tuple(steps)
 
 
+def walk_counts(ell: int, e: int, npush: int) -> dict:
+    """The operation counts of ``isogeny_chain`` at degree ell^e with
+    ``npush`` pushed points, from the shape alone: a replay of its
+    balanced split on the heights of the stacked points.
+
+    Splitting a point at height h multiplies it by ell^(h//2): h//2
+    triplings for ell = 3, and otherwise one doubling per bit of
+    ell^(h//2) after the first.  The first step proves the generator's
+    order by one more multiplication by ell, and for ell >= 5 each
+    step's kernel list starts with [2]T, a doubling.  Each step is one
+    ``velu_step`` and one inversion, but for a step whose batch is
+    empty: an affine kernel point, which was not split at that step,
+    and no stacked or pushed point.  That happens at the last step of
+    a degree-2 or degree-3 chain that pushes nothing.
+    """
+    def mul(k):                  # (doublings, triplings) for ell^k
+        return (0, k) if ell == 3 else ((ell ** k).bit_length() - 1, 0)
+
+    dbl, tpl = mul(1)            # the order check
+    steps = invs = 0
+    stack = [e]
+    while stack:
+        h, split = stack.pop(), False
+        while h > 1:
+            stack.append(h)
+            d, t = mul(h // 2)
+            dbl, tpl, h, split = dbl + d, tpl + t, h - h // 2, True
+        dbl += ell >= 5
+        steps += 1
+        invs += bool(split or stack or npush or ell >= 5)
+        stack = [h - 1 for h in stack]
+    return {"jac_double": dbl, "jac_triple": tpl, "velu_step": steps,
+            "inv": invs}
+
+
 def naive_evaluate(phi, P: Point) -> Point:
     """Image of P under a VeluStep or a sequence of them, one translate
     (and one inversion) per kernel point."""

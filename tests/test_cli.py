@@ -81,6 +81,20 @@ def test_run_local_with_out_file_prints_no_hex(tmp_path, capsys):
     assert capsys.readouterr().out == f"delivered: 65536 bytes to {outf}\n"
 
 
+def test_run_local_prints_non_utf8_output_as_hex_only(tmp_path, capsys):
+    """Without ``-o``, an output that is not UTF-8 is printed as hex
+    alone, with no ``delivered-text:`` line."""
+    m0 = _write(tmp_path, "m0", b"\xff\xfe")
+    m1 = _write(tmp_path, "m1", b"text")
+    assert main(["run-local", "--preset", "p431", "--choice", "0",
+                 "--msg0", m0, "--msg1", m1, "--seed", "0e"]) == 0
+    assert capsys.readouterr().out == "delivered-hex: fffe\n"
+    assert main(["run-local", "--preset", "p431", "--choice", "1",
+                 "--msg0", m0, "--msg1", m1, "--seed", "0e"]) == 0
+    assert capsys.readouterr().out \
+        == "delivered-hex: 74657874\ndelivered-text: text\n"
+
+
 def test_verify_rejects_tampered_transcript(tmp_path, capsys):
     m0 = _write(tmp_path, "m0", b"aa")
     m1 = _write(tmp_path, "m1", b"bb")

@@ -12,8 +12,10 @@ from oracles import (SHAPES, affine_add, cyclic_subgroup, expand_kernel,
                      shape_id, shape_params, walk_kernel)
 from siot import SessionConfig, det_rng, run_local
 from siot.errors import InvalidKernelError, InvalidPointError
+from siot.curve import INFINITY, jacobian, unit_point
 from siot.field import Fp2
-from siot.isogeny import evaluate, isogeny_chain, kernel_generator, velu_step
+from siot.isogeny import (_translate, evaluate, isogeny_chain,
+                          kernel_generator, velu_step)
 
 @pytest.fixture(scope="module", params=SHAPES, ids=shape_id)
 def shape(request):
@@ -63,6 +65,50 @@ def test_step_matches_the_oracle_step(shape):
             assert evaluate(E, kernel, P) == naive_evaluate(step, P)
         for Q in step.kernel_points:
             assert evaluate(E, kernel, Q).infinity
+
+
+def _rescaled(T, z: Fp2):
+    """The Jacobian triple (X*z^2, Y*z^3, Z*z) of the same point."""
+    (xa, xb), (ya, yb), (za, zb) = T
+    ctx = z.ctx
+    X, Y, Z = (Fp2(ctx, xa, xb) * z * z, Fp2(ctx, ya, yb) * z * z * z,
+               Fp2(ctx, za, zb) * z)
+    return (X.a, X.b), (Y.a, Y.b), (Z.a, Z.b)
+
+
+def test_translate_takes_jacobian_inputs(shape):
+    """The walk hands ``_translate`` kernel points and points whose Z is
+    not 1.  Rescaled by random nonzero Z, with O (as (z^2, z^3, 0)),
+    every kernel point and repeats among the points, it returns the same
+    affine kernel and images as at Z = 1, and those images equal the
+    per-point translate."""
+    rng = det_rng(b"shape-jacobian")
+    E, ctx = shape.curve, shape.curve.ctx
+
+    def nonzero():
+        while True:
+            z = Fp2(ctx, rng.randrange(ctx.p), rng.randrange(ctx.p))
+            if z:
+                return z
+    for own in (shape.side_a, shape.side_b):
+        G, H = own.basis
+        ell, n = own.ell, own.n
+        K = E.mul(n // ell, kernel_generator(E, G, rng.randrange(n), H))
+        kernel = walk_kernel(E, K, ell)
+        step = reference_step(E, K, ell)
+        pts = [*shape.side_a.basis, *shape.side_b.basis,
+               *(E.random_point(rng) for _ in range(3)),
+               *step.kernel_points, INFINITY]
+        pts += [pts[0], pts[-2], pts[3]]
+        want = _translate(ctx, kernel, [jacobian(P) for P in pts])
+        assert want[0] == list(kernel)
+        assert [unit_point(ctx, T) for T in want[1]] \
+            == [naive_evaluate(step, P) for P in pts]
+        for _ in range(3):
+            got = _translate(
+                ctx, [_rescaled(Q, nonzero()) for Q in kernel],
+                [_rescaled(jacobian(P), nonzero()) for P in pts])
+            assert got == want
 
 
 def test_chain_inverts_once_per_step(shape, counter):

@@ -7,12 +7,13 @@ import pytest
 
 import siot.siot
 from oracles import check_mask_coefficients
-from siot import det_rng, kdf_dec, keygen
+from siot import SessionConfig, det_rng, kdf_dec, keygen, run_local
 from siot.errors import DecryptionError, InvalidKernelError, ProtocolAbort
 from siot.isogeny import kernel_generator
 from siot.pairing import weil_pairing
-from siot.sidh import point_to_obj
-from siot.util import xor_bytes
+from siot.sidh import (PublicParams, params_from_obj, params_to_obj,
+                       point_to_obj)
+from siot.util import canonical_json, tagged_hash, xor_bytes
 from siot.siot import (
     NONCE_LEN,
     SCHEDULE,
@@ -28,6 +29,7 @@ from siot.siot import (
     exchange,
     kdf_enc,
     mask_public,
+    params_fingerprint,
     read_public,
 )
 
@@ -117,6 +119,38 @@ def test_derived_gamma_is_zero(p431, p2591, set3, p102):
         rng = det_rng(b"gamma")
         for _ in range(50):
             assert derive_mask_coeffs(rng.randbytes(32), params).gamma == 0
+
+
+def test_params_fingerprint_memo_is_never_stale(p431, p2591, set3, counter):
+    """The memoized fingerprint is keyed on the parameter value, so it
+    equals a fresh hash of the canonical JSON for every way a
+    ``PublicParams`` is made, and two sessions on one set write that
+    JSON once."""
+    def fresh(params):
+        return tagged_hash("params-fp", canonical_json(params_to_obj(params)))
+    built = PublicParams(p431.p, p431.f, p431.curve, p431.side_a,
+                         p431.side_b)
+    replaced = p431._replace(side_b=p2591.side_b)
+    for params in (p431, p2591, set3, params_from_obj(params_to_obj(set3)),
+                   replaced, built, p431._replace(f=p431.f + 4)):
+        assert params_fingerprint(params) == fresh(params)
+    assert params_fingerprint(replaced) != params_fingerprint(p431)
+    params_fingerprint.cache_clear()
+    calls = counter(siot.siot, "params_to_obj")
+    for seed in (b"memo-1", b"memo-2"):
+        run_local(SessionConfig(p2591, seed=seed, b=1, x0=b"a", x1=b"b"))
+    assert calls[0] == 1
+
+
+def test_transcript_hash_writes_the_canonical_json(p431, p2591, p102):
+    """The transcript hash formats each public-key body itself; the bytes
+    are the canonical JSON of the body, for either party and bit."""
+    for params in (p431, p2591, p102):
+        for b in (0, 1):
+            for party in _run(params, b)[:2]:
+                assert party._transcript_hash() == tagged_hash(
+                    "transcript", party.session_id,
+                    *map(canonical_json, party._pk_bodies))
 
 
 def test_coeff_check_rejections(p431):
