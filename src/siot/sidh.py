@@ -244,6 +244,20 @@ def public_to_obj(pub: SidhPublic) -> dict:
     }
 
 
+_PUBLIC_JSON = ('{"curve":{"a":"%s","b":"%s"},"g":{"x":"%s","y":"%s"},'
+                '"h":{"x":"%s","y":"%s"}}')
+
+
+def public_json(body: dict) -> bytes:
+    """``canonical_json`` of a key body ``public_to_obj`` made or
+    ``siot.siot.read_public`` accepted, written by one format: such a
+    body has exactly these keys, two points other than O, and lowercase
+    hex, which ``canonical_json`` copies verbatim."""
+    c, g, h = body["curve"], body["g"], body["h"]
+    return (_PUBLIC_JSON % (c["a"], c["b"], g["x"], g["y"], h["x"],
+                            h["y"])).encode()
+
+
 def public_from_obj(ctx: FieldContext, obj) -> SidhPublic:
     """The key's shape and field elements only; its points are checked
     on the curve by ``validate_public``, which its one caller in the

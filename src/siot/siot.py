@@ -49,8 +49,8 @@ from .field import Fp2, inv_batch
 from .isogeny import isogeny_chain, kernel_generator
 from .pairing import weil_pairing
 from .sidh import (PublicParams, SidhKeyPair, SidhPublic, keygen,
-                   params_to_obj, public_from_obj, public_to_obj,
-                   validate_public)
+                   params_to_obj, public_from_obj, public_json,
+                   public_to_obj, validate_public)
 from .util import (TAG_LEN, canonical_json, expand, open_sealed, seal,
                    strict_fromhex, tagged_hash, xor_bytes)
 
@@ -60,9 +60,6 @@ SIDE = {"sender": "A", "receiver": "B"}   # each role's side of the exchange
 PEER = {"sender": "receiver", "receiver": "sender"}   # whom each sends to
 DIRECTION = {role: f"{role}->{peer}" for role, peer in PEER.items()}
 _LENGTH_PREFIX = struct.Struct("!I")   # an input's length, ahead of it
-# canonical_json of a public-key body, keys sorted (``_transcript_hash``)
-_KEY_JSON = ('{"curve":{"a":"%s","b":"%s"},"g":{"x":"%s","y":"%s"},'
-             '"h":{"x":"%s","y":"%s"}}')
 
 
 class MaskCoefficients(NamedTuple):
@@ -497,16 +494,10 @@ class SiotSession:
 
     def _transcript_hash(self) -> bytes:
         """Binds the ciphertexts to the session id and both public-key
-        bodies; SCHEDULE puts both keys before either caller.
-
-        Each body is hashed as its canonical JSON, written here by one
-        format: a body ``read_public`` accepted or ``produce_public``
-        made has exactly these keys, two points other than O, and
-        lowercase hex, which ``canonical_json`` copies verbatim."""
-        return tagged_hash("transcript", self.session_id, *(
-            (_KEY_JSON % (b["curve"]["a"], b["curve"]["b"], b["g"]["x"],
-                          b["g"]["y"], b["h"]["x"], b["h"]["y"])).encode()
-            for b in self._pk_bodies))
+        bodies, each as its canonical JSON; SCHEDULE puts both keys
+        before either caller."""
+        return tagged_hash("transcript", self.session_id,
+                           *map(public_json, self._pk_bodies))
 
     def _derive_ciphertext_keys(self) -> None:
         """Sender: complete the exchange along both branch kernels and

@@ -1,15 +1,12 @@
 """Exact operation counts: algorithmic regressions show up here as a
 changed number, without any timing noise."""
 
-import pytest
-
 import siot.curve
 import siot.isogeny
 import siot.pairing
 import siot.siot
 import siot.wire
 from loopback import JOIN_S, LoopbackPipe, closing_thread
-from oracles import SHAPES, shape_id, shape_params, walk_counts
 from siot import (SessionConfig, Transcript, det_rng, gen_params, keygen,
                   params_from_obj, params_to_obj, preset, run_local,
                   run_session, validate_public, verify_transcript)
@@ -37,29 +34,6 @@ def test_long_chain_inversions_stay_below_quadratic(counter, p102):
     inv[0] = 0
     isogeny_chain(p102.curve, K, 2, 51, p102.side_b.basis)
     assert inv[0] == 51
-
-
-@pytest.mark.parametrize("shape", [*SHAPES, "p431", "p2591", "p102"],
-                         ids=lambda s: s if type(s) is str else shape_id(s))
-def test_chain_counts_follow_the_walk_model(shape, request, counter):
-    """A chain's doublings, triplings, Velu steps and inversions depend
-    on its shape alone, and equal ``oracles.walk_counts`` on both sides
-    of every set, pushing nothing and pushing the other side's basis."""
-    params = request.getfixturevalue(shape) if isinstance(shape, str) \
-        else shape_params(shape)
-    names = ("jac_double", "jac_triple", "velu_step", "inv")
-    calls = [counter(siot.curve, "jac_double"),
-             counter(siot.curve, "jac_triple"),
-             counter(siot.isogeny, "velu_step"), counter(Fp2, "inv")]
-    for own, other in map(params.sides, "AB"):
-        G, H = own.basis
-        K = kernel_generator(params.curve, G, own.n // 3 + 1, H)
-        for push in ((), other.basis):
-            for c in calls:
-                c[0] = 0
-            isogeny_chain(params.curve, K, own.ell, own.e, push)
-            assert dict(zip(names, (c[0] for c in calls))) \
-                == walk_counts(own.ell, own.e, len(push))
 
 
 def test_p102_keygen_inversions(counter, p102):

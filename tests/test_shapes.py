@@ -2,14 +2,17 @@
 
 Each shape is built by ``oracles.shape_params``.  Every
 layer is compared with its oracle in ``tests/oracles.py``, and a whole
-session runs once per bit.
+session runs once per bit.  The walk's cost model is also held on
+p431, p2591 and p102.
 """
 
 import pytest
 
+import siot.curve
+import siot.isogeny
 from oracles import (SHAPES, affine_add, cyclic_subgroup, expand_kernel,
                      naive_chain, naive_evaluate, naive_order, reference_step,
-                     shape_id, shape_params, walk_kernel)
+                     shape_id, shape_params, walk_counts, walk_kernel)
 from siot import SessionConfig, det_rng, run_local
 from siot.errors import InvalidKernelError, InvalidPointError
 from siot.curve import INFINITY, jacobian, unit_point
@@ -111,17 +114,30 @@ def test_translate_takes_jacobian_inputs(shape):
             assert got == want
 
 
-def test_chain_inverts_once_per_step(shape, counter):
+@pytest.mark.parametrize("shape", [*SHAPES, "p431", "p2591", "p102"],
+                         ids=lambda s: s if type(s) is str else shape_id(s))
+def test_chain_inverts_once_per_step(shape, request, counter):
     """One batched inversion per step, pushed points included: the
-    kernel points [2]K, ..., [ell//2]K of ell >= 5 join that batch."""
-    calls = counter(Fp2, "inv")
-    E = shape.curve
-    for own, other in map(shape.sides, "AB"):
+    kernel points [2]K, ..., [ell//2]K of ell >= 5 join that batch.  A
+    chain's doublings, triplings, Velu steps and inversions depend on its
+    shape alone, and equal ``oracles.walk_counts`` on both sides of every
+    shape and of p431, p2591 and p102, pushing nothing and pushing the
+    other side's basis."""
+    params = request.getfixturevalue(shape) if isinstance(shape, str) \
+        else shape_params(shape)
+    names = ("jac_double", "jac_triple", "velu_step", "inv")
+    calls = [counter(siot.curve, "jac_double"),
+             counter(siot.curve, "jac_triple"),
+             counter(siot.isogeny, "velu_step"), counter(Fp2, "inv")]
+    for own, other in map(params.sides, "AB"):
         G, H = own.basis
-        K = kernel_generator(E, G, 1, H)
-        calls[0] = 0
-        isogeny_chain(E, K, own.ell, own.e, other.basis)
-        assert calls[0] <= own.e
+        K = kernel_generator(params.curve, G, own.n // 3 + 1, H)
+        for push in ((), other.basis):
+            for c in calls:
+                c[0] = 0
+            isogeny_chain(params.curve, K, own.ell, own.e, push)
+            assert dict(zip(names, (c[0] for c in calls))) \
+                == walk_counts(own.ell, own.e, len(push))
 
 
 def _multiples(E, K, m):

@@ -143,8 +143,9 @@ def test_params_fingerprint_memo_is_never_stale(p431, p2591, set3, counter):
 
 
 def test_transcript_hash_writes_the_canonical_json(p431, p2591, p102):
-    """The transcript hash formats each public-key body itself; the bytes
-    are the canonical JSON of the body, for either party and bit."""
+    """The transcript hash writes each public-key body by
+    ``sidh.public_json``; the bytes are the canonical JSON of the body,
+    for either party and bit."""
     for params in (p431, p2591, p102):
         for b in (0, 1):
             for party in _run(params, b)[:2]:

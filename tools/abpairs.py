@@ -5,17 +5,21 @@ three checkouts: the parent, the change and an A/A control (a second
 copy of the parent).  One run goes at a time, and each round rotates
 which checkout runs first, so a slow stretch of a shared machine falls
 on every side in turn.  It then prints each side's median and
-quartiles of one end-to-end metric, the wins per pair against the
-parent, and the verdict of the rule a claimed gain must meet:
+quartiles of the median latency (``latency_ms.p50``, lower is
+better), the wins per pair against the parent, and the verdict of the
+rule a claimed gain must meet:
 
 - the change wins at least nine tenths of all pairs run, where a tie
   counts for neither side, and
-- the medians differ, in the metric's better direction, by more than
-  the parent's interquartile range (IQR).
+- the change's median is lower than the parent's by more than the
+  parent's interquartile range (IQR).
 
 The A/A control gets the same verdict.  It should fail: if an unchanged
 copy passes, the machine's noise alone can pass the rule, and the
-change's verdict shows nothing.
+change's verdict shows nothing.  The exit status is 0 only when the
+change passes and the control fails, 1 when the change fails, and 2,
+"inconclusive", when both pass.  Every run's other metrics (tail,
+throughput, RSS, setup time) go to ``--json``.
 
     python3 tools/abpairs.py PARENT CHANGE PARENT_COPY \\
         --workload local-p431 --seeds 1-10 --seconds 20
@@ -36,6 +40,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change", "aa")
+METRIC = "latency_ms.p50"   # the claimed metric; lower is better
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -44,17 +49,15 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(parent: list[float], other: list[float], lower: bool) -> dict:
+def verdict(parent: list[float], other: list[float]) -> dict:
     """The gain rule for ``other`` against ``parent``, pair by pair: the
-    runs at one index form a pair.  ``lower`` says a smaller value is
-    better."""
+    runs at one index form a pair, and a smaller value is better."""
     if len(parent) != len(other) or len(parent) < 2:
         raise ValueError("need two equal-length lists of at least 2 runs")
-    sign = 1 if lower else -1
-    wins = sum(sign * (a - b) > 0 for a, b in zip(parent, other))
+    wins = sum(a > b for a, b in zip(parent, other))
     ties = sum(a == b for a, b in zip(parent, other))
     q1, med_parent, q3 = quartiles(parent)
-    gap = sign * (med_parent - statistics.median(other))
+    gap = med_parent - statistics.median(other)
     need = math.ceil(0.9 * len(parent))
     return {"pairs": len(parent), "wins": wins, "ties": ties,
             "wins_needed": need, "gap": gap, "parent_iqr": q3 - q1,
@@ -95,12 +98,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, type=parse_seeds,
                     help="one round per seed, e.g. 1-10")
     ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--metric", default="latency_ms.p50")
     ap.add_argument("--json", type=Path, help="also write every run here")
     args = ap.parse_args(argv)
-    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    lower = better[args.metric] == "lower"
     trees = {"parent": args.parent, "change": args.change, "aa": args.aa}
     values = {side: [] for side in SIDES}
     runs = []
@@ -109,26 +108,31 @@ def main(argv=None) -> int:
             res = run_once(trees[side], args.workload, seed, args.seconds)
             if not res["correct"]:
                 raise SystemExit(f"{side} seed {seed}: correct is false")
-            value = res["metrics"][args.metric]["value"]
+            value = res["metrics"][METRIC]["value"]
             values[side].append(value)
             runs.append({"round": rnd, "seed": seed, "side": side,
                          "failed": res["failed"], "metrics": res["metrics"]})
-            print(f"seed {seed} {side:6s} {args.metric} {value:.4f}",
+            print(f"seed {seed} {side:6s} {METRIC} {value:.4f}",
                   flush=True)
     if args.json:
         args.json.write_text(json.dumps(runs, indent=1) + "\n")
     for side in SIDES:
         q1, med, q3 = quartiles(values[side])
         print(f"{side:6s} median {med:.4f}  quartiles {q1:.4f} {q3:.4f}")
-    passed = False
+    passed = {}
     for side in ("change", "aa"):
-        v = verdict(values["parent"], values[side], lower)
+        v = verdict(values["parent"], values[side])
+        passed[side] = v["passed"]
         print(f"{side} vs parent: {v['wins']}/{v['pairs']} wins "
               f"({v['ties']} ties, {v['wins_needed']} needed), median gap "
               f"{v['gap']:.4f} vs parent IQR {v['parent_iqr']:.4f}: "
               f"{'PASS' if v['passed'] else 'fail'}")
-        passed = passed or (side == "change" and v["passed"])
-    return 0 if passed else 1
+    if not passed["change"]:
+        return 1
+    if passed["aa"]:
+        print("inconclusive: the A/A control passes too")
+        return 2
+    return 0
 
 
 if __name__ == "__main__":
