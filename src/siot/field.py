@@ -8,7 +8,8 @@ Functions take and return ``Fp2`` values.  The kernels inside them skip
 the objects and are written as straight-line arithmetic on the unpacked
 integer coordinates: ``Fp2.__pow__``, ``Fp2.sqrt`` and ``inv_batch``
 here, and above this layer the Jacobian steps and the conversion out of
-them, the on-curve test, the Miller loop and the Velu step.
+them, the on-curve and singularity tests, the Miller loop, the Weil
+pairing's quotient and the Velu step.
 
 Arithmetic trusts its moduli: ``+``, ``-`` and ``*`` take the left
 operand's field and do not compare it with the right one's.  Fields
@@ -163,9 +164,6 @@ class Fp2:
 
     def __repr__(self) -> str:
         return f"Fp2({self.a} + {self.b}i mod {self.ctx.p})"
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def __pow__(self, n: int) -> Fp2:
         if n < 0:

@@ -12,29 +12,32 @@ not prove it again.
 
 The pairing is computed with Miller's algorithm as a ratio of four
 Miller functions evaluated at divisor representatives offset by an
-auxiliary point, combined into one quotient and divided once.
-Auxiliary points are drawn from a hash of the inputs, so every call is
-deterministic; degenerate draws (a zero or pole of an intermediate
-line) are retried with the next counter value and never surface to the
-caller.
+auxiliary point.  Auxiliary points are read from a hash stream over the
+inputs, so every call is deterministic; degenerate draws (a zero or
+pole of an intermediate line) are retried with the next attempt and
+never surface to the caller.
 
-The Miller loop keeps its running point in Jacobian coordinates and its
-value as a numerator and a denominator, and divides once at the end
-(V. Miller, J. Cryptology 17, 2004).  Each line and vertical value is a
-nonzero multiple of the affine one, so the zero and pole tests, and
-with them every retry, are those of the affine loop.  The loop, its
-line update and the Jacobian steps it follows are straight-line
-arithmetic on the unpacked integer coordinates; the Miller value leaves
-it as one ``Fp2``.
+Every value stays a fraction until the end (V. Miller, J. Cryptology
+17, 2004).  The Miller loop keeps its running point in Jacobian
+coordinates and its value as a numerator and a denominator, and returns
+the two; each line and vertical value is a nonzero multiple of the
+affine one, so the zero and pole tests, and with them every retry, are
+those of the affine loop.  The two shifted evaluation points come from
+mixed additions brought to affine by one batched inversion, and the
+pairing cross-multiplies the four fractions and divides once: two
+inversions a pairing.  The loop, its line update, the Jacobian steps it
+follows and the quotient are straight-line arithmetic on the unpacked
+integer coordinates; only the pairing's value leaves as an ``Fp2``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
+from itertools import count
 
-from .curve import EllipticCurve, Point, jac_add_affine, jac_double
-from .field import Fp2
+from .curve import (EllipticCurve, Point, jac_add_affine, jac_double,
+                    jac_normalize, jacobian, unit_point)
+from .field import Fp2, inv_batch
+from .util import expand
 
 
 class _Degenerate(Exception):
@@ -76,8 +79,10 @@ def _times_line(f, T, T2, N, X, p: int):
             (fda * da - fdb * db) % p, (fda * db + fdb * da) % p)
 
 
-def miller_function(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
-    """Evaluate the Miller function f_{n,P} at X by double-and-add.
+def miller_function(E: EllipticCurve, P: Point, n: int, X: Point):
+    """Evaluate the Miller function f_{n,P} at X by double-and-add, as a
+    fraction (numerator, denominator) of two nonzero (a, b) coordinate
+    pairs; no division.
 
     f_{n,P} has divisor n(P) - ([n]P) - (n-1)(O).  Raises _Degenerate
     when X lands on a zero or pole of an intermediate line, which the
@@ -86,7 +91,7 @@ def miller_function(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
     if X.infinity:
         raise _Degenerate
     if P.infinity:
-        return E.ctx.one()
+        return (1, 0), (1, 0)
     p, A = E.ctx.p, (E.A.a, E.A.b)
     xy = (P.x.a, P.x.b), (P.y.a, P.y.b)
     xyX = (X.x.a, X.x.b), (X.y.a, X.y.b)
@@ -106,18 +111,47 @@ def miller_function(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
         elif bit == "1":
             T2, N = jac_add_affine(T, xy, A, p)
             T, f = T2, _times_line(f, T, T2, N, xyX, p)
-    return Fp2(E.ctx, f[0], f[1]) * Fp2(E.ctx, f[2], f[3]).inv()
+    return f[:2], f[2:]
 
 
 def _aux_point(E: EllipticCurve, P: Point, Q: Point, n: int, attempt: int) -> Point:
-    """Deterministic auxiliary point: hash the inputs, walk x candidates."""
-    material = b"siot/pairing-aux" + n.to_bytes(
-        max(8, (n.bit_length() + 7) // 8), "big")
+    """Deterministic auxiliary point: x candidates and the sign of y
+    read from a hash stream over the inputs, the attempt and a counter,
+    until x^3 + Ax + B is a square."""
+    ctx, w = E.ctx, E.ctx.byte_width
+    material = n.to_bytes(max(8, (n.bit_length() + 7) // 8), "big")
     material += attempt.to_bytes(4, "big")
     for pt in (P, Q):
         material += pt.x.encode() + pt.y.encode()
-    rng = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
-    return E.random_point(rng)
+    for k in count():
+        draw = expand("pairing-aux", material + k.to_bytes(4, "big"),
+                      2 * w + 1)
+        x = Fp2(ctx, int.from_bytes(draw[:w], "big"),
+                int.from_bytes(draw[w:2 * w], "big"))
+        y = E.rhs(x).sqrt()
+        if y is not None:
+            return Point(x, -y if draw[-1] & 1 else y)
+
+
+def _shifted(E: EllipticCurve, P: Point, Q: Point, S: Point):
+    """Q + S and P - S, by two mixed additions from Q and P at Z = 1
+    brought to affine by one batched inversion.  Raises _Degenerate
+    when either is O, where no Miller function can be evaluated."""
+    A, p = (E.A.a, E.A.b), E.ctx.p
+    T1 = jac_add_affine(jacobian(Q), jacobian(S)[:2], A, p)[0]
+    T2 = jac_add_affine(jacobian(P), jacobian(E.neg(S))[:2], A, p)[0]
+    if T1[2] == (0, 0) or T2[2] == (0, 0):
+        raise _Degenerate
+    return [unit_point(E.ctx, jac_normalize(T, zi, p))
+            for T, zi in zip((T1, T2), inv_batch(E.ctx, [T1[2], T2[2]]))]
+
+
+def _product(p: int, *factors):
+    """The product of (a, b) coordinate pairs, reduced mod p."""
+    a, b = 1, 0
+    for c, d in factors:
+        a, b = (a * c - b * d) % p, (a * d + b * c) % p
+    return a, b
 
 
 def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> Fp2:
@@ -129,23 +163,29 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> Fp2:
 
         [f_{n,P}(Q+S) / f_{n,P}(S)] / [f_{n,Q}(P-S) / f_{n,Q}(-S)]
 
-    for an auxiliary point S avoiding all zeros and poles, with the four
-    values combined into one quotient and a single division.  A value
-    with z^n != 1 raises ValueError.
+    for an auxiliary point S avoiding all zeros and poles.  The four
+    Miller values are fractions, cross-multiplied into one, and the
+    division is the only one: its denominator is a product of the
+    nonzero numerators and denominators ``_times_line`` admits.  A
+    value with z^n != 1 raises ValueError.
     """
     if P.infinity or Q.infinity or P == Q or P == E.neg(Q):
         return E.ctx.one()
+    ctx, p = E.ctx, E.ctx.p
     for attempt in range(256):
         S = _aux_point(E, P, Q, n, attempt)
         try:
-            f1 = miller_function(E, P, n, E.add(Q, S))
-            f2 = miller_function(E, P, n, S)
-            f3 = miller_function(E, Q, n, E.sub(P, S))
-            f4 = miller_function(E, Q, n, E.neg(S))
-            z = f1 * f4 / (f2 * f3)
-        except (_Degenerate, ZeroDivisionError):
+            QS, PS = _shifted(E, P, Q, S)
+            n1, d1 = miller_function(E, P, n, QS)
+            n2, d2 = miller_function(E, P, n, S)
+            n3, d3 = miller_function(E, Q, n, PS)
+            n4, d4 = miller_function(E, Q, n, E.neg(S))
+        except _Degenerate:
             continue
-        if z ** n != E.ctx.one():
+        # f1 f4 / (f2 f3) = (n1 n4 d2 d3) / (d1 d4 n2 n3)
+        den = Fp2(ctx, *_product(p, d1, d4, n2, n3)).inv()
+        z = Fp2(ctx, *_product(p, n1, n4, d2, d3, (den.a, den.b)))
+        if z ** n != ctx.one():
             raise ValueError("value does not satisfy its order bound")
         return z
     raise ArithmeticError("no admissible auxiliary point in 256 draws")

@@ -226,12 +226,16 @@ def point_from_obj(ctx: FieldContext, obj) -> Point:
 
 def _curve_from_obj(ctx: FieldContext, obj, name: str) -> EllipticCurve:
     """The one reader of outside curves, and so the one test that
-    4A^3 + 27B^2 != 0: ``EllipticCurve`` trusts its coefficients, and
-    every other curve is a constant or a Velu codomain of a checked one."""
+    4A^3 + 27B^2 != 0, in straight-line integer arithmetic like the
+    on-curve test: ``EllipticCurve`` trusts its coefficients, and every
+    other curve is a constant or a Velu codomain of a checked one."""
     if not isinstance(obj, dict) or set(obj) != {"a", "b"}:
         raise DecodeError(f"{name} object needs exactly a and b")
     A, B = elem_from_hex(ctx, obj["a"]), elem_from_hex(ctx, obj["b"])
-    if (ctx.elem(4) * A ** 3 + ctx.elem(27) * B * B).is_zero():
+    p, (aa, ab), (ba, bb) = ctx.p, (A.a, A.b), (B.a, B.b)
+    a2a, a2b = (aa + ab) * (aa - ab) % p, 2 * aa * ab % p
+    if (4 * (a2a * aa - a2b * ab) + 27 * (ba + bb) * (ba - bb)) % p == 0 \
+            and (4 * (a2a * ab + a2b * aa) + 54 * ba * bb) % p == 0:
         raise DecodeError(f"{name} is singular: A={A!r} B={B!r}")
     return EllipticCurve(A, B)
 

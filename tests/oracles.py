@@ -101,8 +101,8 @@ def all_points(E: EllipticCurve) -> list[Point]:
             x = ctx.elem(a, b)
             y = E.rhs(x).sqrt()
             if y is not None:
-                pts += [Point(x, y)] if y.is_zero() else [Point(x, y),
-                                                          Point(x, -y)]
+                pts += [Point(x, y)] if not y else [Point(x, y),
+                                                    Point(x, -y)]
     return pts
 
 
@@ -119,7 +119,7 @@ def _line(E: EllipticCurve, T: Point, U: Point, X: Point) -> Fp2:
     if T.x == U.x and T.y != U.y:
         return X.x - T.x
     if T.x == U.x:
-        if T.y.is_zero():
+        if not T.y:
             return X.x - T.x
         slope = (T.x * T.x * E.A.ctx.elem(3) + E.A) / (T.y + T.y)
     else:
@@ -192,7 +192,7 @@ def linear_miller(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
         Tn = affine_add(E, T, P)
         num = _line(E, T, P, X)
         den = _line(E, Tn, E.neg(Tn), X) if not Tn.infinity else one
-        if num.is_zero() or den.is_zero():
+        if not num or not den:
             raise Degenerate
         f = f * num / den
         T = Tn
@@ -469,7 +469,7 @@ def sqrt_by_exponentiation(x: Fp2) -> Fp2 | None:
     ((1+x^((p-1)/2))^((p-1)/2))*x^((p+1)/4) is a root; a final squaring
     rejects non-residues.  Of {r, -r} the smaller encoding is returned."""
     ctx = x.ctx
-    if x.is_zero():
+    if not x:
         return ctx.zero()
     s = x ** ((ctx.p - 3) // 4)
     alpha = s * s * x               # x^((p-1)/2)

@@ -37,7 +37,7 @@ def test_field_axioms_random():
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert (a - b) + b == a
-        if not a.is_zero():
+        if a:
             assert a * a.inv() == CTX.one()
             assert a / a == CTX.one()
 

@@ -11,7 +11,9 @@ walk.  Runs at p2591 and at the swapped-roles set, where the sender
 walks 3-isogenies, pin both bits on the two other towers.  The
 parameter files of the presets, of that set, of the benchmark's
 2^51*3^32 - 1 set and of p434 pin ``gen_params``: its draws and the
-basis test that accepts them.
+basis test that accepts them.  The reports of the two probes of
+``siot.analysis`` at p431 and p2591, the honest and the violated scan
+and the dishonest-receiver probe, pin the Weil pairing they go through.
 """
 
 import hashlib
@@ -29,6 +31,8 @@ from siot import (
     run_local,
     run_session,
 )
+from siot.analysis import (dishonest_bob_probe, distinguisher_fixture,
+                           distinguisher_scan)
 from siot.baseline_ot import run_baseline_local
 
 X0, X1 = b"golden zero", b"golden one!"
@@ -177,3 +181,38 @@ def test_bench_params_file():
     params = gen_params(2, 51, 3, 32, rng=det_rng(b"bench/local-102bit"))
     assert _params_digest(params) == (
         "a14e787b45703f207493ca8a6a005e45f77b844376c28b4c9188ba8b646a1155")
+
+
+PROBE_DIGESTS = {
+    ("p431", "distinguisher"):
+        "8f2325da87c516692e7e5bced59de73822eff23a305d3d72730f09edddb33f55",
+    ("p431", "distinguisher-violated"):
+        "0292e9fcccf0d249bc19a637dfad0da8946a0b84d53589991d6582e905d2c692",
+    ("p431", "dishonest-bob"):
+        "b0cead8c9163d2522090e67ba07792d193af84971e4dad2bd13d683e1af416ee",
+    ("p2591", "distinguisher"):
+        "b0f82d7db62bb8587ce9ebbd48bf91befa8adfa78fada93db1c634e966aea5bb",
+    ("p2591", "distinguisher-violated"):
+        "9f6dd1d6ef961223b0b20805d257833f10ca1fe66b1bd85dc016fb1acba07a15",
+    ("p2591", "dishonest-bob"):
+        "b0cead8c9163d2522090e67ba07792d193af84971e4dad2bd13d683e1af416ee",
+}
+
+
+@pytest.mark.parametrize("name, probe", sorted(PROBE_DIGESTS))
+def test_probe_report(name, probe, request):
+    """The scan over every lambda, on an honest fixture and on one whose
+    coefficients break delta = -alpha, and the dishonest-receiver probe,
+    each from a fixed rng.  The dishonest-receiver report holds
+    verdicts and the crafted (alpha, beta), which is (2, 6) on both
+    presets, so its two digests are equal."""
+    params = request.getfixturevalue(name)
+    rng = det_rng(b"golden/%s/%s" % (probe.encode(), name.encode()))
+    if probe == "dishonest-bob":
+        report = dishonest_bob_probe(params, rng)
+    else:
+        masked, coeffs = distinguisher_fixture(
+            params, rng, violate=probe == "distinguisher-violated")
+        report = distinguisher_scan(params, masked, coeffs, rng).to_obj()
+    assert hashlib.sha256(canonical_json(report)).hexdigest() \
+        == PROBE_DIGESTS[name, probe]

@@ -84,33 +84,40 @@ def test_basis_test_inverts_nothing(counter, p431):
 
 
 def test_weil_pairing_op_counts(counter, p102):
-    """One pairing of the 2^51-torsion basis: four Miller functions at
-    one inversion each, two affine additions for the evaluation points
-    and one division of the combined quotient.  The pairing trusts its
-    checked torsion inputs and makes no scalar multiplication."""
+    """One pairing of the 2^51-torsion basis: four Miller functions
+    that return fractions, one batched inversion for the two evaluation
+    points and one division of the cross-multiplied quotient (7 when
+    each Miller value divided itself out and the evaluation points were
+    two affine additions).  The pairing trusts its checked torsion
+    inputs and makes no scalar multiplication."""
     G, H = p102.side_a.basis
     inv = counter(Fp2, "inv")
     miller = counter(siot.pairing, "miller_function")
     mul = counter(EllipticCurve, "mul")
     weil_pairing(p102.curve, G, H, p102.side_a.n)
-    assert (inv[0], miller[0], mul[0]) == (7, 4, 0)
+    assert (inv[0], miller[0], mul[0]) == (2, 4, 0)
 
 
 def test_p431_session_op_counts(counter):
-    """A curve is tested for singularity only where it is decoded, so
-    the 18 Velu codomains of a session cost no Fp2 product: 28 remain,
-    15 of them in the three j-invariants and 6 in the two decoded keys'
-    singularity tests.  Testing every curve as it was built made 116.
-    The chains invert once per step at most and add no points; the
-    torsion tests invert nothing.  Each kernel and mask point is one
-    joint multiplication at one inversion, and the sender forms no mask
-    point, so the two affine additions left are the certificate
-    pairing's; (inv, add) was (45, 13) when the sender built the
-    shifted key's points and each kernel took a multiplication and an
-    addition.  The certificate pairs the multiples of order 2 that
-    proved the receiver pair's orders, brought to affine by one batched
-    inversion: 33 where the order-16 pairing of the pair itself made
-    32."""
+    """A curve is tested for singularity only where it is decoded, in
+    straight-line integer arithmetic, so neither the 18 Velu codomains
+    of a session nor the two decoded keys cost an Fp2 product: the 15
+    left are the three j-invariants'.  Testing every curve as it was
+    built made 116, and the decoded keys' tests (6) and the pairing's
+    Miller values and quotient (7) made 13 more until they went to
+    integers.  The chains
+    invert once per step at most and add no points; the torsion tests
+    invert nothing.  Each kernel and mask point is one joint
+    multiplication at one inversion, and the sender forms no mask
+    point, so no affine addition is left: the certificate pairing's two
+    evaluation points are its own mixed additions.  (inv, add) was
+    (45, 13) when the sender built the shifted key's points and each
+    kernel took a multiplication and an addition.  The certificate
+    pairs the multiples of order 2 that proved the receiver pair's
+    orders at three inversions: one batched for the multiples, one
+    batched for the evaluation points and one for the quotient, where
+    it took eight when each Miller value and each evaluation point
+    inverted on its own (33 in all)."""
     params = preset("p431")
     mul = counter(Fp2, "__mul__")
     inv = counter(Fp2, "inv")
@@ -121,8 +128,8 @@ def test_p431_session_op_counts(counter):
                                   x0=b"zero", x1=b"one"))
     assert out["restarts"] == 0
     assert out["output"] == b"zero"
-    assert (inv[0], add[0], velu[0]) == (33, 2, 18)
-    assert mul[0] == 28
+    assert (inv[0], add[0], velu[0]) == (28, 0, 18)
+    assert mul[0] == 15
     # G and H once in each party's validate_public of the peer's key
     assert checks[0] == 4
 
@@ -138,8 +145,11 @@ def test_p102_session_jacobian_steps(counter, p102):
     The full additions add a stored sum of the two points, which is
     Jacobian, to a chain.  For bit 1 the receiver forms its shifted
     pair directly, by the two joint multiplications of I - M, where it
-    formed (U, V) and subtracted: (860, 186, 8, 226) then."""
-    for b, want in ((0, (860, 184, 8, 226)), (1, (856, 172, 13, 226))):
+    formed (U, V) and subtracted: (860, 186, 8, 226) then.  The
+    certificate pairing's two evaluation points were ``EllipticCurve``
+    additions, two more mixed additions here, until they became the
+    pairing's own."""
+    for b, want in ((0, (860, 182, 8, 226)), (1, (856, 170, 13, 226))):
         steps = [counter(siot.curve, name) for name in (
             "jac_double", "jac_add_affine", "jac_add", "jac_triple")]
         out = run_local(SessionConfig(p102, seed=b"golden-p102", b=b,

@@ -18,7 +18,8 @@ from siot import det_rng, preset
 from siot.curve import INFINITY, EllipticCurve
 from siot.errors import UnsupportedParameterError
 from siot.field import FieldContext
-from siot.pairing import _Degenerate, miller_function, weil_pairing
+from siot.pairing import (_aux_point, _Degenerate, miller_function,
+                          weil_pairing)
 
 CTX = FieldContext(431)
 E0 = EllipticCurve(CTX.elem(1), CTX.elem(0))
@@ -27,6 +28,16 @@ EXP = 432
 
 def _basis(ell, e, seed):
     return E0.sample_torsion_basis(ell, e, EXP, det_rng(seed))
+
+
+def _check_aux_points(E, P, Q, n):
+    """The auxiliary draws for two points other than O are affine
+    points of E, the same on a second call, and differ from one attempt
+    to the next."""
+    draws = [_aux_point(E, P, Q, n, attempt) for attempt in range(3)]
+    assert draws == [_aux_point(E, P, Q, n, attempt) for attempt in range(3)]
+    assert all(not S.infinity and E.is_on_curve(S) for S in draws)
+    assert len(set(draws)) == 3
 
 
 def test_agrees_with_linear_miller_oracle():
@@ -40,6 +51,8 @@ def test_agrees_with_linear_miller_oracle():
             got = weil_pairing(E0, R, S, n)
             want = weil_naive(E0, R, S, n, rng)
             assert got == want
+            if not R.infinity:        # O pairs to 1 with no draw
+                _check_aux_points(E0, R, S, n)
 
 
 def test_oracle_agreement_off_the_base_curve():
@@ -53,11 +66,12 @@ def test_oracle_agreement_off_the_base_curve():
     # survives the 2-power steps
     E1, (R, S) = isogeny_chain(params.curve, params.curve.mul(4, K), 2, 2,
                                params.side_b.basis)
-    assert not E1.B.is_zero()
+    assert E1.B
     rng = det_rng(b"mid-chain")
     got = weil_pairing(E1, R, S, 27)
     want = weil_naive(E1, R, S, 27, rng)
     assert got == want
+    _check_aux_points(E1, R, S, 27)
 
 
 def test_bilinearity_alternation_order():
@@ -122,15 +136,40 @@ def test_degenerate_inputs():
     assert weil_pairing(E0, P, E0.neg(P), 16) == CTX.one()
 
 
+def test_degenerate_draws_are_retried(monkeypatch):
+    """An auxiliary point that puts an evaluation point at O is drawn
+    again: with S = -Q on the first attempt Q + S = O, and the value
+    of the next attempt is the oracle's.  A draw that is degenerate on
+    every attempt gives up after 256."""
+    import siot.pairing as pairing
+
+    P, Q = _basis(2, 4, b"retry")
+    attempts = []
+
+    def first_degenerate(E, P, Q, n, attempt):
+        attempts.append(attempt)
+        return E.neg(Q) if attempt == 0 else _aux_point(E, P, Q, n, attempt)
+    monkeypatch.setattr(pairing, "_aux_point", first_degenerate)
+    got = weil_pairing(E0, P, Q, 16)
+    assert attempts[:2] == [0, 1]
+    assert got == weil_naive(E0, P, Q, 16, det_rng(b"retry"))
+    assert multiplicative_order(got, 16) == 16
+
+    monkeypatch.setattr(pairing, "_aux_point",
+                        lambda E, P, Q, n, attempt: E.neg(Q))
+    with pytest.raises(ArithmeticError, match="in 256 draws"):
+        weil_pairing(E0, P, Q, 16)
+
+
 def test_weil_pairing_checks_its_order_bound(monkeypatch):
     """weil_pairing checks the value it makes: a quotient that is not
     an n-th root raises."""
     import siot.pairing as pairing
 
     P, Q = _basis(2, 4, b"bound")
-    two = CTX.elem(2)
-    assert two ** 16 != CTX.one()
-    values = iter([two, CTX.one(), CTX.one(), CTX.one()])
+    assert CTX.elem(2) ** 16 != CTX.one()
+    one = (1, 0), (1, 0)
+    values = iter([((2, 0), (1, 0)), one, one, one])
     monkeypatch.setattr(pairing, "miller_function",
                         lambda E, P, n, X: next(values))
     with pytest.raises(ValueError, match="does not satisfy its order bound"):
@@ -219,6 +258,12 @@ def test_decompose_rejects_degenerate_base():
         decompose_in_basis(E0, G, E0.mul(3, G), E0.add(G, H), 2, 4)
 
 
+def _miller_value(E, P, n, X):
+    """miller_function's fraction, divided out."""
+    num, den = miller_function(E, P, n, X)
+    return E.ctx.elem(*num) / E.ctx.elem(*den)
+
+
 def _miller_outcome(f, E, P, n, X):
     try:
         return f(E, P, n, X)
@@ -241,7 +286,7 @@ def test_miller_function_matches_affine_loop():
     PA, QA = params.side_a.basis
     E1, _ = isogeny_chain(params.curve,
                           kernel_generator(params.curve, PA, 3, QA), 2, 4, ())
-    assert not E1.B.is_zero()
+    assert E1.B
     rng = det_rng(b"miller-affine")
     outcomes = set()
     for E in (params.curve, E1):
@@ -258,7 +303,7 @@ def test_miller_function_matches_affine_loop():
                           + two_torsion
                           + [E.random_point(rng) for _ in range(2)])
                     for X in xs:
-                        got = _miller_outcome(miller_function, E, R, n, X)
+                        got = _miller_outcome(_miller_value, E, R, n, X)
                         want = _miller_outcome(affine_miller, E, R, n, X)
                         assert got == want, (R, n, X)
                         outcomes.add(got == "degenerate")

@@ -334,19 +334,21 @@ def test_session_at_sike_size(counter):
     """p434 = 2^216 * 3^137 - 1, the SIKE-sized prime: a whole session,
     parameter search and basis certificates included, runs in tier-1.
     Its 922 Velu steps make one inversion each at most: the session
-    makes 937 in all (2,146 when every traversal multiple was brought
+    makes 932 in all (2,146 when every traversal multiple was brought
     back to affine, 951 before the kernels and mask points were joint
     multiplications, 938 before the receiver formed its shifted pair by
     joint multiplications and its certificate took one batched
-    inversion to pair the order-2 multiples).  The transcript's digest pins the session at
-    this size, where the walks are longest."""
+    inversion to pair the order-2 multiples, 937 before that pairing's
+    Miller values stayed fractions and its evaluation points shared one
+    inversion).  The transcript's digest pins the session at this size,
+    where the walks are longest."""
     params = gen_params(2, 216, 3, 137, rng=det_rng(b"tests/p434"))
     assert params.p.bit_length() == 434
     inversions = counter(Fp2, "inv")
     out = run_local(_config(params, 1, seed=b"p434-session"))
     assert out["output"] == b"one input!"
     assert out["sender_j"][1] == out["receiver_j"]
-    assert inversions[0] == 937
+    assert inversions[0] == 932
     assert hashlib.sha256(out["transcript"].to_bytes()).hexdigest() == (
         "920006cede50f1221d1fb8225cd3445560772ed8c39f743744f2252decb57e8b")
 

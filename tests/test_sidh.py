@@ -269,9 +269,14 @@ def test_point_at_infinity_is_only_json_true(p431, inf):
 
 def test_singular_curves_raise_decode_error(p431):
     zero = "00" * (2 * p431.ctx.byte_width)
-    # 4A^3 + 27B^2 = 0 at (A, B) = (0, 0) and at (-3, 2)
-    node = {"a": p431.ctx.elem(-3).hex(), "b": p431.ctx.elem(2).hex()}
-    for curve in ({"a": zero, "b": zero}, node):
+    # 4A^3 + 27B^2 = 0 at (A, B) = (0, 0), at (-3, 2) and at
+    # (-3t^2, 2t^3) for a t off F_p
+    ctx = p431.ctx
+    node = {"a": ctx.elem(-3).hex(), "b": ctx.elem(2).hex()}
+    t = ctx.elem(2, 3)
+    node_t = {"a": (ctx.elem(-3) * t * t).hex(),
+              "b": (ctx.elem(2) * t * t * t).hex()}
+    for curve in ({"a": zero, "b": zero}, node, node_t):
         params = params_to_obj(p431)
         params["e0"] = curve
         with pytest.raises(DecodeError, match="e0 is singular"):
