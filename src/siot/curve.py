@@ -18,7 +18,9 @@ loop in ``pairing``, and the isogeny walk keeps its multiples Jacobian
 until a step brings them to Z = 1 in one batch.
 The steps, ``_affine`` and the on-curve test are straight-line
 arithmetic on the unpacked integer coordinates; points and curve
-coefficients enter and leave them as ``Fp2`` values.
+coefficients enter and leave them as ``Fp2`` values.  The on-curve
+test reads x^3 + Ax + B from ``rhs_pair`` as an integer pair, as the
+pairing's auxiliary draw does.
 
 The group law trusts its inputs: ``add``, ``mul`` and ``mul2`` assume
 their points lie on the curve and do not check.  Points are checked once,
@@ -91,26 +93,34 @@ class EllipticCurve:
         return p
 
     def is_on_curve(self, P: Point) -> bool:
+        """Whether y^2 = x^3 + Ax + B, tested on the integer coordinates;
+        O is on every curve, and a point with a missing coordinate or
+        one from another field is on none."""
         if P.infinity:
             return True
-        p = self.ctx.p
-        if P.x is None or P.y is None or P.x.ctx.p != p or P.y.ctx.p != p:
+        x, y, p = P.x, P.y, self.ctx.p
+        if x is None or y is None or x.ctx.p != p or y.ctx.p != p:
             return False
-        ya, yb = P.y.a, P.y.b
-        r = self.rhs(P.x)
-        return ((ya + yb) * (ya - yb) - r.a) % p == 0 and \
-            (2 * ya * yb - r.b) % p == 0
+        ya, yb = y.a, y.b
+        ra, rb = self.rhs_pair(x.a, x.b)
+        return ((ya + yb) * (ya - yb) - ra) % p == 0 and \
+            (2 * ya * yb - rb) % p == 0
 
     def check_point(self, P: Point) -> None:
         if not self.is_on_curve(P):
             raise InvalidPointError(f"{P!r} not on {self!r}")
 
     def rhs(self, x: Fp2) -> Fp2:
-        """x^3 + Ax + B, computed as x(x^2 + A) + B."""
-        p, xa, xb, A, B = self.ctx.p, x.a, x.b, self.A, self.B
+        """x^3 + Ax + B."""
+        return Fp2(self.ctx, *self.rhs_pair(x.a, x.b))
+
+    def rhs_pair(self, xa: int, xb: int):
+        """x^3 + Ax + B for x = xa + xb*i, as a reduced (a, b) pair,
+        computed as x(x^2 + A) + B."""
+        p, A, B = self.ctx.p, self.A, self.B
         ta = ((xa + xb) * (xa - xb) + A.a) % p
         tb = (2 * xa * xb + A.b) % p
-        return Fp2(self.ctx, xa * ta - xb * tb + B.a, xa * tb + xb * ta + B.b)
+        return (xa * ta - xb * tb + B.a) % p, (xa * tb + xb * ta + B.b) % p
 
     # -- group law ---------------------------------------------------
 
@@ -202,7 +212,7 @@ class EllipticCurve:
         P, R = self._draw_of_order(ell, e, group_exponent, rng)
         for _ in range(SAMPLING_TRIES):
             Q, S = self._draw_of_order(ell, e, group_exponent, rng)
-            if self._independent(R, S, ell):
+            if self.independent(R, S, ell):
                 return P, Q
         raise SamplingError(f"no independent partner of order {ell}^{e} "
                             f"in {SAMPLING_TRIES} draws")
@@ -255,7 +265,7 @@ class EllipticCurve:
         ``siot.sidh.MAX_ELL``.
         """
         R = self.top_multiple(P, ell, e)
-        return self._independent(R, self.top_multiple(Q, ell, e), ell)
+        return self.independent(R, self.top_multiple(Q, ell, e), ell)
 
     def top_multiple(self, P: Point, ell: int, e: int):
         """R = [ell^(e-1)]P in Jacobian form, proved to satisfy [ell]R = O
@@ -269,7 +279,7 @@ class EllipticCurve:
             raise InvalidPointError(f"{P!r} is not {ell ** e}-torsion", P)
         return R
 
-    def _independent(self, R, S, ell: int) -> bool:
+    def independent(self, R, S, ell: int) -> bool:
         """Whether S lies outside <R>, for Jacobian R and S of order 1
         or ell; False when either is O.
 

@@ -6,10 +6,10 @@ Elements are immutable and always stored reduced.
 
 Functions take and return ``Fp2`` values.  The kernels inside them skip
 the objects and are written as straight-line arithmetic on the unpacked
-integer coordinates: ``Fp2.__pow__``, ``Fp2.sqrt`` and ``inv_batch``
-here, and above this layer the Jacobian steps and the conversion out of
-them, the on-curve and singularity tests, the Miller loop, the Weil
-pairing's quotient and the Velu step.
+integer coordinates: ``pow_pair`` (under ``Fp2.__pow__``), ``Fp2.sqrt``
+and ``inv_batch`` here, and above this layer the Jacobian steps and the
+conversion out of them, the on-curve and singularity tests, the Weil
+pairing from its inputs to its value, and the Velu step.
 
 Arithmetic trusts its moduli: ``+``, ``-`` and ``*`` take the left
 operand's field and do not compare it with the right one's.  Fields
@@ -168,14 +168,7 @@ class Fp2:
     def __pow__(self, n: int) -> Fp2:
         if n < 0:
             return self.inv() ** (-n)
-        p = self.ctx.p
-        a, b = self.a, self.b
-        ra, rb = 1, 0
-        for bit in bin(n)[2:]:
-            ra, rb = (ra + rb) * (ra - rb) % p, 2 * ra * rb % p
-            if bit == "1":
-                ra, rb = (ra * a - rb * b) % p, (ra * b + rb * a) % p
-        return Fp2(self.ctx, ra, rb)
+        return Fp2(self.ctx, *pow_pair(self.ctx.p, (self.a, self.b), n))
 
     def norm(self) -> int:
         """N(a+bi) = a^2 + b^2 in F_p."""
@@ -269,3 +262,15 @@ def inv_batch(ctx: FieldContext, xs: list) -> list:
         a, b = (a * c - b * d) % p, (a * d + b * c) % p
     out[0] = a, b
     return out
+
+
+def pow_pair(p: int, z, n: int):
+    """z^n for an (a, b) coordinate pair z and n >= 0, as a reduced
+    pair, by left-to-right square-and-multiply."""
+    a, b = z
+    ra, rb = 1, 0
+    for bit in bin(n)[2:]:
+        ra, rb = (ra + rb) * (ra - rb) % p, 2 * ra * rb % p
+        if bit == "1":
+            ra, rb = (ra * a - rb * b) % p, (ra * b + rb * a) % p
+    return ra, rb

@@ -25,9 +25,15 @@ affine one, so the zero and pole tests, and with them every retry, are
 those of the affine loop.  The two shifted evaluation points come from
 mixed additions brought to affine by one batched inversion, and the
 pairing cross-multiplies the four fractions and divides once: two
-inversions a pairing.  The loop, its line update, the Jacobian steps it
-follows and the quotient are straight-line arithmetic on the unpacked
-integer coordinates; only the pairing's value leaves as an ``Fp2``.
+inversions a pairing.
+
+Points enter ``weil_pairing`` once, and only its value leaves as an
+``Fp2``.  In between every point is a pair of (a, b) coordinate pairs:
+the inputs, the auxiliary point, its negative, the two evaluation
+points, the Miller loop's arguments and its Jacobian steps; the order
+check z^n = 1 runs on integers too.  The only other ``Fp2`` objects are
+those that reach ``Fp2.sqrt`` and ``Fp2.inv``, which the benchmark
+counts by name.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from __future__ import annotations
 from itertools import count
 
 from .curve import (EllipticCurve, Point, jac_add_affine, jac_double,
-                    jac_normalize, jacobian, unit_point)
-from .field import Fp2, inv_batch
+                    jac_normalize)
+from .field import Fp2, inv_batch, pow_pair
 from .util import expand
 
 
@@ -79,71 +85,63 @@ def _times_line(f, T, T2, N, X, p: int):
             (fda * da - fdb * db) % p, (fda * db + fdb * da) % p)
 
 
-def miller_function(E: EllipticCurve, P: Point, n: int, X: Point):
+def miller_function(E: EllipticCurve, P, n: int, X):
     """Evaluate the Miller function f_{n,P} at X by double-and-add, as a
     fraction (numerator, denominator) of two nonzero (a, b) coordinate
     pairs; no division.
 
-    f_{n,P} has divisor n(P) - ([n]P) - (n-1)(O).  Raises _Degenerate
-    when X lands on a zero or pole of an intermediate line, which the
-    pairing wrapper handles by re-drawing its auxiliary point.
+    P and X are affine points given as coordinate pairs ((xa, xb),
+    (ya, yb)), or None for O.  f_{n,P} has divisor n(P) - ([n]P) -
+    (n-1)(O).  Raises _Degenerate when X is O or lands on a zero or pole
+    of an intermediate line, which the pairing wrapper handles by
+    re-drawing its auxiliary point.
     """
-    if X.infinity:
+    if X is None:
         raise _Degenerate
-    if P.infinity:
+    if P is None:
         return (1, 0), (1, 0)
     p, A = E.ctx.p, (E.A.a, E.A.b)
-    xy = (P.x.a, P.x.b), (P.y.a, P.y.b)
-    xyX = (X.x.a, X.x.b), (X.y.a, X.y.b)
     f = (1, 0, 1, 0)                 # numerator a, b; denominator a, b
-    T = (*xy, (1, 0))
+    T = (*P, (1, 0))
     for bit in bin(n)[3:]:
         na, nb, da, db = f
         f = ((na + nb) * (na - nb) % p, 2 * na * nb % p,
              (da + db) * (da - db) % p, 2 * da * db % p)
         if T[2] != (0, 0):           # O doubles to O, line and vertical 1
             T2, N = jac_double(T, A, p)
-            T, f = T2, _times_line(f, T, T2, N, xyX, p)
+            T, f = T2, _times_line(f, T, T2, N, X, p)
         if bit == "1" and T[2] == (0, 0):
-            if xyX[0] == xy[0]:      # line and vertical are both x - x_P
+            if X[0] == P[0]:         # line and vertical are both x - x_P
                 raise _Degenerate
-            T = (*xy, (1, 0))
+            T = (*P, (1, 0))
         elif bit == "1":
-            T2, N = jac_add_affine(T, xy, A, p)
-            T, f = T2, _times_line(f, T, T2, N, xyX, p)
+            T2, N = jac_add_affine(T, P, A, p)
+            T, f = T2, _times_line(f, T, T2, N, X, p)
     return f[:2], f[2:]
 
 
-def _aux_point(E: EllipticCurve, P: Point, Q: Point, n: int, attempt: int) -> Point:
-    """Deterministic auxiliary point: x candidates and the sign of y
-    read from a hash stream over the inputs, the attempt and a counter,
-    until x^3 + Ax + B is a square."""
-    ctx, w = E.ctx, E.ctx.byte_width
+def _aux_point(E: EllipticCurve, P, Q, n: int, attempt: int):
+    """Deterministic auxiliary point, as a pair ((xa, xb), (ya, yb)), for
+    points P and Q given as such pairs: x candidates and the sign of y
+    read from a hash stream over the inputs' encodings, the attempt and
+    a counter, until x^3 + Ax + B is a square (one ``Fp2.sqrt`` per
+    candidate)."""
+    ctx, p, w = E.ctx, E.ctx.p, E.ctx.byte_width
     material = n.to_bytes(max(8, (n.bit_length() + 7) // 8), "big")
     material += attempt.to_bytes(4, "big")
-    for pt in (P, Q):
-        material += pt.x.encode() + pt.y.encode()
+    for (xa, xb), (ya, yb) in (P, Q):
+        material += (xa.to_bytes(w, "big") + xb.to_bytes(w, "big")
+                     + ya.to_bytes(w, "big") + yb.to_bytes(w, "big"))
     for k in count():
         draw = expand("pairing-aux", material + k.to_bytes(4, "big"),
                       2 * w + 1)
-        x = Fp2(ctx, int.from_bytes(draw[:w], "big"),
-                int.from_bytes(draw[w:2 * w], "big"))
-        y = E.rhs(x).sqrt()
+        xa = int.from_bytes(draw[:w], "big") % p
+        xb = int.from_bytes(draw[w:2 * w], "big") % p
+        y = Fp2(ctx, *E.rhs_pair(xa, xb)).sqrt()
         if y is not None:
-            return Point(x, -y if draw[-1] & 1 else y)
-
-
-def _shifted(E: EllipticCurve, P: Point, Q: Point, S: Point):
-    """Q + S and P - S, by two mixed additions from Q and P at Z = 1
-    brought to affine by one batched inversion.  Raises _Degenerate
-    when either is O, where no Miller function can be evaluated."""
-    A, p = (E.A.a, E.A.b), E.ctx.p
-    T1 = jac_add_affine(jacobian(Q), jacobian(S)[:2], A, p)[0]
-    T2 = jac_add_affine(jacobian(P), jacobian(E.neg(S))[:2], A, p)[0]
-    if T1[2] == (0, 0) or T2[2] == (0, 0):
-        raise _Degenerate
-    return [unit_point(E.ctx, jac_normalize(T, zi, p))
-            for T, zi in zip((T1, T2), inv_batch(E.ctx, [T1[2], T2[2]]))]
+            if draw[-1] & 1:
+                return (xa, xb), (-y.a % p, -y.b % p)
+            return (xa, xb), (y.a, y.b)
 
 
 def _product(p: int, *factors):
@@ -163,29 +161,46 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> Fp2:
 
         [f_{n,P}(Q+S) / f_{n,P}(S)] / [f_{n,Q}(P-S) / f_{n,Q}(-S)]
 
-    for an auxiliary point S avoiding all zeros and poles.  The four
-    Miller values are fractions, cross-multiplied into one, and the
-    division is the only one: its denominator is a product of the
-    nonzero numerators and denominators ``_times_line`` admits.  A
-    value with z^n != 1 raises ValueError.
+    for an auxiliary point S avoiding all zeros and poles.  P and Q are
+    unpacked once; every point after that is a coordinate pair.  Q + S
+    and P - S are mixed additions brought to affine by one batched
+    inversion, and the draw is retried when either is O.  The four
+    Miller values are fractions, cross-multiplied into one, and its
+    division is the only other inversion: its denominator is a product
+    of the nonzero numerators and denominators ``_times_line`` admits.
+    A value with z^n != 1 raises ValueError.
     """
-    if P.infinity or Q.infinity or P == Q or P == E.neg(Q):
-        return E.ctx.one()
     ctx, p = E.ctx, E.ctx.p
+    if P.infinity or Q.infinity:
+        return ctx.one()
+    A = E.A.a, E.A.b
+    P = (P.x.a, P.x.b), (P.y.a, P.y.b)
+    Q = (Q.x.a, Q.x.b), (Q.y.a, Q.y.b)
+    qx, (qya, qyb) = Q
+    if P[0] == qx and P[1] in ((qya, qyb), (-qya % p, -qyb % p)):
+        return ctx.one()             # P = Q or P = -Q
     for attempt in range(256):
         S = _aux_point(E, P, Q, n, attempt)
+        sx, (sya, syb) = S
+        negS = sx, (-sya % p, -syb % p)
+        T1 = jac_add_affine((*Q, (1, 0)), S, A, p)[0]
+        T2 = jac_add_affine((*P, (1, 0)), negS, A, p)[0]
+        if T1[2] == (0, 0) or T2[2] == (0, 0):
+            continue                 # no Miller function is evaluated at O
+        z1, z2 = inv_batch(ctx, [T1[2], T2[2]])
+        QS = jac_normalize(T1, z1, p)[:2]
+        PS = jac_normalize(T2, z2, p)[:2]
         try:
-            QS, PS = _shifted(E, P, Q, S)
             n1, d1 = miller_function(E, P, n, QS)
             n2, d2 = miller_function(E, P, n, S)
             n3, d3 = miller_function(E, Q, n, PS)
-            n4, d4 = miller_function(E, Q, n, E.neg(S))
+            n4, d4 = miller_function(E, Q, n, negS)
         except _Degenerate:
             continue
         # f1 f4 / (f2 f3) = (n1 n4 d2 d3) / (d1 d4 n2 n3)
         den = Fp2(ctx, *_product(p, d1, d4, n2, n3)).inv()
-        z = Fp2(ctx, *_product(p, n1, n4, d2, d3, (den.a, den.b)))
-        if z ** n != ctx.one():
+        z = _product(p, n1, n4, d2, d3, (den.a, den.b))
+        if pow_pair(p, z, n) != (1, 0):
             raise ValueError("value does not satisfy its order bound")
-        return z
+        return Fp2(ctx, *z)
     raise ArithmeticError("no admissible auxiliary point in 256 draws")

@@ -22,9 +22,10 @@ branches pairing-indistinguishable to the sender and keep the sender's
 two kernels apart, so neither party learns the other's input.  They
 give the mask matrix M = [[alpha, beta], [gamma, delta]] the square
 M^2 = 0, so det(I - M) = det(I + M) = 1: an honest receiver's masked
-pair is always a basis and both branch kernels have full order.  The
-sender certifies the pair where it enters, and the one restart left is
-a collision of the sender's two branch j-invariants.
+pair is always a basis and both branch kernels have full order.  Each
+party certifies the other's pair as a basis where it enters, so the
+receiver's kernel has full order too, and the one restart left is a
+collision of the sender's two branch j-invariants.
 
 The message order is written down once, in SCHEDULE, whose rows give
 each message's place, type and producer; every session, driver and the
@@ -43,8 +44,8 @@ import struct
 from typing import NamedTuple
 
 from .curve import EllipticCurve, Point, jac_normalize, unit_point
-from .errors import (DecodeError, DecryptionError, InvalidKernelError,
-                     InvalidPointError, ProtocolAbort, RestartRequired)
+from .errors import (DecodeError, DecryptionError, InvalidPointError,
+                     ProtocolAbort, RestartRequired)
 from .field import Fp2, inv_batch
 from .isogeny import isogeny_chain, kernel_generator
 from .pairing import weil_pairing
@@ -198,8 +199,9 @@ def derive_shared_j(keypair: SidhKeyPair, their_public: SidhPublic,
     honest parties agree on.
 
     Checks nothing: every key reaching it is keygen output or a key
-    ``read_public`` accepted.  The walk proves K's order, and raises
-    ``InvalidKernelError`` for a pair that is no basis.
+    ``read_public`` accepted, whose pair is certified as a basis, so K
+    has full order.  The walk proves that order all the same, and
+    raises ``InvalidKernelError`` for a pair that is no basis.
     """
     own, _ = params.sides(keypair.side)
     E = their_public.curve
@@ -265,10 +267,10 @@ def _bad_key(role: str, detail: str) -> ProtocolAbort:
 
 
 def read_public(params: PublicParams, role: str, body: dict) -> SidhPublic:
-    """A public key from ``role``, decoded and validated; the receiver's
-    pair is also certified as a torsion basis.  A sender pair that is no
-    basis passes here: a session finds it when the receiver's walk
-    fails, and aborts with ``bad-sender-key``."""
+    """A public key from ``role``, decoded and validated, with its pair
+    certified as a torsion basis on the multiples of order ell that
+    proved the points' orders: the sender's by ``independent``, one
+    projective comparison at ell = 3, and the receiver's by a pairing."""
     try:
         pub = public_from_obj(params.ctx, body)
     except DecodeError as exc:
@@ -277,13 +279,16 @@ def read_public(params: PublicParams, role: str, body: dict) -> SidhPublic:
         R, S = validate_public(params, SIDE[role], pub)
     except InvalidPointError as exc:
         raise _bad_key(role, str(exc)) from exc
-    # The one pairing on the session path, kept because
-    # bench/test_bench.py pins it (weil > 0 on every workload, weil == 1
-    # and miller == 4 per clean p431 attempt).  Once ROADMAP item 1
-    # moves those pins, pub.curve._independent(R, S, params.side_a.ell)
-    # on the same multiples gives the same verdict without it.
-    if role == "receiver" and not _independent_by_pairing(
-            pub.curve, R, S, params.side_a.ell):
+    # The receiver's pair takes the one pairing on the session path,
+    # kept because bench/test_bench.py pins it (weil > 0 on every
+    # workload, weil == 1 and miller == 4 per clean p431 attempt).  Once
+    # ROADMAP item 1 moves those pins, pub.curve.independent(R, S,
+    # params.side_a.ell) on the same multiples gives the same verdict
+    # without it, and both roles share the one call.
+    if role == "sender":
+        if not pub.curve.independent(R, S, params.side_b.ell):
+            raise _bad_key(role, "pair is not a torsion basis")
+    elif not _independent_by_pairing(pub.curve, R, S, params.side_a.ell):
         raise _bad_key(role, "masked pair is not a torsion basis")
     return pub
 
@@ -396,8 +401,8 @@ class SiotSession:
     (it holds the bit b).  Each holds its coin-flip nonce and the peer's
     commitment; w is the XOR of the two nonces.  Each consume_* phase
     reads its body with the body's reader.  An out-of-order call, a
-    refused body, a false reveal and a sender pair on which the
-    receiver's walk fails all abort, and an abort closes the session.
+    refused body (a key whose pair is no basis included) and a false
+    reveal all abort, and an abort closes the session.
     A collision between the sender's two branch j-invariants raises a
     restart signal, on which the caller reruns the whole protocol so a
     fresh w is flipped.
@@ -528,11 +533,7 @@ class SiotSession:
     @_phase
     def consume_ciphertexts(self, body: dict) -> bytes:
         c0, c1 = read_ciphertexts(body)
-        try:
-            j = derive_shared_j(self.keypair, self.their_public, self.params)
-        except InvalidKernelError as exc:
-            # an honest sender's pair is a basis, so K has full order
-            raise _bad_key("sender", str(exc)) from exc
+        j = derive_shared_j(self.keypair, self.their_public, self.params)
         self.shared_j = (j,)
         th = self._transcript_hash()
         try:

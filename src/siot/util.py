@@ -11,6 +11,7 @@ import hashlib
 import hmac
 import json
 import random
+from binascii import unhexlify
 
 from .errors import DecryptionError
 
@@ -40,11 +41,26 @@ def sub_seed(seed: bytes | None, label: str) -> bytes | None:
 
 def strict_fromhex(text: str) -> bytes:
     """Bytes of a string of lowercase hex digit pairs; ValueError on
-    anything else, including the whitespace ``bytes.fromhex`` skips."""
-    out = bytes.fromhex(text)
-    if 2 * len(out) != len(text) or text != text.lower():
-        raise ValueError("not lowercase hex digit pairs")
-    return out
+    anything else, including the whitespace ``bytes.fromhex`` skips,
+    and TypeError for a value that is no ``str``.
+
+    ``binascii.unhexlify`` reads the pairs and refuses odd lengths,
+    whitespace, non-hex and non-ASCII text by itself, which leaves the
+    digits A-F to refuse.  A refused text is worded as ``bytes.fromhex``
+    words it, with the position it names, and what that reads was
+    refused for whitespace or A-F: "not lowercase hex digit pairs".
+    """
+    if isinstance(text, str):
+        try:
+            out = unhexlify(text)
+        except ValueError:
+            pass
+        else:
+            if not ("A" in text or "B" in text or "C" in text
+                    or "D" in text or "E" in text or "F" in text):
+                return out
+    bytes.fromhex(text)
+    raise ValueError("not lowercase hex digit pairs")
 
 
 def tagged_hash(tag: str, *parts: bytes) -> bytes:

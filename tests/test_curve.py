@@ -20,12 +20,19 @@ E0 = EllipticCurve(CTX.elem(1), CTX.elem(0))
 
 
 def test_point_membership():
+    """(0, 0) is on y^2 = x^3 + x over every field, so the point of
+    F_11 is refused for its field alone, as a missing coordinate is."""
     P = E0.point(CTX.elem(0), CTX.elem(0))
     assert E0.is_on_curve(P)
     assert not E0.is_on_curve(Point(CTX.elem(1), CTX.elem(1)))
     with pytest.raises(InvalidPointError):
         E0.check_point(Point(CTX.elem(1), CTX.elem(1)))
     assert E0.is_on_curve(INFINITY)
+    assert repr(INFINITY) == "Point(infinity)"
+    zero11 = FieldContext(11).zero()
+    for Q in (Point(CTX.zero(), None), Point(None, CTX.zero()),
+              Point(zero11, CTX.zero()), Point(CTX.zero(), zero11)):
+        assert not E0.is_on_curve(Q)
 
 
 def test_is_on_curve_matches_the_equation_exhaustively():
@@ -116,10 +123,27 @@ def test_point_order_and_torsion_checks():
             assert naive_order(E0, P, n + 4) == n
 
 
+class _Zeros:
+    """An rng that draws 0 every time: every sampled point is (0, 0), of
+    order 2 on E0."""
+
+    def randrange(self, *args):
+        return 0
+
+
 def test_order_sampling_rejects_impossible():
+    """An order that does not divide the exponent is refused at once;
+    draws that never reach the order, or never complete a basis, give
+    up after SAMPLING_TRIES."""
     rng = det_rng(4)
-    with pytest.raises(SamplingError):
+    with pytest.raises(SamplingError, match="does not divide"):
         E0.sample_torsion_basis(5, 1, 432, rng)
+    # the cofactor 2 sends (0, 0) to O
+    with pytest.raises(SamplingError, match="no point of order 2"):
+        E0.sample_torsion_basis(2, 1, 4, _Zeros())
+    # (0, 0) has order 2, and each later draw is the same point
+    with pytest.raises(SamplingError, match="no independent partner"):
+        E0.sample_torsion_basis(2, 1, 2, _Zeros())
 
 
 def test_order_sampling_proves_torsion_under_a_wrong_exponent():

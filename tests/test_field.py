@@ -7,7 +7,7 @@ import pytest
 
 from oracles import sqrt_by_exponentiation
 from siot import Fp2
-from siot.field import FieldContext, _strong_lucas, is_prime
+from siot.field import FieldContext, _strong_lucas, inv_batch, is_prime
 
 CTX = FieldContext(431)
 
@@ -25,6 +25,11 @@ def test_known_products_and_inverses():
     # 2 * 216 = 432 = 1 mod 431
     assert CTX.elem(2).inv() == CTX.elem(216)
     assert CTX.elem(0, 1) * CTX.elem(0, 1) == CTX.elem(-1)
+    with pytest.raises(ZeroDivisionError):
+        CTX.zero().inv()
+    # i^-1 = -i
+    assert inv_batch(CTX, [(2, 0), (0, 1)]) == [(216, 0), (0, 430)]
+    assert inv_batch(CTX, []) == []
 
 
 def test_field_axioms_random():

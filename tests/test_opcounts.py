@@ -98,6 +98,28 @@ def test_weil_pairing_op_counts(counter, p102):
     assert (inv[0], miller[0], mul[0]) == (2, 4, 0)
 
 
+def test_certificate_pairing_builds_few_field_elements(counter, monkeypatch,
+                                                       p431):
+    """The pairing keeps integer pairs from its inputs to its value: on
+    the certificate multiples of a p431 session it builds 9 ``Fp2``
+    objects: x^3 + Ax + B for each of three auxiliary x candidates and
+    the root of the last, two for each of its two inversions, and its
+    value.  It built 21 when the auxiliary, shifted and negated points
+    were ``Point``s and z^n went through ``Fp2.__pow__``."""
+    calls = []
+
+    def recording(E, P, Q, n):
+        calls.append((E, P, Q, n))
+        return weil_pairing(E, P, Q, n)
+    monkeypatch.setattr(siot.siot, "weil_pairing", recording)
+    out = run_local(SessionConfig(p431, seed=b"zz", b=1, x0=b"zero",
+                                  x1=b"one"))
+    assert out["restarts"] == 0 and len(calls) == 1
+    made = counter(Fp2, "__init__")
+    weil_pairing(*calls[0])
+    assert made[0] <= 9
+
+
 def test_p431_session_op_counts(counter):
     """A curve is tested for singularity only where it is decoded, in
     straight-line integer arithmetic, so neither the 18 Velu codomains

@@ -249,6 +249,29 @@ def test_verifier_and_session_refuse_the_same_body(p431, index, mutate, row,
     assert info.value.code == code
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["h-is-g", "h-is-minus-g"])
+def test_sender_pair_that_is_no_basis_fails_public_key_a(p431, sign):
+    """A ``pk-sender`` whose h is g or -g keeps both points on the curve
+    and of full order, but its pair is no basis: the verifier fails
+    ``public-key-A``, and the receiver refuses the body in
+    ``consume_public`` with the same text and ``bad-sender-key``."""
+    config = _config(p431, 1, seed=b"zd")
+    out = run_local(config)
+    assert out["restarts"] == 0
+
+    def dependent(body):
+        pub = public_from_obj(p431.ctx, body)
+        body["h"] = point_to_obj(pub.G if sign == 1 else pub.curve.neg(pub.G))
+    bad = _tamper(out["transcript"], 4, dependent)
+    failed = [c for c in verify_transcript(bad, p431)["checks"] if not c["ok"]]
+    assert failed == [{"check": "public-key-A", "ok": False, "detail":
+                       "bad-sender-key: pair is not a torsion basis"}]
+    info = _refusal_at(p431, config, out, [wm.body for _, wm in bad.entries],
+                       4)
+    assert str(info.value) == failed[0]["detail"]
+    assert info.value.code == "bad-sender-key"
+
+
 def _refusal_at(params, config, out, bodies, index, expected=ProtocolAbort):
     """Replay run_local's two sessions on ``bodies`` and return what the
     phase consuming row ``index`` raises; the earlier rows must be the

@@ -464,26 +464,27 @@ def test_an_abort_closes_the_session(p431):
 
 
 def test_sender_pair_that_is_no_basis_is_a_coded_abort(p431):
-    """A sender pair (G, G) or (G, -G) passes every check a sender key
-    gets, since only the receiver's pair is certified as a basis.  The
-    receiver's kernel G + [r]H = (1 +- r)G then loses order for an r
-    with 1 +- r = 0 mod lB, and its walk's kernel error becomes the
-    coded abort ``bad-sender-key``."""
+    """A sender pair (G, G) or (G, -G) passes the per-point checks, both
+    points of full order, but is no basis: ``read_public`` certifies the
+    sender's pair too, so the receiver aborts ``bad-sender-key`` in
+    ``consume_public``, before it sends its own key.  Until it did, the
+    receiver walked on, and its kernel G + [r]H = (1 +- r)G lost order
+    only for an r with 1 +- r = 0 mod lB."""
     sid = b"\x0c" * 16
-    s = SiotSession(p431, "sender", det_rng(b"nobasis-s"), sid,
-                    x0=b"left", x1=b"right")
-    r = SiotSession(p431, "receiver", det_rng(b"nobasis-r"), sid, b=1)
-    sign = {1: -1, p431.side_b.ell - 1: 1}[r.keypair.r % p431.side_b.ell]
-    _run_until(s, r, "pk-sender")
-    pub = s.keypair.public
-    H = pub.G if sign == 1 else pub.curve.neg(pub.G)
-    body = {**s.produce_public(), "h": point_to_obj(H)}
-    assert read_public(p431, "sender", body).H == H   # the verifier passes it
-    r.consume_public(body)
-    s.consume_public(r.produce_public())
-    with pytest.raises(ProtocolAbort) as info:
-        r.consume_ciphertexts(s.produce_ciphertexts())
-    assert info.value.code == "bad-sender-key"
+    for sign in (1, -1):
+        s = SiotSession(p431, "sender", det_rng(b"nobasis-s"), sid,
+                        x0=b"left", x1=b"right")
+        r = SiotSession(p431, "receiver", det_rng(b"nobasis-r"), sid, b=1)
+        _run_until(s, r, "pk-sender")
+        pub = s.keypair.public
+        H = pub.G if sign == 1 else pub.curve.neg(pub.G)
+        body = {**s.produce_public(), "h": point_to_obj(H)}
+        with pytest.raises(ProtocolAbort) as verdict:
+            read_public(p431, "sender", body)
+        with pytest.raises(ProtocolAbort) as info:
+            r.consume_public(body)
+        assert info.value.code == "bad-sender-key"
+        assert str(info.value) == str(verdict.value)
 
 
 def test_singular_public_key_is_a_decode_error(p431):
