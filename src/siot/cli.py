@@ -239,10 +239,9 @@ def connect(addr: tuple[str, int]):
     return stream
 
 
-def serve_one(addr: tuple[str, int], ready_event=None):
+def serve_one(addr: tuple[str, int]):
     """Accept one connection on ``addr``, a (host, port) pair, and return
-    its stream; ``ready_event`` (a ``threading.Event``), if given, is set
-    once the socket listens."""
+    its stream."""
     import socket
 
     where = f"{addr[0]}:{addr[1]}"
@@ -252,8 +251,6 @@ def serve_one(addr: tuple[str, int], ready_event=None):
         raise TransportError(f"listen on {where} failed: {exc}") from exc
     try:
         srv.settimeout(30)
-        if ready_event is not None:
-            ready_event.set()
         conn, _ = srv.accept()
     except OSError as exc:
         srv.close()

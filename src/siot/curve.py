@@ -1,24 +1,25 @@
 """Short-Weierstrass curves y^2 = x^3 + Ax + B over F_{p^2}.
 
-Points are affine with an explicit infinity marker; the group law,
-j-invariants, point and torsion-basis sampling, the exact-order test
-and the basis test live here.  There is one group law: the Jacobian
-steps at the end of this module, with (X, Y, Z) standing for
-(X/Z^2, Y/Z^3): a doubling, a mixed addition of an affine point, a full
-addition and a tripling.  ``jac_mul`` builds [n]T from them, with a
-tripling for each factor 3 of n, and ``jac_mul2`` builds [s]T + [t]U
-on one shared chain of doublings.  ``add`` lifts its first point to
-Z = 1 and takes one mixed addition; ``mul`` runs ``jac_mul`` and
-``mul2`` runs ``jac_mul2``.  Each converts back to affine once, in
-``_affine``, so each makes one field inversion, and none when the
-result is O.  ``top_multiple`` and ``has_exact_order`` test only the
-Z of their multiples, and ``is_basis`` compares x-coordinates
-projectively, so none of them inverts.  The doubling and the mixed addition also serve the Miller
-loop in ``pairing``, and the isogeny walk keeps its multiples Jacobian
-until a step brings them to Z = 1 in one batch.
-The steps, ``_affine`` and the on-curve test are straight-line
-arithmetic on the unpacked integer coordinates; points and curve
-coefficients enter and leave them as ``Fp2`` values.  The on-curve
+``EllipticCurve``'s methods take and return affine ``Point``s with an
+explicit infinity marker; the group law, j-invariants, point and
+torsion-basis sampling, the exact-order test and the basis test live
+here.  Below those methods a point has one form: a Jacobian triple
+(X, Y, Z) of (a, b) integer pairs standing for (X/Z^2, Y/Z^3), affine
+at Z = 1 and O at Z = 0, as ``jacobian`` makes it.  There is one group
+law, the steps at the end of this module on such triples: a doubling,
+a mixed addition of a point at Z = 1, a full addition and a tripling.
+``jac_mul`` builds [n]T from them, with a tripling for each factor 3
+of n, and ``jac_mul2`` builds [s]T + [t]U on one shared chain of
+doublings.  ``add`` takes one mixed addition, ``mul`` runs ``jac_mul``
+and ``mul2`` runs ``jac_mul2``.  Each converts back to a ``Point``
+once, in ``_affine``, so each makes one field inversion, and none when
+the result is O.  ``top_multiple`` and ``has_exact_order`` test only
+the Z of their multiples, and ``is_basis`` compares x-coordinates
+projectively, so none of them inverts.  The doubling and the mixed
+addition also serve the Miller loop in ``pairing``, on the same
+triples, and the isogeny walk keeps its multiples Jacobian until a
+step brings them to Z = 1 in one batch.  The steps, ``_affine`` and
+the on-curve test are straight-line integer arithmetic; the on-curve
 test reads x^3 + Ax + B from ``rhs_pair`` as an integer pair, as the
 pairing's auxiliary draw does.
 
@@ -131,15 +132,14 @@ class EllipticCurve:
 
     def add(self, P: Point, Q: Point) -> Point:
         """P + Q for two points of this curve (not checked): one mixed
-        Jacobian addition from P at Z = 1.  One inversion, none when
-        P + Q = O."""
+        Jacobian addition of their triples at Z = 1.  One inversion,
+        none when P + Q = O."""
         if P.infinity:
             return Q
         if Q.infinity:
             return P
-        xy = (Q.x.a, Q.x.b), (Q.y.a, Q.y.b)
         return self._affine(jac_add_affine(
-            jacobian(P), xy, (self.A.a, self.A.b), self.ctx.p)[0])
+            jacobian(P), jacobian(Q), (self.A.a, self.A.b), self.ctx.p)[0])
 
     def sub(self, P: Point, Q: Point) -> Point:
         return self.add(P, self.neg(Q))
@@ -307,10 +307,11 @@ class EllipticCurve:
 
 # -- Jacobian steps on (a, b) integer pairs ----------------------------
 #
-# A point is a triple (X, Y, Z) of pairs standing for (X/Z^2, Y/Z^3), and
-# Z = 0 is the identity.  The doubling and the mixed addition also return
-# the numerator N of the slope N/Z' of their tangent or chord, Z' being
-# the result's Z; the Miller loop builds its line values from it.
+# A point is a triple (X, Y, Z) of pairs standing for (X/Z^2, Y/Z^3),
+# affine at Z = 1, and Z = 0 is the identity.  The doubling and the
+# mixed addition also return the numerator N of the slope N/Z' of their
+# tangent or chord, Z' being the result's Z; the Miller loop builds its
+# line values from it.
 
 JAC_INFINITY = ((1, 0), (1, 0), (0, 0))
 
@@ -353,12 +354,12 @@ def jac_mul(T, n: int, A, p: int):
     k = 0
     while n % 3 == 0:
         n, k = n // 3, k + 1
-    xy, affine = T[:2], T[2] == (1, 0)
+    affine = T[2] == (1, 0)
     R = T
     for bit in bin(n)[3:]:
         R = jac_double(R, A, p)[0]
         if bit == "1":
-            R = jac_add_affine(R, xy, A, p)[0] if affine else \
+            R = jac_add_affine(R, T, A, p)[0] if affine else \
                 jac_add(R, T, A, p)
     for _ in range(k):
         R = jac_triple(R, A, p)
@@ -381,7 +382,7 @@ def jac_mul2(T, s: int, U, t: int, A, p: int):
     table = [None, T, U, None]
     if s and t:
         table[3] = jac_add(U, T, A, p) if T[2] != (1, 0) else \
-            jac_add_affine(U, T[:2], A, p)[0]
+            jac_add_affine(U, T, A, p)[0]
     digits = [(s >> i & 1) | (t >> i & 1) << 1
               for i in range(max(s.bit_length(), t.bit_length()) - 1, -1, -1)]
     R = JAC_INFINITY
@@ -391,7 +392,7 @@ def jac_mul2(T, s: int, U, t: int, A, p: int):
         if d:
             V = table[d]
             R = jac_add(R, V, A, p) if V[2] != (1, 0) else \
-                jac_add_affine(R, V[:2], A, p)[0]
+                jac_add_affine(R, V, A, p)[0]
     return R
 
 
@@ -422,17 +423,17 @@ def jac_double(T, A, p: int):
 
 
 def jac_add_affine(T, P, A, p: int):
-    """(T + P, N) for Jacobian T and an affine P = (x, y) other than O;
-    the chord slope through T and P is N/Z(T + P).
+    """(T + P, N) for a Jacobian T and a P with Z = 1, (x, y, 1); the
+    chord slope through T and P is N/Z(T + P).
 
     T = O gives (P, None): there is no chord.  T = P is a doubling, and
     T = -P gives Z = 0.  With H = xZ^2 - X and r = yZ^3 - Y:
     X' = r^2 - H^3 - 2XH^2, Y' = r(XH^2 - X') - YH^3, Z' = ZH and N = r.
     """
     (x1a, x1b), (y1a, y1b), (z1a, z1b) = T
-    (xa, xb), (ya, yb) = P
+    (xa, xb), (ya, yb), _ = P
     if z1a == 0 and z1b == 0:
-        return ((xa, xb), (ya, yb), (1, 0)), None
+        return P, None
     zza, zzb = (z1a + z1b) * (z1a - z1b) % p, 2 * z1a * z1b % p
     zca, zcb = (z1a * zza - z1b * zzb) % p, (z1a * zzb + z1b * zza) % p
     ha = (xa * zza - xb * zzb - x1a) % p

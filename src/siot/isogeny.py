@@ -14,7 +14,8 @@ finite kernel subgroup.
 A step's kernel is written as one point Q per pair +-Q of its nonzero
 points: -Q has Q's x, so it adds the same terms to the codomain sums
 and shares Q's chord denominators, and it is Q itself when y_Q = 0.
-``velu_step`` takes such a list, affine, to the codomain.  One
+``velu_step`` takes such a list, affine, from a curve's coefficient
+pairs (A, B) to the codomain's.  One
 straight-line pass, ``_translate``, maps a whole list of points through
 the step at once: every translate's chord slope needs 1/(x_Q - x_P),
 and all of those are inverted together with one field inversion, by
@@ -25,8 +26,8 @@ product, and each denominator is written projectively.  A point whose
 x is a kernel x is itself a kernel point and maps to the identity.
 ``evaluate`` maps one ``Point`` through it.
 The translate loop and the codomain sums are straight-line arithmetic
-on the unpacked integer coordinates; points and curves enter and leave
-them as ``Fp2`` values.
+on integers: points are ``curve``'s Jacobian triples of (a, b) pairs,
+and a curve is its coefficient pairs.
 
 A chain of degree ell^e takes e such steps.  The order-ell kernel of
 each step is found by a balanced traversal that keeps the intermediate
@@ -34,7 +35,8 @@ multiples of the kernel generator, in Jacobian coordinates, and pushes
 them through every step, so a chain costs O(e log e) multiplications by
 ell rather than e^2/2, and one inversion per step.  The caller's points
 ride the same pushes, and nothing of the walk is kept: a chain is its
-codomain and the images of those points.
+codomain and the images of those points, the one ``EllipticCurve`` and
+the only ``Point``s it builds.
 """
 
 from __future__ import annotations
@@ -52,17 +54,17 @@ def kernel_generator(E: EllipticCurve, P: Point, r: int, Q: Point) -> Point:
     return E.mul2(1, P, r, Q)
 
 
-def velu_step(E: EllipticCurve, kernel) -> EllipticCurve:
-    """The codomain of E by the subgroup that ``kernel`` lists: one
-    affine Jacobian point Q per pair +-Q of its nonzero points, as
-    ``_translate`` returns them.  Q is summed once when y_Q = 0 and
-    otherwise twice, for itself and -Q.
+def velu_step(A, B, kernel, p: int):
+    """The coefficients (A', B') of the codomain of y^2 = x^3 + Ax + B by
+    the subgroup that ``kernel`` lists: one affine Jacobian point Q per
+    pair +-Q of its nonzero points, as ``_translate`` returns them.  Q
+    is summed once when y_Q = 0 and otherwise twice, for itself and -Q.
+    Coefficients go in and come out as (a, b) pairs, reduced mod p.
 
     Like ``add`` and ``mul``, it trusts its input: the walk proves its
     generator's order once, and every kernel follows from it.
     """
-    p = E.ctx.p
-    aa, ab, ba, bb = E.A.a, E.A.b, E.B.a, E.B.b
+    (aa, ab), (ba, bb) = A, B
     va = vb = wa = wb = 0
     for (xa, xb), y, _ in kernel:
         m = 1 if y == (0, 0) else 2
@@ -73,8 +75,8 @@ def velu_step(E: EllipticCurve, kernel) -> EllipticCurve:
                     + 2 * ba) % p)
         wb += m * ((5 * (xxa * xb + xxb * xa) + 3 * (aa * xb + ab * xa)
                     + 2 * bb) % p)
-    return EllipticCurve(Fp2(E.ctx, aa - 5 * va, ab - 5 * vb),
-                         Fp2(E.ctx, ba - 7 * wa, bb - 7 * wb))
+    return (((aa - 5 * va) % p, (ab - 5 * vb) % p),
+            ((ba - 7 * wa) % p, (bb - 7 * wb) % p))
 
 
 def _translate(ctx, kernel, points):
@@ -211,26 +213,27 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
     to Z = 1 and inverts every chord denominator of the push, and
     ``velu_step`` takes the codomain from those affine kernel points.
     The points in ``push`` join that batch, so a step makes one
-    inversion.
+    inversion.  The walk carries the curve as its coefficient pairs and
+    builds one ``EllipticCurve``, for the last codomain.
     """
     n = ell ** e
     if e < 1:
         raise InvalidKernelError(f"kernel generator must have exact order {n}")
-    ctx, p, cur = E.ctx, E.ctx.p, E
+    ctx, p = E.ctx, E.ctx.p
+    A, B = (E.A.a, E.A.b), (E.B.a, E.B.b)
     pushed = [jacobian(P) for P in push]
     # the stacked points, and for each the step at which its height,
     # which every step lowers by one, would reach 0
     stack, due, step = [jacobian(K)], [e], 0
     while stack:
         T, h = stack.pop(), due.pop() - step
-        A = (cur.A.a, cur.A.b)
         while h > 1:
             stack.append(T)
             due.append(step + h)
             T, h = jac_mul(T, ell ** (h // 2), A, p), h - h // 2
         # [ell^(e-1)]K of order ell makes K of order ell^e; every later
         # step's point, and K's image under the last step, follow from it
-        if cur is E and (T[2] == (0, 0)
+        if step == 0 and (T[2] == (0, 0)
                          or jac_mul(T, ell, A, p)[2] != (0, 0)):
             raise InvalidKernelError(
                 f"kernel generator must have exact order {n}")
@@ -238,7 +241,8 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
         for _ in range(ell // 2 - 1):
             kernel.append(jac_add(kernel[-1], T, A, p))
         kernel, images = _translate(ctx, kernel, stack + pushed)
-        cur = velu_step(cur, kernel)
+        A, B = velu_step(A, B, kernel, p)
         step += 1
         stack, pushed = images[:len(stack)], images[len(stack):]
-    return cur, [unit_point(ctx, T) for T in pushed]
+    return (EllipticCurve(Fp2(ctx, *A), Fp2(ctx, *B)),
+            [unit_point(ctx, T) for T in pushed])

@@ -28,12 +28,13 @@ pairing cross-multiplies the four fractions and divides once: two
 inversions a pairing.
 
 Points enter ``weil_pairing`` once, and only its value leaves as an
-``Fp2``.  In between every point is a pair of (a, b) coordinate pairs:
-the inputs, the auxiliary point, its negative, the two evaluation
-points, the Miller loop's arguments and its Jacobian steps; the order
-check z^n = 1 runs on integers too.  The only other ``Fp2`` objects are
-those that reach ``Fp2.sqrt`` and ``Fp2.inv``, which the benchmark
-counts by name.
+``Fp2``.  In between every point has the one form of ``curve``'s
+Jacobian steps, a triple of (a, b) coordinate pairs, at Z = 1 when
+affine and Z = 0 for O: the inputs, the auxiliary point, its negative,
+the two evaluation points, the Miller loop's arguments and its running
+point; the order check z^n = 1 runs on integers too.  The only other
+``Fp2`` objects are those that reach ``Fp2.sqrt`` and ``Fp2.inv``,
+which the benchmark counts by name.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 from itertools import count
 
 from .curve import (EllipticCurve, Point, jac_add_affine, jac_double,
-                    jac_normalize)
+                    jac_normalize, jacobian)
 from .field import Fp2, inv_batch, pow_pair
 from .util import expand
 
@@ -62,7 +63,7 @@ def _times_line(f, T, T2, N, X, p: int):
     is none to divide by: the factors are line(X) * Z(T)^2 and Z(T)^2.
     A zero line or vertical raises _Degenerate.
     """
-    (xa, xb), (ya, yb) = X
+    (xa, xb), (ya, yb), _ = X
     (x3a, x3b), (y3a, y3b), (z3a, z3b) = T2
     if z3a == 0 and z3b == 0:
         (x1a, x1b), _, (z1a, z1b) = T
@@ -90,19 +91,19 @@ def miller_function(E: EllipticCurve, P, n: int, X):
     fraction (numerator, denominator) of two nonzero (a, b) coordinate
     pairs; no division.
 
-    P and X are affine points given as coordinate pairs ((xa, xb),
-    (ya, yb)), or None for O.  f_{n,P} has divisor n(P) - ([n]P) -
-    (n-1)(O).  Raises _Degenerate when X is O or lands on a zero or pole
-    of an intermediate line, which the pairing wrapper handles by
-    re-drawing its auxiliary point.
+    P and X are Jacobian triples of (a, b) pairs at Z = 1, or at Z = 0
+    for O.  f_{n,P} has divisor n(P) - ([n]P) - (n-1)(O).  Raises
+    _Degenerate when X is O or lands on a zero or pole of an
+    intermediate line, which the pairing wrapper handles by re-drawing
+    its auxiliary point.
     """
-    if X is None:
+    if X[2] == (0, 0):
         raise _Degenerate
-    if P is None:
+    if P[2] == (0, 0):
         return (1, 0), (1, 0)
     p, A = E.ctx.p, (E.A.a, E.A.b)
     f = (1, 0, 1, 0)                 # numerator a, b; denominator a, b
-    T = (*P, (1, 0))
+    T = P
     for bit in bin(n)[3:]:
         na, nb, da, db = f
         f = ((na + nb) * (na - nb) % p, 2 * na * nb % p,
@@ -113,7 +114,7 @@ def miller_function(E: EllipticCurve, P, n: int, X):
         if bit == "1" and T[2] == (0, 0):
             if X[0] == P[0]:         # line and vertical are both x - x_P
                 raise _Degenerate
-            T = (*P, (1, 0))
+            T = P
         elif bit == "1":
             T2, N = jac_add_affine(T, P, A, p)
             T, f = T2, _times_line(f, T, T2, N, X, p)
@@ -121,15 +122,14 @@ def miller_function(E: EllipticCurve, P, n: int, X):
 
 
 def _aux_point(E: EllipticCurve, P, Q, n: int, attempt: int):
-    """Deterministic auxiliary point, as a pair ((xa, xb), (ya, yb)), for
-    points P and Q given as such pairs: x candidates and the sign of y
-    read from a hash stream over the inputs' encodings, the attempt and
-    a counter, until x^3 + Ax + B is a square (one ``Fp2.sqrt`` per
-    candidate)."""
+    """Deterministic auxiliary point, a triple at Z = 1, for points P and
+    Q given as such triples: x candidates and the sign of y read from a
+    hash stream over the inputs' encodings, the attempt and a counter,
+    until x^3 + Ax + B is a square (one ``Fp2.sqrt`` per candidate)."""
     ctx, p, w = E.ctx, E.ctx.p, E.ctx.byte_width
     material = n.to_bytes(max(8, (n.bit_length() + 7) // 8), "big")
     material += attempt.to_bytes(4, "big")
-    for (xa, xb), (ya, yb) in (P, Q):
+    for (xa, xb), (ya, yb), _ in (P, Q):
         material += (xa.to_bytes(w, "big") + xb.to_bytes(w, "big")
                      + ya.to_bytes(w, "big") + yb.to_bytes(w, "big"))
     for k in count():
@@ -140,8 +140,8 @@ def _aux_point(E: EllipticCurve, P, Q, n: int, attempt: int):
         y = Fp2(ctx, *E.rhs_pair(xa, xb)).sqrt()
         if y is not None:
             if draw[-1] & 1:
-                return (xa, xb), (-y.a % p, -y.b % p)
-            return (xa, xb), (y.a, y.b)
+                return (xa, xb), (-y.a % p, -y.b % p), (1, 0)
+            return (xa, xb), (y.a, y.b), (1, 0)
 
 
 def _product(p: int, *factors):
@@ -162,7 +162,7 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> Fp2:
         [f_{n,P}(Q+S) / f_{n,P}(S)] / [f_{n,Q}(P-S) / f_{n,Q}(-S)]
 
     for an auxiliary point S avoiding all zeros and poles.  P and Q are
-    unpacked once; every point after that is a coordinate pair.  Q + S
+    unpacked once; every point after that is a Jacobian triple.  Q + S
     and P - S are mixed additions brought to affine by one batched
     inversion, and the draw is retried when either is O.  The four
     Miller values are fractions, cross-multiplied into one, and its
@@ -174,22 +174,20 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> Fp2:
     if P.infinity or Q.infinity:
         return ctx.one()
     A = E.A.a, E.A.b
-    P = (P.x.a, P.x.b), (P.y.a, P.y.b)
-    Q = (Q.x.a, Q.x.b), (Q.y.a, Q.y.b)
-    qx, (qya, qyb) = Q
+    P, Q = jacobian(P), jacobian(Q)
+    qx, (qya, qyb), _ = Q
     if P[0] == qx and P[1] in ((qya, qyb), (-qya % p, -qyb % p)):
         return ctx.one()             # P = Q or P = -Q
     for attempt in range(256):
         S = _aux_point(E, P, Q, n, attempt)
-        sx, (sya, syb) = S
-        negS = sx, (-sya % p, -syb % p)
-        T1 = jac_add_affine((*Q, (1, 0)), S, A, p)[0]
-        T2 = jac_add_affine((*P, (1, 0)), negS, A, p)[0]
+        sx, (sya, syb), sz = S
+        negS = sx, (-sya % p, -syb % p), sz
+        T1 = jac_add_affine(Q, S, A, p)[0]
+        T2 = jac_add_affine(P, negS, A, p)[0]
         if T1[2] == (0, 0) or T2[2] == (0, 0):
             continue                 # no Miller function is evaluated at O
         z1, z2 = inv_batch(ctx, [T1[2], T2[2]])
-        QS = jac_normalize(T1, z1, p)[:2]
-        PS = jac_normalize(T2, z2, p)[:2]
+        QS, PS = jac_normalize(T1, z1, p), jac_normalize(T2, z2, p)
         try:
             n1, d1 = miller_function(E, P, n, QS)
             n2, d2 = miller_function(E, P, n, S)

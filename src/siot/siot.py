@@ -104,9 +104,11 @@ def derive_mask_coeffs(w: bytes, params: PublicParams) -> MaskCoefficients:
     Deterministic: both parties compute the identical tuple.  Rejection
     sampling over a counter until beta is a unit, which a draw is with
     probability (lA - 1)/lA.  The rest holds by construction:
-    delta = -alpha, gamma = -alpha^2/beta, and alpha is in the hardened
-    family, so alpha and delta are 0 mod lA, gamma = 0 mod lA^eA (alpha^2
-    is), and the collapse quadratic reduces to -beta, a unit.
+    delta = -alpha and gamma = -alpha^2/beta, and alpha is in the hardened
+    family, a multiple of lA^ceil(eA/2), so alpha and delta are 0 mod lA
+    and alpha^2, hence gamma, is 0 mod lA^eA: gamma is set to 0 with no
+    inversion of beta, and the collapse quadratic reduces to -beta, a
+    unit.
     """
     n, ell, e = params.side_a.n, params.side_a.ell, params.side_a.e
     lift = ell ** ((e + 1) // 2)
@@ -123,9 +125,7 @@ def derive_mask_coeffs(w: bytes, params: PublicParams) -> MaskCoefficients:
         if beta % ell == 0:
             continue
         alpha = alpha0 * lift % n
-        delta = -alpha % n
-        gamma = -alpha * alpha * pow(beta, -1, n) % n
-        return MaskCoefficients(alpha, beta, gamma, delta)
+        return MaskCoefficients(alpha, beta, 0, -alpha % n)
 
 
 def encode_mask_points(coeffs: MaskCoefficients, curve: EllipticCurve,

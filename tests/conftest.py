@@ -3,8 +3,10 @@ import threading
 import pytest
 
 import siot.isogeny
+from oracles import velu_codomain
 from siot import det_rng, gen_params, preset
-from siot.isogeny import velu_step
+from siot.curve import EllipticCurve
+from siot.field import FieldContext
 
 
 @pytest.fixture(scope="session")
@@ -46,12 +48,16 @@ def set3():
 def velu_steps(monkeypatch):
     """The steps ``isogeny_chain`` takes during the test, in order, each
     as (domain, kernel, codomain) with the kernel list ``velu_step``
-    takes."""
-    steps = []
+    takes and both curves built from the coefficient pairs it sees."""
+    steps, contexts = [], {}
 
-    def record(E, kernel):
-        steps.append((E, tuple(kernel), velu_step(E, kernel)))
-        return steps[-1][2]
+    def record(A, B, kernel, p):
+        if p not in contexts:
+            contexts[p] = FieldContext(p)
+        D = EllipticCurve(contexts[p].elem(*A), contexts[p].elem(*B))
+        F = velu_codomain(D, kernel)
+        steps.append((D, tuple(kernel), F))
+        return (F.A.a, F.A.b), (F.B.a, F.B.b)
     monkeypatch.setattr(siot.isogeny, "velu_step", record)
     return steps
 

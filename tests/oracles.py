@@ -47,7 +47,8 @@ from siot.curve import (INFINITY, EllipticCurve, Point, jac_add_affine,
                         jac_normalize, jacobian, unit_point)
 from siot.errors import InvalidKernelError, UnsupportedParameterError
 from siot.field import Fp2, inv_batch
-from siot.isogeny import _translate, isogeny_chain, kernel_generator
+from siot.isogeny import (_translate, isogeny_chain, kernel_generator,
+                          velu_step)
 from siot.pairing import weil_pairing
 from siot.sidh import PublicParams, gen_params
 from siot.siot import MaskCoefficients
@@ -287,10 +288,11 @@ def cyclic_subgroup(E: EllipticCurve, K: Point, n: int) -> tuple[Point, ...]:
     if K.infinity:
         raise InvalidKernelError(f"generator order divides {n} improperly")
     A, p = (E.A.a, E.A.b), E.ctx.p
-    xy = (xa, xb), (ya, yb) = (K.x.a, K.x.b), (K.y.a, K.y.b)
-    T, half = (*xy, (1, 0)), []
+    T = K1 = jacobian(K)
+    (xa, xb), (ya, yb), _ = K1
+    half = []
     for i in range(2, n):
-        T = jac_add_affine(T, xy, A, p)[0]
+        T = jac_add_affine(T, K1, A, p)[0]
         if T[2] == (0, 0):
             raise InvalidKernelError(f"generator order divides {n} improperly")
         if i <= n // 2:
@@ -323,6 +325,13 @@ def walk_kernel(E: EllipticCurve, K: Point, ell: int) -> tuple:
     [1]K, ..., [ell//2]K as affine Jacobian triples, one per pair +-Q,
     by repeated ``affine_add``."""
     return tuple(jacobian(naive_mul(E, i, K)) for i in range(1, ell // 2 + 1))
+
+
+def velu_codomain(E: EllipticCurve, kernel) -> EllipticCurve:
+    """The codomain of E by a ``velu_step`` kernel list, as a curve: the
+    step on E's coefficient pairs, built into E's field."""
+    A, B = velu_step((E.A.a, E.A.b), (E.B.a, E.B.b), kernel, E.ctx.p)
+    return EllipticCurve(E.ctx.elem(*A), E.ctx.elem(*B))
 
 
 def expand_kernel(E: EllipticCurve, kernel) -> tuple[Point, ...]:

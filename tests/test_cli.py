@@ -8,8 +8,10 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 from siot import det_rng
-from siot.cli import main
+from siot.cli import entry, main
 from siot.sidh import PRESET_NAMES, params_to_obj
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -325,6 +327,8 @@ def test_dead_port_is_transport_error(tmp_path, capsys):
 
 
 def test_networked_send_receive(tmp_path, capsys):
+    """One session across two threads: the receiver delivers its choice,
+    and both sides write the same transcript."""
     m0 = _write(tmp_path, "m0", b"wire zero")
     m1 = _write(tmp_path, "m1", b"wire one.")
     got = str(tmp_path / "got.bin")
@@ -333,7 +337,8 @@ def test_networked_send_receive(tmp_path, capsys):
 
     def rx():
         codes["r"] = main(["receive", "--preset", "p431", "--listen", addr,
-                           "--choice", "1", "--seed", "aa", "-o", got])
+                           "--choice", "1", "--seed", "aa", "-o", got,
+                           "--transcript", str(tmp_path / "r.jsonl")])
 
     th = threading.Thread(target=rx)
     th.start()
@@ -342,7 +347,8 @@ def test_networked_send_receive(tmp_path, capsys):
     codes["s"] = None
     while time.time() < deadline:
         code = main(["send", "--preset", "p431", "--connect", addr,
-                     "--msg0", m0, "--msg1", m1, "--seed", "bb"])
+                     "--msg0", m0, "--msg1", m1, "--seed", "bb",
+                     "--transcript", str(tmp_path / "s.jsonl")])
         if code != 3:    # transport error until the listener is up
             codes["s"] = code
             break
@@ -351,6 +357,73 @@ def test_networked_send_receive(tmp_path, capsys):
     capsys.readouterr()
     assert codes["s"] == 0 and codes["r"] == 0
     assert (tmp_path / "got.bin").read_bytes() == b"wire one."
+    sent = (tmp_path / "s.jsonl").read_bytes()
+    assert sent and sent == (tmp_path / "r.jsonl").read_bytes()
+
+
+def test_listen_on_a_held_port_is_transport_error(capsys):
+    """A port something else already listens on is refused where the
+    receiver binds: exit 3, naming the address."""
+    import socket
+
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        addr = "127.0.0.1:%d" % held.getsockname()[1]
+        assert main(["receive", "--preset", "p431", "--listen", addr,
+                     "--choice", "0"]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"transport error: listen on {addr} failed")
+
+
+def test_listener_nobody_dials_is_transport_error(monkeypatch, capsys):
+    """A listener that no sender dials gives up when its accept times
+    out: exit 3.  The 30 s timeout is cut to 50 ms for the test."""
+    import socket
+
+    settimeout = socket.socket.settimeout
+    monkeypatch.setattr(socket.socket, "settimeout",
+                        lambda self, seconds: settimeout(self, 0.05))
+    assert main(["receive", "--preset", "p431", "--listen", "127.0.0.1:0",
+                 "--choice", "0"]) == 3
+    assert capsys.readouterr().err == \
+        "transport error: accept on 127.0.0.1:0 failed: timed out\n"
+
+
+class _BrokenPipeStdout(_ClosedStdout):
+    """The same on a descriptor the test owns, whose flush fails too."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_entry_exits_with_the_command_code(tmp_path, monkeypatch, capsys):
+    """``entry``, the console script, exits with ``main``'s code.  When
+    stdout is gone it points the descriptor at the null device, so the
+    interpreter's own flush at exit cannot fail a second time."""
+    monkeypatch.setattr(sys, "argv", ["siot", "gen-params", "--la", "3",
+                                      "--ea", "3", "--lb", "2", "--eb", "4"])
+    with pytest.raises(SystemExit) as info:
+        entry()
+    assert info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["p"] == 431
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _BrokenPipeStdout(fd))
+        with pytest.raises(SystemExit) as info:
+            entry()
+        assert info.value.code == 4
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err.startswith(
+        "usage error: cannot write to stdout")
 
 
 def test_deeply_nested_transcript_exits_two(tmp_path, capsys):

@@ -156,6 +156,21 @@ def test_p431_session_op_counts(counter):
     assert checks[0] == 4
 
 
+def test_p431_session_builds_few_objects(counter, p431):
+    """Below the curve API a point is a Jacobian triple and a walk's curve
+    its coefficient pairs, so a p431 session builds at most 136 ``Fp2``
+    and exactly 7 ``EllipticCurve`` objects: the two decoded keys' curves
+    and the five chains' codomains.  It built 162 and 20 when each Velu
+    step returned a curve of two ``Fp2`` that the next step unpacked."""
+    made = counter(Fp2, "__init__")
+    curves = counter(EllipticCurve, "__init__")
+    out = run_local(SessionConfig(p431, seed=b"opcount", b=1, x0=b"zero",
+                                  x1=b"one"))
+    assert out["restarts"] == 0 and out["output"] == b"one"
+    assert made[0] <= 136
+    assert curves[0] == 7
+
+
 def test_p102_session_jacobian_steps(counter, p102):
     """A clean session at 2^51*3^32 - 1, per bit: the Jacobian doublings,
     mixed additions, full additions and triplings of ``siot.curve``

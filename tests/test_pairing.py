@@ -15,7 +15,7 @@ from oracles import (
     weil_naive,
 )
 from siot import det_rng, preset
-from siot.curve import INFINITY, EllipticCurve, Point
+from siot.curve import INFINITY, EllipticCurve, Point, jacobian
 from siot.errors import UnsupportedParameterError
 from siot.field import FieldContext
 from siot.pairing import (_aux_point, _Degenerate, miller_function,
@@ -30,22 +30,16 @@ def _basis(ell, e, seed):
     return E0.sample_torsion_basis(ell, e, EXP, det_rng(seed))
 
 
-def _pair(P):
-    """A Point as the coordinate pairs the Miller loop takes; None for O."""
-    if P.infinity:
-        return None
-    return (P.x.a, P.x.b), (P.y.a, P.y.b)
-
-
 def _check_aux_points(E, P, Q, n):
     """The auxiliary draws for two points other than O are affine
     points of E, the same on a second call, and differ from one attempt
     to the next."""
-    P, Q = _pair(P), _pair(Q)
+    P, Q = jacobian(P), jacobian(Q)
     draws = [_aux_point(E, P, Q, n, attempt) for attempt in range(3)]
     assert draws == [_aux_point(E, P, Q, n, attempt) for attempt in range(3)]
-    assert all(E.is_on_curve(Point(E.ctx.elem(*x), E.ctx.elem(*y)))
-               for x, y in draws)
+    assert all(z == (1, 0) and
+               E.is_on_curve(Point(E.ctx.elem(*x), E.ctx.elem(*y)))
+               for x, y, z in draws)
     assert len(set(draws)) == 3
 
 
@@ -156,8 +150,8 @@ def test_degenerate_draws_are_retried(monkeypatch):
     attempts = []
 
     def neg(Q):
-        (x, (ya, yb)), p = Q, CTX.p
-        return x, (-ya % p, -yb % p)
+        (x, (ya, yb), z), p = Q, CTX.p
+        return x, (-ya % p, -yb % p), z
 
     def first_degenerate(E, P, Q, n, attempt):
         attempts.append(attempt)
@@ -273,7 +267,7 @@ def test_decompose_rejects_degenerate_base():
 
 def _miller_value(E, P, n, X):
     """miller_function's fraction, divided out."""
-    num, den = miller_function(E, _pair(P), n, _pair(X))
+    num, den = miller_function(E, jacobian(P), n, jacobian(X))
     return E.ctx.elem(*num) / E.ctx.elem(*den)
 
 

@@ -2,8 +2,9 @@
 
 Each shape is built by ``oracles.shape_params``.  Every
 layer is compared with its oracle in ``tests/oracles.py``, and a whole
-session runs once per bit.  The walk's cost model is also held on
-p431, p2591 and p102.
+session runs once per bit.  The walk is also held to the naive schedule
+on p431, p2591, set3 and p102, and to its cost model on p431, p2591 and
+p102.
 """
 
 import pytest
@@ -12,26 +13,38 @@ import siot.curve
 import siot.isogeny
 from oracles import (SHAPES, affine_add, cyclic_subgroup, expand_kernel,
                      naive_chain, naive_evaluate, naive_order, reference_step,
-                     shape_id, shape_params, walk_counts, walk_kernel)
+                     shape_id, shape_params, velu_codomain, walk_counts,
+                     walk_kernel)
 from siot import SessionConfig, det_rng, run_local
 from siot.errors import InvalidKernelError, InvalidPointError
 from siot.curve import INFINITY, jacobian, unit_point
 from siot.field import Fp2
-from siot.isogeny import (_translate, evaluate, isogeny_chain,
-                          kernel_generator, velu_step)
+from siot.isogeny import _translate, evaluate, isogeny_chain, kernel_generator
 
 @pytest.fixture(scope="module", params=SHAPES, ids=shape_id)
 def shape(request):
     return shape_params(request.param)
 
 
-def test_chain_matches_naive_schedule(shape, velu_steps):
-    """Each recorded step's domain, kernel and codomain, the chain's
-    codomain and the pushed images of the walk equal a fresh scalar
-    multiple per step, for r in {0, 1, n - 1, seeded}."""
-    rng = det_rng(b"shape-chain")
-    E = shape.curve
-    for own, other in map(shape.sides, "AB"):
+def _named(shape) -> str:
+    return shape if type(shape) is str else shape_id(shape)
+
+
+@pytest.mark.parametrize("shape", [*SHAPES, "p431", "p2591", "set3", "p102"],
+                         ids=_named)
+def test_chain_matches_naive_schedule(shape, request, velu_steps):
+    """The balanced traversal quotients out the same point at every step
+    as a fresh scalar multiple would, on every shape and on p431, p2591,
+    set3 and p102: each recorded step's domain, kernel and codomain, the
+    chain's codomain and the image of the other side's basis are all
+    identical, for r in {0, 1, n - 1, seeded}."""
+    if type(shape) is str:
+        params = request.getfixturevalue(shape)
+        rng = det_rng(b"naive-chain/" + shape.encode())
+    else:
+        params, rng = shape_params(shape), det_rng(b"shape-chain")
+    E = params.curve
+    for own, other in map(params.sides, "AB"):
         G, H = own.basis
         ell, e, n = own.ell, own.e, own.n
         for r in (0, 1, n - 1, rng.randrange(n)):
@@ -61,7 +74,7 @@ def test_step_matches_the_oracle_step(shape):
         K = E.mul(n // ell, kernel_generator(E, G, rng.randrange(n), H))
         kernel = walk_kernel(E, K, ell)
         step = reference_step(E, K, ell)
-        assert velu_step(E, kernel) == step.codomain
+        assert velu_codomain(E, kernel) == step.codomain
         pts = [*shape.side_a.basis, *shape.side_b.basis,
                *(E.random_point(rng) for _ in range(4))]
         for P in pts:
@@ -115,7 +128,7 @@ def test_translate_takes_jacobian_inputs(shape):
 
 
 @pytest.mark.parametrize("shape", [*SHAPES, "p431", "p2591", "p102"],
-                         ids=lambda s: s if type(s) is str else shape_id(s))
+                         ids=_named)
 def test_chain_inverts_once_per_step(shape, request, counter):
     """One batched inversion per step, pushed points included: the
     kernel points [2]K, ..., [ell//2]K of ell >= 5 join that batch.  A

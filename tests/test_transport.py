@@ -2,6 +2,7 @@
 the CLI's socket helpers."""
 
 import threading
+import time
 
 import pytest
 
@@ -83,11 +84,10 @@ def test_parse_addr():
 
 def test_socket_echo_roundtrip():
     addr = ("127.0.0.1", 19473)
-    ready = threading.Event()
     result = {}
 
     def server():
-        stream = serve_one(addr, ready_event=ready)
+        stream = serve_one(addr)
         try:
             result["got"] = recv_frame(stream)
             send_frame(stream, b"echo:" + result["got"])
@@ -96,8 +96,15 @@ def test_socket_echo_roundtrip():
 
     th = threading.Thread(target=server, daemon=True)
     th.start()
-    assert ready.wait(5)
-    client = connect(addr)
+    deadline = time.monotonic() + 5
+    while True:    # connect is refused until the listener is up
+        try:
+            client = connect(addr)
+            break
+        except TransportError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
     try:
         send_frame(client, b"ping")
         assert recv_frame(client) == b"echo:ping"
