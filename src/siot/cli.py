@@ -67,9 +67,12 @@ def _arg_type(parse, prefix: str = ""):
 
 
 def parse_addr(addr: str) -> tuple[str, int]:
+    """(host, port) of ``host:port``, host 127.0.0.1 when empty.  Port 0
+    is refused: a listener would bind a port that nobody can dial."""
     host, sep, port = addr.rpartition(":")
-    if not sep or not port.isdigit() or int(port) > 65535:
-        raise ValueError(f"address must be host:port, got {addr!r}")
+    if not sep or not port.isdigit() or not 0 < int(port) <= 65535:
+        raise ValueError(f"address must be host:port with a port from 1 "
+                         f"to 65535, got {addr!r}")
     return host or "127.0.0.1", int(port)
 
 

@@ -7,15 +7,15 @@ here.  Below those methods a point has one form: a Jacobian triple
 (X, Y, Z) of (a, b) integer pairs standing for (X/Z^2, Y/Z^3), affine
 at Z = 1 and O at Z = 0, as ``jacobian`` makes it.  There is one group
 law, the steps at the end of this module on such triples: a doubling,
-a mixed addition of a point at Z = 1, a full addition and a tripling.
-``jac_mul`` builds [n]T from them, with a tripling for each factor 3
-of n, and ``jac_mul2`` builds [s]T + [t]U on one shared chain of
-doublings.  ``add`` takes one mixed addition, ``mul`` runs ``jac_mul``
-and ``mul2`` runs ``jac_mul2``.  Each converts back to a ``Point``
-once, in ``_affine``, so each makes one field inversion, and none when
-the result is O.  ``top_multiple`` and ``has_exact_order`` test only
+an addition, which skips the second point's Z powers when its Z is 1,
+and a tripling.  ``jac_mul`` builds [n]T from them, with a tripling
+for each factor 3 of n, and ``jac_mul2`` builds [s]T + [t]U on one
+shared chain of doublings.  ``add`` takes one addition, ``mul`` runs
+``jac_mul`` and ``mul2`` runs ``jac_mul2``.  Each converts back to a
+``Point`` once, in ``_affine``, so each makes one field inversion, and
+none when the result is O.  ``top_multiple`` and ``has_exact_order`` test only
 the Z of their multiples, and ``is_basis`` compares x-coordinates
-projectively, so none of them inverts.  The doubling and the mixed
+projectively, so none of them inverts.  The doubling and the
 addition also serve the Miller loop in ``pairing``, on the same
 triples, and the isogeny walk keeps its multiples Jacobian until a
 step brings them to Z = 1 in one batch.  The steps, ``_affine`` and
@@ -131,14 +131,14 @@ class EllipticCurve:
         return Point(P.x, -P.y)
 
     def add(self, P: Point, Q: Point) -> Point:
-        """P + Q for two points of this curve (not checked): one mixed
+        """P + Q for two points of this curve (not checked): one
         Jacobian addition of their triples at Z = 1.  One inversion,
         none when P + Q = O."""
         if P.infinity:
             return Q
         if Q.infinity:
             return P
-        return self._affine(jac_add_affine(
+        return self._affine(jac_add(
             jacobian(P), jacobian(Q), (self.A.a, self.A.b), self.ctx.p)[0])
 
     def sub(self, P: Point, Q: Point) -> Point:
@@ -286,7 +286,7 @@ class EllipticCurve:
         A nonzero S is in <R> exactly when it is [k]R or -[k]R for some
         1 <= k <= ell // 2, that is when x(S) = x([k]R).  The x are
         compared projectively, X_S * Z^2 = X * Z_S^2, against each [k]R
-        in turn, one full addition apart: at most ell // 2 comparisons.
+        in turn, one addition apart: at most ell // 2 comparisons.
         """
         if R[2] == (0, 0) or S[2] == (0, 0):
             return False
@@ -296,7 +296,7 @@ class EllipticCurve:
         T = R
         for k in range(1, ell // 2 + 1):
             if k > 1:
-                T = jac_add(T, R, A, p)
+                T = jac_add(T, R, A, p)[0]
             (txa, txb), _, (tza, tzb) = T
             t2a, t2b = (tza + tzb) * (tza - tzb) % p, 2 * tza * tzb % p
             if (sxa * t2a - sxb * t2b - txa * s2a + txb * s2b) % p == 0 and \
@@ -309,7 +309,7 @@ class EllipticCurve:
 #
 # A point is a triple (X, Y, Z) of pairs standing for (X/Z^2, Y/Z^3),
 # affine at Z = 1, and Z = 0 is the identity.  The doubling and the
-# mixed addition also return the numerator N of the slope N/Z' of their
+# addition also return the numerator N of the slope N/Z' of their
 # tangent or chord, Z' being the result's Z; the Miller loop builds its
 # line values from it.
 
@@ -345,22 +345,19 @@ def jac_mul(T, n: int, A, p: int):
     """[n]T for a Jacobian T and n >= 1.
 
     The part of n prime to 3 is taken by left-to-right double-and-add,
-    with mixed additions when T has Z = 1 and full ones otherwise; then
-    each factor 3 of n by one tripling, cheaper than the doubling and
-    addition it replaces.
+    then each factor 3 of n by one tripling, cheaper than the doubling
+    and addition it replaces.
     """
     if T[2] == (0, 0):
         return T
     k = 0
     while n % 3 == 0:
         n, k = n // 3, k + 1
-    affine = T[2] == (1, 0)
     R = T
     for bit in bin(n)[3:]:
         R = jac_double(R, A, p)[0]
         if bit == "1":
-            R = jac_add_affine(R, T, A, p)[0] if affine else \
-                jac_add(R, T, A, p)
+            R = jac_add(R, T, A, p)[0]
     for _ in range(k):
         R = jac_triple(R, A, p)
     return R
@@ -371,18 +368,16 @@ def jac_mul2(T, s: int, U, t: int, A, p: int):
     interleaving (Shamir's trick).
 
     One left-to-right chain of doublings serves both scalars: at each
-    bit it adds T, U or T + U, the last formed once, up front.  A point
-    with Z = 1 is added by mixed additions, any other by full ones.  A
-    zero scalar leaves a plain double-and-add of the other point, and
-    T = U, T = -U and an O among them are the additions' own cases.
+    bit it adds T, U or T + U, the last formed once, up front.  A zero
+    scalar leaves a plain double-and-add of the other point, and T = U,
+    T = -U and an O among them are the addition's own cases.
     """
     if s == 0 and t == 0:
         return JAC_INFINITY
     # the point of each bit pair (s_i, t_i), indexed s_i + 2 t_i
     table = [None, T, U, None]
     if s and t:
-        table[3] = jac_add(U, T, A, p) if T[2] != (1, 0) else \
-            jac_add_affine(U, T, A, p)[0]
+        table[3] = jac_add(U, T, A, p)[0]
     digits = [(s >> i & 1) | (t >> i & 1) << 1
               for i in range(max(s.bit_length(), t.bit_length()) - 1, -1, -1)]
     R = JAC_INFINITY
@@ -390,9 +385,7 @@ def jac_mul2(T, s: int, U, t: int, A, p: int):
         if i:
             R = jac_double(R, A, p)[0]
         if d:
-            V = table[d]
-            R = jac_add(R, V, A, p) if V[2] != (1, 0) else \
-                jac_add_affine(R, V, A, p)[0]
+            R = jac_add(R, table[d], A, p)[0]
     return R
 
 
@@ -422,70 +415,41 @@ def jac_double(T, A, p: int):
     return ((x3a, x3b), (y3a, y3b), (z3a, z3b)), (ma, mb)
 
 
-def jac_add_affine(T, P, A, p: int):
-    """(T + P, N) for a Jacobian T and a P with Z = 1, (x, y, 1); the
-    chord slope through T and P is N/Z(T + P).
-
-    T = O gives (P, None): there is no chord.  T = P is a doubling, and
-    T = -P gives Z = 0.  With H = xZ^2 - X and r = yZ^3 - Y:
-    X' = r^2 - H^3 - 2XH^2, Y' = r(XH^2 - X') - YH^3, Z' = ZH and N = r.
-    """
-    (x1a, x1b), (y1a, y1b), (z1a, z1b) = T
-    (xa, xb), (ya, yb), _ = P
-    if z1a == 0 and z1b == 0:
-        return P, None
-    zza, zzb = (z1a + z1b) * (z1a - z1b) % p, 2 * z1a * z1b % p
-    zca, zcb = (z1a * zza - z1b * zzb) % p, (z1a * zzb + z1b * zza) % p
-    ha = (xa * zza - xb * zzb - x1a) % p
-    hb = (xa * zzb + xb * zza - x1b) % p
-    ra = (ya * zca - yb * zcb - y1a) % p
-    rb = (ya * zcb + yb * zca - y1b) % p
-    if ha == 0 and hb == 0:
-        if ra == 0 and rb == 0:
-            return jac_double(T, A, p)
-        return ((1, 0), (1, 0), (0, 0)), (ra, rb)
-    hha, hhb = (ha + hb) * (ha - hb) % p, 2 * ha * hb % p
-    h3a, h3b = (ha * hha - hb * hhb) % p, (ha * hhb + hb * hha) % p
-    va, vb = (x1a * hha - x1b * hhb) % p, (x1a * hhb + x1b * hha) % p
-    x3a = ((ra + rb) * (ra - rb) - h3a - 2 * va) % p
-    x3b = (2 * (ra * rb - vb) - h3b) % p
-    da, db = va - x3a, vb - x3b
-    y3a = (ra * da - rb * db - (y1a * h3a - y1b * h3b)) % p
-    y3b = (ra * db + rb * da - (y1a * h3b + y1b * h3a)) % p
-    return (((x3a, x3b), (y3a, y3b),
-             ((z1a * ha - z1b * hb) % p, (z1a * hb + z1b * ha) % p)),
-            (ra, rb))
-
-
 def jac_add(T, U, A, p: int):
-    """T + U for two Jacobian points; unlike the steps above it returns
-    no slope, for no Miller loop takes it.
+    """(T + U, N) for two Jacobian points; the chord slope through T and
+    U is N/Z(T + U).
 
-    O on either side gives the other; T = U is a doubling and T = -U
-    gives Z = 0.  With U1 = X1*Z2^2, U2 = X2*Z1^2, S1 = Y1*Z2^3,
-    S2 = Y2*Z1^3, H = U2 - U1 and r = S2 - S1: X' = r^2 - H^3 - 2*U1*H^2,
-    Y' = r(U1*H^2 - X') - S1*H^3 and Z' = Z1*Z2*H.
+    O on either side gives the other, with no chord: N is None.  T = U
+    is a doubling and T = -U gives Z = 0.  With U1 = X1*Z2^2,
+    U2 = X2*Z1^2, S1 = Y1*Z2^3, S2 = Y2*Z1^3, H = U2 - U1 and
+    r = S2 - S1: X' = r^2 - H^3 - 2*U1*H^2, Y' = r(U1*H^2 - X') - S1*H^3,
+    Z' = Z1*Z2*H and N = r.  When Z2 = 1 the powers of Z2 are skipped,
+    which leaves the mixed addition of Cohen, Miyaji and Ono.
     """
     (x1a, x1b), (y1a, y1b), (z1a, z1b) = T
     (x2a, x2b), (y2a, y2b), (z2a, z2b) = U
     if z1a == 0 and z1b == 0:
-        return U
+        return U, None
     if z2a == 0 and z2b == 0:
-        return T
+        return T, None
     s1a, s1b = (z1a + z1b) * (z1a - z1b) % p, 2 * z1a * z1b % p
-    s2a, s2b = (z2a + z2b) * (z2a - z2b) % p, 2 * z2a * z2b % p
-    u1a, u1b = (x1a * s2a - x1b * s2b) % p, (x1a * s2b + x1b * s2a) % p
-    u2a, u2b = (x2a * s1a - x2b * s1b) % p, (x2a * s1b + x2b * s1a) % p
-    c2a, c2b = (z2a * s2a - z2b * s2b) % p, (z2a * s2b + z2b * s2a) % p
     c1a, c1b = (z1a * s1a - z1b * s1b) % p, (z1a * s1b + z1b * s1a) % p
-    v1a, v1b = (y1a * c2a - y1b * c2b) % p, (y1a * c2b + y1b * c2a) % p
-    ha, hb = (u2a - u1a) % p, (u2b - u1b) % p
+    if z2a == 1 and z2b == 0:
+        u1a, u1b, v1a, v1b, zza, zzb = x1a, x1b, y1a, y1b, z1a, z1b
+    else:
+        s2a, s2b = (z2a + z2b) * (z2a - z2b) % p, 2 * z2a * z2b % p
+        u1a, u1b = (x1a * s2a - x1b * s2b) % p, (x1a * s2b + x1b * s2a) % p
+        c2a, c2b = (z2a * s2a - z2b * s2b) % p, (z2a * s2b + z2b * s2a) % p
+        v1a, v1b = (y1a * c2a - y1b * c2b) % p, (y1a * c2b + y1b * c2a) % p
+        zza, zzb = (z1a * z2a - z1b * z2b) % p, (z1a * z2b + z1b * z2a) % p
+    ha = (x2a * s1a - x2b * s1b - u1a) % p
+    hb = (x2a * s1b + x2b * s1a - u1b) % p
     ra = (y2a * c1a - y2b * c1b - v1a) % p
     rb = (y2a * c1b + y2b * c1a - v1b) % p
     if ha == 0 and hb == 0:
         if ra == 0 and rb == 0:
-            return jac_double(T, A, p)[0]
-        return JAC_INFINITY
+            return jac_double(T, A, p)
+        return JAC_INFINITY, (ra, rb)
     hha, hhb = (ha + hb) * (ha - hb) % p, 2 * ha * hb % p
     h3a, h3b = (ha * hha - hb * hhb) % p, (ha * hhb + hb * hha) % p
     va, vb = (u1a * hha - u1b * hhb) % p, (u1a * hhb + u1b * hha) % p
@@ -494,9 +458,9 @@ def jac_add(T, U, A, p: int):
     da, db = va - x3a, vb - x3b
     y3a = (ra * da - rb * db - (v1a * h3a - v1b * h3b)) % p
     y3b = (ra * db + rb * da - (v1a * h3b + v1b * h3a)) % p
-    zza, zzb = (z1a * z2a - z1b * z2b) % p, (z1a * z2b + z1b * z2a) % p
-    return ((x3a, x3b), (y3a, y3b),
-            ((zza * ha - zzb * hb) % p, (zza * hb + zzb * ha) % p))
+    return (((x3a, x3b), (y3a, y3b),
+             ((zza * ha - zzb * hb) % p, (zza * hb + zzb * ha) % p)),
+            (ra, rb))
 
 
 def jac_triple(T, A, p: int):

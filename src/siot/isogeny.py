@@ -15,16 +15,14 @@ A step's kernel is written as one point Q per pair +-Q of its nonzero
 points: -Q has Q's x, so it adds the same terms to the codomain sums
 and shares Q's chord denominators, and it is Q itself when y_Q = 0.
 ``velu_step`` takes such a list, affine, from a curve's coefficient
-pairs (A, B) to the codomain's.  One
-straight-line pass, ``_translate``, maps a whole list of points through
-the step at once: every translate's chord slope needs 1/(x_Q - x_P),
-and all of those are inverted together with one field inversion, by
-Montgomery's trick written inline: each value joins a running product
-as it is formed, and one backward sweep peels the inverses off.  Its
-points and kernel points may be Jacobian: their Z join the same
-product, and each denominator is written projectively.  A point whose
-x is a kernel x is itself a kernel point and maps to the identity.
-``evaluate`` maps one ``Point`` through it.
+pairs (A, B) to the codomain's.  One straight-line pass,
+``_translate``, maps a whole list of points through the step at once:
+every translate's chord slope needs 1/(x_Q - x_P), and all of those are
+inverted together, by one ``field.inv_batch`` and so one field
+inversion.  Its points and kernel points may be Jacobian: their Z join
+the same batch, and each denominator is written projectively.  A point
+whose x is a kernel x is itself a kernel point and maps to the
+identity.  ``evaluate`` maps one ``Point`` through it.
 The translate loop and the codomain sums are straight-line arithmetic
 on integers: points are ``curve``'s Jacobian triples of (a, b) pairs,
 and a curve is its coefficient pairs.
@@ -44,7 +42,7 @@ from __future__ import annotations
 from .curve import (JAC_INFINITY, EllipticCurve, Point, jac_add, jac_mul,
                     jac_normalize, jacobian, unit_point)
 from .errors import InvalidKernelError
-from .field import Fp2
+from .field import Fp2, inv_batch
 
 
 def kernel_generator(E: EllipticCurve, P: Point, r: int, Q: Point) -> Point:
@@ -90,25 +88,19 @@ def _translate(ctx, kernel, points):
     Z = 1.  Each chord denominator is written projectively, as
     x_Q - x_P = (X_Q*Z_P^2 - X_P*Z_Q^2) / (Z_Q^2*Z_P^2).
 
-    The inversion is Montgomery's trick, inline.  Every Z other than 1
-    and every chord denominator joins a running product as it is
-    formed, kept with the product before it: the kernel's Z first, then
-    each point's Z and its denominators.  After one ``Fp2.inv`` of the
-    whole product, one backward sweep peels each inverse off, and they
-    are popped from its end in the order the factors went in.
+    Every Z other than 1 and every chord denominator is inverted by one
+    ``inv_batch``, in the order they are formed: the kernel's Z first,
+    then each point's Z and its denominators.
     """
     p = ctx.p
-    ra = rb = None               # the running product, None while empty
-    batch = []                   # each factor with the product before it
+    factors = []                 # each value to invert, in order
     qs = []                      # each Q's X, Y and Z^2, None when Z_Q = 1
     for X, Y, Z in kernel:
         zq = None
         if Z != (1, 0):
             za, zb = Z
             zq = (za + zb) * (za - zb) % p, 2 * za * zb % p
-            batch.append((za, zb, ra, rb))
-            ra, rb = Z if ra is None else \
-                ((ra * za - rb * zb) % p, (ra * zb + rb * za) % p)
+            factors.append(Z)
         qs.append((X, Y, zq))
     live = []                    # each P that maps off O, with Z_P^2
     for i, (X, Y, Z) in enumerate(points):
@@ -130,37 +122,25 @@ def _translate(ctx, kernel, points):
             ds.append(((ua - va) % p, (ub - vb) % p))
         if (0, 0) in ds:         # a kernel point
             continue
-        for da, db in ds:
-            batch.append((da, db, ra, rb))
-            ra, rb = (da, db) if ra is None else \
-                ((ra * da - rb * db) % p, (ra * db + rb * da) % p)
+        factors += ds
         live.append((i, X, Y, zp))
-    invs = []                    # each factor's inverse, the last first
-    if batch:
-        inv = Fp2(ctx, ra, rb).inv()
-        ra, rb = inv.a, inv.b
-        for da, db, pa, pb in reversed(batch):
-            if pa is None:
-                invs.append((ra, rb))
-            else:
-                invs.append(((ra * pa - rb * pb) % p, (ra * pb + rb * pa) % p))
-                ra, rb = (ra * da - rb * db) % p, (ra * db + rb * da) % p
+    invs = iter(inv_batch(ctx, factors))
     affine = []                  # the kernel at Z = 1, returned
     shifts = []                  # each x_Q with the y of Q and of -Q
     for X, Y, zq in qs:
         if zq is not None:
-            X, Y, _ = jac_normalize((X, Y, None), invs.pop(), p)
+            X, Y, _ = jac_normalize((X, Y, None), next(invs), p)
         affine.append((X, Y, (1, 0)))
         shifts.append((X, (Y,) if Y == (0, 0) else (Y, (-Y[0], -Y[1])), zq))
     images = [JAC_INFINITY] * len(points)
     for i, X, Y, zp in live:
         if zp is not None:
-            X, Y, _ = jac_normalize((X, Y, None), invs.pop(), p)
+            X, Y, _ = jac_normalize((X, Y, None), next(invs), p)
         (xpa, xpb), (ypa, ypb) = X, Y
         xa, xb, ya, yb = xpa, xpb, ypa, ypb
         for (xqa, xqb), ys, zq in shifts:
             # 1/(x_Q - x_P): Z_Q^2*Z_P^2 over the projective difference
-            ia, ib = invs.pop()
+            ia, ib = next(invs)
             if zq is not None:
                 ia, ib = (ia * zq[0] - ib * zq[1]) % p, \
                     (ia * zq[1] + ib * zq[0]) % p
@@ -239,7 +219,7 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
                 f"kernel generator must have exact order {n}")
         kernel = [T]
         for _ in range(ell // 2 - 1):
-            kernel.append(jac_add(kernel[-1], T, A, p))
+            kernel.append(jac_add(kernel[-1], T, A, p)[0])
         kernel, images = _translate(ctx, kernel, stack + pushed)
         A, B = velu_step(A, B, kernel, p)
         step += 1

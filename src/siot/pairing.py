@@ -23,9 +23,9 @@ coordinates and its value as a numerator and a denominator, and returns
 the two; each line and vertical value is a nonzero multiple of the
 affine one, so the zero and pole tests, and with them every retry, are
 those of the affine loop.  The two shifted evaluation points come from
-mixed additions brought to affine by one batched inversion, and the
-pairing cross-multiplies the four fractions and divides once: two
-inversions a pairing.
+additions of points at Z = 1, brought to affine by one batched
+inversion, and the pairing cross-multiplies the four fractions and
+divides once: two inversions a pairing.
 
 Points enter ``weil_pairing`` once, and only its value leaves as an
 ``Fp2``.  In between every point has the one form of ``curve``'s
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from itertools import count
 
-from .curve import (EllipticCurve, Point, jac_add_affine, jac_double,
+from .curve import (EllipticCurve, Point, jac_add, jac_double,
                     jac_normalize, jacobian)
 from .field import Fp2, inv_batch, pow_pair
 from .util import expand
@@ -116,7 +116,7 @@ def miller_function(E: EllipticCurve, P, n: int, X):
                 raise _Degenerate
             T = P
         elif bit == "1":
-            T2, N = jac_add_affine(T, P, A, p)
+            T2, N = jac_add(T, P, A, p)
             T, f = T2, _times_line(f, T, T2, N, X, p)
     return f[:2], f[2:]
 
@@ -163,7 +163,7 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> Fp2:
 
     for an auxiliary point S avoiding all zeros and poles.  P and Q are
     unpacked once; every point after that is a Jacobian triple.  Q + S
-    and P - S are mixed additions brought to affine by one batched
+    and P - S are Jacobian additions brought to affine by one batched
     inversion, and the draw is retried when either is O.  The four
     Miller values are fractions, cross-multiplied into one, and its
     division is the only other inversion: its denominator is a product
@@ -182,8 +182,8 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> Fp2:
         S = _aux_point(E, P, Q, n, attempt)
         sx, (sya, syb), sz = S
         negS = sx, (-sya % p, -syb % p), sz
-        T1 = jac_add_affine(Q, S, A, p)[0]
-        T2 = jac_add_affine(P, negS, A, p)[0]
+        T1 = jac_add(Q, S, A, p)[0]
+        T2 = jac_add(P, negS, A, p)[0]
         if T1[2] == (0, 0) or T2[2] == (0, 0):
             continue                 # no Miller function is evaluated at O
         z1, z2 = inv_batch(ctx, [T1[2], T2[2]])

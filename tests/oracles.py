@@ -3,10 +3,9 @@ against.  Everything here is deliberately naive: linear-time Miller
 loops, repeated-addition scalar multiples, pure-integer affine curve
 arithmetic, an isogeny chain with a fresh scalar multiple per step.
 None of it imports the package's pairing internals, and, but for the
-subgroup enumeration below and the pairing extras at the end, none of
-it adds points with the package's group law: the oracles that need a
-sum take it from ``affine_add``, the chord-tangent law on ``Fp2``
-values.
+pairing extras at the end, none of it adds points with the package's
+group law: the oracles that need a sum take it from ``affine_add``, the
+chord-tangent law on ``Fp2`` values.
 
 Some are the package's own earlier code, kept as oracles when a faster
 one replaced it: the affine group law (``affine_add``), which the
@@ -43,10 +42,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from siot.curve import (INFINITY, EllipticCurve, Point, jac_add_affine,
-                        jac_normalize, jacobian, unit_point)
+from siot.curve import INFINITY, EllipticCurve, Point, jacobian, unit_point
 from siot.errors import InvalidKernelError, UnsupportedParameterError
-from siot.field import Fp2, inv_batch
+from siot.field import Fp2
 from siot.isogeny import (_translate, isogeny_chain, kernel_generator,
                           velu_step)
 from siot.pairing import weil_pairing
@@ -61,17 +59,22 @@ def affine_add(E: EllipticCurve, P: Point, Q: Point) -> Point:
         return Q
     if Q.infinity:
         return P
-    if P.x == Q.x:
-        if P.y == -Q.y:          # includes the y = 0 doubling case
-            return INFINITY
-        # tangent slope (3x^2 + A) / 2y
-        num = E.ctx.elem(3) * P.x * P.x + E.A
-        slope = num * (E.ctx.elem(2) * P.y).inv()
-    else:
-        slope = (Q.y - P.y) * (Q.x - P.x).inv()
+    if P.x == Q.x and P.y == -Q.y:   # includes the y = 0 doubling case
+        return INFINITY
+    slope = affine_slope(E, P, Q)
     x3 = slope * slope - P.x - Q.x
     y3 = slope * (P.x - x3) - P.y
     return Point(x3, y3)
+
+
+def affine_slope(E: EllipticCurve, P: Point, Q: Point) -> Fp2:
+    """The slope of the chord through P and Q, or of the tangent
+    (3x^2 + A) / 2y at P = Q, for points of E other than O whose sum is
+    not O."""
+    if P.x == Q.x:
+        num = E.ctx.elem(3) * P.x * P.x + E.A
+        return num * (E.ctx.elem(2) * P.y).inv()
+    return (Q.y - P.y) * (Q.x - P.x).inv()
 
 
 def naive_mul(E: EllipticCurve, k: int, P: Point) -> Point:
@@ -277,41 +280,18 @@ class VeluStep:
 
 def cyclic_subgroup(E: EllipticCurve, K: Point, n: int) -> tuple[Point, ...]:
     """The n - 1 nonzero points [1]K, ..., [n-1]K of <K>, for K of exact
-    order n.
-
-    [i]K is walked in Jacobian coordinates up to i = n - 1.  No Z may
-    vanish on the way, and [n-1]K must be -K, which is [n]K = O.  Since
-    [n-i]K = -[i]K, only the points with 2 <= i <= n/2 are brought to
-    affine, by one batched inversion; for n <= 3 there are none, and
-    nothing is inverted.
-    """
+    order n, by repeated ``affine_add``.  No [i]K before [n]K may be O,
+    and [n-1]K must be -K, which is [n]K = O."""
     if K.infinity:
         raise InvalidKernelError(f"generator order divides {n} improperly")
-    A, p = (E.A.a, E.A.b), E.ctx.p
-    T = K1 = jacobian(K)
-    (xa, xb), (ya, yb), _ = K1
-    half = []
-    for i in range(2, n):
-        T = jac_add_affine(T, K1, A, p)[0]
-        if T[2] == (0, 0):
-            raise InvalidKernelError(f"generator order divides {n} improperly")
-        if i <= n // 2:
-            half.append(T)
-    # [n]K = O when [n-1]K = (X, Y, Z) is -K = (x*Z^2, -y*Z^3, Z)
-    X, Y, (za, zb) = T
-    zza, zzb = (za + zb) * (za - zb) % p, 2 * za * zb % p
-    zca, zcb = (zza * za - zzb * zb) % p, (zza * zb + zzb * za) % p
-    if n < 2 or (X, Y) != (((xa * zza - xb * zzb) % p,
-                            (xa * zzb + xb * zza) % p),
-                           ((yb * zcb - ya * zca) % p,
-                            (-ya * zcb - yb * zca) % p)):
-        raise InvalidKernelError(f"generator does not have order {n}")
     pts = [K]
-    if half:
-        invs = inv_batch(E.ctx, [T[2] for T in half])
-        pts += [unit_point(E.ctx, jac_normalize(T, zi, p))
-                for T, zi in zip(half, invs)]
-    return tuple(pts + [E.neg(Q) for Q in reversed(pts[:(n - 1) // 2])])
+    for _ in range(2, n):
+        pts.append(affine_add(E, pts[-1], K))
+        if pts[-1].infinity:
+            raise InvalidKernelError(f"generator order divides {n} improperly")
+    if n < 2 or pts[-1] != E.neg(K):
+        raise InvalidKernelError(f"generator does not have order {n}")
+    return tuple(pts)
 
 
 def reference_step(E: EllipticCurve, K: Point, ell: int) -> VeluStep:

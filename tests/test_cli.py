@@ -236,7 +236,10 @@ def test_malformed_addresses_exit_four(tmp_path, capsys):
     for argv in (["send", "--connect", "nohostport", "--msg0", m0,
                   "--msg1", m1],
                  ["receive", "--listen", ":notaport", "--choice", "0"],
-                 ["receive", "--listen", "127.0.0.1:65536", "--choice", "0"]):
+                 ["receive", "--listen", "127.0.0.1:65536", "--choice", "0"],
+                 ["receive", "--listen", "127.0.0.1:0", "--choice", "0"],
+                 ["send", "--connect", "127.0.0.1:0", "--msg0", m0,
+                  "--msg1", m1]):
         assert main([*argv, "--preset", "p431"]) == 4
         assert "address must be host:port" in capsys.readouterr().err
 
@@ -376,16 +379,19 @@ def test_listen_on_a_held_port_is_transport_error(capsys):
 
 def test_listener_nobody_dials_is_transport_error(monkeypatch, capsys):
     """A listener that no sender dials gives up when its accept times
-    out: exit 3.  The 30 s timeout is cut to 50 ms for the test."""
+    out: exit 3.  The 30 s timeout is cut to 50 ms for the test, and the
+    port is one the test bound and released."""
     import socket
 
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        addr = "127.0.0.1:%d" % probe.getsockname()[1]
     settimeout = socket.socket.settimeout
     monkeypatch.setattr(socket.socket, "settimeout",
                         lambda self, seconds: settimeout(self, 0.05))
-    assert main(["receive", "--preset", "p431", "--listen", "127.0.0.1:0",
+    assert main(["receive", "--preset", "p431", "--listen", addr,
                  "--choice", "0"]) == 3
     assert capsys.readouterr().err == \
-        "transport error: accept on 127.0.0.1:0 failed: timed out\n"
+        f"transport error: accept on {addr} failed: timed out\n"
 
 
 class _BrokenPipeStdout(_ClosedStdout):

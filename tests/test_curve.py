@@ -3,10 +3,10 @@ arithmetic and literal repeated addition."""
 
 import pytest
 
-from oracles import (SHAPES, affine_add, all_points, ec_add_fp, ec_mul_fp,
-                     is_torsion_basis, multiplicative_order, naive_mul,
-                     naive_order, pairs_with_verdicts, reference_step,
-                     shape_id, shape_params)
+from oracles import (SHAPES, affine_add, affine_slope, all_points, ec_add_fp,
+                     ec_mul_fp, is_torsion_basis, multiplicative_order,
+                     naive_mul, naive_order, pairs_with_verdicts,
+                     reference_step, shape_id, shape_params)
 from siot import det_rng, gen_params
 from siot.curve import (INFINITY, JAC_INFINITY, EllipticCurve, Point, jac_add,
                         jac_mul, jac_mul2, jac_triple)
@@ -224,10 +224,13 @@ def _lift(P, z):
 
 
 def test_jacobian_steps_match_the_oracle_exhaustively():
-    """The full addition, the tripling, ``jac_mul`` and ``jac_mul2``
-    from bases with Z != 1, against the chord-tangent oracle for every
-    point (pair) of the two F_{11^2} curves above, O and 2- and
-    3-torsion included."""
+    """The addition, the tripling, ``jac_mul`` and ``jac_mul2`` from
+    bases with Z != 1, and the addition with a second point at Z = 1
+    too, against the chord-tangent oracle for every point
+    (pair) of the two F_{11^2} curves above, O and 2- and 3-torsion
+    included.  The addition's slope numerator N gives the oracle's chord
+    or tangent slope as N / Z(T + U) whenever the sum is not O, and is
+    None when either point is O."""
     ctx = FieldContext(11)
     E = EllipticCurve(ctx.elem(1), ctx.elem(0))
     E2 = reference_step(E, Point(ctx.elem(0, 1), ctx.zero()), 2).codomain
@@ -243,9 +246,16 @@ def test_jacobian_steps_match_the_oracle_exhaustively():
                     == naive_mul(curve, k, P), (P, k)
             fives = naive_mul(curve, 5, P)
             for Q in pts:
+                want = affine_add(curve, P, Q)
                 U = _lift(Q, ctx.elem(4, 1))
-                assert curve._affine(jac_add(T, U, A, p)) \
-                    == affine_add(curve, P, Q), (P, Q)
+                for V in (U, _lift(Q, ctx.one())):
+                    S, N = jac_add(T, V, A, p)
+                    assert curve._affine(S) == want, (P, Q)
+                    if P.infinity or Q.infinity:
+                        assert N is None, (P, Q)
+                    elif not want.infinity:
+                        assert ctx.elem(*N) * ctx.elem(*S[2]).inv() \
+                            == affine_slope(curve, P, Q), (P, Q)
                 assert curve._affine(jac_mul2(T, 5, U, 3, A, p)) \
                     == affine_add(curve, fives, threes[Q]), (P, Q)
 

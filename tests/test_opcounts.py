@@ -132,7 +132,7 @@ def test_p431_session_op_counts(counter):
     invert nothing.  Each kernel and mask point is one joint
     multiplication at one inversion, and the sender forms no mask
     point, so no affine addition is left: the certificate pairing's two
-    evaluation points are its own mixed additions.  (inv, add) was
+    evaluation points are its own Jacobian additions.  (inv, add) was
     (45, 13) when the sender built the shifted key's points and each
     kernel took a multiplication and an addition.  The certificate
     pairs the multiples of order 2 that proved the receiver pair's
@@ -173,22 +173,14 @@ def test_p431_session_builds_few_objects(counter, p431):
 
 def test_p102_session_jacobian_steps(counter, p102):
     """A clean session at 2^51*3^32 - 1, per bit: the Jacobian doublings,
-    mixed additions, full additions and triplings of ``siot.curve``
-    (the Miller loop's own steps, in ``siot.pairing``, are not
-    counted).  Every kernel and mask point shares one chain of
-    doublings between its two scalars, and the sender forms no mask
-    point.  When each scalar had its own chain, a session took
-    (1043, 226, 0, 226) for bit 0 and (1043, 228, 0, 226) for bit 1.
-    The full additions add a stored sum of the two points, which is
-    Jacobian, to a chain.  For bit 1 the receiver forms its shifted
-    pair directly, by the two joint multiplications of I - M, where it
-    formed (U, V) and subtracted: (860, 186, 8, 226) then.  The
-    certificate pairing's two evaluation points were ``EllipticCurve``
-    additions, two more mixed additions here, until they became the
-    pairing's own."""
-    for b, want in ((0, (860, 182, 8, 226)), (1, (856, 170, 13, 226))):
+    additions and triplings of ``siot.curve`` (the Miller loop's own
+    steps, in ``siot.pairing``, are not counted).  Every kernel and mask
+    point shares one chain of doublings between its two scalars, and the
+    sender forms no mask point.  For bit 1 the receiver forms its shifted
+    pair directly, by the two joint multiplications of I - M."""
+    for b, want in ((0, (860, 190, 226)), (1, (856, 183, 226))):
         steps = [counter(siot.curve, name) for name in (
-            "jac_double", "jac_add_affine", "jac_add", "jac_triple")]
+            "jac_double", "jac_add", "jac_triple")]
         out = run_local(SessionConfig(p102, seed=b"golden-p102", b=b,
                                       x0=b"zero", x1=b"one"))
         assert out["restarts"] == 0

@@ -77,7 +77,7 @@ def test_parse_addr():
     assert parse_addr("127.0.0.1:9000") == ("127.0.0.1", 9000)
     assert parse_addr("localhost:80") == ("localhost", 80)
     assert parse_addr(":65535") == ("127.0.0.1", 65535)
-    for bad in ("no-port", "host:", "host:abc", ":", "host:65536"):
+    for bad in ("no-port", "host:", "host:abc", ":", "host:65536", ":0"):
         with pytest.raises(ValueError):
             parse_addr(bad)
 
