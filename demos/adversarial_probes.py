@@ -71,7 +71,7 @@ def probe_brute_force(params) -> None:
 
 def probe_baseline(_) -> None:
     banner("4. classical-group baseline OT, same shape, old assumptions")
-    print(f"group: order-{Q} subgroup of a curve over F_{CURVE.A.ctx.p}")
+    print(f"group: order-{Q} subgroup of a curve over F_{CURVE.ctx.p}")
     for b in (0, 1):
         art = run_baseline_local(b, b"message zero", b"message one!",
                                  seed=b"probe-4/%d" % b)

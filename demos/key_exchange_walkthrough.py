@@ -5,7 +5,9 @@ curve, both torsion bases, each party's secret walk, the exchanged
 public triples, and the matching j-invariants at the end.
 """
 
-from siot import derive_shared_j, det_rng, keygen, preset, validate_public
+from siot import (Fp2, derive_shared_j, det_rng, keygen, preset,
+                  validate_public)
+from siot.curve import point_text
 from siot.errors import InvalidPointError
 
 
@@ -17,10 +19,12 @@ def banner(text: str) -> None:
 
 
 def show_public(name, pub):
+    E = pub.curve
+    A, B = Fp2(E.ctx, *E.A), Fp2(E.ctx, *E.B)
     print(f"{name} sends the codomain curve and two pushed basis points:")
-    print(f"  curve : y^2 = x^3 + ({pub.curve.A})x + ({pub.curve.B})")
-    print(f"  G     : {pub.G}")
-    print(f"  H     : {pub.H}")
+    print(f"  curve : y^2 = x^3 + ({A})x + ({B})")
+    print(f"  G     : {point_text(pub.G)}")
+    print(f"  H     : {point_text(pub.H)}")
 
 
 def main() -> None:
@@ -34,7 +38,7 @@ def main() -> None:
     for side in ("A", "B"):
         own, _ = params.sides(side)
         P, Q = own.basis
-        print(f"side {side} basis  : {P}  /  {Q}")
+        print(f"side {side} basis  : {point_text(P)}  /  {point_text(Q)}")
 
     rng = det_rng(b"walkthrough")
     banner("Secret walks")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .curve import EllipticCurve, Point
+from .curve import EllipticCurve
 from .errors import (DecryptionError, InconsistentKeyError,
                      InvalidPointError, UnsupportedParameterError)
 from .field import Fp2
@@ -137,8 +137,7 @@ def distinguisher_fixture(params: PublicParams, rng, b: int = 1,
     return mask_public(coeffs, kp.public, b, n), coeffs
 
 
-def same_cyclic_subgroup(E: EllipticCurve, K1: Point, K2: Point,
-                         ell: int, e: int) -> bool:
+def same_cyclic_subgroup(E: EllipticCurve, K1, K2, ell: int, e: int) -> bool:
     """Whether K1 and K2, two ell^e-torsion points of E, both have exact
     order n = ell^e and generate the same subgroup.
 

@@ -17,9 +17,9 @@ transcript; no session path imports this module.
 
 from __future__ import annotations
 
-from .curve import EllipticCurve, Point
+from .curve import EllipticCurve
 from .errors import ProtocolAbort
-from .field import FieldContext
+from .field import FieldContext, Fp2
 from .sidh import point_to_obj
 from .siot import DIRECTION, SESSION_ID_LEN
 from .util import det_rng, open_sealed, seal, sub_seed, tagged_hash
@@ -30,29 +30,29 @@ from .wire import Transcript, WireMessage
 # generates the prime-order-3329 subgroup.  Cofactor 3 is deliberate:
 # refusal paths need off-subgroup points to exist.
 _F = FieldContext(10007)
-CURVE = EllipticCurve(_F.elem(1), _F.elem(9))
-BASE = CURVE.point(_F.elem(6700), _F.elem(3970))
+CURVE = EllipticCurve(_F, (1, 0), (9, 0))
+BASE = CURVE.point((6700, 0), (3970, 0))
 Q = 3329
 COFACTOR = 3
 
 
-def in_group(P: Point) -> bool:
-    return CURVE.is_on_curve(P) and CURVE.mul(Q, P).infinity
+def in_group(P) -> bool:
+    return CURVE.is_on_curve(P) and CURVE.mul(Q, P)[2] == (0, 0)
 
 
-def _require(P: Point, who: str) -> None:
+def _require(P, who: str) -> None:
     if not in_group(P):
         raise ProtocolAbort("refused-point",
                             f"{who} point outside the prime-order subgroup")
 
 
-def _encode(P: Point) -> bytes:
-    if P.infinity:
+def _encode(P) -> bytes:
+    if P[2] == (0, 0):
         return b"\x00"
-    return b"\x04" + P.x.encode() + P.y.encode()
+    return b"\x04" + Fp2(_F, *P[0]).encode() + Fp2(_F, *P[1]).encode()
 
 
-def _key(S: Point, R: Point, P: Point) -> bytes:
+def _key(S, R, P) -> bytes:
     # the hash is bound to the session's (S, R) pair
     return tagged_hash("baseline-key", _encode(S), _encode(R), _encode(P))
 
@@ -65,7 +65,7 @@ def bo_sender_setup(rng):
     return y, S, T
 
 
-def bo_receiver_round(S: Point, b: int, rng, x: int | None = None):
+def bo_receiver_round(S, b: int, rng, x: int | None = None):
     """Blinded response R = [b]S + [x]B and the receiver's key H([x]S)."""
     if b not in (0, 1):
         raise ValueError("choice bit must be 0 or 1")
@@ -77,7 +77,7 @@ def bo_receiver_round(S: Point, b: int, rng, x: int | None = None):
     return x, R, k_b
 
 
-def bo_sender_keys(y: int, S: Point, T: Point, R: Point):
+def bo_sender_keys(y: int, S, T, R):
     """Both candidate keys k_j = H([y]R - [j]T); exactly one matches."""
     _require(R, "receiver")
     yR = CURVE.mul(y, R)
@@ -95,10 +95,11 @@ def run_baseline_local(b: int, m0: bytes, m1: bytes, seed=None) -> dict:
     y, S, T = bo_sender_setup(rng_s)
     transcript = Transcript()
     transcript.append(DIRECTION["sender"], WireMessage(
-        "baseline-setup", sid, {"s": point_to_obj(S), "t": point_to_obj(T)}))
+        "baseline-setup", sid,
+        {"s": point_to_obj(_F, S), "t": point_to_obj(_F, T)}))
     x, R, k_b = bo_receiver_round(S, b, rng_r)
     transcript.append(DIRECTION["receiver"], WireMessage(
-        "baseline-response", sid, {"r": point_to_obj(R)}))
+        "baseline-response", sid, {"r": point_to_obj(_F, R)}))
     k0, k1 = bo_sender_keys(y, S, T, R)
     d0, d1 = seal(k0, m0), seal(k1, m1)
     transcript.append(DIRECTION["sender"], WireMessage(

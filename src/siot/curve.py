@@ -1,27 +1,26 @@
 """Short-Weierstrass curves y^2 = x^3 + Ax + B over F_{p^2}.
 
-``EllipticCurve``'s methods take and return affine ``Point``s with an
-explicit infinity marker; the group law, j-invariants, point and
-torsion-basis sampling, the exact-order test and the basis test live
-here.  Below those methods a point has one form: a Jacobian triple
-(X, Y, Z) of (a, b) integer pairs standing for (X/Z^2, Y/Z^3), affine
-at Z = 1 and O at Z = 0, as ``jacobian`` makes it.  There is one group
-law, the steps at the end of this module on such triples: a doubling,
-an addition, which skips the second point's Z powers when its Z is 1,
-and a tripling.  ``jac_mul`` builds [n]T from them, with a tripling
-for each factor 3 of n, and ``jac_mul2`` builds [s]T + [t]U on one
-shared chain of doublings.  ``add`` takes one addition, ``mul`` runs
-``jac_mul`` and ``mul2`` runs ``jac_mul2``.  Each converts back to a
-``Point`` once, in ``_affine``, so each makes one field inversion, and
-none when the result is O.  ``top_multiple`` and ``has_exact_order`` test only
-the Z of their multiples, and ``is_basis`` compares x-coordinates
-projectively, so none of them inverts.  The doubling and the
-addition also serve the Miller loop in ``pairing``, on the same
-triples, and the isogeny walk keeps its multiples Jacobian until a
-step brings them to Z = 1 in one batch.  The steps, ``_affine`` and
-the on-curve test are straight-line integer arithmetic; the on-curve
-test reads x^3 + Ax + B from ``rhs_pair`` as an integer pair, as the
-pairing's auxiliary draw does.
+A curve holds A and B as reduced (a, b) integer pairs, a + b*i, and a
+point has one form: a Jacobian triple (X, Y, Z) of such pairs standing
+for (X/Z^2, Y/Z^3).  ``EllipticCurve``'s methods take and return it
+affine at Z = 1, with O the one constant ``INFINITY`` (Z = 0), and
+``point_text`` writes it as refusals print it.  The group law,
+j-invariants, point and torsion-basis sampling, the exact-order test
+and the basis test live here.  There is one group law, the steps at
+the end of this module: a doubling, an addition, which skips the
+second point's Z powers when its Z is 1, and a tripling.  ``jac_mul``
+builds [n]T from them, with a tripling for each factor 3 of n, and
+``jac_mul2`` builds [s]T + [t]U on one shared chain of doublings.
+``add`` takes one addition, ``mul`` runs ``jac_mul`` and ``mul2`` runs
+``jac_mul2``.  Each brings its result to Z = 1 once, in ``_affine``,
+so each makes one field inversion, and none when the result is O.
+``top_multiple`` and ``has_exact_order`` test only the Z of their
+multiples, and ``is_basis`` compares x-coordinates projectively, so
+none of them inverts.  The doubling and the addition also serve the
+Miller loop in ``pairing``, and the isogeny walk keeps its multiples
+Jacobian until a step brings them to Z = 1 in one batch.  All of it is
+integer arithmetic; an ``Fp2`` is built only to invert, to take a
+square root, to return j or to print A and B in a refusal.
 
 The group law trusts its inputs: ``add``, ``mul`` and ``mul2`` assume
 their points lie on the curve and do not check.  Points are checked once,
@@ -32,7 +31,7 @@ the same way, once, by ``top_multiple``, which ``has_exact_order`` and
 basis without a pairing, where a basis is sampled and where a
 parameter file enters, and a received key keeps the multiples
 ``top_multiple`` returns for its own certificate.  Curves
-too: the constructor trusts A and B to be nonsingular and of one field.
+too: the constructor trusts A and B to be nonsingular and reduced.
 A curve from outside data is tested where it is decoded
 (``siot.sidh._curve_from_obj``); every other curve is a fixed constant
 or a Velu codomain of a checked one.
@@ -41,7 +40,6 @@ or a Velu codomain of a checked one.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
 from .errors import InvalidPointError, SamplingError
 from .field import FieldContext, Fp2
@@ -49,112 +47,104 @@ from .field import FieldContext, Fp2
 # draws a bounded point search makes before it gives up
 SAMPLING_TRIES = 200
 
-
-class Point(NamedTuple):
-    """Affine curve point; ``infinity`` marks the identity.
-
-    Points are plain data; all geometry lives on EllipticCurve.
-    """
-
-    x: Fp2 | None
-    y: Fp2 | None
-    infinity: bool = False
-
-    def __repr__(self) -> str:
-        if self.infinity:
-            return "Point(infinity)"
-        return f"Point({self.x.a}+{self.x.b}i, {self.y.a}+{self.y.b}i)"
+# the identity: any triple with Z = 0 stands for it, and this is the
+# one the methods return
+INFINITY = ((1, 0), (1, 0), (0, 0))
 
 
-INFINITY = Point(None, None, True)
+def point_text(P) -> str:
+    """``Point(a+bi, c+di)`` for the affine point (a + bi, c + di), and
+    ``Point(infinity)`` for O: how refusals and the demos write a
+    point."""
+    if P[2] == (0, 0):
+        return "Point(infinity)"
+    (xa, xb), (ya, yb), _ = P
+    return f"Point({xa}+{xb}i, {ya}+{yb}i)"
 
 
 class EllipticCurve:
-    """y^2 = x^3 + Ax + B; A and B, of one field, are trusted to give
-    4A^3 + 27B^2 != 0."""
+    """y^2 = x^3 + Ax + B over ctx's field; A and B, (a, b) pairs
+    reduced mod p, are trusted to give 4A^3 + 27B^2 != 0."""
 
-    def __init__(self, A: Fp2, B: Fp2):
+    def __init__(self, ctx: FieldContext, A, B):
+        self.ctx = ctx
         self.A = A
         self.B = B
-        self.ctx: FieldContext = A.ctx
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, EllipticCurve)
+                and self.ctx.p == other.ctx.p
                 and self.A == other.A and self.B == other.B)
 
     def __hash__(self) -> int:
-        return hash((self.A, self.B))
+        return hash((self.ctx.p, self.A, self.B))
 
     def __repr__(self) -> str:
-        return f"EllipticCurve(A={self.A!r}, B={self.B!r})"
+        return (f"EllipticCurve(A={Fp2(self.ctx, *self.A)!r}, "
+                f"B={Fp2(self.ctx, *self.B)!r})")
 
-    def point(self, x: Fp2, y: Fp2) -> Point:
-        p = Point(x, y)
-        self.check_point(p)
-        return p
+    def point(self, x, y):
+        """The affine point (x, y), for two (a, b) pairs, checked on the
+        curve."""
+        p = self.ctx.p
+        P = (x[0] % p, x[1] % p), (y[0] % p, y[1] % p), (1, 0)
+        self.check_point(P)
+        return P
 
-    def is_on_curve(self, P: Point) -> bool:
-        """Whether y^2 = x^3 + Ax + B, tested on the integer coordinates;
-        O is on every curve, and a point with a missing coordinate or
-        one from another field is on none."""
-        if P.infinity:
+    def is_on_curve(self, P) -> bool:
+        """Whether y^2 = x^3 + Ax + B for an affine P, tested on its
+        integer coordinates; O is on every curve."""
+        if P[2] == (0, 0):
             return True
-        x, y, p = P.x, P.y, self.ctx.p
-        if x is None or y is None or x.ctx.p != p or y.ctx.p != p:
-            return False
-        ya, yb = y.a, y.b
-        ra, rb = self.rhs_pair(x.a, x.b)
+        p = self.ctx.p
+        (xa, xb), (ya, yb), _ = P
+        ra, rb = self.rhs_pair(xa, xb)
         return ((ya + yb) * (ya - yb) - ra) % p == 0 and \
             (2 * ya * yb - rb) % p == 0
 
-    def check_point(self, P: Point) -> None:
+    def check_point(self, P) -> None:
         if not self.is_on_curve(P):
-            raise InvalidPointError(f"{P!r} not on {self!r}")
-
-    def rhs(self, x: Fp2) -> Fp2:
-        """x^3 + Ax + B."""
-        return Fp2(self.ctx, *self.rhs_pair(x.a, x.b))
+            raise InvalidPointError(f"{point_text(P)} not on {self!r}")
 
     def rhs_pair(self, xa: int, xb: int):
         """x^3 + Ax + B for x = xa + xb*i, as a reduced (a, b) pair,
         computed as x(x^2 + A) + B."""
-        p, A, B = self.ctx.p, self.A, self.B
-        ta = ((xa + xb) * (xa - xb) + A.a) % p
-        tb = (2 * xa * xb + A.b) % p
-        return (xa * ta - xb * tb + B.a) % p, (xa * tb + xb * ta + B.b) % p
+        p, (aa, ab), (ba, bb) = self.ctx.p, self.A, self.B
+        ta = ((xa + xb) * (xa - xb) + aa) % p
+        tb = (2 * xa * xb + ab) % p
+        return (xa * ta - xb * tb + ba) % p, (xa * tb + xb * ta + bb) % p
 
     # -- group law ---------------------------------------------------
 
-    def neg(self, P: Point) -> Point:
-        if P.infinity:
+    def neg(self, P):
+        if P[2] == (0, 0):
             return INFINITY
-        return Point(P.x, -P.y)
+        x, (ya, yb), z = P
+        p = self.ctx.p
+        return x, (-ya % p, -yb % p), z
 
-    def add(self, P: Point, Q: Point) -> Point:
+    def add(self, P, Q):
         """P + Q for two points of this curve (not checked): one
-        Jacobian addition of their triples at Z = 1.  One inversion,
-        none when P + Q = O."""
-        if P.infinity:
+        Jacobian addition.  One inversion, none when P + Q = O."""
+        if P[2] == (0, 0):
             return Q
-        if Q.infinity:
+        if Q[2] == (0, 0):
             return P
-        return self._affine(jac_add(
-            jacobian(P), jacobian(Q), (self.A.a, self.A.b), self.ctx.p)[0])
+        return self._affine(jac_add(P, Q, self.A, self.ctx.p)[0])
 
-    def sub(self, P: Point, Q: Point) -> Point:
+    def sub(self, P, Q):
         return self.add(P, self.neg(Q))
 
-    def mul(self, n: int, P: Point) -> Point:
+    def mul(self, n: int, P):
         """[n]P by left-to-right double-and-add in Jacobian coordinates;
         negative n uses [-n](-P).  One inversion, none when [n]P = O."""
         if n < 0:
             n, P = -n, self.neg(P)
-        if n == 0 or P.infinity:
+        if n == 0 or P[2] == (0, 0):
             return INFINITY
-        return self._affine(
-            jac_mul(jacobian(P), n, (self.A.a, self.A.b), self.ctx.p))
+        return self._affine(jac_mul(P, n, self.A, self.ctx.p))
 
-    def mul2(self, s: int, P: Point, t: int, Q: Point) -> Point:
+    def mul2(self, s: int, P, t: int, Q):
         """[s]P + [t]Q by one shared chain of doublings (``jac_mul2``);
         a negative scalar uses the negated point, as in ``mul``.  One
         inversion, none when the sum is O."""
@@ -162,42 +152,43 @@ class EllipticCurve:
             s, P = -s, self.neg(P)
         if t < 0:
             t, Q = -t, self.neg(Q)
-        return self._affine(jac_mul2(jacobian(P), s, jacobian(Q), t,
-                                     (self.A.a, self.A.b), self.ctx.p))
+        return self._affine(jac_mul2(P, s, Q, t, self.A, self.ctx.p))
 
-    def _affine(self, T) -> Point:
-        """The affine point (X/Z^2, Y/Z^3) of a Jacobian T, by one
-        inversion of Z; O when Z = 0."""
+    def _affine(self, T):
+        """T rescaled to Z = 1, (X/Z^2, Y/Z^3, 1), by one inversion of
+        Z; O when Z = 0."""
         za, zb = T[2]
         if za == 0 and zb == 0:
             return INFINITY
         zi = Fp2(self.ctx, za, zb).inv()
-        return unit_point(self.ctx, jac_normalize(T, (zi.a, zi.b), self.ctx.p))
+        return jac_normalize(T, (zi.a, zi.b), self.ctx.p)
 
     # -- invariants ---------------------------------------------------
 
     def j_invariant(self) -> Fp2:
         """Standard normalization j = 1728 * 4A^3 / (4A^3 + 27B^2)."""
-        four_a3 = self.ctx.elem(4) * self.A ** 3
-        denominator = four_a3 + self.ctx.elem(27) * self.B * self.B
-        return self.ctx.elem(1728) * four_a3 * denominator.inv()
+        ctx = self.ctx
+        A, B = Fp2(ctx, *self.A), Fp2(ctx, *self.B)
+        four_a3 = ctx.elem(4) * A ** 3
+        denominator = four_a3 + ctx.elem(27) * B * B
+        return ctx.elem(1728) * four_a3 * denominator.inv()
 
     # -- sampling ------------------------------------------------------
 
-    def random_point(self, rng: random.Random) -> Point:
+    def random_point(self, rng: random.Random):
         """Uniform affine point: random x until x^3+Ax+B is a square."""
-        p = self.ctx.p
+        ctx, p = self.ctx, self.ctx.p
         while True:
-            x = self.ctx.elem(rng.randrange(p), rng.randrange(p))
-            y = self.rhs(x).sqrt()
+            x = rng.randrange(p), rng.randrange(p)
+            y = Fp2(ctx, *self.rhs_pair(*x)).sqrt()
             if y is None:
                 continue
             if rng.randrange(2):
-                y = -y
-            return Point(x, y)
+                return x, (-y.a % p, -y.b % p), (1, 0)
+            return x, (y.a, y.b), (1, 0)
 
     def sample_torsion_basis(self, ell: int, e: int, group_exponent: int,
-                             rng: random.Random) -> tuple[Point, Point]:
+                             rng: random.Random):
         """A basis (P, Q) of the ell^e-torsion, by cofactor multiplication.
 
         group_exponent is the exponent (annihilator) of the rational
@@ -239,7 +230,7 @@ class EllipticCurve:
 
     # -- torsion -------------------------------------------------------
 
-    def has_exact_order(self, P: Point, ell: int, e: int) -> bool:
+    def has_exact_order(self, P, ell: int, e: int) -> bool:
         """Whether P, which must be ell^e-torsion, has exact order ell^e.
 
         The one torsion test: R = [ell^(e-1)]P must satisfy [ell]R = O,
@@ -249,7 +240,7 @@ class EllipticCurve:
         """
         return self.top_multiple(P, ell, e)[2] != (0, 0)
 
-    def is_basis(self, P: Point, Q: Point, ell: int, e: int) -> bool:
+    def is_basis(self, P, Q, ell: int, e: int) -> bool:
         """Whether (P, Q), two points that must be ell^e-torsion, is a
         basis of the ell^e-torsion: the exact-order test of both points
         and their independence in one.
@@ -267,16 +258,17 @@ class EllipticCurve:
         R = self.top_multiple(P, ell, e)
         return self.independent(R, self.top_multiple(Q, ell, e), ell)
 
-    def top_multiple(self, P: Point, ell: int, e: int):
+    def top_multiple(self, P, ell: int, e: int):
         """R = [ell^(e-1)]P in Jacobian form, proved to satisfy [ell]R = O
         (else InvalidPointError) by testing only a Z.  P has exact order
         ell^e when R is not O, and R then has order ell: the multiple the
         exact-order test, the basis test and the receiver's certificate
         in ``siot.siot.read_public`` share."""
-        A, p = (self.A.a, self.A.b), self.ctx.p
-        R = jac_mul(jacobian(P), ell ** (e - 1), A, p)
+        A, p = self.A, self.ctx.p
+        R = jac_mul(P, ell ** (e - 1), A, p)
         if jac_mul(R, ell, A, p)[2] != (0, 0):
-            raise InvalidPointError(f"{P!r} is not {ell ** e}-torsion", P)
+            raise InvalidPointError(
+                f"{point_text(P)} is not {ell ** e}-torsion", P)
         return R
 
     def independent(self, R, S, ell: int) -> bool:
@@ -290,7 +282,7 @@ class EllipticCurve:
         """
         if R[2] == (0, 0) or S[2] == (0, 0):
             return False
-        A, p = (self.A.a, self.A.b), self.ctx.p
+        A, p = self.A, self.ctx.p
         (sxa, sxb), _, (sza, szb) = S
         s2a, s2b = (sza + szb) * (sza - szb) % p, 2 * sza * szb % p
         T = R
@@ -313,15 +305,6 @@ class EllipticCurve:
 # tangent or chord, Z' being the result's Z; the Miller loop builds its
 # line values from it.
 
-JAC_INFINITY = ((1, 0), (1, 0), (0, 0))
-
-
-def jacobian(P: Point):
-    """The Jacobian triple of an affine point: Z = 1, or 0 for O."""
-    if P.infinity:
-        return JAC_INFINITY
-    return (P.x.a, P.x.b), (P.y.a, P.y.b), (1, 0)
-
 
 def jac_normalize(T, zi, p: int):
     """T rescaled to Z = 1, (X/Z^2, Y/Z^3, 1), given zi = 1/Z."""
@@ -331,14 +314,6 @@ def jac_normalize(T, zi, p: int):
     i3a, i3b = (i2a * ia - i2b * ib) % p, (i2a * ib + i2b * ia) % p
     return (((xa * i2a - xb * i2b) % p, (xa * i2b + xb * i2a) % p),
             ((ya * i3a - yb * i3b) % p, (ya * i3b + yb * i3a) % p), (1, 0))
-
-
-def unit_point(ctx: FieldContext, T) -> Point:
-    """The Point of a Jacobian T whose Z is 1, or 0 for O."""
-    if T[2] == (0, 0):
-        return INFINITY
-    (xa, xb), (ya, yb), _ = T
-    return Point(Fp2(ctx, xa, xb), Fp2(ctx, ya, yb))
 
 
 def jac_mul(T, n: int, A, p: int):
@@ -373,14 +348,14 @@ def jac_mul2(T, s: int, U, t: int, A, p: int):
     T = -U and an O among them are the addition's own cases.
     """
     if s == 0 and t == 0:
-        return JAC_INFINITY
+        return INFINITY
     # the point of each bit pair (s_i, t_i), indexed s_i + 2 t_i
     table = [None, T, U, None]
     if s and t:
         table[3] = jac_add(U, T, A, p)[0]
     digits = [(s >> i & 1) | (t >> i & 1) << 1
               for i in range(max(s.bit_length(), t.bit_length()) - 1, -1, -1)]
-    R = JAC_INFINITY
+    R = INFINITY
     for i, d in enumerate(digits):
         if i:
             R = jac_double(R, A, p)[0]
@@ -449,7 +424,7 @@ def jac_add(T, U, A, p: int):
     if ha == 0 and hb == 0:
         if ra == 0 and rb == 0:
             return jac_double(T, A, p)
-        return JAC_INFINITY, (ra, rb)
+        return INFINITY, (ra, rb)
     hha, hhb = (ha + hb) * (ha - hb) % p, 2 * ha * hb % p
     h3a, h3b = (ha * hha - hb * hhb) % p, (ha * hhb + hb * hha) % p
     va, vb = (u1a * hha - u1b * hhb) % p, (u1a * hhb + u1b * hha) % p

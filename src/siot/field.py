@@ -4,18 +4,19 @@ Requires p = 3 (mod 4) so that i^2 = -1 is a non-residue and the
 extension is a field, and so F_p square roots are one exponentiation.
 Elements are immutable and always stored reduced.
 
-Functions take and return ``Fp2`` values.  The kernels inside them skip
-the objects and are written as straight-line arithmetic on the unpacked
-integer coordinates: ``pow_pair`` (under ``Fp2.__pow__``), ``Fp2.sqrt``
-and ``inv_batch`` here, and above this layer the Jacobian steps and the
-conversion out of them, the on-curve and singularity tests, the Weil
-pairing from its inputs to its value, and the Velu step.
+Above this layer an element is a reduced (a, b) integer pair, which
+carries no field: curve coefficients and point coordinates.  An
+``Fp2`` is built only where a value is inverted, square-rooted,
+decoded or encoded, or leaves as a j-invariant or a pairing value.
+The kernels here are straight-line integer arithmetic too:
+``pow_pair`` (under ``Fp2.__pow__``), ``Fp2.sqrt`` and ``inv_batch``,
+which takes and returns pairs.
 
 Arithmetic trusts its moduli: ``+``, ``-`` and ``*`` take the left
 operand's field and do not compare it with the right one's.  Fields
-can only meet where outside data enters, and each of those places
-tests them once: ``is_on_curve``, and the decoders, which build every
-element, a decoded curve's A and B included, in the parameters' field.
+can only meet where outside data enters, and ``Fp2.decode`` tests it
+once there (exact width, each component below p): the decoders build
+every element, a curve's A and B included, in the parameters' field.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ inverted together, by one ``field.inv_batch`` and so one field
 inversion.  Its points and kernel points may be Jacobian: their Z join
 the same batch, and each denominator is written projectively.  A point
 whose x is a kernel x is itself a kernel point and maps to the
-identity.  ``evaluate`` maps one ``Point`` through it.
+identity.  ``evaluate`` maps one point through it.
 The translate loop and the codomain sums are straight-line arithmetic
 on integers: points are ``curve``'s Jacobian triples of (a, b) pairs,
 and a curve is its coefficient pairs.
@@ -33,19 +33,18 @@ multiples of the kernel generator, in Jacobian coordinates, and pushes
 them through every step, so a chain costs O(e log e) multiplications by
 ell rather than e^2/2, and one inversion per step.  The caller's points
 ride the same pushes, and nothing of the walk is kept: a chain is its
-codomain and the images of those points, the one ``EllipticCurve`` and
-the only ``Point``s it builds.
+codomain, the one ``EllipticCurve`` it builds, and the images of those
+points, at Z = 1 or O.
 """
 
 from __future__ import annotations
 
-from .curve import (JAC_INFINITY, EllipticCurve, Point, jac_add, jac_mul,
-                    jac_normalize, jacobian, unit_point)
+from .curve import INFINITY, EllipticCurve, jac_add, jac_mul, jac_normalize
 from .errors import InvalidKernelError
-from .field import Fp2, inv_batch
+from .field import inv_batch
 
 
-def kernel_generator(E: EllipticCurve, P: Point, r: int, Q: Point) -> Point:
+def kernel_generator(E: EllipticCurve, P, r: int, Q):
     """P + [r]Q, the generator of a secret kernel subgroup, by one joint
     multiplication: P joins [r]Q's chain of doublings at its last bit,
     and the sum costs one inversion."""
@@ -132,7 +131,7 @@ def _translate(ctx, kernel, points):
             X, Y, _ = jac_normalize((X, Y, None), next(invs), p)
         affine.append((X, Y, (1, 0)))
         shifts.append((X, (Y,) if Y == (0, 0) else (Y, (-Y[0], -Y[1])), zq))
-    images = [JAC_INFINITY] * len(points)
+    images = [INFINITY] * len(points)
     for i, X, Y, zp in live:
         if zp is not None:
             X, Y, _ = jac_normalize((X, Y, None), next(invs), p)
@@ -162,14 +161,14 @@ def _translate(ctx, kernel, points):
     return affine, images
 
 
-def evaluate(E: EllipticCurve, kernel, P: Point) -> Point:
+def evaluate(E: EllipticCurve, kernel, P):
     """Image of P under the step of E with ``kernel``, the list that
     ``velu_step`` takes."""
-    return unit_point(E.ctx, _translate(E.ctx, kernel, [jacobian(P)])[1][0])
+    return _translate(E.ctx, kernel, [P])[1][0]
 
 
-def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
-                  push) -> tuple[EllipticCurve, list[Point]]:
+def isogeny_chain(E: EllipticCurve, K, ell: int, e: int,
+                  push) -> tuple[EllipticCurve, list]:
     """The codomain of the degree-ell^e isogeny with kernel <K>, and the
     images of the points in ``push``, by e steps of degree ell.
 
@@ -200,11 +199,11 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
     if e < 1:
         raise InvalidKernelError(f"kernel generator must have exact order {n}")
     ctx, p = E.ctx, E.ctx.p
-    A, B = (E.A.a, E.A.b), (E.B.a, E.B.b)
-    pushed = [jacobian(P) for P in push]
+    A, B = E.A, E.B
+    pushed = list(push)
     # the stacked points, and for each the step at which its height,
     # which every step lowers by one, would reach 0
-    stack, due, step = [jacobian(K)], [e], 0
+    stack, due, step = [K], [e], 0
     while stack:
         T, h = stack.pop(), due.pop() - step
         while h > 1:
@@ -224,5 +223,4 @@ def isogeny_chain(E: EllipticCurve, K: Point, ell: int, e: int,
         A, B = velu_step(A, B, kernel, p)
         step += 1
         stack, pushed = images[:len(stack)], images[len(stack):]
-    return (EllipticCurve(Fp2(ctx, *A), Fp2(ctx, *B)),
-            [unit_point(ctx, T) for T in pushed])
+    return EllipticCurve(ctx, A, B), pushed

@@ -27,22 +27,20 @@ additions of points at Z = 1, brought to affine by one batched
 inversion, and the pairing cross-multiplies the four fractions and
 divides once: two inversions a pairing.
 
-Points enter ``weil_pairing`` once, and only its value leaves as an
-``Fp2``.  In between every point has the one form of ``curve``'s
-Jacobian steps, a triple of (a, b) coordinate pairs, at Z = 1 when
-affine and Z = 0 for O: the inputs, the auxiliary point, its negative,
-the two evaluation points, the Miller loop's arguments and its running
-point; the order check z^n = 1 runs on integers too.  The only other
-``Fp2`` objects are those that reach ``Fp2.sqrt`` and ``Fp2.inv``,
-which the benchmark counts by name.
+Only the pairing's value leaves as an ``Fp2``.  Every point has the
+one form of ``curve``, a Jacobian triple of (a, b) coordinate pairs,
+at Z = 1 when affine and Z = 0 for O: the inputs, the auxiliary point,
+its negative, the two evaluation points, the Miller loop's arguments
+and its running point; the order check z^n = 1 runs on integers too.
+The only other ``Fp2`` objects are those that reach ``Fp2.sqrt`` and
+``Fp2.inv``, which the benchmark counts by name.
 """
 
 from __future__ import annotations
 
 from itertools import count
 
-from .curve import (EllipticCurve, Point, jac_add, jac_double,
-                    jac_normalize, jacobian)
+from .curve import EllipticCurve, jac_add, jac_double, jac_normalize
 from .field import Fp2, inv_batch, pow_pair
 from .util import expand
 
@@ -101,7 +99,7 @@ def miller_function(E: EllipticCurve, P, n: int, X):
         raise _Degenerate
     if P[2] == (0, 0):
         return (1, 0), (1, 0)
-    p, A = E.ctx.p, (E.A.a, E.A.b)
+    p, A = E.ctx.p, E.A
     f = (1, 0, 1, 0)                 # numerator a, b; denominator a, b
     T = P
     for bit in bin(n)[3:]:
@@ -152,7 +150,7 @@ def _product(p: int, *factors):
     return a, b
 
 
-def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> Fp2:
+def weil_pairing(E: EllipticCurve, P, Q, n: int) -> Fp2:
     """Weil pairing e_n(P, Q), an n-th root of unity, for checked
     n-torsion points P, Q of E (not proved again here).
 
@@ -162,19 +160,17 @@ def weil_pairing(E: EllipticCurve, P: Point, Q: Point, n: int) -> Fp2:
         [f_{n,P}(Q+S) / f_{n,P}(S)] / [f_{n,Q}(P-S) / f_{n,Q}(-S)]
 
     for an auxiliary point S avoiding all zeros and poles.  P and Q are
-    unpacked once; every point after that is a Jacobian triple.  Q + S
-    and P - S are Jacobian additions brought to affine by one batched
-    inversion, and the draw is retried when either is O.  The four
+    affine or O, and every point after them is a Jacobian triple too.
+    Q + S and P - S are Jacobian additions brought to affine by one
+    batched inversion, and the draw is retried when either is O.  The four
     Miller values are fractions, cross-multiplied into one, and its
     division is the only other inversion: its denominator is a product
     of the nonzero numerators and denominators ``_times_line`` admits.
     A value with z^n != 1 raises ValueError.
     """
-    ctx, p = E.ctx, E.ctx.p
-    if P.infinity or Q.infinity:
+    ctx, p, A = E.ctx, E.ctx.p, E.A
+    if P[2] == (0, 0) or Q[2] == (0, 0):
         return ctx.one()
-    A = E.A.a, E.A.b
-    P, Q = jacobian(P), jacobian(Q)
     qx, (qya, qyb), _ = Q
     if P[0] == qx and P[1] in ((qya, qyb), (-qya % p, -qyb % p)):
         return ctx.one()             # P = Q or P = -Q

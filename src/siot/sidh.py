@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .curve import EllipticCurve, Point, INFINITY
+from .curve import INFINITY, EllipticCurve
 from .errors import (
     DecodeError,
     InvalidPointError,
@@ -42,11 +42,12 @@ MAX_ELL = 1 << 10
 
 
 class SidhPublic(NamedTuple):
-    """One side's public key: codomain curve and pushed-through basis."""
+    """One side's public key: codomain curve and pushed-through basis,
+    two affine points."""
 
     curve: EllipticCurve
-    G: Point
-    H: Point
+    G: tuple
+    H: tuple
 
 
 class Torsion(NamedTuple):
@@ -54,7 +55,7 @@ class Torsion(NamedTuple):
 
     ell: int
     e: int
-    basis: tuple[Point, Point]
+    basis: tuple
 
     @property
     def n(self) -> int:
@@ -124,7 +125,7 @@ def gen_params(ell_a: int, e_a: int, ell_b: int, e_b: int,
         raise ParameterSearchError(
             f"no admissible cofactor <= {max_f} for {ell_a}^{e_a}*{ell_b}^{e_b}")
     ctx = FieldContext(p)
-    curve = EllipticCurve(ctx.one(), ctx.zero())
+    curve = EllipticCurve(ctx, (1, 0), (0, 0))
     return PublicParams(p, f, curve, *(
         Torsion(ell, e, curve.sample_torsion_basis(ell, e, p + 1, rng))
         for ell, e in ((ell_a, e_a), (ell_b, e_b))))
@@ -197,22 +198,29 @@ def validate_public(params: PublicParams, producer_side: str,
 
 # -- serialization ----------------------------------------------------
 
-def elem_from_hex(ctx: FieldContext, s) -> Fp2:
+def elem_to_hex(ctx: FieldContext, z) -> str:
+    """The hex encoding of the field element z, an (a, b) pair."""
+    return Fp2(ctx, *z).hex()
+
+
+def elem_from_hex(ctx: FieldContext, s):
+    """The field element a hex string encodes, as an (a, b) pair."""
     if not isinstance(s, str):
         raise DecodeError("field element must be a hex string")
     try:
-        return Fp2.decode(ctx, strict_fromhex(s))
+        z = Fp2.decode(ctx, strict_fromhex(s))
     except ValueError as exc:
         raise DecodeError(f"bad field element: {exc}") from exc
+    return z.a, z.b
 
 
-def point_to_obj(P: Point) -> dict:
-    if P.infinity:
+def point_to_obj(ctx: FieldContext, P) -> dict:
+    if P[2] == (0, 0):
         return {"inf": True}
-    return {"x": P.x.hex(), "y": P.y.hex()}
+    return {"x": elem_to_hex(ctx, P[0]), "y": elem_to_hex(ctx, P[1])}
 
 
-def point_from_obj(ctx: FieldContext, obj) -> Point:
+def point_from_obj(ctx: FieldContext, obj):
     if not isinstance(obj, dict):
         raise DecodeError("point must be an object")
     if "inf" in obj:
@@ -221,7 +229,7 @@ def point_from_obj(ctx: FieldContext, obj) -> Point:
         return INFINITY
     if set(obj) != {"x", "y"}:
         raise DecodeError("point object needs exactly x and y")
-    return Point(elem_from_hex(ctx, obj["x"]), elem_from_hex(ctx, obj["y"]))
+    return elem_from_hex(ctx, obj["x"]), elem_from_hex(ctx, obj["y"]), (1, 0)
 
 
 def _curve_from_obj(ctx: FieldContext, obj, name: str) -> EllipticCurve:
@@ -232,19 +240,26 @@ def _curve_from_obj(ctx: FieldContext, obj, name: str) -> EllipticCurve:
     if not isinstance(obj, dict) or set(obj) != {"a", "b"}:
         raise DecodeError(f"{name} object needs exactly a and b")
     A, B = elem_from_hex(ctx, obj["a"]), elem_from_hex(ctx, obj["b"])
-    p, (aa, ab), (ba, bb) = ctx.p, (A.a, A.b), (B.a, B.b)
+    p, (aa, ab), (ba, bb) = ctx.p, A, B
     a2a, a2b = (aa + ab) * (aa - ab) % p, 2 * aa * ab % p
     if (4 * (a2a * aa - a2b * ab) + 27 * (ba + bb) * (ba - bb)) % p == 0 \
             and (4 * (a2a * ab + a2b * aa) + 54 * ba * bb) % p == 0:
-        raise DecodeError(f"{name} is singular: A={A!r} B={B!r}")
-    return EllipticCurve(A, B)
+        raise DecodeError(f"{name} is singular: A={Fp2(ctx, *A)!r} "
+                          f"B={Fp2(ctx, *B)!r}")
+    return EllipticCurve(ctx, A, B)
+
+
+def _curve_to_obj(curve: EllipticCurve) -> dict:
+    return {"a": elem_to_hex(curve.ctx, curve.A),
+            "b": elem_to_hex(curve.ctx, curve.B)}
 
 
 def public_to_obj(pub: SidhPublic) -> dict:
+    ctx = pub.curve.ctx
     return {
-        "curve": {"a": pub.curve.A.hex(), "b": pub.curve.B.hex()},
-        "g": point_to_obj(pub.G),
-        "h": point_to_obj(pub.H),
+        "curve": _curve_to_obj(pub.curve),
+        "g": point_to_obj(ctx, pub.G),
+        "h": point_to_obj(ctx, pub.H),
     }
 
 
@@ -274,16 +289,17 @@ def public_from_obj(ctx: FieldContext, obj) -> SidhPublic:
 
 
 def params_to_obj(params: PublicParams) -> dict:
+    ctx = params.ctx
     return {
         "p": params.p,
         "la": params.side_a.ell, "ea": params.side_a.e,
         "lb": params.side_b.ell, "eb": params.side_b.e,
         "f": params.f,
-        "e0": {"a": params.curve.A.hex(), "b": params.curve.B.hex()},
-        "pa": point_to_obj(params.side_a.basis[0]),
-        "qa": point_to_obj(params.side_a.basis[1]),
-        "pb": point_to_obj(params.side_b.basis[0]),
-        "qb": point_to_obj(params.side_b.basis[1]),
+        "e0": _curve_to_obj(params.curve),
+        "pa": point_to_obj(ctx, params.side_a.basis[0]),
+        "qa": point_to_obj(ctx, params.side_a.basis[1]),
+        "pb": point_to_obj(ctx, params.side_b.basis[0]),
+        "qb": point_to_obj(ctx, params.side_b.basis[1]),
     }
 
 

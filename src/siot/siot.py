@@ -43,7 +43,7 @@ import functools
 import struct
 from typing import NamedTuple
 
-from .curve import EllipticCurve, Point, jac_normalize, unit_point
+from .curve import EllipticCurve, jac_normalize
 from .errors import (DecodeError, DecryptionError, InvalidPointError,
                      ProtocolAbort, RestartRequired)
 from .field import Fp2, inv_batch
@@ -129,7 +129,7 @@ def derive_mask_coeffs(w: bytes, params: PublicParams) -> MaskCoefficients:
 
 
 def encode_mask_points(coeffs: MaskCoefficients, curve: EllipticCurve,
-                       G: Point, H: Point) -> tuple[Point, Point]:
+                       G, H) -> tuple:
     """(U, V) = (alpha*G + beta*H, gamma*G + delta*H) in the lA^eA-torsion,
     each by one joint multiplication: one chain of doublings and one
     inversion per point.
@@ -170,7 +170,7 @@ def mask_public(coeffs: MaskCoefficients, pub: SidhPublic, b: int,
 
 
 def branch_kernels(coeffs: MaskCoefficients, pub: SidhPublic, r: int,
-                   n: int) -> tuple[Point, Point]:
+                   n: int) -> tuple:
     """The sender's two branch kernels on the received key's curve, for
     its secret r and the torsion order n = lA^eA: K0 = G + [r]H against
     the received pair, and K1 = (G + U) + [r](H + V) against that pair
@@ -191,7 +191,7 @@ def branch_kernels(coeffs: MaskCoefficients, pub: SidhPublic, r: int,
 
 
 def derive_shared_j(keypair: SidhKeyPair, their_public: SidhPublic,
-                    params: PublicParams, kernel: Point | None = None) -> Fp2:
+                    params: PublicParams, kernel=None) -> Fp2:
     """The exchange's second stage: walk from the peer's curve along
     K = G + [r]H with this side's secret r, or along ``kernel``, a point
     of that curve formed from the same key (the sender's
@@ -301,13 +301,12 @@ def _independent_by_pairing(E: EllipticCurve, R, S, ell: int) -> bool:
     bilinearity gives e_n(G, H)^(n/ell) = e_ell(R, S), so this is the
     order-n certificate's verdict on (G, H) at O(log ell) Miller steps
     instead of O(e log ell).  R and S come to Z = 1 by one batched
-    inversion.
+    inversion, the form ``weil_pairing`` takes.
     """
     ctx, p = E.ctx, E.ctx.p
-    zis = inv_batch(ctx, [R[2], S[2]])
-    Ra, Sa = (unit_point(ctx, jac_normalize(T, zi, p))
-              for T, zi in zip((R, S), zis))
-    return weil_pairing(E, Ra, Sa, ell) != ctx.one()
+    zr, zs = inv_batch(ctx, [R[2], S[2]])
+    return weil_pairing(E, jac_normalize(R, zr, p), jac_normalize(S, zs, p),
+                        ell) != ctx.one()
 
 
 def read_ciphertexts(body: dict) -> tuple[bytes, bytes]:

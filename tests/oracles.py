@@ -4,8 +4,12 @@ loops, repeated-addition scalar multiples, pure-integer affine curve
 arithmetic, an isogeny chain with a fresh scalar multiple per step.
 None of it imports the package's pairing internals, and, but for the
 pairing extras at the end, none of it adds points with the package's
-group law: the oracles that need a sum take it from ``affine_add``, the
-chord-tangent law on ``Fp2`` values.
+group law: the oracles that need a sum take it from the chord-tangent
+law on ``Fp2`` values (``affine_add``).  They take and return points
+in the package's form, a triple of (a, b) integer pairs at Z = 1 or
+``INFINITY``, and work on their own, (x, y) as ``Fp2`` values or None
+for O: ``_fp2_point`` converts on the way in and ``_package_point`` on
+the way out, so the oracles share no point code with the package.
 
 Some are the package's own earlier code, kept as oracles when a faster
 one replaced it: the affine group law (``affine_add``), which the
@@ -42,7 +46,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from siot.curve import INFINITY, EllipticCurve, Point, jacobian, unit_point
+from siot.curve import INFINITY, EllipticCurve
 from siot.errors import InvalidKernelError, UnsupportedParameterError
 from siot.field import Fp2
 from siot.isogeny import (_translate, isogeny_chain, kernel_generator,
@@ -53,171 +57,213 @@ from siot.siot import MaskCoefficients
 from siot.util import det_rng
 
 
-def affine_add(E: EllipticCurve, P: Point, Q: Point) -> Point:
-    """Chord-tangent sum of two points of E, one ``Fp2`` division."""
-    if P.infinity:
-        return Q
-    if Q.infinity:
-        return P
-    if P.x == Q.x and P.y == -Q.y:   # includes the y = 0 doubling case
+def _fp2_point(E: EllipticCurve, P):
+    """The oracles' form of a package point: (x, y) as ``Fp2`` values,
+    or None for O."""
+    if P[2] == (0, 0):
+        return None
+    return E.ctx.elem(*P[0]), E.ctx.elem(*P[1])
+
+
+def _package_point(P):
+    """The package's form of an oracle point: a triple of (a, b) pairs
+    at Z = 1, or ``INFINITY``."""
+    if P is None:
         return INFINITY
-    slope = affine_slope(E, P, Q)
-    x3 = slope * slope - P.x - Q.x
-    y3 = slope * (P.x - x3) - P.y
-    return Point(x3, y3)
+    x, y = P
+    return (x.a, x.b), (y.a, y.b), (1, 0)
 
 
-def affine_slope(E: EllipticCurve, P: Point, Q: Point) -> Fp2:
-    """The slope of the chord through P and Q, or of the tangent
-    (3x^2 + A) / 2y at P = Q, for points of E other than O whose sum is
-    not O."""
-    if P.x == Q.x:
-        num = E.ctx.elem(3) * P.x * P.x + E.A
-        return num * (E.ctx.elem(2) * P.y).inv()
-    return (Q.y - P.y) * (Q.x - P.x).inv()
+def _neg(P):
+    return None if P is None else (P[0], -P[1])
 
 
-def naive_mul(E: EllipticCurve, k: int, P: Point) -> Point:
-    """Scalar multiple by literal repeated addition."""
+def _add(E: EllipticCurve, P, Q):
+    """Chord-tangent sum of two oracle points of E, one ``Fp2``
+    division."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    if P[0] == Q[0] and P[1] == -Q[1]:   # includes the y = 0 doubling case
+        return None
+    slope = _slope(E, P, Q)
+    x3 = slope * slope - P[0] - Q[0]
+    return x3, slope * (P[0] - x3) - P[1]
+
+
+def _slope(E: EllipticCurve, P, Q) -> Fp2:
+    if P[0] == Q[0]:
+        num = E.ctx.elem(3) * P[0] * P[0] + E.ctx.elem(*E.A)
+        return num * (E.ctx.elem(2) * P[1]).inv()
+    return (Q[1] - P[1]) * (Q[0] - P[0]).inv()
+
+
+def _mul(E: EllipticCurve, k: int, P):
     if k < 0:
-        return naive_mul(E, -k, E.neg(P))
-    acc = INFINITY
+        k, P = -k, _neg(P)
+    acc = None
     for _ in range(k):
-        acc = affine_add(E, acc, P)
+        acc = _add(E, acc, P)
     return acc
 
 
-def naive_order(E: EllipticCurve, P: Point, bound: int) -> int:
+def affine_add(E: EllipticCurve, P, Q):
+    """Chord-tangent sum of two points of E, one ``Fp2`` division."""
+    return _package_point(_add(E, _fp2_point(E, P), _fp2_point(E, Q)))
+
+
+def affine_slope(E: EllipticCurve, P, Q) -> Fp2:
+    """The slope of the chord through P and Q, or of the tangent
+    (3x^2 + A) / 2y at P = Q, for points of E other than O whose sum is
+    not O."""
+    return _slope(E, _fp2_point(E, P), _fp2_point(E, Q))
+
+
+def naive_mul(E: EllipticCurve, k: int, P):
+    """Scalar multiple by literal repeated addition."""
+    return _package_point(_mul(E, k, _fp2_point(E, P)))
+
+
+def naive_order(E: EllipticCurve, P, bound: int) -> int:
+    P = _fp2_point(E, P)
     acc = P
     for k in range(1, bound + 1):
-        if acc.infinity:
+        if acc is None:
             return k
-        acc = affine_add(E, acc, P)
+        acc = _add(E, acc, P)
     raise AssertionError(f"order exceeds {bound}")
 
 
-def all_points(E: EllipticCurve) -> list[Point]:
+def all_points(E: EllipticCurve) -> list:
     """Every point of E over F_{p^2}, the identity first."""
     ctx = E.ctx
-    pts = [INFINITY]
+    A, B = E.ctx.elem(*E.A), E.ctx.elem(*E.B)
+    pts = [None]
     for a in range(ctx.p):
         for b in range(ctx.p):
             x = ctx.elem(a, b)
-            y = E.rhs(x).sqrt()
+            y = (x * x * x + A * x + B).sqrt()
             if y is not None:
-                pts += [Point(x, y)] if not y else [Point(x, y),
-                                                    Point(x, -y)]
-    return pts
+                pts += [(x, y)] if not y else [(x, y), (x, -y)]
+    return [_package_point(P) for P in pts]
 
 
-def _line(E: EllipticCurve, T: Point, U: Point, X: Point) -> Fp2:
-    """Value at X of the line through T and U (vertical or tangent when
-    the chord degenerates), written independently of the package."""
-    one = E.A.ctx.one()
-    if T.infinity and U.infinity:
+def _line(E: EllipticCurve, T, U, X) -> Fp2:
+    """Value at X of the line through oracle points T and U (vertical or
+    tangent when the chord degenerates), written independently of the
+    package."""
+    one = E.ctx.one()
+    if T is None and U is None:
         return one
-    if T.infinity:
-        return X.x - U.x
-    if U.infinity:
-        return X.x - T.x
-    if T.x == U.x and T.y != U.y:
-        return X.x - T.x
-    if T.x == U.x:
-        if not T.y:
-            return X.x - T.x
-        slope = (T.x * T.x * E.A.ctx.elem(3) + E.A) / (T.y + T.y)
+    if T is None:
+        return X[0] - U[0]
+    if U is None:
+        return X[0] - T[0]
+    if T[0] == U[0] and T[1] != U[1]:
+        return X[0] - T[0]
+    if T[0] == U[0]:
+        if not T[1]:
+            return X[0] - T[0]
+        slope = ((T[0] * T[0] * E.ctx.elem(3) + E.ctx.elem(*E.A))
+                 / (T[1] + T[1]))
     else:
-        slope = (U.y - T.y) / (U.x - T.x)
-    return (X.y - T.y) - slope * (X.x - T.x)
+        slope = (U[1] - T[1]) / (U[0] - T[0])
+    return (X[1] - T[1]) - slope * (X[0] - T[0])
 
 
 class Degenerate(Exception):
     pass
 
 
-def _line_value(E: EllipticCurve, T: Point, U: Point, X: Point) -> Fp2:
-    """Value at X of the line through T and U (tangent when T = U).
+def _line_value(E: EllipticCurve, T, U, X) -> Fp2:
+    """Value at X of the line through oracle points T and U (tangent
+    when T = U).
 
     The line through a point and its negative, or through a point and
     the identity, is the vertical at that point.
     """
-    if T.infinity or U.infinity:
-        R = U if T.infinity else T
-        if R.infinity:
+    if T is None or U is None:
+        R = U if T is None else T
+        if R is None:
             return E.ctx.one()
-        return X.x - R.x
-    if T.x == U.x and T.y == -U.y:
-        return X.x - T.x
+        return X[0] - R[0]
+    if T[0] == U[0] and T[1] == -U[1]:
+        return X[0] - T[0]
     if T == U:
-        if not T.y:
-            return X.x - T.x
-        lam = (E.ctx.elem(3) * T.x * T.x + E.A) / (E.ctx.elem(2) * T.y)
+        if not T[1]:
+            return X[0] - T[0]
+        lam = ((E.ctx.elem(3) * T[0] * T[0] + E.ctx.elem(*E.A))
+               / (E.ctx.elem(2) * T[1]))
     else:
-        lam = (U.y - T.y) / (U.x - T.x)
-    return X.y - T.y - lam * (X.x - T.x)
+        lam = (U[1] - T[1]) / (U[0] - T[0])
+    return X[1] - T[1] - lam * (X[0] - T[0])
 
 
-def affine_miller(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
+def affine_miller(E: EllipticCurve, P, n: int, X) -> Fp2:
     """f_{n,P}(X) by double-and-add in affine coordinates, one division
     per line.  Raises Degenerate where X is a zero or pole of a line or
     vertical, at exactly the steps the package's loop tests."""
-    if X.infinity:
+    P, X = _fp2_point(E, P), _fp2_point(E, X)
+    if X is None:
         raise Degenerate
     f = E.ctx.one()
     T = P
     for bit in bin(n)[3:]:
         num = _line_value(E, T, T, X)
-        T = affine_add(E, T, T)
-        den = (X.x - T.x) if not T.infinity else E.ctx.one()
+        T = _add(E, T, T)
+        den = (X[0] - T[0]) if T is not None else E.ctx.one()
         if not num or not den:
             raise Degenerate
         f = f * f * num / den
         if bit == "1":
             num = _line_value(E, T, P, X)
-            T = affine_add(E, T, P)
-            den = (X.x - T.x) if not T.infinity else E.ctx.one()
+            T = _add(E, T, P)
+            den = (X[0] - T[0]) if T is not None else E.ctx.one()
             if not num or not den:
                 raise Degenerate
             f = f * num / den
     return f
 
 
-def linear_miller(E: EllipticCurve, P: Point, n: int, X: Point) -> Fp2:
-    """f_{n,P}(X) by the additive recursion, one step per unit of n.
+def _linear_miller(E: EllipticCurve, P, n: int, X) -> Fp2:
+    """f_{n,P}(X) by the additive recursion, one step per unit of n, on
+    oracle points.
 
     f_1 = 1 and f_{m+1} = f_m * line(mP, P) / vertical((m+1)P), so the
     whole addition chain is walked literally.  Blows up (Degenerate) if
     X ever lands on a zero or pole.
     """
-    one = E.A.ctx.one()
+    one = E.ctx.one()
     f = one
     T = P
     for _ in range(n - 1):
-        Tn = affine_add(E, T, P)
+        Tn = _add(E, T, P)
         num = _line(E, T, P, X)
-        den = _line(E, Tn, E.neg(Tn), X) if not Tn.infinity else one
+        den = _line(E, Tn, _neg(Tn), X) if Tn is not None else one
         if not num or not den:
             raise Degenerate
         f = f * num / den
         T = Tn
-    if not T.infinity:
+    if T is not None:
         raise AssertionError("n does not annihilate P")
     return f
 
 
-def weil_naive(E: EllipticCurve, P: Point, Q: Point, n: int, rng) -> Fp2:
+def weil_naive(E: EllipticCurve, P, Q, n: int, rng) -> Fp2:
     """Weil pairing from the two linear Miller functions and a random
     auxiliary point, retried until no degeneracy is hit."""
-    one = E.A.ctx.one()
-    if P.infinity or Q.infinity or P == Q or P == E.neg(Q):
+    one = E.ctx.one()
+    P, Q = _fp2_point(E, P), _fp2_point(E, Q)
+    if P is None or Q is None or P == Q or P == _neg(Q):
         return one
     for _ in range(200):
-        S = E.random_point(rng)
+        S = _fp2_point(E, E.random_point(rng))
         try:
-            a = (linear_miller(E, P, n, affine_add(E, Q, S))
-                 / linear_miller(E, P, n, S))
-            b = (linear_miller(E, Q, n, affine_add(E, P, E.neg(S)))
-                 / linear_miller(E, Q, n, E.neg(S)))
+            a = (_linear_miller(E, P, n, _add(E, Q, S))
+                 / _linear_miller(E, P, n, S))
+            b = (_linear_miller(E, Q, n, _add(E, P, _neg(S)))
+                 / _linear_miller(E, Q, n, _neg(S)))
             return a / b
         except Degenerate:
             continue
@@ -275,54 +321,54 @@ class VeluStep:
 
     domain: EllipticCurve
     codomain: EllipticCurve
-    kernel_points: tuple[Point, ...]
+    kernel_points: tuple
 
 
-def cyclic_subgroup(E: EllipticCurve, K: Point, n: int) -> tuple[Point, ...]:
+def cyclic_subgroup(E: EllipticCurve, K, n: int) -> tuple:
     """The n - 1 nonzero points [1]K, ..., [n-1]K of <K>, for K of exact
     order n, by repeated ``affine_add``.  No [i]K before [n]K may be O,
     and [n-1]K must be -K, which is [n]K = O."""
-    if K.infinity:
+    K = _fp2_point(E, K)
+    if K is None:
         raise InvalidKernelError(f"generator order divides {n} improperly")
     pts = [K]
     for _ in range(2, n):
-        pts.append(affine_add(E, pts[-1], K))
-        if pts[-1].infinity:
+        pts.append(_add(E, pts[-1], K))
+        if pts[-1] is None:
             raise InvalidKernelError(f"generator order divides {n} improperly")
-    if n < 2 or pts[-1] != E.neg(K):
+    if n < 2 or pts[-1] != _neg(K):
         raise InvalidKernelError(f"generator does not have order {n}")
-    return tuple(pts)
+    return tuple(map(_package_point, pts))
 
 
-def reference_step(E: EllipticCurve, K: Point, ell: int) -> VeluStep:
+def reference_step(E: EllipticCurve, K, ell: int) -> VeluStep:
     """The quotient of E by <K>, for K of exact order ell: the subgroup
     listed by ``cyclic_subgroup``, quotiented by ``full_kernel_quotient``."""
     return full_kernel_quotient(E, cyclic_subgroup(E, K, ell))
 
 
-def walk_kernel(E: EllipticCurve, K: Point, ell: int) -> tuple:
+def walk_kernel(E: EllipticCurve, K, ell: int) -> tuple:
     """The kernel list the walk hands ``velu_step`` for K of order ell:
-    [1]K, ..., [ell//2]K as affine Jacobian triples, one per pair +-Q,
-    by repeated ``affine_add``."""
-    return tuple(jacobian(naive_mul(E, i, K)) for i in range(1, ell // 2 + 1))
+    [1]K, ..., [ell//2]K, one per pair +-Q, by repeated ``affine_add``."""
+    return tuple(naive_mul(E, i, K) for i in range(1, ell // 2 + 1))
 
 
 def velu_codomain(E: EllipticCurve, kernel) -> EllipticCurve:
     """The codomain of E by a ``velu_step`` kernel list, as a curve: the
-    step on E's coefficient pairs, built into E's field."""
-    A, B = velu_step((E.A.a, E.A.b), (E.B.a, E.B.b), kernel, E.ctx.p)
-    return EllipticCurve(E.ctx.elem(*A), E.ctx.elem(*B))
+    step on E's coefficient pairs."""
+    return EllipticCurve(E.ctx, *velu_step(E.A, E.B, kernel, E.ctx.p))
 
 
-def expand_kernel(E: EllipticCurve, kernel) -> tuple[Point, ...]:
+def expand_kernel(E: EllipticCurve, kernel) -> tuple:
     """Every nonzero point of the subgroup a ``velu_step`` kernel list
     stands for, in ``cyclic_subgroup``'s order: the listed points, then
     the negatives of those with y != 0, last first."""
-    pts = [unit_point(E.ctx, Q) for Q in kernel]
-    return tuple(pts + [E.neg(Q) for Q in reversed(pts) if Q.y])
+    pts = [_fp2_point(E, Q) for Q in kernel]
+    pts += [_neg(Q) for Q in reversed(pts) if Q[1]]
+    return tuple(map(_package_point, pts))
 
 
-def push_through(phi: VeluStep, points) -> list[Point]:
+def push_through(phi: VeluStep, points) -> list:
     """Images of a list of points under one step by the package's
     batched translate loop, ``_translate``, given one kernel point per x.
 
@@ -330,17 +376,13 @@ def push_through(phi: VeluStep, points) -> list[Point]:
     walk never takes, such as an order-6 quotient, and compare it with
     ``naive_evaluate``.
     """
-    ctx = phi.domain.ctx
     kernel = {}                  # one kernel point per x
     for Q in phi.kernel_points:
-        kernel.setdefault((Q.x.a, Q.x.b), jacobian(Q))
-    _, images = _translate(ctx, list(kernel.values()),
-                           [jacobian(P) for P in points])
-    return [unit_point(ctx, T) for T in images]
+        kernel.setdefault(Q[0], Q)
+    return _translate(phi.domain.ctx, list(kernel.values()), list(points))[1]
 
 
-def naive_chain(E: EllipticCurve, K: Point, ell: int,
-                e: int) -> tuple[VeluStep, ...]:
+def naive_chain(E: EllipticCurve, K, ell: int, e: int) -> tuple:
     """The e steps of the chain by a fresh scalar multiple per step.
 
     Step i quotients out [ell^(e-1-i)]K_i by ``reference_step`` and
@@ -349,7 +391,7 @@ def naive_chain(E: EllipticCurve, K: Point, ell: int,
     """
     E.check_point(K)
     n = ell ** e
-    if not E.mul(n, K).infinity or E.mul(n // ell, K).infinity:
+    if E.mul(n, K) != INFINITY or E.mul(n // ell, K) == INFINITY:
         raise InvalidKernelError(f"kernel generator must have exact order {n}")
     steps = []
     cur, Kc = E, K
@@ -359,7 +401,7 @@ def naive_chain(E: EllipticCurve, K: Point, ell: int,
         Kc = naive_evaluate(step, Kc)
         cur = step.codomain
         steps.append(step)
-    if not Kc.infinity:
+    if Kc != INFINITY:
         raise InvalidKernelError("kernel not annihilated by its own chain")
     return tuple(steps)
 
@@ -399,7 +441,7 @@ def walk_counts(ell: int, e: int, npush: int) -> dict:
             "inv": invs}
 
 
-def naive_evaluate(phi, P: Point) -> Point:
+def naive_evaluate(phi, P):
     """Image of P under a VeluStep or a sequence of them, one translate
     (and one inversion) per kernel point."""
     if not isinstance(phi, VeluStep):
@@ -407,17 +449,16 @@ def naive_evaluate(phi, P: Point) -> Point:
             P = naive_evaluate(step, P)
         return P
     E = phi.domain
-    if P.infinity:
+    if P == INFINITY or P in phi.kernel_points:
         return INFINITY
+    P = _fp2_point(E, P)
+    x, y = P
     for Q in phi.kernel_points:
-        if P == Q:
-            return INFINITY
-    x, y = P.x, P.y
-    for Q in phi.kernel_points:
-        S = affine_add(E, P, Q)
-        x = x + S.x - Q.x
-        y = y + S.y - Q.y
-    return Point(x, y)
+        Q = _fp2_point(E, Q)
+        S = _add(E, P, Q)
+        x = x + S[0] - Q[0]
+        y = y + S[1] - Q[1]
+    return _package_point((x, y))
 
 
 def full_kernel_quotient(E: EllipticCurve, kernel_points) -> VeluStep:
@@ -430,24 +471,25 @@ def full_kernel_quotient(E: EllipticCurve, kernel_points) -> VeluStep:
     size, fine at desk scale.
     """
     pts = tuple(kernel_points)
-    seen = set()
     for Q in pts:
         E.check_point(Q)
-        if Q.infinity:
+        if Q[2] == (0, 0):
             raise InvalidKernelError("identity listed as a kernel point")
-        seen.add((Q.x, Q.y))
+    affine = [_fp2_point(E, Q) for Q in pts]
+    seen = set(affine)
     if len(seen) != len(pts):
         raise InvalidKernelError("duplicate kernel points")
-    for Q in pts:
-        if (Q.x, -Q.y) not in seen:
+    for Q in affine:
+        if _neg(Q) not in seen:
             raise InvalidKernelError("kernel set not closed under negation")
     c = E.ctx.elem
+    A, B = E.ctx.elem(*E.A), E.ctx.elem(*E.B)
     v = w = c(0)
-    for Q in pts:
-        x = Q.x
-        v = v + c(3) * x * x + E.A
-        w = w + c(5) * x * x * x + c(3) * E.A * x + c(2) * E.B
-    return VeluStep(E, EllipticCurve(E.A - c(5) * v, E.B - c(7) * w), pts)
+    for x, _ in affine:
+        v = v + c(3) * x * x + A
+        w = w + c(5) * x * x * x + c(3) * A * x + c(2) * B
+    A, B = A - c(5) * v, B - c(7) * w
+    return VeluStep(E, EllipticCurve(E.ctx, (A.a, A.b), (B.a, B.b)), pts)
 
 
 # -- F_{p^2} ---------------------------------------------------------------
@@ -595,29 +637,29 @@ class DecompositionError(Exception):
     """A point has no decomposition over the given basis."""
 
 
-def distortion_map(E: EllipticCurve, P: Point) -> Point:
+def distortion_map(E: EllipticCurve, P):
     """The endomorphism (x, y) -> (-x, i*y) of the curve y^2 = x^3 + x.
 
     Sends a point to one outside its own cyclic subgroup, which makes
     the modified pairing below nondegenerate on cyclic inputs.
     """
-    ctx = E.ctx
-    if E.A != ctx.one() or E.B != ctx.zero():
+    if E.A != (1, 0) or E.B != (0, 0):
         raise UnsupportedParameterError(
             "distortion map is defined on y^2 = x^3 + x only")
-    if P.infinity:
+    if P == INFINITY:
         return INFINITY
     E.check_point(P)
-    return Point(-P.x, ctx.elem(0, 1) * P.y)
+    x, y = _fp2_point(E, P)
+    return _package_point((-x, E.ctx.elem(0, 1) * y))
 
 
-def modified_pairing(E: EllipticCurve, Q: Point, Qp: Point, n: int) -> Fp2:
+def modified_pairing(E: EllipticCurve, Q, Qp, n: int) -> Fp2:
     """Distortion-modified pairing e_n(Q, psi(Q')), nonzero on the diagonal."""
     return weil_pairing(E, Q, distortion_map(E, Qp), n)
 
 
-def symmetric_pairing(E: EllipticCurve, G: Point, H: Point,
-                      P: Point, Q: Point, ell: int, e: int) -> Fp2:
+def symmetric_pairing(E: EllipticCurve, G, H, P, Q, ell: int,
+                      e: int) -> Fp2:
     """Symmetric pairing on span(G, H): e(P, psi(Q)) with the basis map
     psi([u]G + [v]H) = [v]G - [u]H.
 
@@ -653,8 +695,8 @@ def _dlog_prime_power(base: Fp2, target: Fp2, ell: int, e: int) -> int:
     return x
 
 
-def decompose_in_basis(E: EllipticCurve, G: Point, H: Point,
-                       P: Point, ell: int, e: int) -> tuple[int, int]:
+def decompose_in_basis(E: EllipticCurve, G, H, P, ell: int,
+                       e: int) -> tuple[int, int]:
     """Coefficients (u, v) with P = [u]G + [v]H, for a basis (G, H) of
     the ell^e-torsion.
 
@@ -674,8 +716,7 @@ def decompose_in_basis(E: EllipticCurve, G: Point, H: Point,
     return u, v
 
 
-def is_torsion_basis(E: EllipticCurve, P: Point, Q: Point,
-                     ell: int, e: int) -> bool:
+def is_torsion_basis(E: EllipticCurve, P, Q, ell: int, e: int) -> bool:
     """Whether (P, Q), two checked ell^e-torsion points of E, is a basis
     of the ell^e-torsion: e_n(P, Q) must have exact order n = ell^e.
 

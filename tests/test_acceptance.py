@@ -265,7 +265,7 @@ def test_10_baseline_ot_bulk(p431):
             open_sealed(art["receiver_key"], other)
         except DecryptionError:
             sealed += 1
-    off = CURVE.point(CURVE.A.ctx.elem(8144), CURVE.A.ctx.elem(4842))
+    off = CURVE.point((8144, 0), (4842, 0))
     refusals = 0
     try:
         bo_receiver_round(off, 0, rng)

@@ -176,12 +176,13 @@ def _low_order_g(body, params):
     """g := [lB]G: on the curve and in the lB^eB-torsion, but short of
     its full order there."""
     pub = public_from_obj(params.ctx, body)
-    body["g"] = point_to_obj(pub.curve.mul(params.side_b.ell, pub.G))
+    body["g"] = point_to_obj(params.ctx, pub.curve.mul(params.side_b.ell,
+                                                     pub.G))
 
 
 def _dependent_pair(body, params):
     pub = public_from_obj(params.ctx, body)
-    body["h"] = point_to_obj(pub.curve.mul(3, pub.G))
+    body["h"] = point_to_obj(params.ctx, pub.curve.mul(3, pub.G))
 
 
 def _set_field(key, value):
@@ -261,7 +262,8 @@ def test_sender_pair_that_is_no_basis_fails_public_key_a(p431, sign):
 
     def dependent(body):
         pub = public_from_obj(p431.ctx, body)
-        body["h"] = point_to_obj(pub.G if sign == 1 else pub.curve.neg(pub.G))
+        body["h"] = point_to_obj(p431.ctx, pub.G if sign == 1
+                                 else pub.curve.neg(pub.G))
     bad = _tamper(out["transcript"], 4, dependent)
     failed = [c for c in verify_transcript(bad, p431)["checks"] if not c["ok"]]
     assert failed == [{"check": "public-key-A", "ok": False, "detail":

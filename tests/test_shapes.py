@@ -11,13 +11,12 @@ import pytest
 
 import siot.curve
 import siot.isogeny
-from oracles import (SHAPES, affine_add, cyclic_subgroup, expand_kernel,
-                     naive_chain, naive_evaluate, naive_order, reference_step,
-                     shape_id, shape_params, velu_codomain, walk_counts,
-                     walk_kernel)
+from oracles import (SHAPES, cyclic_subgroup, expand_kernel, naive_chain,
+                     naive_evaluate, naive_order, reference_step, shape_id,
+                     shape_params, velu_codomain, walk_counts, walk_kernel)
 from siot import SessionConfig, det_rng, run_local
 from siot.errors import InvalidKernelError, InvalidPointError
-from siot.curve import INFINITY, jacobian, unit_point
+from siot.curve import INFINITY
 from siot.field import Fp2
 from siot.isogeny import _translate, evaluate, isogeny_chain, kernel_generator
 
@@ -80,7 +79,7 @@ def test_step_matches_the_oracle_step(shape):
         for P in pts:
             assert evaluate(E, kernel, P) == naive_evaluate(step, P)
         for Q in step.kernel_points:
-            assert evaluate(E, kernel, Q).infinity
+            assert evaluate(E, kernel, Q) == INFINITY
 
 
 def _rescaled(T, z: Fp2):
@@ -116,14 +115,13 @@ def test_translate_takes_jacobian_inputs(shape):
                *(E.random_point(rng) for _ in range(3)),
                *step.kernel_points, INFINITY]
         pts += [pts[0], pts[-2], pts[3]]
-        want = _translate(ctx, kernel, [jacobian(P) for P in pts])
+        want = _translate(ctx, kernel, pts)
         assert want[0] == list(kernel)
-        assert [unit_point(ctx, T) for T in want[1]] \
-            == [naive_evaluate(step, P) for P in pts]
+        assert want[1] == [naive_evaluate(step, P) for P in pts]
         for _ in range(3):
             got = _translate(
                 ctx, [_rescaled(Q, nonzero()) for Q in kernel],
-                [_rescaled(jacobian(P), nonzero()) for P in pts])
+                [_rescaled(P, nonzero()) for P in pts])
             assert got == want
 
 
@@ -153,18 +151,10 @@ def test_chain_inverts_once_per_step(shape, request, counter):
                 == walk_counts(own.ell, own.e, len(push))
 
 
-def _multiples(E, K, m):
-    """[1]K, ..., [m-1]K by repeated chord-tangent addition."""
-    out, R = [], K
-    for _ in range(m - 1):
-        out.append(R)
-        R = affine_add(E, R, K)
-    return tuple(out)
-
-
 def test_subgroup_and_order_match_the_oracles(shape):
-    """``cyclic_subgroup`` lists what repeated ``affine_add`` lists and
-    rejects a wrong order either way; ``has_exact_order`` agrees with
+    """``cyclic_subgroup``, by repeated chord-tangent addition, lists
+    the package's multiples [1]K, ..., [m-1]K (``E.mul``) and rejects a
+    wrong order either way; ``has_exact_order`` agrees with
     ``naive_order`` at every exponent."""
     E = shape.curve
     for own in (shape.side_a, shape.side_b):
@@ -172,7 +162,8 @@ def test_subgroup_and_order_match_the_oracles(shape):
         ell, e, n = own.ell, own.e, own.n
         for K in (G, H, E.mul(ell, G), E.mul(n // ell, H)):
             m = naive_order(E, K, n)
-            assert cyclic_subgroup(E, K, m) == _multiples(E, K, m)
+            assert cyclic_subgroup(E, K, m) \
+                == tuple(E.mul(i, K) for i in range(1, m))
             with pytest.raises(InvalidKernelError,
                                match="divides .* improperly"):
                 cyclic_subgroup(E, K, ell * m)

@@ -8,6 +8,7 @@ import pytest
 import siot.siot
 from oracles import check_mask_coefficients
 from siot import SessionConfig, det_rng, kdf_dec, keygen, run_local
+from siot.curve import INFINITY
 from siot.errors import DecryptionError, InvalidKernelError, ProtocolAbort
 from siot.isogeny import kernel_generator
 from siot.pairing import weil_pairing
@@ -182,7 +183,7 @@ def test_mask_points_satisfy_dependence_identity(p431):
         U, V = encode_mask_points(c, pub.curve, pub.G, pub.H)
         scale = (-c.alpha * pow(c.beta, -1, n)) % n
         assert V == pub.curve.mul(scale, U)
-        assert pub.curve.mul(n, U).infinity
+        assert pub.curve.mul(n, U) == INFINITY
 
 
 def test_rederived_mask_is_identical_from_masked_pair(p431):
@@ -430,7 +431,8 @@ def test_dependent_receiver_pair_aborts_before_any_walk(p431, counter):
     r = SiotSession(p431, "receiver", det_rng(b"dependent-r"), sid, b=0)
     _run_until(s, r, "pk-receiver")
     pub = r.keypair.public
-    body = {**r.produce_public(), "h": point_to_obj(pub.curve.mul(3, pub.G))}
+    body = {**r.produce_public(),
+            "h": point_to_obj(p431.ctx, pub.curve.mul(3, pub.G))}
     walks = counter(siot.siot, "isogeny_chain")
     with pytest.raises(ProtocolAbort) as info:
         s.consume_public(body)
@@ -478,7 +480,7 @@ def test_sender_pair_that_is_no_basis_is_a_coded_abort(p431):
         _run_until(s, r, "pk-sender")
         pub = s.keypair.public
         H = pub.G if sign == 1 else pub.curve.neg(pub.G)
-        body = {**s.produce_public(), "h": point_to_obj(H)}
+        body = {**s.produce_public(), "h": point_to_obj(p431.ctx, H)}
         with pytest.raises(ProtocolAbort) as verdict:
             read_public(p431, "sender", body)
         with pytest.raises(ProtocolAbort) as info:
